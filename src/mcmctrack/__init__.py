@@ -63,7 +63,7 @@ from .oracle import (
     exact_posterior,
     tv_distance,
 )
-from .sampler import ChainState, ChildSample, SamplerConfig, sample_children
+from .sampler import ChildSample, SamplerConfig, sample_children
 from .simulate import (
     MeasurementFrame,
     ScenarioConfig,

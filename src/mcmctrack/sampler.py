@@ -3,14 +3,18 @@
 The chain state is one row of the would-be hypothesis matrix: an assignment
 per return (object column, birth, or clutter) plus a death set. A step picks
 one of the m+1 matrix rows uniformly; measurement rows reassign that return
-uniformly among the other columns, with a conflicting claim (object already
-claimed by another return) repaired by bumping that other return to clutter.
-Proposing an association to an object currently marked dead would produce a
-structurally invalid event, so it is treated as a no-change proposal; the
-dead object can first be revived through the death row, which toggles one
-uniformly chosen unassociated in-FOV object's death status. Scores are
-log(child prior) + log(likelihood), maintained incrementally and recomputed
-from scratch whenever a new event is recorded.
+uniformly among the other columns. When the target object is already
+claimed by another return, the two returns swap: the other return takes the
+proposer's old column (MCMCDA's switch move). The swap leaves the counts of
+associations and births unchanged and its reverse is drawn with the same
+probability, so the proposal is symmetric and the walk's stationary
+distribution is the exact posterior. Proposing an association to an object
+currently marked dead would produce a structurally invalid event, so it is
+treated as a no-change proposal; the dead object can first be revived
+through the death row, which toggles one uniformly chosen unassociated
+in-FOV object's death status. Scores are log(child prior) + log(likelihood),
+maintained incrementally and recomputed from scratch whenever a new event is
+recorded.
 """
 
 from __future__ import annotations
@@ -53,14 +57,6 @@ class SamplerConfig:
             raise ConfigError("sampler.children_kept must be >= 1")
         if self.chains_per_parent < 1:
             raise ConfigError("sampler.chains_per_parent must be >= 1")
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Snapshot of the walk: the event and its unnormalized log-score."""
-
-    event: AssociationEvent
-    log_score: float
 
 
 @dataclass(frozen=True)
@@ -151,50 +147,68 @@ class _Chain:
 
     The running log-likelihood is kept as a finite sum plus a count of
     selected -inf entries, so zero-likelihood assignments never produce
-    inf - inf artifacts in the move deltas.
+    inf - inf artifacts in the move deltas. propose() leaves the drawn move
+    and its candidate counts in the pending fields (prefixed with an
+    underscore) and cand_score; apply() commits them.
     """
 
     __slots__ = (
         "ctx", "rng", "assign", "claimed_by", "dead", "k", "n_b",
         "finite_loglik", "zero_entries", "log_score",
+        "_row", "_col", "_other", "_k", "_n_b", "_finite", "_zero", "cand_score",
     )
 
-    def __init__(self, ctx: _ScoreContext, rng: random.Random) -> None:
+    def __init__(
+        self,
+        ctx: _ScoreContext,
+        rng: random.Random,
+        event: AssociationEvent | None = None,
+    ) -> None:
+        """Load event, or draw a random initial one: each return picks
+        uniformly among the supported columns of its row (zero-likelihood
+        pairings would start the chain on a plateau it can take arbitrarily
+        long to leave), a draw of an already-claimed object resolves to
+        clutter, and the death set is empty."""
         self.ctx = ctx
         self.rng = rng
-        self.assign: list[int] = []
+        matrix = ctx.matrix
+        if event is None:
+            self.assign = [ctx.clutter_col] * ctx.m
+            self.dead: set[int] = set()
+        else:
+            self.assign = [matrix.column_of(a) for a in event.assignments]
+            self.dead = {matrix.object_labels.index(lbl) for lbl in event.deaths}
         self.claimed_by = [-1] * ctx.n_objects
-        self.dead: set[int] = set()
         self.k = 0
         self.n_b = 0
         self.finite_loglik = 0.0
         self.zero_entries = 0
-        # Random init: each return draws uniformly over the supported columns
-        # of its row (zero-likelihood pairings would start the chain on a
-        # plateau it can take arbitrarily long to leave); a draw of an
-        # already-claimed object resolves to clutter.
         for i in range(ctx.m):
-            supported = ctx.supported_cols[i]
-            if supported:
-                col = supported[rng.randrange(len(supported))]
-            else:
-                col = rng.randrange(ctx.n_objects + 2)
-            if col < ctx.n_objects:
-                if self.claimed_by[col] != -1:
-                    col = ctx.clutter_col
+            if event is None:
+                supported = ctx.supported_cols[i]
+                if supported:
+                    col = supported[rng.randrange(len(supported))]
                 else:
-                    self.claimed_by[col] = i
-                    self.k += 1
-            if col == ctx.birth_col:
+                    col = rng.randrange(ctx.n_objects + 2)
+                if col < ctx.n_objects and self.claimed_by[col] != -1:
+                    col = ctx.clutter_col
+                self.assign[i] = col
+            else:
+                col = self.assign[i]
+            if col < ctx.n_objects:
+                self.claimed_by[col] = i
+                self.k += 1
+            elif col == ctx.birth_col:
                 self.n_b += 1
-            self.assign.append(col)
             entry = ctx.rows[i][col]
             if entry == -math.inf:
                 self.zero_entries += 1
             else:
                 self.finite_loglik += entry
         self.log_score = self._full_score(
-            ctx.log_prior(self.k, self.n_b, 0), self.finite_loglik, self.zero_entries
+            ctx.log_prior(self.k, self.n_b, len(self.dead)),
+            self.finite_loglik,
+            self.zero_entries,
         )
 
     @staticmethod
@@ -212,96 +226,111 @@ class _Chain:
 
     def step(self) -> None:
         """One proposal plus Metropolis accept/reject."""
+        if self.propose() and self._accept(self.cand_score):
+            self.apply()
+
+    def propose(self) -> bool:
+        """Draw one of the m+1 rows uniformly and a move in it, and score the
+        candidate. Returns False for a no-change proposal (a dead target
+        object, or an empty death pool), which needs no accept/reject."""
         ctx = self.ctx
-        rng = self.rng
-        row = rng.randrange(ctx.m + 1)
+        n_objects = ctx.n_objects
+        row = self.rng.randrange(ctx.m + 1)
+        self._row = row
         if row == ctx.m:
-            self._death_step()
-            return
+            pool = [j for j in ctx.death_eligible if self.claimed_by[j] == -1]
+            if not pool:
+                return False
+            j = pool[self.rng.randrange(len(pool))]
+            self._col = j
+            n_d = len(self.dead) + (-1 if j in self.dead else 1)
+            self.cand_score = self._full_score(
+                ctx.log_prior(self.k, self.n_b, n_d), self.finite_loglik, self.zero_entries
+            )
+            return True
         cur = self.assign[row]
-        col = rng.randrange(ctx.n_objects + 1)
+        col = self.rng.randrange(n_objects + 1)
         if col >= cur:
             col += 1
-        if col < ctx.n_objects and col in self.dead:
-            return  # would assign a dead object: invalid, no-change proposal
-        # Candidate deltas.
-        d_k = 0
-        d_nb = 0
-        d_nd = 0
-        d_finite = 0.0
-        d_zero = 0
-        removed = ctx.rows[row][cur]
-        if removed == -math.inf:
-            d_zero -= 1
-        else:
-            d_finite -= removed
-        added = ctx.rows[row][col]
-        if added == -math.inf:
-            d_zero += 1
-        else:
-            d_finite += added
-        bumped = -1
-        if cur < ctx.n_objects:
-            d_k -= 1
-        elif cur == ctx.birth_col:
-            d_nb -= 1
-        if col < ctx.n_objects:
-            d_k += 1
+        other = -1
+        if col < n_objects:
+            if col in self.dead:
+                return False  # would assign a dead object: invalid
             other = self.claimed_by[col]
-            if other != -1 and other != row:
-                bumped = other
-                d_k -= 1
-                old_other = ctx.rows[other][col]
-                if old_other == -math.inf:
-                    d_zero -= 1
-                else:
-                    d_finite -= old_other
-                new_other = ctx.rows[other][ctx.clutter_col]
-                if new_other == -math.inf:
-                    d_zero += 1
-                else:
-                    d_finite += new_other
-        elif col == ctx.birth_col:
-            d_nb += 1
-        new_prior = ctx.log_prior(self.k + d_k, self.n_b + d_nb, len(self.dead) + d_nd)
-        cand_score = self._full_score(
-            new_prior, self.finite_loglik + d_finite, self.zero_entries + d_zero
-        )
-        if not self._accept(cand_score):
-            return
-        # Apply the move.
-        if cur < ctx.n_objects:
-            self.claimed_by[cur] = -1
-        if col < ctx.n_objects:
-            if bumped != -1:
-                self.assign[bumped] = ctx.clutter_col
-            self.claimed_by[col] = row
-        self.assign[row] = col
-        self.k += d_k
-        self.n_b += d_nb
-        self.finite_loglik += d_finite
-        self.zero_entries += d_zero
-        self.log_score = cand_score
-
-    def _death_step(self) -> None:
-        ctx = self.ctx
-        pool = [j for j in ctx.death_eligible if self.claimed_by[j] == -1]
-        if not pool:
-            return  # "no change" proposal; trivially accepted
-        j = pool[self.rng.randrange(len(pool))]
-        d_nd = -1 if j in self.dead else 1
-        cand_score = self._full_score(
-            ctx.log_prior(self.k, self.n_b, len(self.dead) + d_nd),
-            self.finite_loglik,
-            self.zero_entries,
-        )
-        if not self._accept(cand_score):
-            return
-        if d_nd > 0:
-            self.dead.add(j)
+        self._col = col
+        self._other = other
+        k = self.k
+        n_b = self.n_b
+        finite = self.finite_loglik
+        zero = self.zero_entries
+        entries = ctx.rows[row]
+        removed = entries[cur]
+        added = entries[col]
+        if removed == -math.inf:
+            zero -= 1
         else:
-            self.dead.discard(j)
-        self.log_score = cand_score
+            finite -= removed
+        if added == -math.inf:
+            zero += 1
+        else:
+            finite += added
+        if other != -1:
+            # Swap: the claiming return takes the proposer's old column, so k
+            # and n_b keep; proposing col from the other row reverses it.
+            entries = ctx.rows[other]
+            removed = entries[col]
+            added = entries[cur]
+            if removed == -math.inf:
+                zero -= 1
+            else:
+                finite -= removed
+            if added == -math.inf:
+                zero += 1
+            else:
+                finite += added
+        else:
+            if cur < n_objects:
+                k -= 1
+            elif cur == ctx.birth_col:
+                n_b -= 1
+            if col < n_objects:
+                k += 1
+            elif col == ctx.birth_col:
+                n_b += 1
+        self._k = k
+        self._n_b = n_b
+        self._finite = finite
+        self._zero = zero
+        self.cand_score = self._full_score(
+            ctx.log_prior(k, n_b, len(self.dead)), finite, zero
+        )
+        return True
+
+    def apply(self) -> None:
+        """Commit the move that the last propose() returned True for."""
+        row = self._row
+        col = self._col
+        if row == self.ctx.m:
+            if col in self.dead:
+                self.dead.discard(col)
+            else:
+                self.dead.add(col)
+        else:
+            n_objects = self.ctx.n_objects
+            cur = self.assign[row]
+            other = self._other
+            if other != -1:
+                self.assign[other] = cur
+            if cur < n_objects:
+                self.claimed_by[cur] = other
+            if col < n_objects:
+                self.claimed_by[col] = row
+            self.assign[row] = col
+            self.k = self._k
+            self.n_b = self._n_b
+            self.finite_loglik = self._finite
+            self.zero_entries = self._zero
+        self.log_score = self.cand_score
 
     def _accept(self, cand_score: float) -> bool:
         if cand_score == -math.inf:
@@ -317,110 +346,16 @@ class _Chain:
         u = self.rng.random()
         return u == 0.0 or math.log(u) < delta
 
-    def snapshot(self) -> ChainState:
-        return ChainState(event=self.event(), log_score=self.log_score)
-
     def event(self) -> AssociationEvent:
-        ctx = self.ctx
-        return AssociationEvent(
-            assignments=tuple(ctx.matrix.entry_of(c) for c in self.assign),
-            deaths=frozenset(ctx.matrix.object_labels[j] for j in self.dead),
-        )
+        return _event_of(self.ctx.matrix, self.key())
 
 
-def init_chain(
-    matrix: AssociationMatrix,
-    birth_cfg: BirthDeathConfig,
-    sensor: SensorModel,
-    rng: random.Random,
-) -> ChainState:
-    """Draw a random initial event (uniform per-return assignment, conflicts
-    to clutter, empty death set) and score it."""
-    ctx = _ScoreContext(matrix, birth_cfg, sensor)
-    chain = _Chain(ctx, rng)
-    chain.resync()
-    return chain.snapshot()
-
-
-def propose(
-    state: ChainState,
-    matrix: AssociationMatrix,
-    birth_cfg: BirthDeathConfig,
-    sensor: SensorModel,
-    rng: random.Random,
-) -> ChainState:
-    """One uniform proposal from state (without the accept/reject step)."""
-    ctx = _ScoreContext(matrix, birth_cfg, sensor)
-    chain = _chain_from_event(ctx, state.event, rng)
-    row = rng.randrange(ctx.m + 1)
-    if row == ctx.m:
-        pool = [j for j in ctx.death_eligible if chain.claimed_by[j] == -1]
-        if pool:
-            j = pool[rng.randrange(len(pool))]
-            if j in chain.dead:
-                chain.dead.discard(j)
-            else:
-                chain.dead.add(j)
-    else:
-        cur = chain.assign[row]
-        col = rng.randrange(ctx.n_objects + 1)
-        if col >= cur:
-            col += 1
-        if col < ctx.n_objects and col in chain.dead:
-            pass  # invalid target (dead object): no-change proposal
-        else:
-            if cur < ctx.n_objects:
-                chain.claimed_by[cur] = -1
-            if col < ctx.n_objects:
-                other = chain.claimed_by[col]
-                if other != -1:
-                    chain.assign[other] = ctx.clutter_col
-                chain.claimed_by[col] = row
-            chain.assign[row] = col
-    chain.resync()
-    return chain.snapshot()
-
-
-def metropolis_step(
-    state: ChainState, candidate: ChainState, rng: random.Random
-) -> ChainState:
-    """Accept the candidate iff u < min(1, exp(delta)); -inf candidates are
-    always rejected."""
-    if candidate.log_score == -math.inf:
-        return state
-    delta = candidate.log_score - state.log_score
-    if delta >= 0.0 or math.isnan(delta):
-        return candidate
-    u = rng.random()
-    if u == 0.0 or math.log(u) < delta:
-        return candidate
-    return state
-
-
-def _chain_from_event(
-    ctx: _ScoreContext, event: AssociationEvent, rng: random.Random
-) -> _Chain:
-    chain = _Chain.__new__(_Chain)
-    chain.ctx = ctx
-    chain.rng = rng
-    chain.assign = [ctx.matrix.column_of(a) for a in event.assignments]
-    chain.claimed_by = [-1] * ctx.n_objects
-    for i, c in enumerate(chain.assign):
-        if c < ctx.n_objects:
-            chain.claimed_by[c] = i
-    chain.dead = {ctx.matrix.object_labels.index(lbl) for lbl in event.deaths}
-    chain.k = sum(1 for c in chain.assign if c < ctx.n_objects)
-    chain.n_b = sum(1 for c in chain.assign if c == ctx.birth_col)
-    chain.finite_loglik = 0.0
-    chain.zero_entries = 0
-    for i, c in enumerate(chain.assign):
-        entry = ctx.rows[i][c]
-        if entry == -math.inf:
-            chain.zero_entries += 1
-        else:
-            chain.finite_loglik += entry
-    chain.log_score = ctx.log_score(chain.assign, chain.dead)
-    return chain
+def _event_of(matrix: AssociationMatrix, key: tuple) -> AssociationEvent:
+    assign, deaths = key
+    return AssociationEvent(
+        assignments=tuple(matrix.entry_of(c) for c in assign),
+        deaths=frozenset(matrix.object_labels[j] for j in deaths),
+    )
 
 
 def chain_seed(seed: int, parent_id: str, chain_index: int) -> int:
@@ -471,15 +406,10 @@ def sample_children(
             else:
                 slot[1] += 1
     ranked = sorted(table.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    out = []
-    for key, (score, visits) in ranked[: cfg.children_kept]:
-        assign, deaths = key
-        event = AssociationEvent(
-            assignments=tuple(matrix.entry_of(c) for c in assign),
-            deaths=frozenset(matrix.object_labels[j] for j in deaths),
-        )
-        out.append(ChildSample(event=event, log_score=score, visits=visits))
-    return out
+    return [
+        ChildSample(event=_event_of(matrix, key), log_score=score, visits=visits)
+        for key, (score, visits) in ranked[: cfg.children_kept]
+    ]
 
 
 def visit_distribution(samples: list[ChildSample]) -> dict[tuple, float]:

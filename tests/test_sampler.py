@@ -19,11 +19,9 @@ from mcmctrack.hypotheses import (
 from mcmctrack.likelihoods import ClutterModel, build_matrix, hypothesis_log_likelihood
 from mcmctrack.oracle import enumerate_child_events, exact_posterior, tv_distance
 from mcmctrack.sampler import (
-    ChainState,
     SamplerConfig,
-    init_chain,
-    metropolis_step,
-    propose,
+    _Chain,
+    _ScoreContext,
     sample_children,
     visit_distribution,
 )
@@ -57,183 +55,235 @@ def make_instance(positions, returns, p_d=0.9, alpha=0.05, beta=0.05, n_pixels=1
     return parent, matrix, cfg, sensor
 
 
+def make_context(positions, returns, **kwargs):
+    parent, matrix, cfg, sensor = make_instance(positions, returns, **kwargs)
+    return parent, _ScoreContext(matrix, cfg, sensor)
+
+
+class _ScriptExhausted(Exception):
+    """Raised by _ScriptRng when the chain asks for a choice past its script."""
+
+    def __init__(self, bound):
+        super().__init__(bound)
+        self.bound = bound
+
+
 class _ScriptRng:
-    """Deterministic rng stub whose randrange pops scripted choices."""
+    """Deterministic rng stub: randrange pops scripted choices and records
+    each bound it was asked for, so the probability of a scripted path is the
+    product of 1/bound."""
 
     def __init__(self, script):
         self.script = list(script)
+        self.bounds = []
 
-    def randrange(self, *args):
+    def randrange(self, bound):
+        if not self.script:
+            raise _ScriptExhausted(bound)
+        self.bounds.append(bound)
         return self.script.pop(0)
 
-    def random(self):
-        return 0.5
+
+def scripted(ctx, event, script):
+    """The chain loaded with event after one scripted propose() (plus apply()
+    when the proposal is a change)."""
+    chain = _Chain(ctx, _ScriptRng(script), event)
+    if chain.propose():
+        chain.apply()
+    return chain
 
 
-def proposal_support(state, matrix, cfg, sensor):
-    """All events one proposal away, found by driving propose() with every
-    scripted (row, choice) pair."""
-    m = matrix.n_returns
-    n_objects = matrix.n_objects
-    assigned = set(state.event.associated_labels)
-    pool = [lbl for lbl in matrix.death_candidate_labels() if lbl not in assigned]
-    support = set()
-    for row in range(m):
-        for c_idx in range(n_objects + 1):
-            cand = propose(state, matrix, cfg, sensor, _ScriptRng([row, c_idx]))
-            support.add(cand.event.canonical_key())
-    for j_idx in range(len(pool)):
-        cand = propose(state, matrix, cfg, sensor, _ScriptRng([m, j_idx]))
-        support.add(cand.event.canonical_key())
-    if not pool:
-        support.add(state.event.canonical_key())
-    return support
+def scripted_proposals(ctx, event):
+    """Every outcome of one _Chain.propose() from event, found by driving it
+    through each branch of its rng choices. Yields (chain after the move or
+    unmoved, moved, probability of that choice path)."""
+    pending = [[]]
+    while pending:
+        script = pending.pop()
+        rng = _ScriptRng(script)
+        chain = _Chain(ctx, rng, event)
+        try:
+            moved = chain.propose()
+        except _ScriptExhausted as branch:
+            pending.extend(script + [c] for c in range(branch.bound))
+            continue
+        if moved:
+            chain.apply()
+        yield chain, moved, math.prod(1.0 / b for b in rng.bounds)
+
+
+def proposal_support(ctx, event):
+    """All events one proposal away from event (itself included when some
+    proposal is a no-change one)."""
+    return {chain.event().canonical_key() for chain, _, _ in scripted_proposals(ctx, event)}
 
 
 class TestInitChain:
     def test_deterministic_given_seed(self):
-        parent, matrix, cfg, sensor = make_instance(
+        parent, ctx = make_context(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
-        a = init_chain(matrix, cfg, sensor, random.Random(7))
-        b = init_chain(matrix, cfg, sensor, random.Random(7))
-        assert a.event == b.event
+        a = _Chain(ctx, random.Random(7))
+        b = _Chain(ctx, random.Random(7))
+        assert a.event() == b.event()
         assert a.log_score == b.log_score
 
     def test_zero_returns(self):
         parent, matrix, cfg, sensor = make_instance([(100.0, 0.0)], np.empty((0, 2)))
-        state = init_chain(matrix, cfg, sensor, random.Random(0))
-        assert state.event.assignments == ()
-        assert state.event.deaths == frozenset()
-        expected = log_child_prior(state.event, parent, cfg, sensor.p_d, 0)
-        assert state.log_score == pytest.approx(expected, rel=1e-12)
+        chain = _Chain(_ScoreContext(matrix, cfg, sensor), random.Random(0))
+        assert chain.event().assignments == ()
+        assert chain.event().deaths == frozenset()
+        expected = log_child_prior(chain.event(), parent, cfg, sensor.p_d, 0)
+        assert chain.log_score == pytest.approx(expected, rel=1e-12)
 
     def test_no_objects_only_birth_or_clutter(self):
-        parent, matrix, cfg, sensor = make_instance([], [[10.0, 0.0], [20.0, 5.0]])
+        parent, ctx = make_context([], [[10.0, 0.0], [20.0, 5.0]])
         for seed in range(20):
-            state = init_chain(matrix, cfg, sensor, random.Random(seed))
-            assert all(a in (BIRTH, CLUTTER) for a in state.event.assignments)
+            chain = _Chain(ctx, random.Random(seed))
+            assert all(a in (BIRTH, CLUTTER) for a in chain.event().assignments)
 
     def test_no_duplicate_claims_and_empty_deaths(self):
-        parent, matrix, cfg, sensor = make_instance(
+        parent, ctx = make_context(
             [(100.0, 0.0)], [[99.0, 1.0], [101.0, -1.0], [100.0, 0.5]]
         )
         for seed in range(50):
-            state = init_chain(matrix, cfg, sensor, random.Random(seed))
-            objs = state.event.associated_labels
+            event = _Chain(ctx, random.Random(seed)).event()
+            objs = event.associated_labels
             assert len(objs) == len(set(objs))
-            assert state.event.deaths == frozenset()
+            assert event.deaths == frozenset()
+
+    def test_loaded_event_scored_from_scratch(self):
+        parent, matrix, cfg, sensor = make_instance(
+            [(100.0, 0.0), (50.0, 60.0), (0.0, -80.0)],
+            [[99.0, 1.0], [52.0, 58.0]],
+        )
+        ctx = _ScoreContext(matrix, cfg, sensor)
+        event = AssociationEvent(assignments=(BIRTH, "t01"), deaths=frozenset({"t02"}))
+        chain = _Chain(ctx, random.Random(0), event)
+        assert chain.event() == event
+        assert (chain.k, chain.n_b) == (1, 1)
+        expected = log_child_prior(event, parent, cfg, sensor.p_d, 2) + (
+            hypothesis_log_likelihood(event, matrix)
+        )
+        assert chain.log_score == pytest.approx(expected, rel=1e-12)
 
 
 class TestPropose:
     def test_support_for_one_track_one_return(self):
-        parent, matrix, cfg, sensor = make_instance([(100.0, 0.0)], [[99.0, 1.0]])
-        state = ChainState(
-            event=AssociationEvent(assignments=("t00",)),
-            log_score=0.0,
-        )
-        support = proposal_support(state, matrix, cfg, sensor)
+        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]])
+        event = AssociationEvent(assignments=("t00",))
         # From {z->t00}: reassign z to B or C; no unassociated object, so the
         # death row proposes no change.
         expected = {
             AssociationEvent(assignments=(BIRTH,)).canonical_key(),
             AssociationEvent(assignments=(CLUTTER,)).canonical_key(),
-            state.event.canonical_key(),
+            event.canonical_key(),
         }
-        assert support == expected
+        assert proposal_support(ctx, event) == expected
 
-    def test_conflict_reassigned_to_clutter(self):
-        parent, matrix, cfg, sensor = make_instance(
+    # Three tracks, two returns; z1 holds t02 and z0 proposes t02. A swap
+    # hands z0's old column to z1 (a bump would send z1 to clutter whatever
+    # z0 held), so the counts of associations and births keep.
+    @pytest.mark.parametrize("old,choice", [
+        pytest.param(CLUTTER, 2, id="clutter"),
+        pytest.param(BIRTH, 2, id="birth"),
+        pytest.param("t00", 1, id="object"),  # choices skip z0's own column 0
+    ])
+    def test_conflict_swaps_with_claiming_return(self, old, choice):
+        parent, ctx = make_context(
             [(100.0, 0.0), (50.0, 60.0), (0.0, -80.0)],
             [[99.0, 1.0], [52.0, 58.0]],
         )
-        state = ChainState(
-            event=AssociationEvent(assignments=(CLUTTER, "t02")),
-            log_score=0.0,
-        )
-        # Propose z0 -> t02 while z1 currently claims t02: z1 must be bumped
-        # to clutter.
-        cand = propose(state, matrix, cfg, sensor, _ScriptRng([0, 2]))
-        assert cand.event.assignments == ("t02", CLUTTER)
+        event = AssociationEvent(assignments=(old, "t02"))
+        before = _Chain(ctx, None, event)
+        chain = scripted(ctx, event, [0, choice])
+        assert chain.event().assignments == ("t02", old)
+        assert (chain.k, chain.n_b) == (before.k, before.n_b)
 
     def test_claiming_dead_object_is_no_change(self):
         # Assigning a return to an object in the death set would be invalid;
         # the proposal resolves to no change (revival goes through the death
         # row instead).
-        parent, matrix, cfg, sensor = make_instance(
-            [(100.0, 0.0)], [[99.0, 1.0]]
-        )
-        state = ChainState(
-            event=AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"})),
-            log_score=0.0,
-        )
-        cand = propose(state, matrix, cfg, sensor, _ScriptRng([0, 0]))
-        assert cand.event.assignments == (CLUTTER,)
-        assert cand.event.deaths == frozenset({"t00"})
+        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]])
+        event = AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"}))
+        chain = _Chain(ctx, _ScriptRng([0, 0]), event)
+        assert chain.propose() is False
+        assert chain.event() == event
 
     def test_death_toggle_both_ways(self):
-        parent, matrix, cfg, sensor = make_instance(
-            [(100.0, 0.0)], [[99.0, 1.0]]
+        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]])
+        chain = _Chain(
+            ctx, _ScriptRng([1, 0, 1, 0]), AssociationEvent(assignments=(CLUTTER,))
         )
-        alive = ChainState(
-            event=AssociationEvent(assignments=(CLUTTER,)), log_score=0.0
-        )
-        cand = propose(alive, matrix, cfg, sensor, _ScriptRng([1, 0]))
-        assert cand.event.deaths == frozenset({"t00"})
-        back = propose(cand, matrix, cfg, sensor, _ScriptRng([1, 0]))
-        assert back.event.deaths == frozenset()
+        assert chain.propose()
+        chain.apply()
+        assert chain.event().deaths == frozenset({"t00"})
+        assert chain.propose()
+        chain.apply()
+        assert chain.event().deaths == frozenset()
 
     def test_never_produces_duplicate_claims(self):
-        parent, matrix, cfg, sensor = make_instance(
+        parent, ctx = make_context(
             [(100.0, 0.0), (50.0, 60.0)],
             [[99.0, 1.0], [52.0, 58.0], [75.0, 30.0]],
         )
-        rng = random.Random(123)
-        state = init_chain(matrix, cfg, sensor, rng)
+        chain = _Chain(ctx, random.Random(123))
         for _ in range(100_000):
-            state = propose(state, matrix, cfg, sensor, rng)
-            objs = state.event.associated_labels
+            if chain.propose():
+                chain.apply()
+            event = chain.event()
+            objs = event.associated_labels
             assert len(objs) == len(set(objs))
-            assert not (state.event.deaths & set(objs))
+            assert not (event.deaths & set(objs))
 
     def test_scores_consistent_with_production_composition(self):
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
-        rng = random.Random(5)
-        state = init_chain(matrix, cfg, sensor, rng)
+        chain = _Chain(_ScoreContext(matrix, cfg, sensor), random.Random(5))
         for _ in range(200):
-            state = propose(state, matrix, cfg, sensor, rng)
+            if chain.propose():
+                chain.apply()
+            event = chain.event()
             expected = log_child_prior(
-                state.event, parent, cfg, sensor.p_d, 2
-            ) + hypothesis_log_likelihood(state.event, matrix)
+                event, parent, cfg, sensor.p_d, 2
+            ) + hypothesis_log_likelihood(event, matrix)
             if expected == -math.inf:
-                assert state.log_score == -math.inf
+                assert chain.log_score == -math.inf
             else:
-                assert state.log_score == pytest.approx(expected, rel=1e-12)
+                assert chain.log_score == pytest.approx(expected, rel=1e-12)
+
+
+def chain_scored(score, seed=0):
+    """A chain whose current log-score is score, for exercising _accept."""
+    parent, ctx = make_context([], [])
+    chain = _Chain(ctx, random.Random(seed))
+    chain.log_score = score
+    return chain
 
 
 class TestMetropolis:
     def test_higher_score_always_accepted(self):
-        low = ChainState(event=AssociationEvent(assignments=()), log_score=-5.0)
-        high = ChainState(event=AssociationEvent(assignments=()), log_score=-1.0)
-        rng = random.Random(0)
+        chain = chain_scored(-5.0)
         for _ in range(100):
-            assert metropolis_step(low, high, rng) is high
+            assert chain._accept(-1.0)
 
     def test_half_ratio_accepted_half_the_time(self):
-        cur = ChainState(event=AssociationEvent(assignments=()), log_score=0.0)
-        cand = ChainState(event=AssociationEvent(assignments=()), log_score=math.log(0.5))
-        rng = random.Random(321)
-        hits = sum(metropolis_step(cur, cand, rng) is cand for _ in range(100_000))
+        chain = chain_scored(0.0, seed=321)
+        hits = sum(chain._accept(math.log(0.5)) for _ in range(100_000))
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_minus_inf_always_rejected(self):
-        cur = ChainState(event=AssociationEvent(assignments=()), log_score=-10.0)
-        cand = ChainState(event=AssociationEvent(assignments=()), log_score=-math.inf)
-        rng = random.Random(1)
+        chain = chain_scored(-10.0, seed=1)
         for _ in range(100):
-            assert metropolis_step(cur, cand, rng) is cur
+            assert not chain._accept(-math.inf)
+
+    def test_minus_inf_accepted_on_zero_mass_plateau(self):
+        # From a zero-mass state the walk moves freely, so a random init on
+        # the plateau can leave it.
+        chain = chain_scored(-math.inf)
+        assert chain._accept(-math.inf)
+        assert chain._accept(-3.0)
 
 
 class TestSampleChildren:
@@ -325,6 +375,7 @@ class TestIrreducibility:
         positions = [(100.0 + 30.0 * i, -20.0 * i) for i in range(n_objects)]
         returns = [[100.0 + 10.0 * i, 5.0 * i] for i in range(n_returns)]
         parent, matrix, cfg, sensor = make_instance(positions, returns, n_pixels=1)
+        ctx = _ScoreContext(matrix, cfg, sensor)
         all_events = {
             e.canonical_key(): e
             for e in enumerate_child_events(
@@ -333,8 +384,7 @@ class TestIrreducibility:
         }
 
         def neighbors(key):
-            state = ChainState(event=all_events[key], log_score=0.0)
-            return proposal_support(state, matrix, cfg, sensor)
+            return proposal_support(ctx, all_events[key])
 
         start = next(iter(all_events))
         seen = {start}
@@ -362,6 +412,63 @@ class TestIrreducibility:
                     seen_rev.add(prv)
                     frontier.append(prv)
         assert seen_rev == set(all_events)
+
+
+def kernel_stationary(ctx, events):
+    """Stationary distribution of the exact transition kernel of the walk
+    restricted to the finite-score events: every propose() outcome weighted
+    by its probability, accepted with min(1, pi(t)/pi(s))."""
+    index = {}
+    scores = []
+    for event in events:
+        score = _Chain(ctx, None, event).log_score
+        if score > -math.inf:
+            index[event.canonical_key()] = len(scores)
+            scores.append((event, score))
+    P = np.zeros((len(scores), len(scores)))
+    for s, (event, score) in enumerate(scores):
+        total = 0.0
+        for chain, moved, prob in scripted_proposals(ctx, event):
+            total += prob
+            t = index.get(chain.event().canonical_key()) if moved else None
+            if t is None:  # no-change or zero-mass candidate
+                P[s, s] += prob
+                continue
+            accept = min(1.0, math.exp(chain.log_score - score))
+            P[s, t] += prob * accept
+            P[s, s] += prob * (1.0 - accept)
+        assert total == pytest.approx(1.0, abs=1e-12)
+    values, vectors = np.linalg.eig(P.T)
+    v = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
+    v = v / v.sum()
+    return {event.canonical_key(): float(p) for (event, _), p in zip(scores, v)}
+
+
+class TestExactKernel:
+    # Tracks a few km apart with returns between them, so every pairing is
+    # plausible and the conflict move is exercised on most steps.
+    INSTANCES = {
+        "2x2": ([(100.0, 0.0), (103.0, 0.0)], [[101.0, 0.5], [102.0, -0.5]]),
+        "3x3": (
+            [(100.0, 0.0), (102.0, 1.5), (101.0, -2.0)],
+            [[100.5, 0.5], [102.0, 0.0], [101.0, -1.0]],
+        ),
+    }
+
+    @pytest.mark.parametrize("beta", [0.05, 0.0])
+    @pytest.mark.parametrize("name", ["2x2", "3x3"])
+    def test_stationary_distribution_is_exact_posterior(self, name, beta):
+        positions, returns = self.INSTANCES[name]
+        parent, matrix, cfg, sensor = make_instance(
+            positions, returns, beta=beta, clutter_density=1e-3,
+        )
+        ctx = _ScoreContext(matrix, cfg, sensor)
+        events = enumerate_child_events(
+            parent.labels, matrix.n_returns, matrix.death_candidate_labels()
+        )
+        stationary = kernel_stationary(ctx, events)
+        post = exact_posterior(parent, matrix, cfg, sensor)
+        assert tv_distance(stationary, post) <= 1e-9
 
 
 class TestVisitDistribution:
