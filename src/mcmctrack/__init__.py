@@ -35,15 +35,12 @@ from .hypotheses import (
     CLUTTER,
     AssociationEvent,
     BirthDeathConfig,
-    BirthDeathMode,
+    Candidate,
     Hypothesis,
-    PruneStrategy,
-    association_prior,
-    bayes_update_weights,
-    birth_death_prior,
-    child_prior,
     count_associations,
     count_grandchildren,
+    log_child_prior,
+    log_count_prior,
     prune,
 )
 from .likelihoods import (

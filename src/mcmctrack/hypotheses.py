@@ -1,4 +1,4 @@
-"""Hypotheses, association events, transition priors, weight updates, pruning.
+"""Hypotheses, association events, the transition prior, pruning.
 
 A hypothesis is a labeled set of Gaussian tracks plus a probability weight;
 an association event is one child skeleton: per-return assignment (object
@@ -9,11 +9,9 @@ log-space throughout; normalization uses log-sum-exp.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
-from enum import Enum
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConfigError, DegenerateUpdateError, InvalidEventError
 from .filters import GaussianTrack
@@ -25,26 +23,11 @@ CLUTTER = "__clutter__"
 _RESERVED = {BIRTH, CLUTTER}
 
 
-class PruneStrategy(str, Enum):
-    TOP_K = "top_k"
-    SAMPLE = "sample"
-
-
-class BirthDeathMode(str, Enum):
-    """RAW keeps the plain alpha^Nb * beta^Nd instance probability;
-    NORMALIZED uses the full binomial pmf including complement factors, so
-    instance probabilities sum to one over all instances."""
-
-    RAW = "raw"
-    NORMALIZED = "normalized"
-
-
 @dataclass(frozen=True)
 class BirthDeathConfig:
     alpha: float = 0.01
     beta: float = 0.01
     n_pixels: int = 50
-    mode: BirthDeathMode = BirthDeathMode.RAW
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
@@ -199,32 +182,6 @@ def count_grandchildren_by_net_change(n_objects: int, n_returns: int, n_pixels: 
     return total
 
 
-def association_prior(n_objects: int, n_returns: int, k: int, p_d: float) -> float:
-    """Prior probability of one data association in which exactly k of the
-    n_objects are matched to returns: p_d^k (1-p_d)^(M-k) / (C(m,k) k!)."""
-    if not 0 <= k <= min(n_objects, n_returns):
-        raise InvalidEventError(
-            f"associated count k={k} out of range for M={n_objects}, m={n_returns}"
-        )
-    return (
-        p_d ** k
-        * (1.0 - p_d) ** (n_objects - k)
-        / (comb(n_returns, k) * factorial(k))
-    )
-
-
-def log_association_prior(n_objects: int, n_returns: int, k: int, p_d: float) -> float:
-    """Log of association_prior with exact handling of p_d in {0, 1}."""
-    if not 0 <= k <= min(n_objects, n_returns):
-        raise InvalidEventError(
-            f"associated count k={k} out of range for M={n_objects}, m={n_returns}"
-        )
-    out = -math.log(comb(n_returns, k)) - math.lgamma(k + 1)
-    out += _xlogy(k, p_d)
-    out += _xlogy(n_objects - k, 1.0 - p_d)
-    return out
-
-
 def _xlogy(n: int, value: float) -> float:
     """n * log(value) with the 0 * log(0) = 0 convention."""
     if n == 0:
@@ -234,43 +191,41 @@ def _xlogy(n: int, value: float) -> float:
     return n * math.log(value)
 
 
-def birth_death_prior(n_b: int, n_d: int, n_objects: int, cfg: BirthDeathConfig) -> float:
-    """Prior probability of one specific instance of n_b births and n_d
-    deaths from an n_objects parent."""
-    if not 0 <= n_b <= cfg.n_pixels:
-        raise InvalidEventError(f"birth count {n_b} out of range for N={cfg.n_pixels}")
-    if not 0 <= n_d <= n_objects:
-        raise InvalidEventError(f"death count {n_d} out of range for M={n_objects}")
-    p = cfg.alpha ** n_b * cfg.beta ** n_d
-    if cfg.mode is BirthDeathMode.NORMALIZED:
-        p *= (1.0 - cfg.alpha) ** (cfg.n_pixels - n_b) * (1.0 - cfg.beta) ** (n_objects - n_d)
-    return p
-
-
-def log_birth_death_prior(
-    n_b: int, n_d: int, n_objects: int, cfg: BirthDeathConfig
-) -> float:
-    if not 0 <= n_b <= cfg.n_pixels:
-        raise InvalidEventError(f"birth count {n_b} out of range for N={cfg.n_pixels}")
-    if not 0 <= n_d <= n_objects:
-        raise InvalidEventError(f"death count {n_d} out of range for M={n_objects}")
-    out = _xlogy(n_b, cfg.alpha) + _xlogy(n_d, cfg.beta)
-    if cfg.mode is BirthDeathMode.NORMALIZED:
-        out += _xlogy(cfg.n_pixels - n_b, 1.0 - cfg.alpha)
-        out += _xlogy(n_objects - n_d, 1.0 - cfg.beta)
-    return out
-
-
-def child_prior(
-    event: AssociationEvent,
-    parent: Hypothesis,
+def log_count_prior(
+    k: int,
+    n_b: int,
+    n_d: int,
+    n_objects: int,
+    n_returns: int,
     cfg: BirthDeathConfig,
     p_d: float,
-    n_returns: int,
 ) -> float:
-    """Transition prior of one child event: birth/death instance probability
-    times the association prior over the post-birth/death object count."""
-    return math.exp(log_child_prior(event, parent, cfg, p_d, n_returns))
+    """Log transition prior of one child with k associated objects, n_b
+    births and n_d deaths from an n_objects parent, given n_returns: the
+    birth/death instance probability alpha^Nb beta^Nd times the association
+    prior p_d^k (1-p_d)^(M'-k) / (C(m,k) k!) over the child's M' objects.
+
+    More births than pixels is a possible event with zero mass (-inf);
+    negative counts, more deaths than objects, or k outside
+    0..min(M', m) raise InvalidEventError.
+    """
+    if n_b < 0:
+        raise InvalidEventError(f"birth count {n_b} is negative")
+    if not 0 <= n_d <= n_objects:
+        raise InvalidEventError(f"death count {n_d} out of range for M={n_objects}")
+    m_child = n_objects + n_b - n_d
+    if not 0 <= k <= min(m_child, n_returns):
+        raise InvalidEventError(
+            f"associated count k={k} out of range for M={m_child}, m={n_returns}"
+        )
+    if n_b > cfg.n_pixels:
+        return -math.inf
+    out = _xlogy(n_b, cfg.alpha) + _xlogy(n_d, cfg.beta)
+    out += _xlogy(k, p_d)
+    out += _xlogy(m_child - k, 1.0 - p_d)
+    # log(C(m,k) k!)
+    out -= math.lgamma(n_returns + 1) - math.lgamma(n_returns - k + 1)
+    return out
 
 
 def log_child_prior(
@@ -280,19 +235,21 @@ def log_child_prior(
     p_d: float,
     n_returns: int,
 ) -> float:
+    """Log transition prior of one child event of parent (log_count_prior
+    of its counts), after checking the event against the parent."""
     if len(event.assignments) != n_returns:
         raise InvalidEventError(
             f"event has {len(event.assignments)} assignments for {n_returns} returns"
         )
     event.validate_against(parent.labels)
-    n_b = event.n_births
-    n_d = event.n_deaths
-    if n_b > cfg.n_pixels:
-        return -math.inf  # more births than pixels: possible event, zero mass
-    k = len(event.associated_labels)
-    m_child = len(parent.tracks) + n_b - n_d
-    return log_birth_death_prior(n_b, n_d, len(parent.tracks), cfg) + log_association_prior(
-        m_child, n_returns, k, p_d
+    return log_count_prior(
+        len(event.associated_labels),
+        event.n_births,
+        event.n_deaths,
+        len(parent.tracks),
+        n_returns,
+        cfg,
+        p_d,
     )
 
 
@@ -303,82 +260,34 @@ def log_sum_exp(values: Sequence[float]) -> float:
     return top + math.log(sum(math.exp(v - top) for v in values))
 
 
-def bayes_update_weights(children: Sequence[tuple[float, float]]) -> list[float]:
-    """Posterior weights w*l / sum(w*l) for (prior weight, likelihood) pairs,
-    computed in log-space with max subtraction."""
-    if not children:
-        raise DegenerateUpdateError("no children to update")
-    logs = []
-    for w, lik in children:
-        if w < 0.0 or lik < 0.0:
-            raise ValueError("weights and likelihoods must be non-negative")
-        logs.append(
-            (math.log(w) if w > 0.0 else -math.inf)
-            + (math.log(lik) if lik > 0.0 else -math.inf)
-        )
-    return bayes_update_log_weights(logs)
+class Candidate(NamedTuple):
+    """One scored, not yet realized child: its parent's id and predicted
+    tracks, its event, and its log weight (parent weight plus log score)."""
+
+    parent_id: str
+    predicted: tuple[GaussianTrack, ...]
+    event: AssociationEvent
+    log_weight: float
 
 
-def bayes_update_log_weights(log_scores: Sequence[float]) -> list[float]:
-    """Normalize log-space scores to linear posterior weights."""
-    total = log_sum_exp(log_scores)
-    if total == -math.inf or math.isnan(total):
-        raise DegenerateUpdateError("all children carry zero posterior mass")
-    return [math.exp(v - total) for v in log_scores]
+def prune(candidates: Sequence[Candidate], h_inf: int) -> list[Candidate]:
+    """Normalize the candidates' weights over every finite candidate, keep
+    the h_inf heaviest (ties broken by parent id, then canonical event key,
+    so the result is deterministic), and renormalize over the kept set.
 
-
-def normalize(hypotheses: Sequence[Hypothesis]) -> list[Hypothesis]:
-    """Rescale log-weights so linear weights sum to one."""
-    total = log_sum_exp([h.log_weight for h in hypotheses])
-    if total == -math.inf:
-        raise DegenerateUpdateError("hypothesis set has zero total weight")
-    return [
-        Hypothesis(h.id, h.parent_id, min(h.log_weight - total, 0.0), h.tracks)
-        for h in hypotheses
-    ]
-
-
-def prune(
-    hypotheses: Sequence[Hypothesis],
-    h_inf: int,
-    strategy: PruneStrategy = PruneStrategy.TOP_K,
-    rng: random.Random | None = None,
-) -> list[Hypothesis]:
-    """Reduce to at most h_inf hypotheses and renormalize.
-
-    TOP_K keeps the highest-weight hypotheses (ties broken by id, so the
-    result is deterministic); SAMPLE draws without replacement with
-    probability proportional to weight and requires an rng.
+    Raises DegenerateUpdateError when no candidate carries mass.
     """
-    if not hypotheses:
-        raise ValueError("hypothesis list must be non-empty")
     if h_inf < 1:
         raise ConfigError("h_inf must be >= 1")
-    if len(hypotheses) <= h_inf:
-        return normalize(hypotheses)
-    if strategy is PruneStrategy.TOP_K:
-        kept = sorted(hypotheses, key=lambda h: (-h.log_weight, h.id))[:h_inf]
-        return normalize(kept)
-    if rng is None:
-        raise ConfigError("SAMPLE pruning requires an rng")
-    pool = list(hypotheses)
-    weights = [h.weight for h in pool]
-    kept = []
-    for _ in range(h_inf):
-        total = sum(weights)
-        if total <= 0.0:
-            break
-        u = rng.random() * total
-        acc = 0.0
-        idx = len(pool) - 1
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                idx = i
-                break
-        kept.append(pool.pop(idx))
-        weights.pop(idx)
-    return normalize(kept)
+    finite = [c for c in candidates if c.log_weight > -math.inf]
+    if not finite:
+        raise DegenerateUpdateError("every candidate carries zero posterior mass")
+    total = log_sum_exp([c.log_weight for c in finite])
+    weighted = [c._replace(log_weight=min(c.log_weight - total, 0.0)) for c in finite]
+    weighted.sort(key=lambda c: (-c.log_weight, c.parent_id, c.event.canonical_key()))
+    kept = weighted[:h_inf]
+    total = log_sum_exp([c.log_weight for c in kept])
+    return [c._replace(log_weight=min(c.log_weight - total, 0.0)) for c in kept]
 
 
 def weight_entropy(hypotheses: Sequence[Hypothesis]) -> float:

@@ -31,8 +31,8 @@ from .hypotheses import (
     AssociationEvent,
     BirthDeathConfig,
     Hypothesis,
-    log_association_prior,
     _xlogy,
+    log_count_prior,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -241,7 +241,7 @@ def compare_likelihood_forms(
     - the mean-evaluated form p_d^k (1-p_d)^(M-k) * prod N(z; h(mean), r),
       which scores each associated return at the track mean and omits the
       association-count normalizer;
-    - the marginal form association_prior * prod of matrix entries, which
+    - the marginal form (association prior) * prod of matrix entries, which
       integrates over track uncertainty.
 
     As track covariances shrink to zero the ratio tends to the
@@ -265,7 +265,9 @@ def compare_likelihood_forms(
             raise InvalidEventError("comparison is defined for pure association events")
         else:
             log_mean_form += _log_density_at_mean(tracks[entry], matrix.returns[i], sensor)
-    log_marginal_form = log_association_prior(n_objects, m, k, sensor.p_d) + log_marginal
+    # No births or deaths, so the rates of the default config never enter.
+    log_prior = log_count_prior(k, 0, 0, n_objects, m, BirthDeathConfig(), sensor.p_d)
+    log_marginal_form = log_prior + log_marginal
     return math.exp(log_mean_form), math.exp(log_marginal_form)
 
 

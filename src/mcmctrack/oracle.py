@@ -24,7 +24,6 @@ from .hypotheses import (
     CLUTTER,
     AssociationEvent,
     BirthDeathConfig,
-    BirthDeathMode,
     Hypothesis,
 )
 from .likelihoods import AssociationMatrix
@@ -143,9 +142,6 @@ def _independent_log_score(
     if n_b > birth_cfg.n_pixels:
         return -math.inf
     prior = birth_cfg.alpha ** n_b * birth_cfg.beta ** n_d
-    if birth_cfg.mode is BirthDeathMode.NORMALIZED:
-        prior *= (1.0 - birth_cfg.alpha) ** (birth_cfg.n_pixels - n_b)
-        prior *= (1.0 - birth_cfg.beta) ** (n_parent - n_d)
     m_child = n_parent + n_b - n_d
     prior *= sensor.p_d ** k * (1.0 - sensor.p_d) ** (m_child - k)
     prior /= math.comb(m, k) * math.factorial(k)

@@ -12,8 +12,11 @@ import math
 import numpy as np
 
 from .filters import MU_EARTH, DynamicsConfig, SensorModel
+from .hypotheses import BirthDeathConfig
 from .likelihoods import uniform_clutter
+from .sampler import SamplerConfig
 from .simulate import ScenarioConfig, SpawnEvent
+from .tracker import TrackerConfig, TrackerMode
 
 _SCAN_S = 300.0
 
@@ -121,23 +124,19 @@ PRESETS = {
 TRACKER_TUNING: dict[str, dict] = {
     "single-spawn": dict(
         h_inf=50, children_kept=35, burn_in_steps=1500, record_steps=6000,
-        chains_per_parent=1, alpha=0.02, beta=0.02, n_pixels=50,
-        adapt_rates=False,
+        alpha=0.02, beta=0.02, n_pixels=50, adapt_rates=False,
     ),
     "twenty-object": dict(
         h_inf=40, children_kept=60, burn_in_steps=1500, record_steps=6000,
-        chains_per_parent=1, alpha=0.03, beta=0.01, n_pixels=50,
-        adapt_rates=True,
+        alpha=0.03, beta=0.01, n_pixels=50, adapt_rates=True,
     ),
     "sixty-object": dict(
         h_inf=10, children_kept=15, burn_in_steps=1000, record_steps=4000,
-        chains_per_parent=1, alpha=0.02, beta=0.01, n_pixels=60,
-        adapt_rates=True,
+        alpha=0.02, beta=0.01, n_pixels=60, adapt_rates=True,
     ),
     "custom": dict(
         h_inf=50, children_kept=25, burn_in_steps=None, record_steps=None,
-        chains_per_parent=1, alpha=0.01, beta=0.01, n_pixels=50,
-        adapt_rates=False,
+        alpha=0.01, beta=0.01, n_pixels=50, adapt_rates=False,
     ),
 }
 
@@ -150,12 +149,8 @@ def tracker_config_for(scenario, seed=None, mode=None, **overrides):
     """Build a TrackerConfig from a scenario plus its preset tuning.
 
     Keyword overrides: h_inf, children_kept, burn_in_steps, record_steps,
-    chains_per_parent, alpha, beta, n_pixels, adapt_rates.
+    alpha, beta, n_pixels, adapt_rates.
     """
-    from .hypotheses import BirthDeathConfig
-    from .sampler import SamplerConfig
-    from .tracker import TrackerConfig, TrackerMode
-
     tun = tuning_for(scenario.name)
     tun.update({k: v for k, v in overrides.items() if v is not None})
     return TrackerConfig(
@@ -170,7 +165,6 @@ def tracker_config_for(scenario, seed=None, mode=None, **overrides):
             record_steps=tun["record_steps"],
             children_kept=tun["children_kept"],
             seed=scenario.seed if seed is None else seed,
-            chains_per_parent=tun["chains_per_parent"],
         ),
         h_inf=tun["h_inf"],
         mode=TrackerMode.MCMC if mode is None else mode,

@@ -29,10 +29,10 @@ import numpy as np
 from .errors import ConfigError
 from .filters import SensorModel
 from .hypotheses import (
-    BirthDeathConfig,
-    BirthDeathMode,
     AssociationEvent,
+    BirthDeathConfig,
     Hypothesis,
+    log_count_prior,
 )
 from .likelihoods import AssociationMatrix
 
@@ -46,7 +46,6 @@ class SamplerConfig:
     record_steps: int | None = None
     children_kept: int = 25
     seed: int = 0
-    chains_per_parent: int = 1
 
     def __post_init__(self) -> None:
         if self.burn_in_steps is not None and self.burn_in_steps < 0:
@@ -55,8 +54,6 @@ class SamplerConfig:
             raise ConfigError("sampler.record_steps must be >= 1")
         if self.children_kept < 1:
             raise ConfigError("sampler.children_kept must be >= 1")
-        if self.chains_per_parent < 1:
-            raise ConfigError("sampler.chains_per_parent must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -97,39 +94,19 @@ class _ScoreContext:
         self.death_eligible = [
             j for j, ok in enumerate(matrix.in_fov_flags) if ok
         ]
-        self.log_alpha = math.log(birth_cfg.alpha) if birth_cfg.alpha > 0.0 else -math.inf
-        self.log_beta = math.log(birth_cfg.beta) if birth_cfg.beta > 0.0 else -math.inf
-        self.normalized = birth_cfg.mode is BirthDeathMode.NORMALIZED
-        self.log_1m_alpha = (
-            math.log(1.0 - birth_cfg.alpha) if birth_cfg.alpha < 1.0 else -math.inf
-        )
-        self.log_1m_beta = (
-            math.log(1.0 - birth_cfg.beta) if birth_cfg.beta < 1.0 else -math.inf
-        )
-        self.n_pixels = birth_cfg.n_pixels
-        self.log_pd = math.log(sensor.p_d) if sensor.p_d > 0.0 else -math.inf
-        self.log_1m_pd = math.log(1.0 - sensor.p_d) if sensor.p_d < 1.0 else -math.inf
-        # log(C(m,k) k!) for k = 0..m
-        self.log_assoc_norm = [
-            math.lgamma(self.m + 1) - math.lgamma(self.m - k + 1)
-            for k in range(self.m + 1)
-        ]
-
-    def _power(self, n: int, log_value: float) -> float:
-        return 0.0 if n == 0 else n * log_value
+        self.birth_cfg = birth_cfg
+        self.p_d = sensor.p_d
+        self._prior_memo: dict[tuple[int, int, int], float] = {}
 
     def log_prior(self, k: int, n_b: int, n_d: int) -> float:
-        """log child prior for k object assignments, n_b births, n_d deaths."""
-        if n_b > self.n_pixels:
-            return -math.inf
-        out = self._power(n_b, self.log_alpha) + self._power(n_d, self.log_beta)
-        if self.normalized:
-            out += self._power(self.n_pixels - n_b, self.log_1m_alpha)
-            out += self._power(self.n_objects - n_d, self.log_1m_beta)
-        m_child = self.n_objects + n_b - n_d
-        out += self._power(k, self.log_pd)
-        out += self._power(m_child - k, self.log_1m_pd)
-        out -= self.log_assoc_norm[k]
+        """log child prior for k object assignments, n_b births, n_d deaths
+        (log_count_prior, memoized per count triple)."""
+        key = (k, n_b, n_d)
+        out = self._prior_memo.get(key)
+        if out is None:
+            out = self._prior_memo[key] = log_count_prior(
+                k, n_b, n_d, self.n_objects, self.m, self.birth_cfg, self.p_d
+            )
         return out
 
     def log_score(self, assign: list[int], dead: set[int]) -> float:
@@ -205,17 +182,19 @@ class _Chain:
                 self.zero_entries += 1
             else:
                 self.finite_loglik += entry
-        self.log_score = self._full_score(
-            ctx.log_prior(self.k, self.n_b, len(self.dead)),
-            self.finite_loglik,
-            self.zero_entries,
+        self.log_score = self._score(
+            self.k, self.n_b, len(self.dead), self.finite_loglik, self.zero_entries
         )
 
-    @staticmethod
-    def _full_score(prior: float, finite_loglik: float, zero_entries: int) -> float:
-        if zero_entries > 0 or prior == -math.inf:
+    def _score(
+        self, k: int, n_b: int, n_d: int, finite_loglik: float, zero_entries: int
+    ) -> float:
+        """Score of the given counts and likelihood sum. A selected
+        zero-likelihood entry scores -inf whatever the prior, so the prior
+        is not looked up then."""
+        if zero_entries > 0:
             return -math.inf
-        return prior + finite_loglik
+        return self.ctx.log_prior(k, n_b, n_d) + finite_loglik
 
     def resync(self) -> None:
         """Replace the running score with a from-scratch recomputation."""
@@ -244,8 +223,8 @@ class _Chain:
             j = pool[self.rng.randrange(len(pool))]
             self._col = j
             n_d = len(self.dead) + (-1 if j in self.dead else 1)
-            self.cand_score = self._full_score(
-                ctx.log_prior(self.k, self.n_b, n_d), self.finite_loglik, self.zero_entries
+            self.cand_score = self._score(
+                self.k, self.n_b, n_d, self.finite_loglik, self.zero_entries
             )
             return True
         cur = self.assign[row]
@@ -301,9 +280,7 @@ class _Chain:
         self._n_b = n_b
         self._finite = finite
         self._zero = zero
-        self.cand_score = self._full_score(
-            ctx.log_prior(k, n_b, len(self.dead)), finite, zero
-        )
+        self.cand_score = self._score(k, n_b, len(self.dead), finite, zero)
         return True
 
     def apply(self) -> None:
@@ -373,9 +350,9 @@ def sample_children(
     birth_cfg: BirthDeathConfig,
     sensor: SensorModel,
 ) -> list[ChildSample]:
-    """Run chains_per_parent independent walks, record every post-burn-in
-    state into a deduplicated table (scores recomputed from scratch on first
-    visit), and return the top children_kept events by score.
+    """Run one walk, record every post-burn-in state into a deduplicated
+    table (scores recomputed from scratch on first visit), and return the
+    top children_kept events by score.
 
     Deterministic given cfg.seed and the parent id.
     """
@@ -391,20 +368,18 @@ def sample_children(
         else default_record_steps(ctx.m, ctx.n_objects)
     )
     table: dict[tuple, list] = {}
-    for chain_idx in range(cfg.chains_per_parent):
-        rng = random.Random(chain_seed(cfg.seed, parent.id, chain_idx))
-        chain = _Chain(ctx, rng)
-        for _ in range(burn):
-            chain.step()
-        for _ in range(record):
-            chain.step()
-            key = chain.key()
-            slot = table.get(key)
-            if slot is None:
-                chain.resync()
-                table[key] = [chain.log_score, 1]
-            else:
-                slot[1] += 1
+    chain = _Chain(ctx, random.Random(chain_seed(cfg.seed, parent.id, 0)))
+    for _ in range(burn):
+        chain.step()
+    for _ in range(record):
+        chain.step()
+        key = chain.key()
+        slot = table.get(key)
+        if slot is None:
+            chain.resync()
+            table[key] = [chain.log_score, 1]
+        else:
+            slot[1] += 1
     ranked = sorted(table.items(), key=lambda kv: (-kv[1][0], kv[0]))
     return [
         ChildSample(event=_event_of(matrix, key), log_score=score, visits=visits)

@@ -1,18 +1,17 @@
 """Per-scan recursion: predict, build matrices, generate children (MCMC or
-exhaustive), apply birth/death bookkeeping, update weights jointly across
-all parents, prune, and report."""
+exhaustive), normalize weights jointly across all parents and prune in one
+pass, realize the surviving children (birth/death bookkeeping), and report."""
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EnumerationLimitError
+from .errors import ConfigError, DegenerateUpdateError, EnumerationLimitError
 from .filters import (
     DynamicsConfig,
     GaussianTrack,
@@ -26,11 +25,10 @@ from .hypotheses import (
     CLUTTER,
     AssociationEvent,
     BirthDeathConfig,
+    Candidate,
     Hypothesis,
-    PruneStrategy,
     count_grandchildren,
     log_child_prior,
-    log_sum_exp,
     prune,
     weight_entropy,
 )
@@ -43,7 +41,7 @@ from .likelihoods import (
     newborn_track,
 )
 from .oracle import EnumerationLimit, enumerate_child_events
-from .sampler import SamplerConfig, chain_seed, sample_children
+from .sampler import SamplerConfig, sample_children
 from .simulate import MeasurementFrame
 
 
@@ -61,7 +59,6 @@ class TrackerConfig:
     birth_model: BirthModel = BirthModel()
     sampler: SamplerConfig = SamplerConfig()
     h_inf: int = 50
-    prune_strategy: PruneStrategy = PruneStrategy.TOP_K
     mode: TrackerMode = TrackerMode.MCMC
     adapt_rates: bool = False
     oracle_limit: EnumerationLimit = EnumerationLimit()
@@ -191,7 +188,6 @@ class Tracker:
         self.cfg = cfg
         self.scan_index = 0
         self._labels = _LabelCounter()
-        self._prune_rng = random.Random(chain_seed(cfg.sampler.seed, "prune", 0))
 
     def initial_hypotheses(self, tracks: Sequence[GaussianTrack]) -> list[Hypothesis]:
         return [Hypothesis(id="h0", parent_id=None, log_weight=0.0, tracks=tuple(tracks))]
@@ -200,8 +196,8 @@ class Tracker:
         self, hypotheses: Sequence[Hypothesis], frame: MeasurementFrame
     ) -> tuple[list[Hypothesis], TrackerReport]:
         cfg = self.cfg
-        total_weight = sum(h.weight for h in hypotheses)
-        if abs(total_weight - 1.0) > 1e-6:
+        total_weight = math.fsum(h.weight for h in hypotheses)
+        if abs(total_weight - 1.0) > 1e-12:
             raise ValueError(f"hypothesis weights sum to {total_weight}, expected 1")
         self.scan_index += 1
         bd = (
@@ -218,9 +214,11 @@ class Tracker:
             allow_deaths=bd.beta > 0.0,
         )
         parents = sorted(hypotheses, key=lambda h: h.id)
-        candidates: list[tuple[str, Sequence[GaussianTrack], AssociationEvent, float]] = []
+        predicted_by_parent = []
+        candidates: list[Candidate] = []
         for parent in parents:
             predicted = tuple(predict_track(t, cfg.dynamics) for t in parent.tracks)
+            predicted_by_parent.append(predicted)
             matrix = build_matrix(predicted, frame.returns, cfg.sensor, cfg.clutter, bd)
             pred_parent = Hypothesis(
                 id=parent.id,
@@ -230,10 +228,11 @@ class Tracker:
             )
             for event, log_score in self._children_of(pred_parent, matrix, bd):
                 candidates.append(
-                    (parent.id, predicted, event, parent.log_weight + log_score)
+                    Candidate(parent.id, predicted, event, parent.log_weight + log_score)
                 )
-        finite = [c for c in candidates if c[3] > -math.inf]
-        if not finite:
+        try:
+            kept = prune(candidates, cfg.h_inf)
+        except DegenerateUpdateError:
             # Degenerate update: fall back to prior weights on the predicted
             # hypotheses and flag the report.
             fallback = [
@@ -241,39 +240,25 @@ class Tracker:
                     id=f"h{self.scan_index}-{idx:05d}",
                     parent_id=parent.id,
                     log_weight=parent.log_weight,
-                    tracks=tuple(predict_track(t, cfg.dynamics) for t in parent.tracks),
+                    tracks=predicted,
                 )
-                for idx, parent in enumerate(parents)
+                for idx, (parent, predicted) in enumerate(zip(parents, predicted_by_parent))
             ]
             report = self._report(frame, fallback, bound, bd, degenerate=True)
             return fallback, report
-        total = log_sum_exp([c[3] for c in finite])
-        weighted = [
-            (pid, predicted, event, min(score - total, 0.0))
-            for pid, predicted, event, score in finite
-        ]
-        weighted.sort(key=lambda c: (-c[3], c[0], c[2].canonical_key()))
-        kept = weighted[: cfg.h_inf] if cfg.prune_strategy is PruneStrategy.TOP_K else weighted
-        realized = [
+        new_hyps = [
             _realize_child(
-                pid,
+                c.parent_id,
                 f"h{self.scan_index}-{idx:05d}",
-                log_weight,
-                predicted,
-                event,
+                c.log_weight,
+                c.predicted,
+                c.event,
                 frame,
                 cfg,
                 self._labels,
             )
-            for idx, (pid, predicted, event, log_weight) in enumerate(kept)
+            for idx, c in enumerate(kept)
         ]
-        if cfg.prune_strategy is PruneStrategy.TOP_K:
-            # Already truncated above; renormalize what's left.
-            new_hyps = prune(realized, cfg.h_inf, PruneStrategy.TOP_K)
-        else:
-            new_hyps = prune(
-                realized, cfg.h_inf, PruneStrategy.SAMPLE, rng=self._prune_rng
-            )
         report = self._report(frame, new_hyps, bound, bd, degenerate=False)
         return new_hyps, report
 

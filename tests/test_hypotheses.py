@@ -1,7 +1,6 @@
-"""Counting, priors, Bayes weight updates, and pruning."""
+"""Counting, the transition prior, joint normalization, and pruning."""
 
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -16,19 +15,13 @@ from mcmctrack.hypotheses import (
     CLUTTER,
     AssociationEvent,
     BirthDeathConfig,
-    BirthDeathMode,
+    Candidate,
     Hypothesis,
-    PruneStrategy,
-    association_prior,
-    bayes_update_log_weights,
-    bayes_update_weights,
-    birth_death_prior,
-    child_prior,
     count_associations,
     count_grandchildren,
     count_grandchildren_by_net_change,
-    log_association_prior,
     log_child_prior,
+    log_count_prior,
     prune,
     weight_entropy,
 )
@@ -83,31 +76,50 @@ class TestCounts:
             assert grouped == direct + net0 + net1
 
 
+def assoc_prior(n_objects, n_returns, k, p_d):
+    """Linear association prior of one data association with k matches (no
+    births or deaths, so the birth/death rates do not enter)."""
+    cfg = BirthDeathConfig(alpha=0.5, beta=0.5, n_pixels=1)
+    return math.exp(log_count_prior(k, 0, 0, n_objects, n_returns, cfg, p_d))
+
+
 class TestAssociationPrior:
     def test_worked_example(self):
-        assert association_prior(2, 2, 2, p_d=0.9) == pytest.approx(0.405)
+        assert assoc_prior(2, 2, 2, p_d=0.9) == pytest.approx(0.405)
         # Mass over all children: 2 full matches, 4 single matches, 1 none.
-        total = 2 * 0.405 + 4 * association_prior(2, 2, 1, 0.9) + association_prior(2, 2, 0, 0.9)
+        total = 2 * 0.405 + 4 * assoc_prior(2, 2, 1, 0.9) + assoc_prior(2, 2, 0, 0.9)
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_certain_detection(self):
         m_objects, m_returns = 3, 5
-        assert association_prior(m_objects, m_returns, 3, p_d=1.0) == pytest.approx(
+        assert assoc_prior(m_objects, m_returns, 3, p_d=1.0) == pytest.approx(
             1.0 / (math.comb(5, 3) * math.factorial(3))
         )
+        # With p_d = 1 a missed detection has zero mass.
+        assert assoc_prior(m_objects, m_returns, 2, p_d=1.0) == 0.0
 
     def test_zero_detection(self):
-        assert association_prior(4, 2, 0, p_d=0.0) == 1.0
+        assert assoc_prior(4, 2, 0, p_d=0.0) == 1.0
+        assert assoc_prior(4, 2, 1, p_d=0.0) == 0.0
 
     def test_out_of_range_k(self):
+        cfg = BirthDeathConfig()
         with pytest.raises(InvalidEventError):
-            association_prior(2, 2, 3, p_d=0.5)
+            log_count_prior(3, 0, 0, 2, 2, cfg, 0.5)  # k > M
+        with pytest.raises(InvalidEventError):
+            log_count_prior(2, 0, 0, 3, 1, cfg, 0.5)  # k > m
+        with pytest.raises(InvalidEventError):
+            log_count_prior(-1, 0, 0, 2, 2, cfg, 0.5)
+        # A death shrinks the child: one object left cannot take two returns.
+        with pytest.raises(InvalidEventError):
+            log_count_prior(2, 0, 1, 2, 2, cfg, 0.5)
 
     @pytest.mark.parametrize("m_objects", [0, 1, 2, 3, 4])
     @pytest.mark.parametrize("m_returns", [0, 1, 2, 3, 4, 5, 6])
     def test_normalization_exact_by_fractions(self, m_objects, m_returns):
         """Sum over all enumerated associations is exactly 1 when m >= M and
-        exactly the truncated binomial sum when m < M (Fraction arithmetic)."""
+        exactly the truncated binomial sum when m < M (Fraction arithmetic);
+        the log prior matches each exact per-association prior."""
         p_d = Fraction(9, 10)
         total = Fraction(0)
         for k in range(min(m_objects, m_returns) + 1):
@@ -119,6 +131,9 @@ class TestAssociationPrior:
                 * (1 - p_d) ** (m_objects - k)
                 / (math.comb(m_returns, k) * math.factorial(k))
             )
+            assert assoc_prior(m_objects, m_returns, k, 0.9) == pytest.approx(
+                float(prior), rel=1e-12
+            )
             total += n_events * prior
         expected = sum(
             Fraction(math.comb(m_objects, k)) * p_d**k * (1 - p_d) ** (m_objects - k)
@@ -129,39 +144,38 @@ class TestAssociationPrior:
             assert total == 1
 
     def test_log_matches_linear(self):
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.2, n_pixels=6)
         for k in range(3):
-            lin = association_prior(3, 4, k, 0.7)
-            assert math.exp(log_association_prior(3, 4, k, 0.7)) == pytest.approx(lin, rel=1e-12)
+            for n_b in range(3):
+                for n_d in range(2):
+                    m_child = 3 + n_b - n_d
+                    lin = (
+                        0.05**n_b * 0.2**n_d * 0.7**k * 0.3 ** (m_child - k)
+                        / (math.comb(4, k) * math.factorial(k))
+                    )
+                    log = log_count_prior(k, n_b, n_d, 3, 4, cfg, 0.7)
+                    assert math.exp(log) == pytest.approx(lin, rel=1e-12)
 
 
 class TestBirthDeathPrior:
+    # p_d = 0 with no returns leaves only the birth/death instance factor.
+
     def test_raw_arithmetic(self):
-        cfg = BirthDeathConfig(alpha=0.01, beta=0.02, n_pixels=10, mode=BirthDeathMode.RAW)
-        assert birth_death_prior(1, 1, 5, cfg) == pytest.approx(2e-4)
+        cfg = BirthDeathConfig(alpha=0.01, beta=0.02, n_pixels=10)
+        assert math.exp(log_count_prior(0, 1, 1, 5, 0, cfg, 0.0)) == pytest.approx(2e-4)
 
     def test_raw_empty_is_one(self):
-        cfg = BirthDeathConfig(alpha=0.3, beta=0.4, n_pixels=4, mode=BirthDeathMode.RAW)
-        assert birth_death_prior(0, 0, 3, cfg) == 1.0
-
-    @pytest.mark.parametrize("n_pixels,m_objects", [(3, 2), (1, 1), (6, 6), (4, 0)])
-    def test_normalized_sums_to_one(self, n_pixels, m_objects):
-        cfg = BirthDeathConfig(
-            alpha=0.2, beta=0.35, n_pixels=n_pixels, mode=BirthDeathMode.NORMALIZED
-        )
-        total = sum(
-            math.comb(n_pixels, nb) * math.comb(m_objects, nd)
-            * birth_death_prior(nb, nd, m_objects, cfg)
-            for nb in range(n_pixels + 1)
-            for nd in range(m_objects + 1)
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
+        cfg = BirthDeathConfig(alpha=0.3, beta=0.4, n_pixels=4)
+        assert log_count_prior(0, 0, 0, 3, 0, cfg, 0.0) == 0.0
 
     def test_out_of_range(self):
         cfg = BirthDeathConfig(alpha=0.1, beta=0.1, n_pixels=2)
         with pytest.raises(InvalidEventError):
-            birth_death_prior(3, 0, 1, cfg)
+            log_count_prior(0, -1, 0, 1, 0, cfg, 0.0)
         with pytest.raises(InvalidEventError):
-            birth_death_prior(0, 2, 1, cfg)
+            log_count_prior(0, 0, 2, 1, 0, cfg, 0.0)
+        # More births than pixels is possible but carries no mass.
+        assert log_count_prior(0, 3, 0, 1, 0, cfg, 0.0) == -math.inf
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
@@ -175,23 +189,28 @@ class TestChildPrior:
         parent = make_hypothesis(3)
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=4)
         event = AssociationEvent(assignments=(CLUTTER, CLUTTER))
-        expected = birth_death_prior(0, 0, 3, cfg) * (1.0 - 0.9) ** 3
-        assert child_prior(event, parent, cfg, p_d=0.9, n_returns=2) == pytest.approx(expected)
+        expected = (1.0 - 0.9) ** 3
+        log = log_child_prior(event, parent, cfg, p_d=0.9, n_returns=2)
+        assert math.exp(log) == pytest.approx(expected, rel=1e-12)
 
     def test_birth_changes_child_count(self):
         parent = make_hypothesis(1)
         cfg = BirthDeathConfig(alpha=0.01, beta=0.02, n_pixels=4)
         event = AssociationEvent(assignments=("t00", BIRTH))
         # One birth: child has 2 objects, 1 associated.
-        expected = 0.01 * association_prior(2, 2, 1, 0.9)
-        assert child_prior(event, parent, cfg, p_d=0.9, n_returns=2) == pytest.approx(expected)
+        expected = 0.01 * 0.9 * 0.1 / (math.comb(2, 1) * 1)
+        log = log_child_prior(event, parent, cfg, p_d=0.9, n_returns=2)
+        assert math.exp(log) == pytest.approx(expected, rel=1e-12)
+        assert log == log_count_prior(1, 1, 0, 1, 2, cfg, 0.9)
 
     def test_death_event(self):
         parent = make_hypothesis(2)
         cfg = BirthDeathConfig(alpha=0.01, beta=0.02, n_pixels=4)
         event = AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t01"}))
-        expected = 0.02 * association_prior(1, 1, 0, 0.9)
-        assert child_prior(event, parent, cfg, p_d=0.9, n_returns=1) == pytest.approx(expected)
+        # One death: child has 1 object, missed.
+        expected = 0.02 * 0.1
+        log = log_child_prior(event, parent, cfg, p_d=0.9, n_returns=1)
+        assert math.exp(log) == pytest.approx(expected, rel=1e-12)
 
     def test_dead_object_in_assignments_rejected(self):
         with pytest.raises(InvalidEventError):
@@ -200,9 +219,16 @@ class TestChildPrior:
     def test_unknown_label_rejected(self):
         parent = make_hypothesis(1)
         cfg = BirthDeathConfig()
-        event = AssociationEvent(assignments=("nope",))
         with pytest.raises(InvalidEventError):
-            child_prior(event, parent, cfg, p_d=0.9, n_returns=1)
+            log_child_prior(AssociationEvent(assignments=("nope",)), parent, cfg, 0.9, 1)
+        with pytest.raises(InvalidEventError):
+            log_child_prior(
+                AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"nope"})),
+                parent, cfg, 0.9, 1,
+            )
+        with pytest.raises(InvalidEventError):
+            # Assignment count must match the return count.
+            log_child_prior(AssociationEvent(assignments=(CLUTTER,)), parent, cfg, 0.9, 2)
 
     def test_more_births_than_pixels_is_zero_mass(self):
         parent = make_hypothesis(0)
@@ -211,13 +237,40 @@ class TestChildPrior:
         assert log_child_prior(event, parent, cfg, 0.9, 2) == -math.inf
 
 
+def candidates(log_weights):
+    """One candidate per log weight, parent ids c0, c1, ... and the same
+    empty event, so ties fall back to the parent id."""
+    event = AssociationEvent(assignments=())
+    return [Candidate(f"c{i}", (), event, w) for i, w in enumerate(log_weights)]
+
+
+def weights_of(kept):
+    return [math.exp(c.log_weight) for c in kept]
+
+
 class TestBayesUpdate:
+    """Joint posterior normalization of (prior weight, likelihood) scores,
+    as prune does it before truncation."""
+
+    def _posterior(self, pairs):
+        """Posterior weights w*l / sum(w*l) of (prior weight, likelihood)
+        pairs, in input order."""
+        logs = [
+            math.log(w) + math.log(lik) if w > 0.0 and lik > 0.0 else -math.inf
+            for w, lik in pairs
+        ]
+        by_id = {
+            c.parent_id: math.exp(c.log_weight)
+            for c in prune(candidates(logs), len(pairs))
+        }
+        return [by_id.get(f"c{i}", 0.0) for i in range(len(pairs))]
+
     def test_spec_example(self):
-        out = bayes_update_weights([(0.5, 0.2), (0.5, 0.8)])
+        out = self._posterior([(0.5, 0.2), (0.5, 0.8)])
         assert out == pytest.approx([0.2, 0.8], abs=1e-15)
 
     def test_equal_likelihoods_leave_weights(self):
-        out = bayes_update_weights([(0.3, 5.0), (0.7, 5.0)])
+        out = self._posterior([(0.3, 5.0), (0.7, 5.0)])
         assert out == pytest.approx([0.3, 0.7], abs=1e-15)
 
     def test_matches_direct_normalization(self):
@@ -225,20 +278,21 @@ class TestBayesUpdate:
         w = rng.uniform(0.1, 1.0, size=10)
         w /= w.sum()
         lik = rng.uniform(1e-6, 1.0, size=10)
-        out = bayes_update_weights(list(zip(w, lik)))
+        out = self._posterior(list(zip(w, lik)))
         direct = (w * lik) / (w * lik).sum()
         np.testing.assert_allclose(out, direct, atol=1e-12)
-        assert sum(out) == pytest.approx(1.0, abs=1e-12)
+        assert math.fsum(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateUpdateError):
-            bayes_update_weights([(0.5, 0.0), (0.5, 0.0)])
+            self._posterior([(0.5, 0.0), (0.5, 0.0)])
 
     def test_extreme_log_scores_stable(self):
         # exp(-1000) underflows to zero in linear space; the log-space path
         # with max subtraction must still recover the exact ratio.
-        out = bayes_update_log_weights([-1000.0, -1000.0 + math.log(3.0)])
-        assert out == pytest.approx([0.25, 0.75], abs=1e-12)
+        kept = prune(candidates([-1000.0, -1000.0 + math.log(3.0)]), 2)
+        assert [c.parent_id for c in kept] == ["c1", "c0"]
+        assert weights_of(kept) == pytest.approx([0.75, 0.25], abs=1e-12)
 
     @given(
         st.lists(
@@ -252,55 +306,62 @@ class TestBayesUpdate:
     )
     @settings(max_examples=200, deadline=None)
     def test_sum_and_ratio_properties(self, pairs):
-        out = bayes_update_weights(pairs)
-        assert sum(out) == pytest.approx(1.0, abs=1e-12)
+        out = self._posterior(pairs)
+        assert math.fsum(out) == pytest.approx(1.0, abs=1e-12)
         (w_a, l_a), (w_b, l_b) = pairs[0], pairs[1]
         if out[1] > 1e-12:
             assert out[0] / out[1] == pytest.approx((w_a * l_a) / (w_b * l_b), rel=1e-9)
 
 
 class TestPrune:
-    def _hyps(self, weights):
-        return [
-            make_hypothesis(1, hid=f"h{i}", log_weight=math.log(w))
-            for i, w in enumerate(weights)
-        ]
+    def _cands(self, weights):
+        return candidates([math.log(w) for w in weights])
 
     def test_identity_when_small(self):
-        hyps = self._hyps([0.5, 0.3, 0.2])
-        out = prune(hyps, 3)
-        assert [h.id for h in out] == ["h0", "h1", "h2"]
-        assert sum(h.weight for h in out) == pytest.approx(1.0, abs=1e-12)
+        out = prune(self._cands([0.5, 0.3, 0.2]), 3)
+        assert [c.parent_id for c in out] == ["c0", "c1", "c2"]
+        assert math.fsum(weights_of(out)) == pytest.approx(1.0, abs=1e-12)
 
     def test_top_k_renormalizes(self):
-        hyps = self._hyps([0.7, 0.2, 0.1])
-        out = prune(hyps, 2)
-        assert [h.id for h in out] == ["h0", "h1"]
-        assert out[0].weight == pytest.approx(0.7 / 0.9, abs=1e-12)
-        assert out[1].weight == pytest.approx(0.2 / 0.9, abs=1e-12)
+        out = prune(self._cands([0.7, 0.2, 0.1]), 2)
+        assert [c.parent_id for c in out] == ["c0", "c1"]
+        assert weights_of(out) == pytest.approx([0.7 / 0.9, 0.2 / 0.9], abs=1e-12)
 
     def test_top_k_never_grows_and_preserves_order(self):
-        hyps = self._hyps([0.05, 0.5, 0.25, 0.2])
-        out = prune(hyps, 3)
+        out = prune(self._cands([0.05, 0.5, 0.25, 0.2]), 3)
         assert len(out) == 3
-        weights = [h.weight for h in out]
+        weights = weights_of(out)
         assert weights == sorted(weights, reverse=True)
 
-    def test_sample_reproducible(self):
-        hyps = self._hyps([0.4, 0.3, 0.2, 0.1])
-        a = prune(hyps, 2, PruneStrategy.SAMPLE, rng=random.Random(99))
-        b = prune(hyps, 2, PruneStrategy.SAMPLE, rng=random.Random(99))
-        assert [h.id for h in a] == [h.id for h in b]
-        assert sum(h.weight for h in a) == pytest.approx(1.0, abs=1e-12)
-
-    def test_sample_requires_rng(self):
-        with pytest.raises(ConfigError):
-            prune(self._hyps([0.6, 0.4]), 1, PruneStrategy.SAMPLE)
-
     def test_tie_break_by_id(self):
-        hyps = self._hyps([0.25, 0.25, 0.25, 0.25])
-        out = prune(hyps, 2)
-        assert [h.id for h in out] == ["h0", "h1"]
+        out = prune(self._cands([0.25, 0.25, 0.25, 0.25]), 2)
+        assert [c.parent_id for c in out] == ["c0", "c1"]
+
+    def test_tie_break_by_event_within_parent(self):
+        events = [
+            AssociationEvent(assignments=(CLUTTER,)),
+            AssociationEvent(assignments=(BIRTH,)),
+            AssociationEvent(assignments=("t00",)),
+        ]
+        cands = [Candidate("c0", (), e, math.log(1 / 3)) for e in events]
+        out = prune(cands, 3)
+        assert [c.event for c in out] == sorted(events, key=AssociationEvent.canonical_key)
+
+    def test_zero_mass_candidates_dropped(self):
+        out = prune(candidates([math.log(0.6), -math.inf, math.log(0.4)]), 5)
+        assert [c.parent_id for c in out] == ["c0", "c2"]
+        assert weights_of(out) == pytest.approx([0.6, 0.4], abs=1e-12)
+
+    def test_weights_relative_to_all_finite_then_renormalized(self):
+        # The truncated candidate's mass counts in the first normalization
+        # only; the kept set is renormalized on its own.
+        out = prune(self._cands([0.6, 0.3, 0.1]), 2)
+        assert weights_of(out) == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
+        assert all(c.log_weight <= 0.0 for c in out)
+
+    def test_h_inf_validated(self):
+        with pytest.raises(ConfigError):
+            prune(self._cands([1.0]), 0)
 
 
 class TestHypothesisType:

@@ -15,6 +15,7 @@ from mcmctrack.hypotheses import (
     BirthDeathConfig,
     Hypothesis,
     log_child_prior,
+    log_count_prior,
 )
 from mcmctrack.likelihoods import ClutterModel, build_matrix, hypothesis_log_likelihood
 from mcmctrack.oracle import enumerate_child_events, exact_posterior, tv_distance
@@ -222,6 +223,38 @@ class TestPropose:
         chain.apply()
         assert chain.event().deaths == frozenset()
 
+    def test_zero_entry_candidate_skips_prior(self):
+        # The far return cannot come from t00: that entry is -inf.
+        parent, ctx = make_context([(100.0, 0.0)], [[5000.0, 0.0]])
+        assert ctx.rows[0][0] == -math.inf
+        chain = _Chain(ctx, random.Random(0), AssociationEvent(assignments=(CLUTTER,)))
+        calls = []
+        ctx.log_prior = lambda *counts: calls.append(counts) or 0.0
+        seen = 0
+        for seed in range(40):
+            chain.rng = random.Random(seed)
+            calls.clear()
+            if chain.propose() and (chain._row, chain._col) == (0, 0):
+                assert chain.cand_score == -math.inf
+                assert calls == []
+                seen += 1
+            else:
+                assert len(calls) == 1
+        assert seen > 0
+
+    def test_prior_memo_matches_log_count_prior(self):
+        parent, matrix, cfg, sensor = make_instance(
+            [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]], n_pixels=1
+        )
+        ctx = _ScoreContext(matrix, cfg, sensor)
+        for k in range(3):
+            for n_b in range(3 - k):
+                for n_d in range(3 - k):
+                    expected = log_count_prior(k, n_b, n_d, 2, 2, cfg, sensor.p_d)
+                    assert ctx.log_prior(k, n_b, n_d) == expected
+                    assert ctx.log_prior(k, n_b, n_d) == expected  # memoized
+        assert ctx.log_prior(0, 2, 0) == -math.inf  # more births than pixels
+
     def test_never_produces_duplicate_claims(self):
         parent, ctx = make_context(
             [(100.0, 0.0), (50.0, 60.0)],
@@ -357,16 +390,15 @@ class TestSampleChildren:
             (s.event, s.log_score, s.visits) for s in b
         ]
 
-    def test_chains_merge_visits(self):
+    def test_visits_sum_to_record_steps(self):
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0)], [[100.0, 0.2]]
         )
         scfg = SamplerConfig(
             burn_in_steps=100, record_steps=1000, children_kept=50, seed=1,
-            chains_per_parent=3,
         )
         samples = sample_children(parent, matrix, scfg, cfg, sensor)
-        assert sum(s.visits for s in samples) == 3000
+        assert sum(s.visits for s in samples) == 1000
 
 
 class TestIrreducibility:

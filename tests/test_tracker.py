@@ -18,6 +18,7 @@ from mcmctrack.likelihoods import BirthModel, ClutterModel
 from mcmctrack.oracle import EnumerationLimit
 from mcmctrack.sampler import SamplerConfig
 from mcmctrack.simulate import MeasurementFrame
+from mcmctrack import tracker as tracker_module
 from mcmctrack.tracker import (
     Tracker,
     TrackerConfig,
@@ -138,6 +139,41 @@ class TestStepBasics:
         assert len(new_hyps) == 1
         assert new_hyps[0].weight == pytest.approx(1.0)
         assert new_hyps[0].labels == ("t00",)
+
+    def test_degenerate_update_predicts_each_track_once(self, monkeypatch):
+        cfg = make_config(p_d=1.0, alpha=0.0, beta=0.0, clutter_density=0.0)
+        tracker = Tracker(cfg)
+        hyps = [
+            Hypothesis(id=f"h{i}", parent_id=None, log_weight=math.log(0.5),
+                       tracks=(track_at("t00", 100.0, 0.0), track_at("t01", 0.0, 100.0)))
+            for i in range(2)
+        ]
+        calls = []
+
+        def counting_predict(track, dynamics):
+            calls.append(track.label)
+            return predict_track(track, dynamics)
+
+        monkeypatch.setattr(tracker_module, "predict_track", counting_predict)
+        new_hyps, report = tracker.step(hyps, frame_at(10.0, [[3000.0, 5000.0]]))
+        assert report.degenerate
+        assert len(calls) == 4
+        for new, old in zip(new_hyps, hyps):
+            for got, track in zip(new.tracks, old.tracks, strict=True):
+                want = predict_track(track, cfg.dynamics)
+                np.testing.assert_array_equal(got.mean, want.mean)
+                np.testing.assert_array_equal(got.covariance, want.covariance)
+
+    def test_rejects_weights_off_by_more_than_1e12(self):
+        cfg = make_config()
+        tracker = Tracker(cfg)
+        track = (track_at("t00", 100.0, 0.0),)
+        bad = [
+            Hypothesis(id="h0", parent_id=None, log_weight=math.log(0.5), tracks=track),
+            Hypothesis(id="h1", parent_id=None, log_weight=math.log(0.5 + 1e-9), tracks=track),
+        ]
+        with pytest.raises(ValueError):
+            tracker.step(bad, frame_at(10.0, [[100.0, 0.0]]))
 
     def test_rejects_unnormalized_input(self):
         cfg = make_config()
