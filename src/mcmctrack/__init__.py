@@ -45,7 +45,6 @@ from .hypotheses import (
 )
 from .likelihoods import (
     AssociationMatrix,
-    BirthModel,
     ClutterModel,
     birth_likelihood,
     build_matrix,

@@ -1,15 +1,14 @@
 """Data-association matrix construction and hypothesis likelihood evaluation.
 
-The matrix has one row per measurement return plus a death row, and one
-column per object plus a birth column and a clutter column. Entries are
-stored as log-likelihoods; impossible pairings are -inf. The death row only
-drives the MCMC proposal; death probability mass enters through the child
-prior, never through the likelihood.
+The matrix has one row per measurement return and one column per object
+plus a birth column and a clutter column. Entries are stored as
+log-likelihoods; impossible pairings are -inf. Deaths have no row: death
+probability mass enters through the child prior, never through the
+likelihood, and the matrix only records which objects may die this scan.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,39 +56,33 @@ def uniform_clutter(sensor: SensorModel, expected_count: float = 0.0) -> Clutter
     return ClutterModel(1.0 / sensor.fov_area, expected_count)
 
 
-@dataclass(frozen=True)
-class BirthModel:
-    """Newborn-track construction parameters: velocity prior is Gaussian
-    around the local circular-orbit velocity (prograde by default)."""
-
-    velocity_std: float = 0.3
-    prograde: bool = True
-
-    def __post_init__(self) -> None:
-        if self.velocity_std <= 0.0:
-            raise ConfigError("birth_model.velocity_std must be > 0")
+# Newborn velocity prior: Gaussian with this std (km/s) per axis around the
+# local prograde circular-orbit velocity.
+NEWBORN_VELOCITY_STD = 0.3
 
 
 @dataclass(frozen=True, eq=False)
 class AssociationMatrix:
-    """(m+1) x (M+2) table of log-likelihoods driving child generation.
+    """m x (M+2) table of log-likelihoods driving child generation, plus
+    one death-eligibility flag per object.
 
-    Rows 0..m-1 are measurement returns, row m is the death row. Columns
-    0..M-1 are object labels (frame order), column M is birth, column M+1 is
-    clutter. Immutable once built.
+    Row i is measurement return i. Columns 0..M-1 are object labels (frame
+    order), column M is birth, column M+1 is clutter. Immutable once built.
     """
 
     log_entries: np.ndarray
     object_labels: tuple[str, ...]
-    in_fov_flags: tuple[bool, ...]
+    death_eligible: tuple[bool, ...]
     returns: np.ndarray
 
     def __post_init__(self) -> None:
         m_rows, n_cols = self.log_entries.shape
         if n_cols != len(self.object_labels) + 2:
             raise ValueError("matrix must have one column per object plus birth and clutter")
-        if m_rows != len(self.returns) + 1:
-            raise ValueError("matrix must have one row per return plus the death row")
+        if m_rows != len(self.returns):
+            raise ValueError("matrix must have one row per return")
+        if len(self.death_eligible) != len(self.object_labels):
+            raise ValueError("matrix must have one death-eligibility flag per object")
         if np.isnan(self.log_entries).any():
             raise ValueError("matrix entries must be finite or -inf")
 
@@ -127,19 +120,10 @@ class AssociationMatrix:
         return self.object_labels[col]
 
     def death_candidate_labels(self) -> tuple[str, ...]:
-        """Objects eligible to die this scan: predicted inside the FOV."""
+        """Objects eligible to die this scan (see build_matrix)."""
         return tuple(
-            lbl for lbl, ok in zip(self.object_labels, self.in_fov_flags) if ok
+            lbl for lbl, ok in zip(self.object_labels, self.death_eligible) if ok
         )
-
-    def to_csv(self, path) -> None:
-        """Debug dump: rows are returns plus DEATH, columns labels + B + C."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row", *self.object_labels, "B", "C"])
-            for i in range(self.n_returns):
-                writer.writerow([f"z{i}", *(repr(v) for v in self.log_entries[i])])
-            writer.writerow(["DEATH", *(repr(v) for v in self.log_entries[self.n_returns])])
 
 
 def birth_likelihood(z: np.ndarray, sensor: SensorModel) -> float:
@@ -162,14 +146,14 @@ def build_matrix(
 
     Object columns hold the exact marginal measurement likelihoods (shared
     code path with update_track); the birth column holds birth_likelihood;
-    the clutter column holds the clutter density. The death row holds the
-    per-object death probability for in-FOV objects (proposal bookkeeping
-    only) and -inf elsewhere.
+    the clutter column holds the clutter density. An object is eligible to
+    die when the death probability is positive and it is predicted inside
+    the FOV; no death event is generated for any other object.
     """
     returns = np.asarray(returns, dtype=float).reshape(-1, 2)
     m = len(returns)
     n_objects = len(predicted)
-    log_entries = np.full((m + 1, n_objects + 2), -math.inf)
+    log_entries = np.full((m, n_objects + 2), -math.inf)
     for i in range(m):
         z = returns[i]
         for j, track in enumerate(predicted):
@@ -180,14 +164,11 @@ def build_matrix(
         log_entries[i, n_objects + 1] = (
             math.log(clutter.density_value) if clutter.density_value > 0.0 else -math.inf
         )
-    fov_flags = tuple(in_fov(t.mean, sensor) for t in predicted)
-    for j, flag in enumerate(fov_flags):
-        if flag and birth_cfg.beta > 0.0:
-            log_entries[m, j] = math.log(birth_cfg.beta)
+    can_die = birth_cfg.beta > 0.0
     return AssociationMatrix(
         log_entries=log_entries,
         object_labels=tuple(t.label for t in predicted),
-        in_fov_flags=fov_flags,
+        death_eligible=tuple(can_die and in_fov(t.mean, sensor) for t in predicted),
         returns=returns,
     )
 
@@ -211,21 +192,19 @@ def newborn_track(
     z: np.ndarray,
     sensor: SensorModel,
     mu: float,
-    birth_model: BirthModel,
 ) -> GaussianTrack:
     """Instantiate a newborn Gaussian from the birth pdf and its associated
     return: position block is one flat-prior EKF update (mean z, covariance
-    r), velocity prior is Gaussian around the local circular-orbit velocity."""
+    r), velocity prior is Gaussian (NEWBORN_VELOCITY_STD) around the local
+    prograde circular-orbit velocity."""
     z = np.asarray(z, dtype=float).reshape(2)
     speed = circular_speed(z, mu)
     radius = float(np.linalg.norm(z))
     tangent = np.array([-z[1], z[0]]) / radius
-    if not birth_model.prograde:
-        tangent = -tangent
     mean = np.array([z[0], z[1], speed * tangent[0], speed * tangent[1]])
     cov = np.zeros((4, 4))
     cov[:2, :2] = sensor.r
-    cov[2, 2] = cov[3, 3] = birth_model.velocity_std ** 2
+    cov[2, 2] = cov[3, 3] = NEWBORN_VELOCITY_STD ** 2
     return GaussianTrack(label, mean, cov)
 
 

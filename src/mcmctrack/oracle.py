@@ -47,14 +47,8 @@ class GrandchildEvent(NamedTuple):
     assignments: tuple[object, ...]
 
 
-def _labels_of(parent: Hypothesis | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(parent, Hypothesis):
-        return parent.labels
-    return tuple(parent)
-
-
 def enumerate_grandchildren(
-    parent: Hypothesis | Sequence[str],
+    parent_labels: Sequence[str],
     n_returns: int,
     n_pixels: int,
     limit: EnumerationLimit = EnumerationLimit(),
@@ -63,7 +57,7 @@ def enumerate_grandchildren(
     once. Associations are injective partial maps from returns onto the
     child's objects (survivors plus newborns); unassociated returns are
     clutter. The list length equals count_grandchildren(M, m, N)."""
-    labels = _labels_of(parent)
+    labels = tuple(parent_labels)
     if len(labels) > limit.max_objects:
         raise EnumerationLimitError(f"{len(labels)} objects exceed the enumeration limit")
     if n_returns > limit.max_returns:

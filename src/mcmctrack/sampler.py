@@ -2,19 +2,19 @@
 
 The chain state is one row of the would-be hypothesis matrix: an assignment
 per return (object column, birth, or clutter) plus a death set. A step picks
-one of the m+1 matrix rows uniformly; measurement rows reassign that return
-uniformly among the other columns. When the target object is already
-claimed by another return, the two returns swap: the other return takes the
-proposer's old column (MCMCDA's switch move). The swap leaves the counts of
-associations and births unchanged and its reverse is drawn with the same
-probability, so the proposal is symmetric and the walk's stationary
-distribution is the exact posterior. Proposing an association to an object
-currently marked dead would produce a structurally invalid event, so it is
-treated as a no-change proposal; the dead object can first be revived
-through the death row, which toggles one uniformly chosen unassociated
-in-FOV object's death status. Scores are log(child prior) + log(likelihood),
-maintained incrementally and recomputed from scratch whenever a new event is
-recorded.
+one of m+1 moves uniformly: one per matrix row, which reassigns that return
+uniformly among the other columns, and the death move. When the target
+object is already claimed by another return, the two returns swap: the
+other return takes the proposer's old column (MCMCDA's switch move). The
+swap leaves the counts of associations and births unchanged and its reverse
+is drawn with the same probability, so the proposal is symmetric and the
+walk's stationary distribution is the exact posterior. Proposing an
+association to an object currently marked dead would produce a structurally
+invalid event, so it is treated as a no-change proposal; the dead object can
+first be revived through the death move, which toggles one uniformly chosen
+unassociated death-eligible object's death status (a no-change proposal when
+there is none). Scores are log(child prior) + log(likelihood), maintained
+incrementally and recomputed from scratch whenever a new event is recorded.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class _ScoreContext:
             [j for j, v in enumerate(row) if v > -math.inf] for row in self.rows
         ]
         self.death_eligible = [
-            j for j, ok in enumerate(matrix.in_fov_flags) if ok
+            j for j, ok in enumerate(matrix.death_eligible) if ok
         ]
         self.birth_cfg = birth_cfg
         self.p_d = sensor.p_d
@@ -108,15 +108,6 @@ class _ScoreContext:
                 k, n_b, n_d, self.n_objects, self.m, self.birth_cfg, self.p_d
             )
         return out
-
-    def log_score(self, assign: list[int], dead: set[int]) -> float:
-        """Score from scratch: prior from counts plus selected log-entries."""
-        k = sum(1 for c in assign if c < self.n_objects)
-        n_b = sum(1 for c in assign if c == self.birth_col)
-        loglik = 0.0
-        for i, c in enumerate(assign):
-            loglik += self.rows[i][c]
-        return self.log_prior(k, n_b, len(dead)) + loglik
 
 
 class _Chain:
@@ -150,28 +141,41 @@ class _Chain:
         self.rng = rng
         matrix = ctx.matrix
         if event is None:
-            self.assign = [ctx.clutter_col] * ctx.m
+            self.assign: list[int] = []
+            for supported in ctx.supported_cols:
+                if supported:
+                    col = supported[rng.randrange(len(supported))]
+                else:
+                    col = rng.randrange(ctx.n_objects + 2)
+                if col < ctx.n_objects and col in self.assign:
+                    col = ctx.clutter_col
+                self.assign.append(col)
             self.dead: set[int] = set()
         else:
             self.assign = [matrix.column_of(a) for a in event.assignments]
             self.dead = {matrix.object_labels.index(lbl) for lbl in event.deaths}
+        self.resync()
+
+    def _score(
+        self, k: int, n_b: int, n_d: int, finite_loglik: float, zero_entries: int
+    ) -> float:
+        """Score of the given counts and likelihood sum. A selected
+        zero-likelihood entry scores -inf whatever the prior, so the prior
+        is not looked up then."""
+        if zero_entries > 0:
+            return -math.inf
+        return self.ctx.log_prior(k, n_b, n_d) + finite_loglik
+
+    def resync(self) -> None:
+        """Recount claims, counts, likelihood sum and score from scratch
+        from the assignment and the death set."""
+        ctx = self.ctx
         self.claimed_by = [-1] * ctx.n_objects
         self.k = 0
         self.n_b = 0
         self.finite_loglik = 0.0
         self.zero_entries = 0
-        for i in range(ctx.m):
-            if event is None:
-                supported = ctx.supported_cols[i]
-                if supported:
-                    col = supported[rng.randrange(len(supported))]
-                else:
-                    col = rng.randrange(ctx.n_objects + 2)
-                if col < ctx.n_objects and self.claimed_by[col] != -1:
-                    col = ctx.clutter_col
-                self.assign[i] = col
-            else:
-                col = self.assign[i]
+        for i, col in enumerate(self.assign):
             if col < ctx.n_objects:
                 self.claimed_by[col] = i
                 self.k += 1
@@ -186,20 +190,6 @@ class _Chain:
             self.k, self.n_b, len(self.dead), self.finite_loglik, self.zero_entries
         )
 
-    def _score(
-        self, k: int, n_b: int, n_d: int, finite_loglik: float, zero_entries: int
-    ) -> float:
-        """Score of the given counts and likelihood sum. A selected
-        zero-likelihood entry scores -inf whatever the prior, so the prior
-        is not looked up then."""
-        if zero_entries > 0:
-            return -math.inf
-        return self.ctx.log_prior(k, n_b, n_d) + finite_loglik
-
-    def resync(self) -> None:
-        """Replace the running score with a from-scratch recomputation."""
-        self.log_score = self.ctx.log_score(self.assign, self.dead)
-
     def key(self) -> tuple:
         return (tuple(self.assign), tuple(sorted(self.dead)))
 
@@ -209,9 +199,10 @@ class _Chain:
             self.apply()
 
     def propose(self) -> bool:
-        """Draw one of the m+1 rows uniformly and a move in it, and score the
-        candidate. Returns False for a no-change proposal (a dead target
-        object, or an empty death pool), which needs no accept/reject."""
+        """Draw one of the m rows or the death move uniformly, then a move in
+        it, and score the candidate. Returns False for a no-change proposal
+        (a dead target object, or an empty death pool), which needs no
+        accept/reject."""
         ctx = self.ctx
         n_objects = ctx.n_objects
         row = self.rng.randrange(ctx.m + 1)

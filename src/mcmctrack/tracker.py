@@ -34,15 +34,18 @@ from .hypotheses import (
 )
 from .likelihoods import (
     AssociationMatrix,
-    BirthModel,
     ClutterModel,
     build_matrix,
     hypothesis_log_likelihood,
     newborn_track,
 )
-from .oracle import EnumerationLimit, enumerate_child_events
+from .oracle import enumerate_child_events
 from .sampler import SamplerConfig, sample_children
 from .simulate import MeasurementFrame
+
+
+# Exhaustive mode refuses a parent with more children than this.
+MAX_EXHAUSTIVE_CHILDREN = 10_000_000
 
 
 class TrackerMode(str, Enum):
@@ -56,12 +59,10 @@ class TrackerConfig:
     dynamics: DynamicsConfig
     clutter: ClutterModel
     birth_death: BirthDeathConfig = BirthDeathConfig()
-    birth_model: BirthModel = BirthModel()
     sampler: SamplerConfig = SamplerConfig()
     h_inf: int = 50
     mode: TrackerMode = TrackerMode.MCMC
     adapt_rates: bool = False
-    oracle_limit: EnumerationLimit = EnumerationLimit()
 
     def __post_init__(self) -> None:
         if self.h_inf < 1:
@@ -158,11 +159,7 @@ def _realize_child(
         if entry == BIRTH:
             tracks.append(
                 newborn_track(
-                    next_label(),
-                    frame.returns[i],
-                    cfg.sensor,
-                    cfg.dynamics.mu,
-                    cfg.birth_model,
+                    next_label(), frame.returns[i], cfg.sensor, cfg.dynamics.mu
                 )
             )
     return Hypothesis(id=child_id, parent_id=parent_id, log_weight=log_weight, tracks=tuple(tracks))
@@ -220,13 +217,7 @@ class Tracker:
             predicted = tuple(predict_track(t, cfg.dynamics) for t in parent.tracks)
             predicted_by_parent.append(predicted)
             matrix = build_matrix(predicted, frame.returns, cfg.sensor, cfg.clutter, bd)
-            pred_parent = Hypothesis(
-                id=parent.id,
-                parent_id=parent.parent_id,
-                log_weight=parent.log_weight,
-                tracks=predicted,
-            )
-            for event, log_score in self._children_of(pred_parent, matrix, bd):
+            for event, log_score in self._children_of(parent, matrix, bd):
                 candidates.append(
                     Candidate(parent.id, predicted, event, parent.log_weight + log_score)
                 )
@@ -264,26 +255,28 @@ class Tracker:
 
     def _children_of(
         self,
-        pred_parent: Hypothesis,
+        parent: Hypothesis,
         matrix: AssociationMatrix,
         bd: BirthDeathConfig,
     ) -> list[tuple[AssociationEvent, float]]:
+        """Scored children of parent, whose id, labels and track count are
+        those of its predicted tracks (prediction keeps labels)."""
         cfg = self.cfg
         if cfg.mode is TrackerMode.MCMC:
-            samples = sample_children(pred_parent, matrix, cfg.sampler, bd, cfg.sensor)
+            samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
             return [(s.event, s.log_score) for s in samples]
         out = []
-        cap = cfg.oracle_limit.max_grandchildren
         for event in enumerate_child_events(
-            pred_parent.labels, matrix.n_returns, matrix.death_candidate_labels()
+            parent.labels, matrix.n_returns, matrix.death_candidate_labels()
         ):
             score = log_child_prior(
-                event, pred_parent, bd, cfg.sensor.p_d, matrix.n_returns
+                event, parent, bd, cfg.sensor.p_d, matrix.n_returns
             ) + hypothesis_log_likelihood(event, matrix)
             out.append((event, score))
-            if len(out) > cap:
+            if len(out) > MAX_EXHAUSTIVE_CHILDREN:
                 raise EnumerationLimitError(
-                    f"exhaustive mode refused: more than {cap} children for one parent"
+                    f"exhaustive mode refused: more than {MAX_EXHAUSTIVE_CHILDREN} "
+                    "children for one parent"
                 )
         return out
 

@@ -239,7 +239,6 @@ def test_criterion_7_kalman_reduction():
         mu = 398600.4418
         sensor = wide_sensor(p_d=1.0)
         from mcmctrack.filters import DynamicsConfig
-        from mcmctrack.likelihoods import BirthModel
         from mcmctrack.tracker import TrackerConfig
 
         cfg = TrackerConfig(
@@ -247,7 +246,6 @@ def test_criterion_7_kalman_reduction():
             dynamics=DynamicsConfig(mu=mu, dt=300.0, q=1e-9),
             clutter=ClutterModel(0.0),
             birth_death=BirthDeathConfig(alpha=0.0, beta=0.0, n_pixels=4),
-            birth_model=BirthModel(),
             sampler=SamplerConfig(seed=0),
             h_inf=50,
             mode=TrackerMode.EXHAUSTIVE,

@@ -15,7 +15,8 @@ from mcmctrack.hypotheses import (
     Hypothesis,
 )
 from mcmctrack.likelihoods import (
-    BirthModel,
+    NEWBORN_VELOCITY_STD,
+    AssociationMatrix,
     ClutterModel,
     birth_likelihood,
     build_matrix,
@@ -43,12 +44,13 @@ def track_at(label, x, y, var=1.0):
 
 
 class TestBuildMatrix:
-    def test_empty_frame_has_death_row_only(self):
+    def test_empty_frame_has_no_rows(self):
         sensor = sensor_with()
         tracks = [track_at("t00", 30000.0, 0.0), track_at("t01", 31000.0, 100.0)]
         mat = build_matrix(tracks, np.empty((0, 2)), sensor, uniform_clutter(sensor), BirthDeathConfig())
-        assert mat.log_entries.shape == (1, 4)
+        assert mat.log_entries.shape == (0, 4)
         assert mat.n_returns == 0
+        assert mat.death_candidate_labels() == ("t00", "t01")
 
     def test_mode_entry_value(self):
         sensor = sensor_with()
@@ -72,14 +74,14 @@ class TestBuildMatrix:
                 assert mat.log_entries[i, j] == math.log(lik)
 
     def test_twelve_entries_match_hand_computation(self):
-        # 2 tracks, 2 returns: a (2+1) x (2+2) matrix, 12 entries in all.
+        # 2 tracks, 2 returns: a 2 x (2+2) matrix. Deaths carry no
+        # likelihood, so there is no death row.
         sensor = sensor_with(p_d=0.8)
-        beta = 0.05
         t0 = track_at("t00", 30000.0, 0.0, var=2.0)
         t1 = track_at("t01", 30200.0, 300.0, var=1.0)
         returns = np.array([[30001.0, 1.0], [30199.0, 302.0]])
         clutter = ClutterModel(density_value=1e-8)
-        mat = build_matrix([t0, t1], returns, sensor, clutter, BirthDeathConfig(beta=beta))
+        mat = build_matrix([t0, t1], returns, sensor, clutter, BirthDeathConfig(beta=0.05))
 
         def gauss(z, mean, var):
             s = var + 1.0  # diagonal track var + unit noise var per axis
@@ -93,11 +95,8 @@ class TestBuildMatrix:
                 [gauss(returns[1], t0.mean[:2], 2.0), gauss(returns[1], t1.mean[:2], 1.0), 1.0 / area, 1e-8],
             ]
         )
-        np.testing.assert_allclose(np.exp(mat.log_entries[:2]), expected, rtol=1e-10)
-        death_row = mat.log_entries[2]
-        assert math.exp(death_row[0]) == pytest.approx(beta)
-        assert math.exp(death_row[1]) == pytest.approx(beta)
-        assert death_row[2] == -math.inf and death_row[3] == -math.inf
+        assert mat.log_entries.shape == (2, 4)
+        np.testing.assert_allclose(np.exp(mat.log_entries), expected, rtol=1e-10)
 
     def test_out_of_fov_object_not_death_candidate(self):
         sensor = sensor_with(half=0.1)
@@ -108,21 +107,23 @@ class TestBuildMatrix:
         )
         assert mat.death_candidate_labels() == ("t00",)
 
-    def test_csv_dump(self, tmp_path):
+    def test_zero_death_probability_makes_no_death_candidate(self):
         sensor = sensor_with()
         mat = build_matrix(
-            [track_at("t00", 30000.0, 0.0)],
-            np.array([[30000.0, 10.0]]),
-            sensor,
-            uniform_clutter(sensor),
-            BirthDeathConfig(),
+            [track_at("t00", 30000.0, 0.0)], np.empty((0, 2)), sensor,
+            uniform_clutter(sensor), BirthDeathConfig(beta=0.0),
         )
-        path = tmp_path / "matrix.csv"
-        mat.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("row,t00,B,C")
-        assert lines[1].startswith("z0,")
-        assert lines[2].startswith("DEATH,")
+        assert mat.death_eligible == (False,)
+        assert mat.death_candidate_labels() == ()
+
+    def test_one_death_flag_per_object_required(self):
+        with pytest.raises(ValueError, match="death-eligibility"):
+            AssociationMatrix(
+                log_entries=np.zeros((0, 3)),
+                object_labels=("t00",),
+                death_eligible=(True, True),
+                returns=np.empty((0, 2)),
+            )
 
 
 class TestBirthLikelihood:
@@ -213,7 +214,7 @@ class TestNewbornTrack:
     def test_position_block_is_measurement_noise(self):
         sensor = sensor_with()
         z = np.array([30000.0, 5.0])
-        t = newborn_track("b0", z, sensor, mu=398600.4418, birth_model=BirthModel())
+        t = newborn_track("b0", z, sensor, mu=398600.4418)
         np.testing.assert_allclose(t.mean[:2], z)
         np.testing.assert_allclose(t.covariance[:2, :2], sensor.r)
 
@@ -221,10 +222,11 @@ class TestNewbornTrack:
         sensor = sensor_with()
         z = np.array([30000.0, 0.0])
         mu = 398600.4418
-        t = newborn_track("b0", z, sensor, mu=mu, birth_model=BirthModel(velocity_std=0.2))
+        t = newborn_track("b0", z, sensor, mu=mu)
         speed = math.sqrt(mu / 30000.0)
         np.testing.assert_allclose(t.mean[2:], [0.0, speed], atol=1e-12)
-        assert t.covariance[2, 2] == pytest.approx(0.04)
+        assert NEWBORN_VELOCITY_STD == 0.3
+        assert t.covariance[2, 2] == t.covariance[3, 3] == NEWBORN_VELOCITY_STD ** 2
 
 
 class TestCompareLikelihoodForms:

@@ -223,6 +223,16 @@ class TestPropose:
         chain.apply()
         assert chain.event().deaths == frozenset()
 
+    def test_death_move_without_death_probability_is_no_change(self):
+        # beta = 0: no object is death-eligible, so the death move draws no
+        # object and proposes nothing instead of a zero-mass death.
+        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]], beta=0.0)
+        rng = _ScriptRng([1, 0])
+        chain = _Chain(ctx, rng, AssociationEvent(assignments=(CLUTTER,)))
+        assert chain.propose() is False
+        assert rng.bounds == [2]
+        assert chain.event().deaths == frozenset()
+
     def test_zero_entry_candidate_skips_prior(self):
         # The far return cannot come from t00: that entry is -inf.
         parent, ctx = make_context([(100.0, 0.0)], [[5000.0, 0.0]])

@@ -14,8 +14,7 @@ from mcmctrack.filters import (
     update_track,
 )
 from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis
-from mcmctrack.likelihoods import BirthModel, ClutterModel
-from mcmctrack.oracle import EnumerationLimit
+from mcmctrack.likelihoods import ClutterModel
 from mcmctrack.sampler import SamplerConfig
 from mcmctrack.simulate import MeasurementFrame
 from mcmctrack import tracker as tracker_module
@@ -45,7 +44,6 @@ def make_config(p_d=0.9, alpha=0.01, beta=0.01, clutter_density=1e-6,
         dynamics=DynamicsConfig(mu=mu, dt=dt, q=q),
         clutter=ClutterModel(clutter_density),
         birth_death=BirthDeathConfig(alpha=alpha, beta=beta, n_pixels=4),
-        birth_model=BirthModel(velocity_std=0.5),
         sampler=SamplerConfig(burn_in_steps=500, record_steps=4000, children_kept=30, seed=seed),
         h_inf=h_inf,
         mode=mode,
@@ -206,15 +204,9 @@ class TestExhaustiveVsMcmc:
         assert sorted(top_ex.labels) == sorted(top_mc.labels)
         assert top_mc.weight == pytest.approx(top_ex.weight, rel=0.05)
 
-    def test_exhaustive_refuses_oversized_instance(self):
-        cfg = make_config(mode=TrackerMode.EXHAUSTIVE)
-        cfg = TrackerConfig(
-            sensor=cfg.sensor, dynamics=cfg.dynamics, clutter=cfg.clutter,
-            birth_death=cfg.birth_death, birth_model=cfg.birth_model,
-            sampler=cfg.sampler, h_inf=cfg.h_inf, mode=TrackerMode.EXHAUSTIVE,
-            oracle_limit=EnumerationLimit(max_grandchildren=50),
-        )
-        tracker = Tracker(cfg)
+    def test_exhaustive_refuses_oversized_instance(self, monkeypatch):
+        monkeypatch.setattr(tracker_module, "MAX_EXHAUSTIVE_CHILDREN", 50)
+        tracker = Tracker(make_config(mode=TrackerMode.EXHAUSTIVE))
         tracks = [track_at(f"t{i:02d}", 100.0 + 10 * i, 0.0) for i in range(4)]
         frame = frame_at(10.0, [[100.0, 0.0], [110.0, 0.0], [120.0, 0.0]])
         with pytest.raises(EnumerationLimitError):
