@@ -53,7 +53,6 @@ from .likelihoods import (
     uniform_clutter,
 )
 from .oracle import (
-    EnumerationLimit,
     enumerate_child_events,
     enumerate_grandchildren,
     exact_posterior,

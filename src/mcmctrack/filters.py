@@ -82,10 +82,6 @@ class SensorModel:
             raise ConfigError("sensor.max_range must be finite and > 0")
 
     @property
-    def boresight(self) -> np.ndarray:
-        return np.array([math.cos(self.boresight_angle), math.sin(self.boresight_angle)])
-
-    @property
     def fov_area(self) -> float:
         """Area of the bounded wedge: (2h / 2pi) * pi * R^2 = h * R^2."""
         return self.fov_half_angle * self.max_range ** 2
@@ -117,10 +113,6 @@ class GaussianTrack:
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-
-    @property
-    def position(self) -> np.ndarray:
-        return self.mean[:2]
 
 
 def _accel(x: float, y: float, mu: float) -> tuple[float, float]:

@@ -66,12 +66,6 @@ class Hypothesis:
     def labels(self) -> tuple[str, ...]:
         return tuple(t.label for t in self.tracks)
 
-    def track_by_label(self, label: str) -> GaussianTrack:
-        for t in self.tracks:
-            if t.label == label:
-                return t
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class AssociationEvent:

@@ -119,12 +119,6 @@ class AssociationMatrix:
             return CLUTTER
         return self.object_labels[col]
 
-    def death_candidate_labels(self) -> tuple[str, ...]:
-        """Objects eligible to die this scan (see build_matrix)."""
-        return tuple(
-            lbl for lbl, ok in zip(self.object_labels, self.death_eligible) if ok
-        )
-
 
 def birth_likelihood(z: np.ndarray, sensor: SensorModel) -> float:
     """Marginal likelihood of a return under the canonical birth pdf:

@@ -5,7 +5,9 @@ pixels birth (including births that produce no return) and is what the
 closed-form count formula counts; enumerate_grandchildren walks it. The
 reduced space is what the data-association-matrix representation (and the
 MCMC walk) can express: per-return assignments plus a death set.
-exact_posterior is computed over the reduced space with an independent
+enumerate_child_events walks the part of the reduced space that the matrix
+supports (every selected entry finite); exhaustive tracking scores it with
+the production prior, and exact_posterior scores it with an independent
 reimplementation of the prior/likelihood composition, sharing only the
 matrix entries with the production path.
 """
@@ -13,9 +15,10 @@ matrix entries with the production path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import DegenerateUpdateError, EnumerationLimitError
 from .filters import SensorModel
@@ -28,13 +31,12 @@ from .hypotheses import (
 )
 from .likelihoods import AssociationMatrix
 
-
-@dataclass(frozen=True)
-class EnumerationLimit:
-    max_objects: int = 8
-    max_returns: int = 8
-    max_pixels: int = 8
-    max_grandchildren: int = 10_000_000
+# enumerate_grandchildren refuses instances larger than these.
+MAX_OBJECTS = 8
+MAX_RETURNS = 8
+MAX_PIXELS = 8
+# Neither enumeration builds more events than this.
+MAX_EVENTS = 10_000_000
 
 
 class GrandchildEvent(NamedTuple):
@@ -51,18 +53,17 @@ def enumerate_grandchildren(
     parent_labels: Sequence[str],
     n_returns: int,
     n_pixels: int,
-    limit: EnumerationLimit = EnumerationLimit(),
 ) -> list[GrandchildEvent]:
     """Every distinct (birth placement, death subset, association) exactly
     once. Associations are injective partial maps from returns onto the
     child's objects (survivors plus newborns); unassociated returns are
     clutter. The list length equals count_grandchildren(M, m, N)."""
     labels = tuple(parent_labels)
-    if len(labels) > limit.max_objects:
+    if len(labels) > MAX_OBJECTS:
         raise EnumerationLimitError(f"{len(labels)} objects exceed the enumeration limit")
-    if n_returns > limit.max_returns:
+    if n_returns > MAX_RETURNS:
         raise EnumerationLimitError(f"{n_returns} returns exceed the enumeration limit")
-    if n_pixels > limit.max_pixels:
+    if n_pixels > MAX_PIXELS:
         raise EnumerationLimitError(f"{n_pixels} pixels exceed the enumeration limit")
     out: list[GrandchildEvent] = []
     returns = range(n_returns)
@@ -81,43 +82,49 @@ def enumerate_grandchildren(
                                 out.append(
                                     GrandchildEvent(pixels, death_set, tuple(assignment))
                                 )
-                                if len(out) > limit.max_grandchildren:
+                                if len(out) > MAX_EVENTS:
                                     raise EnumerationLimitError(
-                                        "grandchild enumeration exceeded "
-                                        f"{limit.max_grandchildren} events"
+                                        f"grandchild enumeration exceeded {MAX_EVENTS} events"
                                     )
     return out
 
 
-def enumerate_child_events(
-    parent_labels: Sequence[str],
-    n_returns: int,
-    death_candidates: Sequence[str],
-) -> Iterator[AssociationEvent]:
-    """Every event of the reduced (assignments, deaths) space exactly once:
-    injective partial maps from returns to objects, remaining returns set to
-    BIRTH or CLUTTER, deaths over the unassociated death candidates."""
-    labels = tuple(parent_labels)
-    returns = range(n_returns)
-    for n in range(min(n_returns, len(labels)) + 1):
-        for ret_subset in combinations(returns, n):
-            for chosen in permutations(labels, n):
-                base: list[str] = [CLUTTER] * n_returns
-                for idx, lbl in zip(ret_subset, chosen):
-                    base[idx] = lbl
-                free = [i for i in returns if i not in ret_subset]
-                for mask in range(1 << len(free)):
-                    assignment = list(base)
-                    for bit, idx in enumerate(free):
-                        if mask >> bit & 1:
-                            assignment[idx] = BIRTH
-                    eligible = [lbl for lbl in death_candidates if lbl not in chosen]
-                    for n_d in range(len(eligible) + 1):
-                        for death_set in combinations(eligible, n_d):
-                            yield AssociationEvent(
-                                assignments=tuple(assignment),
-                                deaths=frozenset(death_set),
-                            )
+def enumerate_child_events(matrix: AssociationMatrix) -> Iterator[AssociationEvent]:
+    """Every event of the reduced (assignments, deaths) space with finite
+    likelihood, exactly once. The walk goes row by row over each return's
+    finite columns, skipping objects an earlier return claimed, so its work
+    follows the events it yields; deaths range over the unclaimed
+    death-eligible objects."""
+    m = matrix.n_returns
+    columns = [
+        [matrix.entry_of(j) for j in np.flatnonzero(np.isfinite(row))]
+        for row in matrix.log_entries
+    ]
+    can_die = [
+        lbl for lbl, ok in zip(matrix.object_labels, matrix.death_eligible) if ok
+    ]
+    assignment = [CLUTTER] * m
+    claimed: set[str] = set()
+
+    def walk(i: int) -> Iterator[AssociationEvent]:
+        if i == m:
+            free = [lbl for lbl in can_die if lbl not in claimed]
+            for n_d in range(len(free) + 1):
+                for death_set in combinations(free, n_d):
+                    yield AssociationEvent(tuple(assignment), frozenset(death_set))
+            return
+        for entry in columns[i]:
+            if entry in claimed:
+                continue
+            assignment[i] = entry
+            is_object = entry != BIRTH and entry != CLUTTER
+            if is_object:
+                claimed.add(entry)
+            yield from walk(i + 1)
+            if is_object:
+                claimed.remove(entry)
+
+    yield from walk(0)
 
 
 def _independent_log_score(
@@ -152,25 +159,20 @@ def exact_posterior(
     matrix: AssociationMatrix,
     birth_cfg: BirthDeathConfig,
     sensor: SensorModel,
-    limit: EnumerationLimit = EnumerationLimit(),
 ) -> dict[tuple, float]:
-    """Exact normalized posterior over the reduced event space of one parent,
-    keyed by canonical event encoding."""
-    labels = parent.labels
-    if len(labels) > limit.max_objects or matrix.n_returns > limit.max_returns:
-        raise EnumerationLimitError("instance exceeds the enumeration limits")
+    """Exact normalized posterior over the supported reduced event space of
+    one parent, keyed by canonical event encoding. Events the matrix does
+    not support carry zero mass and have no key."""
     scores: dict[tuple, float] = {}
-    for event in enumerate_child_events(
-        labels, matrix.n_returns, matrix.death_candidate_labels()
-    ):
+    for event in enumerate_child_events(matrix):
         scores[event.canonical_key()] = _independent_log_score(
-            event, matrix, birth_cfg, sensor, len(labels)
+            event, matrix, birth_cfg, sensor, len(parent.tracks)
         )
-        if len(scores) > limit.max_grandchildren:
-            raise EnumerationLimitError("enumeration exceeded the event budget")
-    top = max(scores.values())
+        if len(scores) > MAX_EVENTS:
+            raise EnumerationLimitError(f"enumeration exceeded {MAX_EVENTS} events")
+    top = max(scores.values(), default=-math.inf)
     if top == -math.inf:
-        raise DegenerateUpdateError("every enumerated event has zero mass")
+        raise DegenerateUpdateError("no enumerated event carries mass")
     total = sum(math.exp(v - top) for v in scores.values())
     return {key: math.exp(v - top) / total for key, v in scores.items()}
 

@@ -5,6 +5,7 @@ pass, realize the surviving children (birth/death bookkeeping), and report."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -44,7 +45,7 @@ from .sampler import SamplerConfig, sample_children
 from .simulate import MeasurementFrame
 
 
-# Exhaustive mode refuses a parent with more children than this.
+# Exhaustive mode refuses a parent with more supported children than this.
 MAX_EXHAUSTIVE_CHILDREN = 10_000_000
 
 
@@ -96,17 +97,19 @@ def hypothesis_count_bound(
     allow_deaths: bool = True,
 ) -> int:
     """Sum over hypotheses of the exhaustive grandchild count they would
-    spawn for this frame. Birth/death sums collapse when the corresponding
-    rate is zero (association-only count)."""
+    spawn for this frame, computed once per distinct object count.
+    Birth/death sums collapse when the corresponding rate is zero
+    (association-only count)."""
     return sum(
-        count_grandchildren(
-            len(h.tracks),
+        n_hyps
+        * count_grandchildren(
+            n_objects,
             n_returns,
             n_pixels,
             allow_births=allow_births,
             allow_deaths=allow_deaths,
         )
-        for h in hypotheses
+        for n_objects, n_hyps in Counter(len(h.tracks) for h in hypotheses).items()
     )
 
 
@@ -266,9 +269,7 @@ class Tracker:
             samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
             return [(s.event, s.log_score) for s in samples]
         out = []
-        for event in enumerate_child_events(
-            parent.labels, matrix.n_returns, matrix.death_candidate_labels()
-        ):
+        for event in enumerate_child_events(matrix):
             score = log_child_prior(
                 event, parent, bd, cfg.sensor.p_d, matrix.n_returns
             ) + hypothesis_log_likelihood(event, matrix)
@@ -276,7 +277,7 @@ class Tracker:
             if len(out) > MAX_EXHAUSTIVE_CHILDREN:
                 raise EnumerationLimitError(
                     f"exhaustive mode refused: more than {MAX_EXHAUSTIVE_CHILDREN} "
-                    "children for one parent"
+                    "supported children for one parent"
                 )
         return out
 

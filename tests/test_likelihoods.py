@@ -50,7 +50,7 @@ class TestBuildMatrix:
         mat = build_matrix(tracks, np.empty((0, 2)), sensor, uniform_clutter(sensor), BirthDeathConfig())
         assert mat.log_entries.shape == (0, 4)
         assert mat.n_returns == 0
-        assert mat.death_candidate_labels() == ("t00", "t01")
+        assert mat.death_eligible == (True, True)
 
     def test_mode_entry_value(self):
         sensor = sensor_with()
@@ -105,7 +105,7 @@ class TestBuildMatrix:
         mat = build_matrix(
             [inside, outside], np.empty((0, 2)), sensor, uniform_clutter(sensor), BirthDeathConfig()
         )
-        assert mat.death_candidate_labels() == ("t00",)
+        assert mat.death_eligible == (True, False)
 
     def test_zero_death_probability_makes_no_death_candidate(self):
         sensor = sensor_with()
@@ -114,7 +114,6 @@ class TestBuildMatrix:
             uniform_clutter(sensor), BirthDeathConfig(beta=0.0),
         )
         assert mat.death_eligible == (False,)
-        assert mat.death_candidate_labels() == ()
 
     def test_one_death_flag_per_object_required(self):
         with pytest.raises(ValueError, match="death-eligibility"):

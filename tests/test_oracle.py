@@ -1,13 +1,16 @@
 """Exhaustive enumeration checks: counts, exact posterior, TV distance."""
 
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from mcmctrack.errors import DegenerateUpdateError, EnumerationLimitError
 from mcmctrack.filters import GaussianTrack, SensorModel
+from mcmctrack import oracle
 from mcmctrack.hypotheses import (
+    BIRTH,
     CLUTTER,
     AssociationEvent,
     BirthDeathConfig,
@@ -16,9 +19,13 @@ from mcmctrack.hypotheses import (
     count_grandchildren,
     log_child_prior,
 )
-from mcmctrack.likelihoods import ClutterModel, build_matrix, hypothesis_log_likelihood
+from mcmctrack.likelihoods import (
+    AssociationMatrix,
+    ClutterModel,
+    build_matrix,
+    hypothesis_log_likelihood,
+)
 from mcmctrack.oracle import (
-    EnumerationLimit,
     enumerate_child_events,
     enumerate_grandchildren,
     exact_posterior,
@@ -43,6 +50,16 @@ def hypothesis_with(positions, hid="h0"):
         for i, (x, y) in enumerate(positions)
     )
     return Hypothesis(id=hid, parent_id=None, log_weight=0.0, tracks=tracks)
+
+
+def dense_matrix(labels, n_returns, death_eligible):
+    """A matrix whose every entry is finite (log-likelihood 0)."""
+    return AssociationMatrix(
+        log_entries=np.zeros((n_returns, len(labels) + 2)),
+        object_labels=tuple(labels),
+        death_eligible=tuple(death_eligible),
+        returns=np.zeros((n_returns, 2)),
+    )
 
 
 class TestEnumerateGrandchildren:
@@ -86,12 +103,10 @@ class TestEnumerateGrandchildren:
             per_death_subset.setdefault(e.deaths, []).append(e)
         assert len(per_death_subset[()]) == count_associations(2, 1) == 3
 
-    def test_limit_enforced(self):
+    def test_limit_enforced(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_EVENTS", 10)
         with pytest.raises(EnumerationLimitError):
-            enumerate_grandchildren(
-                [f"t{i:02d}" for i in range(3)], 3, 3,
-                EnumerationLimit(max_grandchildren=10),
-            )
+            enumerate_grandchildren([f"t{i:02d}" for i in range(3)], 3, 3)
         with pytest.raises(EnumerationLimitError):
             enumerate_grandchildren([f"t{i:02d}" for i in range(9)], 1, 1)
 
@@ -100,13 +115,13 @@ class TestEnumerateChildEvents:
     def test_space_size_no_deaths(self):
         # Assignments with both returns over {t00, B, C} injective on t00,
         # no death candidates.
-        events = list(enumerate_child_events(["t00"], 2, []))
+        events = list(enumerate_child_events(dense_matrix(["t00"], 2, [False])))
         # k=0: 2^2 birth/clutter fills; k=1: 2 slots * 2 fills.
         assert len(events) == 4 + 4
         assert len({e.canonical_key() for e in events}) == len(events)
 
     def test_deaths_only_over_unassociated_candidates(self):
-        events = list(enumerate_child_events(["t00", "t01"], 1, ["t00", "t01"]))
+        events = list(enumerate_child_events(dense_matrix(["t00", "t01"], 1, [True, True])))
         for e in events:
             assert not (e.deaths & set(e.associated_labels))
         # Death subsets appear for unclaimed objects.
@@ -114,9 +129,50 @@ class TestEnumerateChildEvents:
         assert any(e.deaths == frozenset({"t01"}) and e.assignments == ("t00",) for e in events)
 
     def test_zero_returns(self):
-        events = list(enumerate_child_events(["t00"], 0, ["t00"]))
+        events = list(enumerate_child_events(dense_matrix(["t00"], 0, [True])))
         keys = {e.canonical_key() for e in events}
         assert keys == {((), ()), ((), ("t00",))}
+
+    def test_sparse_matrix_yields_exactly_the_supported_events(self):
+        # t00 sits on the first two returns; t01 is ~70 sigma from every
+        # return, beyond the point where its Gaussian underflows to 0; t02
+        # is outside the FOV, so it may not die although beta > 0. The third
+        # return is far from every track.
+        sensor = SensorModel(
+            origin=np.zeros(2), boresight_angle=0.0, fov_half_angle=0.1,
+            r=np.eye(2), p_d=0.9, max_range=5.0e4,
+        )
+        parent = hypothesis_with([(30000.0, 0.0), (30000.0, 100.0), (0.0, 30000.0)])
+        returns = np.array([[30001.0, 0.0], [30000.5, 1.0], [31000.0, -1000.0]])
+        cfg = BirthDeathConfig(alpha=0.01, beta=0.02, n_pixels=2)
+        mat = build_matrix(parent.tracks, returns, sensor, ClutterModel(1e-9), cfg)
+        assert mat.death_eligible == (True, True, False)
+        assert np.isneginf(mat.log_entries[:, 1]).all()
+        assert np.isfinite(mat.log_entries[:2, 0]).all()
+
+        # Brute force: every column per row, injective on objects, deaths
+        # over the unclaimed eligible objects, kept when the likelihood is
+        # finite.
+        expected = set()
+        columns = list(parent.labels) + [BIRTH, CLUTTER]
+        for assignment in product(columns, repeat=len(returns)):
+            objects = [a for a in assignment if a not in (BIRTH, CLUTTER)]
+            if len(set(objects)) != len(objects):
+                continue
+            free = [lbl for lbl in ("t00", "t01") if lbl not in objects]
+            for n_d in range(len(free) + 1):
+                for deaths in combinations(free, n_d):
+                    event = AssociationEvent(assignment, frozenset(deaths))
+                    if hypothesis_log_likelihood(event, mat) > -math.inf:
+                        expected.add(event.canonical_key())
+
+        keys = [e.canonical_key() for e in enumerate_child_events(mat)]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == expected
+        # Rows 0 and 1 take {t00, B, C}, row 2 takes {B, C}. With t00
+        # unclaimed: 2 * 2 * 2 assignments times 4 death sets; with t00
+        # claimed by one of the two rows: 2 * 2 * 2 times 2 death sets.
+        assert len(keys) == 8 * 4 + 8 * 2
 
 
 class TestExactPosterior:
@@ -167,7 +223,7 @@ class TestExactPosterior:
         mat = build_matrix(parent.tracks, returns, sensor, ClutterModel(1e-7), cfg)
         post = exact_posterior(parent, mat, cfg, sensor)
         scores = {}
-        for event in enumerate_child_events(parent.labels, 2, mat.death_candidate_labels()):
+        for event in enumerate_child_events(mat):
             s = log_child_prior(event, parent, cfg, sensor.p_d, 2) + hypothesis_log_likelihood(
                 event, mat
             )
@@ -211,6 +267,30 @@ class TestExactPosterior:
         mat = build_matrix(parent.tracks, returns, sensor, ClutterModel(0.0), cfg)
         with pytest.raises(DegenerateUpdateError):
             exact_posterior(parent, mat, cfg, sensor)
+
+    def test_no_supported_event_is_degenerate(self):
+        # The return lies outside the FOV, far from the track, and clutter
+        # density is zero: its row has no finite column.
+        sensor = SensorModel(
+            origin=np.zeros(2), boresight_angle=0.0, fov_half_angle=0.1,
+            r=np.eye(2), p_d=0.9, max_range=5.0e4,
+        )
+        parent = hypothesis_with([(30000.0, 0.0)])
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.05, n_pixels=1)
+        mat = build_matrix(
+            parent.tracks, np.array([[0.0, 30000.0]]), sensor, ClutterModel(0.0), cfg
+        )
+        assert np.isneginf(mat.log_entries).all()
+        assert list(enumerate_child_events(mat)) == []
+        with pytest.raises(DegenerateUpdateError):
+            exact_posterior(parent, mat, cfg, sensor)
+
+    def test_event_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_EVENTS", 3)
+        parent = hypothesis_with([(100.0, 0.0)])
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.05, n_pixels=1)
+        with pytest.raises(EnumerationLimitError):
+            exact_posterior(parent, dense_matrix(["t00"], 1, [True]), cfg, wide_sensor())
 
 
 class TestTvDistance:

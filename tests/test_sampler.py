@@ -420,9 +420,7 @@ class TestIrreducibility:
         ctx = _ScoreContext(matrix, cfg, sensor)
         all_events = {
             e.canonical_key(): e
-            for e in enumerate_child_events(
-                parent.labels, n_returns, matrix.death_candidate_labels()
-            )
+            for e in enumerate_child_events(matrix)
         }
 
         def neighbors(key):
@@ -505,9 +503,7 @@ class TestExactKernel:
             positions, returns, beta=beta, clutter_density=1e-3,
         )
         ctx = _ScoreContext(matrix, cfg, sensor)
-        events = enumerate_child_events(
-            parent.labels, matrix.n_returns, matrix.death_candidate_labels()
-        )
+        events = enumerate_child_events(matrix)
         stationary = kernel_stationary(ctx, events)
         post = exact_posterior(parent, matrix, cfg, sensor)
         assert tv_distance(stationary, post) <= 1e-9

@@ -13,10 +13,11 @@ from mcmctrack.filters import (
     predict_track,
     update_track,
 )
-from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis
+from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildren
 from mcmctrack.likelihoods import ClutterModel
+from mcmctrack.presets import preset_twenty_object, tracker_config_for
 from mcmctrack.sampler import SamplerConfig
-from mcmctrack.simulate import MeasurementFrame
+from mcmctrack.simulate import MeasurementFrame, simulate_scenario
 from mcmctrack import tracker as tracker_module
 from mcmctrack.tracker import (
     Tracker,
@@ -212,6 +213,21 @@ class TestExhaustiveVsMcmc:
         with pytest.raises(EnumerationLimitError):
             tracker.step(tracker.initial_hypotheses(tracks), frame)
 
+    def test_exhaustive_counts_only_supported_children(self, monkeypatch):
+        # Twenty-object, seed 0, first frame: about 32,500 events pair the
+        # returns with every label, but only 50 have a finite likelihood.
+        monkeypatch.setattr(tracker_module, "MAX_EXHAUSTIVE_CHILDREN", 10_000)
+        scenario = preset_twenty_object(seed=0)
+        _, frames = simulate_scenario(scenario)
+        tracker = Tracker(tracker_config_for(scenario, seed=0, mode=TrackerMode.EXHAUSTIVE))
+        hyps = tracker.initial_hypotheses([
+            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+            for i, s in enumerate(scenario.objects)
+        ])
+        new_hyps, report = tracker.step(hyps, frames[0])
+        assert not report.degenerate
+        assert math.fsum(h.weight for h in new_hyps) == pytest.approx(1.0, abs=1e-12)
+
 
 class TestKalmanReduction:
     def test_reduces_to_independent_filters(self):
@@ -303,6 +319,19 @@ class TestCountBound:
         single = hypothesis_count_bound([hyps[0]], 1, 1)
         other = hypothesis_count_bound([hyps[1]], 1, 1)
         assert hypothesis_count_bound(hyps, 1, 1) == single + other
+
+    def test_counts_once_per_distinct_object_count(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return count_grandchildren(*args, **kwargs)
+
+        monkeypatch.setattr(tracker_module, "count_grandchildren", counting)
+        hyps = self._hyps(2) * 3 + self._hyps(3) * 2
+        bound = hypothesis_count_bound(hyps, 2, 3)
+        assert sorted(calls) == [(2, 2, 3), (3, 2, 3)]
+        assert bound == 3 * count_grandchildren(2, 2, 3) + 2 * count_grandchildren(3, 2, 3)
 
 
 class TestReportBound:
