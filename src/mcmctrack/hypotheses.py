@@ -8,6 +8,7 @@ log-space throughout; normalization uses log-sum-exp.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from math import comb, factorial
@@ -278,8 +279,11 @@ def prune(candidates: Sequence[Candidate], h_inf: int) -> list[Candidate]:
         raise DegenerateUpdateError("every candidate carries zero posterior mass")
     total = log_sum_exp([c.log_weight for c in finite])
     weighted = [c._replace(log_weight=min(c.log_weight - total, 0.0)) for c in finite]
-    weighted.sort(key=lambda c: (-c.log_weight, c.parent_id, c.event.canonical_key()))
-    kept = weighted[:h_inf]
+    # Same survivors in the same order as sorted(...)[:h_inf], without
+    # sorting every candidate.
+    kept = heapq.nsmallest(
+        h_inf, weighted, key=lambda c: (-c.log_weight, c.parent_id, c.event.canonical_key())
+    )
     total = log_sum_exp([c.log_weight for c in kept])
     return [c._replace(log_weight=min(c.log_weight - total, 0.0)) for c in kept]
 

@@ -10,7 +10,7 @@ likelihood, and the matrix only records which objects may die this scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -68,12 +68,16 @@ class AssociationMatrix:
 
     Row i is measurement return i. Columns 0..M-1 are object labels (frame
     order), column M is birth, column M+1 is clutter. Immutable once built.
+    supported is derived from log_entries on construction: per row, the
+    ascending tuple of its finite columns. It is the one support pattern the
+    walk and the child enumerator read.
     """
 
     log_entries: np.ndarray
     object_labels: tuple[str, ...]
     death_eligible: tuple[bool, ...]
     returns: np.ndarray
+    supported: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m_rows, n_cols = self.log_entries.shape
@@ -85,6 +89,9 @@ class AssociationMatrix:
             raise ValueError("matrix must have one death-eligibility flag per object")
         if np.isnan(self.log_entries).any():
             raise ValueError("matrix entries must be finite or -inf")
+        finite = np.isfinite(self.log_entries)
+        supported = tuple(tuple(np.flatnonzero(row).tolist()) for row in finite)
+        object.__setattr__(self, "supported", supported)
 
     @property
     def n_returns(self) -> int:

@@ -6,10 +6,15 @@ closed-form count formula counts; enumerate_grandchildren walks it. The
 reduced space is what the data-association-matrix representation (and the
 MCMC walk) can express: per-return assignments plus a death set.
 enumerate_child_events walks the part of the reduced space that the matrix
-supports (every selected entry finite); exhaustive tracking scores it with
-the production prior, and exact_posterior scores it with an independent
-reimplementation of the prior/likelihood composition, sharing only the
-matrix entries with the production path.
+supports (every selected entry in AssociationMatrix.supported); exhaustive
+tracking scores it with the production prior, and exact_posterior scores it
+with an independent reimplementation of the prior/likelihood composition,
+sharing only the matrix entries with the production path.
+
+MAX_EVENTS is the one event budget, and the two enumerators enforce it
+themselves: enumerate_grandchildren refuses up front when the closed-form
+count exceeds it, and enumerate_child_events raises as soon as it would yield
+one event more, so no caller counts.
 """
 
 from __future__ import annotations
@@ -17,8 +22,6 @@ from __future__ import annotations
 import math
 from itertools import combinations, permutations
 from typing import Iterator, NamedTuple, Sequence
-
-import numpy as np
 
 from .errors import DegenerateUpdateError, EnumerationLimitError
 from .filters import SensorModel
@@ -28,13 +31,10 @@ from .hypotheses import (
     AssociationEvent,
     BirthDeathConfig,
     Hypothesis,
+    count_grandchildren,
 )
 from .likelihoods import AssociationMatrix
 
-# enumerate_grandchildren refuses instances larger than these.
-MAX_OBJECTS = 8
-MAX_RETURNS = 8
-MAX_PIXELS = 8
 # Neither enumeration builds more events than this.
 MAX_EVENTS = 10_000_000
 
@@ -57,14 +57,15 @@ def enumerate_grandchildren(
     """Every distinct (birth placement, death subset, association) exactly
     once. Associations are injective partial maps from returns onto the
     child's objects (survivors plus newborns); unassociated returns are
-    clutter. The list length equals count_grandchildren(M, m, N)."""
+    clutter. The list length equals count_grandchildren(M, m, N); that count
+    only decides refusal (above MAX_EVENTS), the events are built
+    independently of it."""
     labels = tuple(parent_labels)
-    if len(labels) > MAX_OBJECTS:
-        raise EnumerationLimitError(f"{len(labels)} objects exceed the enumeration limit")
-    if n_returns > MAX_RETURNS:
-        raise EnumerationLimitError(f"{n_returns} returns exceed the enumeration limit")
-    if n_pixels > MAX_PIXELS:
-        raise EnumerationLimitError(f"{n_pixels} pixels exceed the enumeration limit")
+    count = count_grandchildren(len(labels), n_returns, n_pixels)
+    if count > MAX_EVENTS:
+        raise EnumerationLimitError(
+            f"grandchild enumeration refused: {count} events exceed {MAX_EVENTS}"
+        )
     out: list[GrandchildEvent] = []
     returns = range(n_returns)
     for n_d in range(len(labels) + 1):
@@ -82,24 +83,18 @@ def enumerate_grandchildren(
                                 out.append(
                                     GrandchildEvent(pixels, death_set, tuple(assignment))
                                 )
-                                if len(out) > MAX_EVENTS:
-                                    raise EnumerationLimitError(
-                                        f"grandchild enumeration exceeded {MAX_EVENTS} events"
-                                    )
     return out
 
 
 def enumerate_child_events(matrix: AssociationMatrix) -> Iterator[AssociationEvent]:
     """Every event of the reduced (assignments, deaths) space with finite
     likelihood, exactly once. The walk goes row by row over each return's
-    finite columns, skipping objects an earlier return claimed, so its work
-    follows the events it yields; deaths range over the unclaimed
-    death-eligible objects."""
+    supported columns, skipping objects an earlier return claimed, so its
+    work follows the events it yields; deaths range over the unclaimed
+    death-eligible objects. Raises EnumerationLimitError instead of yielding
+    event number MAX_EVENTS + 1."""
     m = matrix.n_returns
-    columns = [
-        [matrix.entry_of(j) for j in np.flatnonzero(np.isfinite(row))]
-        for row in matrix.log_entries
-    ]
+    columns = [[matrix.entry_of(j) for j in cols] for cols in matrix.supported]
     can_die = [
         lbl for lbl, ok in zip(matrix.object_labels, matrix.death_eligible) if ok
     ]
@@ -124,7 +119,12 @@ def enumerate_child_events(matrix: AssociationMatrix) -> Iterator[AssociationEve
             if is_object:
                 claimed.remove(entry)
 
-    yield from walk(0)
+    for count, event in enumerate(walk(0), 1):
+        if count > MAX_EVENTS:
+            raise EnumerationLimitError(
+                f"child enumeration exceeded {MAX_EVENTS} supported events"
+            )
+        yield event
 
 
 def _independent_log_score(
@@ -168,8 +168,6 @@ def exact_posterior(
         scores[event.canonical_key()] = _independent_log_score(
             event, matrix, birth_cfg, sensor, len(parent.tracks)
         )
-        if len(scores) > MAX_EVENTS:
-            raise EnumerationLimitError(f"enumeration exceeded {MAX_EVENTS} events")
     top = max(scores.values(), default=-math.inf)
     if top == -math.inf:
         raise DegenerateUpdateError("no enumerated event carries mass")

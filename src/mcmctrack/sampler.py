@@ -15,6 +15,10 @@ first be revived through the death move, which toggles one uniformly chosen
 unassociated death-eligible object's death status (a no-change proposal when
 there is none). Scores are log(child prior) + log(likelihood), maintained
 incrementally and recomputed from scratch whenever a new event is recorded.
+
+One _Chain object per parent holds both the walk's state and its scoring
+tables. Its random initial state draws from the matrix's supported columns
+(AssociationMatrix.supported), the same pattern the child enumerator walks.
 """
 
 from __future__ import annotations
@@ -73,30 +77,65 @@ def default_record_steps(n_returns: int, n_objects: int) -> int:
     return 200 * (n_returns + 1) * (n_objects + 2)
 
 
-class _ScoreContext:
-    """Precomputed tables for O(1) incremental scoring of chain moves."""
+class _Chain:
+    """Mutable walk state with incremental scoring over one parent's matrix.
+
+    The matrix rows are copied to float lists for O(1) move deltas, and the
+    count-level prior is memoized per (k, n_b, n_d) triple. The running
+    log-likelihood is kept as a finite sum plus a count of selected -inf
+    entries, so zero-likelihood assignments never produce inf - inf
+    artifacts in the move deltas. propose() leaves the drawn move and its
+    candidate counts in the pending fields (prefixed with an underscore) and
+    cand_score; apply() commits them.
+    """
+
+    __slots__ = (
+        "matrix", "rows", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
+        "birth_col", "clutter_col", "m", "n_objects",
+        "rng", "assign", "claimed_by", "dead", "k", "n_b",
+        "finite_loglik", "zero_entries", "log_score",
+        "_row", "_col", "_other", "_k", "_n_b", "_finite", "_zero", "cand_score",
+    )
 
     def __init__(
         self,
         matrix: AssociationMatrix,
         birth_cfg: BirthDeathConfig,
-        sensor: SensorModel,
+        p_d: float,
+        rng: random.Random,
+        event: AssociationEvent | None = None,
     ) -> None:
+        """Load event, or draw a random initial one: each return picks
+        uniformly among the supported columns of its row (zero-likelihood
+        pairings would start the chain on a plateau it can take arbitrarily
+        long to leave), a draw of an already-claimed object resolves to
+        clutter, and the death set is empty."""
         self.matrix = matrix
         self.m = matrix.n_returns
         self.n_objects = matrix.n_objects
         self.birth_col = matrix.birth_col
         self.clutter_col = matrix.clutter_col
-        self.rows = [list(map(float, matrix.log_entries[i])) for i in range(self.m)]
-        self.supported_cols = [
-            [j for j, v in enumerate(row) if v > -math.inf] for row in self.rows
-        ]
-        self.death_eligible = [
-            j for j, ok in enumerate(matrix.death_eligible) if ok
-        ]
+        self.rows = matrix.log_entries.tolist()
+        self.death_eligible = [j for j, ok in enumerate(matrix.death_eligible) if ok]
         self.birth_cfg = birth_cfg
-        self.p_d = sensor.p_d
+        self.p_d = p_d
         self._prior_memo: dict[tuple[int, int, int], float] = {}
+        self.rng = rng
+        if event is None:
+            self.assign: list[int] = []
+            for supported in matrix.supported:
+                if supported:
+                    col = supported[rng.randrange(len(supported))]
+                else:
+                    col = rng.randrange(self.n_objects + 2)
+                if col < self.n_objects and col in self.assign:
+                    col = self.clutter_col
+                self.assign.append(col)
+            self.dead: set[int] = set()
+        else:
+            self.assign = [matrix.column_of(a) for a in event.assignments]
+            self.dead = {matrix.object_labels.index(lbl) for lbl in event.deaths}
+        self.resync()
 
     def log_prior(self, k: int, n_b: int, n_d: int) -> float:
         """log child prior for k object assignments, n_b births, n_d deaths
@@ -109,53 +148,6 @@ class _ScoreContext:
             )
         return out
 
-
-class _Chain:
-    """Mutable walk state with incremental scoring.
-
-    The running log-likelihood is kept as a finite sum plus a count of
-    selected -inf entries, so zero-likelihood assignments never produce
-    inf - inf artifacts in the move deltas. propose() leaves the drawn move
-    and its candidate counts in the pending fields (prefixed with an
-    underscore) and cand_score; apply() commits them.
-    """
-
-    __slots__ = (
-        "ctx", "rng", "assign", "claimed_by", "dead", "k", "n_b",
-        "finite_loglik", "zero_entries", "log_score",
-        "_row", "_col", "_other", "_k", "_n_b", "_finite", "_zero", "cand_score",
-    )
-
-    def __init__(
-        self,
-        ctx: _ScoreContext,
-        rng: random.Random,
-        event: AssociationEvent | None = None,
-    ) -> None:
-        """Load event, or draw a random initial one: each return picks
-        uniformly among the supported columns of its row (zero-likelihood
-        pairings would start the chain on a plateau it can take arbitrarily
-        long to leave), a draw of an already-claimed object resolves to
-        clutter, and the death set is empty."""
-        self.ctx = ctx
-        self.rng = rng
-        matrix = ctx.matrix
-        if event is None:
-            self.assign: list[int] = []
-            for supported in ctx.supported_cols:
-                if supported:
-                    col = supported[rng.randrange(len(supported))]
-                else:
-                    col = rng.randrange(ctx.n_objects + 2)
-                if col < ctx.n_objects and col in self.assign:
-                    col = ctx.clutter_col
-                self.assign.append(col)
-            self.dead: set[int] = set()
-        else:
-            self.assign = [matrix.column_of(a) for a in event.assignments]
-            self.dead = {matrix.object_labels.index(lbl) for lbl in event.deaths}
-        self.resync()
-
     def _score(
         self, k: int, n_b: int, n_d: int, finite_loglik: float, zero_entries: int
     ) -> float:
@@ -164,24 +156,23 @@ class _Chain:
         is not looked up then."""
         if zero_entries > 0:
             return -math.inf
-        return self.ctx.log_prior(k, n_b, n_d) + finite_loglik
+        return self.log_prior(k, n_b, n_d) + finite_loglik
 
     def resync(self) -> None:
         """Recount claims, counts, likelihood sum and score from scratch
         from the assignment and the death set."""
-        ctx = self.ctx
-        self.claimed_by = [-1] * ctx.n_objects
+        self.claimed_by = [-1] * self.n_objects
         self.k = 0
         self.n_b = 0
         self.finite_loglik = 0.0
         self.zero_entries = 0
         for i, col in enumerate(self.assign):
-            if col < ctx.n_objects:
+            if col < self.n_objects:
                 self.claimed_by[col] = i
                 self.k += 1
-            elif col == ctx.birth_col:
+            elif col == self.birth_col:
                 self.n_b += 1
-            entry = ctx.rows[i][col]
+            entry = self.rows[i][col]
             if entry == -math.inf:
                 self.zero_entries += 1
             else:
@@ -203,12 +194,11 @@ class _Chain:
         it, and score the candidate. Returns False for a no-change proposal
         (a dead target object, or an empty death pool), which needs no
         accept/reject."""
-        ctx = self.ctx
-        n_objects = ctx.n_objects
-        row = self.rng.randrange(ctx.m + 1)
+        n_objects = self.n_objects
+        row = self.rng.randrange(self.m + 1)
         self._row = row
-        if row == ctx.m:
-            pool = [j for j in ctx.death_eligible if self.claimed_by[j] == -1]
+        if row == self.m:
+            pool = [j for j in self.death_eligible if self.claimed_by[j] == -1]
             if not pool:
                 return False
             j = pool[self.rng.randrange(len(pool))]
@@ -233,7 +223,7 @@ class _Chain:
         n_b = self.n_b
         finite = self.finite_loglik
         zero = self.zero_entries
-        entries = ctx.rows[row]
+        entries = self.rows[row]
         removed = entries[cur]
         added = entries[col]
         if removed == -math.inf:
@@ -247,7 +237,7 @@ class _Chain:
         if other != -1:
             # Swap: the claiming return takes the proposer's old column, so k
             # and n_b keep; proposing col from the other row reverses it.
-            entries = ctx.rows[other]
+            entries = self.rows[other]
             removed = entries[col]
             added = entries[cur]
             if removed == -math.inf:
@@ -261,11 +251,11 @@ class _Chain:
         else:
             if cur < n_objects:
                 k -= 1
-            elif cur == ctx.birth_col:
+            elif cur == self.birth_col:
                 n_b -= 1
             if col < n_objects:
                 k += 1
-            elif col == ctx.birth_col:
+            elif col == self.birth_col:
                 n_b += 1
         self._k = k
         self._n_b = n_b
@@ -278,13 +268,13 @@ class _Chain:
         """Commit the move that the last propose() returned True for."""
         row = self._row
         col = self._col
-        if row == self.ctx.m:
+        if row == self.m:
             if col in self.dead:
                 self.dead.discard(col)
             else:
                 self.dead.add(col)
         else:
-            n_objects = self.ctx.n_objects
+            n_objects = self.n_objects
             cur = self.assign[row]
             other = self._other
             if other != -1:
@@ -315,7 +305,7 @@ class _Chain:
         return u == 0.0 or math.log(u) < delta
 
     def event(self) -> AssociationEvent:
-        return _event_of(self.ctx.matrix, self.key())
+        return _event_of(self.matrix, self.key())
 
 
 def _event_of(matrix: AssociationMatrix, key: tuple) -> AssociationEvent:
@@ -326,10 +316,11 @@ def _event_of(matrix: AssociationMatrix, key: tuple) -> AssociationEvent:
     )
 
 
-def chain_seed(seed: int, parent_id: str, chain_index: int) -> int:
-    """Deterministic per-chain seed derived from the run seed, the parent
-    hypothesis id, and the chain index."""
-    ss = np.random.SeedSequence([seed, zlib.crc32(parent_id.encode()), chain_index])
+def chain_seed(seed: int, parent_id: str) -> int:
+    """Deterministic chain seed derived from the run seed and the parent
+    hypothesis id. The trailing 0 in the entropy keeps every chain's stream
+    what it was when a parent could run several indexed chains."""
+    ss = np.random.SeedSequence([seed, zlib.crc32(parent_id.encode()), 0])
     state = ss.generate_state(2, dtype=np.uint64)
     return int(state[0]) << 64 | int(state[1])
 
@@ -347,19 +338,15 @@ def sample_children(
 
     Deterministic given cfg.seed and the parent id.
     """
-    ctx = _ScoreContext(matrix, birth_cfg, sensor)
-    burn = (
-        cfg.burn_in_steps
-        if cfg.burn_in_steps is not None
-        else default_burn_in(ctx.m, ctx.n_objects)
-    )
-    record = (
-        cfg.record_steps
-        if cfg.record_steps is not None
-        else default_record_steps(ctx.m, ctx.n_objects)
-    )
+    m, n_objects = matrix.n_returns, matrix.n_objects
+    burn = cfg.burn_in_steps
+    if burn is None:
+        burn = default_burn_in(m, n_objects)
+    record = cfg.record_steps
+    if record is None:
+        record = default_record_steps(m, n_objects)
     table: dict[tuple, list] = {}
-    chain = _Chain(ctx, random.Random(chain_seed(cfg.seed, parent.id, 0)))
+    chain = _Chain(matrix, birth_cfg, sensor.p_d, random.Random(chain_seed(cfg.seed, parent.id)))
     for _ in range(burn):
         chain.step()
     for _ in range(record):

@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateUpdateError, EnumerationLimitError
+from .errors import ConfigError, DegenerateUpdateError
 from .filters import (
     DynamicsConfig,
     GaussianTrack,
@@ -43,10 +43,6 @@ from .likelihoods import (
 from .oracle import enumerate_child_events
 from .sampler import SamplerConfig, sample_children
 from .simulate import MeasurementFrame
-
-
-# Exhaustive mode refuses a parent with more supported children than this.
-MAX_EXHAUSTIVE_CHILDREN = 10_000_000
 
 
 class TrackerMode(str, Enum):
@@ -263,23 +259,20 @@ class Tracker:
         bd: BirthDeathConfig,
     ) -> list[tuple[AssociationEvent, float]]:
         """Scored children of parent, whose id, labels and track count are
-        those of its predicted tracks (prediction keeps labels)."""
+        those of its predicted tracks (prediction keeps labels). Exhaustive
+        mode inherits the enumerator's event budget (oracle.MAX_EVENTS)."""
         cfg = self.cfg
         if cfg.mode is TrackerMode.MCMC:
             samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
             return [(s.event, s.log_score) for s in samples]
-        out = []
-        for event in enumerate_child_events(matrix):
-            score = log_child_prior(
-                event, parent, bd, cfg.sensor.p_d, matrix.n_returns
-            ) + hypothesis_log_likelihood(event, matrix)
-            out.append((event, score))
-            if len(out) > MAX_EXHAUSTIVE_CHILDREN:
-                raise EnumerationLimitError(
-                    f"exhaustive mode refused: more than {MAX_EXHAUSTIVE_CHILDREN} "
-                    "supported children for one parent"
-                )
-        return out
+        return [
+            (
+                event,
+                log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
+                + hypothesis_log_likelihood(event, matrix),
+            )
+            for event in enumerate_child_events(matrix)
+        ]
 
     def _report(
         self,

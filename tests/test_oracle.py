@@ -1,6 +1,7 @@
 """Exhaustive enumeration checks: counts, exact posterior, TV distance."""
 
 import math
+import random
 from itertools import combinations, product
 
 import numpy as np
@@ -31,6 +32,7 @@ from mcmctrack.oracle import (
     exact_posterior,
     tv_distance,
 )
+from mcmctrack.sampler import _Chain
 
 
 def wide_sensor(p_d=0.9):
@@ -60,6 +62,22 @@ def dense_matrix(labels, n_returns, death_eligible):
         death_eligible=tuple(death_eligible),
         returns=np.zeros((n_returns, 2)),
     )
+
+
+def sparse_instance():
+    """t00 sits on the first two returns; t01 is ~70 sigma from every
+    return, beyond the point where its Gaussian underflows to 0; t02 is
+    outside the FOV, so it may not die although beta > 0. The third return
+    is far from every track."""
+    sensor = SensorModel(
+        origin=np.zeros(2), boresight_angle=0.0, fov_half_angle=0.1,
+        r=np.eye(2), p_d=0.9, max_range=5.0e4,
+    )
+    parent = hypothesis_with([(30000.0, 0.0), (30000.0, 100.0), (0.0, 30000.0)])
+    returns = np.array([[30001.0, 0.0], [30000.5, 1.0], [31000.0, -1000.0]])
+    cfg = BirthDeathConfig(alpha=0.01, beta=0.02, n_pixels=2)
+    mat = build_matrix(parent.tracks, returns, sensor, ClutterModel(1e-9), cfg)
+    return parent, mat, cfg, sensor
 
 
 class TestEnumerateGrandchildren:
@@ -110,6 +128,28 @@ class TestEnumerateGrandchildren:
         with pytest.raises(EnumerationLimitError):
             enumerate_grandchildren([f"t{i:02d}" for i in range(9)], 1, 1)
 
+    def test_refusal_follows_the_count_not_the_size(self, monkeypatch):
+        # Nine labels exceed no budget when nothing can be associated or
+        # born: only the 2^9 death subsets remain.
+        labels = [f"t{i:02d}" for i in range(9)]
+        count = count_grandchildren(9, 0, 0)
+        assert count == 512
+        assert len(enumerate_grandchildren(labels, 0, 0)) == count
+        monkeypatch.setattr(oracle, "MAX_EVENTS", count - 1)
+        with pytest.raises(EnumerationLimitError):
+            enumerate_grandchildren(labels, 0, 0)
+        monkeypatch.setattr(oracle, "MAX_EVENTS", count)
+        assert len(enumerate_grandchildren(labels, 0, 0)) == count
+
+    def test_oversized_instance_refused_before_building(self, monkeypatch):
+        # 8 objects, 8 returns, 8 pixels: 608,619,069,440 events, refused up
+        # front instead of after building MAX_EVENTS of them (with the real
+        # budget that was about 1.5 GB of events).
+        assert count_grandchildren(8, 8, 8) == 608_619_069_440
+        monkeypatch.setattr(oracle, "MAX_EVENTS", 1000)
+        with pytest.raises(EnumerationLimitError, match="refused"):
+            enumerate_grandchildren([f"t{i:02d}" for i in range(8)], 8, 8)
+
 
 class TestEnumerateChildEvents:
     def test_space_size_no_deaths(self):
@@ -134,18 +174,8 @@ class TestEnumerateChildEvents:
         assert keys == {((), ()), ((), ("t00",))}
 
     def test_sparse_matrix_yields_exactly_the_supported_events(self):
-        # t00 sits on the first two returns; t01 is ~70 sigma from every
-        # return, beyond the point where its Gaussian underflows to 0; t02
-        # is outside the FOV, so it may not die although beta > 0. The third
-        # return is far from every track.
-        sensor = SensorModel(
-            origin=np.zeros(2), boresight_angle=0.0, fov_half_angle=0.1,
-            r=np.eye(2), p_d=0.9, max_range=5.0e4,
-        )
-        parent = hypothesis_with([(30000.0, 0.0), (30000.0, 100.0), (0.0, 30000.0)])
-        returns = np.array([[30001.0, 0.0], [30000.5, 1.0], [31000.0, -1000.0]])
-        cfg = BirthDeathConfig(alpha=0.01, beta=0.02, n_pixels=2)
-        mat = build_matrix(parent.tracks, returns, sensor, ClutterModel(1e-9), cfg)
+        parent, mat, cfg, sensor = sparse_instance()
+        returns = mat.returns
         assert mat.death_eligible == (True, True, False)
         assert np.isneginf(mat.log_entries[:, 1]).all()
         assert np.isfinite(mat.log_entries[:2, 0]).all()
@@ -173,6 +203,31 @@ class TestEnumerateChildEvents:
         # unclaimed: 2 * 2 * 2 assignments times 4 death sets; with t00
         # claimed by one of the two rows: 2 * 2 * 2 times 2 death sets.
         assert len(keys) == 8 * 4 + 8 * 2
+
+    def test_supported_pattern_is_the_finite_columns(self):
+        parent, mat, cfg, sensor = sparse_instance()
+        # Rows 0 and 1 take t00, birth and clutter; row 2 takes birth and
+        # clutter.
+        assert mat.supported == ((0, 3, 4), (0, 3, 4), (3, 4))
+        for row, cols in zip(mat.log_entries, mat.supported):
+            assert cols == tuple(j for j, v in enumerate(row) if math.isfinite(v))
+        # The walk's random initial state draws only from that pattern (a
+        # second draw of t00 resolves to clutter, which is supported too).
+        for seed in range(50):
+            chain = _Chain(mat, cfg, sensor.p_d, random.Random(seed))
+            assert all(col in mat.supported[i] for i, col in enumerate(chain.assign))
+            assert chain.zero_entries == 0
+
+    def test_budget_raises_on_the_event_past_it(self, monkeypatch):
+        mat = dense_matrix(["t00"], 2, [False])  # eight supported events
+        monkeypatch.setattr(oracle, "MAX_EVENTS", 5)
+        events = enumerate_child_events(mat)
+        for _ in range(5):
+            next(events)
+        with pytest.raises(EnumerationLimitError):
+            next(events)
+        monkeypatch.setattr(oracle, "MAX_EVENTS", 8)
+        assert len(list(enumerate_child_events(mat))) == 8
 
 
 class TestExactPosterior:

@@ -3,6 +3,7 @@
 import math
 import random
 from collections import deque
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from mcmctrack.oracle import enumerate_child_events, exact_posterior, tv_distanc
 from mcmctrack.sampler import (
     SamplerConfig,
     _Chain,
-    _ScoreContext,
     sample_children,
     visit_distribution,
 )
@@ -56,9 +56,14 @@ def make_instance(positions, returns, p_d=0.9, alpha=0.05, beta=0.05, n_pixels=1
     return parent, matrix, cfg, sensor
 
 
-def make_context(positions, returns, **kwargs):
+def walk_for(matrix, cfg, sensor):
+    """_Chain over one instance, awaiting only (rng, event=None)."""
+    return partial(_Chain, matrix, cfg, sensor.p_d)
+
+
+def make_walk(positions, returns, **kwargs):
     parent, matrix, cfg, sensor = make_instance(positions, returns, **kwargs)
-    return parent, _ScoreContext(matrix, cfg, sensor)
+    return parent, walk_for(matrix, cfg, sensor)
 
 
 class _ScriptExhausted(Exception):
@@ -85,16 +90,16 @@ class _ScriptRng:
         return self.script.pop(0)
 
 
-def scripted(ctx, event, script):
+def scripted(walk, event, script):
     """The chain loaded with event after one scripted propose() (plus apply()
     when the proposal is a change)."""
-    chain = _Chain(ctx, _ScriptRng(script), event)
+    chain = walk(_ScriptRng(script), event)
     if chain.propose():
         chain.apply()
     return chain
 
 
-def scripted_proposals(ctx, event):
+def scripted_proposals(walk, event):
     """Every outcome of one _Chain.propose() from event, found by driving it
     through each branch of its rng choices. Yields (chain after the move or
     unmoved, moved, probability of that choice path)."""
@@ -102,7 +107,7 @@ def scripted_proposals(ctx, event):
     while pending:
         script = pending.pop()
         rng = _ScriptRng(script)
-        chain = _Chain(ctx, rng, event)
+        chain = walk(rng, event)
         try:
             moved = chain.propose()
         except _ScriptExhausted as branch:
@@ -113,42 +118,42 @@ def scripted_proposals(ctx, event):
         yield chain, moved, math.prod(1.0 / b for b in rng.bounds)
 
 
-def proposal_support(ctx, event):
+def proposal_support(walk, event):
     """All events one proposal away from event (itself included when some
     proposal is a no-change one)."""
-    return {chain.event().canonical_key() for chain, _, _ in scripted_proposals(ctx, event)}
+    return {chain.event().canonical_key() for chain, _, _ in scripted_proposals(walk, event)}
 
 
 class TestInitChain:
     def test_deterministic_given_seed(self):
-        parent, ctx = make_context(
+        parent, walk = make_walk(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
-        a = _Chain(ctx, random.Random(7))
-        b = _Chain(ctx, random.Random(7))
+        a = walk(random.Random(7))
+        b = walk(random.Random(7))
         assert a.event() == b.event()
         assert a.log_score == b.log_score
 
     def test_zero_returns(self):
         parent, matrix, cfg, sensor = make_instance([(100.0, 0.0)], np.empty((0, 2)))
-        chain = _Chain(_ScoreContext(matrix, cfg, sensor), random.Random(0))
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(0))
         assert chain.event().assignments == ()
         assert chain.event().deaths == frozenset()
         expected = log_child_prior(chain.event(), parent, cfg, sensor.p_d, 0)
         assert chain.log_score == pytest.approx(expected, rel=1e-12)
 
     def test_no_objects_only_birth_or_clutter(self):
-        parent, ctx = make_context([], [[10.0, 0.0], [20.0, 5.0]])
+        parent, walk = make_walk([], [[10.0, 0.0], [20.0, 5.0]])
         for seed in range(20):
-            chain = _Chain(ctx, random.Random(seed))
+            chain = walk(random.Random(seed))
             assert all(a in (BIRTH, CLUTTER) for a in chain.event().assignments)
 
     def test_no_duplicate_claims_and_empty_deaths(self):
-        parent, ctx = make_context(
+        parent, walk = make_walk(
             [(100.0, 0.0)], [[99.0, 1.0], [101.0, -1.0], [100.0, 0.5]]
         )
         for seed in range(50):
-            event = _Chain(ctx, random.Random(seed)).event()
+            event = walk(random.Random(seed)).event()
             objs = event.associated_labels
             assert len(objs) == len(set(objs))
             assert event.deaths == frozenset()
@@ -158,9 +163,8 @@ class TestInitChain:
             [(100.0, 0.0), (50.0, 60.0), (0.0, -80.0)],
             [[99.0, 1.0], [52.0, 58.0]],
         )
-        ctx = _ScoreContext(matrix, cfg, sensor)
         event = AssociationEvent(assignments=(BIRTH, "t01"), deaths=frozenset({"t02"}))
-        chain = _Chain(ctx, random.Random(0), event)
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(0), event)
         assert chain.event() == event
         assert (chain.k, chain.n_b) == (1, 1)
         expected = log_child_prior(event, parent, cfg, sensor.p_d, 2) + (
@@ -171,7 +175,7 @@ class TestInitChain:
 
 class TestPropose:
     def test_support_for_one_track_one_return(self):
-        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]])
+        parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
         event = AssociationEvent(assignments=("t00",))
         # From {z->t00}: reassign z to B or C; no unassociated object, so the
         # death row proposes no change.
@@ -180,7 +184,7 @@ class TestPropose:
             AssociationEvent(assignments=(CLUTTER,)).canonical_key(),
             event.canonical_key(),
         }
-        assert proposal_support(ctx, event) == expected
+        assert proposal_support(walk, event) == expected
 
     # Three tracks, two returns; z1 holds t02 and z0 proposes t02. A swap
     # hands z0's old column to z1 (a bump would send z1 to clutter whatever
@@ -191,13 +195,13 @@ class TestPropose:
         pytest.param("t00", 1, id="object"),  # choices skip z0's own column 0
     ])
     def test_conflict_swaps_with_claiming_return(self, old, choice):
-        parent, ctx = make_context(
+        parent, walk = make_walk(
             [(100.0, 0.0), (50.0, 60.0), (0.0, -80.0)],
             [[99.0, 1.0], [52.0, 58.0]],
         )
         event = AssociationEvent(assignments=(old, "t02"))
-        before = _Chain(ctx, None, event)
-        chain = scripted(ctx, event, [0, choice])
+        before = walk(None, event)
+        chain = scripted(walk, event, [0, choice])
         assert chain.event().assignments == ("t02", old)
         assert (chain.k, chain.n_b) == (before.k, before.n_b)
 
@@ -205,17 +209,15 @@ class TestPropose:
         # Assigning a return to an object in the death set would be invalid;
         # the proposal resolves to no change (revival goes through the death
         # row instead).
-        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]])
+        parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
         event = AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"}))
-        chain = _Chain(ctx, _ScriptRng([0, 0]), event)
+        chain = walk(_ScriptRng([0, 0]), event)
         assert chain.propose() is False
         assert chain.event() == event
 
     def test_death_toggle_both_ways(self):
-        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]])
-        chain = _Chain(
-            ctx, _ScriptRng([1, 0, 1, 0]), AssociationEvent(assignments=(CLUTTER,))
-        )
+        parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
+        chain = walk(_ScriptRng([1, 0, 1, 0]), AssociationEvent(assignments=(CLUTTER,)))
         assert chain.propose()
         chain.apply()
         assert chain.event().deaths == frozenset({"t00"})
@@ -226,20 +228,23 @@ class TestPropose:
     def test_death_move_without_death_probability_is_no_change(self):
         # beta = 0: no object is death-eligible, so the death move draws no
         # object and proposes nothing instead of a zero-mass death.
-        parent, ctx = make_context([(100.0, 0.0)], [[99.0, 1.0]], beta=0.0)
+        parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]], beta=0.0)
         rng = _ScriptRng([1, 0])
-        chain = _Chain(ctx, rng, AssociationEvent(assignments=(CLUTTER,)))
+        chain = walk(rng, AssociationEvent(assignments=(CLUTTER,)))
         assert chain.propose() is False
         assert rng.bounds == [2]
         assert chain.event().deaths == frozenset()
 
-    def test_zero_entry_candidate_skips_prior(self):
+    def test_zero_entry_candidate_skips_prior(self, monkeypatch):
         # The far return cannot come from t00: that entry is -inf.
-        parent, ctx = make_context([(100.0, 0.0)], [[5000.0, 0.0]])
-        assert ctx.rows[0][0] == -math.inf
-        chain = _Chain(ctx, random.Random(0), AssociationEvent(assignments=(CLUTTER,)))
+        parent, walk = make_walk([(100.0, 0.0)], [[5000.0, 0.0]])
+        chain = walk(random.Random(0), AssociationEvent(assignments=(CLUTTER,)))
+        assert chain.rows[0][0] == -math.inf
         calls = []
-        ctx.log_prior = lambda *counts: calls.append(counts) or 0.0
+        # Slots leave no instance __dict__, so the memo is patched on the class.
+        monkeypatch.setattr(
+            _Chain, "log_prior", lambda self, *counts: calls.append(counts) or 0.0
+        )
         seen = 0
         for seed in range(40):
             chain.rng = random.Random(seed)
@@ -256,21 +261,21 @@ class TestPropose:
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]], n_pixels=1
         )
-        ctx = _ScoreContext(matrix, cfg, sensor)
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(0))
         for k in range(3):
             for n_b in range(3 - k):
                 for n_d in range(3 - k):
                     expected = log_count_prior(k, n_b, n_d, 2, 2, cfg, sensor.p_d)
-                    assert ctx.log_prior(k, n_b, n_d) == expected
-                    assert ctx.log_prior(k, n_b, n_d) == expected  # memoized
-        assert ctx.log_prior(0, 2, 0) == -math.inf  # more births than pixels
+                    assert chain.log_prior(k, n_b, n_d) == expected
+                    assert chain.log_prior(k, n_b, n_d) == expected  # memoized
+        assert chain.log_prior(0, 2, 0) == -math.inf  # more births than pixels
 
     def test_never_produces_duplicate_claims(self):
-        parent, ctx = make_context(
+        parent, walk = make_walk(
             [(100.0, 0.0), (50.0, 60.0)],
             [[99.0, 1.0], [52.0, 58.0], [75.0, 30.0]],
         )
-        chain = _Chain(ctx, random.Random(123))
+        chain = walk(random.Random(123))
         for _ in range(100_000):
             if chain.propose():
                 chain.apply()
@@ -283,7 +288,7 @@ class TestPropose:
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
-        chain = _Chain(_ScoreContext(matrix, cfg, sensor), random.Random(5))
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(5))
         for _ in range(200):
             if chain.propose():
                 chain.apply()
@@ -299,8 +304,8 @@ class TestPropose:
 
 def chain_scored(score, seed=0):
     """A chain whose current log-score is score, for exercising _accept."""
-    parent, ctx = make_context([], [])
-    chain = _Chain(ctx, random.Random(seed))
+    parent, walk = make_walk([], [])
+    chain = walk(random.Random(seed))
     chain.log_score = score
     return chain
 
@@ -417,14 +422,14 @@ class TestIrreducibility:
         positions = [(100.0 + 30.0 * i, -20.0 * i) for i in range(n_objects)]
         returns = [[100.0 + 10.0 * i, 5.0 * i] for i in range(n_returns)]
         parent, matrix, cfg, sensor = make_instance(positions, returns, n_pixels=1)
-        ctx = _ScoreContext(matrix, cfg, sensor)
+        walk = walk_for(matrix, cfg, sensor)
         all_events = {
             e.canonical_key(): e
             for e in enumerate_child_events(matrix)
         }
 
         def neighbors(key):
-            return proposal_support(ctx, all_events[key])
+            return proposal_support(walk, all_events[key])
 
         start = next(iter(all_events))
         seen = {start}
@@ -454,21 +459,21 @@ class TestIrreducibility:
         assert seen_rev == set(all_events)
 
 
-def kernel_stationary(ctx, events):
+def kernel_stationary(walk, events):
     """Stationary distribution of the exact transition kernel of the walk
     restricted to the finite-score events: every propose() outcome weighted
     by its probability, accepted with min(1, pi(t)/pi(s))."""
     index = {}
     scores = []
     for event in events:
-        score = _Chain(ctx, None, event).log_score
+        score = walk(None, event).log_score
         if score > -math.inf:
             index[event.canonical_key()] = len(scores)
             scores.append((event, score))
     P = np.zeros((len(scores), len(scores)))
     for s, (event, score) in enumerate(scores):
         total = 0.0
-        for chain, moved, prob in scripted_proposals(ctx, event):
+        for chain, moved, prob in scripted_proposals(walk, event):
             total += prob
             t = index.get(chain.event().canonical_key()) if moved else None
             if t is None:  # no-change or zero-mass candidate
@@ -502,9 +507,8 @@ class TestExactKernel:
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=beta, clutter_density=1e-3,
         )
-        ctx = _ScoreContext(matrix, cfg, sensor)
         events = enumerate_child_events(matrix)
-        stationary = kernel_stationary(ctx, events)
+        stationary = kernel_stationary(walk_for(matrix, cfg, sensor), events)
         post = exact_posterior(parent, matrix, cfg, sensor)
         assert tv_distance(stationary, post) <= 1e-9
 
