@@ -19,10 +19,18 @@ incrementally and recomputed from scratch whenever a new event is recorded.
 One _Chain object per parent holds both the walk's state and its scoring
 tables. Its random initial state draws from the matrix's supported columns
 (AssociationMatrix.supported), the same pattern the child enumerator walks.
+
+Stream contract: every integer draw goes through _Chain._below, which runs
+CPython's randrange algorithm on rng.getrandbits, so the walk consumes the
+same Mersenne Twister words as a walk calling rng.randrange and, for a given
+seed, visits the same states. Visits are recorded run-length: step() says
+whether the state moved, and a step that did not adds one to the current
+state's table slot without building or hashing its key.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 import zlib
@@ -91,9 +99,9 @@ class _Chain:
 
     __slots__ = (
         "matrix", "rows", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
-        "birth_col", "clutter_col", "m", "n_objects",
-        "rng", "assign", "claimed_by", "dead", "k", "n_b",
-        "finite_loglik", "zero_entries", "log_score",
+        "birth_col", "clutter_col", "m", "n_objects", "_row_bits", "_col_bits",
+        "rng", "_getrandbits", "assign", "claimed_by", "dead", "k", "n_b",
+        "finite_loglik", "zero_entries", "log_score", "_key",
         "_row", "_col", "_other", "_k", "_n_b", "_finite", "_zero", "cand_score",
     )
 
@@ -115,19 +123,22 @@ class _Chain:
         self.n_objects = matrix.n_objects
         self.birth_col = matrix.birth_col
         self.clutter_col = matrix.clutter_col
+        self._row_bits = (self.m + 1).bit_length()
+        self._col_bits = (self.n_objects + 1).bit_length()
         self.rows = matrix.log_entries.tolist()
         self.death_eligible = [j for j, ok in enumerate(matrix.death_eligible) if ok]
         self.birth_cfg = birth_cfg
         self.p_d = p_d
         self._prior_memo: dict[tuple[int, int, int], float] = {}
         self.rng = rng
+        self._getrandbits = rng.getrandbits
         if event is None:
             self.assign: list[int] = []
             for supported in matrix.supported:
+                n = len(supported) or self.n_objects + 2
+                col = self._below(n, n.bit_length())
                 if supported:
-                    col = supported[rng.randrange(len(supported))]
-                else:
-                    col = rng.randrange(self.n_objects + 2)
+                    col = supported[col]
                 if col < self.n_objects and col in self.assign:
                     col = self.clutter_col
                 self.assign.append(col)
@@ -135,6 +146,7 @@ class _Chain:
         else:
             self.assign = [matrix.column_of(a) for a in event.assignments]
             self.dead = {matrix.object_labels.index(lbl) for lbl in event.deaths}
+        self._key = None
         self.resync()
 
     def log_prior(self, k: int, n_b: int, n_d: int) -> float:
@@ -147,16 +159,6 @@ class _Chain:
                 k, n_b, n_d, self.n_objects, self.m, self.birth_cfg, self.p_d
             )
         return out
-
-    def _score(
-        self, k: int, n_b: int, n_d: int, finite_loglik: float, zero_entries: int
-    ) -> float:
-        """Score of the given counts and likelihood sum. A selected
-        zero-likelihood entry scores -inf whatever the prior, so the prior
-        is not looked up then."""
-        if zero_entries > 0:
-            return -math.inf
-        return self.log_prior(k, n_b, n_d) + finite_loglik
 
     def resync(self) -> None:
         """Recount claims, counts, likelihood sum and score from scratch
@@ -177,17 +179,40 @@ class _Chain:
                 self.zero_entries += 1
             else:
                 self.finite_loglik += entry
-        self.log_score = self._score(
-            self.k, self.n_b, len(self.dead), self.finite_loglik, self.zero_entries
-        )
+        # A selected zero-likelihood entry scores -inf whatever the prior,
+        # so the prior is not looked up then.
+        if self.zero_entries:
+            self.log_score = -math.inf
+        else:
+            prior = self.log_prior(self.k, self.n_b, len(self.dead))
+            self.log_score = prior + self.finite_loglik
 
     def key(self) -> tuple:
-        return (tuple(self.assign), tuple(sorted(self.dead)))
+        """(assignment, sorted death set), built once per state: apply()
+        clears it."""
+        key = self._key
+        if key is None:
+            key = self._key = (tuple(self.assign), tuple(sorted(self.dead)))
+        return key
 
-    def step(self) -> None:
-        """One proposal plus Metropolis accept/reject."""
+    def _below(self, n: int, bits: int) -> int:
+        """Uniform integer in [0, n), bits = n.bit_length(): the algorithm of
+        CPython's Random._randbelow_with_getrandbits, so it consumes the same
+        Mersenne Twister words as rng.randrange(n) and returns the same value.
+        The walk's one integer-draw seam."""
+        getrandbits = self._getrandbits
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        return r
+
+    def step(self) -> bool:
+        """One proposal plus Metropolis accept/reject. Returns whether the
+        state moved."""
         if self.propose() and self._accept(self.cand_score):
             self.apply()
+            return True
+        return False
 
     def propose(self) -> bool:
         """Draw one of the m rows or the death move uniformly, then a move in
@@ -195,51 +220,35 @@ class _Chain:
         (a dead target object, or an empty death pool), which needs no
         accept/reject."""
         n_objects = self.n_objects
-        row = self.rng.randrange(self.m + 1)
+        row = self._below(self.m + 1, self._row_bits)
         self._row = row
-        if row == self.m:
-            pool = [j for j in self.death_eligible if self.claimed_by[j] == -1]
-            if not pool:
-                return False
-            j = pool[self.rng.randrange(len(pool))]
-            self._col = j
-            n_d = len(self.dead) + (-1 if j in self.dead else 1)
-            self.cand_score = self._score(
-                self.k, self.n_b, n_d, self.finite_loglik, self.zero_entries
-            )
-            return True
-        cur = self.assign[row]
-        col = self.rng.randrange(n_objects + 1)
-        if col >= cur:
-            col += 1
-        other = -1
-        if col < n_objects:
-            if col in self.dead:
-                return False  # would assign a dead object: invalid
-            other = self.claimed_by[col]
-        self._col = col
-        self._other = other
         k = self.k
         n_b = self.n_b
         finite = self.finite_loglik
         zero = self.zero_entries
-        entries = self.rows[row]
-        removed = entries[cur]
-        added = entries[col]
-        if removed == -math.inf:
-            zero -= 1
+        if row == self.m:
+            pool = [j for j in self.death_eligible if self.claimed_by[j] == -1]
+            if not pool:
+                return False
+            n = len(pool)
+            j = pool[self._below(n, n.bit_length())]
+            self._col = j
+            n_d = len(self.dead) + (-1 if j in self.dead else 1)
         else:
-            finite -= removed
-        if added == -math.inf:
-            zero += 1
-        else:
-            finite += added
-        if other != -1:
-            # Swap: the claiming return takes the proposer's old column, so k
-            # and n_b keep; proposing col from the other row reverses it.
-            entries = self.rows[other]
-            removed = entries[col]
-            added = entries[cur]
+            cur = self.assign[row]
+            col = self._below(n_objects + 1, self._col_bits)
+            if col >= cur:
+                col += 1
+            other = -1
+            if col < n_objects:
+                if col in self.dead:
+                    return False  # would assign a dead object: invalid
+                other = self.claimed_by[col]
+            self._col = col
+            self._other = other
+            entries = self.rows[row]
+            removed = entries[cur]
+            added = entries[col]
             if removed == -math.inf:
                 zero -= 1
             else:
@@ -248,20 +257,42 @@ class _Chain:
                 zero += 1
             else:
                 finite += added
+            if other != -1:
+                # Swap: the claiming return takes the proposer's old column, so
+                # k and n_b keep; proposing col from the other row reverses it.
+                entries = self.rows[other]
+                removed = entries[col]
+                added = entries[cur]
+                if removed == -math.inf:
+                    zero -= 1
+                else:
+                    finite -= removed
+                if added == -math.inf:
+                    zero += 1
+                else:
+                    finite += added
+            else:
+                if cur < n_objects:
+                    k -= 1
+                elif cur == self.birth_col:
+                    n_b -= 1
+                if col < n_objects:
+                    k += 1
+                elif col == self.birth_col:
+                    n_b += 1
+            self._k = k
+            self._n_b = n_b
+            self._finite = finite
+            self._zero = zero
+            n_d = len(self.dead)
+        # Same score as resync() computes, with the prior memo read inline.
+        if zero:
+            self.cand_score = -math.inf
         else:
-            if cur < n_objects:
-                k -= 1
-            elif cur == self.birth_col:
-                n_b -= 1
-            if col < n_objects:
-                k += 1
-            elif col == self.birth_col:
-                n_b += 1
-        self._k = k
-        self._n_b = n_b
-        self._finite = finite
-        self._zero = zero
-        self.cand_score = self._score(k, n_b, len(self.dead), finite, zero)
+            prior = self._prior_memo.get((k, n_b, n_d))
+            if prior is None:
+                prior = self.log_prior(k, n_b, n_d)
+            self.cand_score = prior + finite
         return True
 
     def apply(self) -> None:
@@ -289,6 +320,7 @@ class _Chain:
             self.finite_loglik = self._finite
             self.zero_entries = self._zero
         self.log_score = self.cand_score
+        self._key = None
 
     def _accept(self, cand_score: float) -> bool:
         if cand_score == -math.inf:
@@ -347,21 +379,28 @@ def sample_children(
         record = default_record_steps(m, n_objects)
     table: dict[tuple, list] = {}
     chain = _Chain(matrix, birth_cfg, sensor.p_d, random.Random(chain_seed(cfg.seed, parent.id)))
+    step = chain.step
     for _ in range(burn):
-        chain.step()
+        step()
+    # Run-length recording: a step that does not move adds one to the slot
+    # of the state it stayed in, without building or hashing a key.
+    slot = None
     for _ in range(record):
-        chain.step()
-        key = chain.key()
-        slot = table.get(key)
-        if slot is None:
-            chain.resync()
-            table[key] = [chain.log_score, 1]
-        else:
-            slot[1] += 1
-    ranked = sorted(table.items(), key=lambda kv: (-kv[1][0], kv[0]))
+        if step() or slot is None:
+            key = chain.key()
+            slot = table.get(key)
+            if slot is None:
+                chain.resync()
+                table[key] = slot = [chain.log_score, 0]
+        slot[1] += 1
+    # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
+    # the keys are distinct, so the order has no ties either way.
+    ranked = heapq.nsmallest(
+        cfg.children_kept, table.items(), key=lambda kv: (-kv[1][0], kv[0])
+    )
     return [
         ChildSample(event=_event_of(matrix, key), log_score=score, visits=visits)
-        for key, (score, visits) in ranked[: cfg.children_kept]
+        for key, (score, visits) in ranked
     ]
 
 

@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 from collections import deque
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -75,25 +77,44 @@ class _ScriptExhausted(Exception):
 
 
 class _ScriptRng:
-    """Deterministic rng stub: randrange pops scripted choices and records
-    each bound it was asked for, so the probability of a scripted path is the
-    product of 1/bound."""
+    """Deterministic stand-in for the walk's integer draws: below() pops
+    scripted choices and records each bound it was asked for, so the
+    probability of a scripted path is the product of 1/bound."""
 
     def __init__(self, script):
         self.script = list(script)
         self.bounds = []
 
-    def randrange(self, bound):
+    def below(self, bound):
         if not self.script:
             raise _ScriptExhausted(bound)
         self.bounds.append(bound)
         return self.script.pop(0)
 
+    def getrandbits(self, k):
+        raise AssertionError("a scripted chain draws only through _below")
+
+
+class _ScriptedChain(_Chain):
+    """_Chain whose integer draws, all made through its _below seam, pop a
+    _ScriptRng's script instead of Mersenne Twister words."""
+
+    __slots__ = ()
+
+    def _below(self, n, bits):
+        assert bits == n.bit_length()
+        return self.rng.below(n)
+
+
+def scripted_chain(walk, event, script=()):
+    """walk's chain loaded with event, drawing its integers from script."""
+    return _ScriptedChain(*walk.args, _ScriptRng(script), event)
+
 
 def scripted(walk, event, script):
     """The chain loaded with event after one scripted propose() (plus apply()
     when the proposal is a change)."""
-    chain = walk(_ScriptRng(script), event)
+    chain = scripted_chain(walk, event, script)
     if chain.propose():
         chain.apply()
     return chain
@@ -101,13 +122,12 @@ def scripted(walk, event, script):
 
 def scripted_proposals(walk, event):
     """Every outcome of one _Chain.propose() from event, found by driving it
-    through each branch of its rng choices. Yields (chain after the move or
+    through each branch of its integer draws. Yields (chain after the move or
     unmoved, moved, probability of that choice path)."""
     pending = [[]]
     while pending:
         script = pending.pop()
-        rng = _ScriptRng(script)
-        chain = walk(rng, event)
+        chain = scripted_chain(walk, event, script)
         try:
             moved = chain.propose()
         except _ScriptExhausted as branch:
@@ -115,7 +135,7 @@ def scripted_proposals(walk, event):
             continue
         if moved:
             chain.apply()
-        yield chain, moved, math.prod(1.0 / b for b in rng.bounds)
+        yield chain, moved, math.prod(1.0 / b for b in chain.rng.bounds)
 
 
 def proposal_support(walk, event):
@@ -200,7 +220,7 @@ class TestPropose:
             [[99.0, 1.0], [52.0, 58.0]],
         )
         event = AssociationEvent(assignments=(old, "t02"))
-        before = walk(None, event)
+        before = scripted_chain(walk, event)
         chain = scripted(walk, event, [0, choice])
         assert chain.event().assignments == ("t02", old)
         assert (chain.k, chain.n_b) == (before.k, before.n_b)
@@ -211,13 +231,13 @@ class TestPropose:
         # row instead).
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
         event = AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"}))
-        chain = walk(_ScriptRng([0, 0]), event)
+        chain = scripted_chain(walk, event, [0, 0])
         assert chain.propose() is False
         assert chain.event() == event
 
     def test_death_toggle_both_ways(self):
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
-        chain = walk(_ScriptRng([1, 0, 1, 0]), AssociationEvent(assignments=(CLUTTER,)))
+        chain = scripted_chain(walk, AssociationEvent(assignments=(CLUTTER,)), [1, 0, 1, 0])
         assert chain.propose()
         chain.apply()
         assert chain.event().deaths == frozenset({"t00"})
@@ -229,33 +249,45 @@ class TestPropose:
         # beta = 0: no object is death-eligible, so the death move draws no
         # object and proposes nothing instead of a zero-mass death.
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]], beta=0.0)
-        rng = _ScriptRng([1, 0])
-        chain = walk(rng, AssociationEvent(assignments=(CLUTTER,)))
+        chain = scripted_chain(walk, AssociationEvent(assignments=(CLUTTER,)), [1, 0])
         assert chain.propose() is False
-        assert rng.bounds == [2]
+        assert chain.rng.bounds == [2]
         assert chain.event().deaths == frozenset()
 
-    def test_zero_entry_candidate_skips_prior(self, monkeypatch):
+    def test_zero_entry_candidate_skips_prior(self):
         # The far return cannot come from t00: that entry is -inf.
         parent, walk = make_walk([(100.0, 0.0)], [[5000.0, 0.0]])
-        chain = walk(random.Random(0), AssociationEvent(assignments=(CLUTTER,)))
-        assert chain.rows[0][0] == -math.inf
-        calls = []
-        # Slots leave no instance __dict__, so the memo is patched on the class.
-        monkeypatch.setattr(
-            _Chain, "log_prior", lambda self, *counts: calls.append(counts) or 0.0
-        )
-        seen = 0
+        lookups = []
+
+        class RecordingMemo(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+        seen = {"zero": 0, "hit": 0, "miss": 0}
         for seed in range(40):
-            chain.rng = random.Random(seed)
-            calls.clear()
-            if chain.propose() and (chain._row, chain._col) == (0, 0):
-                assert chain.cand_score == -math.inf
-                assert calls == []
-                seen += 1
-            else:
-                assert len(calls) == 1
-        assert seen > 0
+            chain = walk(random.Random(seed), AssociationEvent(assignments=(CLUTTER,)))
+            assert chain.rows[0][0] == -math.inf
+            chain._prior_memo = RecordingMemo(chain._prior_memo)
+            # Several proposals from the same state, so later ones hit the memo.
+            for _ in range(3):
+                known = set(chain._prior_memo)
+                lookups.clear()
+                moved = chain.propose()
+                if moved and (chain._row, chain._col) == (0, 0):
+                    assert chain.cand_score == -math.inf
+                    assert lookups == []
+                    seen["zero"] += 1
+                elif not moved:
+                    assert lookups == []
+                elif lookups[0] in known:
+                    assert lookups == lookups[:1]  # one read on a hit
+                    seen["hit"] += 1
+                else:
+                    # A miss reads the memo once inline and once in log_prior.
+                    assert lookups == lookups[:1] * 2
+                    seen["miss"] += 1
+        assert all(seen.values()), seen
 
     def test_prior_memo_matches_log_count_prior(self):
         parent, matrix, cfg, sensor = make_instance(
@@ -466,7 +498,7 @@ def kernel_stationary(walk, events):
     index = {}
     scores = []
     for event in events:
-        score = walk(None, event).log_score
+        score = scripted_chain(walk, event).log_score
         if score > -math.inf:
             index[event.canonical_key()] = len(scores)
             scores.append((event, score))
@@ -528,3 +560,100 @@ class TestVisitDistribution:
         empirical = visit_distribution(samples)
         post = exact_posterior(parent, matrix, cfg, sensor)
         assert tv_distance(empirical, post) < 0.05
+
+
+class TestStream:
+    """The walk draws the same Mersenne Twister words that rng.randrange
+    would, so a seed fixes its output. The golden children were recorded
+    when the walk still called randrange."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_below_matches_randrange(self, seed):
+        # n = 1, the powers of two and their neighbours all lie in 1..70.
+        parent, matrix, cfg, sensor = make_instance([], [])
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(seed))
+        ref = random.Random(seed)
+        for n in range(1, 71):
+            for _ in range(3):
+                assert chain._below(n, n.bit_length()) == ref.randrange(n)
+        assert chain.rng.random() == ref.random()
+
+    INSTANCES = {
+        # The third return is far from every track, so its row supports
+        # only birth and clutter.
+        "sparse": (
+            [(100.0, 0.0), (103.0, 0.0), (0.0, -80.0)],
+            [[101.0, 0.5], [102.0, -0.5], [5000.0, 0.0]],
+        ),
+        "dense3x3": TestExactKernel.INSTANCES["3x3"],
+    }
+    C = CLUTTER
+    GOLDEN = {
+        "sparse": [
+            ((("t00", "t01", C), ()), 1635, -17.258838541538672),
+            ((("t01", "t00", C), ()), 832, -17.858838541538674),
+            ((("t00", "t01", C), ("t02",)), 792, -17.95198572209862),
+            ((("t01", "t00", C), ("t02",)), 434, -18.551985722098618),
+            ((("t00", C, C), ()), 22, -20.99974394978553),
+            (((C, "t01", C), ()), 67, -20.99974394978553),
+            ((("t01", C, C), ()), 29, -21.29974394978553),
+            (((C, "t00", C), ()), 30, -21.29974394978553),
+            ((("t00", C, C), ("t01",)), 11, -21.692891130345473),
+            ((("t00", C, C), ("t02",)), 13, -21.692891130345473),
+        ],
+        "dense3x3": [
+            ((("t00", "t01", "t02"), ()), 1050, -12.824785952731872),
+            ((("t01", "t00", "t02"), ()), 752, -13.274785952731872),
+            ((("t01", "t02", "t00"), ()), 661, -13.474785952731873),
+            ((("t02", "t01", "t00"), ()), 589, -13.524785952731873),
+            ((("t00", "t02", "t01"), ()), 429, -13.724785952731873),
+            ((("t02", "t00", "t01"), ()), 327, -14.224785952731873),
+            ((("t00", C, "t02"), ()), 2, -17.158838541538675),
+            ((("t00", "t01", C), ()), 15, -17.283838541538675),
+            (((C, "t01", "t02"), ()), 12, -17.33383854153867),
+            ((("t01", C, "t02"), ()), 5, -17.433838541538673),
+        ],
+    }
+
+    @pytest.mark.parametrize("name", ["sparse", "dense3x3"])
+    def test_children_match_golden(self, name):
+        positions, returns = self.INSTANCES[name]
+        parent, matrix, cfg, sensor = make_instance(
+            positions, returns, clutter_density=3e-3,
+        )
+        scfg = SamplerConfig(burn_in_steps=300, record_steps=4000, children_kept=10, seed=11)
+        samples = sample_children(parent, matrix, scfg, cfg, sensor)
+        golden = self.GOLDEN[name]
+        assert [(s.event.canonical_key(), s.visits) for s in samples] == [
+            (key, visits) for key, visits, _ in golden
+        ]
+        for s, (_, _, score) in zip(samples, golden):
+            assert s.log_score == pytest.approx(score, rel=1e-12)
+        # Keeping every child returns the same ranking, extended.
+        unbounded = sample_children(
+            parent, matrix, replace(scfg, children_kept=sys.maxsize), cfg, sensor
+        )
+        assert unbounded[: len(samples)] == samples
+        assert sum(s.visits for s in unbounded) == scfg.record_steps
+
+
+class TestKeyCache:
+    def test_cached_key_follows_every_step(self):
+        positions, returns = TestExactKernel.INSTANCES["3x3"]
+        parent, matrix, cfg, sensor = make_instance(
+            positions, returns, beta=0.05, clutter_density=3e-3,
+        )
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(8))
+        before = chain.key()
+        toggles = swaps = 0
+        for _ in range(5000):
+            moved = chain.step()
+            fresh = (tuple(chain.assign), tuple(sorted(chain.dead)))
+            assert chain.key() == fresh
+            assert moved == (fresh != before)
+            if moved and chain._row == chain.m:
+                toggles += 1
+            elif moved and chain._other != -1:
+                swaps += 1
+            before = fresh
+        assert toggles > 0 and swaps > 0
