@@ -87,7 +87,8 @@ class AssociationMatrix:
             raise ValueError("matrix must have one row per return")
         if len(self.death_eligible) != len(self.object_labels):
             raise ValueError("matrix must have one death-eligibility flag per object")
-        if np.isnan(self.log_entries).any():
+        # NaN and +inf are the values that fail the comparison.
+        if not (self.log_entries < math.inf).all():
             raise ValueError("matrix entries must be finite or -inf")
         finite = np.isfinite(self.log_entries)
         supported = tuple(tuple(np.flatnonzero(row).tolist()) for row in finite)

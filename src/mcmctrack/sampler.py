@@ -19,13 +19,20 @@ incrementally and recomputed from scratch whenever a new event is recorded.
 One _Chain object per parent holds both the walk's state and its scoring
 tables. Its random initial state draws from the matrix's supported columns
 (AssociationMatrix.supported), the same pattern the child enumerator walks.
+_Chain.run is the one stepping method: a single loop over local variables
+that draws, scores, tests and commits each move and, when given a table,
+records the visits.
 
-Stream contract: every integer draw goes through _Chain._below, which runs
-CPython's randrange algorithm on rng.getrandbits, so the walk consumes the
-same Mersenne Twister words as a walk calling rng.randrange and, for a given
-seed, visits the same states. Visits are recorded run-length: step() says
-whether the state moved, and a step that did not adds one to the current
-state's table slot without building or hashing its key.
+Stream contract: each integer draw, the initial state's and run's (a row
+out of m+1, then one of the M+1 other columns or a member of the unclaimed
+death-eligible pool), runs CPython's randrange algorithm inline on
+rng.getrandbits: bound.bit_length() bits, redrawn while not below the
+bound. The walk thus consumes the same Mersenne Twister words as a walk
+calling rng.randrange and, for a given seed, visits the same states. A step
+draws rng.random() only for a finite candidate that scores below the
+current state. Visits are recorded run-length: a step that did not move
+adds one to the current state's table slot without building or hashing its
+key.
 """
 
 from __future__ import annotations
@@ -92,17 +99,14 @@ class _Chain:
     count-level prior is memoized per (k, n_b, n_d) triple. The running
     log-likelihood is kept as a finite sum plus a count of selected -inf
     entries, so zero-likelihood assignments never produce inf - inf
-    artifacts in the move deltas. propose() leaves the drawn move and its
-    candidate counts in the pending fields (prefixed with an underscore) and
-    cand_score; apply() commits them.
+    artifacts in the move deltas. run() is the one stepping method.
     """
 
     __slots__ = (
         "matrix", "rows", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
-        "birth_col", "clutter_col", "m", "n_objects", "_row_bits", "_col_bits",
-        "rng", "_getrandbits", "assign", "claimed_by", "dead", "k", "n_b",
-        "finite_loglik", "zero_entries", "log_score", "_key",
-        "_row", "_col", "_other", "_k", "_n_b", "_finite", "_zero", "cand_score",
+        "birth_col", "clutter_col", "m", "n_objects", "rng", "assign",
+        "claimed_by", "dead", "k", "n_b", "finite_loglik", "zero_entries",
+        "log_score",
     )
 
     def __init__(
@@ -123,20 +127,21 @@ class _Chain:
         self.n_objects = matrix.n_objects
         self.birth_col = matrix.birth_col
         self.clutter_col = matrix.clutter_col
-        self._row_bits = (self.m + 1).bit_length()
-        self._col_bits = (self.n_objects + 1).bit_length()
         self.rows = matrix.log_entries.tolist()
         self.death_eligible = [j for j, ok in enumerate(matrix.death_eligible) if ok]
         self.birth_cfg = birth_cfg
         self.p_d = p_d
         self._prior_memo: dict[tuple[int, int, int], float] = {}
         self.rng = rng
-        self._getrandbits = rng.getrandbits
         if event is None:
+            getrandbits = rng.getrandbits
             self.assign: list[int] = []
             for supported in matrix.supported:
                 n = len(supported) or self.n_objects + 2
-                col = self._below(n, n.bit_length())
+                bits = n.bit_length()
+                col = getrandbits(bits)
+                while col >= n:
+                    col = getrandbits(bits)
                 if supported:
                     col = supported[col]
                 if col < self.n_objects and col in self.assign:
@@ -146,7 +151,6 @@ class _Chain:
         else:
             self.assign = [matrix.column_of(a) for a in event.assignments]
             self.dead = {matrix.object_labels.index(lbl) for lbl in event.deaths}
-        self._key = None
         self.resync()
 
     def log_prior(self, k: int, n_b: int, n_d: int) -> float:
@@ -188,153 +192,182 @@ class _Chain:
             self.log_score = prior + self.finite_loglik
 
     def key(self) -> tuple:
-        """(assignment, sorted death set), built once per state: apply()
-        clears it."""
-        key = self._key
-        if key is None:
-            key = self._key = (tuple(self.assign), tuple(sorted(self.dead)))
-        return key
+        """(assignment, sorted death set) of the current state."""
+        return (tuple(self.assign), tuple(sorted(self.dead)))
 
-    def _below(self, n: int, bits: int) -> int:
-        """Uniform integer in [0, n), bits = n.bit_length(): the algorithm of
-        CPython's Random._randbelow_with_getrandbits, so it consumes the same
-        Mersenne Twister words as rng.randrange(n) and returns the same value.
-        The walk's one integer-draw seam."""
-        getrandbits = self._getrandbits
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        return r
+    def run(self, steps: int, table: dict[tuple, list] | None = None) -> None:
+        """Take steps Metropolis steps. Each draws one of the m rows or the
+        death move uniformly, then a move in it, scores the candidate from
+        the move's deltas and accepts it with probability
+        min(1, exp(candidate - current)). A dead target object or an empty
+        death pool is a no-change proposal, which draws no acceptance
+        variate.
 
-    def step(self) -> bool:
-        """One proposal plus Metropolis accept/reject. Returns whether the
-        state moved."""
-        if self.propose() and self._accept(self.cand_score):
-            self.apply()
-            return True
-        return False
-
-    def propose(self) -> bool:
-        """Draw one of the m rows or the death move uniformly, then a move in
-        it, and score the candidate. Returns False for a no-change proposal
-        (a dead target object, or an empty death pool), which needs no
-        accept/reject."""
+        With table, every step adds one visit to the slot of the state it
+        ends in, keyed by key(): a step that did not move adds to the
+        current slot without building or hashing a key, and a state's first
+        visit rescores it from scratch (resync) into [log_score, visits].
+        """
+        m = self.m
         n_objects = self.n_objects
-        row = self._below(self.m + 1, self._row_bits)
-        self._row = row
+        birth_col = self.birth_col
+        rows = self.rows
+        death_eligible = self.death_eligible
+        assign = self.assign
+        dead = self.dead
+        claimed_by = self.claimed_by
         k = self.k
         n_b = self.n_b
         finite = self.finite_loglik
         zero = self.zero_entries
-        if row == self.m:
-            pool = [j for j in self.death_eligible if self.claimed_by[j] == -1]
-            if not pool:
-                return False
-            n = len(pool)
-            j = pool[self._below(n, n.bit_length())]
-            self._col = j
-            n_d = len(self.dead) + (-1 if j in self.dead else 1)
-        else:
-            cur = self.assign[row]
-            col = self._below(n_objects + 1, self._col_bits)
-            if col >= cur:
-                col += 1
-            other = -1
-            if col < n_objects:
-                if col in self.dead:
-                    return False  # would assign a dead object: invalid
-                other = self.claimed_by[col]
-            self._col = col
-            self._other = other
-            entries = self.rows[row]
-            removed = entries[cur]
-            added = entries[col]
-            if removed == -math.inf:
-                zero -= 1
+        score = self.log_score
+        memo_get = self._prior_memo.get
+        log_prior = self.log_prior
+        getrandbits = self.rng.getrandbits
+        uniform = self.rng.random
+        log = math.log
+        neg_inf = -math.inf
+        n_rows = m + 1
+        row_bits = n_rows.bit_length()
+        n_cols = n_objects + 1
+        col_bits = n_cols.bit_length()
+        slot = None
+        for _ in range(steps):
+            # Integer draws run CPython's randrange algorithm on getrandbits.
+            row = getrandbits(row_bits)
+            while row >= n_rows:
+                row = getrandbits(row_bits)
+            c_k = k
+            c_n_b = n_b
+            c_finite = finite
+            c_zero = zero
+            n_d = len(dead)
+            if row == m:
+                pool = [j for j in death_eligible if claimed_by[j] == -1]
+                proposed = bool(pool)
+                if proposed:
+                    n = len(pool)
+                    bits = n.bit_length()
+                    r = getrandbits(bits)
+                    while r >= n:
+                        r = getrandbits(bits)
+                    col = pool[r]
+                    n_d += -1 if col in dead else 1
             else:
-                finite -= removed
-            if added == -math.inf:
-                zero += 1
-            else:
-                finite += added
-            if other != -1:
-                # Swap: the claiming return takes the proposer's old column, so
-                # k and n_b keep; proposing col from the other row reverses it.
-                entries = self.rows[other]
-                removed = entries[col]
-                added = entries[cur]
-                if removed == -math.inf:
-                    zero -= 1
+                cur = assign[row]
+                col = getrandbits(col_bits)
+                while col >= n_cols:
+                    col = getrandbits(col_bits)
+                if col >= cur:
+                    col += 1
+                other = -1
+                # Assigning a dead object would be invalid: no change.
+                proposed = col >= n_objects or col not in dead
+                if proposed:
+                    entries = rows[row]
+                    removed = entries[cur]
+                    added = entries[col]
+                    if removed == neg_inf:
+                        c_zero -= 1
+                    else:
+                        c_finite -= removed
+                    if added == neg_inf:
+                        c_zero += 1
+                    else:
+                        c_finite += added
+                    if col < n_objects:
+                        other = claimed_by[col]
+                    if other != -1:
+                        # Swap: the claiming return takes the proposer's old
+                        # column, so k and n_b keep; proposing col from the
+                        # other row reverses it.
+                        entries = rows[other]
+                        removed = entries[col]
+                        added = entries[cur]
+                        if removed == neg_inf:
+                            c_zero -= 1
+                        else:
+                            c_finite -= removed
+                        if added == neg_inf:
+                            c_zero += 1
+                        else:
+                            c_finite += added
+                    else:
+                        if cur < n_objects:
+                            c_k -= 1
+                        elif cur == birth_col:
+                            c_n_b -= 1
+                        if col < n_objects:
+                            c_k += 1
+                        elif col == birth_col:
+                            c_n_b += 1
+            moved = False
+            if proposed:
+                # Same score as resync() computes, with the prior memo read
+                # inline.
+                if c_zero:
+                    cand = neg_inf
                 else:
-                    finite -= removed
-                if added == -math.inf:
-                    zero += 1
+                    prior = memo_get((c_k, c_n_b, n_d))
+                    if prior is None:
+                        prior = log_prior(c_k, c_n_b, n_d)
+                    cand = prior + c_finite
+                if cand == neg_inf:
+                    # Zero-mass candidates are rejected from any supported
+                    # state, but the walk moves freely while still on the
+                    # zero-mass plateau: a random init on a many-object frame
+                    # almost surely starts there and would otherwise be stuck
+                    # for good.
+                    moved = score == neg_inf
                 else:
-                    finite += added
-            else:
-                if cur < n_objects:
-                    k -= 1
-                elif cur == self.birth_col:
-                    n_b -= 1
-                if col < n_objects:
-                    k += 1
-                elif col == self.birth_col:
-                    n_b += 1
-            self._k = k
-            self._n_b = n_b
-            self._finite = finite
-            self._zero = zero
-            n_d = len(self.dead)
-        # Same score as resync() computes, with the prior memo read inline.
-        if zero:
-            self.cand_score = -math.inf
-        else:
-            prior = self._prior_memo.get((k, n_b, n_d))
-            if prior is None:
-                prior = self.log_prior(k, n_b, n_d)
-            self.cand_score = prior + finite
-        return True
-
-    def apply(self) -> None:
-        """Commit the move that the last propose() returned True for."""
-        row = self._row
-        col = self._col
-        if row == self.m:
-            if col in self.dead:
-                self.dead.discard(col)
-            else:
-                self.dead.add(col)
-        else:
-            n_objects = self.n_objects
-            cur = self.assign[row]
-            other = self._other
-            if other != -1:
-                self.assign[other] = cur
-            if cur < n_objects:
-                self.claimed_by[cur] = other
-            if col < n_objects:
-                self.claimed_by[col] = row
-            self.assign[row] = col
-            self.k = self._k
-            self.n_b = self._n_b
-            self.finite_loglik = self._finite
-            self.zero_entries = self._zero
-        self.log_score = self.cand_score
-        self._key = None
-
-    def _accept(self, cand_score: float) -> bool:
-        if cand_score == -math.inf:
-            # Zero-mass candidates are rejected from any supported state, but
-            # the walk moves freely while still on the zero-mass plateau: a
-            # random init on a many-object frame almost surely starts there
-            # and would otherwise be stuck for good.
-            return self.log_score == -math.inf
-        delta = cand_score - self.log_score
-        if delta >= 0.0:
-            # Covers a -inf current score: any representable candidate wins.
-            return True
-        u = self.rng.random()
-        return u == 0.0 or math.log(u) < delta
+                    delta = cand - score
+                    # delta >= 0 covers a -inf current score: any
+                    # representable candidate wins.
+                    if delta >= 0.0:
+                        moved = True
+                    else:
+                        u = uniform()
+                        moved = u == 0.0 or log(u) < delta
+                if moved:
+                    if row == m:
+                        if col in dead:
+                            dead.discard(col)
+                        else:
+                            dead.add(col)
+                    else:
+                        if other != -1:
+                            assign[other] = cur
+                        if cur < n_objects:
+                            claimed_by[cur] = other
+                        if col < n_objects:
+                            claimed_by[col] = row
+                        assign[row] = col
+                        k = c_k
+                        n_b = c_n_b
+                        finite = c_finite
+                        zero = c_zero
+                    score = cand
+            if table is not None:
+                if moved or slot is None:
+                    key = self.key()
+                    slot = table.get(key)
+                    if slot is None:
+                        # Rescore from scratch. resync() rebinds claimed_by
+                        # and resums the likelihood, so reload both.
+                        self.resync()
+                        claimed_by = self.claimed_by
+                        k = self.k
+                        n_b = self.n_b
+                        finite = self.finite_loglik
+                        zero = self.zero_entries
+                        score = self.log_score
+                        table[key] = slot = [score, 0]
+                slot[1] += 1
+        self.k = k
+        self.n_b = n_b
+        self.finite_loglik = finite
+        self.zero_entries = zero
+        self.log_score = score
 
     def event(self) -> AssociationEvent:
         return _event_of(self.matrix, self.key())
@@ -379,20 +412,8 @@ def sample_children(
         record = default_record_steps(m, n_objects)
     table: dict[tuple, list] = {}
     chain = _Chain(matrix, birth_cfg, sensor.p_d, random.Random(chain_seed(cfg.seed, parent.id)))
-    step = chain.step
-    for _ in range(burn):
-        step()
-    # Run-length recording: a step that does not move adds one to the slot
-    # of the state it stayed in, without building or hashing a key.
-    slot = None
-    for _ in range(record):
-        if step() or slot is None:
-            key = chain.key()
-            slot = table.get(key)
-            if slot is None:
-                chain.resync()
-                table[key] = slot = [chain.log_score, 0]
-        slot[1] += 1
+    chain.run(burn)
+    chain.run(record, table)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
     # the keys are distinct, so the order has no ties either way.
     ranked = heapq.nsmallest(

@@ -137,10 +137,13 @@ def _realize_child(
     frame: MeasurementFrame,
     cfg: TrackerConfig,
     next_label: "_LabelCounter",
+    updated: dict[tuple[int, int], GaussianTrack],
 ) -> Hypothesis:
     """Apply the event to the predicted tracks: deaths removed, associated
     tracks updated with their returns, unassociated survivors kept as
-    predicted, newborns instantiated from the birth pdf plus their return."""
+    predicted, newborns instantiated from the birth pdf plus their return.
+    updated memoizes update_track by (id(predicted track), return index)
+    across the children of one scan, whose predicted tracks it outlives."""
     claimed: dict[str, int] = {}
     for i, entry in enumerate(event.assignments):
         if entry not in (BIRTH, CLUTTER):
@@ -153,7 +156,10 @@ def _realize_child(
         if i is None:
             tracks.append(track)
         else:
-            tracks.append(update_track(track, frame.returns[i], cfg.sensor)[0])
+            key = (id(track), i)
+            if key not in updated:
+                updated[key] = update_track(track, frame.returns[i], cfg.sensor)[0]
+            tracks.append(updated[key])
     for i, entry in enumerate(event.assignments):
         if entry == BIRTH:
             tracks.append(
@@ -210,10 +216,17 @@ class Tracker:
             allow_deaths=bd.beta > 0.0,
         )
         parents = sorted(hypotheses, key=lambda h: h.id)
+        # Children share their parent's track objects, so most tracks recur
+        # across parents: predict each object once per scan. Keys are ids of
+        # tracks that hypotheses holds for the whole call.
+        predicted_of: dict[int, GaussianTrack] = {}
         predicted_by_parent = []
         candidates: list[Candidate] = []
         for parent in parents:
-            predicted = tuple(predict_track(t, cfg.dynamics) for t in parent.tracks)
+            for t in parent.tracks:
+                if id(t) not in predicted_of:
+                    predicted_of[id(t)] = predict_track(t, cfg.dynamics)
+            predicted = tuple(predicted_of[id(t)] for t in parent.tracks)
             predicted_by_parent.append(predicted)
             matrix = build_matrix(predicted, frame.returns, cfg.sensor, cfg.clutter, bd)
             for event, log_score in self._children_of(parent, matrix, bd):
@@ -236,6 +249,7 @@ class Tracker:
             ]
             report = self._report(frame, fallback, bound, bd, degenerate=True)
             return fallback, report
+        updated: dict[tuple[int, int], GaussianTrack] = {}
         new_hyps = [
             _realize_child(
                 c.parent_id,
@@ -246,6 +260,7 @@ class Tracker:
                 frame,
                 cfg,
                 self._labels,
+                updated,
             )
             for idx, c in enumerate(kept)
         ]

@@ -124,6 +124,25 @@ class TestBuildMatrix:
                 returns=np.empty((0, 2)),
             )
 
+    @staticmethod
+    def one_row(first_entry):
+        return AssociationMatrix(
+            log_entries=np.array([[first_entry, 0.0, 0.0]]),
+            object_labels=("t00",),
+            death_eligible=(True,),
+            returns=np.zeros((1, 2)),
+        )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_entries_must_be_finite_or_minus_inf(self, bad):
+        # A +inf entry would be left out of supported, yet a walk could step
+        # onto it and score inf.
+        with pytest.raises(ValueError, match="finite or -inf"):
+            self.one_row(bad)
+
+    def test_minus_inf_entry_left_out_of_supported(self):
+        assert self.one_row(-math.inf).supported == ((1, 2),)
+
 
 class TestBirthLikelihood:
     def test_uniform_inside(self):

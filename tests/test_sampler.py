@@ -68,80 +68,72 @@ def make_walk(positions, returns, **kwargs):
     return parent, walk_for(matrix, cfg, sensor)
 
 
-class _ScriptExhausted(Exception):
-    """Raised by _ScriptRng when the chain asks for a choice past its script."""
-
-    def __init__(self, bound):
-        super().__init__(bound)
-        self.bound = bound
-
-
 class _ScriptRng:
-    """Deterministic stand-in for the walk's integer draws: below() pops
-    scripted choices and records each bound it was asked for, so the
-    probability of a scripted path is the product of 1/bound."""
+    """Stand-in for the walk's rng at its seam. getrandbits(bits) pops the
+    next scripted (value, bound) pair and checks that the walk asked for
+    bound.bit_length() bits, as randrange(bound) would; random() returns u
+    (0.0 by default, which accepts every finite candidate) and counts its
+    calls."""
 
-    def __init__(self, script):
+    def __init__(self, script, u=0.0):
         self.script = list(script)
-        self.bounds = []
+        self.u = u
+        self.uniforms = 0
 
-    def below(self, bound):
-        if not self.script:
-            raise _ScriptExhausted(bound)
-        self.bounds.append(bound)
-        return self.script.pop(0)
+    def getrandbits(self, bits):
+        value, bound = self.script.pop(0)
+        assert bits == bound.bit_length()
+        return value
 
-    def getrandbits(self, k):
-        raise AssertionError("a scripted chain draws only through _below")
-
-
-class _ScriptedChain(_Chain):
-    """_Chain whose integer draws, all made through its _below seam, pop a
-    _ScriptRng's script instead of Mersenne Twister words."""
-
-    __slots__ = ()
-
-    def _below(self, n, bits):
-        assert bits == n.bit_length()
-        return self.rng.below(n)
+    def random(self):
+        self.uniforms += 1
+        return self.u
 
 
-def scripted_chain(walk, event, script=()):
-    """walk's chain loaded with event, drawing its integers from script."""
-    return _ScriptedChain(*walk.args, _ScriptRng(script), event)
+def loaded(walk, event, script=(), u=0.0):
+    """walk's chain loaded with event, drawing from a _ScriptRng."""
+    return walk(_ScriptRng(script, u), event)
 
 
-def scripted(walk, event, script):
-    """The chain loaded with event after one scripted propose() (plus apply()
-    when the proposal is a change)."""
-    chain = scripted_chain(walk, event, script)
-    if chain.propose():
-        chain.apply()
+def scripted(walk, event, script, u=0.0):
+    """The chain loaded with event after one run(1) that consumes exactly
+    script."""
+    chain = loaded(walk, event, script, u)
+    chain.run(1)
+    assert chain.rng.script == []
     return chain
 
 
+def draw_paths(chain):
+    """Every integer-draw script of one step from chain's state, with its
+    probability: a row out of m+1, then one of the M+1 other columns, or a
+    member of the unclaimed death-eligible pool (no draw when it is empty)."""
+    m, n_objects = chain.m, chain.n_objects
+    pool = [j for j, ok in enumerate(chain.matrix.death_eligible)
+            if ok and j not in chain.assign]
+    for row in range(m):
+        for col in range(n_objects + 1):
+            yield [(row, m + 1), (col, n_objects + 1)], 1.0 / ((m + 1) * (n_objects + 1))
+    if pool:
+        for r in range(len(pool)):
+            yield [(m, m + 1), (r, len(pool))], 1.0 / ((m + 1) * len(pool))
+    else:
+        yield [(m, m + 1)], 1.0 / (m + 1)
+
+
 def scripted_proposals(walk, event):
-    """Every outcome of one _Chain.propose() from event, found by driving it
-    through each branch of its integer draws. Yields (chain after the move or
-    unmoved, moved, probability of that choice path)."""
-    pending = [[]]
-    while pending:
-        script = pending.pop()
-        chain = scripted_chain(walk, event, script)
-        try:
-            moved = chain.propose()
-        except _ScriptExhausted as branch:
-            pending.extend(script + [c] for c in range(branch.bound))
-            continue
-        if moved:
-            chain.apply()
-        yield chain, moved, math.prod(1.0 / b for b in chain.rng.bounds)
+    """Every outcome of one run(1) from event with every finite candidate
+    accepted: yields (chain after the step, probability of its draws). The
+    chain stays at event on a no-change proposal and on a zero-mass
+    candidate from a supported state."""
+    for script, prob in draw_paths(loaded(walk, event)):
+        yield scripted(walk, event, script), prob
 
 
 def proposal_support(walk, event):
-    """All events one proposal away from event (itself included when some
-    proposal is a no-change one)."""
-    return {chain.event().canonical_key() for chain, _, _ in scripted_proposals(walk, event)}
+    """All events one accepted proposal away from event (itself included
+    when some proposal leaves it)."""
+    return {chain.event().canonical_key() for chain, _ in scripted_proposals(walk, event)}
 
 
 class TestInitChain:
@@ -220,39 +212,37 @@ class TestPropose:
             [[99.0, 1.0], [52.0, 58.0]],
         )
         event = AssociationEvent(assignments=(old, "t02"))
-        before = scripted_chain(walk, event)
-        chain = scripted(walk, event, [0, choice])
+        before = loaded(walk, event)
+        chain = scripted(walk, event, [(0, 3), (choice, 4)])
         assert chain.event().assignments == ("t02", old)
         assert (chain.k, chain.n_b) == (before.k, before.n_b)
 
     def test_claiming_dead_object_is_no_change(self):
         # Assigning a return to an object in the death set would be invalid;
-        # the proposal resolves to no change (revival goes through the death
-        # row instead).
+        # the proposal resolves to no change, drawing no acceptance variate
+        # (revival goes through the death row instead).
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
         event = AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"}))
-        chain = scripted_chain(walk, event, [0, 0])
-        assert chain.propose() is False
+        chain = scripted(walk, event, [(0, 2), (0, 2)])
         assert chain.event() == event
+        assert chain.rng.uniforms == 0
 
     def test_death_toggle_both_ways(self):
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
-        chain = scripted_chain(walk, AssociationEvent(assignments=(CLUTTER,)), [1, 0, 1, 0])
-        assert chain.propose()
-        chain.apply()
+        chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)), [(1, 2), (0, 1)] * 2)
+        chain.run(1)
         assert chain.event().deaths == frozenset({"t00"})
-        assert chain.propose()
-        chain.apply()
+        chain.run(1)
         assert chain.event().deaths == frozenset()
+        assert chain.rng.script == []
 
     def test_death_move_without_death_probability_is_no_change(self):
         # beta = 0: no object is death-eligible, so the death move draws no
         # object and proposes nothing instead of a zero-mass death.
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]], beta=0.0)
-        chain = scripted_chain(walk, AssociationEvent(assignments=(CLUTTER,)), [1, 0])
-        assert chain.propose() is False
-        assert chain.rng.bounds == [2]
+        chain = scripted(walk, AssociationEvent(assignments=(CLUTTER,)), [(1, 2)])
         assert chain.event().deaths == frozenset()
+        assert chain.rng.uniforms == 0
 
     def test_zero_entry_candidate_skips_prior(self):
         # The far return cannot come from t00: that entry is -inf.
@@ -264,30 +254,22 @@ class TestPropose:
                 lookups.append(key)
                 return super().get(key, default)
 
-        seen = {"zero": 0, "hit": 0, "miss": 0}
-        for seed in range(40):
-            chain = walk(random.Random(seed), AssociationEvent(assignments=(CLUTTER,)))
-            assert chain.rows[0][0] == -math.inf
-            chain._prior_memo = RecordingMemo(chain._prior_memo)
-            # Several proposals from the same state, so later ones hit the memo.
-            for _ in range(3):
-                known = set(chain._prior_memo)
-                lookups.clear()
-                moved = chain.propose()
-                if moved and (chain._row, chain._col) == (0, 0):
-                    assert chain.cand_score == -math.inf
-                    assert lookups == []
-                    seen["zero"] += 1
-                elif not moved:
-                    assert lookups == []
-                elif lookups[0] in known:
-                    assert lookups == lookups[:1]  # one read on a hit
-                    seen["hit"] += 1
-                else:
-                    # A miss reads the memo once inline and once in log_prior.
-                    assert lookups == lookups[:1] * 2
-                    seen["miss"] += 1
-        assert all(seen.values()), seen
+        chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)))
+        assert chain.rows[0][0] == -math.inf
+        assert (0, 0, 0) in chain._prior_memo  # the loaded state's counts
+        chain._prior_memo = RecordingMemo(chain._prior_memo)
+        # Row 0 from clutter: column draw 0 is t00, 1 is birth; from birth,
+        # draw 1 skips birth itself and is clutter.
+        for draw, to, reads in [
+            (0, CLUTTER, []),  # zero entry: no lookup, rejected
+            (1, BIRTH, [(0, 1, 0)] * 2),  # a miss reads inline and in log_prior
+            (1, CLUTTER, [(0, 0, 0)]),  # a hit reads once
+        ]:
+            lookups.clear()
+            chain.rng.script = [(0, 2), (draw, 2)]
+            chain.run(1)
+            assert chain.event().assignments == (to,)
+            assert lookups == reads
 
     def test_prior_memo_matches_log_count_prior(self):
         parent, matrix, cfg, sensor = make_instance(
@@ -309,8 +291,7 @@ class TestPropose:
         )
         chain = walk(random.Random(123))
         for _ in range(100_000):
-            if chain.propose():
-                chain.apply()
+            chain.run(1)
             event = chain.event()
             objs = event.associated_labels
             assert len(objs) == len(set(objs))
@@ -322,8 +303,7 @@ class TestPropose:
         )
         chain = _Chain(matrix, cfg, sensor.p_d, random.Random(5))
         for _ in range(200):
-            if chain.propose():
-                chain.apply()
+            chain.run(1)
             event = chain.event()
             expected = log_child_prior(
                 event, parent, cfg, sensor.p_d, 2
@@ -334,36 +314,53 @@ class TestPropose:
                 assert chain.log_score == pytest.approx(expected, rel=1e-12)
 
 
-def chain_scored(score, seed=0):
-    """A chain whose current log-score is score, for exercising _accept."""
-    parent, walk = make_walk([], [])
-    chain = walk(random.Random(seed))
-    chain.log_score = score
-    return chain
-
-
 class TestMetropolis:
+    """One run(1) from {z -> clutter} proposing z -> t00 (row 0, column draw
+    0), from a current score set by the test."""
+
+    FAR = [[5000.0, 0.0]]  # t00's entry is -inf: a zero-mass candidate
+
+    @staticmethod
+    def setup(returns=((99.0, 1.0),)):
+        """(walk, start event, candidate's log score)."""
+        parent, walk = make_walk([(100.0, 0.0)], list(returns))
+        cand = loaded(walk, AssociationEvent(assignments=("t00",))).log_score
+        return walk, AssociationEvent(assignments=(CLUTTER,)), cand
+
+    @staticmethod
+    def step(walk, start, current, u):
+        """(moved, acceptance variates drawn) of that step."""
+        chain = loaded(walk, start, [(0, 2), (0, 2)], u)
+        chain.log_score = current
+        chain.run(1)
+        return chain.assign == [0], chain.rng.uniforms
+
     def test_higher_score_always_accepted(self):
-        chain = chain_scored(-5.0)
-        for _ in range(100):
-            assert chain._accept(-1.0)
+        # No variate is drawn, so even the largest one cannot reject.
+        walk, start, cand = self.setup()
+        assert self.step(walk, start, cand - 2.0, u=1.0 - 2.0**-53) == (True, 0)
 
     def test_half_ratio_accepted_half_the_time(self):
-        chain = chain_scored(0.0, seed=321)
-        hits = sum(chain._accept(math.log(0.5)) for _ in range(100_000))
+        walk, start, cand = self.setup()
+        rng = random.Random(321)
+        hits = sum(
+            self.step(walk, start, cand + math.log(2.0), rng.random())[0]
+            for _ in range(100_000)
+        )
         assert abs(hits / 100_000 - 0.5) < 0.01
 
     def test_minus_inf_always_rejected(self):
-        chain = chain_scored(-10.0, seed=1)
-        for _ in range(100):
-            assert not chain._accept(-math.inf)
+        # Rejected without a variate, so even u = 0 cannot accept it.
+        walk, start, cand = self.setup(self.FAR)
+        assert cand == -math.inf
+        assert self.step(walk, start, -10.0, u=0.0) == (False, 0)
 
     def test_minus_inf_accepted_on_zero_mass_plateau(self):
         # From a zero-mass state the walk moves freely, so a random init on
         # the plateau can leave it.
-        chain = chain_scored(-math.inf)
-        assert chain._accept(-math.inf)
-        assert chain._accept(-3.0)
+        for returns in (self.FAR, [[99.0, 1.0]]):
+            walk, start, cand = self.setup(returns)
+            assert self.step(walk, start, -math.inf, u=1.0 - 2.0**-53) == (True, 0)
 
 
 class TestSampleChildren:
@@ -455,9 +452,13 @@ class TestIrreducibility:
         returns = [[100.0 + 10.0 * i, 5.0 * i] for i in range(n_returns)]
         parent, matrix, cfg, sensor = make_instance(positions, returns, n_pixels=1)
         walk = walk_for(matrix, cfg, sensor)
+        # The posterior's support: supported events with a finite prior
+        # (n_pixels = 1 gives two births zero mass). The walk never accepts
+        # a move out of it.
         all_events = {
             e.canonical_key(): e
             for e in enumerate_child_events(matrix)
+            if loaded(walk, e).log_score > -math.inf
         }
 
         def neighbors(key):
@@ -493,24 +494,22 @@ class TestIrreducibility:
 
 def kernel_stationary(walk, events):
     """Stationary distribution of the exact transition kernel of the walk
-    restricted to the finite-score events: every propose() outcome weighted
-    by its probability, accepted with min(1, pi(t)/pi(s))."""
+    restricted to the finite-score events: every draw path of one step
+    weighted by its probability, its target accepted with
+    min(1, pi(t)/pi(s))."""
     index = {}
     scores = []
     for event in events:
-        score = scripted_chain(walk, event).log_score
+        score = loaded(walk, event).log_score
         if score > -math.inf:
             index[event.canonical_key()] = len(scores)
             scores.append((event, score))
     P = np.zeros((len(scores), len(scores)))
     for s, (event, score) in enumerate(scores):
         total = 0.0
-        for chain, moved, prob in scripted_proposals(walk, event):
+        for chain, prob in scripted_proposals(walk, event):
             total += prob
-            t = index.get(chain.event().canonical_key()) if moved else None
-            if t is None:  # no-change or zero-mass candidate
-                P[s, s] += prob
-                continue
+            t = index[chain.event().canonical_key()]
             accept = min(1.0, math.exp(chain.log_score - score))
             P[s, t] += prob * accept
             P[s, s] += prob * (1.0 - accept)
@@ -523,17 +522,24 @@ def kernel_stationary(walk, events):
 
 class TestExactKernel:
     # Tracks a few km apart with returns between them, so every pairing is
-    # plausible and the conflict move is exercised on most steps.
+    # plausible and the conflict move is exercised on most steps. In sparse,
+    # the third return is far from every track, so its row supports only
+    # birth and clutter, and t02 is far from every return: proposals onto
+    # those -inf entries exercise the rejection branch.
     INSTANCES = {
         "2x2": ([(100.0, 0.0), (103.0, 0.0)], [[101.0, 0.5], [102.0, -0.5]]),
         "3x3": (
             [(100.0, 0.0), (102.0, 1.5), (101.0, -2.0)],
             [[100.5, 0.5], [102.0, 0.0], [101.0, -1.0]],
         ),
+        "sparse": (
+            [(100.0, 0.0), (103.0, 0.0), (0.0, -80.0)],
+            [[101.0, 0.5], [102.0, -0.5], [5000.0, 0.0]],
+        ),
     }
 
     @pytest.mark.parametrize("beta", [0.05, 0.0])
-    @pytest.mark.parametrize("name", ["2x2", "3x3"])
+    @pytest.mark.parametrize("name", ["2x2", "3x3", "sparse"])
     def test_stationary_distribution_is_exact_posterior(self, name, beta):
         positions, returns = self.INSTANCES[name]
         parent, matrix, cfg, sensor = make_instance(
@@ -567,26 +573,42 @@ class TestStream:
     would, so a seed fixes its output. The golden children were recorded
     when the walk still called randrange."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 12345])
-    def test_below_matches_randrange(self, seed):
-        # n = 1, the powers of two and their neighbours all lie in 1..70.
-        parent, matrix, cfg, sensor = make_instance([], [])
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(seed))
-        ref = random.Random(seed)
-        for n in range(1, 71):
-            for _ in range(3):
-                assert chain._below(n, n.bit_length()) == ref.randrange(n)
-        assert chain.rng.random() == ref.random()
-
     INSTANCES = {
-        # The third return is far from every track, so its row supports
-        # only birth and clutter.
-        "sparse": (
-            [(100.0, 0.0), (103.0, 0.0), (0.0, -80.0)],
-            [[101.0, 0.5], [102.0, -0.5], [5000.0, 0.0]],
-        ),
+        "sparse": TestExactKernel.INSTANCES["sparse"],
         "dense3x3": TestExactKernel.INSTANCES["3x3"],
     }
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_below_matches_randrange(self, seed):
+        # Each integer draw, the init's and run()'s, is rng.randrange of the
+        # bound the state sets (the row's support size; then m+1 rows and
+        # M+1 other columns or the unclaimed death-eligible pool). A
+        # reference rng making those calls, plus random() when the step drew
+        # an acceptance variate, stays in the chain rng's state. Here m+1 = 4
+        # and M+1 = 4 take 3 bits, so about half the raw draws are redrawn.
+        parent, matrix, cfg, sensor = make_instance(*self.INSTANCES["sparse"])
+        m, n_objects = matrix.n_returns, matrix.n_objects
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(seed))
+        ref = random.Random(seed)
+        for supported in matrix.supported:
+            ref.randrange(len(supported))
+        assert ref.getstate() == chain.rng.getstate()
+        variates = 0
+        for _ in range(3000):
+            pool = [j for j, ok in enumerate(matrix.death_eligible)
+                    if ok and j not in chain.assign]
+            chain.run(1)
+            row = ref.randrange(m + 1)
+            if row < m:
+                ref.randrange(n_objects + 1)
+            elif pool:
+                ref.randrange(len(pool))
+            if ref.getstate() != chain.rng.getstate():
+                ref.random()
+                variates += 1
+            assert ref.getstate() == chain.rng.getstate()
+        assert variates > 0
+
     C = CLUTTER
     GOLDEN = {
         "sparse": [
@@ -639,21 +661,50 @@ class TestStream:
 
 class TestKeyCache:
     def test_cached_key_follows_every_step(self):
+        # run(1, table) adds one visit to the slot of the state the step
+        # ends in, whether it moved or not, and only builds a key after a
+        # move: the slot it adds to must always be the fresh state's.
         positions, returns = TestExactKernel.INSTANCES["3x3"]
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=0.05, clutter_density=3e-3,
         )
         chain = _Chain(matrix, cfg, sensor.p_d, random.Random(8))
+        table = {}
         before = chain.key()
         toggles = swaps = 0
-        for _ in range(5000):
-            moved = chain.step()
+        for step in range(1, 5001):
+            chain.run(1, table)
             fresh = (tuple(chain.assign), tuple(sorted(chain.dead)))
             assert chain.key() == fresh
-            assert moved == (fresh != before)
-            if moved and chain._row == chain.m:
+            assert table[fresh][0] == pytest.approx(chain.log_score, rel=1e-12)
+            assert sum(visits for _, visits in table.values()) == step
+            if fresh[1] != before[1]:
                 toggles += 1
-            elif moved and chain._other != -1:
+            elif sum(a != b for a, b in zip(fresh[0], before[0])) == 2:
                 swaps += 1
             before = fresh
         assert toggles > 0 and swaps > 0
+        assert len(table) > 1
+
+    def test_run_leaves_state_consistent(self):
+        # resync() rebinds claimed_by and resums the likelihood mid-loop.
+        # After any run, the claims and counts are those the assignment
+        # implies, and a state first visited on the run's last step carries
+        # its from-scratch rescoring bit for bit.
+        positions, returns = TestExactKernel.INSTANCES["sparse"]
+        parent, matrix, cfg, sensor = make_instance(positions, returns)
+        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(3))
+        first_visits = 0
+        for n in range(600):
+            if n % 10 == 0:
+                table = {}  # so that first visits keep coming
+            chain.run(n % 5 + 1, table)
+            fresh = _Chain(matrix, cfg, sensor.p_d, random.Random(0), chain.event())
+            assert chain.claimed_by == fresh.claimed_by
+            assert (chain.k, chain.n_b, chain.zero_entries) == (
+                fresh.k, fresh.n_b, fresh.zero_entries)
+            if table[chain.key()][1] == 1:
+                first_visits += 1
+                assert chain.finite_loglik == fresh.finite_loglik
+                assert chain.log_score == fresh.log_score
+        assert first_visits > 50

@@ -15,7 +15,12 @@ from mcmctrack.filters import (
 )
 from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildren
 from mcmctrack.likelihoods import ClutterModel
-from mcmctrack.presets import preset_sixty_object, preset_twenty_object, tracker_config_for
+from mcmctrack.presets import (
+    preset_single_spawn,
+    preset_sixty_object,
+    preset_twenty_object,
+    tracker_config_for,
+)
 from mcmctrack.sampler import SamplerConfig
 from mcmctrack.simulate import MeasurementFrame, simulate_scenario
 from mcmctrack import oracle
@@ -163,6 +168,36 @@ class TestStepBasics:
                 want = predict_track(track, cfg.dynamics)
                 np.testing.assert_array_equal(got.mean, want.mean)
                 np.testing.assert_array_equal(got.covariance, want.covariance)
+
+    def test_shared_track_predicted_and_updated_once(self, monkeypatch):
+        # Children share their parent's track objects, so parents share
+        # tracks: one scan predicts each object once, and updates each
+        # predicted track with a given return once.
+        cfg = make_config(p_d=1.0, alpha=0.0, beta=0.0, clutter_density=0.0)
+        tracker = Tracker(cfg)
+        shared = track_at("t00", 100.0, 0.0)
+        hyps = [
+            Hypothesis(id=f"h{i}", parent_id=None, log_weight=math.log(0.5), tracks=(shared,))
+            for i in range(2)
+        ]
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(tracker_module, "predict_track", counting("predict", predict_track))
+        monkeypatch.setattr(tracker_module, "update_track", counting("update", update_track))
+        z = np.array([100.0, 0.5])
+        new_hyps, _ = tracker.step(hyps, frame_at(10.0, [z]))
+        assert sorted(calls) == ["predict", "update"]
+        assert len(new_hyps) == 2
+        want = update_track(predict_track(shared, cfg.dynamics), z, cfg.sensor)[0]
+        for hyp in new_hyps:
+            np.testing.assert_array_equal(hyp.tracks[0].mean, want.mean)
+            np.testing.assert_array_equal(hyp.tracks[0].covariance, want.covariance)
 
     def test_rejects_weights_off_by_more_than_1e12(self):
         cfg = make_config()
@@ -368,6 +403,44 @@ class TestRunTracker:
         assert [r.scan for r in reports] == [1, 2, 3]
         assert all(r.estimated_count == 1 for r in reports)
         assert reports[-1].hypothesis_count_bound >= 1
+
+
+class TestSeedGolden:
+    # Per scan of single-spawn at seed 0: (top hypothesis id, estimated
+    # count, hypotheses kept, weight entropy). The walk's rng stream and its
+    # summation order fix these, so a change to either shows at tracker
+    # level and not only in the sampler's goldens.
+    GOLDEN = [
+        ("h1-00000", 1, 2, 0.005048299525944081),
+        ("h2-00000", 1, 2, 0.00021464879672199023),
+        ("h3-00000", 1, 2, 8.333111862613285e-06),
+        ("h4-00000", 1, 2, 3.0679971964385934e-07),
+        ("h5-00000", 1, 8, 1.0964694600867837),
+        ("h6-00000", 1, 13, 1.1744638803872833),
+        ("h7-00000", 2, 27, 0.675872984107659),
+        ("h8-00000", 2, 50, 0.6303238419978321),
+        ("h9-00000", 2, 50, 0.475413510921152),
+        ("h10-00000", 4, 50, 0.7595451617581647),
+        ("h11-00000", 4, 50, 0.006521848939166481),
+        ("h12-00000", 4, 50, 0.03846032061169108),
+        ("h13-00000", 4, 50, 0.5186101269202779),
+        ("h14-00000", 3, 50, 0.5496496637083482),
+    ]
+
+    def test_single_spawn_seed0_reports(self):
+        scenario = preset_single_spawn(seed=0)
+        _, frames = simulate_scenario(scenario)
+        tracker = Tracker(tracker_config_for(scenario, seed=0))
+        hyps = tracker.initial_hypotheses([
+            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+            for i, s in enumerate(scenario.objects)
+        ])
+        _, reports = run_tracker(tracker, hyps, frames)
+        assert [
+            (r.top_hypothesis_id, r.estimated_count, r.n_hypotheses) for r in reports
+        ] == [g[:3] for g in self.GOLDEN]
+        for r, g in zip(reports, self.GOLDEN):
+            assert r.weight_entropy == pytest.approx(g[3], rel=1e-9, abs=1e-15)
 
 
 class TestPresetQuality:
