@@ -353,7 +353,8 @@ class _Chain:
                     slot = table.get(key)
                     if slot is None:
                         # Rescore from scratch. resync() rebinds claimed_by
-                        # and resums the likelihood, so reload both.
+                        # and resums the likelihood, so reload every local
+                        # it recomputes.
                         self.resync()
                         claimed_by = self.claimed_by
                         k = self.k

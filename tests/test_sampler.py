@@ -132,7 +132,7 @@ def scripted_proposals(walk, event):
 
 def proposal_support(walk, event):
     """All events one accepted proposal away from event (itself included
-    when some proposal leaves it)."""
+    when some step leaves the state unchanged)."""
     return {chain.event().canonical_key() for chain, _ in scripted_proposals(walk, event)}
 
 
