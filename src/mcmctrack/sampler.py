@@ -391,19 +391,29 @@ def chain_seed(seed: int, parent_id: str) -> int:
     return int(state[0]) << 64 | int(state[1])
 
 
-def sample_children(
-    parent: Hypothesis,
-    matrix: AssociationMatrix,
-    cfg: SamplerConfig,
-    birth_cfg: BirthDeathConfig,
-    sensor: SensorModel,
-) -> list[ChildSample]:
+@dataclass(frozen=True)
+class WalkJob:
+    """Everything one parent's walk reads: the parent's id (which seeds the
+    chain), its association matrix, the sampler and birth/death settings and
+    the detection probability. A job is small and picklable, so a worker
+    process can run it."""
+
+    parent_id: str
+    matrix: AssociationMatrix
+    cfg: SamplerConfig
+    birth_cfg: BirthDeathConfig
+    p_d: float
+
+
+def walk_children(job: WalkJob) -> list[ChildSample]:
     """Run one walk, record every post-burn-in state into a deduplicated
     table (scores recomputed from scratch on first visit), and return the
     top children_kept events by score.
 
-    Deterministic given cfg.seed and the parent id.
+    Deterministic given job.cfg.seed and job.parent_id, whichever process
+    runs it.
     """
+    matrix, cfg = job.matrix, job.cfg
     m, n_objects = matrix.n_returns, matrix.n_objects
     burn = cfg.burn_in_steps
     if burn is None:
@@ -412,7 +422,8 @@ def sample_children(
     if record is None:
         record = default_record_steps(m, n_objects)
     table: dict[tuple, list] = {}
-    chain = _Chain(matrix, birth_cfg, sensor.p_d, random.Random(chain_seed(cfg.seed, parent.id)))
+    rng = random.Random(chain_seed(cfg.seed, job.parent_id))
+    chain = _Chain(matrix, job.birth_cfg, job.p_d, rng)
     chain.run(burn)
     chain.run(record, table)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
@@ -424,6 +435,19 @@ def sample_children(
         ChildSample(event=_event_of(matrix, key), log_score=score, visits=visits)
         for key, (score, visits) in ranked
     ]
+
+
+def sample_children(
+    parent: Hypothesis,
+    matrix: AssociationMatrix,
+    cfg: SamplerConfig,
+    birth_cfg: BirthDeathConfig,
+    sensor: SensorModel,
+) -> list[ChildSample]:
+    """walk_children for parent's walk over matrix: deterministic given
+    cfg.seed and the parent id, whichever process runs it. Of parent and
+    sensor it reads only parent.id and sensor.p_d."""
+    return walk_children(WalkJob(parent.id, matrix, cfg, birth_cfg, sensor.p_d))
 
 
 def visit_distribution(samples: list[ChildSample]) -> dict[tuple, float]:

@@ -1,14 +1,23 @@
-"""Per-scan recursion: predict, build matrices, generate children (MCMC or
-exhaustive), normalize weights jointly across all parents and prune in one
-pass, realize the surviving children (birth/death bookkeeping), and report."""
+"""Per-scan recursion: predict and build the association matrix of every
+parent, generate each parent's children (MCMC or exhaustive), normalize
+weights jointly across all parents and prune in one pass, realize the
+surviving children (birth/death bookkeeping), and report.
+
+The MCMC walks of a scan with several parents run across the CPUs this
+process may use, one job per parent on a pool of forked workers, and come
+back in parent order. A walk is seeded by the run seed and its parent's id
+alone, so its children do not depend on the process that runs it."""
 
 from __future__ import annotations
 
+import atexit
 import math
+import multiprocessing
+import os
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -41,7 +50,7 @@ from .likelihoods import (
     newborn_track,
 )
 from .oracle import enumerate_child_events
-from .sampler import SamplerConfig, sample_children
+from .sampler import ChildSample, SamplerConfig, WalkJob, sample_children, walk_children
 from .simulate import MeasurementFrame
 
 
@@ -182,6 +191,45 @@ class _LabelCounter:
         return label
 
 
+def _worker_count() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork walk workers:
+    without a CPU affinity API (outside Linux) and in a daemonic process,
+    which may not have children."""
+    if not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+class _WalkPool:
+    """Worker processes for the walks of multi-parent scans: a fork pool of
+    _worker_count() workers, created on first use and terminated at exit.
+    Forked workers start in milliseconds with the modules already imported
+    (a spawned pool took 0.6 s to start on a 2-core Xeon), and a job carries
+    all the state its walk reads. Workers run sampler.walk_children itself,
+    never a name rebound on this module. The pool belongs to the process
+    that created it: a process forked from that one starts its own."""
+
+    def __init__(self) -> None:
+        self._pool: multiprocessing.pool.Pool | None = None
+        self._pid = 0
+
+    def map(self, jobs: Iterable[WalkJob]) -> list[list[ChildSample]]:
+        if self._pid != os.getpid():
+            self._pool = multiprocessing.get_context("fork").Pool(_worker_count())
+            self._pid = os.getpid()
+            atexit.register(self.close)
+        return self._pool.map(walk_children, jobs, chunksize=1)
+
+    def close(self) -> None:
+        if self._pid == os.getpid():
+            self._pool.terminate()
+            self._pool = None
+            self._pid = 0
+
+
+_WALK_POOL = _WalkPool()
+
+
 class Tracker:
     """Stateful driver for the per-scan recursion. Hypothesis collections are
     only mutated between phases; a step is atomic from the caller's view."""
@@ -221,18 +269,21 @@ class Tracker:
         # tracks that hypotheses holds for the whole call.
         predicted_of: dict[int, GaussianTrack] = {}
         predicted_by_parent = []
-        candidates: list[Candidate] = []
+        matrices = []
         for parent in parents:
             for t in parent.tracks:
                 if id(t) not in predicted_of:
                     predicted_of[id(t)] = predict_track(t, cfg.dynamics)
             predicted = tuple(predicted_of[id(t)] for t in parent.tracks)
             predicted_by_parent.append(predicted)
-            matrix = build_matrix(predicted, frame.returns, cfg.sensor, cfg.clutter, bd)
-            for event, log_score in self._children_of(parent, matrix, bd):
-                candidates.append(
-                    Candidate(parent.id, predicted, event, parent.log_weight + log_score)
-                )
+            matrices.append(build_matrix(predicted, frame.returns, cfg.sensor, cfg.clutter, bd))
+        candidates = [
+            Candidate(parent.id, predicted, event, parent.log_weight + log_score)
+            for parent, predicted, children in zip(
+                parents, predicted_by_parent, self._children(parents, matrices, bd)
+            )
+            for event, log_score in children
+        ]
         try:
             kept = prune(candidates, cfg.h_inf)
         except DegenerateUpdateError:
@@ -267,27 +318,44 @@ class Tracker:
         report = self._report(frame, new_hyps, bound, bd, degenerate=False)
         return new_hyps, report
 
-    def _children_of(
+    def _children(
         self,
-        parent: Hypothesis,
-        matrix: AssociationMatrix,
+        parents: Sequence[Hypothesis],
+        matrices: Sequence[AssociationMatrix],
         bd: BirthDeathConfig,
-    ) -> list[tuple[AssociationEvent, float]]:
-        """Scored children of parent, whose id, labels and track count are
-        those of its predicted tracks (prediction keeps labels). Exhaustive
-        mode inherits the enumerator's event budget (oracle.MAX_EVENTS)."""
+    ) -> list[list[tuple[AssociationEvent, float]]]:
+        """Scored children of each parent, in parent order. A parent's id,
+        labels and track count are those of its predicted tracks (prediction
+        keeps labels), so its matrix is all a walk needs of it.
+
+        The walks of a scan with several parents run on the walk pool when
+        the process may use more than one CPU, and in process otherwise.
+        Exhaustive mode always runs in process, under the enumerator's event
+        budget (oracle.MAX_EVENTS) as this process sets it."""
         cfg = self.cfg
-        if cfg.mode is TrackerMode.MCMC:
-            samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
-            return [(s.event, s.log_score) for s in samples]
-        return [
-            (
-                event,
-                log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
-                + hypothesis_log_likelihood(event, matrix),
+        if cfg.mode is TrackerMode.EXHAUSTIVE:
+            return [
+                [
+                    (
+                        event,
+                        log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
+                        + hypothesis_log_likelihood(event, matrix),
+                    )
+                    for event in enumerate_child_events(matrix)
+                ]
+                for parent, matrix in zip(parents, matrices)
+            ]
+        if len(parents) > 1 and _worker_count() > 1:
+            sampled = _WALK_POOL.map(
+                WalkJob(parent.id, matrix, cfg.sampler, bd, cfg.sensor.p_d)
+                for parent, matrix in zip(parents, matrices)
             )
-            for event in enumerate_child_events(matrix)
-        ]
+        else:
+            sampled = [
+                sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
+                for parent, matrix in zip(parents, matrices)
+            ]
+        return [[(s.event, s.log_score) for s in samples] for samples in sampled]
 
     def _report(
         self,

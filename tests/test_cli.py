@@ -1,11 +1,17 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mcmctrack
+from mcmctrack import tracker as tracker_module
 from mcmctrack.cli import main
 from mcmctrack.hypotheses import count_grandchildren
 from mcmctrack.io import (
@@ -209,6 +215,54 @@ class TestTrackCommand:
             "--scenario", str(small_scenario_file), "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+
+def live_processes_naming(text):
+    """Pids of the live (not zombie) processes whose command line holds text."""
+    pids = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            argv = (entry / "cmdline").read_bytes().split(b"\0")
+            state = (entry / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        except OSError:  # the process ended meanwhile
+            continue
+        if state != "Z" and any(text.encode() in arg for arg in argv):
+            pids.add(int(entry.name))
+    return pids
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestTrackProcess:
+    def test_exits_cleanly_and_leaves_no_worker(self, tmp_path):
+        # The walk pool's workers are forks of the command, so they carry
+        # its command line, and with it the unique output directory.
+        sim, out = tmp_path / "sim", tmp_path / "track-out"
+        assert main(["simulate", "--scenario", "single-spawn", "--seed", "0",
+                     "--out", str(sim)]) == 0
+        src = str(Path(mcmctrack.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        stderr = tmp_path / "stderr.txt"
+        with open(stderr, "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "mcmctrack.cli", "track",
+                 "--frames", str(sim / "frames.csv"), "--scenario", "single-spawn",
+                 "--seed", "0", "--out", str(out)],
+                stdout=subprocess.DEVNULL, stderr=err, env={**os.environ, "PYTHONPATH": path},
+            )
+            seen = set()
+            deadline = time.monotonic() + 300
+            while proc.poll() is None and time.monotonic() < deadline:
+                seen |= live_processes_naming(str(out))
+                time.sleep(0.05)
+            proc.kill()
+            rc = proc.wait(timeout=30)
+        assert rc == 0
+        assert stderr.read_text() == ""
+        if tracker_module._worker_count() > 1:
+            assert seen - {proc.pid}, "the run started no walk worker"
+        assert not live_processes_naming(str(out))
 
 
 class TestFigdataCommand:

@@ -1,6 +1,9 @@
 """Per-scan recursion: weighting, bookkeeping, reduction properties."""
 
+import copy
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from mcmctrack.filters import (
     update_track,
 )
 from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildren
+from mcmctrack.io import write_reports_ldjson
 from mcmctrack.likelihoods import ClutterModel
 from mcmctrack.presets import (
     preset_single_spawn,
@@ -441,6 +445,68 @@ class TestSeedGolden:
         ] == [g[:3] for g in self.GOLDEN]
         for r, g in zip(reports, self.GOLDEN):
             assert r.weight_entropy == pytest.approx(g[3], rel=1e-9, abs=1e-15)
+
+
+def preset_start(preset):
+    scenario = preset(seed=0)
+    _, frames = simulate_scenario(scenario)
+    tracker = Tracker(tracker_config_for(scenario, seed=0))
+    hyps = tracker.initial_hypotheses([
+        GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+        for i, s in enumerate(scenario.objects)
+    ])
+    return tracker, hyps, frames
+
+
+def digest(hyps):
+    return [
+        (h.id, h.parent_id, h.log_weight,
+         [(t.label, t.mean.tobytes(), t.covariance.tobytes()) for t in h.tracks])
+        for h in hyps
+    ]
+
+
+@pytest.mark.skipif(tracker_module._worker_count() < 2,
+                    reason="one usable CPU: every walk runs in process")
+class TestWalkPool:
+    @pytest.mark.parametrize("preset", [preset_single_spawn, preset_twenty_object],
+                             ids=["single-spawn", "twenty-object"])
+    def test_pool_and_in_process_reports_identical(self, preset, tmp_path, monkeypatch):
+        written = []
+        for run in ("pool", "in-process"):
+            if run == "in-process":
+                monkeypatch.setattr(tracker_module, "_worker_count", lambda: 1)
+            tracker, hyps, frames = preset_start(preset)
+            _, reports = run_tracker(tracker, hyps, frames)
+            if run == "pool":
+                assert tracker_module._WALK_POOL._pid == os.getpid()
+            path = tmp_path / f"{run}.ldjson"
+            write_reports_ldjson(reports, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
+
+    def test_forked_process_starts_its_own_pool(self):
+        # A fork of the pool's owner must not hand jobs to workers that
+        # answer the owner alone: it would wait forever.
+        tracker, hyps, frames = preset_start(preset_single_spawn)
+        for frame in frames[:6]:
+            hyps, _ = tracker.step(hyps, frame)
+        assert len(hyps) > 1 and tracker_module._WALK_POOL._pid == os.getpid()
+        forked = copy.deepcopy(tracker)
+        expected = digest(tracker.step(hyps, frames[6])[0])
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                signal.alarm(60)
+                new, _ = forked.step(hyps, frames[6])
+                own = tracker_module._WALK_POOL._pid == os.getpid()
+                code = 0 if own and digest(new) == expected else 2
+            finally:
+                tracker_module._WALK_POOL.close()
+                os._exit(code)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 class TestPresetQuality:
