@@ -21,7 +21,9 @@ tables. Its random initial state draws from the matrix's supported columns
 (AssociationMatrix.supported), the same pattern the child enumerator walks.
 _Chain.run is the one stepping method: a single loop over local variables
 that draws, scores, tests and commits each move and, when given a table,
-records the visits.
+records the visits. walk_children runs one parent's walk from a WalkJob,
+which carries everything the walk reads, so a worker process can run it;
+sample_children builds the job and runs it in process.
 
 Stream contract: each integer draw, the initial state's and run's (a row
 out of m+1, then one of the M+1 other columns or a member of the unclaimed

@@ -13,6 +13,7 @@ from __future__ import annotations
 import atexit
 import math
 import multiprocessing
+import multiprocessing.pool
 import os
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -200,34 +201,33 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _WalkPool:
-    """Worker processes for the walks of multi-parent scans: a fork pool of
-    _worker_count() workers, created on first use and terminated at exit.
-    Forked workers start in milliseconds with the modules already imported
-    (a spawned pool took 0.6 s to start on a 2-core Xeon), and a job carries
-    all the state its walk reads. Workers run sampler.walk_children itself,
-    never a name rebound on this module. The pool belongs to the process
-    that created it: a process forked from that one starts its own."""
-
-    def __init__(self) -> None:
-        self._pool: multiprocessing.pool.Pool | None = None
-        self._pid = 0
-
-    def map(self, jobs: Iterable[WalkJob]) -> list[list[ChildSample]]:
-        if self._pid != os.getpid():
-            self._pool = multiprocessing.get_context("fork").Pool(_worker_count())
-            self._pid = os.getpid()
-            atexit.register(self.close)
-        return self._pool.map(walk_children, jobs, chunksize=1)
-
-    def close(self) -> None:
-        if self._pid == os.getpid():
-            self._pool.terminate()
-            self._pool = None
-            self._pid = 0
+# The walk pool: created by the first map_walks call of a process, owned by
+# that process alone (its pid), terminated at exit.
+_pool: multiprocessing.pool.Pool | None = None
+_pool_pid = 0
 
 
-_WALK_POOL = _WalkPool()
+def map_walks(jobs: Iterable[WalkJob]) -> list[list[ChildSample]]:
+    """sampler.walk_children of each job, in job order, run on a fork pool
+    of _worker_count() workers. Forked workers start in milliseconds with
+    the modules already imported (a spawned pool took 0.6 s to start on a
+    2-core Xeon), and a job carries all the state its walk reads. Workers
+    run the sampler's function itself, never a name rebound on this module.
+    A process forked from the pool's owner starts its own pool, since the
+    owner's workers answer the owner alone."""
+    global _pool, _pool_pid
+    if _pool_pid != os.getpid():
+        _pool = multiprocessing.get_context("fork").Pool(_worker_count())
+        _pool_pid = os.getpid()
+        atexit.register(_close_pool)
+    return _pool.map(walk_children, jobs, chunksize=1)
+
+
+def _close_pool() -> None:
+    global _pool, _pool_pid
+    if _pool_pid == os.getpid():
+        _pool.terminate()
+        _pool, _pool_pid = None, 0
 
 
 class Tracker:
@@ -328,7 +328,7 @@ class Tracker:
         labels and track count are those of its predicted tracks (prediction
         keeps labels), so its matrix is all a walk needs of it.
 
-        The walks of a scan with several parents run on the walk pool when
+        The walks of a scan with several parents run through map_walks when
         the process may use more than one CPU, and in process otherwise.
         Exhaustive mode always runs in process, under the enumerator's event
         budget (oracle.MAX_EVENTS) as this process sets it."""
@@ -346,7 +346,7 @@ class Tracker:
                 for parent, matrix in zip(parents, matrices)
             ]
         if len(parents) > 1 and _worker_count() > 1:
-            sampled = _WALK_POOL.map(
+            sampled = map_walks(
                 WalkJob(parent.id, matrix, cfg.sampler, bd, cfg.sensor.p_d)
                 for parent, matrix in zip(parents, matrices)
             )

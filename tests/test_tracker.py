@@ -479,7 +479,7 @@ class TestWalkPool:
             tracker, hyps, frames = preset_start(preset)
             _, reports = run_tracker(tracker, hyps, frames)
             if run == "pool":
-                assert tracker_module._WALK_POOL._pid == os.getpid()
+                assert tracker_module._pool_pid == os.getpid()
             path = tmp_path / f"{run}.ldjson"
             write_reports_ldjson(reports, path)
             written.append(path.read_bytes())
@@ -491,7 +491,7 @@ class TestWalkPool:
         tracker, hyps, frames = preset_start(preset_single_spawn)
         for frame in frames[:6]:
             hyps, _ = tracker.step(hyps, frame)
-        assert len(hyps) > 1 and tracker_module._WALK_POOL._pid == os.getpid()
+        assert len(hyps) > 1 and tracker_module._pool_pid == os.getpid()
         forked = copy.deepcopy(tracker)
         expected = digest(tracker.step(hyps, frames[6])[0])
         pid = os.fork()
@@ -500,10 +500,10 @@ class TestWalkPool:
             try:
                 signal.alarm(60)
                 new, _ = forked.step(hyps, frames[6])
-                own = tracker_module._WALK_POOL._pid == os.getpid()
+                own = tracker_module._pool_pid == os.getpid()
                 code = 0 if own and digest(new) == expected else 2
             finally:
-                tracker_module._WALK_POOL.close()
+                tracker_module._close_pool()
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
