@@ -424,8 +424,7 @@ def walk_children(job: WalkJob) -> list[ChildSample]:
     if record is None:
         record = default_record_steps(m, n_objects)
     table: dict[tuple, list] = {}
-    rng = random.Random(chain_seed(cfg.seed, job.parent_id))
-    chain = _Chain(matrix, job.birth_cfg, job.p_d, rng)
+    chain = _Chain(matrix, job.birth_cfg, job.p_d, random.Random(chain_seed(cfg.seed, job.parent_id)))
     chain.run(burn)
     chain.run(record, table)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];

@@ -15,6 +15,7 @@ import math
 import multiprocessing
 import multiprocessing.pool
 import os
+import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -202,9 +203,11 @@ def _worker_count() -> int:
 
 
 # The walk pool: created by the first map_walks call of a process, owned by
-# that process alone (its pid), terminated at exit.
+# that process alone (its pid), terminated at exit. The lock keeps threads
+# that reach a first multi-parent scan together from starting two pools.
 _pool: multiprocessing.pool.Pool | None = None
 _pool_pid = 0
+_pool_lock = threading.Lock()
 
 
 def map_walks(jobs: Iterable[WalkJob]) -> list[list[ChildSample]]:
@@ -216,18 +219,21 @@ def map_walks(jobs: Iterable[WalkJob]) -> list[list[ChildSample]]:
     A process forked from the pool's owner starts its own pool, since the
     owner's workers answer the owner alone."""
     global _pool, _pool_pid
-    if _pool_pid != os.getpid():
-        _pool = multiprocessing.get_context("fork").Pool(_worker_count())
-        _pool_pid = os.getpid()
-        atexit.register(_close_pool)
-    return _pool.map(walk_children, jobs, chunksize=1)
+    with _pool_lock:
+        if _pool_pid != os.getpid():
+            _pool = multiprocessing.get_context("fork").Pool(_worker_count())
+            _pool_pid = os.getpid()
+            atexit.register(_close_pool)
+        pool = _pool
+    return pool.map(walk_children, jobs, chunksize=1)
 
 
 def _close_pool() -> None:
     global _pool, _pool_pid
-    if _pool_pid == os.getpid():
-        _pool.terminate()
-        _pool, _pool_pid = None, 0
+    with _pool_lock:
+        if _pool_pid == os.getpid():
+            _pool.terminate()
+            _pool, _pool_pid = None, 0
 
 
 class Tracker:
@@ -324,38 +330,40 @@ class Tracker:
         matrices: Sequence[AssociationMatrix],
         bd: BirthDeathConfig,
     ) -> list[list[tuple[AssociationEvent, float]]]:
-        """Scored children of each parent, in parent order. A parent's id,
-        labels and track count are those of its predicted tracks (prediction
-        keeps labels), so its matrix is all a walk needs of it.
-
-        The walks of a scan with several parents run through map_walks when
-        the process may use more than one CPU, and in process otherwise.
-        Exhaustive mode always runs in process, under the enumerator's event
-        budget (oracle.MAX_EVENTS) as this process sets it."""
+        """_children_of each parent, in parent order. The MCMC walks of a
+        scan with several parents run through map_walks when the process may
+        use more than one CPU; everything else runs in process, exhaustive
+        mode under the event budget (oracle.MAX_EVENTS) this process sets."""
         cfg = self.cfg
-        if cfg.mode is TrackerMode.EXHAUSTIVE:
-            return [
-                [
-                    (
-                        event,
-                        log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
-                        + hypothesis_log_likelihood(event, matrix),
-                    )
-                    for event in enumerate_child_events(matrix)
-                ]
-                for parent, matrix in zip(parents, matrices)
-            ]
-        if len(parents) > 1 and _worker_count() > 1:
+        if cfg.mode is TrackerMode.MCMC and len(parents) > 1 and _worker_count() > 1:
             sampled = map_walks(
                 WalkJob(parent.id, matrix, cfg.sampler, bd, cfg.sensor.p_d)
                 for parent, matrix in zip(parents, matrices)
             )
-        else:
-            sampled = [
-                sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
-                for parent, matrix in zip(parents, matrices)
-            ]
-        return [[(s.event, s.log_score) for s in samples] for samples in sampled]
+            return [[(s.event, s.log_score) for s in samples] for samples in sampled]
+        return [self._children_of(p, matrix, bd) for p, matrix in zip(parents, matrices)]
+
+    def _children_of(
+        self,
+        parent: Hypothesis,
+        matrix: AssociationMatrix,
+        bd: BirthDeathConfig,
+    ) -> list[tuple[AssociationEvent, float]]:
+        """Scored children of parent, whose id, labels and track count are
+        those of its predicted tracks (prediction keeps labels). Exhaustive
+        mode inherits the enumerator's event budget (oracle.MAX_EVENTS)."""
+        cfg = self.cfg
+        if cfg.mode is TrackerMode.MCMC:
+            samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
+            return [(s.event, s.log_score) for s in samples]
+        return [
+            (
+                event,
+                log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
+                + hypothesis_log_likelihood(event, matrix),
+            )
+            for event in enumerate_child_events(matrix)
+        ]
 
     def _report(
         self,

@@ -2,8 +2,10 @@
 
 import copy
 import math
+import multiprocessing
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -18,14 +20,14 @@ from mcmctrack.filters import (
 )
 from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildren
 from mcmctrack.io import write_reports_ldjson
-from mcmctrack.likelihoods import ClutterModel
+from mcmctrack.likelihoods import ClutterModel, build_matrix
 from mcmctrack.presets import (
     preset_single_spawn,
     preset_sixty_object,
     preset_twenty_object,
     tracker_config_for,
 )
-from mcmctrack.sampler import SamplerConfig
+from mcmctrack.sampler import SamplerConfig, WalkJob, walk_children
 from mcmctrack.simulate import MeasurementFrame, simulate_scenario
 from mcmctrack import oracle
 from mcmctrack import tracker as tracker_module
@@ -409,6 +411,25 @@ class TestRunTracker:
         assert reports[-1].hypothesis_count_bound >= 1
 
 
+def preset_start(preset):
+    scenario = preset(seed=0)
+    _, frames = simulate_scenario(scenario)
+    tracker = Tracker(tracker_config_for(scenario, seed=0))
+    hyps = tracker.initial_hypotheses([
+        GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+        for i, s in enumerate(scenario.objects)
+    ])
+    return tracker, hyps, frames
+
+
+def digest(hyps):
+    return [
+        (h.id, h.parent_id, h.log_weight,
+         [(t.label, t.mean.tobytes(), t.covariance.tobytes()) for t in h.tracks])
+        for h in hyps
+    ]
+
+
 class TestSeedGolden:
     # Per scan of single-spawn at seed 0: (top hypothesis id, estimated
     # count, hypotheses kept, weight entropy). The walk's rng stream and its
@@ -432,38 +453,12 @@ class TestSeedGolden:
     ]
 
     def test_single_spawn_seed0_reports(self):
-        scenario = preset_single_spawn(seed=0)
-        _, frames = simulate_scenario(scenario)
-        tracker = Tracker(tracker_config_for(scenario, seed=0))
-        hyps = tracker.initial_hypotheses([
-            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-            for i, s in enumerate(scenario.objects)
-        ])
-        _, reports = run_tracker(tracker, hyps, frames)
+        _, reports = run_tracker(*preset_start(preset_single_spawn))
         assert [
             (r.top_hypothesis_id, r.estimated_count, r.n_hypotheses) for r in reports
         ] == [g[:3] for g in self.GOLDEN]
         for r, g in zip(reports, self.GOLDEN):
             assert r.weight_entropy == pytest.approx(g[3], rel=1e-9, abs=1e-15)
-
-
-def preset_start(preset):
-    scenario = preset(seed=0)
-    _, frames = simulate_scenario(scenario)
-    tracker = Tracker(tracker_config_for(scenario, seed=0))
-    hyps = tracker.initial_hypotheses([
-        GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-        for i, s in enumerate(scenario.objects)
-    ])
-    return tracker, hyps, frames
-
-
-def digest(hyps):
-    return [
-        (h.id, h.parent_id, h.log_weight,
-         [(t.label, t.mean.tobytes(), t.covariance.tobytes()) for t in h.tracks])
-        for h in hyps
-    ]
 
 
 @pytest.mark.skipif(tracker_module._worker_count() < 2,
@@ -507,6 +502,46 @@ class TestWalkPool:
                 os._exit(code)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+
+    def test_threads_reaching_the_first_scan_together_share_one_pool(self, monkeypatch):
+        cfg = make_config(mode=TrackerMode.MCMC)
+        tracks = (track_at("t00", 100.0, 0.0), track_at("t01", 110.0, 0.0))
+        matrix = build_matrix(tracks, np.array([[100.0, 0.0], [110.5, 0.0]]),
+                              cfg.sensor, cfg.clutter, cfg.birth_death)
+        job = WalkJob("h0", matrix, cfg.sampler, cfg.birth_death, cfg.sensor.p_d)
+        expected = [walk_children(job)]
+        started = []
+        fork = multiprocessing.get_context("fork")
+
+        class CountingContext:
+            def Pool(self, processes):
+                started.append(processes)
+                return fork.Pool(processes)
+
+        # A process with no pool yet; the suite's own pool is put back after.
+        monkeypatch.setattr(tracker_module, "_pool", None)
+        monkeypatch.setattr(tracker_module, "_pool_pid", 0)
+        monkeypatch.setattr(tracker_module.multiprocessing, "get_context",
+                            lambda method: CountingContext())
+        barrier = threading.Barrier(4)
+        results = []
+
+        def scan():
+            barrier.wait(timeout=30)
+            results.append(tracker_module.map_walks([job]))
+
+        threads = [threading.Thread(target=scan) for _ in range(4)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            tracker_module._close_pool()
+        assert len(started) == 1
+        assert results == [expected] * 4
 
 
 class TestPresetQuality:
