@@ -1,7 +1,9 @@
 """Per-scan recursion: predict and build the association matrix of every
 parent, generate each parent's children (MCMC or exhaustive), normalize
 weights jointly across all parents and prune in one pass, realize the
-surviving children (birth/death bookkeeping), and report.
+surviving children (birth/death bookkeeping), and report. A birth is a
+hypothesis-level event: the return a scan reads as a birth is one newborn
+track, labeled by scan and return index, in every child that births it.
 
 The MCMC walks of a scan with several parents run across the CPUs this
 process may use, one job per parent on a pool of forked workers, and come
@@ -140,27 +142,30 @@ def adapt_birth_death_rates(
 
 
 def _realize_child(
-    parent_id: str,
+    candidate: Candidate,
     child_id: str,
-    log_weight: float,
-    predicted: Sequence[GaussianTrack],
-    event: AssociationEvent,
     frame: MeasurementFrame,
     cfg: TrackerConfig,
-    next_label: "_LabelCounter",
+    scan: int,
     updated: dict[tuple[int, int], GaussianTrack],
+    newborns: dict[int, GaussianTrack],
 ) -> Hypothesis:
-    """Apply the event to the predicted tracks: deaths removed, associated
-    tracks updated with their returns, unassociated survivors kept as
-    predicted, newborns instantiated from the birth pdf plus their return.
-    updated memoizes update_track by (id(predicted track), return index)
-    across the children of one scan, whose predicted tracks it outlives."""
+    """Apply the candidate's event to its predicted tracks: deaths removed,
+    associated tracks updated with their returns, unassociated survivors
+    kept as predicted, newborns instantiated from the birth pdf plus their
+    return. Two memos span the children of one scan: updated memoizes
+    update_track by (id(predicted track), return index), and newborns holds
+    the one newborn of each return index, so every child that births a
+    return holds the same track object. A label need only be unique within
+    a hypothesis (Hypothesis checks that), and a newborn's label
+    b<scan>-<return>, zero-padded, sorts in (scan, return) order."""
+    event = candidate.event
     claimed: dict[str, int] = {}
     for i, entry in enumerate(event.assignments):
         if entry not in (BIRTH, CLUTTER):
             claimed[entry] = i
     tracks: list[GaussianTrack] = []
-    for track in predicted:
+    for track in candidate.predicted:
         if track.label in event.deaths:
             continue
         i = claimed.get(track.label)
@@ -173,24 +178,17 @@ def _realize_child(
             tracks.append(updated[key])
     for i, entry in enumerate(event.assignments):
         if entry == BIRTH:
-            tracks.append(
-                newborn_track(
-                    next_label(), frame.returns[i], cfg.sensor, cfg.dynamics.mu
+            if i not in newborns:
+                newborns[i] = newborn_track(
+                    f"b{scan:05d}-{i:03d}", frame.returns[i], cfg.sensor, cfg.dynamics.mu
                 )
-            )
-    return Hypothesis(id=child_id, parent_id=parent_id, log_weight=log_weight, tracks=tuple(tracks))
-
-
-class _LabelCounter:
-    """Globally fresh newborn labels for one tracker instance."""
-
-    def __init__(self) -> None:
-        self.n = 0
-
-    def __call__(self) -> str:
-        label = f"b{self.n:05d}"
-        self.n += 1
-        return label
+            tracks.append(newborns[i])
+    return Hypothesis(
+        id=child_id,
+        parent_id=candidate.parent_id,
+        log_weight=candidate.log_weight,
+        tracks=tuple(tracks),
+    )
 
 
 def _worker_count() -> int:
@@ -243,7 +241,6 @@ class Tracker:
     def __init__(self, cfg: TrackerConfig) -> None:
         self.cfg = cfg
         self.scan_index = 0
-        self._labels = _LabelCounter()
 
     def initial_hypotheses(self, tracks: Sequence[GaussianTrack]) -> list[Hypothesis]:
         return [Hypothesis(id="h0", parent_id=None, log_weight=0.0, tracks=tuple(tracks))]
@@ -307,17 +304,10 @@ class Tracker:
             report = self._report(frame, fallback, bound, bd, degenerate=True)
             return fallback, report
         updated: dict[tuple[int, int], GaussianTrack] = {}
+        newborns: dict[int, GaussianTrack] = {}
         new_hyps = [
             _realize_child(
-                c.parent_id,
-                f"h{self.scan_index}-{idx:05d}",
-                c.log_weight,
-                c.predicted,
-                c.event,
-                frame,
-                cfg,
-                self._labels,
-                updated,
+                c, f"h{self.scan_index}-{idx:05d}", frame, cfg, self.scan_index, updated, newborns
             )
             for idx, c in enumerate(kept)
         ]
@@ -330,40 +320,37 @@ class Tracker:
         matrices: Sequence[AssociationMatrix],
         bd: BirthDeathConfig,
     ) -> list[list[tuple[AssociationEvent, float]]]:
-        """_children_of each parent, in parent order. The MCMC walks of a
-        scan with several parents run through map_walks when the process may
-        use more than one CPU; everything else runs in process, exhaustive
-        mode under the event budget (oracle.MAX_EVENTS) this process sets."""
+        """Scored children of each parent, in parent order; a parent's
+        matrix has the labels and track count of its predicted tracks
+        (prediction keeps labels). Exhaustive mode runs in process, under
+        the event budget (oracle.MAX_EVENTS) this process sets. The MCMC
+        walks of a scan with several parents run through map_walks when the
+        process may use more than one CPU, the rest in process."""
         cfg = self.cfg
-        if cfg.mode is TrackerMode.MCMC and len(parents) > 1 and _worker_count() > 1:
+        pairs = list(zip(parents, matrices))
+        if cfg.mode is TrackerMode.EXHAUSTIVE:
+            return [
+                [
+                    (
+                        event,
+                        log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
+                        + hypothesis_log_likelihood(event, matrix),
+                    )
+                    for event in enumerate_child_events(matrix)
+                ]
+                for parent, matrix in pairs
+            ]
+        if len(pairs) > 1 and _worker_count() > 1:
             sampled = map_walks(
                 WalkJob(parent.id, matrix, cfg.sampler, bd, cfg.sensor.p_d)
-                for parent, matrix in zip(parents, matrices)
+                for parent, matrix in pairs
             )
-            return [[(s.event, s.log_score) for s in samples] for samples in sampled]
-        return [self._children_of(p, matrix, bd) for p, matrix in zip(parents, matrices)]
-
-    def _children_of(
-        self,
-        parent: Hypothesis,
-        matrix: AssociationMatrix,
-        bd: BirthDeathConfig,
-    ) -> list[tuple[AssociationEvent, float]]:
-        """Scored children of parent, whose id, labels and track count are
-        those of its predicted tracks (prediction keeps labels). Exhaustive
-        mode inherits the enumerator's event budget (oracle.MAX_EVENTS)."""
-        cfg = self.cfg
-        if cfg.mode is TrackerMode.MCMC:
-            samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
-            return [(s.event, s.log_score) for s in samples]
-        return [
-            (
-                event,
-                log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
-                + hypothesis_log_likelihood(event, matrix),
-            )
-            for event in enumerate_child_events(matrix)
-        ]
+        else:
+            sampled = [
+                sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
+                for parent, matrix in pairs
+            ]
+        return [[(s.event, s.log_score) for s in samples] for samples in sampled]
 
     def _report(
         self,

@@ -1,6 +1,7 @@
 """Per-scan recursion: weighting, bookkeeping, reduction properties."""
 
 import copy
+import hashlib
 import math
 import multiprocessing
 import os
@@ -204,6 +205,37 @@ class TestStepBasics:
         for hyp in new_hyps:
             np.testing.assert_array_equal(hyp.tracks[0].mean, want.mean)
             np.testing.assert_array_equal(hyp.tracks[0].covariance, want.covariance)
+
+    def test_children_share_one_newborn_per_return(self, monkeypatch):
+        # A birth is one new object in every child that contains it, so the
+        # next scan predicts it once. Scans 9 and 10 cross a digit boundary,
+        # where labels must still sort in (scan, return) order.
+        cfg = make_config(p_d=0.9, alpha=0.3, beta=0.0, clutter_density=1e-12)
+        tracker = Tracker(cfg)
+        tracker.scan_index = 8
+        hyps = tracker.initial_hypotheses([track_at("t00", 100.0, 0.0)])
+        far = [[4000.0, 2000.0], [-3000.0, 1000.0]]
+        hyps, _ = tracker.step(hyps, frame_at(10.0, [[100.0, 0.4], *far]))
+        holders = [h for h in hyps if "b00009-001" in h.labels]
+        assert len(holders) >= 2
+        newborn = holders[0].tracks[holders[0].labels.index("b00009-001")]
+        for h in holders:
+            assert h.tracks[h.labels.index("b00009-001")] is newborn
+        calls = []
+
+        def counting_predict(track, dynamics):
+            calls.append(id(track))
+            return predict_track(track, dynamics)
+
+        monkeypatch.setattr(tracker_module, "predict_track", counting_predict)
+        distinct = {id(t) for h in hyps for t in h.tracks}
+        hyps, _ = tracker.step(hyps, frame_at(20.0, [[100.0, 0.8], [2000.0, -3000.0]]))
+        assert calls.count(id(newborn)) == 1
+        assert sorted(calls) == sorted(distinct)
+        top = max(hyps, key=lambda h: (h.log_weight, h.id))
+        newborns = [lbl for lbl in top.labels if lbl != "t00"]
+        assert newborns == ["b00009-001", "b00009-002", "b00010-001"]
+        assert newborns == sorted(newborns)
 
     def test_rejects_weights_off_by_more_than_1e12(self):
         cfg = make_config()
@@ -459,6 +491,41 @@ class TestSeedGolden:
         ] == [g[:3] for g in self.GOLDEN]
         for r, g in zip(reports, self.GOLDEN):
             assert r.weight_entropy == pytest.approx(g[3], rel=1e-9, abs=1e-15)
+
+    # Per scan of the same run: SHA-256 over each kept hypothesis's id,
+    # parent id, log weight and track means and covariances, as bytes.
+    # Labels stay out, so the numbers are pinned whatever newborns are named.
+    NUMBERS = [
+        "a11a5b247b28914755644501a44a0751824bddc5bffdcf1b95ba32b3753f22a2",
+        "82feda235a36b8e76cfe8453077135c1056bdc9eec2fdec82a448167d36f9a9f",
+        "b121bb347f4d2e98bd4a1bb478cf695d50d8dd1a3e2320b7b7eb5c494ba93b49",
+        "340e0c09c11686bda9ce281e5b9867ebaa012fe70af7d961f11fabc467d47818",
+        "742dddfad07512c4649e942264e65da50ba37ebde04f28d8d88fb261373c7161",
+        "5efb2aca52d9910486ff61055255b835594d319ffa47a2a62da72ffa432034b6",
+        "5a82ec699214790c36fe74de8404c0debbfa3aae649ebd8f675166c273d4ecbd",
+        "0028d00c010a22b352953a2f7b4ff52372eef7c79a9c491ba575927c49f93d01",
+        "f837e9b637c1a32fbd16ef807cdd5fdf6ea0da32c752999db89b5040a8cf0bf8",
+        "0a506a4dd8e18ff34b22e1957d6bfbd752bba15c680a12dcae97c5f256c39b6a",
+        "fa3ba6f4d7c4620f67b3ffe2dd41b319ba003c2cb43fcef42f834d300e848168",
+        "601f2d322ff3fdc10e2cee1e2b9f8e5504da108dcc8939d42c0bd29e3e801351",
+        "b0ce8389b15099088013e30c06477fafa28acd2c9f1b4051757828542fcd0bb1",
+        "1d97f1d789c8e3685accb94f9947aa8400fc4ad7fb9b79bddfecb7e1197ff6b4",
+    ]
+
+    def test_single_spawn_seed0_numbers(self):
+        tracker, hyps, frames = preset_start(preset_single_spawn)
+        digests = []
+        for frame in frames:
+            hyps, _ = tracker.step(hyps, frame)
+            sha = hashlib.sha256()
+            for h in hyps:
+                sha.update(f"{h.id}|{h.parent_id}|".encode())
+                sha.update(np.float64(h.log_weight).tobytes())
+                for t in h.tracks:
+                    sha.update(t.mean.tobytes())
+                    sha.update(t.covariance.tobytes())
+            digests.append(sha.hexdigest())
+        assert digests == self.NUMBERS
 
 
 @pytest.mark.skipif(tracker_module._worker_count() < 2,
