@@ -100,6 +100,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     frames = read_frames_csv(args.frames)
     if not frames:
         raise InputDataError("frames file contains no scans")
+    for frame in frames:
+        if (frame.returns == cfg.sensor.origin).all(axis=1).any():
+            raise InputDataError(f"a return at time {frame.time} s lies at the sensor origin")
     truth = read_truth_csv(args.truth) if args.truth else None
     tracker_cfg = _tracker_config(cfg, args)
     out = default_out_dir(args.out)

@@ -138,24 +138,21 @@ def count_grandchildren(
     allow_deaths: bool = True,
 ) -> int:
     """Number of distinct (birth/death instance, data association) pairs,
-    by direct summation over birth and death counts:
 
-        sum_{Nb} sum_{Nd} C(N,Nb) C(M,Nd) A(M + Nb - Nd, m)
+        sum_{Nb} sum_{Nd} C(N,Nb) C(M,Nd) A(M + Nb - Nd, m),
 
-    The allow flags collapse the corresponding sum to its zero term (used
-    when a rate is exactly zero, making those instances impossible).
+    in closed form. A child keeps t = Nb + (M - Nd) objects, and by
+    Vandermonde's identity the terms with the same t add up to
+    C(N + M, t) A(t, m): one sum of N + M + 1 terms. The allow flags
+    (used when a rate is exactly zero, making those instances impossible)
+    drop their pixels or objects from the free choice; objects that cannot
+    die are kept by every child.
     """
     if min(n_objects, n_returns, n_pixels) < 0:
         raise ValueError("counts must be non-negative")
-    b_max = n_pixels if allow_births else 0
-    d_max = n_objects if allow_deaths else 0
-    total = 0
-    for n_b in range(b_max + 1):
-        cb = comb(n_pixels, n_b) if allow_births else 1
-        for n_d in range(d_max + 1):
-            cd = comb(n_objects, n_d) if allow_deaths else 1
-            total += cb * cd * count_associations(n_objects + n_b - n_d, n_returns)
-    return total
+    free = (n_pixels if allow_births else 0) + (n_objects if allow_deaths else 0)
+    kept = 0 if allow_deaths else n_objects
+    return sum(comb(free, s) * count_associations(kept + s, n_returns) for s in range(free + 1))
 
 
 def count_grandchildren_by_net_change(n_objects: int, n_returns: int, n_pixels: int) -> int:

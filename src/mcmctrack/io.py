@@ -41,10 +41,26 @@ MANIFEST_NAME = "manifest.json"
 OUT_DIR_ENV = "MCMCTRACK_OUT"
 
 
-def _require(payload: dict, key: str, path: str):
-    if key not in payload:
-        raise ConfigError(f"{path}.{key} is missing")
-    return payload[key]
+_MISSING = object()
+
+
+def _field(section, key: str, path: str, convert=lambda v: v, default=_MISSING):
+    """section[key] through convert, or default if absent or null; a bad
+    section or field is a ConfigError naming the field's path."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{path} must be a JSON object")
+    if section.get(key) is None:
+        if default is _MISSING:
+            raise ConfigError(f"{path}.{key} is missing")
+        return default
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}.{key}: {exc}") from exc
+
+
+def _floats(*shape):
+    return lambda value: np.asarray(value, dtype=float).reshape(shape)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -87,58 +103,51 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(payload: dict) -> ScenarioConfig:
-    if payload.get("schema") != SCENARIO_SCHEMA:
+    if _field(payload, "schema", "scenario", default=None) != SCENARIO_SCHEMA:
         raise ConfigError(f"schema must be {SCENARIO_SCHEMA}")
-    sensor_d = _require(payload, "sensor", "scenario")
-    try:
-        sensor = SensorModel(
-            origin=np.asarray(_require(sensor_d, "origin_km", "scenario.sensor"), dtype=float),
-            boresight_angle=float(_require(sensor_d, "boresight_angle_rad", "scenario.sensor")),
-            fov_half_angle=float(_require(sensor_d, "fov_half_angle_rad", "scenario.sensor")),
-            r=np.asarray(_require(sensor_d, "noise_cov_km2", "scenario.sensor"), dtype=float),
-            p_d=float(_require(sensor_d, "p_d", "scenario.sensor")),
-            max_range=float(sensor_d.get("max_range_km", 1.0e5)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"scenario.sensor: {exc}") from exc
-    clutter_d = payload.get("clutter", {})
-    density = clutter_d.get("density_per_km2")
-    expected = float(clutter_d.get("expected_count", 0.0))
-    clutter = (
-        uniform_clutter(sensor, expected)
-        if density is None
-        else ClutterModel(float(density), expected)
+    sensor_d = _field(payload, "sensor", "scenario")
+    sensor = SensorModel(
+        origin=_field(sensor_d, "origin_km", "scenario.sensor", _floats(2)),
+        boresight_angle=_field(sensor_d, "boresight_angle_rad", "scenario.sensor", float),
+        fov_half_angle=_field(sensor_d, "fov_half_angle_rad", "scenario.sensor", float),
+        r=_field(sensor_d, "noise_cov_km2", "scenario.sensor", _floats(2, 2)),
+        p_d=_field(sensor_d, "p_d", "scenario.sensor", float),
+        max_range=_field(sensor_d, "max_range_km", "scenario.sensor", float, 1.0e5),
     )
-    dyn_d = payload.get("dynamics", {})
+    clutter_d = _field(payload, "clutter", "scenario", default={})
+    density = _field(clutter_d, "density_per_km2", "scenario.clutter", float, None)
+    expected = _field(clutter_d, "expected_count", "scenario.clutter", float, 0.0)
+    clutter = uniform_clutter(sensor, expected) if density is None else ClutterModel(density, expected)
+    dyn_d = _field(payload, "dynamics", "scenario", default={})
+    # dt is left at its default: ScenarioConfig sets it to the scan interval.
     dynamics = DynamicsConfig(
-        mu=float(dyn_d.get("mu_km3_s2", 398600.4418)),
-        dt=float(_require(payload, "scan_interval_s", "scenario")),
-        q=float(dyn_d.get("q", 0.0)),
-        integrator_substeps=int(dyn_d.get("integrator_substeps", 16)),
+        mu=_field(dyn_d, "mu_km3_s2", "scenario.dynamics", float, 398600.4418),
+        q=_field(dyn_d, "q", "scenario.dynamics", float, 0.0),
+        integrator_substeps=_field(dyn_d, "integrator_substeps", "scenario.dynamics", int, 16),
     )
-    spawns = []
-    for i, ev in enumerate(payload.get("spawn_events", [])):
-        spawns.append(
-            SpawnEvent(
-                time=float(_require(ev, "time_s", f"scenario.spawn_events[{i}]")),
-                parent_index=int(_require(ev, "parent_index", f"scenario.spawn_events[{i}]")),
-                fragment_count=int(_require(ev, "fragment_count", f"scenario.spawn_events[{i}]")),
-                velocity_std=float(_require(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]")),
-            )
+    spawns = [
+        SpawnEvent(
+            time=_field(ev, "time_s", f"scenario.spawn_events[{i}]", float),
+            parent_index=_field(ev, "parent_index", f"scenario.spawn_events[{i}]", int),
+            fragment_count=_field(ev, "fragment_count", f"scenario.spawn_events[{i}]", int),
+            velocity_std=_field(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]", float),
         )
-    objects = [np.asarray(row, dtype=float) for row in _require(payload, "objects", "scenario")]
+        for i, ev in enumerate(_field(payload, "spawn_events", "scenario", list, []))
+    ]
     return ScenarioConfig(
-        objects=objects,
+        objects=_field(payload, "objects", "scenario", lambda rows: list(map(_floats(4), rows))),
         sensor=sensor,
         clutter=clutter,
         dynamics=dynamics,
-        duration=float(_require(payload, "duration_s", "scenario")),
-        scan_interval=float(_require(payload, "scan_interval_s", "scenario")),
+        duration=_field(payload, "duration_s", "scenario", float),
+        scan_interval=_field(payload, "scan_interval_s", "scenario", float),
         spawn_events=spawns,
-        seed=int(payload.get("seed", 0)),
-        name=str(payload.get("name", "custom")),
-        initial_position_std_km=float(payload.get("initial_position_std_km", 2.0)),
-        initial_velocity_std_kmps=float(payload.get("initial_velocity_std_kmps", 0.05)),
+        seed=_field(payload, "seed", "scenario", int, 0),
+        name=_field(payload, "name", "scenario", str, "custom"),
+        initial_position_std_km=_field(payload, "initial_position_std_km", "scenario", float, 2.0),
+        initial_velocity_std_kmps=_field(
+            payload, "initial_velocity_std_kmps", "scenario", float, 0.05
+        ),
     )
 
 
@@ -171,23 +180,31 @@ def write_truth_csv(truth: Sequence[TruthScan], path: str | Path) -> None:
                 writer.writerow([_float_repr(scan.time), oid, *(_float_repr(v) for v in s)])
 
 
-def read_truth_csv(path: str | Path) -> list[TruthScan]:
+def _finite_floats(row: dict, keys: Sequence[str], kind: str) -> list[float]:
+    """The row's values under keys as finite floats, or InputDataError."""
+    try:
+        values = [float(row[k]) for k in keys]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputDataError(f"bad {kind} row {row}: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise InputDataError(f"bad {kind} row {row}: values must be finite")
+    return values
+
+
+def _csv_rows(path: str | Path, kind: str) -> csv.DictReader:
+    """Rows of a data CSV file, its '#' header lines skipped."""
     path = Path(path)
     if not path.exists():
-        raise InputDataError(f"truth file not found: {path}")
-    scans: dict[float, list[tuple[str, np.ndarray]]] = {}
+        raise InputDataError(f"{kind} file not found: {path}")
     with open(path, newline="") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    reader = csv.DictReader(_io.StringIO("".join(rows)))
-    for row in reader:
-        try:
-            t = float(row["time_s"])
-            state = np.array(
-                [float(row["x_km"]), float(row["y_km"]), float(row["vx_kmps"]), float(row["vy_kmps"])]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputDataError(f"bad truth row {row}: {exc}") from exc
-        scans.setdefault(t, []).append((row["object_id"], state))
+        return csv.DictReader(_io.StringIO("".join(r for r in fh if not r.startswith("#"))))
+
+
+def read_truth_csv(path: str | Path) -> list[TruthScan]:
+    scans: dict[float, list[tuple[str, np.ndarray]]] = {}
+    for row in _csv_rows(path, "truth"):
+        t, *state = _finite_floats(row, ("time_s", "x_km", "y_km", "vx_kmps", "vy_kmps"), "truth")
+        scans.setdefault(t, []).append((row["object_id"], np.array(state)))
     return [TruthScan(time=t, objects=tuple(scans[t])) for t in sorted(scans)]
 
 
@@ -205,26 +222,14 @@ def write_frames_csv(frames: Sequence[MeasurementFrame], path: str | Path) -> No
 
 
 def read_frames_csv(path: str | Path) -> list[MeasurementFrame]:
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"frames file not found: {path}")
-    with open(path, newline="") as fh:
-        rows = [r for r in fh if not r.startswith("#")]
-    reader = csv.DictReader(_io.StringIO("".join(rows)))
     by_time: dict[float, list[tuple[np.ndarray, str]]] = {}
-    for row in reader:
-        try:
-            t = float(row["time_s"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputDataError(f"bad frame row {row}: {exc}") from exc
-        if row.get("truth_tag") == "__empty__":
-            by_time.setdefault(t, [])
-            continue
-        try:
-            z = np.array([float(row["return_x_km"]), float(row["return_y_km"])])
-        except (TypeError, ValueError) as exc:
-            raise InputDataError(f"bad frame row {row}: {exc}") from exc
-        by_time.setdefault(t, []).append((z, row.get("truth_tag", "")))
+    for row in _csv_rows(path, "frames"):
+        empty = row.get("truth_tag") == "__empty__"
+        keys = ("time_s",) if empty else ("time_s", "return_x_km", "return_y_km")
+        t, *z = _finite_floats(row, keys, "frame")
+        scan = by_time.setdefault(t, [])
+        if not empty:
+            scan.append((np.array(z), row.get("truth_tag", "")))
     frames = []
     for t in sorted(by_time):
         entries = by_time[t]

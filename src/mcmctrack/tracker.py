@@ -106,17 +106,10 @@ def hypothesis_count_bound(
     allow_deaths: bool = True,
 ) -> int:
     """Sum over hypotheses of the exhaustive grandchild count they would
-    spawn for this frame, computed once per distinct object count.
-    Birth/death sums collapse when the corresponding rate is zero
-    (association-only count)."""
+    spawn for this frame, computed once per distinct object count."""
     return sum(
-        n_hyps
-        * count_grandchildren(
-            n_objects,
-            n_returns,
-            n_pixels,
-            allow_births=allow_births,
-            allow_deaths=allow_deaths,
+        n_hyps * count_grandchildren(
+            n_objects, n_returns, n_pixels, allow_births=allow_births, allow_deaths=allow_deaths
         )
         for n_objects, n_hyps in Counter(len(h.tracks) for h in hypotheses).items()
     )

@@ -124,6 +124,23 @@ class TestSimulateCommand:
         assert rc == 2
         assert "scan_interval" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,edit", [
+        ("scenario.objects", lambda p: p["objects"][0].pop()),
+        ("scenario.spawn_events[0].time_s", lambda p: p["spawn_events"][0].update(time_s="soon")),
+        ("scenario.dynamics.integrator_substeps",
+         lambda p: p["dynamics"].update(integrator_substeps="x")),
+        ("scenario.spawn_events[0] must be a JSON object",
+         lambda p: p["spawn_events"].__setitem__(0, 3)),
+    ], ids=["object-of-3", "spawn-time-text", "substeps-text", "spawn-not-object"])
+    def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, field, edit):
+        payload = scenario_to_dict(preset_single_spawn())
+        edit(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_unknown_scenario_file_exits_3(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -208,6 +225,25 @@ class TestTrackCommand:
         for scan, rows in by_scan.items():
             assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=1e-9)
             assert all("tracks" in r and "parent_id" in r for r in rows)
+
+    @pytest.mark.parametrize("kind,row", [
+        ("frames", "300.0,nan,7000.0,t00"),
+        ("frames", "inf,7000.0,0.0,t00"),
+        ("frames", "300.0,0.0,0.0,clutter"),
+        ("truth", "300.0,t00,7000.0,inf,0.0,7.5"),
+    ], ids=["nan-return", "inf-time", "return-at-sensor-origin", "inf-truth-state"])
+    def test_bad_value_exits_3(self, tmp_path, capsys, sim_dir, small_scenario_file, kind, row):
+        header = {"frames": "time_s,return_x_km,return_y_km,truth_tag",
+                  "truth": "time_s,object_id,x_km,y_km,vx_kmps,vy_kmps"}[kind]
+        files = {"frames": sim_dir / "frames.csv", "truth": sim_dir / "truth.csv"}
+        files[kind] = tmp_path / f"{kind}.csv"
+        files[kind].write_text(f"{header}\n{row}\n")
+        rc = main([
+            "track", "--frames", str(files["frames"]), "--truth", str(files["truth"]),
+            "--scenario", str(small_scenario_file), "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_missing_frames_exits_3(self, tmp_path, small_scenario_file):
         rc = main([

@@ -35,6 +35,18 @@ def make_hypothesis(n_tracks, hid="h0", log_weight=0.0):
     return Hypothesis(id=hid, parent_id=None, log_weight=log_weight, tracks=tracks)
 
 
+def grandchildren_double_sum(n_objects, n_returns, n_pixels, allow_births, allow_deaths):
+    """Reference count, term by term: sum over birth count n_b and death
+    count n_d of C(N, n_b) C(M, n_d) A(M + n_b - n_d, m). A disallowed kind
+    keeps only its zero term."""
+    return sum(
+        math.comb(n_pixels, n_b) * math.comb(n_objects, n_d)
+        * count_associations(n_objects + n_b - n_d, n_returns)
+        for n_b in range(n_pixels + 1 if allow_births else 1)
+        for n_d in range(n_objects + 1 if allow_deaths else 1)
+    )
+
+
 class TestCounts:
     def test_paper_value(self):
         assert count_associations(10, 5) == 63591
@@ -59,6 +71,15 @@ class TestCounts:
         assert count_grandchildren(3, 2, 4, allow_births=False, allow_deaths=False) == (
             count_associations(3, 2)
         )
+
+    @pytest.mark.parametrize("allow_births", [True, False])
+    @pytest.mark.parametrize("allow_deaths", [True, False])
+    def test_grandchildren_closed_form_equals_double_sum(self, allow_births, allow_deaths):
+        flags = dict(allow_births=allow_births, allow_deaths=allow_deaths)
+        grid = [(m_obj, m_ret, n_pix)
+                for m_obj in range(13) for m_ret in range(9) for n_pix in range(11)]
+        for args in grid + [(60, 12, 60), (63, 20, 60), (60, 40, 60)]:
+            assert count_grandchildren(*args, **flags) == grandchildren_double_sum(*args, **flags)
 
     def test_net_change_formula_overshoots_by_known_terms(self):
         # The grouped formula re-adds the net 0 and net +1 groups.

@@ -23,6 +23,7 @@ from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildr
 from mcmctrack.io import write_reports_ldjson
 from mcmctrack.likelihoods import ClutterModel, build_matrix
 from mcmctrack.presets import (
+    PRESETS,
     preset_single_spawn,
     preset_sixty_object,
     preset_twenty_object,
@@ -526,6 +527,35 @@ class TestSeedGolden:
                     sha.update(t.covariance.tobytes())
             digests.append(sha.hexdigest())
         assert digests == self.NUMBERS
+
+
+class TestBoundGolden:
+    # Per-scan hypothesis_count_bound at seed 0, recorded from the term-by-term
+    # double sum. TestReportBound recomputes the bound with the function under
+    # test, so only these pin its value on the presets.
+    BOUNDS = {
+        "single-spawn": [
+            39651379969230110720, 181269885001662464, 181269885001662464,
+            4777193304733253632, 123611987822298267648, 632391519025691099136,
+            1239463237996351848448, 1746595041707678263934976,
+            4034447269288336162816, 130838743007553862500352,
+            5812197623246612332544, 6920762049223580450816,
+            190310498713838731395072, 8901306116702629527552,
+        ],
+        "sixty-object": [
+            1034696547902745729165943490088337551042543616,
+            1034696547902745729165943490088337551042543616,
+            1010155786647639153295219236391255975832308978548736,
+            84505044887608481388985155125895096032389875577651200,
+            104078832809265215470388718903885493722693193602957312,
+            1484877191186132113114740418228543602125190505431040,
+        ],
+    }
+
+    @pytest.mark.parametrize("name", sorted(BOUNDS))
+    def test_seed0_bounds(self, name):
+        _, reports = run_tracker(*preset_start(PRESETS[name]))
+        assert [r.hypothesis_count_bound for r in reports] == self.BOUNDS[name]
 
 
 @pytest.mark.skipif(tracker_module._worker_count() < 2,
