@@ -204,7 +204,10 @@ def read_truth_csv(path: str | Path) -> list[TruthScan]:
     scans: dict[float, list[tuple[str, np.ndarray]]] = {}
     for row in _csv_rows(path, "truth"):
         t, *state = _finite_floats(row, ("time_s", "x_km", "y_km", "vx_kmps", "vy_kmps"), "truth")
-        scans.setdefault(t, []).append((row["object_id"], np.array(state)))
+        object_id = row.get("object_id")
+        if object_id is None:
+            raise InputDataError(f"bad truth row {row}: no object_id column")
+        scans.setdefault(t, []).append((object_id, np.array(state)))
     return [TruthScan(time=t, objects=tuple(scans[t])) for t in sorted(scans)]
 
 

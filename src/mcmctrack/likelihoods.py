@@ -66,11 +66,16 @@ class AssociationMatrix:
     """m x (M+2) table of log-likelihoods driving child generation, plus
     one death-eligibility flag per object.
 
-    Row i is measurement return i. Columns 0..M-1 are object labels (frame
-    order), column M is birth, column M+1 is clutter. Immutable once built.
-    supported is derived from log_entries on construction: per row, the
-    ascending tuple of its finite columns. It is the one support pattern the
-    walk and the child enumerator read.
+    Row i is measurement return i. Columns 0..M-1 are objects, in the order
+    of the tracks the matrix was built from; column M is birth, column M+1
+    is clutter. Immutable once built. supported is derived from log_entries
+    on construction: per row, the ascending tuple of its finite columns. It
+    is the one support pattern the walk and the child enumerator read.
+
+    A scan-level matrix, built over the distinct predicted tracks of all
+    parents, can hold one label in several columns (one object predicted
+    from different parents' tracks). column_of, and everything that maps an
+    event's labels to columns, is for a parent's matrix (see select) only.
     """
 
     log_entries: np.ndarray
@@ -126,6 +131,19 @@ class AssociationMatrix:
         if col == self.clutter_col:
             return CLUTTER
         return self.object_labels[col]
+
+    def select(self, cols: Sequence[int]) -> AssociationMatrix:
+        """The matrix of a parent whose tracks are object columns cols of
+        this one, in the parent's track order: those columns, then the birth
+        and clutter columns, with their labels and death flags and the same
+        returns. Its entries are this matrix's entries, bit for bit."""
+        cols = list(cols)
+        return AssociationMatrix(
+            log_entries=self.log_entries.take(cols + [self.birth_col, self.clutter_col], axis=1),
+            object_labels=tuple(self.object_labels[j] for j in cols),
+            death_eligible=tuple(self.death_eligible[j] for j in cols),
+            returns=self.returns,
+        )
 
 
 def birth_likelihood(z: np.ndarray, sensor: SensorModel) -> float:

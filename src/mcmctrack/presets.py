@@ -34,81 +34,54 @@ def _circular_state(radius_km: float, angle_deg: float, mu: float = MU_EARTH) ->
     )
 
 
-def _sensor(p_d: float) -> SensorModel:
-    return SensorModel(
+def _preset(
+    name: str, objects: list[np.ndarray], *, n_scans: int, spawn_scan: int,
+    fragments: int, velocity_std: float, seed: int,
+) -> ScenarioConfig:
+    """The presets' shared skeleton: the wedge sensor (p_d 0.97), 0.4 expected
+    clutter returns per scan, two-body dynamics with 300 s scans, initial stds
+    of 2.0 km and 0.02 km/s, and one breakup of object 0 at spawn_scan."""
+    sensor = SensorModel(
         origin=np.zeros(2),
         boresight_angle=0.0,
         fov_half_angle=math.pi / 12.0,  # thirty degrees total
         r=np.eye(2),
-        p_d=p_d,
+        p_d=0.97,
         max_range=5.0e4,
+    )
+    return ScenarioConfig(
+        objects=objects,
+        sensor=sensor,
+        clutter=uniform_clutter(sensor, expected_count=0.4),
+        dynamics=DynamicsConfig(mu=MU_EARTH, dt=_SCAN_S, q=1e-9, integrator_substeps=16),
+        duration=n_scans * _SCAN_S,
+        scan_interval=_SCAN_S,
+        spawn_events=[SpawnEvent(spawn_scan * _SCAN_S, 0, fragments, velocity_std)],
+        seed=seed,
+        name=name,
+        initial_position_std_km=2.0,
+        initial_velocity_std_kmps=0.02,
     )
 
 
 def preset_single_spawn(seed: int = 0) -> ScenarioConfig:
     """One object crossing the field of view breaks into three fragments."""
-    sensor = _sensor(p_d=0.97)
-    return ScenarioConfig(
-        objects=[_circular_state(35000.0, -10.0)],
-        sensor=sensor,
-        clutter=uniform_clutter(sensor, expected_count=0.4),
-        dynamics=DynamicsConfig(mu=MU_EARTH, dt=_SCAN_S, q=1e-9, integrator_substeps=16),
-        duration=14 * _SCAN_S,
-        scan_interval=_SCAN_S,
-        spawn_events=[
-            SpawnEvent(time=5 * _SCAN_S, parent_index=0, fragment_count=3, velocity_std=0.08)
-        ],
-        seed=seed,
-        name="single-spawn",
-        initial_position_std_km=2.0,
-        initial_velocity_std_kmps=0.02,
-    )
+    return _preset("single-spawn", [_circular_state(35000.0, -10.0)],
+                   n_scans=14, spawn_scan=5, fragments=3, velocity_std=0.08, seed=seed)
 
 
 def preset_twenty_object(seed: int = 0) -> ScenarioConfig:
     """Twenty objects around the orbit; one breaks up inside the FOV."""
-    sensor = _sensor(p_d=0.97)
-    objects = [
-        _circular_state(34000.0 + 100.0 * i, -14.0 + 18.0 * i) for i in range(20)
-    ]
-    return ScenarioConfig(
-        objects=objects,
-        sensor=sensor,
-        clutter=uniform_clutter(sensor, expected_count=0.4),
-        dynamics=DynamicsConfig(mu=MU_EARTH, dt=_SCAN_S, q=1e-9, integrator_substeps=16),
-        duration=14 * _SCAN_S,
-        scan_interval=_SCAN_S,
-        spawn_events=[
-            SpawnEvent(time=3 * _SCAN_S, parent_index=0, fragment_count=3, velocity_std=0.08)
-        ],
-        seed=seed,
-        name="twenty-object",
-        initial_position_std_km=2.0,
-        initial_velocity_std_kmps=0.02,
-    )
+    objects = [_circular_state(34000.0 + 100.0 * i, -14.0 + 18.0 * i) for i in range(20)]
+    return _preset("twenty-object", objects,
+                   n_scans=14, spawn_scan=3, fragments=3, velocity_std=0.08, seed=seed)
 
 
 def preset_sixty_object(seed: int = 0) -> ScenarioConfig:
     """Sixty objects; used to stress the hypothesis-count bound."""
-    sensor = _sensor(p_d=0.97)
-    objects = [
-        _circular_state(30000.0 + 150.0 * (i % 7), -13.0 + 6.0 * i) for i in range(60)
-    ]
-    return ScenarioConfig(
-        objects=objects,
-        sensor=sensor,
-        clutter=uniform_clutter(sensor, expected_count=0.4),
-        dynamics=DynamicsConfig(mu=MU_EARTH, dt=_SCAN_S, q=1e-9, integrator_substeps=16),
-        duration=6 * _SCAN_S,
-        scan_interval=_SCAN_S,
-        spawn_events=[
-            SpawnEvent(time=3 * _SCAN_S, parent_index=0, fragment_count=4, velocity_std=0.1)
-        ],
-        seed=seed,
-        name="sixty-object",
-        initial_position_std_km=2.0,
-        initial_velocity_std_kmps=0.02,
-    )
+    objects = [_circular_state(30000.0 + 150.0 * (i % 7), -13.0 + 6.0 * i) for i in range(60)]
+    return _preset("sixty-object", objects,
+                   n_scans=6, spawn_scan=3, fragments=4, velocity_std=0.1, seed=seed)
 
 
 PRESETS = {

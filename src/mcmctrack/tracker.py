@@ -1,7 +1,9 @@
-"""Per-scan recursion: predict and build the association matrix of every
-parent, generate each parent's children (MCMC or exhaustive), normalize
-weights jointly across all parents and prune in one pass, realize the
-surviving children (birth/death bookkeeping), and report. A birth is a
+"""Per-scan recursion: predict each distinct track of the scan's parents
+once and pair it with the returns once, in one scan-level association
+matrix; give each parent its columns of that matrix (AssociationMatrix.select);
+generate each parent's children (MCMC or exhaustive), normalize weights
+jointly across all parents and prune in one pass, realize the surviving
+children (birth/death bookkeeping), and report. A birth is a
 hypothesis-level event: the return a scan reads as a birth is one newborn
 track, labeled by scan and return index, in every child that births it.
 
@@ -261,18 +263,21 @@ class Tracker:
         )
         parents = sorted(hypotheses, key=lambda h: h.id)
         # Children share their parent's track objects, so most tracks recur
-        # across parents: predict each object once per scan. Keys are ids of
-        # tracks that hypotheses holds for the whole call.
-        predicted_of: dict[int, GaussianTrack] = {}
-        predicted_by_parent = []
-        matrices = []
+        # across parents: number the scan's distinct objects in first-seen
+        # parent order, predict each once and pair it with the returns once,
+        # in one scan-level matrix. Keys are ids of tracks that hypotheses
+        # holds for the whole call.
+        col_of: dict[int, int] = {}
+        distinct: list[GaussianTrack] = []
         for parent in parents:
             for t in parent.tracks:
-                if id(t) not in predicted_of:
-                    predicted_of[id(t)] = predict_track(t, cfg.dynamics)
-            predicted = tuple(predicted_of[id(t)] for t in parent.tracks)
-            predicted_by_parent.append(predicted)
-            matrices.append(build_matrix(predicted, frame.returns, cfg.sensor, cfg.clutter, bd))
+                if id(t) not in col_of:
+                    col_of[id(t)] = len(distinct)
+                    distinct.append(predict_track(t, cfg.dynamics))
+        scan_matrix = build_matrix(distinct, frame.returns, cfg.sensor, cfg.clutter, bd)
+        cols_by_parent = [[col_of[id(t)] for t in parent.tracks] for parent in parents]
+        predicted_by_parent = [tuple(distinct[j] for j in cols) for cols in cols_by_parent]
+        matrices = [scan_matrix.select(cols) for cols in cols_by_parent]
         candidates = [
             Candidate(parent.id, predicted, event, parent.log_weight + log_score)
             for parent, predicted, children in zip(

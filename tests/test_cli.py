@@ -226,15 +226,20 @@ class TestTrackCommand:
             assert sum(r["weight"] for r in rows) == pytest.approx(1.0, abs=1e-9)
             assert all("tracks" in r and "parent_id" in r for r in rows)
 
-    @pytest.mark.parametrize("kind,row", [
-        ("frames", "300.0,nan,7000.0,t00"),
-        ("frames", "inf,7000.0,0.0,t00"),
-        ("frames", "300.0,0.0,0.0,clutter"),
-        ("truth", "300.0,t00,7000.0,inf,0.0,7.5"),
-    ], ids=["nan-return", "inf-time", "return-at-sensor-origin", "inf-truth-state"])
-    def test_bad_value_exits_3(self, tmp_path, capsys, sim_dir, small_scenario_file, kind, row):
-        header = {"frames": "time_s,return_x_km,return_y_km,truth_tag",
-                  "truth": "time_s,object_id,x_km,y_km,vx_kmps,vy_kmps"}[kind]
+    FRAMES_HEADER = "time_s,return_x_km,return_y_km,truth_tag"
+    TRUTH_HEADER = "time_s,object_id,x_km,y_km,vx_kmps,vy_kmps"
+
+    @pytest.mark.parametrize("kind,header,row", [
+        ("frames", FRAMES_HEADER, "300.0,nan,7000.0,t00"),
+        ("frames", FRAMES_HEADER, "inf,7000.0,0.0,t00"),
+        ("frames", FRAMES_HEADER, "300.0,0.0,0.0,clutter"),
+        ("truth", TRUTH_HEADER, "300.0,t00,7000.0,inf,0.0,7.5"),
+        ("truth", "time_s,x_km,y_km,vx_kmps,vy_kmps", "300.0,7000.0,0.0,0.0,7.5"),
+    ], ids=["nan-return", "inf-time", "return-at-sensor-origin", "inf-truth-state",
+            "truth-without-object-id"])
+    def test_bad_value_exits_3(
+        self, tmp_path, capsys, sim_dir, small_scenario_file, kind, header, row
+    ):
         files = {"frames": sim_dir / "frames.csv", "truth": sim_dir / "truth.csv"}
         files[kind] = tmp_path / f"{kind}.csv"
         files[kind].write_text(f"{header}\n{row}\n")
@@ -243,7 +248,10 @@ class TestTrackCommand:
             "--scenario", str(small_scenario_file), "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
-        assert capsys.readouterr().err.startswith("input error:")
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        if kind == "truth" and "object_id" not in header:
+            assert "object_id" in err
 
     def test_missing_frames_exits_3(self, tmp_path, small_scenario_file):
         rc = main([

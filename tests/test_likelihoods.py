@@ -143,6 +143,39 @@ class TestBuildMatrix:
     def test_minus_inf_entry_left_out_of_supported(self):
         assert self.one_row(-math.inf).supported == ((1, 2),)
 
+    # Two tracks near the returns, one in the FOV but far from every return
+    # (its entries underflow to -inf), one outside a narrow FOV.
+    SELECT_TRACKS = [
+        track_at("t00", 30000.0, 0.0),
+        track_at("t01", 30025.0, 480.0),
+        track_at("t02", 45000.0, 0.0),
+        track_at("t03", 0.0, 30000.0),
+    ]
+    SELECT_RETURNS = np.array([[30010.0, 495.0], [30002.0, 3.0], [30020.0, 485.0]])
+
+    @pytest.mark.parametrize("cols,beta,n_returns", [
+        ([2, 0], 0.01, 3),
+        ([3, 1], 0.01, 3),
+        ([0, 1, 2, 3], 0.0, 3),
+        ([3, 2, 1, 0], 0.01, 3),
+        ([], 0.01, 3),
+        ([1, 3], 0.01, 0),
+    ], ids=["far-track", "out-of-fov", "beta-zero", "reversed", "empty", "no-returns"])
+    def test_select_equals_matrix_of_selected_tracks(self, cols, beta, n_returns):
+        sensor = sensor_with(half=0.1)
+        returns = self.SELECT_RETURNS[:n_returns]
+        args = (returns, sensor, ClutterModel(1e-9), BirthDeathConfig(beta=beta))
+        full = build_matrix(self.SELECT_TRACKS, *args)
+        assert n_returns == 0 or np.isneginf(full.log_entries[:, 2]).all()
+        assert full.death_eligible == (beta > 0.0, beta > 0.0, beta > 0.0, False)
+        got = full.select(cols)
+        want = build_matrix([self.SELECT_TRACKS[j] for j in cols], *args)
+        assert np.array_equal(got.log_entries, want.log_entries)
+        assert got.object_labels == want.object_labels
+        assert got.death_eligible == want.death_eligible
+        assert got.supported == want.supported
+        assert np.array_equal(got.returns, want.returns)
+
 
 class TestBirthLikelihood:
     def test_uniform_inside(self):

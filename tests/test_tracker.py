@@ -16,6 +16,7 @@ from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
+    measurement_likelihood,
     predict_track,
     update_track,
 )
@@ -32,6 +33,7 @@ from mcmctrack.presets import (
 from mcmctrack.sampler import SamplerConfig, WalkJob, walk_children
 from mcmctrack.simulate import MeasurementFrame, simulate_scenario
 from mcmctrack import oracle
+from mcmctrack import likelihoods as likelihoods_module
 from mcmctrack import tracker as tracker_module
 from mcmctrack.tracker import (
     Tracker,
@@ -179,8 +181,9 @@ class TestStepBasics:
 
     def test_shared_track_predicted_and_updated_once(self, monkeypatch):
         # Children share their parent's track objects, so parents share
-        # tracks: one scan predicts each object once, and updates each
-        # predicted track with a given return once.
+        # tracks: one scan predicts each object once, pairs it with each
+        # return once in one scan-level matrix, and updates each predicted
+        # track with a given return once.
         cfg = make_config(p_d=1.0, alpha=0.0, beta=0.0, clutter_density=0.0)
         tracker = Tracker(cfg)
         shared = track_at("t00", 100.0, 0.0)
@@ -198,9 +201,14 @@ class TestStepBasics:
 
         monkeypatch.setattr(tracker_module, "predict_track", counting("predict", predict_track))
         monkeypatch.setattr(tracker_module, "update_track", counting("update", update_track))
+        monkeypatch.setattr(tracker_module, "build_matrix", counting("matrix", build_matrix))
+        monkeypatch.setattr(
+            likelihoods_module, "measurement_likelihood",
+            counting("likelihood", measurement_likelihood),
+        )
         z = np.array([100.0, 0.5])
         new_hyps, _ = tracker.step(hyps, frame_at(10.0, [z]))
-        assert sorted(calls) == ["predict", "update"]
+        assert sorted(calls) == ["likelihood", "matrix", "predict", "update"]
         assert len(new_hyps) == 2
         want = update_track(predict_track(shared, cfg.dynamics), z, cfg.sensor)[0]
         for hyp in new_hyps:
@@ -493,28 +501,57 @@ class TestSeedGolden:
         for r, g in zip(reports, self.GOLDEN):
             assert r.weight_entropy == pytest.approx(g[3], rel=1e-9, abs=1e-15)
 
-    # Per scan of the same run: SHA-256 over each kept hypothesis's id,
-    # parent id, log weight and track means and covariances, as bytes.
-    # Labels stay out, so the numbers are pinned whatever newborns are named.
-    NUMBERS = [
-        "a11a5b247b28914755644501a44a0751824bddc5bffdcf1b95ba32b3753f22a2",
-        "82feda235a36b8e76cfe8453077135c1056bdc9eec2fdec82a448167d36f9a9f",
-        "b121bb347f4d2e98bd4a1bb478cf695d50d8dd1a3e2320b7b7eb5c494ba93b49",
-        "340e0c09c11686bda9ce281e5b9867ebaa012fe70af7d961f11fabc467d47818",
-        "742dddfad07512c4649e942264e65da50ba37ebde04f28d8d88fb261373c7161",
-        "5efb2aca52d9910486ff61055255b835594d319ffa47a2a62da72ffa432034b6",
-        "5a82ec699214790c36fe74de8404c0debbfa3aae649ebd8f675166c273d4ecbd",
-        "0028d00c010a22b352953a2f7b4ff52372eef7c79a9c491ba575927c49f93d01",
-        "f837e9b637c1a32fbd16ef807cdd5fdf6ea0da32c752999db89b5040a8cf0bf8",
-        "0a506a4dd8e18ff34b22e1957d6bfbd752bba15c680a12dcae97c5f256c39b6a",
-        "fa3ba6f4d7c4620f67b3ffe2dd41b319ba003c2cb43fcef42f834d300e848168",
-        "601f2d322ff3fdc10e2cee1e2b9f8e5504da108dcc8939d42c0bd29e3e801351",
-        "b0ce8389b15099088013e30c06477fafa28acd2c9f1b4051757828542fcd0bb1",
-        "1d97f1d789c8e3685accb94f9947aa8400fc4ad7fb9b79bddfecb7e1197ff6b4",
-    ]
+    # Per scan of each preset's seed-0 run (single-spawn: the run above):
+    # SHA-256 over each kept hypothesis's id, parent id, log weight and track
+    # means and covariances, as bytes. Labels stay out, so the numbers are
+    # pinned whatever newborns are named. Twenty-object and sixty-object are
+    # where parents share the most tracks.
+    NUMBERS = {
+        "single-spawn": [
+            "a11a5b247b28914755644501a44a0751824bddc5bffdcf1b95ba32b3753f22a2",
+            "82feda235a36b8e76cfe8453077135c1056bdc9eec2fdec82a448167d36f9a9f",
+            "b121bb347f4d2e98bd4a1bb478cf695d50d8dd1a3e2320b7b7eb5c494ba93b49",
+            "340e0c09c11686bda9ce281e5b9867ebaa012fe70af7d961f11fabc467d47818",
+            "742dddfad07512c4649e942264e65da50ba37ebde04f28d8d88fb261373c7161",
+            "5efb2aca52d9910486ff61055255b835594d319ffa47a2a62da72ffa432034b6",
+            "5a82ec699214790c36fe74de8404c0debbfa3aae649ebd8f675166c273d4ecbd",
+            "0028d00c010a22b352953a2f7b4ff52372eef7c79a9c491ba575927c49f93d01",
+            "f837e9b637c1a32fbd16ef807cdd5fdf6ea0da32c752999db89b5040a8cf0bf8",
+            "0a506a4dd8e18ff34b22e1957d6bfbd752bba15c680a12dcae97c5f256c39b6a",
+            "fa3ba6f4d7c4620f67b3ffe2dd41b319ba003c2cb43fcef42f834d300e848168",
+            "601f2d322ff3fdc10e2cee1e2b9f8e5504da108dcc8939d42c0bd29e3e801351",
+            "b0ce8389b15099088013e30c06477fafa28acd2c9f1b4051757828542fcd0bb1",
+            "1d97f1d789c8e3685accb94f9947aa8400fc4ad7fb9b79bddfecb7e1197ff6b4",
+        ],
+        "twenty-object": [
+            "dd82ceb0eeeba4a9b0f688032b8b4ea34c8e5a45662a16684b1a799b74e9a08e",
+            "e1ef77beb2f06c4943c85fec4f3c7218d10af0c2503856a591c1686ca4ba039e",
+            "a7a9b44b926b49f9a63aeca1132d1229c37883327266acb23efdee4f1234d1ea",
+            "45cbeff167ae5f21b1a4d2943360b3d539b3154b25287815b1f4210580243fa9",
+            "a300528a620eff400f1050ae513078ae3a75a7602ac1de221dae56e08848f170",
+            "5a8e73733cfc287aa4b6ea2956bd1121ff0ed9a7d934e010f34006365af1fd1b",
+            "b738f257da5bff5ed4e5686142d7155b872316c11a69313714316918d2e26c15",
+            "f1a5a5074ee2a32d9bd83a2d0b904b6e642f4e6b8ba1c64acf71eca014a3c176",
+            "15b96f198d10828119a3dbbad0e8fedd45b4f125e4b641557e9acd787cefe6c4",
+            "76e0aec973b3ce76d70d687f7d5616f9e26fc481bf3fffa2f785d92260738d0b",
+            "bbcca76f8a688db91d5f33475b2e604177f3ad0980820cf1e95af27351e04628",
+            "275bc54fe8f50481dd234b168ad81876d14d75c6903233d28217eca61469cc0e",
+            "a307d25e253fed426143bb3b05b0fbf708a0b00d560d3a99c50448b8013ec852",
+            "e94b89d9b57165d529892353f665a00367d6614cd67aec0151762c81892b5cfe",
+        ],
+        "sixty-object": [
+            "bdc8b891689aa0440948ac6a6ea24e58126966f70c02d81b7587b88894da6530",
+            "37e8a813eaba7ba498723ded1891abf6687c29c57c48463280e52d44a37fba38",
+            "da0de3e92d4b76ddd5737b291b17a2bcbde754abcf0a1370056b7efff0fc3168",
+            "37f3cf8fabdae28a2b15ee0dee77d3197186280217e4ca6e84fe1448d396cf97",
+            "f69ff9288347061a3eb35731c3402d544642fe0dfdfbae9bfabe5f5cb689e866",
+            "84ff740721fa15dc9810599ec063d773030fc364722edcc65844dc1a54f64c7c",
+        ],
+    }
 
-    def test_single_spawn_seed0_numbers(self):
-        tracker, hyps, frames = preset_start(preset_single_spawn)
+    @pytest.mark.parametrize("name", sorted(NUMBERS))
+    def test_seed0_numbers(self, name):
+        tracker, hyps, frames = preset_start(PRESETS[name])
         digests = []
         for frame in frames:
             hyps, _ = tracker.step(hyps, frame)
@@ -526,7 +563,7 @@ class TestSeedGolden:
                     sha.update(t.mean.tobytes())
                     sha.update(t.covariance.tobytes())
             digests.append(sha.hexdigest())
-        assert digests == self.NUMBERS
+        assert digests == self.NUMBERS[name]
 
 
 class TestBoundGolden:
