@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import __version__
@@ -103,6 +104,12 @@ def cmd_track(args: argparse.Namespace) -> int:
     for frame in frames:
         if (frame.returns == cfg.sensor.origin).all(axis=1).any():
             raise InputDataError(f"a return at time {frame.time} s lies at the sensor origin")
+    for k, frame in enumerate(frames):
+        # Every scan is predicted over one scan interval.
+        due = cfg.scan_interval * (k + 1)
+        if not math.isclose(frame.time, due, rel_tol=1e-9):
+            raise InputDataError(f"frame {k} is at {frame.time} s, not at {due} s "
+                                 f"(one scan every {cfg.scan_interval} s)")
     truth = read_truth_csv(args.truth) if args.truth else None
     tracker_cfg = _tracker_config(cfg, args)
     out = default_out_dir(args.out)

@@ -151,10 +151,16 @@ def scenario_from_dict(payload: dict) -> ScenarioConfig:
     )
 
 
-def load_scenario(path: str | Path) -> ScenarioConfig:
+def _input_file(path: str | Path, kind: str) -> Path:
+    """path as a Path, or InputDataError if it is missing or not a file."""
     path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"scenario file not found: {path}")
+    if not path.is_file():
+        raise InputDataError(f"no {kind} file at {path}")
+    return path
+
+
+def load_scenario(path: str | Path) -> ScenarioConfig:
+    path = _input_file(path, "scenario")
     try:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -193,10 +199,7 @@ def _finite_floats(row: dict, keys: Sequence[str], kind: str) -> list[float]:
 
 def _csv_rows(path: str | Path, kind: str) -> csv.DictReader:
     """Rows of a data CSV file, its '#' header lines skipped."""
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"{kind} file not found: {path}")
-    with open(path, newline="") as fh:
+    with open(_input_file(path, kind), newline="") as fh:
         return csv.DictReader(_io.StringIO("".join(r for r in fh if not r.startswith("#"))))
 
 
@@ -280,21 +283,23 @@ def write_reports_ldjson(reports: Sequence[TrackerReport], path: str | Path) -> 
 
 
 def read_reports_ldjson(path: str | Path) -> list[dict]:
-    path = Path(path)
-    if not path.exists():
-        raise InputDataError(f"reports file not found: {path}")
     out = []
-    with open(path) as fh:
-        for line in fh:
+    with open(_input_file(path, "reports")) as fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputDataError(f"{path} line {n} is not JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise InputDataError(f"{path} line {n} is not a JSON object")
             schema = record.get("schema")
             if schema == REPORT_SCHEMA + "-header":
                 continue
             if schema != REPORT_SCHEMA:
-                raise InputDataError(f"unexpected report schema {schema!r}")
+                raise InputDataError(f"{path} line {n}: unexpected report schema {schema!r}")
             out.append(record)
     return out
 

@@ -114,17 +114,16 @@ TRACKER_TUNING: dict[str, dict] = {
 }
 
 
-def tuning_for(name: str) -> dict:
-    return dict(TRACKER_TUNING.get(name, TRACKER_TUNING["custom"]))
-
-
 def tracker_config_for(scenario, seed=None, mode=None, **overrides):
     """Build a TrackerConfig from a scenario plus its preset tuning.
 
     Keyword overrides: h_inf, children_kept, burn_in_steps, record_steps,
-    alpha, beta, n_pixels, adapt_rates.
+    alpha, beta, n_pixels, adapt_rates; any other raises TypeError.
     """
-    tun = tuning_for(scenario.name)
+    tun = dict(TRACKER_TUNING.get(scenario.name, TRACKER_TUNING["custom"]))
+    unknown = sorted(overrides.keys() - tun.keys())
+    if unknown:
+        raise TypeError(f"tracker_config_for() got unknown overrides {unknown}")
     tun.update({k: v for k, v in overrides.items() if v is not None})
     return TrackerConfig(
         sensor=scenario.sensor,

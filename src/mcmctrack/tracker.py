@@ -1,16 +1,18 @@
 """Per-scan recursion: predict each distinct track of the scan's parents
 once and pair it with the returns once, in one scan-level association
 matrix; give each parent its columns of that matrix (AssociationMatrix.select);
-generate each parent's children (MCMC or exhaustive), normalize weights
+generate each parent's children (MCMC or exhaustive) through one job per
+parent (sampler.ChildJob, run by map_children), normalize weights
 jointly across all parents and prune in one pass, realize the surviving
 children (birth/death bookkeeping), and report. A birth is a
 hypothesis-level event: the return a scan reads as a birth is one newborn
 track, labeled by scan and return index, in every child that births it.
 
-The MCMC walks of a scan with several parents run across the CPUs this
-process may use, one job per parent on a pool of forked workers, and come
-back in parent order. A walk is seeded by the run seed and its parent's id
-alone, so its children do not depend on the process that runs it."""
+The jobs of a scan with several parents run across the CPUs this process
+may use, on a pool of forked workers, and come back in parent order. A walk
+is seeded by the run seed and its parent's id alone, and an enumeration
+has no randomness, so children do not depend on the process that runs
+them."""
 
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,25 +41,21 @@ from .filters import (
 from .hypotheses import (
     BIRTH,
     CLUTTER,
-    AssociationEvent,
     BirthDeathConfig,
     Candidate,
     Hypothesis,
     count_grandchildren,
-    log_child_prior,
     prune,
     weight_entropy,
 )
-from .likelihoods import (
-    AssociationMatrix,
-    ClutterModel,
-    build_matrix,
-    hypothesis_log_likelihood,
-    newborn_track,
-)
-from .oracle import enumerate_child_events
-from .sampler import ChildSample, SamplerConfig, WalkJob, sample_children, walk_children
+from .likelihoods import ClutterModel, build_matrix, newborn_track
+from .sampler import ChildJob, ChildSample, SamplerConfig, job_children, sample_children
 from .simulate import MeasurementFrame
+
+# Not called here; bench/tracing.py's TRACKER_LAYERS still rebinds these names.
+from .hypotheses import log_child_prior  # noqa: F401
+from .likelihoods import hypothesis_log_likelihood  # noqa: F401
+from .oracle import enumerate_child_events  # noqa: F401
 
 
 class TrackerMode(str, Enum):
@@ -195,30 +193,39 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-# The walk pool: created by the first map_walks call of a process, owned by
-# that process alone (its pid), terminated at exit. The lock keeps threads
-# that reach a first multi-parent scan together from starting two pools.
+# The job pool: created by the first map_children call that needs it,
+# owned by that process alone (its pid), terminated at exit. The lock keeps
+# threads that reach a first multi-parent scan together from starting two
+# pools.
 _pool: multiprocessing.pool.Pool | None = None
 _pool_pid = 0
 _pool_lock = threading.Lock()
 
 
-def map_walks(jobs: Iterable[WalkJob]) -> list[list[ChildSample]]:
-    """sampler.walk_children of each job, in job order, run on a fork pool
-    of _worker_count() workers. Forked workers start in milliseconds with
-    the modules already imported (a spawned pool took 0.6 s to start on a
-    2-core Xeon), and a job carries all the state its walk reads. Workers
-    run the sampler's function itself, never a name rebound on this module.
-    A process forked from the pool's owner starts its own pool, since the
-    owner's workers answer the owner alone."""
+def map_children(jobs: Sequence[ChildJob]) -> list[list[ChildSample]]:
+    """sampler.job_children of each job, in job order: the one place that
+    decides where jobs run. One job, or a process with one usable CPU or no
+    right to fork, runs in process (a walk through this module's
+    sample_children, the name the benchmark traces). Otherwise jobs run on
+    a fork pool of _worker_count() workers, which start in milliseconds
+    with the modules already imported, and run the sampler's function
+    itself. A worker reads the event budget (oracle.MAX_EVENTS) it inherited
+    at fork. A process forked from the pool's owner starts its own pool,
+    since the owner's workers answer the owner alone."""
     global _pool, _pool_pid
+    if len(jobs) < 2 or _worker_count() == 1:
+        return [
+            job_children(job) if job.exhaustive
+            else sample_children(job.parent, job.matrix, job.cfg, job.birth_cfg, job.sensor)
+            for job in jobs
+        ]
     with _pool_lock:
         if _pool_pid != os.getpid():
             _pool = multiprocessing.get_context("fork").Pool(_worker_count())
             _pool_pid = os.getpid()
             atexit.register(_close_pool)
         pool = _pool
-    return pool.map(walk_children, jobs, chunksize=1)
+    return pool.map(job_children, jobs, chunksize=1)
 
 
 def _close_pool() -> None:
@@ -277,13 +284,17 @@ class Tracker:
         scan_matrix = build_matrix(distinct, frame.returns, cfg.sensor, cfg.clutter, bd)
         cols_by_parent = [[col_of[id(t)] for t in parent.tracks] for parent in parents]
         predicted_by_parent = [tuple(distinct[j] for j in cols) for cols in cols_by_parent]
-        matrices = [scan_matrix.select(cols) for cols in cols_by_parent]
+        # A parent's matrix has the labels and track count of its predicted
+        # tracks (prediction keeps labels).
+        exhaustive = cfg.mode is TrackerMode.EXHAUSTIVE
+        jobs = [
+            ChildJob(parent, scan_matrix.select(cols), cfg.sampler, bd, cfg.sensor, exhaustive)
+            for parent, cols in zip(parents, cols_by_parent)
+        ]
         candidates = [
-            Candidate(parent.id, predicted, event, parent.log_weight + log_score)
-            for parent, predicted, children in zip(
-                parents, predicted_by_parent, self._children(parents, matrices, bd)
-            )
-            for event, log_score in children
+            Candidate(parent.id, predicted, s.event, parent.log_weight + s.log_score)
+            for parent, predicted, samples in zip(parents, predicted_by_parent, map_children(jobs))
+            for s in samples
         ]
         try:
             kept = prune(candidates, cfg.h_inf)
@@ -311,44 +322,6 @@ class Tracker:
         ]
         report = self._report(frame, new_hyps, bound, bd, degenerate=False)
         return new_hyps, report
-
-    def _children(
-        self,
-        parents: Sequence[Hypothesis],
-        matrices: Sequence[AssociationMatrix],
-        bd: BirthDeathConfig,
-    ) -> list[list[tuple[AssociationEvent, float]]]:
-        """Scored children of each parent, in parent order; a parent's
-        matrix has the labels and track count of its predicted tracks
-        (prediction keeps labels). Exhaustive mode runs in process, under
-        the event budget (oracle.MAX_EVENTS) this process sets. The MCMC
-        walks of a scan with several parents run through map_walks when the
-        process may use more than one CPU, the rest in process."""
-        cfg = self.cfg
-        pairs = list(zip(parents, matrices))
-        if cfg.mode is TrackerMode.EXHAUSTIVE:
-            return [
-                [
-                    (
-                        event,
-                        log_child_prior(event, parent, bd, cfg.sensor.p_d, matrix.n_returns)
-                        + hypothesis_log_likelihood(event, matrix),
-                    )
-                    for event in enumerate_child_events(matrix)
-                ]
-                for parent, matrix in pairs
-            ]
-        if len(pairs) > 1 and _worker_count() > 1:
-            sampled = map_walks(
-                WalkJob(parent.id, matrix, cfg.sampler, bd, cfg.sensor.p_d)
-                for parent, matrix in pairs
-            )
-        else:
-            sampled = [
-                sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
-                for parent, matrix in pairs
-            ]
-        return [[(s.event, s.log_score) for s in samples] for samples in sampled]
 
     def _report(
         self,

@@ -229,16 +229,19 @@ class TestTrackCommand:
     FRAMES_HEADER = "time_s,return_x_km,return_y_km,truth_tag"
     TRUTH_HEADER = "time_s,object_id,x_km,y_km,vx_kmps,vy_kmps"
 
-    @pytest.mark.parametrize("kind,header,row", [
-        ("frames", FRAMES_HEADER, "300.0,nan,7000.0,t00"),
-        ("frames", FRAMES_HEADER, "inf,7000.0,0.0,t00"),
-        ("frames", FRAMES_HEADER, "300.0,0.0,0.0,clutter"),
-        ("truth", TRUTH_HEADER, "300.0,t00,7000.0,inf,0.0,7.5"),
-        ("truth", "time_s,x_km,y_km,vx_kmps,vy_kmps", "300.0,7000.0,0.0,0.0,7.5"),
+    # The scenario scans every 300 s, so frame k belongs at 300 (k + 1) s.
+    @pytest.mark.parametrize("kind,header,row,named", [
+        ("frames", FRAMES_HEADER, "300.0,nan,7000.0,t00", ""),
+        ("frames", FRAMES_HEADER, "inf,7000.0,0.0,t00", ""),
+        ("frames", FRAMES_HEADER, "300.0,0.0,0.0,clutter", ""),
+        ("truth", TRUTH_HEADER, "300.0,t00,7000.0,inf,0.0,7.5", ""),
+        ("truth", "time_s,x_km,y_km,vx_kmps,vy_kmps", "300.0,7000.0,0.0,0.0,7.5", "object_id"),
+        ("frames", FRAMES_HEADER, "600.0,7000.0,0.0,t00\n1200.0,7000.0,0.0,t00", "frame 0"),
+        ("frames", FRAMES_HEADER, "300.0,7000.0,0.0,t00\n900.0,7000.0,0.0,t00", "frame 1"),
     ], ids=["nan-return", "inf-time", "return-at-sensor-origin", "inf-truth-state",
-            "truth-without-object-id"])
+            "truth-without-object-id", "doubled-spacing", "dropped-scan"])
     def test_bad_value_exits_3(
-        self, tmp_path, capsys, sim_dir, small_scenario_file, kind, header, row
+        self, tmp_path, capsys, sim_dir, small_scenario_file, kind, header, row, named
     ):
         files = {"frames": sim_dir / "frames.csv", "truth": sim_dir / "truth.csv"}
         files[kind] = tmp_path / f"{kind}.csv"
@@ -250,8 +253,7 @@ class TestTrackCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert err.startswith("input error:")
-        if kind == "truth" and "object_id" not in header:
-            assert "object_id" in err
+        assert named in err
 
     def test_missing_frames_exits_3(self, tmp_path, small_scenario_file):
         rc = main([
@@ -259,6 +261,36 @@ class TestTrackCommand:
             "--scenario", str(small_scenario_file), "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+
+class TestInputErrors:
+    # A directory where an input file belongs, or a reports line that is
+    # not a JSON object, is an input error naming the path, not a traceback.
+    @pytest.mark.parametrize("flag,content,named", [
+        ("--scenario", None, ""),
+        ("--frames", None, ""),
+        ("--truth", None, ""),
+        ("--reports", None, ""),
+        ("--reports", '{"schema": "mcmctrack.report.v1-header"}\nnot json\n', "line 2"),
+        ("--reports", "[1, 2]\n", "line 1"),
+    ], ids=["scenario-dir", "frames-dir", "truth-dir", "reports-dir", "reports-not-json",
+            "reports-not-object"])
+    def test_exits_3(self, tmp_path, capsys, sim_dir, small_scenario_file, flag, content, named):
+        path = tmp_path / "input"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_text(content)
+        if flag == "--reports":
+            argv = ["figdata", "--reports", str(path)]
+        else:
+            inputs = {"--frames": sim_dir / "frames.csv", "--scenario": small_scenario_file,
+                      "--truth": sim_dir / "truth.csv", flag: path}
+            argv = ["track", *(str(x) for item in inputs.items() for x in item)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert str(path) in err and named in err
 
 
 def live_processes_naming(text):

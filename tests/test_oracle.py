@@ -32,7 +32,7 @@ from mcmctrack.oracle import (
     exact_posterior,
     tv_distance,
 )
-from mcmctrack.sampler import _Chain
+from mcmctrack.sampler import ChildJob, SamplerConfig, _Chain, job_children
 
 
 def wide_sensor(p_d=0.9):
@@ -203,6 +203,22 @@ class TestEnumerateChildEvents:
         # unclaimed: 2 * 2 * 2 assignments times 4 death sets; with t00
         # claimed by one of the two rows: 2 * 2 * 2 times 2 death sets.
         assert len(keys) == 8 * 4 + 8 * 2
+
+    def test_enumeration_job_scores_each_event_like_log_child_prior(self):
+        # An exhaustive job keeps the enumeration order, and each score is
+        # log_child_prior + likelihood bit for bit.
+        parent, mat, cfg, sensor = sparse_instance()
+        job = ChildJob(parent, mat, SamplerConfig(), cfg, sensor, exhaustive=True)
+        samples = job_children(job)
+        assert [(s.event.canonical_key(), s.log_score) for s in samples] == [
+            (
+                e.canonical_key(),
+                log_child_prior(e, parent, cfg, sensor.p_d, mat.n_returns)
+                + hypothesis_log_likelihood(e, mat),
+            )
+            for e in enumerate_child_events(mat)
+        ]
+        assert all(s.visits == 0 for s in samples)
 
     def test_supported_pattern_is_the_finite_columns(self):
         parent, mat, cfg, sensor = sparse_instance()

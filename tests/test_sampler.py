@@ -24,12 +24,12 @@ from mcmctrack.hypotheses import (
 from mcmctrack.likelihoods import ClutterModel, build_matrix, hypothesis_log_likelihood
 from mcmctrack.oracle import enumerate_child_events, exact_posterior, tv_distance
 from mcmctrack.sampler import (
+    ChildJob,
     SamplerConfig,
-    WalkJob,
     _Chain,
+    job_children,
     sample_children,
     visit_distribution,
-    walk_children,
 )
 
 
@@ -663,21 +663,21 @@ class TestStream:
 
     @pytest.mark.parametrize("name", ["sparse", "dense3x3"])
     def test_job_function_matches_sample_children(self, name):
-        # A walk worker receives its job pickled and runs walk_children on
-        # it; sample_children runs the same function in process.
+        # A worker receives its job pickled and runs job_children on it;
+        # sample_children runs the same function in process.
         positions, returns = self.INSTANCES[name]
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, clutter_density=3e-3,
         )
         scfg = SamplerConfig(burn_in_steps=300, record_steps=4000, children_kept=10, seed=11)
-        job = WalkJob(parent.id, matrix, scfg, cfg, sensor.p_d)
+        job = ChildJob(parent, matrix, scfg, cfg, sensor)
 
         def listed(samples):
             return [(s.event.canonical_key(), s.log_score, s.visits) for s in samples]
 
         expected = listed(sample_children(parent, matrix, scfg, cfg, sensor))
-        assert listed(walk_children(job)) == expected
-        assert listed(walk_children(pickle.loads(pickle.dumps(job)))) == expected
+        assert listed(job_children(job)) == expected
+        assert listed(job_children(pickle.loads(pickle.dumps(job)))) == expected
 
 
 class TestKeyCache:

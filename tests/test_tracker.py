@@ -30,7 +30,7 @@ from mcmctrack.presets import (
     preset_twenty_object,
     tracker_config_for,
 )
-from mcmctrack.sampler import SamplerConfig, WalkJob, walk_children
+from mcmctrack.sampler import ChildJob, SamplerConfig, job_children
 from mcmctrack.simulate import MeasurementFrame, simulate_scenario
 from mcmctrack import oracle
 from mcmctrack import likelihoods as likelihoods_module
@@ -452,10 +452,10 @@ class TestRunTracker:
         assert reports[-1].hypothesis_count_bound >= 1
 
 
-def preset_start(preset):
+def preset_start(preset, mode=TrackerMode.MCMC):
     scenario = preset(seed=0)
     _, frames = simulate_scenario(scenario)
-    tracker = Tracker(tracker_config_for(scenario, seed=0))
+    tracker = Tracker(tracker_config_for(scenario, seed=0, mode=mode))
     hyps = tracker.initial_hypotheses([
         GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
         for i, s in enumerate(scenario.objects)
@@ -595,17 +595,31 @@ class TestBoundGolden:
         assert [r.hypothesis_count_bound for r in reports] == self.BOUNDS[name]
 
 
+def two_track_job(exhaustive=False):
+    cfg = make_config(mode=TrackerMode.MCMC)
+    tracks = (track_at("t00", 100.0, 0.0), track_at("t01", 110.0, 0.0))
+    matrix = build_matrix(tracks, np.array([[100.0, 0.0], [110.5, 0.0]]),
+                          cfg.sensor, cfg.clutter, cfg.birth_death)
+    parent = Hypothesis(id="h0", parent_id=None, log_weight=0.0, tracks=tracks)
+    return ChildJob(parent, matrix, cfg.sampler, cfg.birth_death, cfg.sensor, exhaustive)
+
+
 @pytest.mark.skipif(tracker_module._worker_count() < 2,
-                    reason="one usable CPU: every walk runs in process")
+                    reason="one usable CPU: every job runs in process")
 class TestWalkPool:
-    @pytest.mark.parametrize("preset", [preset_single_spawn, preset_twenty_object],
-                             ids=["single-spawn", "twenty-object"])
-    def test_pool_and_in_process_reports_identical(self, preset, tmp_path, monkeypatch):
+    # Exhaustive twenty-object takes about 10 s a run; single-spawn is
+    # multi-parent from its second scan already.
+    @pytest.mark.parametrize("preset, mode", [
+        (preset_single_spawn, TrackerMode.MCMC),
+        (preset_twenty_object, TrackerMode.MCMC),
+        (preset_single_spawn, TrackerMode.EXHAUSTIVE),
+    ], ids=["single-spawn", "twenty-object", "single-spawn-exhaustive"])
+    def test_pool_and_in_process_reports_identical(self, preset, mode, tmp_path, monkeypatch):
         written = []
         for run in ("pool", "in-process"):
             if run == "in-process":
                 monkeypatch.setattr(tracker_module, "_worker_count", lambda: 1)
-            tracker, hyps, frames = preset_start(preset)
+            tracker, hyps, frames = preset_start(preset, mode)
             _, reports = run_tracker(tracker, hyps, frames)
             if run == "pool":
                 assert tracker_module._pool_pid == os.getpid()
@@ -638,13 +652,23 @@ class TestWalkPool:
         assert os.waitstatus_to_exitcode(status) == 0
 
 
+    @pytest.mark.parametrize("exhaustive", [False, True], ids=["walk", "exhaustive"])
+    def test_single_job_runs_in_process(self, exhaustive, monkeypatch):
+        job = two_track_job(exhaustive)
+        expected = [job_children(job)]
+
+        def no_pool(method):
+            raise AssertionError("a single job started a pool")
+
+        monkeypatch.setattr(tracker_module, "_pool", None)
+        monkeypatch.setattr(tracker_module, "_pool_pid", 0)
+        monkeypatch.setattr(tracker_module.multiprocessing, "get_context", no_pool)
+        assert tracker_module.map_children([job]) == expected
+        assert tracker_module._pool_pid == 0
+
     def test_threads_reaching_the_first_scan_together_share_one_pool(self, monkeypatch):
-        cfg = make_config(mode=TrackerMode.MCMC)
-        tracks = (track_at("t00", 100.0, 0.0), track_at("t01", 110.0, 0.0))
-        matrix = build_matrix(tracks, np.array([[100.0, 0.0], [110.5, 0.0]]),
-                              cfg.sensor, cfg.clutter, cfg.birth_death)
-        job = WalkJob("h0", matrix, cfg.sampler, cfg.birth_death, cfg.sensor.p_d)
-        expected = [walk_children(job)]
+        job = two_track_job()
+        expected = [job_children(job)] * 2
         started = []
         fork = multiprocessing.get_context("fork")
 
@@ -663,7 +687,7 @@ class TestWalkPool:
 
         def scan():
             barrier.wait(timeout=30)
-            results.append(tracker_module.map_walks([job]))
+            results.append(tracker_module.map_children([job, job]))
 
         threads = [threading.Thread(target=scan) for _ in range(4)]
         try:
@@ -676,6 +700,14 @@ class TestWalkPool:
             tracker_module._close_pool()
         assert len(started) == 1
         assert results == [expected] * 4
+
+
+class TestPresetConfig:
+    def test_unknown_override_raises(self):
+        scenario = preset_single_spawn(seed=0)
+        assert tracker_config_for(scenario, h_inf=3).h_inf == 3
+        with pytest.raises(TypeError, match="h_infinity"):
+            tracker_config_for(scenario, h_infinity=3)
 
 
 class TestPresetQuality:
