@@ -62,7 +62,6 @@ def _resolve_scenario(spec: str, seed: int | None) -> ScenarioConfig:
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_scenario(args.scenario, args.seed)
     out = default_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_manifest(
         out,
         {
@@ -113,7 +112,6 @@ def cmd_track(args: argparse.Namespace) -> int:
     truth = read_truth_csv(args.truth) if args.truth else None
     tracker_cfg = _tracker_config(cfg, args)
     out = default_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_manifest(
         out,
         {
@@ -163,7 +161,6 @@ def cmd_figdata(args: argparse.Namespace) -> int:
     records = read_reports_ldjson(args.reports)
     truth = read_truth_csv(args.truth) if args.truth else None
     out = default_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_manifest(
         out,
         {

@@ -74,8 +74,10 @@ class SensorModel:
             raise ConfigError("sensor.fov_half_angle must lie in (0, pi]")
         if not np.all(np.isfinite(self.origin)):
             raise ConfigError("sensor.origin must be finite")
-        if np.linalg.eigvalsh(self.r).min() <= 0.0:
-            raise ConfigError("sensor.r must be symmetric positive definite")
+        if not math.isfinite(self.boresight_angle):
+            raise ConfigError("sensor.boresight_angle must be finite")
+        if not np.all(np.isfinite(self.r)) or np.linalg.eigvalsh(self.r).min() <= 0.0:
+            raise ConfigError("sensor.r must be finite and symmetric positive definite")
         if not (0.0 <= self.p_d <= 1.0):
             raise ConfigError("sensor.p_d must lie in [0, 1]")
         if not (math.isfinite(self.max_range) and self.max_range > 0.0):

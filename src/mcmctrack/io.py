@@ -15,6 +15,7 @@ import io as _io
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -176,11 +177,30 @@ def _float_repr(v: float) -> str:
     return repr(float(v))
 
 
-def write_truth_csv(truth: Sequence[TruthScan], path: str | Path) -> None:
+@contextmanager
+def _csv_writer(path: str | Path, schema: str, header: Sequence[str]):
+    """A csv writer on a new data file at path, with the file's schema line
+    and header row written."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={TRUTH_SCHEMA} manifest={MANIFEST_NAME}\n")
+        fh.write(f"# schema={schema} manifest={MANIFEST_NAME}\n")
         writer = csv.writer(fh)
-        writer.writerow(["time_s", "object_id", "x_km", "y_km", "vx_kmps", "vy_kmps"])
+        writer.writerow(header)
+        yield writer
+
+
+def _write_ldjson(path: str | Path, schema: str, records) -> None:
+    """A data file at path: a header line naming schema and the manifest,
+    then one JSON line per record."""
+    header = {"schema": schema + "-header", "manifest": MANIFEST_NAME}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def write_truth_csv(truth: Sequence[TruthScan], path: str | Path) -> None:
+    header = ["time_s", "object_id", "x_km", "y_km", "vx_kmps", "vy_kmps"]
+    with _csv_writer(path, TRUTH_SCHEMA, header) as writer:
         for scan in truth:
             for oid, s in scan.objects:
                 writer.writerow([_float_repr(scan.time), oid, *(_float_repr(v) for v in s)])
@@ -215,10 +235,8 @@ def read_truth_csv(path: str | Path) -> list[TruthScan]:
 
 
 def write_frames_csv(frames: Sequence[MeasurementFrame], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={FRAMES_SCHEMA} manifest={MANIFEST_NAME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "return_x_km", "return_y_km", "truth_tag"])
+    header = ["time_s", "return_x_km", "return_y_km", "truth_tag"]
+    with _csv_writer(path, FRAMES_SCHEMA, header) as writer:
         for frame in frames:
             tags = frame.truth_tags or [""] * frame.n_returns
             for z, tag in zip(frame.returns, tags):
@@ -273,13 +291,7 @@ def report_to_dict(report: TrackerReport) -> dict:
 
 
 def write_reports_ldjson(reports: Sequence[TrackerReport], path: str | Path) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(
-            {"schema": REPORT_SCHEMA + "-header", "manifest": MANIFEST_NAME},
-            sort_keys=True,
-        ) + "\n")
-        for report in reports:
-            fh.write(json.dumps(report_to_dict(report), sort_keys=True) + "\n")
+    _write_ldjson(path, REPORT_SCHEMA, map(report_to_dict, reports))
 
 
 def read_reports_ldjson(path: str | Path) -> list[dict]:
@@ -307,29 +319,25 @@ def read_reports_ldjson(path: str | Path) -> list[dict]:
 def write_history_ldjson(history: Sequence[tuple[int, Sequence]], path: str | Path) -> None:
     """Full per-scan hypothesis history (weights, parents, track states);
     intended for small runs."""
-    with open(path, "w") as fh:
-        fh.write(json.dumps(
-            {"schema": HISTORY_SCHEMA + "-header", "manifest": MANIFEST_NAME},
-            sort_keys=True,
-        ) + "\n")
-        for scan, hypotheses in history:
-            for h in hypotheses:
-                record = {
-                    "schema": HISTORY_SCHEMA,
-                    "scan": scan,
-                    "id": h.id,
-                    "parent_id": h.parent_id,
-                    "weight": h.weight,
-                    "tracks": [
-                        {
-                            "label": t.label,
-                            "state": [float(v) for v in t.mean],
-                            "covariance": [[float(v) for v in row] for row in t.covariance],
-                        }
-                        for t in h.tracks
-                    ],
+    _write_ldjson(path, HISTORY_SCHEMA, (
+        {
+            "schema": HISTORY_SCHEMA,
+            "scan": scan,
+            "id": h.id,
+            "parent_id": h.parent_id,
+            "weight": h.weight,
+            "tracks": [
+                {
+                    "label": t.label,
+                    "state": [float(v) for v in t.mean],
+                    "covariance": [[float(v) for v in row] for row in t.covariance],
                 }
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                for t in h.tracks
+            ],
+        }
+        for scan, hypotheses in history
+        for h in hypotheses
+    ))
 
 
 def write_manifest(out_dir: str | Path, payload: dict) -> Path:
@@ -359,11 +367,9 @@ def write_fig_estimates_csv(
     path: str | Path,
 ) -> None:
     """Per-scan truth-vs-estimate position table."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={FIG_ESTIMATES_SCHEMA} manifest={MANIFEST_NAME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "kind", "id", "x_km", "y_km"])
-        truth_by_time = {scan.time: scan for scan in truth or []}
+    truth_by_time = {scan.time: scan for scan in truth or []}
+    header = ["time_s", "kind", "id", "x_km", "y_km"]
+    with _csv_writer(path, FIG_ESTIMATES_SCHEMA, header) as writer:
         for record in reports:
             t = record["time_s"]
             scan = truth_by_time.get(t)
@@ -378,10 +384,7 @@ def write_fig_estimates_csv(
 
 def write_fig_counts_csv(reports: Sequence[dict], path: str | Path) -> None:
     """Per-scan hypothesis-count-bound table (decimal strings)."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# schema={FIG_COUNTS_SCHEMA} manifest={MANIFEST_NAME}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "hypothesis_count_bound"])
+    with _csv_writer(path, FIG_COUNTS_SCHEMA, ["time_s", "hypothesis_count_bound"]) as writer:
         for record in reports:
             writer.writerow([_float_repr(record["time_s"]), record["hypothesis_count_bound"]])
 

@@ -48,8 +48,8 @@ class ClutterModel:
     def __post_init__(self) -> None:
         if self.density_value < 0.0 or not math.isfinite(self.density_value):
             raise ConfigError("clutter.density_value must be finite and >= 0")
-        if self.expected_count < 0.0:
-            raise ConfigError("clutter.expected_count must be >= 0")
+        if self.expected_count < 0.0 or not math.isfinite(self.expected_count):
+            raise ConfigError("clutter.expected_count must be finite and >= 0")
 
 
 def uniform_clutter(sensor: SensorModel, expected_count: float = 0.0) -> ClutterModel:
@@ -71,6 +71,12 @@ class AssociationMatrix:
     is clutter. Immutable once built. supported is derived from log_entries
     on construction: per row, the ascending tuple of its finite columns. It
     is the one support pattern the walk and the child enumerator read.
+    column_entries, also derived, is each column's assignment entry: the
+    object labels, then BIRTH and CLUTTER.
+
+    A child is generated as a column key: (the column of each return, the
+    ascending columns of the objects that die). event_of maps a key to its
+    event.
 
     A scan-level matrix, built over the distinct predicted tracks of all
     parents, can hold one label in several columns (one object predicted
@@ -83,6 +89,7 @@ class AssociationMatrix:
     death_eligible: tuple[bool, ...]
     returns: np.ndarray
     supported: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    column_entries: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m_rows, n_cols = self.log_entries.shape
@@ -98,6 +105,7 @@ class AssociationMatrix:
         finite = np.isfinite(self.log_entries)
         supported = tuple(tuple(np.flatnonzero(row).tolist()) for row in finite)
         object.__setattr__(self, "supported", supported)
+        object.__setattr__(self, "column_entries", (*self.object_labels, BIRTH, CLUTTER))
 
     @property
     def n_returns(self) -> int:
@@ -116,21 +124,19 @@ class AssociationMatrix:
         return self.n_objects + 1
 
     def column_of(self, entry: str) -> int:
-        if entry == BIRTH:
-            return self.birth_col
-        if entry == CLUTTER:
-            return self.clutter_col
         try:
-            return self.object_labels.index(entry)
+            return self.column_entries.index(entry)
         except ValueError:
             raise InvalidEventError(f"assignment references a missing column {entry!r}")
 
-    def entry_of(self, col: int) -> str:
-        if col == self.birth_col:
-            return BIRTH
-        if col == self.clutter_col:
-            return CLUTTER
-        return self.object_labels[col]
+    def event_of(self, key: tuple) -> AssociationEvent:
+        """The event of column key (per-return columns, death columns)."""
+        assign, deaths = key
+        entries = self.column_entries
+        return AssociationEvent(
+            assignments=tuple(entries[c] for c in assign),
+            deaths=frozenset(entries[j] for j in deaths),
+        )
 
     def select(self, cols: Sequence[int]) -> AssociationMatrix:
         """The matrix of a parent whose tracks are object columns cols of

@@ -5,16 +5,17 @@ pixels birth (including births that produce no return) and is what the
 closed-form count formula counts; enumerate_grandchildren walks it. The
 reduced space is what the data-association-matrix representation (and the
 MCMC walk) can express: per-return assignments plus a death set.
-enumerate_child_events walks the part of the reduced space that the matrix
-supports (every selected entry in AssociationMatrix.supported); exhaustive
-tracking scores it with the production prior, and exact_posterior scores it
-with an independent reimplementation of the prior/likelihood composition,
-sharing only the matrix entries with the production path.
+enumerate_child_keys walks the part of the reduced space that the matrix
+supports (every selected entry in AssociationMatrix.supported), as column
+keys; exhaustive tracking scores those keys with the walk's scorer.
+enumerate_child_events maps the same keys to events, which exact_posterior
+scores with an independent reimplementation of the prior/likelihood
+composition, sharing only the matrix entries with the production path.
 
 MAX_EVENTS is the one event budget, and the two enumerators enforce it
 themselves: enumerate_grandchildren refuses up front when the closed-form
-count exceeds it, and enumerate_child_events raises as soon as it would yield
-one event more, so no caller counts.
+count exceeds it, and enumerate_child_keys raises as soon as it would yield
+one key more, so no caller counts.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Iterator, NamedTuple, Sequence
 from .errors import DegenerateUpdateError, EnumerationLimitError
 from .filters import SensorModel
 from .hypotheses import (
-    BIRTH,
     CLUTTER,
     AssociationEvent,
     BirthDeathConfig,
@@ -86,45 +86,49 @@ def enumerate_grandchildren(
     return out
 
 
-def enumerate_child_events(matrix: AssociationMatrix) -> Iterator[AssociationEvent]:
-    """Every event of the reduced (assignments, deaths) space with finite
-    likelihood, exactly once. The walk goes row by row over each return's
-    supported columns, skipping objects an earlier return claimed, so its
-    work follows the events it yields; deaths range over the unclaimed
-    death-eligible objects. Raises EnumerationLimitError instead of yielding
-    event number MAX_EVENTS + 1."""
+def enumerate_child_keys(matrix: AssociationMatrix) -> Iterator[tuple]:
+    """The column key (per-return columns, ascending death columns) of every
+    event of the reduced space with finite likelihood, exactly once. The
+    walk goes row by row over each return's supported columns, skipping
+    objects an earlier return claimed, so its work follows the keys it
+    yields; deaths range over the unclaimed death-eligible objects. Raises
+    EnumerationLimitError instead of yielding key number MAX_EVENTS + 1."""
     m = matrix.n_returns
-    columns = [[matrix.entry_of(j) for j in cols] for cols in matrix.supported]
-    can_die = [
-        lbl for lbl, ok in zip(matrix.object_labels, matrix.death_eligible) if ok
-    ]
-    assignment = [CLUTTER] * m
-    claimed: set[str] = set()
+    n_objects = matrix.n_objects
+    can_die = [j for j, ok in enumerate(matrix.death_eligible) if ok]
+    assign = [0] * m
+    claimed: set[int] = set()
 
-    def walk(i: int) -> Iterator[AssociationEvent]:
+    def walk(i: int) -> Iterator[tuple]:
         if i == m:
-            free = [lbl for lbl in can_die if lbl not in claimed]
+            assignment = tuple(assign)
+            free = [j for j in can_die if j not in claimed]
             for n_d in range(len(free) + 1):
                 for death_set in combinations(free, n_d):
-                    yield AssociationEvent(tuple(assignment), frozenset(death_set))
+                    yield assignment, death_set
             return
-        for entry in columns[i]:
-            if entry in claimed:
+        for col in matrix.supported[i]:
+            if col in claimed:
                 continue
-            assignment[i] = entry
-            is_object = entry != BIRTH and entry != CLUTTER
-            if is_object:
-                claimed.add(entry)
-            yield from walk(i + 1)
-            if is_object:
-                claimed.remove(entry)
+            assign[i] = col
+            if col < n_objects:
+                claimed.add(col)
+                yield from walk(i + 1)
+                claimed.remove(col)
+            else:
+                yield from walk(i + 1)
 
-    for count, event in enumerate(walk(0), 1):
+    for count, key in enumerate(walk(0), 1):
         if count > MAX_EVENTS:
             raise EnumerationLimitError(
                 f"child enumeration exceeded {MAX_EVENTS} supported events"
             )
-        yield event
+        yield key
+
+
+def enumerate_child_events(matrix: AssociationMatrix) -> Iterator[AssociationEvent]:
+    """The events of enumerate_child_keys(matrix), in its order."""
+    yield from map(matrix.event_of, enumerate_child_keys(matrix))
 
 
 def _independent_log_score(

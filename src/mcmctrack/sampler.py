@@ -16,14 +16,17 @@ unassociated death-eligible object's death status (a no-change proposal when
 there is none). Scores are log(child prior) + log(likelihood), maintained
 incrementally and recomputed from scratch whenever a new event is recorded.
 
-One _Chain object per parent holds both the walk's state and its scoring
-tables. Its random initial state draws from the matrix's supported columns
-(AssociationMatrix.supported), the same pattern the child enumerator walks.
-_Chain.run is the one stepping method: a single loop over local variables
-that draws, scores, tests and commits each move and, when given a table,
-records the visits. job_children generates one parent's children from a
-ChildJob, by the walk or, in exhaustive mode, by enumerating every
-supported event; sample_children is the public single-parent walk.
+One _Chain object per parent holds its scoring tables and a state, which
+is a column key of the matrix (see AssociationMatrix). start draws a random
+initial state from the matrix's supported columns
+(AssociationMatrix.supported), the same pattern the child enumerator walks;
+load sets a given key. _Chain.run is the one stepping method: a single loop
+over local variables that draws, scores, tests and commits each move and,
+when given a table, records the visits. job_children generates one parent's
+children from a ChildJob, by the walk or, in exhaustive mode, by loading
+every key of oracle.enumerate_child_keys into the same scorer, so every
+child score comes from _Chain; sample_children is the public single-parent
+walk.
 
 Stream contract: each integer draw, the initial state's and run's (a row
 out of m+1, then one of the M+1 other columns or a member of the unclaimed
@@ -55,8 +58,8 @@ from .hypotheses import (
     Hypothesis,
     log_count_prior,
 )
-from .likelihoods import AssociationMatrix, hypothesis_log_likelihood
-from .oracle import enumerate_child_events
+from .likelihoods import AssociationMatrix
+from .oracle import enumerate_child_keys
 
 
 @dataclass(frozen=True)
@@ -105,18 +108,9 @@ class _Chain:
     )
 
     def __init__(
-        self,
-        matrix: AssociationMatrix,
-        birth_cfg: BirthDeathConfig,
-        p_d: float,
-        rng: random.Random,
-        event: AssociationEvent | None = None,
+        self, matrix: AssociationMatrix, birth_cfg: BirthDeathConfig, p_d: float
     ) -> None:
-        """Load event, or draw a random initial one: each return picks
-        uniformly among the supported columns of its row (zero-likelihood
-        pairings would start the chain on a plateau it can take arbitrarily
-        long to leave), a draw of an already-claimed object resolves to
-        clutter, and the death set is empty."""
+        """The scoring tables of matrix; start or load sets a state."""
         self.matrix = matrix
         self.m = matrix.n_returns
         self.n_objects = matrix.n_objects
@@ -127,25 +121,36 @@ class _Chain:
         self.birth_cfg = birth_cfg
         self.p_d = p_d
         self._prior_memo: dict[tuple[int, int, int], float] = {}
+
+    def start(self, rng: random.Random) -> None:
+        """Draw a random initial state from rng, the stream run then draws
+        from: each return picks uniformly among the supported columns of its
+        row (zero-likelihood pairings would start the chain on a plateau it
+        can take arbitrarily long to leave), a draw of an already-claimed
+        object resolves to clutter, and the death set is empty."""
         self.rng = rng
-        if event is None:
-            getrandbits = rng.getrandbits
-            self.assign: list[int] = []
-            for supported in matrix.supported:
-                n = len(supported) or self.n_objects + 2
-                bits = n.bit_length()
+        getrandbits = rng.getrandbits
+        self.assign: list[int] = []
+        for supported in self.matrix.supported:
+            n = len(supported) or self.n_objects + 2
+            bits = n.bit_length()
+            col = getrandbits(bits)
+            while col >= n:
                 col = getrandbits(bits)
-                while col >= n:
-                    col = getrandbits(bits)
-                if supported:
-                    col = supported[col]
-                if col < self.n_objects and col in self.assign:
-                    col = self.clutter_col
-                self.assign.append(col)
-            self.dead: set[int] = set()
-        else:
-            self.assign = [matrix.column_of(a) for a in event.assignments]
-            self.dead = {matrix.object_labels.index(lbl) for lbl in event.deaths}
+            if supported:
+                col = supported[col]
+            if col < self.n_objects and col in self.assign:
+                col = self.clutter_col
+            self.assign.append(col)
+        self.dead: set[int] = set()
+        self.resync()
+
+    def load(self, key: tuple) -> None:
+        """Set the state to column key (assignment, death columns) and score
+        it from scratch."""
+        assign, deaths = key
+        self.assign = list(assign)
+        self.dead = set(deaths)
         self.resync()
 
     def log_prior(self, k: int, n_b: int, n_d: int) -> float:
@@ -366,15 +371,7 @@ class _Chain:
         self.log_score = score
 
     def event(self) -> AssociationEvent:
-        return _event_of(self.matrix, self.key())
-
-
-def _event_of(matrix: AssociationMatrix, key: tuple) -> AssociationEvent:
-    assign, deaths = key
-    return AssociationEvent(
-        assignments=tuple(matrix.entry_of(c) for c in assign),
-        deaths=frozenset(matrix.object_labels[j] for j in deaths),
-    )
+        return self.matrix.event_of(self.key())
 
 
 def chain_seed(seed: int, parent_id: str) -> int:
@@ -411,33 +408,26 @@ class ChildJob:
 def job_children(job: ChildJob) -> list[ChildSample]:
     """The children of job.parent over job.matrix, whichever process runs it.
 
-    Enumeration returns every event of enumerate_child_events in its order,
-    with visits 0, scored log_count_prior + hypothesis_log_likelihood. A
+    Enumeration returns the event of every key of enumerate_child_keys, in
+    its order, with visits 0 and the score of the key loaded into _Chain. A
     walk records every post-burn-in state into a deduplicated table (scores
     recomputed from scratch on first visit) and returns the top
     children_kept events by score; it is deterministic given job.cfg.seed
     and the parent id.
     """
-    matrix, cfg, p_d = job.matrix, job.cfg, job.sensor.p_d
-    m, n_objects = matrix.n_returns, matrix.n_objects
+    matrix, cfg = job.matrix, job.cfg
+    chain = _Chain(matrix, job.birth_cfg, job.sensor.p_d)
     if job.exhaustive:
-        return [
-            ChildSample(
-                event,
-                log_count_prior(
-                    len(event.associated_labels), event.n_births, event.n_deaths,
-                    n_objects, m, job.birth_cfg, p_d,
-                )
-                + hypothesis_log_likelihood(event, matrix),
-                visits=0,
-            )
-            for event in enumerate_child_events(matrix)
-        ]
-    size = (m + 1) * (n_objects + 2)
+        samples = []
+        for key in enumerate_child_keys(matrix):
+            chain.load(key)
+            samples.append(ChildSample(matrix.event_of(key), chain.log_score, visits=0))
+        return samples
+    size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
     burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
     record = 200 * size if cfg.record_steps is None else cfg.record_steps
     table: dict[tuple, list] = {}
-    chain = _Chain(matrix, job.birth_cfg, p_d, random.Random(chain_seed(cfg.seed, job.parent.id)))
+    chain.start(random.Random(chain_seed(cfg.seed, job.parent.id)))
     chain.run(burn)
     chain.run(record, table)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
@@ -446,7 +436,7 @@ def job_children(job: ChildJob) -> list[ChildSample]:
         cfg.children_kept, table.items(), key=lambda kv: (-kv[1][0], kv[0])
     )
     return [
-        ChildSample(event=_event_of(matrix, key), log_score=score, visits=visits)
+        ChildSample(event=matrix.event_of(key), log_score=score, visits=visits)
         for key, (score, visits) in ranked
     ]
 

@@ -37,8 +37,8 @@ class SpawnEvent:
     def __post_init__(self) -> None:
         if self.fragment_count < 2:
             raise ConfigError("spawn_events[].fragment_count must be >= 2")
-        if self.velocity_std < 0.0:
-            raise ConfigError("spawn_events[].velocity_std must be >= 0")
+        if self.velocity_std < 0.0 or not math.isfinite(self.velocity_std):
+            raise ConfigError("spawn_events[].velocity_std must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,10 +104,9 @@ class ScenarioConfig:
                 raise ConfigError(f"spawn_events[{i}].time must lie within duration")
             if not 0 <= ev.parent_index < len(self.objects):
                 raise ConfigError(f"spawn_events[{i}].parent_index out of range")
-        if self.initial_position_std_km <= 0.0:
-            raise ConfigError("initial_position_std_km must be > 0")
-        if self.initial_velocity_std_kmps <= 0.0:
-            raise ConfigError("initial_velocity_std_kmps must be > 0")
+        for name in ("initial_position_std_km", "initial_velocity_std_kmps"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+                raise ConfigError(f"{name} must be finite and > 0")
         # Truth propagation reuses the per-scan dynamics step.
         self.dynamics = replace(self.dynamics, dt=self.scan_interval)
 

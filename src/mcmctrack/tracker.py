@@ -8,11 +8,10 @@ children (birth/death bookkeeping), and report. A birth is a
 hypothesis-level event: the return a scan reads as a birth is one newborn
 track, labeled by scan and return index, in every child that births it.
 
-The jobs of a scan with several parents run across the CPUs this process
+The walks of a scan with several parents run across the CPUs this process
 may use, on a pool of forked workers, and come back in parent order. A walk
-is seeded by the run seed and its parent's id alone, and an enumeration
-has no randomness, so children do not depend on the process that runs
-them."""
+is seeded by the run seed and its parent's id alone, so its children do not
+depend on the process that runs it."""
 
 from __future__ import annotations
 
@@ -204,16 +203,16 @@ _pool_lock = threading.Lock()
 
 def map_children(jobs: Sequence[ChildJob]) -> list[list[ChildSample]]:
     """sampler.job_children of each job, in job order: the one place that
-    decides where jobs run. One job, or a process with one usable CPU or no
-    right to fork, runs in process (a walk through this module's
-    sample_children, the name the benchmark traces). Otherwise jobs run on
-    a fork pool of _worker_count() workers, which start in milliseconds
-    with the modules already imported, and run the sampler's function
-    itself. A worker reads the event budget (oracle.MAX_EVENTS) it inherited
-    at fork. A process forked from the pool's owner starts its own pool,
-    since the owner's workers answer the owner alone."""
+    decides where jobs run. Enumerations, one job, or a process with one
+    usable CPU or no right to fork run in process (a walk through this
+    module's sample_children, the name the benchmark traces): sending every
+    enumerated child back from a worker costs more than the second CPU
+    saves. Otherwise walks run on a fork pool of _worker_count() workers,
+    which start in milliseconds with the modules already imported, and run
+    the sampler's function itself. A process forked from the pool's owner
+    starts its own pool, since the owner's workers answer the owner alone."""
     global _pool, _pool_pid
-    if len(jobs) < 2 or _worker_count() == 1:
+    if len(jobs) < 2 or jobs[0].exhaustive or _worker_count() == 1:
         return [
             job_children(job) if job.exhaustive
             else sample_children(job.parent, job.matrix, job.cfg, job.birth_cfg, job.sensor)

@@ -1,6 +1,7 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -115,14 +116,32 @@ class TestSimulateCommand:
         for name in ("truth.csv", "frames.csv", "scenario.json"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
-    def test_invalid_scenario_exits_2_naming_field(self, tmp_path, capsys):
+    # Python's json module reads NaN and Infinity, so a scenario file can
+    # hold them.
+    @pytest.mark.parametrize("field,edit", [
+        ("scan_interval", lambda p: p.update(scan_interval_s=-5.0)),
+        ("sensor.boresight_angle", lambda p: p["sensor"].update(boresight_angle_rad=math.nan)),
+        ("sensor.boresight_angle", lambda p: p["sensor"].update(boresight_angle_rad=math.inf)),
+        ("sensor.r", lambda p: p["sensor"]["noise_cov_km2"][0].__setitem__(0, math.inf)),
+        ("clutter.expected_count", lambda p: p["clutter"].update(expected_count=math.nan)),
+        ("clutter.expected_count", lambda p: p["clutter"].update(expected_count=math.inf)),
+        ("spawn_events[].velocity_std",
+         lambda p: p["spawn_events"][0].update(velocity_std_kmps=math.nan)),
+        ("spawn_events[].velocity_std",
+         lambda p: p["spawn_events"][0].update(velocity_std_kmps=math.inf)),
+        ("initial_position_std_km", lambda p: p.update(initial_position_std_km=math.nan)),
+        ("initial_velocity_std_kmps", lambda p: p.update(initial_velocity_std_kmps=math.inf)),
+    ], ids=["scan-interval", "boresight-nan", "boresight-inf", "noise-cov-inf",
+            "clutter-count-nan", "clutter-count-inf", "spawn-velocity-nan",
+            "spawn-velocity-inf", "position-std-nan", "velocity-std-inf"])
+    def test_invalid_scenario_exits_2_naming_field(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
-        payload["scan_interval_s"] = -5.0
+        edit(payload)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload))
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "scan_interval" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,edit", [
         ("scenario.objects", lambda p: p["objects"][0].pop()),

@@ -6,6 +6,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmctrack.errors import DegenerateUpdateError, EnumerationLimitError
 from mcmctrack.filters import GaussianTrack, SensorModel
@@ -19,6 +21,7 @@ from mcmctrack.hypotheses import (
     count_associations,
     count_grandchildren,
     log_child_prior,
+    log_count_prior,
 )
 from mcmctrack.likelihoods import (
     AssociationMatrix,
@@ -151,7 +154,78 @@ class TestEnumerateGrandchildren:
             enumerate_grandchildren([f"t{i:02d}" for i in range(8)], 8, 8)
 
 
+def reference_child_events(matrix):
+    """The label-walking enumerator enumerate_child_events replaced, kept as
+    the reference: the same row-by-row walk over each return's supported
+    columns, mapped to labels first."""
+    m = matrix.n_returns
+    labels = matrix.object_labels + (BIRTH, CLUTTER)
+    columns = [[labels[j] for j in cols] for cols in matrix.supported]
+    can_die = [lbl for lbl, ok in zip(matrix.object_labels, matrix.death_eligible) if ok]
+    assignment = [CLUTTER] * m
+    claimed = set()
+
+    def walk(i):
+        if i == m:
+            free = [lbl for lbl in can_die if lbl not in claimed]
+            for n_d in range(len(free) + 1):
+                for death_set in combinations(free, n_d):
+                    yield AssociationEvent(tuple(assignment), frozenset(death_set))
+            return
+        for entry in columns[i]:
+            if entry in claimed:
+                continue
+            assignment[i] = entry
+            is_object = entry != BIRTH and entry != CLUTTER
+            if is_object:
+                claimed.add(entry)
+            yield from walk(i + 1)
+            if is_object:
+                claimed.remove(entry)
+
+    return list(walk(0))
+
+
+@st.composite
+def sparse_matrices(draw):
+    """0-5 objects, 0-4 returns, each entry -inf or one of a few finite
+    values, random death flags."""
+    n_objects = draw(st.integers(0, 5))
+    n_returns = draw(st.integers(0, 4))
+    values = st.sampled_from([-math.inf, -math.inf, 0.0, -1.5, 2.25])
+    entries = [[draw(values) for _ in range(n_objects + 2)] for _ in range(n_returns)]
+    return AssociationMatrix(
+        log_entries=np.array(entries, dtype=float).reshape(n_returns, n_objects + 2),
+        object_labels=tuple(f"t{i:02d}" for i in range(n_objects)),
+        death_eligible=tuple(draw(st.lists(st.booleans(), min_size=n_objects,
+                                           max_size=n_objects))),
+        returns=np.zeros((n_returns, 2)),
+    )
+
+
 class TestEnumerateChildEvents:
+    @given(
+        mat=sparse_matrices(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_enumerator_and_scoring(self, mat, n_pixels, p_d):
+        # The column-key enumerator yields the reference's events in its
+        # order, and an exhaustive job scores each one log_count_prior +
+        # likelihood bit for bit (-inf where the prior is zero).
+        expected = reference_child_events(mat)
+        assert list(enumerate_child_events(mat)) == expected
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
+        parent = Hypothesis(id="h0", parent_id=None, log_weight=0.0, tracks=())
+        job = ChildJob(parent, mat, SamplerConfig(), cfg, wide_sensor(p_d), exhaustive=True)
+        assert [s.log_score for s in job_children(job)] == [
+            log_count_prior(len(e.associated_labels), e.n_births, e.n_deaths,
+                            mat.n_objects, mat.n_returns, cfg, p_d)
+            + hypothesis_log_likelihood(e, mat)
+            for e in expected
+        ]
+
     def test_space_size_no_deaths(self):
         # Assignments with both returns over {t00, B, C} injective on t00,
         # no death candidates.
@@ -230,7 +304,8 @@ class TestEnumerateChildEvents:
         # The walk's random initial state draws only from that pattern (a
         # second draw of t00 resolves to clutter, which is supported too).
         for seed in range(50):
-            chain = _Chain(mat, cfg, sensor.p_d, random.Random(seed))
+            chain = _Chain(mat, cfg, sensor.p_d)
+            chain.start(random.Random(seed))
             assert all(col in mat.supported[i] for i, col in enumerate(chain.assign))
             assert chain.zero_entries == 0
 

@@ -6,7 +6,6 @@ import random
 import sys
 from collections import deque
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -61,9 +60,28 @@ def make_instance(positions, returns, p_d=0.9, alpha=0.05, beta=0.05, n_pixels=1
     return parent, matrix, cfg, sensor
 
 
+def key_of(matrix, event):
+    """event's column key in matrix: (per-return columns, death columns)."""
+    return (
+        tuple(matrix.column_of(a) for a in event.assignments),
+        tuple(sorted(matrix.column_of(d) for d in event.deaths)),
+    )
+
+
 def walk_for(matrix, cfg, sensor):
-    """_Chain over one instance, awaiting only (rng, event=None)."""
-    return partial(_Chain, matrix, cfg, sensor.p_d)
+    """_Chain over one instance, awaiting only (rng, event=None): started
+    from rng, or loaded with event and drawing from rng."""
+
+    def walk(rng, event=None):
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        if event is None:
+            chain.start(rng)
+        else:
+            chain.load(key_of(matrix, event))
+            chain.rng = rng
+        return chain
+
+    return walk
 
 
 def make_walk(positions, returns, **kwargs):
@@ -151,7 +169,8 @@ class TestInitChain:
 
     def test_zero_returns(self):
         parent, matrix, cfg, sensor = make_instance([(100.0, 0.0)], np.empty((0, 2)))
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(0))
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(random.Random(0))
         assert chain.event().assignments == ()
         assert chain.event().deaths == frozenset()
         expected = log_child_prior(chain.event(), parent, cfg, sensor.p_d, 0)
@@ -179,7 +198,8 @@ class TestInitChain:
             [[99.0, 1.0], [52.0, 58.0]],
         )
         event = AssociationEvent(assignments=(BIRTH, "t01"), deaths=frozenset({"t02"}))
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(0), event)
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.load(key_of(matrix, event))
         assert chain.event() == event
         assert (chain.k, chain.n_b) == (1, 1)
         expected = log_child_prior(event, parent, cfg, sensor.p_d, 2) + (
@@ -278,7 +298,7 @@ class TestPropose:
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]], n_pixels=1
         )
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(0))
+        chain = _Chain(matrix, cfg, sensor.p_d)
         for k in range(3):
             for n_b in range(3 - k):
                 for n_d in range(3 - k):
@@ -304,7 +324,8 @@ class TestPropose:
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(5))
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(random.Random(5))
         for _ in range(200):
             chain.run(1)
             event = chain.event()
@@ -591,7 +612,8 @@ class TestStream:
         # and M+1 = 4 take 3 bits, so about half the raw draws are redrawn.
         parent, matrix, cfg, sensor = make_instance(*self.INSTANCES["sparse"])
         m, n_objects = matrix.n_returns, matrix.n_objects
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(seed))
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(random.Random(seed))
         ref = random.Random(seed)
         for supported in matrix.supported:
             ref.randrange(len(supported))
@@ -689,7 +711,8 @@ class TestKeyCache:
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=0.05, clutter_density=3e-3,
         )
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(8))
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(random.Random(8))
         table = {}
         before = chain.key()
         toggles = swaps = 0
@@ -714,13 +737,15 @@ class TestKeyCache:
         # its from-scratch rescoring bit for bit.
         positions, returns = TestExactKernel.INSTANCES["sparse"]
         parent, matrix, cfg, sensor = make_instance(positions, returns)
-        chain = _Chain(matrix, cfg, sensor.p_d, random.Random(3))
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(random.Random(3))
         first_visits = 0
         for n in range(600):
             if n % 10 == 0:
                 table = {}  # so that first visits keep coming
             chain.run(n % 5 + 1, table)
-            fresh = _Chain(matrix, cfg, sensor.p_d, random.Random(0), chain.event())
+            fresh = _Chain(matrix, cfg, sensor.p_d)
+            fresh.load(chain.key())
             assert chain.claimed_by == fresh.claimed_by
             assert (chain.k, chain.n_b, chain.zero_entries) == (
                 fresh.k, fresh.n_b, fresh.zero_entries)

@@ -452,10 +452,10 @@ class TestRunTracker:
         assert reports[-1].hypothesis_count_bound >= 1
 
 
-def preset_start(preset, mode=TrackerMode.MCMC):
+def preset_start(preset):
     scenario = preset(seed=0)
     _, frames = simulate_scenario(scenario)
-    tracker = Tracker(tracker_config_for(scenario, seed=0, mode=mode))
+    tracker = Tracker(tracker_config_for(scenario, seed=0))
     hyps = tracker.initial_hypotheses([
         GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
         for i, s in enumerate(scenario.objects)
@@ -607,19 +607,15 @@ def two_track_job(exhaustive=False):
 @pytest.mark.skipif(tracker_module._worker_count() < 2,
                     reason="one usable CPU: every job runs in process")
 class TestWalkPool:
-    # Exhaustive twenty-object takes about 10 s a run; single-spawn is
-    # multi-parent from its second scan already.
-    @pytest.mark.parametrize("preset, mode", [
-        (preset_single_spawn, TrackerMode.MCMC),
-        (preset_twenty_object, TrackerMode.MCMC),
-        (preset_single_spawn, TrackerMode.EXHAUSTIVE),
-    ], ids=["single-spawn", "twenty-object", "single-spawn-exhaustive"])
-    def test_pool_and_in_process_reports_identical(self, preset, mode, tmp_path, monkeypatch):
+    # single-spawn is multi-parent from its second scan already.
+    @pytest.mark.parametrize("preset", [preset_single_spawn, preset_twenty_object],
+                             ids=["single-spawn", "twenty-object"])
+    def test_pool_and_in_process_reports_identical(self, preset, tmp_path, monkeypatch):
         written = []
         for run in ("pool", "in-process"):
             if run == "in-process":
                 monkeypatch.setattr(tracker_module, "_worker_count", lambda: 1)
-            tracker, hyps, frames = preset_start(preset, mode)
+            tracker, hyps, frames = preset_start(preset)
             _, reports = run_tracker(tracker, hyps, frames)
             if run == "pool":
                 assert tracker_module._pool_pid == os.getpid()
@@ -654,16 +650,20 @@ class TestWalkPool:
 
     @pytest.mark.parametrize("exhaustive", [False, True], ids=["walk", "exhaustive"])
     def test_single_job_runs_in_process(self, exhaustive, monkeypatch):
+        # So do enumerations in any number: their children cost more to send
+        # back than a second CPU saves.
         job = two_track_job(exhaustive)
         expected = [job_children(job)]
 
         def no_pool(method):
-            raise AssertionError("a single job started a pool")
+            raise AssertionError("an in-process map started a pool")
 
         monkeypatch.setattr(tracker_module, "_pool", None)
         monkeypatch.setattr(tracker_module, "_pool_pid", 0)
         monkeypatch.setattr(tracker_module.multiprocessing, "get_context", no_pool)
         assert tracker_module.map_children([job]) == expected
+        if exhaustive:
+            assert tracker_module.map_children([job, job]) == expected * 2
         assert tracker_module._pool_pid == 0
 
     def test_threads_reaching_the_first_scan_together_share_one_pool(self, monkeypatch):
