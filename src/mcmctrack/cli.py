@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 configuration error, 3 input-data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -31,6 +30,7 @@ from .io import (
     save_scenario,
     scenario_to_dict,
     summarize_run,
+    write_count_reconciliation_csv,
     write_fig_counts_csv,
     write_fig_estimates_csv,
     write_frames_csv,
@@ -178,7 +178,9 @@ def cmd_figdata(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     out = default_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    write_manifest(
+        out, {"command": "selftest", "outputs": ["count_reconciliation.csv"]}
+    )
     failures = 0
 
     value = count_associations(10, 5)
@@ -204,15 +206,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
                      enumerated == direct, grouped == direct]
                 )
     report_path = out / "count_reconciliation.csv"
-    with open(report_path, "w", newline="") as fh:
-        fh.write("# schema=mcmctrack.count-reconciliation.v1\n")
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_objects", "n_returns", "n_pixels", "enumerated", "direct_formula",
-             "net_change_formula", "direct_matches_enumeration",
-             "net_change_matches_direct"]
-        )
-        writer.writerows(rows)
+    write_count_reconciliation_csv(rows, report_path)
     ok = mismatch_direct == 0
     failures += not ok
     print(
@@ -224,6 +218,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         f"{mismatch_grouped}/{len(rows)} instances (recorded in {report_path.name}, "
         "known index overlap in its second summation)"
     )
+    finalize_manifest(out)
     print(f"selftest: report -> {report_path}")
     return EXIT_OK if failures == 0 else EXIT_NUMERICAL
 

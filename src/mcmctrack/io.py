@@ -31,12 +31,13 @@ from .tracker import TrackerReport
 SCENARIO_SCHEMA = "mcmctrack.scenario.v1"
 TRUTH_SCHEMA = "mcmctrack.truth.v1"
 FRAMES_SCHEMA = "mcmctrack.frames.v1"
-REPORT_SCHEMA = "mcmctrack.report.v1"
+REPORT_SCHEMA = "mcmctrack.report.v2"
 HISTORY_SCHEMA = "mcmctrack.history.v1"
 SUMMARY_SCHEMA = "mcmctrack.summary.v1"
 FIG_ESTIMATES_SCHEMA = "mcmctrack.fig-estimates.v1"
 FIG_COUNTS_SCHEMA = "mcmctrack.fig-counts.v1"
 MANIFEST_SCHEMA = "mcmctrack.manifest.v1"
+COUNT_RECONCILIATION_SCHEMA = "mcmctrack.count-reconciliation.v1"
 
 MANIFEST_NAME = "manifest.json"
 OUT_DIR_ENV = "MCMCTRACK_OUT"
@@ -268,7 +269,8 @@ def report_to_dict(report: TrackerReport) -> dict:
         "schema": REPORT_SCHEMA,
         "scan": report.scan,
         "time_s": report.time,
-        "top_hypothesis_id": report.top_hypothesis_id,
+        "top_parent_id": report.top_parent_id,
+        "top_weight": report.top_weight,
         "estimated_count": report.estimated_count,
         "n_hypotheses": report.n_hypotheses,
         "weight_entropy": report.weight_entropy,
@@ -380,6 +382,17 @@ def write_fig_estimates_csv(
                 writer.writerow(
                     [_float_repr(t), "estimate", est["label"], _float_repr(est["x_km"]), _float_repr(est["y_km"])]
                 )
+
+
+def write_count_reconciliation_csv(rows: Sequence[Sequence], path: str | Path) -> None:
+    """selftest's table of grandchild counts: enumerated, by the direct
+    formula and by the net-change formula, per instance."""
+    header = [
+        "n_objects", "n_returns", "n_pixels", "enumerated", "direct_formula",
+        "net_change_formula", "direct_matches_enumeration", "net_change_matches_direct",
+    ]
+    with _csv_writer(path, COUNT_RECONCILIATION_SCHEMA, header) as writer:
+        writer.writerows(rows)
 
 
 def write_fig_counts_csv(reports: Sequence[dict], path: str | Path) -> None:

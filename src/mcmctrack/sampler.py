@@ -13,31 +13,32 @@ association to an object currently marked dead would produce a structurally
 invalid event, so it is treated as a no-change proposal; the dead object can
 first be revived through the death move, which toggles one uniformly chosen
 unassociated death-eligible object's death status (a no-change proposal when
-there is none). Scores are log(child prior) + log(likelihood), maintained
-incrementally and recomputed from scratch whenever a new event is recorded.
+there is none). Scores are log(child prior) + log(likelihood).
 
 One _Chain object per parent holds its scoring tables and a state, which
 is a column key of the matrix (see AssociationMatrix). start draws a random
 initial state from the matrix's supported columns
 (AssociationMatrix.supported), the same pattern the child enumerator walks;
-load sets a given key. _Chain.run is the one stepping method: a single loop
-over local variables that draws, scores, tests and commits each move and,
-when given a table, records the visits. job_children generates one parent's
-children from a ChildJob, by the walk or, in exhaustive mode, by loading
-every key of oracle.enumerate_child_keys into the same scorer, so every
-child score comes from _Chain; sample_children is the public single-parent
-walk.
+load sets a given key. _Chain.run simulates the walk exactly by its jump
+chain (Douc & Robert, "A vanilla Rao-Blackwellization of
+Metropolis-Hastings algorithms", Ann. Statist. 2011): the first time the
+walk reaches a state, kernel_row builds and memoizes that state's one-step
+kernel row, the probability of each move that leaves it; from there the
+steps held at the state are a geometric draw and the move is a draw from
+the row. From a finite state a candidate that scores -inf is never
+accepted, so a row scores only the supported columns. job_children
+generates one parent's children from a ChildJob, by the walk or, in
+exhaustive mode, by loading every key of oracle.enumerate_child_keys into
+the same scorer, so every child score comes from _Chain; sample_children
+is the public single-parent walk.
 
-Stream contract: each integer draw, the initial state's and run's (a row
-out of m+1, then one of the M+1 other columns or a member of the unclaimed
-death-eligible pool), runs CPython's randrange algorithm inline on
-rng.getrandbits: bound.bit_length() bits, redrawn while not below the
-bound. The walk thus consumes the same Mersenne Twister words as a walk
-calling rng.randrange and, for a given seed, visits the same states. A step
-draws rng.random() only for a finite candidate that scores below the
-current state. Visits are recorded run-length: a step that did not move
-adds one to the current state's table slot without building or hashing its
-key.
+Stream contract: start draws each return's column out of its row's
+supported columns (all M+2 columns when none is) with CPython's randrange
+algorithm on rng.getrandbits (bound.bit_length() bits, redrawn while not
+below the bound), the words rng.randrange would take. run then draws only
+rng.random(): one for the holding time of each state it holds at whose
+leave probability p has 0 < p < 1 (none when p = 0 or p >= 1), and one for
+each move.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ import heapq
 import math
 import random
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -91,20 +93,22 @@ class ChildSample:
 
 
 class _Chain:
-    """Mutable walk state with incremental scoring over one parent's matrix.
+    """One walk over one parent's matrix: its scoring tables, its state and
+    the kernel rows of the states it has reached.
 
     The matrix rows are copied to float lists for O(1) move deltas, and the
-    count-level prior is memoized per (k, n_b, n_d) triple. The running
-    log-likelihood is kept as a finite sum plus a count of selected -inf
-    entries, so zero-likelihood assignments never produce inf - inf
-    artifacts in the move deltas. run() is the one stepping method.
+    count-level prior is memoized per (k, n_b, n_d) triple. A loaded
+    state's log-likelihood is kept as a finite sum plus a count of selected
+    -inf entries, so zero-likelihood assignments never produce inf - inf
+    artifacts in the move deltas. kernel maps each state key the walk has
+    reached to its kernel_row, and run() is the one walk method.
     """
 
     __slots__ = (
         "matrix", "rows", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
         "birth_col", "clutter_col", "m", "n_objects", "rng", "assign",
         "claimed_by", "dead", "k", "n_b", "finite_loglik", "zero_entries",
-        "log_score",
+        "log_score", "kernel",
     )
 
     def __init__(
@@ -121,6 +125,7 @@ class _Chain:
         self.birth_cfg = birth_cfg
         self.p_d = p_d
         self._prior_memo: dict[tuple[int, int, int], float] = {}
+        self.kernel: dict[tuple, tuple] = {}
 
     def start(self, rng: random.Random) -> None:
         """Draw a random initial state from rng, the stream run then draws
@@ -195,180 +200,158 @@ class _Chain:
         """(assignment, sorted death set) of the current state."""
         return (tuple(self.assign), tuple(sorted(self.dead)))
 
-    def run(self, steps: int, table: dict[tuple, list] | None = None) -> None:
-        """Take steps Metropolis steps. Each draws one of the m rows or the
-        death move uniformly, then a move in it, scores the candidate from
-        the move's deltas and accepts it with probability
-        min(1, exp(candidate - current)). A dead target object or an empty
-        death pool is a no-change proposal, which draws no acceptance
-        variate.
+    def kernel_row(self, key: tuple) -> tuple:
+        """The one-step kernel row of state key, built on its first request
+        and memoized for the walk: (log_score, p, cumulative, destinations).
 
-        With table, every step adds one visit to the slot of the state it
-        ends in, keyed by key(): a step that did not move adds to the
-        current slot without building or hashing a key, and a state's first
-        visit rescores it from scratch (resync) into [log_score, visits].
+        log_score is the state's from-scratch score (resync). The row lists
+        every proposal that leaves the state with a positive acceptance
+        probability, in proposal order: rows ascending, within a row the
+        columns ascending, then the death pool ascending. destinations[j]
+        is the j-th such move's key and cumulative[j] the probability that
+        one step takes one of the moves 0..j, so p = cumulative[-1] (0 for
+        an empty row) is the probability that a step leaves the state.
+
+        From a finite state a move whose candidate scores -inf is never
+        accepted, so only each row's supported columns are scored, and a
+        swap that would hand the claiming return a zero-likelihood entry is
+        skipped. From a -inf state every proposal that changes the state is
+        accepted with its proposal probability. Building a row loads key.
         """
-        m = self.m
+        row = self.kernel.get(key)
+        if row is not None:
+            return row
+        self.load(key)
+        assign, deaths = key
         n_objects = self.n_objects
         birth_col = self.birth_col
         rows = self.rows
-        death_eligible = self.death_eligible
-        assign = self.assign
         dead = self.dead
         claimed_by = self.claimed_by
-        k = self.k
-        n_b = self.n_b
+        k, n_b, n_d = self.k, self.n_b, len(deaths)
         finite = self.finite_loglik
-        zero = self.zero_entries
         score = self.log_score
-        memo_get = self._prior_memo.get
+        plateau = score == -math.inf
         log_prior = self.log_prior
-        getrandbits = self.rng.getrandbits
-        uniform = self.rng.random
-        log = math.log
+        exp = math.exp
         neg_inf = -math.inf
-        n_rows = m + 1
-        row_bits = n_rows.bit_length()
-        n_cols = n_objects + 1
-        col_bits = n_cols.bit_length()
-        slot = None
-        for _ in range(steps):
-            # Integer draws run CPython's randrange algorithm on getrandbits.
-            row = getrandbits(row_bits)
-            while row >= n_rows:
-                row = getrandbits(row_bits)
-            c_k = k
-            c_n_b = n_b
-            c_finite = finite
-            c_zero = zero
-            n_d = len(dead)
-            if row == m:
-                pool = [j for j in death_eligible if claimed_by[j] == -1]
-                proposed = bool(pool)
-                if proposed:
-                    n = len(pool)
-                    bits = n.bit_length()
-                    r = getrandbits(bits)
-                    while r >= n:
-                        r = getrandbits(bits)
-                    col = pool[r]
-                    n_d += -1 if col in dead else 1
-            else:
-                cur = assign[row]
-                col = getrandbits(col_bits)
-                while col >= n_cols:
-                    col = getrandbits(col_bits)
-                if col >= cur:
-                    col += 1
-                other = -1
+        n_rows = self.m + 1
+        every_col = range(n_objects + 2)
+        cumulative: list[float] = []
+        destinations: list[tuple] = []
+        total = 0.0
+        q = 1.0 / (n_rows * (n_objects + 1))
+        for i, cur in enumerate(assign):
+            entries = rows[i]
+            for col in every_col if plateau else self.matrix.supported[i]:
                 # Assigning a dead object would be invalid: no change.
-                proposed = col >= n_objects or col not in dead
-                if proposed:
-                    entries = rows[row]
-                    removed = entries[cur]
-                    added = entries[col]
-                    if removed == neg_inf:
-                        c_zero -= 1
+                if col == cur or (col < n_objects and col in dead):
+                    continue
+                other = claimed_by[col] if col < n_objects else -1
+                accept = 1.0
+                if not plateau:
+                    c_finite = finite - entries[cur] + entries[col]
+                    if other == -1:
+                        c_k = k - (cur < n_objects) + (col < n_objects)
+                        c_n_b = n_b - (cur == birth_col) + (col == birth_col)
                     else:
-                        c_finite -= removed
-                    if added == neg_inf:
-                        c_zero += 1
-                    else:
-                        c_finite += added
-                    if col < n_objects:
-                        other = claimed_by[col]
-                    if other != -1:
                         # Swap: the claiming return takes the proposer's old
                         # column, so k and n_b keep; proposing col from the
                         # other row reverses it.
-                        entries = rows[other]
-                        removed = entries[col]
-                        added = entries[cur]
-                        if removed == neg_inf:
-                            c_zero -= 1
-                        else:
-                            c_finite -= removed
-                        if added == neg_inf:
-                            c_zero += 1
-                        else:
-                            c_finite += added
-                    else:
-                        if cur < n_objects:
-                            c_k -= 1
-                        elif cur == birth_col:
-                            c_n_b -= 1
-                        if col < n_objects:
-                            c_k += 1
-                        elif col == birth_col:
-                            c_n_b += 1
-            moved = False
-            if proposed:
-                # Same score as resync() computes, with the prior memo read
-                # inline.
-                if c_zero:
-                    cand = neg_inf
+                        back = rows[other][cur]
+                        if back == neg_inf:
+                            continue
+                        c_finite = c_finite - rows[other][col] + back
+                        c_k, c_n_b = k, n_b
+                    prior = log_prior(c_k, c_n_b, n_d)
+                    if prior == neg_inf:
+                        continue
+                    delta = prior + c_finite - score
+                    if delta < 0.0:
+                        accept = exp(delta)
+                        if accept == 0.0:
+                            continue
+                moved = list(assign)
+                moved[i] = col
+                if other != -1:
+                    moved[other] = cur
+                total += q * accept
+                cumulative.append(total)
+                destinations.append((tuple(moved), deaths))
+        pool = [j for j in self.death_eligible if claimed_by[j] == -1]
+        if pool:
+            q = 1.0 / (n_rows * len(pool))
+            for j in pool:
+                if j in dead:
+                    c_n_d = n_d - 1
+                    toggled = tuple(d for d in deaths if d != j)
                 else:
-                    prior = memo_get((c_k, c_n_b, n_d))
-                    if prior is None:
-                        prior = log_prior(c_k, c_n_b, n_d)
-                    cand = prior + c_finite
-                if cand == neg_inf:
-                    # Zero-mass candidates are rejected from any supported
-                    # state, but the walk moves freely while still on the
-                    # zero-mass plateau: a random init on a many-object frame
-                    # almost surely starts there and would otherwise be stuck
-                    # for good.
-                    moved = score == neg_inf
-                else:
-                    delta = cand - score
-                    # delta >= 0 covers a -inf current score: any
-                    # representable candidate wins.
-                    if delta >= 0.0:
-                        moved = True
-                    else:
-                        u = uniform()
-                        moved = u == 0.0 or log(u) < delta
-                if moved:
-                    if row == m:
-                        if col in dead:
-                            dead.discard(col)
-                        else:
-                            dead.add(col)
-                    else:
-                        if other != -1:
-                            assign[other] = cur
-                        if cur < n_objects:
-                            claimed_by[cur] = other
-                        if col < n_objects:
-                            claimed_by[col] = row
-                        assign[row] = col
-                        k = c_k
-                        n_b = c_n_b
-                        finite = c_finite
-                        zero = c_zero
-                    score = cand
-            if table is not None:
-                if moved or slot is None:
-                    key = self.key()
-                    slot = table.get(key)
-                    if slot is None:
-                        # Rescore from scratch. resync() rebinds claimed_by
-                        # and resums the likelihood, so reload every local
-                        # it recomputes.
-                        self.resync()
-                        claimed_by = self.claimed_by
-                        k = self.k
-                        n_b = self.n_b
-                        finite = self.finite_loglik
-                        zero = self.zero_entries
-                        score = self.log_score
-                        table[key] = slot = [score, 0]
-                slot[1] += 1
-        self.k = k
-        self.n_b = n_b
-        self.finite_loglik = finite
-        self.zero_entries = zero
-        self.log_score = score
+                    c_n_d = n_d + 1
+                    toggled = tuple(sorted((*deaths, j)))
+                accept = 1.0
+                if not plateau:
+                    prior = log_prior(k, n_b, c_n_d)
+                    if prior == neg_inf:
+                        continue
+                    delta = prior + finite - score
+                    if delta < 0.0:
+                        accept = exp(delta)
+                        if accept == 0.0:
+                            continue
+                total += q * accept
+                cumulative.append(total)
+                destinations.append((assign, toggled))
+        row = self.kernel[key] = (score, total, cumulative, destinations)
+        return row
+
+    def run(self, steps: int, visits: dict[tuple, int] | None = None) -> None:
+        """Advance the walk by steps Metropolis steps, simulated by its jump
+        chain: at a state whose row leaves with probability p, the steps
+        held there are a geometric count of failures,
+        floor(log(1 - U) / log1p(-p)), and the step that ends the hold moves
+        to the destination found by bisecting U * p in the row's cumulative
+        probabilities. p = 0 holds for the rest of the budget and p >= 1
+        (which summation can overshoot by a rounding error, where log1p(-p)
+        is NaN) holds for none; neither draws a holding variate. Holding
+        times have no memory, so a run that ends mid-hold leaves the next
+        run to draw a fresh one. The chain ends loaded with the state it
+        reached.
+
+        With visits, every step adds one visit to the key of the state it
+        ends in: a hold adds its length to the state, and a move step one
+        to its destination, so the run adds exactly steps visits.
+        """
+        kernel = self.kernel
+        kernel_row = self.kernel_row
+        uniform = self.rng.random
+        log = math.log
+        log1p = math.log1p
+        key = self.key()
+        _, p, cumulative, destinations = kernel_row(key)
+        count = 0
+        left = steps
+        while left:
+            if p <= 0.0:
+                hold = left
+            elif p >= 1.0:
+                hold = 0
+            else:
+                hold = log(1.0 - uniform()) / log1p(-p)
+                hold = left if hold >= left else int(hold)
+            if hold >= left:
+                count += left
+                break
+            count += hold
+            left -= hold + 1
+            if visits is not None and count:
+                visits[key] = visits.get(key, 0) + count
+            # hi keeps a product U * p that rounds up to p on the last move.
+            key = destinations[bisect_right(cumulative, uniform() * p, 0, len(cumulative) - 1)]
+            _, p, cumulative, destinations = kernel.get(key) or kernel_row(key)
+            count = 1
+        if visits is not None and count:
+            visits[key] = visits.get(key, 0) + count
+        self.load(key)
 
     def event(self) -> AssociationEvent:
         return self.matrix.event_of(self.key())
@@ -410,10 +393,10 @@ def job_children(job: ChildJob) -> list[ChildSample]:
 
     Enumeration returns the event of every key of enumerate_child_keys, in
     its order, with visits 0 and the score of the key loaded into _Chain. A
-    walk records every post-burn-in state into a deduplicated table (scores
-    recomputed from scratch on first visit) and returns the top
-    children_kept events by score; it is deterministic given job.cfg.seed
-    and the parent id.
+    walk counts the visits of every post-burn-in state and returns the top
+    children_kept of them by score (each state's from-scratch score, from
+    its kernel row); it is deterministic given job.cfg.seed and the parent
+    id.
     """
     matrix, cfg = job.matrix, job.cfg
     chain = _Chain(matrix, job.birth_cfg, job.sensor.p_d)
@@ -426,18 +409,19 @@ def job_children(job: ChildJob) -> list[ChildSample]:
     size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
     burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
     record = 200 * size if cfg.record_steps is None else cfg.record_steps
-    table: dict[tuple, list] = {}
+    visits: dict[tuple, int] = {}
     chain.start(random.Random(chain_seed(cfg.seed, job.parent.id)))
     chain.run(burn)
-    chain.run(record, table)
+    chain.run(record, visits)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
     # the keys are distinct, so the order has no ties either way.
+    kernel = chain.kernel
     ranked = heapq.nsmallest(
-        cfg.children_kept, table.items(), key=lambda kv: (-kv[1][0], kv[0])
+        cfg.children_kept, visits, key=lambda key: (-kernel[key][0], key)
     )
     return [
-        ChildSample(event=matrix.event_of(key), log_score=score, visits=visits)
-        for key, (score, visits) in ranked
+        ChildSample(event=matrix.event_of(key), log_score=kernel[key][0], visits=visits[key])
+        for key in ranked
     ]
 
 

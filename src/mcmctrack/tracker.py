@@ -1,8 +1,9 @@
 """Per-scan recursion: predict each distinct track of the scan's parents
 once and pair it with the returns once, in one scan-level association
 matrix; give each parent its columns of that matrix (AssociationMatrix.select);
-generate each parent's children (MCMC or exhaustive) through one job per
-parent (sampler.ChildJob, run by map_children), normalize weights
+generate each parent's children (by the MCMC walk or exhaustive
+enumeration) through one job per parent (sampler.ChildJob, run by
+map_children), normalize weights
 jointly across all parents and prune in one pass, realize the surviving
 children (birth/death bookkeeping), and report. A birth is a
 hypothesis-level event: the return a scan reads as a birth is one newborn
@@ -10,8 +11,9 @@ track, labeled by scan and return index, in every child that births it.
 
 The walks of a scan with several parents run across the CPUs this process
 may use, on a pool of forked workers, and come back in parent order. A walk
-is seeded by the run seed and its parent's id alone, so its children do not
-depend on the process that runs it."""
+(sampler._Chain.run, which simulates the Metropolis chain by its jump
+chain) is seeded by the run seed and its parent's id alone, so its children
+do not depend on the process that runs it."""
 
 from __future__ import annotations
 
@@ -80,12 +82,14 @@ class TrackerConfig:
 
 @dataclass(frozen=True)
 class TrackerReport:
-    """Per-scan summary: the top hypothesis's estimates, the weight entropy,
-    and the would-be exhaustive branching factor (big integer)."""
+    """Per-scan summary: the top hypothesis's parent, weight and estimates,
+    the weight entropy, and the would-be exhaustive branching factor (big
+    integer)."""
 
     time: float
     scan: int
-    top_hypothesis_id: str
+    top_parent_id: str | None
+    top_weight: float
     estimated_count: int
     estimates: tuple[tuple[str, np.ndarray, np.ndarray], ...]
     weight_entropy: float
@@ -337,7 +341,8 @@ class Tracker:
         return TrackerReport(
             time=frame.time,
             scan=self.scan_index,
-            top_hypothesis_id=top.id,
+            top_parent_id=top.parent_id,
+            top_weight=top.weight,
             estimated_count=len(top.tracks),
             estimates=estimates,
             weight_entropy=weight_entropy(hypotheses),

@@ -184,7 +184,7 @@ class TestTrackCommand:
         assert rc == 0
         records = read_reports_ldjson(out / "reports.ldjson")
         assert len(records) == 4
-        assert all(r["schema"] == "mcmctrack.report.v1" for r in records)
+        assert all(r["schema"] == "mcmctrack.report.v2" for r in records)
         assert all(isinstance(r["hypothesis_count_bound"], str) for r in records)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["schema"] == "mcmctrack.summary.v1"
@@ -290,7 +290,7 @@ class TestInputErrors:
         ("--frames", None, ""),
         ("--truth", None, ""),
         ("--reports", None, ""),
-        ("--reports", '{"schema": "mcmctrack.report.v1-header"}\nnot json\n', "line 2"),
+        ("--reports", '{"schema": "mcmctrack.report.v2-header"}\nnot json\n', "line 2"),
         ("--reports", "[1, 2]\n", "line 1"),
     ], ids=["scenario-dir", "frames-dir", "truth-dir", "reports-dir", "reports-not-json",
             "reports-not-object"])
@@ -410,6 +410,18 @@ class TestSelftestCommand:
         assert len(rows) == 64
         assert all(r[6] == "True" for r in rows)
         assert any(r[7] == "False" for r in rows)
+
+    def test_selftest_keeps_the_data_file_contract(self, tmp_path):
+        # Like every command: a manifest, and a data file whose header names
+        # its schema and the manifest.
+        assert main(["selftest", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["schema"] == "mcmctrack.manifest.v1"
+        assert manifest["command"] == "selftest"
+        assert manifest["outputs"] == ["count_reconciliation.csv"]
+        assert "finished_utc" in manifest
+        header = (tmp_path / "count_reconciliation.csv").read_text().splitlines()[0]
+        assert header == "# schema=mcmctrack.count-reconciliation.v1 manifest=manifest.json"
 
 
 class TestOutDirEnv:

@@ -1,4 +1,5 @@
-"""Metropolis walk: proposal rules, acceptance, dedup, oracle agreement."""
+"""Metropolis walk: proposal rules, acceptance, kernel rows, holding times,
+dedup, oracle agreement."""
 
 import math
 import pickle
@@ -6,9 +7,12 @@ import random
 import sys
 from collections import deque
 from dataclasses import replace
+from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmctrack.filters import GaussianTrack, SensorModel
 from mcmctrack.hypotheses import (
@@ -20,7 +24,12 @@ from mcmctrack.hypotheses import (
     log_child_prior,
     log_count_prior,
 )
-from mcmctrack.likelihoods import ClutterModel, build_matrix, hypothesis_log_likelihood
+from mcmctrack.likelihoods import (
+    AssociationMatrix,
+    ClutterModel,
+    build_matrix,
+    hypothesis_log_likelihood,
+)
 from mcmctrack.oracle import enumerate_child_events, exact_posterior, tv_distance
 from mcmctrack.sampler import (
     ChildJob,
@@ -30,6 +39,7 @@ from mcmctrack.sampler import (
     sample_children,
     visit_distribution,
 )
+from test_oracle import sparse_matrices
 
 
 def wide_sensor(p_d=0.9):
@@ -89,72 +99,140 @@ def make_walk(positions, returns, **kwargs):
     return parent, walk_for(matrix, cfg, sensor)
 
 
-class _ScriptRng:
-    """Stand-in for the walk's rng at its seam. getrandbits(bits) pops the
-    next scripted (value, bound) pair and checks that the walk asked for
-    bound.bit_length() bits, as randrange(bound) would; random() returns u
-    (0.0 by default, which accepts every finite candidate) and counts its
-    calls."""
-
-    def __init__(self, script, u=0.0):
-        self.script = list(script)
-        self.u = u
-        self.uniforms = 0
-
-    def getrandbits(self, bits):
-        value, bound = self.script.pop(0)
-        assert bits == bound.bit_length()
-        return value
-
-    def random(self):
-        self.uniforms += 1
-        return self.u
+def loaded(walk, event):
+    """walk's chain loaded with event."""
+    return walk(random.Random(0), event)
 
 
-def loaded(walk, event, script=(), u=0.0):
-    """walk's chain loaded with event, drawing from a _ScriptRng."""
-    return walk(_ScriptRng(script, u), event)
+def reference_score(matrix, cfg, p_d, key):
+    """log_count_prior of key's counts plus its selected entries, summed
+    here rather than by _Chain."""
+    assign, deaths = key
+    n_objects = matrix.n_objects
+    entries = [matrix.log_entries[i, c] for i, c in enumerate(assign)]
+    if -math.inf in entries:
+        return -math.inf
+    k = sum(c < n_objects for c in assign)
+    n_b = sum(c == n_objects for c in assign)
+    return log_count_prior(
+        k, n_b, len(deaths), n_objects, matrix.n_returns, cfg, p_d
+    ) + math.fsum(entries)
 
 
-def scripted(walk, event, script, u=0.0):
-    """The chain loaded with event after one run(1) that consumes exactly
-    script."""
-    chain = loaded(walk, event, script, u)
-    chain.run(1)
-    assert chain.rng.script == []
-    return chain
+def all_keys(matrix):
+    """Every state of the walk over matrix, supported or not: a column per
+    return, each object claimed at most once, and a set of unclaimed
+    death-eligible objects."""
+    n_objects = matrix.n_objects
+    eligible = [j for j, ok in enumerate(matrix.death_eligible) if ok]
+    for assign in product(range(n_objects + 2), repeat=matrix.n_returns):
+        claimed = [c for c in assign if c < n_objects]
+        if len(claimed) != len(set(claimed)):
+            continue
+        pool = [j for j in eligible if j not in claimed]
+        for r in range(len(pool) + 1):
+            for deaths in combinations(pool, r):
+                yield assign, deaths
 
 
-def draw_paths(chain):
-    """Every integer-draw script of one step from chain's state, with its
-    probability: a row out of m+1, then one of the M+1 other columns, or a
-    member of the unclaimed death-eligible pool (no draw when it is empty)."""
-    m, n_objects = chain.m, chain.n_objects
-    pool = [j for j, ok in enumerate(chain.matrix.death_eligible)
-            if ok and j not in chain.assign]
+def draw_paths(matrix, key):
+    """Every proposal draw of one step from key, with its probability: a
+    row out of m+1, then the index of one of the M+1 other columns, or of a
+    member of the unclaimed death-eligible pool (None when it is empty)."""
+    m, n_objects = matrix.n_returns, matrix.n_objects
+    pool = [j for j, ok in enumerate(matrix.death_eligible) if ok and j not in key[0]]
     for row in range(m):
-        for col in range(n_objects + 1):
-            yield [(row, m + 1), (col, n_objects + 1)], 1.0 / ((m + 1) * (n_objects + 1))
+        for choice in range(n_objects + 1):
+            yield (row, choice), 1.0 / ((m + 1) * (n_objects + 1))
     if pool:
-        for r in range(len(pool)):
-            yield [(m, m + 1), (r, len(pool))], 1.0 / ((m + 1) * len(pool))
+        for choice in range(len(pool)):
+            yield (m, choice), 1.0 / ((m + 1) * len(pool))
     else:
-        yield [(m, m + 1)], 1.0 / (m + 1)
+        yield (m, None), 1.0 / (m + 1)
 
 
-def scripted_proposals(walk, event):
-    """Every outcome of one run(1) from event with every finite candidate
-    accepted: yields (chain after the step, probability of its draws). The
-    chain stays at event on a no-change proposal and on a zero-mass
-    candidate from a supported state."""
-    for script, prob in draw_paths(loaded(walk, event)):
-        yield scripted(walk, event, script), prob
+def propose(matrix, key, path):
+    """The key one proposal draw leads to from key, or None for a no-change
+    proposal: a dead target object or an empty death pool."""
+    m, n_objects = matrix.n_returns, matrix.n_objects
+    assign, deaths = list(key[0]), set(key[1])
+    row, choice = path
+    if row == m:
+        if choice is None:
+            return None
+        pool = [j for j, ok in enumerate(matrix.death_eligible) if ok and j not in assign]
+        deaths ^= {pool[choice]}
+    else:
+        cur = assign[row]
+        col = [c for c in range(n_objects + 2) if c != cur][choice]
+        if col in deaths:
+            return None
+        if col < n_objects and col in assign:
+            assign[assign.index(col)] = cur  # the swap
+        assign[row] = col
+    return tuple(assign), tuple(sorted(deaths))
+
+
+def reference_row(matrix, cfg, p_d, key):
+    """{destination: probability} of one step from key that leaves it:
+    every draw path's probability times min(1, pi(t)/pi(s)), a -inf
+    target never accepted from a finite state and always from a -inf one."""
+    here = reference_score(matrix, cfg, p_d, key)
+    row = {}
+    for path, prob in draw_paths(matrix, key):
+        dest = propose(matrix, key, path)
+        if dest is None:
+            continue
+        there = reference_score(matrix, cfg, p_d, dest)
+        if here == -math.inf:
+            accept = 1.0
+        elif there == -math.inf:
+            accept = 0.0
+        else:
+            accept = min(1.0, math.exp(there - here))
+        if accept > 0.0:
+            row[dest] = row.get(dest, 0.0) + prob * accept
+    return row
+
+
+def production_row(chain, key):
+    """chain.kernel_row(key) as {destination: probability}, after checking
+    its shape: one cumulative entry per destination, non-decreasing from a
+    positive first move, ending at p."""
+    _, p, cumulative, destinations = chain.kernel_row(key)
+    assert len(cumulative) == len(destinations)
+    assert p == (cumulative[-1] if cumulative else 0.0)
+    row = {}
+    below = 0.0
+    for c, dest in zip(cumulative, destinations):
+        assert c > below
+        row[dest] = row.get(dest, 0.0) + (c - below)
+        below = c
+    return row
+
+
+def assert_rows_match(production, reference, tol=1e-12):
+    assert set(production) == set(reference)
+    for dest, prob in reference.items():
+        assert production[dest] == pytest.approx(prob, rel=0.0, abs=tol)
+
+
+def row_of(walk, event):
+    """The production row of event's state, keyed by destination event."""
+    chain = walk(random.Random(0), event)
+    key = chain.key()
+    return {chain.matrix.event_of(d): prob for d, prob in production_row(chain, key).items()}
 
 
 def proposal_support(walk, event):
     """All events one accepted proposal away from event (itself included
     when some step leaves the state unchanged)."""
-    return {chain.event().canonical_key() for chain, _ in scripted_proposals(walk, event)}
+    chain = walk(random.Random(0), event)
+    _, p, _, destinations = chain.kernel_row(chain.key())
+    out = {chain.matrix.event_of(d).canonical_key() for d in destinations}
+    if p < 1.0:
+        out.add(event.canonical_key())
+    return out
 
 
 class TestInitChain:
@@ -209,11 +287,13 @@ class TestInitChain:
 
 
 class TestPropose:
+    """The proposal law, read off production kernel rows."""
+
     def test_support_for_one_track_one_return(self):
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
         event = AssociationEvent(assignments=("t00",))
         # From {z->t00}: reassign z to B or C; no unassociated object, so the
-        # death row proposes no change.
+        # death row proposes no change and the row leaves with p < 1.
         expected = {
             AssociationEvent(assignments=(BIRTH,)).canonical_key(),
             AssociationEvent(assignments=(CLUTTER,)).canonical_key(),
@@ -223,52 +303,76 @@ class TestPropose:
 
     # Three tracks, two returns; z1 holds t02 and z0 proposes t02. A swap
     # hands z0's old column to z1 (a bump would send z1 to clutter whatever
-    # z0 held), so the counts of associations and births keep.
-    @pytest.mark.parametrize("old,choice", [
-        pytest.param(CLUTTER, 2, id="clutter"),
-        pytest.param(BIRTH, 2, id="birth"),
-        pytest.param("t00", 1, id="object"),  # choices skip z0's own column 0
+    # z0 held), so the counts of associations and births keep. t02 is far
+    # from both returns, so the state scores -inf and its row holds every
+    # proposal that changes it: one draw in (m+1)(M+1) = 12 each, and two
+    # for an object swap, which z1 proposing t00 draws as well.
+    @pytest.mark.parametrize("old,draws", [
+        pytest.param(CLUTTER, 1, id="clutter"),
+        pytest.param(BIRTH, 1, id="birth"),
+        pytest.param("t00", 2, id="object"),
     ])
-    def test_conflict_swaps_with_claiming_return(self, old, choice):
+    def test_conflict_swaps_with_claiming_return(self, old, draws):
         parent, walk = make_walk(
             [(100.0, 0.0), (50.0, 60.0), (0.0, -80.0)],
             [[99.0, 1.0], [52.0, 58.0]],
         )
         event = AssociationEvent(assignments=(old, "t02"))
         before = loaded(walk, event)
-        chain = scripted(walk, event, [(0, 3), (choice, 4)])
-        assert chain.event().assignments == ("t02", old)
-        assert (chain.k, chain.n_b) == (before.k, before.n_b)
+        assert before.log_score == -math.inf
+        row = row_of(walk, event)
+        swapped = AssociationEvent(assignments=("t02", old))
+        assert row[swapped] == pytest.approx(draws / (3 * 4), rel=1e-15)
+        after = loaded(walk, swapped)
+        assert (after.k, after.n_b) == (before.k, before.n_b)
+        if old != CLUTTER:
+            assert AssociationEvent(assignments=("t02", CLUTTER)) not in row
+
+    def test_swap_from_finite_state(self):
+        # Both returns between two tracks: every pairing is finite, and the
+        # swap (t00, t01) -> (t01, t00) is drawn from either row, so its
+        # probability is twice one draw's times the acceptance.
+        parent, walk = make_walk(
+            [(100.0, 0.0), (103.0, 0.0)], [[101.0, 0.5], [102.0, -0.5]]
+        )
+        event = AssociationEvent(assignments=("t00", "t01"))
+        swapped = AssociationEvent(assignments=("t01", "t00"))
+        here, there = loaded(walk, event).log_score, loaded(walk, swapped).log_score
+        assert here > -math.inf and there > -math.inf
+        accept = min(1.0, math.exp(there - here))
+        assert row_of(walk, event)[swapped] == pytest.approx(2 * accept / (3 * 3), rel=1e-12)
 
     def test_claiming_dead_object_is_no_change(self):
-        # Assigning a return to an object in the death set would be invalid;
-        # the proposal resolves to no change, drawing no acceptance variate
-        # (revival goes through the death row instead).
+        # Assigning a return to an object in the death set would be invalid:
+        # the row has no such destination (revival goes through the death
+        # row instead), and the proposal's mass stays on the state.
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
         event = AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"}))
-        chain = scripted(walk, event, [(0, 2), (0, 2)])
-        assert chain.event() == event
-        assert chain.rng.uniforms == 0
+        row = row_of(walk, event)
+        assert all("t00" not in dest.assignments for dest in row)
+        assert AssociationEvent(assignments=(CLUTTER,)) in row  # revival
+        assert sum(row.values()) < 1.0
 
     def test_death_toggle_both_ways(self):
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]])
-        chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)), [(1, 2), (0, 1)] * 2)
-        chain.run(1)
-        assert chain.event().deaths == frozenset({"t00"})
-        chain.run(1)
-        assert chain.event().deaths == frozenset()
-        assert chain.rng.script == []
+        alive = AssociationEvent(assignments=(CLUTTER,))
+        dead = AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"}))
+        assert dead in row_of(walk, alive)
+        assert alive in row_of(walk, dead)
 
     def test_death_move_without_death_probability_is_no_change(self):
-        # beta = 0: no object is death-eligible, so the death move draws no
-        # object and proposes nothing instead of a zero-mass death.
+        # beta = 0: no object is death-eligible, so the death move proposes
+        # nothing instead of a zero-mass death: no destination toggles a
+        # death, and the death row's 1/2 stays on the state.
         parent, walk = make_walk([(100.0, 0.0)], [[99.0, 1.0]], beta=0.0)
-        chain = scripted(walk, AssociationEvent(assignments=(CLUTTER,)), [(1, 2)])
-        assert chain.event().deaths == frozenset()
-        assert chain.rng.uniforms == 0
+        row = row_of(walk, AssociationEvent(assignments=(CLUTTER,)))
+        assert row and all(dest.deaths == frozenset() for dest in row)
+        assert sum(row.values()) <= 0.5
 
     def test_zero_entry_candidate_skips_prior(self):
-        # The far return cannot come from t00: that entry is -inf.
+        # The far return cannot come from t00: that entry is -inf. From a
+        # finite state the row scores only the supported columns, so the
+        # candidate z -> t00 is neither a destination nor a prior lookup.
         parent, walk = make_walk([(100.0, 0.0)], [[5000.0, 0.0]])
         lookups = []
 
@@ -279,20 +383,12 @@ class TestPropose:
 
         chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)))
         assert chain.rows[0][0] == -math.inf
-        assert (0, 0, 0) in chain._prior_memo  # the loaded state's counts
         chain._prior_memo = RecordingMemo(chain._prior_memo)
-        # Row 0 from clutter: column draw 0 is t00, 1 is birth; from birth,
-        # draw 1 skips birth itself and is clutter.
-        for draw, to, reads in [
-            (0, CLUTTER, []),  # zero entry: no lookup, rejected
-            (1, BIRTH, [(0, 1, 0)] * 2),  # a miss reads inline and in log_prior
-            (1, CLUTTER, [(0, 0, 0)]),  # a hit reads once
-        ]:
-            lookups.clear()
-            chain.rng.script = [(0, 2), (draw, 2)]
-            chain.run(1)
-            assert chain.event().assignments == (to,)
-            assert lookups == reads
+        _, _, _, destinations = chain.kernel_row(chain.key())
+        assert destinations == [((1,), ()), ((2,), (0,))]  # birth, t00 dies
+        # resync reads the state's counts, then the row birth's and the
+        # death's.
+        assert lookups == [(0, 0, 0), (0, 1, 0), (0, 0, 1)]
 
     def test_prior_memo_matches_log_count_prior(self):
         parent, matrix, cfg, sensor = make_instance(
@@ -319,6 +415,12 @@ class TestPropose:
             objs = event.associated_labels
             assert len(objs) == len(set(objs))
             assert not (event.deaths & set(objs))
+        # Nor does any row's destination.
+        for _, _, _, destinations in chain.kernel.values():
+            for assign, deaths in destinations:
+                objs = [c for c in assign if c < chain.n_objects]
+                assert len(objs) == len(set(objs))
+                assert not set(deaths) & set(objs)
 
     def test_scores_consistent_with_production_composition(self):
         parent, matrix, cfg, sensor = make_instance(
@@ -332,59 +434,74 @@ class TestPropose:
             expected = log_child_prior(
                 event, parent, cfg, sensor.p_d, 2
             ) + hypothesis_log_likelihood(event, matrix)
-            if expected == -math.inf:
-                assert chain.log_score == -math.inf
-            else:
-                assert chain.log_score == pytest.approx(expected, rel=1e-12)
+            for score in (chain.log_score, chain.kernel[chain.key()][0]):
+                if expected == -math.inf:
+                    assert score == -math.inf
+                else:
+                    assert score == pytest.approx(expected, rel=1e-12)
 
 
 class TestMetropolis:
-    """One run(1) from {z -> clutter} proposing z -> t00 (row 0, column draw
-    0), from a current score set by the test."""
+    """The acceptance of the move z -> t00 from {z -> clutter} (one return,
+    one track), read off the row: one draw in (m+1)(M+1) = 4 proposes it,
+    accepted with min(1, exp(candidate - current))."""
 
-    FAR = [[5000.0, 0.0]]  # t00's entry is -inf: a zero-mass candidate
-
-    @staticmethod
-    def setup(returns=((99.0, 1.0),)):
-        """(walk, start event, candidate's log score)."""
-        parent, walk = make_walk([(100.0, 0.0)], list(returns))
-        cand = loaded(walk, AssociationEvent(assignments=("t00",))).log_score
-        return walk, AssociationEvent(assignments=(CLUTTER,)), cand
+    Q = 1.0 / 4
 
     @staticmethod
-    def step(walk, start, current, u):
-        """(moved, acceptance variates drawn) of that step."""
-        chain = loaded(walk, start, [(0, 2), (0, 2)], u)
-        chain.log_score = current
-        chain.run(1)
-        return chain.assign == [0], chain.rng.uniforms
+    def matrix(t00_entry, clutter_entry=0.0):
+        """One return, one track that may not die, chosen entries."""
+        return AssociationMatrix(
+            log_entries=np.array([[t00_entry, -30.0, clutter_entry]]),
+            object_labels=("t00",),
+            death_eligible=(False,),
+            returns=np.zeros((1, 2)),
+        )
+
+    @staticmethod
+    def chain(matrix):
+        return _Chain(matrix, BirthDeathConfig(alpha=0.05, beta=0.0, n_pixels=1), 0.9)
+
+    def gap(self, chain):
+        """t00's entry that makes candidate - current equal 0."""
+        return chain.log_prior(0, 0, 0) - chain.log_prior(1, 0, 0)
+
+    START = ((2,), ())
+    TO_T00 = ((0,), ())
 
     def test_higher_score_always_accepted(self):
-        # No variate is drawn, so even the largest one cannot reject.
-        walk, start, cand = self.setup()
-        assert self.step(walk, start, cand - 2.0, u=1.0 - 2.0**-53) == (True, 0)
+        chain = self.chain(self.matrix(0.0))
+        chain = self.chain(self.matrix(self.gap(chain) + 2.0))
+        assert production_row(chain, self.START)[self.TO_T00] == self.Q
 
     def test_half_ratio_accepted_half_the_time(self):
-        walk, start, cand = self.setup()
-        rng = random.Random(321)
-        hits = sum(
-            self.step(walk, start, cand + math.log(2.0), rng.random())[0]
-            for _ in range(100_000)
-        )
-        assert abs(hits / 100_000 - 0.5) < 0.01
+        chain = self.chain(self.matrix(0.0))
+        chain = self.chain(self.matrix(self.gap(chain) - math.log(2.0)))
+        assert production_row(chain, self.START)[self.TO_T00] == pytest.approx(
+            self.Q / 2, rel=1e-12)
+        # And one-step walks from the start take the move that often.
+        chain.rng = random.Random(321)
+        hits = 0
+        for _ in range(100_000):
+            chain.load(self.START)
+            chain.run(1)
+            hits += chain.key() == self.TO_T00
+        assert abs(hits / 100_000 - self.Q / 2) < 0.005
 
     def test_minus_inf_always_rejected(self):
-        # Rejected without a variate, so even u = 0 cannot accept it.
-        walk, start, cand = self.setup(self.FAR)
-        assert cand == -math.inf
-        assert self.step(walk, start, -10.0, u=0.0) == (False, 0)
+        chain = self.chain(self.matrix(-math.inf))
+        assert self.TO_T00 not in production_row(chain, self.START)
 
     def test_minus_inf_accepted_on_zero_mass_plateau(self):
-        # From a zero-mass state the walk moves freely, so a random init on
-        # the plateau can leave it.
-        for returns in (self.FAR, [[99.0, 1.0]]):
-            walk, start, cand = self.setup(returns)
-            assert self.step(walk, start, -math.inf, u=1.0 - 2.0**-53) == (True, 0)
+        # From a zero-mass state every proposal that changes the state is
+        # accepted, whatever the target scores, so a random init on the
+        # plateau can leave it: here clutter's entry is -inf, and both the
+        # finite t00 and the -inf birth are destinations.
+        for t00 in (-math.inf, 0.0):
+            chain = self.chain(self.matrix(t00, clutter_entry=-math.inf))
+            row = production_row(chain, self.START)
+            assert chain.kernel[self.START][0] == -math.inf
+            assert row == {self.TO_T00: self.Q, ((1,), ()): self.Q}
 
 
 class TestSampleChildren:
@@ -516,32 +633,21 @@ class TestIrreducibility:
         assert seen_rev == set(all_events)
 
 
-def kernel_stationary(walk, events):
-    """Stationary distribution of the exact transition kernel of the walk
-    restricted to the finite-score events: every draw path of one step
-    weighted by its probability, its target accepted with
-    min(1, pi(t)/pi(s))."""
-    index = {}
-    scores = []
-    for event in events:
-        score = loaded(walk, event).log_score
-        if score > -math.inf:
-            index[event.canonical_key()] = len(scores)
-            scores.append((event, score))
-    P = np.zeros((len(scores), len(scores)))
-    for s, (event, score) in enumerate(scores):
-        total = 0.0
-        for chain, prob in scripted_proposals(walk, event):
-            total += prob
-            t = index[chain.event().canonical_key()]
-            accept = min(1.0, math.exp(chain.log_score - score))
-            P[s, t] += prob * accept
-            P[s, s] += prob * (1.0 - accept)
-        assert total == pytest.approx(1.0, abs=1e-12)
+def stationary(rows):
+    """Stationary distribution of the kernel whose rows ({state:
+    {destination: probability}}) leave each state, over the states rows
+    holds; what a row does not spend stays on its state."""
+    keys = list(rows)
+    index = {key: s for s, key in enumerate(keys)}
+    P = np.zeros((len(keys), len(keys)))
+    for s, key in enumerate(keys):
+        for dest, prob in rows[key].items():
+            P[s, index[dest]] += prob
+        P[s, s] += 1.0 - sum(rows[key].values())
     values, vectors = np.linalg.eig(P.T)
     v = np.real(vectors[:, np.argmin(np.abs(values - 1.0))])
     v = v / v.sum()
-    return {event.canonical_key(): float(p) for (event, _), p in zip(scores, v)}
+    return dict(zip(keys, v))
 
 
 class TestExactKernel:
@@ -549,7 +655,10 @@ class TestExactKernel:
     # plausible and the conflict move is exercised on most steps. In sparse,
     # the third return is far from every track, so its row supports only
     # birth and clutter, and t02 is far from every return: proposals onto
-    # those -inf entries exercise the rejection branch.
+    # those -inf entries exercise the rejection branch. In staggered the
+    # rows support 4, 3 and 2 columns. In plateau both returns are far from
+    # the track, and n_pixels = 1 gives their two births zero mass: that
+    # supported state scores -inf and its row accepts every change.
     INSTANCES = {
         "2x2": ([(100.0, 0.0), (103.0, 0.0)], [[101.0, 0.5], [102.0, -0.5]]),
         "3x3": (
@@ -560,19 +669,80 @@ class TestExactKernel:
             [(100.0, 0.0), (103.0, 0.0), (0.0, -80.0)],
             [[101.0, 0.5], [102.0, -0.5], [5000.0, 0.0]],
         ),
+        "staggered": (
+            [(100.0, 0.0), (106.0, 0.0), (300.0, 0.0)],
+            [[99.0, 0.0], [300.0, 1.0], [5000.0, 0.0]],
+        ),
+        "plateau": ([(100.0, 0.0)], [[5000.0, 0.0], [0.0, 5000.0]]),
     }
 
     @pytest.mark.parametrize("beta", [0.05, 0.0])
-    @pytest.mark.parametrize("name", ["2x2", "3x3", "sparse"])
+    @pytest.mark.parametrize("name", list(INSTANCES))
     def test_stationary_distribution_is_exact_posterior(self, name, beta):
+        # The reference kernel follows the proposal rules written out in
+        # this file; the production rows must equal it on every state,
+        # supported or not, and both kernels, restricted to the
+        # finite-score states (which no accepted move leaves), must have
+        # the oracle's posterior as their stationary distribution.
         positions, returns = self.INSTANCES[name]
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=beta, clutter_density=1e-3,
         )
-        events = enumerate_child_events(matrix)
-        stationary = kernel_stationary(walk_for(matrix, cfg, sensor), events)
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        keys = list(all_keys(matrix))
+        reference = {key: reference_row(matrix, cfg, sensor.p_d, key) for key in keys}
+        production = {key: production_row(chain, key) for key in keys}
+        for key in keys:
+            assert_rows_match(production[key], reference[key])
+        finite = {key for key in keys
+                  if reference_score(matrix, cfg, sensor.p_d, key) > -math.inf}
+        assert finite and len(finite) < len(keys)
         post = exact_posterior(parent, matrix, cfg, sensor)
-        assert tv_distance(stationary, post) <= 1e-9
+        for rows in (reference, production):
+            pi = stationary({key: rows[key] for key in finite})
+            pi = {matrix.event_of(key).canonical_key(): p for key, p in pi.items()}
+            assert tv_distance(pi, post) <= 1e-9
+
+    def test_instances_cover_their_cases(self):
+        _, matrix, cfg, sensor = make_instance(*self.INSTANCES["staggered"])
+        assert [len(s) for s in matrix.supported] == [4, 3, 2]
+        _, matrix, cfg, sensor = make_instance(*self.INSTANCES["plateau"])
+        births = ((1, 1), ())
+        assert matrix.supported == ((1, 2), (1, 2))
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        score, p, _, destinations = chain.kernel_row(births)
+        assert score == -math.inf
+        # Each row proposes t00 (-inf entry) or clutter, and the death row
+        # toggles t00: five changes, each accepted, none left on the state.
+        assert len(destinations) == 5
+        assert p == pytest.approx(1.0, abs=1e-15)
+
+    @given(
+        mat=sparse_matrices(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_reference_on_random_sparse_matrices(self, mat, n_pixels, p_d, data):
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
+        chain = _Chain(mat, cfg, p_d)
+        n_objects = mat.n_objects
+        for _ in range(6):
+            assign = []
+            for _ in range(mat.n_returns):
+                col = data.draw(st.integers(0, n_objects + 1))
+                if col < n_objects and col in assign:
+                    col = n_objects + 1
+                assign.append(col)
+            pool = [j for j, ok in enumerate(mat.death_eligible) if ok and j not in assign]
+            deaths = tuple(j for j in pool if data.draw(st.booleans()))
+            key = (tuple(assign), deaths)
+            expected = reference_row(mat, cfg, p_d, key)
+            assert_rows_match(production_row(chain, key), expected)
+            if reference_score(mat, cfg, p_d, key) > -math.inf:
+                # No -inf destination from a finite state.
+                assert all(reference_score(mat, cfg, p_d, d) > -math.inf for d in expected)
 
 
 class TestVisitDistribution:
@@ -593,72 +763,104 @@ class TestVisitDistribution:
 
 
 class TestStream:
-    """The walk draws the same Mersenne Twister words that rng.randrange
-    would, so a seed fixes its output. The golden children were recorded
-    when the walk still called randrange."""
+    """What the walk draws from its rng, and the children a seed gives."""
 
     INSTANCES = {
         "sparse": TestExactKernel.INSTANCES["sparse"],
         "dense3x3": TestExactKernel.INSTANCES["3x3"],
     }
 
+    @staticmethod
+    def replay(rows, rng, key, steps, visits):
+        """The jump chain as the stream contract states it, over the rows
+        of a second chain, drawing from rng: one random() per holding time
+        where 0 < p < 1, then one per move. Returns (final key, holding
+        draws, moves)."""
+        holds = moves = 0
+        left, count = steps, 0
+        while left:
+            _, p, cumulative, destinations = rows.kernel_row(key)
+            if p <= 0.0:
+                hold = left
+            elif p >= 1.0:
+                hold = 0
+            else:
+                holds += 1
+                h = math.log(1.0 - rng.random()) / math.log1p(-p)
+                hold = left if h >= left else int(h)
+            if hold >= left:
+                count += left
+                break
+            count += hold
+            left -= hold + 1
+            if visits is not None and count:
+                visits[key] = visits.get(key, 0) + count
+            u = rng.random() * p
+            moves += 1
+            j = next((j for j, c in enumerate(cumulative) if u < c), len(cumulative) - 1)
+            key = destinations[j]
+            count = 1
+        if visits is not None and count:
+            visits[key] = visits.get(key, 0) + count
+        return key, holds, moves
+
     @pytest.mark.parametrize("seed", [0, 1, 12345])
-    def test_below_matches_randrange(self, seed):
-        # Each integer draw, the init's and run()'s, is rng.randrange of the
-        # bound the state sets (the row's support size; then m+1 rows and
-        # M+1 other columns or the unclaimed death-eligible pool). A
-        # reference rng making those calls, plus random() when the step drew
-        # an acceptance variate, stays in the chain rng's state. Here m+1 = 4
-        # and M+1 = 4 take 3 bits, so about half the raw draws are redrawn.
-        parent, matrix, cfg, sensor = make_instance(*self.INSTANCES["sparse"])
-        m, n_objects = matrix.n_returns, matrix.n_objects
+    def test_stream_contract(self, seed):
+        # start's integer draws are rng.randrange of each row's support
+        # size, as before the walk ran as a jump chain. A reference rng
+        # replaying the documented jump chain over the same rows then stays
+        # in the chain rng's state, run by run, and the visits agree.
+        parent, matrix, cfg, sensor = make_instance(
+            *self.INSTANCES["sparse"], clutter_density=3e-3,
+        )
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(random.Random(seed))
         ref = random.Random(seed)
         for supported in matrix.supported:
             ref.randrange(len(supported))
         assert ref.getstate() == chain.rng.getstate()
-        variates = 0
-        for _ in range(3000):
-            pool = [j for j, ok in enumerate(matrix.death_eligible)
-                    if ok and j not in chain.assign]
-            chain.run(1)
-            row = ref.randrange(m + 1)
-            if row < m:
-                ref.randrange(n_objects + 1)
-            elif pool:
-                ref.randrange(len(pool))
-            if ref.getstate() != chain.rng.getstate():
-                ref.random()
-                variates += 1
+        rows = _Chain(matrix, cfg, sensor.p_d)
+        key = chain.key()
+        visits, expected = {}, {}
+        holds = moves = 0
+        for steps, table, mirror in [(300, None, None), (4000, visits, expected)]:
+            chain.run(steps, table)
+            key, h, mv = self.replay(rows, ref, key, steps, mirror)
+            holds += h
+            moves += mv
+            assert chain.key() == key
             assert ref.getstate() == chain.rng.getstate()
-        assert variates > 0
+        assert visits == expected
+        assert sum(visits.values()) == 4000
+        assert holds > 0 and moves > 0
 
     C = CLUTTER
+    # The seed fixes the children and their visits, through start's draws
+    # and the jump chain's.
     GOLDEN = {
         "sparse": [
-            ((("t00", "t01", C), ()), 1635, -17.258838541538672),
-            ((("t01", "t00", C), ()), 832, -17.858838541538674),
-            ((("t00", "t01", C), ("t02",)), 792, -17.95198572209862),
-            ((("t01", "t00", C), ("t02",)), 434, -18.551985722098618),
-            ((("t00", C, C), ()), 22, -20.99974394978553),
-            (((C, "t01", C), ()), 67, -20.99974394978553),
-            ((("t01", C, C), ()), 29, -21.29974394978553),
-            (((C, "t00", C), ()), 30, -21.29974394978553),
-            ((("t00", C, C), ("t01",)), 11, -21.692891130345473),
-            ((("t00", C, C), ("t02",)), 13, -21.692891130345473),
+            ((("t00", "t01", C), ()), 1474, -17.258838541538672),
+            ((("t01", "t00", C), ()), 875, -17.858838541538674),
+            ((("t00", "t01", C), ("t02",)), 757, -17.95198572209862),
+            ((("t01", "t00", C), ("t02",)), 418, -18.551985722098618),
+            ((("t00", C, C), ()), 46, -20.99974394978553),
+            (((C, "t01", C), ()), 77, -20.99974394978553),
+            ((("t01", C, C), ()), 27, -21.29974394978553),
+            (((C, "t00", C), ()), 51, -21.29974394978553),
+            ((("t00", C, C), ("t01",)), 37, -21.692891130345473),
+            ((("t00", C, C), ("t02",)), 24, -21.692891130345473),
         ],
         "dense3x3": [
-            ((("t00", "t01", "t02"), ()), 1050, -12.824785952731872),
-            ((("t01", "t00", "t02"), ()), 752, -13.274785952731872),
-            ((("t01", "t02", "t00"), ()), 661, -13.474785952731873),
-            ((("t02", "t01", "t00"), ()), 589, -13.524785952731873),
-            ((("t00", "t02", "t01"), ()), 429, -13.724785952731873),
-            ((("t02", "t00", "t01"), ()), 327, -14.224785952731873),
-            ((("t00", C, "t02"), ()), 2, -17.158838541538675),
-            ((("t00", "t01", C), ()), 15, -17.283838541538675),
-            (((C, "t01", "t02"), ()), 12, -17.33383854153867),
-            ((("t01", C, "t02"), ()), 5, -17.433838541538673),
+            ((("t00", "t01", "t02"), ()), 1123, -12.824785952731872),
+            ((("t01", "t00", "t02"), ()), 684, -13.274785952731872),
+            ((("t01", "t02", "t00"), ()), 573, -13.474785952731873),
+            ((("t02", "t01", "t00"), ()), 439, -13.524785952731873),
+            ((("t00", "t02", "t01"), ()), 452, -13.724785952731873),
+            ((("t02", "t00", "t01"), ()), 253, -14.224785952731873),
+            ((("t00", C, "t02"), ()), 12, -17.158838541538675),
+            ((("t00", "t01", C), ()), 27, -17.283838541538675),
+            (((C, "t01", "t02"), ()), 22, -17.33383854153867),
+            ((("t01", C, "t02"), ()), 28, -17.433838541538673),
         ],
     }
 
@@ -704,53 +906,139 @@ class TestStream:
 
 class TestKeyCache:
     def test_cached_key_follows_every_step(self):
-        # run(1, table) adds one visit to the slot of the state the step
-        # ends in, whether it moved or not, and only builds a key after a
-        # move: the slot it adds to must always be the fresh state's.
+        # run(1, visits) adds one visit to the key of the state the step
+        # ends in, whether it moved or not, and that key is the chain's
+        # fresh state, whose memoized row carries its from-scratch score.
         positions, returns = TestExactKernel.INSTANCES["3x3"]
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=0.05, clutter_density=3e-3,
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(random.Random(8))
-        table = {}
+        visits = {}
         before = chain.key()
         toggles = swaps = 0
         for step in range(1, 5001):
-            chain.run(1, table)
+            chain.run(1, visits)
             fresh = (tuple(chain.assign), tuple(sorted(chain.dead)))
             assert chain.key() == fresh
-            assert table[fresh][0] == pytest.approx(chain.log_score, rel=1e-12)
-            assert sum(visits for _, visits in table.values()) == step
+            assert chain.kernel[fresh][0] == pytest.approx(chain.log_score, rel=1e-12)
+            assert sum(visits.values()) == step
             if fresh[1] != before[1]:
                 toggles += 1
             elif sum(a != b for a, b in zip(fresh[0], before[0])) == 2:
                 swaps += 1
             before = fresh
         assert toggles > 0 and swaps > 0
-        assert len(table) > 1
+        assert len(visits) > 1
 
     def test_run_leaves_state_consistent(self):
-        # resync() rebinds claimed_by and resums the likelihood mid-loop.
-        # After any run, the claims and counts are those the assignment
-        # implies, and a state first visited on the run's last step carries
-        # its from-scratch rescoring bit for bit.
+        # Building a row loads its state, so a run that reaches new states
+        # reloads the one it ends in: after any run, the claims and counts
+        # are those the assignment implies, and the score and likelihood sum
+        # are its from-scratch ones bit for bit, as is its row's score.
         positions, returns = TestExactKernel.INSTANCES["sparse"]
         parent, matrix, cfg, sensor = make_instance(positions, returns)
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(random.Random(3))
-        first_visits = 0
         for n in range(600):
             if n % 10 == 0:
-                table = {}  # so that first visits keep coming
-            chain.run(n % 5 + 1, table)
+                chain.kernel = {}  # so that rows keep being built
+            chain.run(n % 5 + 1)
             fresh = _Chain(matrix, cfg, sensor.p_d)
             fresh.load(chain.key())
             assert chain.claimed_by == fresh.claimed_by
             assert (chain.k, chain.n_b, chain.zero_entries) == (
                 fresh.k, fresh.n_b, fresh.zero_entries)
-            if table[chain.key()][1] == 1:
-                first_visits += 1
-                assert chain.finite_loglik == fresh.finite_loglik
-                assert chain.log_score == fresh.log_score
-        assert first_visits > 50
+            assert chain.finite_loglik == fresh.finite_loglik
+            assert chain.log_score == fresh.log_score
+            assert chain.kernel[chain.key()][0] == fresh.log_score
+        assert len(chain.kernel) > 1
+
+
+class _CountingRng(random.Random):
+    """A Random that counts its random() calls."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.uniforms = 0
+
+    def random(self):
+        self.uniforms += 1
+        return super().random()
+
+
+class TestHolding:
+    def test_absorbing_single_state_walk(self):
+        # No returns and beta = 0: the one state has no move at all (p = 0),
+        # so any budget is held there at once, with no draw, no log(0) and
+        # no loop over the steps.
+        parent, matrix, cfg, sensor = make_instance(
+            [(100.0, 0.0)], np.empty((0, 2)), beta=0.0,
+        )
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(_CountingRng(0))
+        visits = {}
+        chain.run(10**15, visits)
+        assert visits == {((), ()): 10**15}
+        assert chain.kernel_row(((), ()))[1] == 0.0
+        assert chain.rng.uniforms == 0
+
+    @pytest.mark.parametrize("burn,record", [(0, 1), (0, 7), (3, 1), (0, 5000)])
+    def test_small_budgets(self, burn, record):
+        parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["3x3"])
+        samples = sample_children(
+            parent, matrix,
+            SamplerConfig(burn_in_steps=burn, record_steps=record,
+                          children_kept=10**6, seed=5),
+            cfg, sensor,
+        )
+        assert sum(s.visits for s in samples) == record
+        assert all(s.visits > 0 for s in samples)
+
+    def test_zero_steps_draw_nothing(self):
+        parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(_CountingRng(0))
+        key = chain.key()
+        visits = {}
+        chain.run(0, visits)
+        assert (visits, chain.key(), chain.rng.uniforms) == ({}, key, 0)
+
+    def test_leave_probability_past_one_is_guarded(self):
+        # Summation can carry p a rounding error past 1. Such a state holds
+        # no step and draws no holding variate (log1p(-p) would be NaN):
+        # each step is a move, one random() each, and the largest variate
+        # still lands on the last destination.
+        parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        a, b = ((0, 1), ()), ((1, 0), ())
+        p = 1.0 + 2.0**-52
+        chain.kernel[a] = (0.0, p, [0.5, p], [b, b])
+        chain.kernel[b] = (0.0, p, [0.5, p], [a, a])
+
+        class TopRng(_CountingRng):
+            def random(self):
+                super().random()
+                return 1.0 - 2.0**-53
+
+        chain.load(a)
+        chain.rng = TopRng(0)
+        visits = {}
+        chain.run(5, visits)
+        assert visits == {b: 3, a: 2}
+        assert chain.rng.uniforms == 5
+
+    @given(seed=st.integers(0, 2**32 - 1), budgets=st.lists(st.integers(0, 300), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_visits_sum_to_the_steps_run(self, seed, budgets):
+        parent, matrix, cfg, sensor = make_instance(
+            *TestExactKernel.INSTANCES["sparse"], clutter_density=3e-3,
+        )
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(random.Random(seed))
+        visits = {}
+        for n, steps in enumerate(budgets, 1):
+            chain.run(steps, visits)
+            assert sum(visits.values()) == sum(budgets[:n])
+        assert all(v > 0 for v in visits.values())

@@ -472,34 +472,35 @@ def digest(hyps):
 
 
 class TestSeedGolden:
-    # Per scan of single-spawn at seed 0: (top hypothesis id, estimated
-    # count, hypotheses kept, weight entropy). The walk's rng stream and its
-    # summation order fix these, so a change to either shows at tracker
-    # level and not only in the sampler's goldens.
+    # Per scan of single-spawn at seed 0: (top hypothesis's parent id, its
+    # weight, estimated count, hypotheses kept, weight entropy). The walk's
+    # rng stream and its summation order fix these, so a change to either
+    # shows at tracker level and not only in the sampler's goldens.
     GOLDEN = [
-        ("h1-00000", 1, 2, 0.005048299525944081),
-        ("h2-00000", 1, 2, 0.00021464879672199023),
-        ("h3-00000", 1, 2, 8.333111862613285e-06),
-        ("h4-00000", 1, 2, 3.0679971964385934e-07),
-        ("h5-00000", 1, 8, 1.0964694600867837),
-        ("h6-00000", 1, 13, 1.1744638803872833),
-        ("h7-00000", 2, 27, 0.675872984107659),
-        ("h8-00000", 2, 50, 0.6303238419978321),
-        ("h9-00000", 2, 50, 0.475413510921152),
-        ("h10-00000", 4, 50, 0.7595451617581647),
-        ("h11-00000", 4, 50, 0.006521848939166481),
-        ("h12-00000", 4, 50, 0.03846032061169108),
-        ("h13-00000", 4, 50, 0.5186101269202779),
-        ("h14-00000", 3, 50, 0.5496496637083482),
+        ("h0", 1.0, 1, 1, 0.0),
+        ("h1-00000", 1.0, 1, 1, 0.0),
+        ("h2-00000", 1.0, 1, 1, 0.0),
+        ("h3-00000", 0.9994003597841296, 1, 2, 0.005048299525944081),
+        ("h4-00000", 0.356573675466554, 1, 9, 1.095325954382754),
+        ("h5-00001", 0.6554662832144802, 1, 19, 0.7396042146517197),
+        ("h6-00003", 0.448782263299982, 2, 50, 1.104915598807792),
+        ("h7-00008", 0.7070759678542143, 3, 50, 0.6351531442763609),
+        ("h8-00000", 0.9999999021774852, 3, 50, 1.7941828498157879e-06),
+        ("h9-00000", 0.9999999940203346, 3, 50, 1.2338093690702373e-07),
+        ("h10-00000", 0.9999999956185512, 3, 50, 9.18671680424527e-08),
+        ("h11-00000", 0.9999999953819814, 3, 50, 9.70921109507644e-08),
+        ("h12-00000", 0.9999999954616143, 3, 50, 9.519083793214259e-08),
+        ("h13-00000", 0.9999999950786189, 3, 50, 1.0298635477158986e-07),
     ]
 
     def test_single_spawn_seed0_reports(self):
         _, reports = run_tracker(*preset_start(preset_single_spawn))
         assert [
-            (r.top_hypothesis_id, r.estimated_count, r.n_hypotheses) for r in reports
-        ] == [g[:3] for g in self.GOLDEN]
+            (r.top_parent_id, r.estimated_count, r.n_hypotheses) for r in reports
+        ] == [(g[0], *g[2:4]) for g in self.GOLDEN]
         for r, g in zip(reports, self.GOLDEN):
-            assert r.weight_entropy == pytest.approx(g[3], rel=1e-9, abs=1e-15)
+            assert r.top_weight == pytest.approx(g[1], rel=1e-9)
+            assert r.weight_entropy == pytest.approx(g[4], rel=1e-9, abs=1e-15)
 
     # Per scan of each preset's seed-0 run (single-spawn: the run above):
     # SHA-256 over each kept hypothesis's id, parent id, log weight and track
@@ -508,44 +509,44 @@ class TestSeedGolden:
     # where parents share the most tracks.
     NUMBERS = {
         "single-spawn": [
-            "a11a5b247b28914755644501a44a0751824bddc5bffdcf1b95ba32b3753f22a2",
-            "82feda235a36b8e76cfe8453077135c1056bdc9eec2fdec82a448167d36f9a9f",
-            "b121bb347f4d2e98bd4a1bb478cf695d50d8dd1a3e2320b7b7eb5c494ba93b49",
-            "340e0c09c11686bda9ce281e5b9867ebaa012fe70af7d961f11fabc467d47818",
-            "742dddfad07512c4649e942264e65da50ba37ebde04f28d8d88fb261373c7161",
-            "5efb2aca52d9910486ff61055255b835594d319ffa47a2a62da72ffa432034b6",
-            "5a82ec699214790c36fe74de8404c0debbfa3aae649ebd8f675166c273d4ecbd",
-            "0028d00c010a22b352953a2f7b4ff52372eef7c79a9c491ba575927c49f93d01",
-            "f837e9b637c1a32fbd16ef807cdd5fdf6ea0da32c752999db89b5040a8cf0bf8",
-            "0a506a4dd8e18ff34b22e1957d6bfbd752bba15c680a12dcae97c5f256c39b6a",
-            "fa3ba6f4d7c4620f67b3ffe2dd41b319ba003c2cb43fcef42f834d300e848168",
-            "601f2d322ff3fdc10e2cee1e2b9f8e5504da108dcc8939d42c0bd29e3e801351",
-            "b0ce8389b15099088013e30c06477fafa28acd2c9f1b4051757828542fcd0bb1",
-            "1d97f1d789c8e3685accb94f9947aa8400fc4ad7fb9b79bddfecb7e1197ff6b4",
+            "189f0ea1c986dc7acb6697abe27825d180571fb4f1e4fdd9a5177d48504d2b9a",
+            "e678ae7dd9b740334ad4d942a6e16454bbb4d346bd548ef6fcf1d51697de92b5",
+            "c441fb4de6fc6da9f51085c63f4ffc647d61245b5734ddf882440af6b8bef7e5",
+            "e72bca67f99812f882e63e87d4db8c7eff3c68723d448d0f256008221faa48d5",
+            "ecc80f680493762ca018316fbfd035205c4c398c90bad4a705e6779f61d9eb4d",
+            "4026b7ae57b441b0b5a180cbbc1393813d0c80fa499cb974d2ad00ec5a26a182",
+            "ad1158cce68244664e7f17374571a9c9fe282c73f8e8d113d043c74b0ff8289e",
+            "6ee7170acf1a59b9668a140de1d6c6044102c2d6af480a2be7aaa8ed9a37ea4b",
+            "146fcbd64a449f77ed3e0edd3b1a39a56ed85d4ff8deda83fbcfc6dcd6e1e1b5",
+            "a3bfcd1fce54fc7ebd8fff25a6db2fd0500c978eca21bdb75b9117d94d97cb87",
+            "d5301c8d803df1a38232669ffc42039448e3e7559a845d77c988fb3d332e62a2",
+            "30459cf684a305da832ce4837c7087fcef8a72236b6980cb5d9b5fd3bfe51823",
+            "d6bc64781297d458e7d028c8b23a4fdff73c5f32f9d4551c08591f7a8ae3bd0b",
+            "ba72502759b88060cf81a947abaae3bbd9b7f955d11800154716e89923f28b9e",
         ],
         "twenty-object": [
             "dd82ceb0eeeba4a9b0f688032b8b4ea34c8e5a45662a16684b1a799b74e9a08e",
             "e1ef77beb2f06c4943c85fec4f3c7218d10af0c2503856a591c1686ca4ba039e",
             "a7a9b44b926b49f9a63aeca1132d1229c37883327266acb23efdee4f1234d1ea",
-            "45cbeff167ae5f21b1a4d2943360b3d539b3154b25287815b1f4210580243fa9",
-            "a300528a620eff400f1050ae513078ae3a75a7602ac1de221dae56e08848f170",
-            "5a8e73733cfc287aa4b6ea2956bd1121ff0ed9a7d934e010f34006365af1fd1b",
-            "b738f257da5bff5ed4e5686142d7155b872316c11a69313714316918d2e26c15",
-            "f1a5a5074ee2a32d9bd83a2d0b904b6e642f4e6b8ba1c64acf71eca014a3c176",
-            "15b96f198d10828119a3dbbad0e8fedd45b4f125e4b641557e9acd787cefe6c4",
-            "76e0aec973b3ce76d70d687f7d5616f9e26fc481bf3fffa2f785d92260738d0b",
-            "bbcca76f8a688db91d5f33475b2e604177f3ad0980820cf1e95af27351e04628",
-            "275bc54fe8f50481dd234b168ad81876d14d75c6903233d28217eca61469cc0e",
-            "a307d25e253fed426143bb3b05b0fbf708a0b00d560d3a99c50448b8013ec852",
-            "e94b89d9b57165d529892353f665a00367d6614cd67aec0151762c81892b5cfe",
+            "236d4ffee9c8382b21f82c3c482abec8ab72d7a141da3a108ddfa02549fbfb18",
+            "60ff89fffd34824afdaa944be6d487bc7e8234ff455c58809f58d0be57ad3c26",
+            "6886a727e84ff562b51e3113fa02662c82289555e4d1a5b7e8daa1d63a59a7af",
+            "67b304aef9cc9a7ea84c059afd05ad83785764ab98228f5ff9fe523e886d40d7",
+            "4bdcd28328811056c320a9726f0d76c065317ca99ffbdcdde1f7f686c6f3405e",
+            "65d591ed98091630f9c71c824cd51bd5bc2c679e63b6d921759c568c37b3131a",
+            "b92256cf52b0354310ad2416476fa7a34dbe83df15e9d1e86c8cee57d51d4f77",
+            "22af690918f4dc6ba51b9a28080ea2dad223cfa5773396ca2f842700158c2bee",
+            "f7be971382381daf27b81172b6f89db764d1c70ac8b2345c475a2d1a9914fd15",
+            "63f6db52b68cf8380cb1ff5005baa825b5c0bc5334e3a68d688079f59fc15974",
+            "b6987f63edafafdafb5ab1fbe20d3e96174e047a91b579ce72a8970582f220ce",
         ],
         "sixty-object": [
-            "bdc8b891689aa0440948ac6a6ea24e58126966f70c02d81b7587b88894da6530",
-            "37e8a813eaba7ba498723ded1891abf6687c29c57c48463280e52d44a37fba38",
-            "da0de3e92d4b76ddd5737b291b17a2bcbde754abcf0a1370056b7efff0fc3168",
-            "37f3cf8fabdae28a2b15ee0dee77d3197186280217e4ca6e84fe1448d396cf97",
-            "f69ff9288347061a3eb35731c3402d544642fe0dfdfbae9bfabe5f5cb689e866",
-            "84ff740721fa15dc9810599ec063d773030fc364722edcc65844dc1a54f64c7c",
+            "ce83b5952656d7c45aadbb952a163f0b517537fdbdea4dac34753367c5890800",
+            "cffbb32a3c31e6d06cd1a50ace1b2e9f32c64b41284e8b500b04402c8755619f",
+            "865a57fc8b90886a6fe64724837831fcd1bc7147cd7b66df1b265bac468de438",
+            "55521767b359178007c2419fb5b3826d3ede1558eb128d633e428b58626491f5",
+            "ba73cb8ce309c3734b53fcad967ce5a846ea8b7306564cbb93f1006f363c9990",
+            "4e32173f1952cd46874b9de8833295d8fc960a9acad3fcb17bfa7048fbf9e0b3",
         ],
     }
 
@@ -572,20 +573,20 @@ class TestBoundGolden:
     # test, so only these pin its value on the presets.
     BOUNDS = {
         "single-spawn": [
-            39651379969230110720, 181269885001662464, 181269885001662464,
-            4777193304733253632, 123611987822298267648, 632391519025691099136,
-            1239463237996351848448, 1746595041707678263934976,
-            4034447269288336162816, 130838743007553862500352,
-            5812197623246612332544, 6920762049223580450816,
-            190310498713838731395072, 8901306116702629527552,
+            39651379969230110720, 59672695062659072, 59672695062659072,
+            1552615971535978496, 123611987822298267648, 489790103374585135104,
+            1290102838106412548096, 2535547787527135374082048,
+            5115143983721089073152, 142744013126107396046848,
+            6367039408488797175808, 6362023524403813285888,
+            172189700411360305741824, 8078651587169370505216,
         ],
         "sixty-object": [
             1034696547902745729165943490088337551042543616,
-            1034696547902745729165943490088337551042543616,
-            1010155786647639153295219236391255975832308978548736,
-            84505044887608481388985155125895096032389875577651200,
+            4830394612053187964662843481329866234423934976,
+            1506761791478689908320256095969686787947617847345152,
+            169001298847897794289170694449687984786308694026485760,
             104078832809265215470388718903885493722693193602957312,
-            1484877191186132113114740418228543602125190505431040,
+            2284311334325323783328171783460658698358973588832256,
         ],
     }
 
