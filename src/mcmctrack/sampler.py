@@ -21,12 +21,16 @@ initial state from the matrix's supported columns
 (AssociationMatrix.supported), the same pattern the child enumerator walks;
 load sets a given key. _Chain.run simulates the walk exactly by its jump
 chain (Douc & Robert, "A vanilla Rao-Blackwellization of
-Metropolis-Hastings algorithms", Ann. Statist. 2011): the first time the
-walk reaches a state, kernel_row builds and memoizes that state's one-step
-kernel row, the probability of each move that leaves it; from there the
-steps held at the state are a geometric draw and the move is a draw from
-the row. From a finite state a candidate that scores -inf is never
-accepted, so a row scores only the supported columns. job_children
+Metropolis-Hastings algorithms", Ann. Statist. 2011) over integer state
+ids: each state gets an id the first time a row names it, and the first
+time the walk reaches a state, build_row builds and memoizes, under that
+id, the state's one-step kernel row, the probability of each move that
+leaves it, with its destinations as ids and its log holding factor
+log1p(-p) precomputed; from there the steps held at the state are a
+geometric draw and the move is a draw from the row, and a move costs one
+list index. kernel_row(key) is the same row with its destinations as keys.
+From a finite state a candidate that scores -inf is never accepted, so a
+row scores only the supported columns. job_children
 generates one parent's children from a ChildJob, by the walk or, in
 exhaustive mode, by loading every key of oracle.enumerate_child_keys into
 the same scorer, so every child score comes from _Chain; sample_children
@@ -48,7 +52,7 @@ import math
 import random
 import zlib
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,23 +96,37 @@ class ChildSample:
     visits: int
 
 
+def _id_row(score: float, p: float, cumulative: list[float], destinations: list[int]) -> tuple:
+    """A kernel row as run reads it: (score, p, log1p(-p) or None,
+    cumulative, the bisect bound hi, destination ids). log1p(-p) is kept
+    only where 0 < p < 1, the states that draw a holding time; hi keeps a
+    product U * p that rounds up to p on the last move."""
+    stay = math.log1p(-p) if 0.0 < p < 1.0 else None
+    return (score, p, stay, cumulative, len(cumulative) - 1, destinations)
+
+
 class _Chain:
     """One walk over one parent's matrix: its scoring tables, its state and
     the kernel rows of the states it has reached.
 
-    The matrix rows are copied to float lists for O(1) move deltas, and the
-    count-level prior is memoized per (k, n_b, n_d) triple. A loaded
-    state's log-likelihood is kept as a finite sum plus a count of selected
-    -inf entries, so zero-likelihood assignments never produce inf - inf
-    artifacts in the move deltas. kernel maps each state key the walk has
-    reached to its kernel_row, and run() is the one walk method.
+    The matrix rows are copied to float lists (entries) for O(1) move
+    deltas, and the count-level prior is memoized per (k, n_b, n_d) triple.
+    A loaded state's log-likelihood is kept as a finite sum plus a count of
+    selected -inf entries, so zero-likelihood assignments never produce
+    inf - inf artifacts in the move deltas.
+
+    Each state key gets an integer id the first time a row names it
+    (state_id): ids maps a key to its id and keys an id to its key. rows is
+    the one memo of kernel rows, indexed by id (None until the walk first
+    stands on the state), and a row names its destinations by id, so run()
+    walks ids: one list index per move, no key hashing.
     """
 
     __slots__ = (
-        "matrix", "rows", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
+        "matrix", "entries", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
         "birth_col", "clutter_col", "m", "n_objects", "rng", "assign",
         "claimed_by", "dead", "k", "n_b", "finite_loglik", "zero_entries",
-        "log_score", "kernel",
+        "log_score", "ids", "keys", "rows",
     )
 
     def __init__(
@@ -120,12 +138,14 @@ class _Chain:
         self.n_objects = matrix.n_objects
         self.birth_col = matrix.birth_col
         self.clutter_col = matrix.clutter_col
-        self.rows = matrix.log_entries.tolist()
+        self.entries = matrix.log_entries.tolist()
         self.death_eligible = [j for j, ok in enumerate(matrix.death_eligible) if ok]
         self.birth_cfg = birth_cfg
         self.p_d = p_d
         self._prior_memo: dict[tuple[int, int, int], float] = {}
-        self.kernel: dict[tuple, tuple] = {}
+        self.ids: dict[tuple, int] = {}
+        self.keys: list[tuple] = []
+        self.rows: list[tuple | None] = []
 
     def start(self, rng: random.Random) -> None:
         """Draw a random initial state from rng, the stream run then draws
@@ -183,7 +203,7 @@ class _Chain:
                 self.k += 1
             elif col == self.birth_col:
                 self.n_b += 1
-            entry = self.rows[i][col]
+            entry = self.entries[i][col]
             if entry == -math.inf:
                 self.zero_entries += 1
             else:
@@ -200,9 +220,19 @@ class _Chain:
         """(assignment, sorted death set) of the current state."""
         return (tuple(self.assign), tuple(sorted(self.dead)))
 
+    def state_id(self, key: tuple) -> int:
+        """The integer id of state key, given on its first request."""
+        sid = self.ids.get(key)
+        if sid is None:
+            sid = self.ids[key] = len(self.keys)
+            self.keys.append(key)
+            self.rows.append(None)
+        return sid
+
     def kernel_row(self, key: tuple) -> tuple:
-        """The one-step kernel row of state key, built on its first request
-        and memoized for the walk: (log_score, p, cumulative, destinations).
+        """The one-step kernel row of state key as (log_score, p, cumulative,
+        destinations), destinations as keys: a view of its id row, which is
+        built on the first request (build_row) and memoized for the walk.
 
         log_score is the state's from-scratch score (resync). The row lists
         every proposal that leaves the state with a positive acceptance
@@ -211,21 +241,28 @@ class _Chain:
         is the j-th such move's key and cumulative[j] the probability that
         one step takes one of the moves 0..j, so p = cumulative[-1] (0 for
         an empty row) is the probability that a step leaves the state.
+        """
+        sid = self.state_id(key)
+        score, p, _, cumulative, _, destinations = self.rows[sid] or self.build_row(sid)
+        keys = self.keys
+        return score, p, cumulative, [keys[d] for d in destinations]
+
+    def build_row(self, sid: int) -> tuple:
+        """Build, memoize and return the id row (_id_row) of state sid.
 
         From a finite state a move whose candidate scores -inf is never
         accepted, so only each row's supported columns are scored, and a
         swap that would hand the claiming return a zero-likelihood entry is
         skipped. From a -inf state every proposal that changes the state is
-        accepted with its proposal probability. Building a row loads key.
+        accepted with its proposal probability. A destination the chain has
+        not named before gets the next id. Building a row loads its state.
         """
-        row = self.kernel.get(key)
-        if row is not None:
-            return row
+        key = self.keys[sid]
         self.load(key)
         assign, deaths = key
         n_objects = self.n_objects
         birth_col = self.birth_col
-        rows = self.rows
+        entries_of = self.entries
         dead = self.dead
         claimed_by = self.claimed_by
         k, n_b, n_d = self.k, self.n_b, len(deaths)
@@ -233,16 +270,17 @@ class _Chain:
         score = self.log_score
         plateau = score == -math.inf
         log_prior = self.log_prior
+        state_id = self.state_id
         exp = math.exp
         neg_inf = -math.inf
         n_rows = self.m + 1
         every_col = range(n_objects + 2)
         cumulative: list[float] = []
-        destinations: list[tuple] = []
+        destinations: list[int] = []
         total = 0.0
         q = 1.0 / (n_rows * (n_objects + 1))
         for i, cur in enumerate(assign):
-            entries = rows[i]
+            entries = entries_of[i]
             for col in every_col if plateau else self.matrix.supported[i]:
                 # Assigning a dead object would be invalid: no change.
                 if col == cur or (col < n_objects and col in dead):
@@ -258,10 +296,10 @@ class _Chain:
                         # Swap: the claiming return takes the proposer's old
                         # column, so k and n_b keep; proposing col from the
                         # other row reverses it.
-                        back = rows[other][cur]
+                        back = entries_of[other][cur]
                         if back == neg_inf:
                             continue
-                        c_finite = c_finite - rows[other][col] + back
+                        c_finite = c_finite - entries_of[other][col] + back
                         c_k, c_n_b = k, n_b
                     prior = log_prior(c_k, c_n_b, n_d)
                     if prior == neg_inf:
@@ -277,7 +315,7 @@ class _Chain:
                     moved[other] = cur
                 total += q * accept
                 cumulative.append(total)
-                destinations.append((tuple(moved), deaths))
+                destinations.append(state_id((tuple(moved), deaths)))
         pool = [j for j in self.death_eligible if claimed_by[j] == -1]
         if pool:
             q = 1.0 / (n_rows * len(pool))
@@ -300,14 +338,14 @@ class _Chain:
                             continue
                 total += q * accept
                 cumulative.append(total)
-                destinations.append((assign, toggled))
-        row = self.kernel[key] = (score, total, cumulative, destinations)
+                destinations.append(state_id((assign, toggled)))
+        row = self.rows[sid] = _id_row(score, total, cumulative, destinations)
         return row
 
     def run(self, steps: int, visits: dict[tuple, int] | None = None) -> None:
         """Advance the walk by steps Metropolis steps, simulated by its jump
-        chain: at a state whose row leaves with probability p, the steps
-        held there are a geometric count of failures,
+        chain over state ids: at a state whose row leaves with probability
+        p, the steps held there are a geometric count of failures,
         floor(log(1 - U) / log1p(-p)), and the step that ends the hold moves
         to the destination found by bisecting U * p in the row's cumulative
         probabilities. p = 0 holds for the rest of the budget and p >= 1
@@ -317,41 +355,51 @@ class _Chain:
         run to draw a fresh one. The chain ends loaded with the state it
         reached.
 
-        With visits, every step adds one visit to the key of the state it
-        ends in: a hold adds its length to the state, and a move step one
-        to its destination, so the run adds exactly steps visits.
+        With visits, every step adds one visit to the state it ends in: a
+        hold adds its length to the state, and a move step one to its
+        destination, so the run adds exactly steps visits. They are counted
+        in a list by id and added to visits, by key, when the run ends.
         """
-        kernel = self.kernel
-        kernel_row = self.kernel_row
+        rows = self.rows
+        keys = self.keys
+        build_row = self.build_row
         uniform = self.rng.random
         log = math.log
-        log1p = math.log1p
-        key = self.key()
-        _, p, cumulative, destinations = kernel_row(key)
+        sid = self.state_id(self.key())
+        _, p, stay, cumulative, hi, destinations = rows[sid] or build_row(sid)
+        counts = None if visits is None else [0] * len(keys)
         count = 0
         left = steps
         while left:
-            if p <= 0.0:
-                hold = left
-            elif p >= 1.0:
-                hold = 0
-            else:
-                hold = log(1.0 - uniform()) / log1p(-p)
+            if stay is not None:
+                hold = log(1.0 - uniform()) / stay
                 hold = left if hold >= left else int(hold)
+            elif p <= 0.0:
+                hold = left
+            else:
+                hold = 0
             if hold >= left:
                 count += left
                 break
             count += hold
             left -= hold + 1
-            if visits is not None and count:
-                visits[key] = visits.get(key, 0) + count
-            # hi keeps a product U * p that rounds up to p on the last move.
-            key = destinations[bisect_right(cumulative, uniform() * p, 0, len(cumulative) - 1)]
-            _, p, cumulative, destinations = kernel.get(key) or kernel_row(key)
+            if counts is not None:
+                counts[sid] += count
+            sid = destinations[bisect_right(cumulative, uniform() * p, 0, hi)]
+            row = rows[sid]
+            if row is None:
+                row = build_row(sid)
+                if counts is not None:
+                    counts += [0] * (len(keys) - len(counts))
+            _, p, stay, cumulative, hi, destinations = row
             count = 1
-        if visits is not None and count:
-            visits[key] = visits.get(key, 0) + count
-        self.load(key)
+        if counts is not None:
+            counts[sid] += count
+            for state, n in enumerate(counts):
+                if n:
+                    key = keys[state]
+                    visits[key] = visits.get(key, 0) + n
+        self.load(keys[sid])
 
     def event(self) -> AssociationEvent:
         return self.matrix.event_of(self.key())
@@ -371,9 +419,7 @@ class ChildJob:
     """One parent's child generation: sample_children's arguments plus the
     route, a walk or (exhaustive) the enumeration of every supported event.
     Of parent and sensor only parent.id, which seeds the walk, and
-    sensor.p_d are read, so a job pickles its parent without the tracks
-    (with them, a sixty-object job took 0.8 ms to pickle and unpickle on a
-    2-core Xeon, 20 times its matrix)."""
+    sensor.p_d are read."""
 
     parent: Hypothesis
     matrix: AssociationMatrix
@@ -382,14 +428,9 @@ class ChildJob:
     sensor: SensorModel
     exhaustive: bool = False
 
-    def __reduce__(self):
-        parent = replace(self.parent, tracks=())
-        fields = (self.matrix, self.cfg, self.birth_cfg, self.sensor, self.exhaustive)
-        return ChildJob, (parent, *fields)
-
 
 def job_children(job: ChildJob) -> list[ChildSample]:
-    """The children of job.parent over job.matrix, whichever process runs it.
+    """The children of job.parent over job.matrix.
 
     Enumeration returns the event of every key of enumerate_child_keys, in
     its order, with visits 0 and the score of the key loaded into _Chain. A
@@ -415,12 +456,12 @@ def job_children(job: ChildJob) -> list[ChildSample]:
     chain.run(record, visits)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
     # the keys are distinct, so the order has no ties either way.
-    kernel = chain.kernel
+    rows, ids = chain.rows, chain.ids
     ranked = heapq.nsmallest(
-        cfg.children_kept, visits, key=lambda key: (-kernel[key][0], key)
+        cfg.children_kept, visits, key=lambda key: (-rows[ids[key]][0], key)
     )
     return [
-        ChildSample(event=matrix.event_of(key), log_score=kernel[key][0], visits=visits[key])
+        ChildSample(event=matrix.event_of(key), log_score=rows[ids[key]][0], visits=visits[key])
         for key in ranked
     ]
 

@@ -3,26 +3,18 @@ once and pair it with the returns once, in one scan-level association
 matrix; give each parent its columns of that matrix (AssociationMatrix.select);
 generate each parent's children (by the MCMC walk or exhaustive
 enumeration) through one job per parent (sampler.ChildJob, run by
-map_children), normalize weights
+map_children in this process, in parent order), normalize weights
 jointly across all parents and prune in one pass, realize the surviving
 children (birth/death bookkeeping), and report. A birth is a
 hypothesis-level event: the return a scan reads as a birth is one newborn
 track, labeled by scan and return index, in every child that births it.
 
-The walks of a scan with several parents run across the CPUs this process
-may use, on a pool of forked workers, and come back in parent order. A walk
-(sampler._Chain.run, which simulates the Metropolis chain by its jump
-chain) is seeded by the run seed and its parent's id alone, so its children
-do not depend on the process that runs it."""
+A walk (sampler._Chain.run, which simulates the Metropolis chain by its
+jump chain) is seeded by the run seed and its parent's id alone."""
 
 from __future__ import annotations
 
-import atexit
 import math
-import multiprocessing
-import multiprocessing.pool
-import os
-import threading
 from collections import Counter
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -187,56 +179,15 @@ def _realize_child(
     )
 
 
-def _worker_count() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork walk workers:
-    without a CPU affinity API (outside Linux) and in a daemonic process,
-    which may not have children."""
-    if not hasattr(os, "sched_getaffinity") or multiprocessing.current_process().daemon:
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-# The job pool: created by the first map_children call that needs it,
-# owned by that process alone (its pid), terminated at exit. The lock keeps
-# threads that reach a first multi-parent scan together from starting two
-# pools.
-_pool: multiprocessing.pool.Pool | None = None
-_pool_pid = 0
-_pool_lock = threading.Lock()
-
-
 def map_children(jobs: Sequence[ChildJob]) -> list[list[ChildSample]]:
-    """sampler.job_children of each job, in job order: the one place that
-    decides where jobs run. Enumerations, one job, or a process with one
-    usable CPU or no right to fork run in process (a walk through this
-    module's sample_children, the name the benchmark traces): sending every
-    enumerated child back from a worker costs more than the second CPU
-    saves. Otherwise walks run on a fork pool of _worker_count() workers,
-    which start in milliseconds with the modules already imported, and run
-    the sampler's function itself. A process forked from the pool's owner
-    starts its own pool, since the owner's workers answer the owner alone."""
-    global _pool, _pool_pid
-    if len(jobs) < 2 or jobs[0].exhaustive or _worker_count() == 1:
-        return [
-            job_children(job) if job.exhaustive
-            else sample_children(job.parent, job.matrix, job.cfg, job.birth_cfg, job.sensor)
-            for job in jobs
-        ]
-    with _pool_lock:
-        if _pool_pid != os.getpid():
-            _pool = multiprocessing.get_context("fork").Pool(_worker_count())
-            _pool_pid = os.getpid()
-            atexit.register(_close_pool)
-        pool = _pool
-    return pool.map(job_children, jobs, chunksize=1)
-
-
-def _close_pool() -> None:
-    global _pool, _pool_pid
-    with _pool_lock:
-        if _pool_pid == os.getpid():
-            _pool.terminate()
-            _pool, _pool_pid = None, 0
+    """sampler.job_children of each job, in job order, in this process. A
+    walk runs through this module's sample_children, the name the benchmark
+    traces."""
+    return [
+        job_children(job) if job.exhaustive
+        else sample_children(job.parent, job.matrix, job.cfg, job.birth_cfg, job.sensor)
+        for job in jobs
+    ]
 
 
 class Tracker:

@@ -35,6 +35,7 @@ from mcmctrack.sampler import (
     ChildJob,
     SamplerConfig,
     _Chain,
+    _id_row,
     job_children,
     sample_children,
     visit_distribution,
@@ -382,7 +383,7 @@ class TestPropose:
                 return super().get(key, default)
 
         chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)))
-        assert chain.rows[0][0] == -math.inf
+        assert chain.entries[0][0] == -math.inf
         chain._prior_memo = RecordingMemo(chain._prior_memo)
         _, _, _, destinations = chain.kernel_row(chain.key())
         assert destinations == [((1,), ()), ((2,), (0,))]  # birth, t00 dies
@@ -416,8 +417,8 @@ class TestPropose:
             assert len(objs) == len(set(objs))
             assert not (event.deaths & set(objs))
         # Nor does any row's destination.
-        for _, _, _, destinations in chain.kernel.values():
-            for assign, deaths in destinations:
+        for row in filter(None, chain.rows):
+            for assign, deaths in (chain.keys[d] for d in row[5]):
                 objs = [c for c in assign if c < chain.n_objects]
                 assert len(objs) == len(set(objs))
                 assert not set(deaths) & set(objs)
@@ -434,7 +435,7 @@ class TestPropose:
             expected = log_child_prior(
                 event, parent, cfg, sensor.p_d, 2
             ) + hypothesis_log_likelihood(event, matrix)
-            for score in (chain.log_score, chain.kernel[chain.key()][0]):
+            for score in (chain.log_score, chain.rows[chain.ids[chain.key()]][0]):
                 if expected == -math.inf:
                     assert score == -math.inf
                 else:
@@ -500,7 +501,7 @@ class TestMetropolis:
         for t00 in (-math.inf, 0.0):
             chain = self.chain(self.matrix(t00, clutter_entry=-math.inf))
             row = production_row(chain, self.START)
-            assert chain.kernel[self.START][0] == -math.inf
+            assert chain.rows[chain.ids[self.START]][0] == -math.inf
             assert row == {self.TO_T00: self.Q, ((1,), ()): self.Q}
 
 
@@ -834,6 +835,49 @@ class TestStream:
         assert sum(visits.values()) == 4000
         assert holds > 0 and moves > 0
 
+    @classmethod
+    def assert_runs_follow_replay(cls, matrix, cfg, p_d, seed, budgets):
+        """Runs of budgets[i] = (steps, recorded) steps each end where the
+        replay over a second chain's rows ends, with its rng state and its
+        visits."""
+        chain = _Chain(matrix, cfg, p_d)
+        chain.start(random.Random(seed))
+        ref = random.Random()
+        ref.setstate(chain.rng.getstate())
+        rows = _Chain(matrix, cfg, p_d)
+        key = chain.key()
+        visits, expected = {}, {}
+        for steps, recorded in budgets:
+            chain.run(steps, visits if recorded else None)
+            key, _, _ = cls.replay(rows, ref, key, steps, expected if recorded else None)
+            assert chain.key() == key
+            assert ref.getstate() == chain.rng.getstate()
+        assert visits == expected
+
+    BUDGETS = st.lists(st.tuples(st.integers(0, 400), st.booleans()), min_size=1, max_size=4)
+
+    @given(
+        mat=sparse_matrices(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        budgets=BUDGETS,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_runs_follow_replay_on_random_sparse_matrices(self, mat, n_pixels, p_d, seed,
+                                                          budgets):
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
+        self.assert_runs_follow_replay(mat, cfg, p_d, seed, budgets)
+
+    @pytest.mark.parametrize("name", list(TestExactKernel.INSTANCES))
+    @given(seed=st.integers(0, 2**32 - 1), budgets=BUDGETS)
+    @settings(max_examples=25, deadline=None)
+    def test_runs_follow_replay_on_instances(self, name, seed, budgets):
+        _, matrix, cfg, sensor = make_instance(
+            *TestExactKernel.INSTANCES[name], clutter_density=3e-3,
+        )
+        self.assert_runs_follow_replay(matrix, cfg, sensor.p_d, seed, budgets)
+
     C = CLUTTER
     # The seed fixes the children and their visits, through start's draws
     # and the jump chain's.
@@ -887,8 +931,8 @@ class TestStream:
 
     @pytest.mark.parametrize("name", ["sparse", "dense3x3"])
     def test_job_function_matches_sample_children(self, name):
-        # A worker receives its job pickled and runs job_children on it;
-        # sample_children runs the same function in process.
+        # sample_children runs job_children on a walk job, and a job is
+        # plain data: a pickled copy gives the same children.
         positions, returns = self.INSTANCES[name]
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, clutter_density=3e-3,
@@ -922,7 +966,7 @@ class TestKeyCache:
             chain.run(1, visits)
             fresh = (tuple(chain.assign), tuple(sorted(chain.dead)))
             assert chain.key() == fresh
-            assert chain.kernel[fresh][0] == pytest.approx(chain.log_score, rel=1e-12)
+            assert chain.rows[chain.ids[fresh]][0] == pytest.approx(chain.log_score, rel=1e-12)
             assert sum(visits.values()) == step
             if fresh[1] != before[1]:
                 toggles += 1
@@ -943,7 +987,7 @@ class TestKeyCache:
         chain.start(random.Random(3))
         for n in range(600):
             if n % 10 == 0:
-                chain.kernel = {}  # so that rows keep being built
+                chain.rows[:] = [None] * len(chain.rows)  # so that rows keep being built
             chain.run(n % 5 + 1)
             fresh = _Chain(matrix, cfg, sensor.p_d)
             fresh.load(chain.key())
@@ -952,8 +996,38 @@ class TestKeyCache:
                 fresh.k, fresh.n_b, fresh.zero_entries)
             assert chain.finite_loglik == fresh.finite_loglik
             assert chain.log_score == fresh.log_score
-            assert chain.kernel[chain.key()][0] == fresh.log_score
-        assert len(chain.kernel) > 1
+            assert chain.rows[chain.ids[chain.key()]][0] == fresh.log_score
+        assert sum(row is not None for row in chain.rows) > 1
+
+
+class TestIdRows:
+    @pytest.mark.parametrize("name", ["3x3", "sparse"])
+    def test_walk_builds_each_reached_row_once(self, name):
+        # A state's row is built the first time the walk stands on it and
+        # read from the memo ever after, across runs; a state that is only
+        # named as a destination gets an id and no row.
+        class CountingChain(_Chain):
+            __slots__ = ("built",)
+
+            def build_row(self, sid):
+                self.built.append(sid)
+                return super().build_row(sid)
+
+        _, matrix, cfg, sensor = make_instance(
+            *TestExactKernel.INSTANCES[name], clutter_density=3e-3,
+        )
+        chain = CountingChain(matrix, cfg, sensor.p_d)
+        chain.built = []
+        chain.start(random.Random(4))
+        start = chain.key()
+        visits = {}
+        for steps in (500, 20_000, 20_000):
+            chain.run(steps, visits)
+        assert len(chain.built) == len(set(chain.built)) > 1
+        assert {chain.keys[s] for s in chain.built} == set(visits) | {start}
+        assert [s for s, row in enumerate(chain.rows) if row is not None] == sorted(chain.built)
+        assert len(chain.keys) == len(chain.ids) == len(chain.rows)
+        assert all(chain.ids[key] == s for s, key in enumerate(chain.keys))
 
 
 class _CountingRng(random.Random):
@@ -1013,9 +1087,10 @@ class TestHolding:
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
         chain = _Chain(matrix, cfg, sensor.p_d)
         a, b = ((0, 1), ()), ((1, 0), ())
+        ia, ib = chain.state_id(a), chain.state_id(b)
         p = 1.0 + 2.0**-52
-        chain.kernel[a] = (0.0, p, [0.5, p], [b, b])
-        chain.kernel[b] = (0.0, p, [0.5, p], [a, a])
+        chain.rows[ia] = _id_row(0.0, p, [0.5, p], [ib, ib])
+        chain.rows[ib] = _id_row(0.0, p, [0.5, p], [ia, ia])
 
         class TopRng(_CountingRng):
             def random(self):
