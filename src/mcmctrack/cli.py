@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, InputDataError, NumericalError, TrackingError
@@ -54,9 +55,7 @@ def _resolve_scenario(spec: str, seed: int | None) -> ScenarioConfig:
     if spec in PRESETS:
         return PRESETS[spec](seed=seed if seed is not None else 0)
     cfg = load_scenario(spec)
-    if seed is not None:
-        cfg.seed = seed
-    return cfg
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:

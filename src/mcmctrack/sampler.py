@@ -15,26 +15,26 @@ first be revived through the death move, which toggles one uniformly chosen
 unassociated death-eligible object's death status (a no-change proposal when
 there is none). Scores are log(child prior) + log(likelihood).
 
-One _Chain object per parent holds its scoring tables and a state, which
-is a column key of the matrix (see AssociationMatrix). start draws a random
-initial state from the matrix's supported columns
-(AssociationMatrix.supported), the same pattern the child enumerator walks;
-load sets a given key. _Chain.run simulates the walk exactly by its jump
-chain (Douc & Robert, "A vanilla Rao-Blackwellization of
-Metropolis-Hastings algorithms", Ann. Statist. 2011) over integer state
-ids: each state gets an id the first time a row names it, and the first
-time the walk reaches a state, build_row builds and memoizes, under that
-id, the state's one-step kernel row, the probability of each move that
-leaves it, with its destinations as ids and its log holding factor
-log1p(-p) precomputed; from there the steps held at the state are a
-geometric draw and the move is a draw from the row, and a move costs one
-list index. kernel_row(key) is the same row with its destinations as keys.
-From a finite state a candidate that scores -inf is never accepted, so a
-row scores only the supported columns. job_children
-generates one parent's children from a ChildJob, by the walk or, in
-exhaustive mode, by loading every key of oracle.enumerate_child_keys into
-the same scorer, so every child score comes from _Chain; sample_children
-is the public single-parent walk.
+One _Chain object per parent holds its scoring tables, the kernel rows
+of the states it has reached and its position, the integer id sid of a
+state key (a column key of the matrix, see AssociationMatrix). start draws
+a random initial state from the matrix's supported columns
+(AssociationMatrix.supported), the same pattern the child enumerator
+walks. tally scores a key from scratch; it is the one production scorer.
+_Chain.run simulates the walk exactly by its jump chain (Douc & Robert, "A
+vanilla Rao-Blackwellization of Metropolis-Hastings algorithms", Ann.
+Statist. 2011) over state ids: each state gets an id the first time a row
+names it, and the first time the walk reaches a state, build_row builds
+and memoizes, under that id, the state's one-step kernel row, the
+probability of each move that leaves it, with its destinations as ids and
+its log holding factor log1p(-p) precomputed; from there the steps held at
+the state are a geometric draw and the move is a draw from the row, and a
+move costs one list index. From a finite state a candidate that scores
+-inf is never accepted, so a row scores only the supported columns.
+
+A parent's children come from one of two calls: sample_children walks,
+and enumerate_children scores every key of oracle.enumerate_child_keys
+with tally, so every child score comes from _Chain.
 
 Stream contract: start draws each return's column out of its row's
 supported columns (all M+2 columns when none is) with CPython's randrange
@@ -85,6 +85,8 @@ class SamplerConfig:
             raise ConfigError("sampler.record_steps must be >= 1")
         if self.children_kept < 1:
             raise ConfigError("sampler.children_kept must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("sampler.seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,33 +108,32 @@ def _id_row(score: float, p: float, cumulative: list[float], destinations: list[
 
 
 class _Chain:
-    """One walk over one parent's matrix: its scoring tables, its state and
-    the kernel rows of the states it has reached.
+    """One walk over one parent's matrix: its scoring tables, the kernel
+    rows of the states it has reached, and its position sid.
 
     The matrix rows are copied to float lists (entries) for O(1) move
     deltas, and the count-level prior is memoized per (k, n_b, n_d) triple.
-    A loaded state's log-likelihood is kept as a finite sum plus a count of
-    selected -inf entries, so zero-likelihood assignments never produce
+    tally keeps a state's log-likelihood as a finite sum plus a flag for a
+    selected -inf entry, so zero-likelihood assignments never produce
     inf - inf artifacts in the move deltas.
 
     Each state key gets an integer id the first time a row names it
     (state_id): ids maps a key to its id and keys an id to its key. rows is
     the one memo of kernel rows, indexed by id (None until the walk first
     stands on the state), and a row names its destinations by id, so run()
-    walks ids: one list index per move, no key hashing.
+    walks ids: one list index per move, no key hashing. The walk's state is
+    keys[sid].
     """
 
     __slots__ = (
         "matrix", "entries", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
-        "birth_col", "clutter_col", "m", "n_objects", "rng", "assign",
-        "claimed_by", "dead", "k", "n_b", "finite_loglik", "zero_entries",
-        "log_score", "ids", "keys", "rows",
+        "birth_col", "clutter_col", "m", "n_objects", "rng", "sid", "ids", "keys", "rows",
     )
 
     def __init__(
         self, matrix: AssociationMatrix, birth_cfg: BirthDeathConfig, p_d: float
     ) -> None:
-        """The scoring tables of matrix; start or load sets a state."""
+        """The scoring tables of matrix; start (or setting sid) sets a state."""
         self.matrix = matrix
         self.m = matrix.n_returns
         self.n_objects = matrix.n_objects
@@ -155,7 +156,7 @@ class _Chain:
         object resolves to clutter, and the death set is empty."""
         self.rng = rng
         getrandbits = rng.getrandbits
-        self.assign: list[int] = []
+        assign: list[int] = []
         for supported in self.matrix.supported:
             n = len(supported) or self.n_objects + 2
             bits = n.bit_length()
@@ -164,19 +165,10 @@ class _Chain:
                 col = getrandbits(bits)
             if supported:
                 col = supported[col]
-            if col < self.n_objects and col in self.assign:
+            if col < self.n_objects and col in assign:
                 col = self.clutter_col
-            self.assign.append(col)
-        self.dead: set[int] = set()
-        self.resync()
-
-    def load(self, key: tuple) -> None:
-        """Set the state to column key (assignment, death columns) and score
-        it from scratch."""
-        assign, deaths = key
-        self.assign = list(assign)
-        self.dead = set(deaths)
-        self.resync()
+            assign.append(col)
+        self.sid = self.state_id((tuple(assign), ()))
 
     def log_prior(self, k: int, n_b: int, n_d: int) -> float:
         """log child prior for k object assignments, n_b births, n_d deaths
@@ -189,36 +181,35 @@ class _Chain:
             )
         return out
 
-    def resync(self) -> None:
-        """Recount claims, counts, likelihood sum and score from scratch
-        from the assignment and the death set."""
-        self.claimed_by = [-1] * self.n_objects
-        self.k = 0
-        self.n_b = 0
-        self.finite_loglik = 0.0
-        self.zero_entries = 0
-        for i, col in enumerate(self.assign):
-            if col < self.n_objects:
-                self.claimed_by[col] = i
-                self.k += 1
-            elif col == self.birth_col:
-                self.n_b += 1
-            entry = self.entries[i][col]
+    def tally(self, key: tuple) -> tuple[list[int], int, int, float, float]:
+        """Score column key (assignment, death columns) from scratch:
+        (claimed_by, k, n_b, finite, score), where claimed_by[j] is the
+        return that claims object j (-1 if none), k and n_b count the
+        object assignments and births, finite sums the selected finite
+        entries in row order, and score is the log child prior plus the
+        log-likelihood."""
+        assign, deaths = key
+        n_objects, birth_col, entries = self.n_objects, self.birth_col, self.entries
+        claimed_by = [-1] * n_objects
+        k = n_b = 0
+        finite = 0.0
+        zero = False
+        for i, col in enumerate(assign):
+            if col < n_objects:
+                claimed_by[col] = i
+                k += 1
+            elif col == birth_col:
+                n_b += 1
+            entry = entries[i][col]
             if entry == -math.inf:
-                self.zero_entries += 1
+                zero = True
             else:
-                self.finite_loglik += entry
+                finite += entry
         # A selected zero-likelihood entry scores -inf whatever the prior,
         # so the prior is not looked up then.
-        if self.zero_entries:
-            self.log_score = -math.inf
-        else:
-            prior = self.log_prior(self.k, self.n_b, len(self.dead))
-            self.log_score = prior + self.finite_loglik
-
-    def key(self) -> tuple:
-        """(assignment, sorted death set) of the current state."""
-        return (tuple(self.assign), tuple(sorted(self.dead)))
+        if zero:
+            return claimed_by, k, n_b, finite, -math.inf
+        return claimed_by, k, n_b, finite, self.log_prior(k, n_b, len(deaths)) + finite
 
     def state_id(self, key: tuple) -> int:
         """The integer id of state key, given on its first request."""
@@ -229,45 +220,32 @@ class _Chain:
             self.rows.append(None)
         return sid
 
-    def kernel_row(self, key: tuple) -> tuple:
-        """The one-step kernel row of state key as (log_score, p, cumulative,
-        destinations), destinations as keys: a view of its id row, which is
-        built on the first request (build_row) and memoized for the walk.
-
-        log_score is the state's from-scratch score (resync). The row lists
-        every proposal that leaves the state with a positive acceptance
-        probability, in proposal order: rows ascending, within a row the
-        columns ascending, then the death pool ascending. destinations[j]
-        is the j-th such move's key and cumulative[j] the probability that
-        one step takes one of the moves 0..j, so p = cumulative[-1] (0 for
-        an empty row) is the probability that a step leaves the state.
-        """
-        sid = self.state_id(key)
-        score, p, _, cumulative, _, destinations = self.rows[sid] or self.build_row(sid)
-        keys = self.keys
-        return score, p, cumulative, [keys[d] for d in destinations]
-
     def build_row(self, sid: int) -> tuple:
         """Build, memoize and return the id row (_id_row) of state sid.
+
+        The row's score is the state's from-scratch score (tally). The row
+        lists every proposal that leaves the state with a positive
+        acceptance probability, in proposal order: rows ascending, within a
+        row the columns ascending, then the death pool ascending.
+        destinations[j] is the id of the j-th such move's key and
+        cumulative[j] the probability that one step takes one of the moves
+        0..j, so p = cumulative[-1] (0 for an empty row) is the probability
+        that a step leaves the state.
 
         From a finite state a move whose candidate scores -inf is never
         accepted, so only each row's supported columns are scored, and a
         swap that would hand the claiming return a zero-likelihood entry is
         skipped. From a -inf state every proposal that changes the state is
         accepted with its proposal probability. A destination the chain has
-        not named before gets the next id. Building a row loads its state.
+        not named before gets the next id.
         """
         key = self.keys[sid]
-        self.load(key)
         assign, deaths = key
+        claimed_by, k, n_b, finite, score = self.tally(key)
+        n_d = len(deaths)
         n_objects = self.n_objects
         birth_col = self.birth_col
         entries_of = self.entries
-        dead = self.dead
-        claimed_by = self.claimed_by
-        k, n_b, n_d = self.k, self.n_b, len(deaths)
-        finite = self.finite_loglik
-        score = self.log_score
         plateau = score == -math.inf
         log_prior = self.log_prior
         state_id = self.state_id
@@ -283,7 +261,7 @@ class _Chain:
             entries = entries_of[i]
             for col in every_col if plateau else self.matrix.supported[i]:
                 # Assigning a dead object would be invalid: no change.
-                if col == cur or (col < n_objects and col in dead):
+                if col == cur or (col < n_objects and col in deaths):
                     continue
                 other = claimed_by[col] if col < n_objects else -1
                 accept = 1.0
@@ -320,7 +298,7 @@ class _Chain:
         if pool:
             q = 1.0 / (n_rows * len(pool))
             for j in pool:
-                if j in dead:
+                if j in deaths:
                     c_n_d = n_d - 1
                     toggled = tuple(d for d in deaths if d != j)
                 else:
@@ -352,8 +330,8 @@ class _Chain:
         (which summation can overshoot by a rounding error, where log1p(-p)
         is NaN) holds for none; neither draws a holding variate. Holding
         times have no memory, so a run that ends mid-hold leaves the next
-        run to draw a fresh one. The chain ends loaded with the state it
-        reached.
+        run to draw a fresh one. The run starts at sid and leaves the state
+        it reached in sid.
 
         With visits, every step adds one visit to the state it ends in: a
         hold adds its length to the state, and a move step one to its
@@ -365,7 +343,7 @@ class _Chain:
         build_row = self.build_row
         uniform = self.rng.random
         log = math.log
-        sid = self.state_id(self.key())
+        sid = self.sid
         _, p, stay, cumulative, hi, destinations = rows[sid] or build_row(sid)
         counts = None if visits is None else [0] * len(keys)
         count = 0
@@ -399,10 +377,7 @@ class _Chain:
                 if n:
                     key = keys[state]
                     visits[key] = visits.get(key, 0) + n
-        self.load(keys[sid])
-
-    def event(self) -> AssociationEvent:
-        return self.matrix.event_of(self.key())
+        self.sid = sid
 
 
 def chain_seed(seed: int, parent_id: str) -> int:
@@ -414,44 +389,23 @@ def chain_seed(seed: int, parent_id: str) -> int:
     return int(state[0]) << 64 | int(state[1])
 
 
-@dataclass(frozen=True)
-class ChildJob:
-    """One parent's child generation: sample_children's arguments plus the
-    route, a walk or (exhaustive) the enumeration of every supported event.
-    Of parent and sensor only parent.id, which seeds the walk, and
-    sensor.p_d are read."""
-
-    parent: Hypothesis
-    matrix: AssociationMatrix
-    cfg: SamplerConfig
-    birth_cfg: BirthDeathConfig
-    sensor: SensorModel
-    exhaustive: bool = False
-
-
-def job_children(job: ChildJob) -> list[ChildSample]:
-    """The children of job.parent over job.matrix.
-
-    Enumeration returns the event of every key of enumerate_child_keys, in
-    its order, with visits 0 and the score of the key loaded into _Chain. A
-    walk counts the visits of every post-burn-in state and returns the top
-    children_kept of them by score (each state's from-scratch score, from
-    its kernel row); it is deterministic given job.cfg.seed and the parent
-    id.
-    """
-    matrix, cfg = job.matrix, job.cfg
-    chain = _Chain(matrix, job.birth_cfg, job.sensor.p_d)
-    if job.exhaustive:
-        samples = []
-        for key in enumerate_child_keys(matrix):
-            chain.load(key)
-            samples.append(ChildSample(matrix.event_of(key), chain.log_score, visits=0))
-        return samples
+def sample_children(
+    parent: Hypothesis,
+    matrix: AssociationMatrix,
+    cfg: SamplerConfig,
+    birth_cfg: BirthDeathConfig,
+    sensor: SensorModel,
+) -> list[ChildSample]:
+    """The walk's children of parent over matrix: the visits of every
+    post-burn-in state, the top children_kept of them by score (each
+    state's from-scratch score, from its kernel row). Deterministic given
+    cfg.seed and parent.id; of sensor only p_d is read."""
+    chain = _Chain(matrix, birth_cfg, sensor.p_d)
     size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
     burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
     record = 200 * size if cfg.record_steps is None else cfg.record_steps
     visits: dict[tuple, int] = {}
-    chain.start(random.Random(chain_seed(cfg.seed, job.parent.id)))
+    chain.start(random.Random(chain_seed(cfg.seed, parent.id)))
     chain.run(burn)
     chain.run(record, visits)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
@@ -466,15 +420,17 @@ def job_children(job: ChildJob) -> list[ChildSample]:
     ]
 
 
-def sample_children(
-    parent: Hypothesis,
-    matrix: AssociationMatrix,
-    cfg: SamplerConfig,
-    birth_cfg: BirthDeathConfig,
-    sensor: SensorModel,
+def enumerate_children(
+    matrix: AssociationMatrix, birth_cfg: BirthDeathConfig, p_d: float
 ) -> list[ChildSample]:
-    """The walk's children of parent over matrix: job_children of a walk job."""
-    return job_children(ChildJob(parent, matrix, cfg, birth_cfg, sensor))
+    """Every child over matrix: the event of each key of
+    enumerate_child_keys, in its order, with its _Chain.tally score and
+    visits 0."""
+    chain = _Chain(matrix, birth_cfg, p_d)
+    return [
+        ChildSample(matrix.event_of(key), chain.tally(key)[4], visits=0)
+        for key in enumerate_child_keys(matrix)
+    ]
 
 
 def visit_distribution(samples: list[ChildSample]) -> dict[tuple, float]:

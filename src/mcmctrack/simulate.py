@@ -107,6 +107,8 @@ class ScenarioConfig:
         for name in ("initial_position_std_km", "initial_velocity_std_kmps"):
             if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         # Truth propagation reuses the per-scan dynamics step.
         self.dynamics = replace(self.dynamics, dt=self.scan_interval)
 

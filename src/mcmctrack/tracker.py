@@ -1,13 +1,13 @@
 """Per-scan recursion: predict each distinct track of the scan's parents
 once and pair it with the returns once, in one scan-level association
 matrix; give each parent its columns of that matrix (AssociationMatrix.select);
-generate each parent's children (by the MCMC walk or exhaustive
-enumeration) through one job per parent (sampler.ChildJob, run by
-map_children in this process, in parent order), normalize weights
-jointly across all parents and prune in one pass, realize the surviving
-children (birth/death bookkeeping), and report. A birth is a
-hypothesis-level event: the return a scan reads as a birth is one newborn
-track, labeled by scan and return index, in every child that births it.
+generate each parent's children, in parent order, by one call per parent:
+sampler.sample_children (the MCMC walk) or sampler.enumerate_children
+(exhaustive mode); normalize weights jointly across all parents and prune
+in one pass, realize the surviving children (birth/death bookkeeping), and
+report. A birth is a hypothesis-level event: the return a scan reads as a
+birth is one newborn track, labeled by scan and return index, in every
+child that births it.
 
 A walk (sampler._Chain.run, which simulates the Metropolis chain by its
 jump chain) is seeded by the run seed and its parent's id alone."""
@@ -42,7 +42,7 @@ from .hypotheses import (
     weight_entropy,
 )
 from .likelihoods import ClutterModel, build_matrix, newborn_track
-from .sampler import ChildJob, ChildSample, SamplerConfig, job_children, sample_children
+from .sampler import SamplerConfig, enumerate_children, sample_children
 from .simulate import MeasurementFrame
 
 # Not called here; bench/tracing.py's TRACKER_LAYERS still rebinds these names.
@@ -179,17 +179,6 @@ def _realize_child(
     )
 
 
-def map_children(jobs: Sequence[ChildJob]) -> list[list[ChildSample]]:
-    """sampler.job_children of each job, in job order, in this process. A
-    walk runs through this module's sample_children, the name the benchmark
-    traces."""
-    return [
-        job_children(job) if job.exhaustive
-        else sample_children(job.parent, job.matrix, job.cfg, job.birth_cfg, job.sensor)
-        for job in jobs
-    ]
-
-
 class Tracker:
     """Stateful driver for the per-scan recursion. Hypothesis collections are
     only mutated between phases; a step is atomic from the caller's view."""
@@ -240,14 +229,17 @@ class Tracker:
         predicted_by_parent = [tuple(distinct[j] for j in cols) for cols in cols_by_parent]
         # A parent's matrix has the labels and track count of its predicted
         # tracks (prediction keeps labels).
-        exhaustive = cfg.mode is TrackerMode.EXHAUSTIVE
-        jobs = [
-            ChildJob(parent, scan_matrix.select(cols), cfg.sampler, bd, cfg.sensor, exhaustive)
-            for parent, cols in zip(parents, cols_by_parent)
-        ]
+        matrices = [scan_matrix.select(cols) for cols in cols_by_parent]
+        if cfg.mode is TrackerMode.EXHAUSTIVE:
+            children = [enumerate_children(matrix, bd, cfg.sensor.p_d) for matrix in matrices]
+        else:
+            children = [
+                sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
+                for parent, matrix in zip(parents, matrices)
+            ]
         candidates = [
             Candidate(parent.id, predicted, s.event, parent.log_weight + s.log_score)
-            for parent, predicted, samples in zip(parents, predicted_by_parent, map_children(jobs))
+            for parent, predicted, samples in zip(parents, predicted_by_parent, children)
             for s in samples
         ]
         try:

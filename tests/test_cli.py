@@ -280,6 +280,34 @@ class TestTrackCommand:
         assert rc == 3
 
 
+class TestNegativeSeed:
+    # A seed below 0 is a configuration error naming the seed, whether it
+    # comes from --seed or from the scenario file, not a traceback from the
+    # generator that would have been seeded with it.
+    @pytest.mark.parametrize("case", [
+        "simulate-preset", "simulate-file-flag", "simulate-file-field", "track",
+    ])
+    def test_exits_2_naming_seed(self, tmp_path, capsys, sim_dir, small_scenario_file, case):
+        payload = json.loads(Path(small_scenario_file).read_text())
+        payload["seed"] = -1
+        negative = tmp_path / "negative.json"
+        negative.write_text(json.dumps(payload))
+        out = ["--out", str(tmp_path / "o")]
+        argv = {
+            "simulate-preset": ["simulate", "--scenario", "single-spawn", "--seed", "-1"],
+            "simulate-file-flag": ["simulate", "--scenario", str(small_scenario_file),
+                                   "--seed", "-1"],
+            "simulate-file-field": ["simulate", "--scenario", str(negative)],
+            "track": ["track", "--frames", str(sim_dir / "frames.csv"),
+                      "--scenario", str(small_scenario_file), "--seed", "-1"],
+        }[case]
+        assert main(argv + out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:")
+        assert "seed must be >= 0" in err
+        assert "Traceback" not in err
+
+
 class TestInputErrors:
     # A directory where an input file belongs, or a reports line that is
     # not a JSON object, is an input error naming the path, not a traceback.

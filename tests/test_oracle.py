@@ -35,7 +35,7 @@ from mcmctrack.oracle import (
     exact_posterior,
     tv_distance,
 )
-from mcmctrack.sampler import ChildJob, SamplerConfig, _Chain, job_children
+from mcmctrack.sampler import _Chain, enumerate_children
 
 
 def wide_sensor(p_d=0.9):
@@ -212,14 +212,12 @@ class TestEnumerateChildEvents:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference_enumerator_and_scoring(self, mat, n_pixels, p_d):
         # The column-key enumerator yields the reference's events in its
-        # order, and an exhaustive job scores each one log_count_prior +
+        # order, and enumerate_children scores each one log_count_prior +
         # likelihood bit for bit (-inf where the prior is zero).
         expected = reference_child_events(mat)
         assert list(enumerate_child_events(mat)) == expected
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
-        parent = Hypothesis(id="h0", parent_id=None, log_weight=0.0, tracks=())
-        job = ChildJob(parent, mat, SamplerConfig(), cfg, wide_sensor(p_d), exhaustive=True)
-        assert [s.log_score for s in job_children(job)] == [
+        assert [s.log_score for s in enumerate_children(mat, cfg, p_d)] == [
             log_count_prior(len(e.associated_labels), e.n_births, e.n_deaths,
                             mat.n_objects, mat.n_returns, cfg, p_d)
             + hypothesis_log_likelihood(e, mat)
@@ -279,11 +277,10 @@ class TestEnumerateChildEvents:
         assert len(keys) == 8 * 4 + 8 * 2
 
     def test_enumeration_job_scores_each_event_like_log_child_prior(self):
-        # An exhaustive job keeps the enumeration order, and each score is
+        # enumerate_children keeps the enumeration order, and each score is
         # log_child_prior + likelihood bit for bit.
         parent, mat, cfg, sensor = sparse_instance()
-        job = ChildJob(parent, mat, SamplerConfig(), cfg, sensor, exhaustive=True)
-        samples = job_children(job)
+        samples = enumerate_children(mat, cfg, sensor.p_d)
         assert [(s.event.canonical_key(), s.log_score) for s in samples] == [
             (
                 e.canonical_key(),
@@ -306,8 +303,12 @@ class TestEnumerateChildEvents:
         for seed in range(50):
             chain = _Chain(mat, cfg, sensor.p_d)
             chain.start(random.Random(seed))
-            assert all(col in mat.supported[i] for i, col in enumerate(chain.assign))
-            assert chain.zero_entries == 0
+            assign, deaths = chain.keys[chain.sid]
+            assert all(col in mat.supported[i] for i, col in enumerate(assign))
+            # No selected zero-likelihood entry: the score is the prior plus
+            # the finite sum rather than tally's -inf short cut.
+            _, k, n_b, finite, score = chain.tally((assign, deaths))
+            assert score == chain.log_prior(k, n_b, len(deaths)) + finite
 
     def test_budget_raises_on_the_event_past_it(self, monkeypatch):
         mat = dense_matrix(["t00"], 2, [False])  # eight supported events

@@ -2,7 +2,6 @@
 dedup, oracle agreement."""
 
 import math
-import pickle
 import random
 import sys
 from collections import deque
@@ -30,13 +29,17 @@ from mcmctrack.likelihoods import (
     build_matrix,
     hypothesis_log_likelihood,
 )
-from mcmctrack.oracle import enumerate_child_events, exact_posterior, tv_distance
+from mcmctrack.oracle import (
+    enumerate_child_events,
+    enumerate_child_keys,
+    exact_posterior,
+    tv_distance,
+)
 from mcmctrack.sampler import (
-    ChildJob,
     SamplerConfig,
     _Chain,
     _id_row,
-    job_children,
+    enumerate_children,
     sample_children,
     visit_distribution,
 )
@@ -81,14 +84,14 @@ def key_of(matrix, event):
 
 def walk_for(matrix, cfg, sensor):
     """_Chain over one instance, awaiting only (rng, event=None): started
-    from rng, or loaded with event and drawing from rng."""
+    from rng, or standing on event and drawing from rng."""
 
     def walk(rng, event=None):
         chain = _Chain(matrix, cfg, sensor.p_d)
         if event is None:
             chain.start(rng)
         else:
-            chain.load(key_of(matrix, event))
+            chain.sid = chain.state_id(key_of(matrix, event))
             chain.rng = rng
         return chain
 
@@ -101,8 +104,27 @@ def make_walk(positions, returns, **kwargs):
 
 
 def loaded(walk, event):
-    """walk's chain loaded with event."""
+    """walk's chain standing on event."""
     return walk(random.Random(0), event)
+
+
+def event_at(chain):
+    """The event of the chain's state."""
+    return chain.matrix.event_of(chain.keys[chain.sid])
+
+
+def tally_at(chain):
+    """chain.tally of its state: (claimed_by, k, n_b, finite, score)."""
+    return chain.tally(chain.keys[chain.sid])
+
+
+def kernel_row(chain, key):
+    """The one-step kernel row of state key as (score, p, cumulative,
+    destinations), destinations as keys: a view of its id row, which is
+    built on the first request (build_row) and memoized for the walk."""
+    sid = chain.state_id(key)
+    score, p, _, cumulative, _, destinations = chain.rows[sid] or chain.build_row(sid)
+    return score, p, cumulative, [chain.keys[d] for d in destinations]
 
 
 def reference_score(matrix, cfg, p_d, key):
@@ -197,10 +219,10 @@ def reference_row(matrix, cfg, p_d, key):
 
 
 def production_row(chain, key):
-    """chain.kernel_row(key) as {destination: probability}, after checking
+    """kernel_row(chain, key) as {destination: probability}, after checking
     its shape: one cumulative entry per destination, non-decreasing from a
     positive first move, ending at p."""
-    _, p, cumulative, destinations = chain.kernel_row(key)
+    _, p, cumulative, destinations = kernel_row(chain, key)
     assert len(cumulative) == len(destinations)
     assert p == (cumulative[-1] if cumulative else 0.0)
     row = {}
@@ -221,7 +243,7 @@ def assert_rows_match(production, reference, tol=1e-12):
 def row_of(walk, event):
     """The production row of event's state, keyed by destination event."""
     chain = walk(random.Random(0), event)
-    key = chain.key()
+    key = chain.keys[chain.sid]
     return {chain.matrix.event_of(d): prob for d, prob in production_row(chain, key).items()}
 
 
@@ -229,7 +251,7 @@ def proposal_support(walk, event):
     """All events one accepted proposal away from event (itself included
     when some step leaves the state unchanged)."""
     chain = walk(random.Random(0), event)
-    _, p, _, destinations = chain.kernel_row(chain.key())
+    _, p, _, destinations = kernel_row(chain, chain.keys[chain.sid])
     out = {chain.matrix.event_of(d).canonical_key() for d in destinations}
     if p < 1.0:
         out.add(event.canonical_key())
@@ -243,30 +265,30 @@ class TestInitChain:
         )
         a = walk(random.Random(7))
         b = walk(random.Random(7))
-        assert a.event() == b.event()
-        assert a.log_score == b.log_score
+        assert event_at(a) == event_at(b)
+        assert tally_at(a)[4] == tally_at(b)[4]
 
     def test_zero_returns(self):
         parent, matrix, cfg, sensor = make_instance([(100.0, 0.0)], np.empty((0, 2)))
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(random.Random(0))
-        assert chain.event().assignments == ()
-        assert chain.event().deaths == frozenset()
-        expected = log_child_prior(chain.event(), parent, cfg, sensor.p_d, 0)
-        assert chain.log_score == pytest.approx(expected, rel=1e-12)
+        assert event_at(chain).assignments == ()
+        assert event_at(chain).deaths == frozenset()
+        expected = log_child_prior(event_at(chain), parent, cfg, sensor.p_d, 0)
+        assert tally_at(chain)[4] == pytest.approx(expected, rel=1e-12)
 
     def test_no_objects_only_birth_or_clutter(self):
         parent, walk = make_walk([], [[10.0, 0.0], [20.0, 5.0]])
         for seed in range(20):
             chain = walk(random.Random(seed))
-            assert all(a in (BIRTH, CLUTTER) for a in chain.event().assignments)
+            assert all(a in (BIRTH, CLUTTER) for a in event_at(chain).assignments)
 
     def test_no_duplicate_claims_and_empty_deaths(self):
         parent, walk = make_walk(
             [(100.0, 0.0)], [[99.0, 1.0], [101.0, -1.0], [100.0, 0.5]]
         )
         for seed in range(50):
-            event = walk(random.Random(seed)).event()
+            event = event_at(walk(random.Random(seed)))
             objs = event.associated_labels
             assert len(objs) == len(set(objs))
             assert event.deaths == frozenset()
@@ -278,13 +300,14 @@ class TestInitChain:
         )
         event = AssociationEvent(assignments=(BIRTH, "t01"), deaths=frozenset({"t02"}))
         chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.load(key_of(matrix, event))
-        assert chain.event() == event
-        assert (chain.k, chain.n_b) == (1, 1)
+        chain.sid = chain.state_id(key_of(matrix, event))
+        assert event_at(chain) == event
+        _, k, n_b, _, score = tally_at(chain)
+        assert (k, n_b) == (1, 1)
         expected = log_child_prior(event, parent, cfg, sensor.p_d, 2) + (
             hypothesis_log_likelihood(event, matrix)
         )
-        assert chain.log_score == pytest.approx(expected, rel=1e-12)
+        assert score == pytest.approx(expected, rel=1e-12)
 
 
 class TestPropose:
@@ -320,12 +343,12 @@ class TestPropose:
         )
         event = AssociationEvent(assignments=(old, "t02"))
         before = loaded(walk, event)
-        assert before.log_score == -math.inf
+        assert tally_at(before)[4] == -math.inf
         row = row_of(walk, event)
         swapped = AssociationEvent(assignments=("t02", old))
         assert row[swapped] == pytest.approx(draws / (3 * 4), rel=1e-15)
         after = loaded(walk, swapped)
-        assert (after.k, after.n_b) == (before.k, before.n_b)
+        assert tally_at(after)[1:3] == tally_at(before)[1:3]
         if old != CLUTTER:
             assert AssociationEvent(assignments=("t02", CLUTTER)) not in row
 
@@ -338,7 +361,7 @@ class TestPropose:
         )
         event = AssociationEvent(assignments=("t00", "t01"))
         swapped = AssociationEvent(assignments=("t01", "t00"))
-        here, there = loaded(walk, event).log_score, loaded(walk, swapped).log_score
+        here, there = tally_at(loaded(walk, event))[4], tally_at(loaded(walk, swapped))[4]
         assert here > -math.inf and there > -math.inf
         accept = min(1.0, math.exp(there - here))
         assert row_of(walk, event)[swapped] == pytest.approx(2 * accept / (3 * 3), rel=1e-12)
@@ -385,9 +408,9 @@ class TestPropose:
         chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)))
         assert chain.entries[0][0] == -math.inf
         chain._prior_memo = RecordingMemo(chain._prior_memo)
-        _, _, _, destinations = chain.kernel_row(chain.key())
+        _, _, _, destinations = kernel_row(chain, chain.keys[chain.sid])
         assert destinations == [((1,), ()), ((2,), (0,))]  # birth, t00 dies
-        # resync reads the state's counts, then the row birth's and the
+        # tally reads the state's counts, then the row birth's and the
         # death's.
         assert lookups == [(0, 0, 0), (0, 1, 0), (0, 0, 1)]
 
@@ -412,7 +435,7 @@ class TestPropose:
         chain = walk(random.Random(123))
         for _ in range(100_000):
             chain.run(1)
-            event = chain.event()
+            event = event_at(chain)
             objs = event.associated_labels
             assert len(objs) == len(set(objs))
             assert not (event.deaths & set(objs))
@@ -431,11 +454,11 @@ class TestPropose:
         chain.start(random.Random(5))
         for _ in range(200):
             chain.run(1)
-            event = chain.event()
+            event = event_at(chain)
             expected = log_child_prior(
                 event, parent, cfg, sensor.p_d, 2
             ) + hypothesis_log_likelihood(event, matrix)
-            for score in (chain.log_score, chain.rows[chain.ids[chain.key()]][0]):
+            for score in (tally_at(chain)[4], chain.rows[chain.sid][0]):
                 if expected == -math.inf:
                     assert score == -math.inf
                 else:
@@ -484,9 +507,9 @@ class TestMetropolis:
         chain.rng = random.Random(321)
         hits = 0
         for _ in range(100_000):
-            chain.load(self.START)
+            chain.sid = chain.state_id(self.START)
             chain.run(1)
-            hits += chain.key() == self.TO_T00
+            hits += chain.keys[chain.sid] == self.TO_T00
         assert abs(hits / 100_000 - self.Q / 2) < 0.005
 
     def test_minus_inf_always_rejected(self):
@@ -600,7 +623,7 @@ class TestIrreducibility:
         all_events = {
             e.canonical_key(): e
             for e in enumerate_child_events(matrix)
-            if loaded(walk, e).log_score > -math.inf
+            if tally_at(loaded(walk, e))[4] > -math.inf
         }
 
         def neighbors(key):
@@ -711,7 +734,7 @@ class TestExactKernel:
         births = ((1, 1), ())
         assert matrix.supported == ((1, 2), (1, 2))
         chain = _Chain(matrix, cfg, sensor.p_d)
-        score, p, _, destinations = chain.kernel_row(births)
+        score, p, _, destinations = kernel_row(chain, births)
         assert score == -math.inf
         # Each row proposes t00 (-inf entry) or clutter, and the death row
         # toggles t00: five changes, each accepted, none left on the state.
@@ -744,6 +767,27 @@ class TestExactKernel:
             if reference_score(mat, cfg, p_d, key) > -math.inf:
                 # No -inf destination from a finite state.
                 assert all(reference_score(mat, cfg, p_d, d) > -math.inf for d in expected)
+
+
+class TestOneScorer:
+    @given(
+        mat=sparse_matrices(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_enumerated_scores_are_row_scores(self, mat, n_pixels, p_d):
+        # Enumerated and walked children share one scorer: each child of
+        # enumerate_children, in enumeration order, carries bit for bit the
+        # score of its key's kernel row in a fresh chain.
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
+        keys = list(enumerate_child_keys(mat))
+        children = enumerate_children(mat, cfg, p_d)
+        assert [c.event for c in children] == [mat.event_of(key) for key in keys]
+        for key, child in zip(keys, children):
+            score = kernel_row(_Chain(mat, cfg, p_d), key)[0]
+            assert score.hex() == child.log_score.hex()
+            assert child.visits == 0
 
 
 class TestVisitDistribution:
@@ -780,7 +824,7 @@ class TestStream:
         holds = moves = 0
         left, count = steps, 0
         while left:
-            _, p, cumulative, destinations = rows.kernel_row(key)
+            _, p, cumulative, destinations = kernel_row(rows, key)
             if p <= 0.0:
                 hold = left
             elif p >= 1.0:
@@ -821,7 +865,7 @@ class TestStream:
             ref.randrange(len(supported))
         assert ref.getstate() == chain.rng.getstate()
         rows = _Chain(matrix, cfg, sensor.p_d)
-        key = chain.key()
+        key = chain.keys[chain.sid]
         visits, expected = {}, {}
         holds = moves = 0
         for steps, table, mirror in [(300, None, None), (4000, visits, expected)]:
@@ -829,7 +873,7 @@ class TestStream:
             key, h, mv = self.replay(rows, ref, key, steps, mirror)
             holds += h
             moves += mv
-            assert chain.key() == key
+            assert chain.keys[chain.sid] == key
             assert ref.getstate() == chain.rng.getstate()
         assert visits == expected
         assert sum(visits.values()) == 4000
@@ -845,12 +889,12 @@ class TestStream:
         ref = random.Random()
         ref.setstate(chain.rng.getstate())
         rows = _Chain(matrix, cfg, p_d)
-        key = chain.key()
+        key = chain.keys[chain.sid]
         visits, expected = {}, {}
         for steps, recorded in budgets:
             chain.run(steps, visits if recorded else None)
             key, _, _ = cls.replay(rows, ref, key, steps, expected if recorded else None)
-            assert chain.key() == key
+            assert chain.keys[chain.sid] == key
             assert ref.getstate() == chain.rng.getstate()
         assert visits == expected
 
@@ -929,30 +973,12 @@ class TestStream:
         assert unbounded[: len(samples)] == samples
         assert sum(s.visits for s in unbounded) == scfg.record_steps
 
-    @pytest.mark.parametrize("name", ["sparse", "dense3x3"])
-    def test_job_function_matches_sample_children(self, name):
-        # sample_children runs job_children on a walk job, and a job is
-        # plain data: a pickled copy gives the same children.
-        positions, returns = self.INSTANCES[name]
-        parent, matrix, cfg, sensor = make_instance(
-            positions, returns, clutter_density=3e-3,
-        )
-        scfg = SamplerConfig(burn_in_steps=300, record_steps=4000, children_kept=10, seed=11)
-        job = ChildJob(parent, matrix, scfg, cfg, sensor)
-
-        def listed(samples):
-            return [(s.event.canonical_key(), s.log_score, s.visits) for s in samples]
-
-        expected = listed(sample_children(parent, matrix, scfg, cfg, sensor))
-        assert listed(job_children(job)) == expected
-        assert listed(job_children(pickle.loads(pickle.dumps(job)))) == expected
-
 
 class TestKeyCache:
     def test_cached_key_follows_every_step(self):
         # run(1, visits) adds one visit to the key of the state the step
-        # ends in, whether it moved or not, and that key is the chain's
-        # fresh state, whose memoized row carries its from-scratch score.
+        # ends in, whether it moved or not, and that key's memoized row
+        # carries its from-scratch score.
         positions, returns = TestExactKernel.INSTANCES["3x3"]
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=0.05, clutter_density=3e-3,
@@ -960,13 +986,13 @@ class TestKeyCache:
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(random.Random(8))
         visits = {}
-        before = chain.key()
+        before = chain.keys[chain.sid]
         toggles = swaps = 0
         for step in range(1, 5001):
             chain.run(1, visits)
-            fresh = (tuple(chain.assign), tuple(sorted(chain.dead)))
-            assert chain.key() == fresh
-            assert chain.rows[chain.ids[fresh]][0] == pytest.approx(chain.log_score, rel=1e-12)
+            fresh = chain.keys[chain.sid]
+            assert chain.rows[chain.sid][0] == pytest.approx(
+                reference_score(matrix, cfg, sensor.p_d, fresh), rel=1e-12)
             assert sum(visits.values()) == step
             if fresh[1] != before[1]:
                 toggles += 1
@@ -975,29 +1001,6 @@ class TestKeyCache:
             before = fresh
         assert toggles > 0 and swaps > 0
         assert len(visits) > 1
-
-    def test_run_leaves_state_consistent(self):
-        # Building a row loads its state, so a run that reaches new states
-        # reloads the one it ends in: after any run, the claims and counts
-        # are those the assignment implies, and the score and likelihood sum
-        # are its from-scratch ones bit for bit, as is its row's score.
-        positions, returns = TestExactKernel.INSTANCES["sparse"]
-        parent, matrix, cfg, sensor = make_instance(positions, returns)
-        chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(random.Random(3))
-        for n in range(600):
-            if n % 10 == 0:
-                chain.rows[:] = [None] * len(chain.rows)  # so that rows keep being built
-            chain.run(n % 5 + 1)
-            fresh = _Chain(matrix, cfg, sensor.p_d)
-            fresh.load(chain.key())
-            assert chain.claimed_by == fresh.claimed_by
-            assert (chain.k, chain.n_b, chain.zero_entries) == (
-                fresh.k, fresh.n_b, fresh.zero_entries)
-            assert chain.finite_loglik == fresh.finite_loglik
-            assert chain.log_score == fresh.log_score
-            assert chain.rows[chain.ids[chain.key()]][0] == fresh.log_score
-        assert sum(row is not None for row in chain.rows) > 1
 
 
 class TestIdRows:
@@ -1019,7 +1022,7 @@ class TestIdRows:
         chain = CountingChain(matrix, cfg, sensor.p_d)
         chain.built = []
         chain.start(random.Random(4))
-        start = chain.key()
+        start = chain.keys[chain.sid]
         visits = {}
         for steps in (500, 20_000, 20_000):
             chain.run(steps, visits)
@@ -1055,7 +1058,7 @@ class TestHolding:
         visits = {}
         chain.run(10**15, visits)
         assert visits == {((), ()): 10**15}
-        assert chain.kernel_row(((), ()))[1] == 0.0
+        assert kernel_row(chain, ((), ()))[1] == 0.0
         assert chain.rng.uniforms == 0
 
     @pytest.mark.parametrize("burn,record", [(0, 1), (0, 7), (3, 1), (0, 5000)])
@@ -1074,10 +1077,10 @@ class TestHolding:
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(_CountingRng(0))
-        key = chain.key()
+        key = chain.keys[chain.sid]
         visits = {}
         chain.run(0, visits)
-        assert (visits, chain.key(), chain.rng.uniforms) == ({}, key, 0)
+        assert (visits, chain.keys[chain.sid], chain.rng.uniforms) == ({}, key, 0)
 
     def test_leave_probability_past_one_is_guarded(self):
         # Summation can carry p a rounding error past 1. Such a state holds
@@ -1097,7 +1100,7 @@ class TestHolding:
                 super().random()
                 return 1.0 - 2.0**-53
 
-        chain.load(a)
+        chain.sid = ia
         chain.rng = TopRng(0)
         visits = {}
         chain.run(5, visits)

@@ -24,7 +24,7 @@ from mcmctrack.presets import (
     preset_twenty_object,
     tracker_config_for,
 )
-from mcmctrack.sampler import ChildJob, SamplerConfig, job_children
+from mcmctrack.sampler import SamplerConfig
 from mcmctrack.simulate import MeasurementFrame, simulate_scenario
 from mcmctrack import oracle
 from mcmctrack import likelihoods as likelihoods_module
@@ -582,25 +582,56 @@ class TestBoundGolden:
         assert [r.hypothesis_count_bound for r in reports] == self.BOUNDS[name]
 
 
-def two_track_job(exhaustive=False):
-    cfg = make_config(mode=TrackerMode.MCMC)
-    tracks = (track_at("t00", 100.0, 0.0), track_at("t01", 110.0, 0.0))
-    matrix = build_matrix(tracks, np.array([[100.0, 0.0], [110.5, 0.0]]),
-                          cfg.sensor, cfg.clutter, cfg.birth_death)
-    parent = Hypothesis(id="h0", parent_id=None, log_weight=0.0, tracks=tracks)
-    return ChildJob(parent, matrix, cfg.sampler, cfg.birth_death, cfg.sensor, exhaustive)
+# The names of mcmctrack.tracker that bench/tracing.py (TRACKER_LAYERS)
+# rebinds to trace the calls the tracker makes into each layer.
+TRACED_NAMES = (
+    "predict_track", "update_track", "count_grandchildren", "log_child_prior", "prune",
+    "build_matrix", "hypothesis_log_likelihood", "enumerate_child_events", "sample_children",
+)
 
 
-class TestWalkPool:
-    """map_children runs every job, walk or enumeration, in this process
-    and returns the children of each in job order."""
+class TestChildCalls:
+    """The tracker generates each parent's children by one call, through
+    its own module names, so rebinding a name traces every call."""
 
-    @pytest.mark.parametrize("exhaustive", [False, True], ids=["walk", "exhaustive"])
-    def test_single_job_runs_in_process(self, exhaustive):
-        job = two_track_job(exhaustive)
-        expected = [job_children(job)]
-        assert tracker_module.map_children([job]) == expected
-        assert tracker_module.map_children([job, job]) == expected * 2
+    def test_traced_names_are_module_functions(self):
+        for name in TRACED_NAMES:
+            assert callable(getattr(tracker_module, name)), name
+
+    @pytest.mark.parametrize("mode,expected", [
+        (TrackerMode.MCMC, ("sample_children",)),
+        (TrackerMode.EXHAUSTIVE, ("enumerate_children",)),
+    ], ids=["mcmc", "exhaustive"])
+    def test_one_call_per_parent(self, monkeypatch, mode, expected):
+        calls = {"sample_children": 0, "enumerate_children": 0}
+
+        def counting(name):
+            inner = getattr(tracker_module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(tracker_module, name, counting(name))
+        scenario = preset_single_spawn(seed=0)
+        _, frames = simulate_scenario(scenario)
+        tracker = Tracker(tracker_config_for(scenario, seed=0, mode=mode))
+        hyps = tracker.initial_hypotheses([
+            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+            for i, s in enumerate(scenario.objects)
+        ])
+        parents = 0
+        for frame in frames:
+            n_parents = len(hyps)
+            hyps, _ = tracker.step(hyps, frame)
+            parents += n_parents
+            assert calls == {name: parents if name in expected else 0 for name in calls}
+            if n_parents > 1:
+                break
+        assert n_parents > 1
 
 
 class TestPresetConfig:
