@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from . import __version__
 from .errors import ConfigError, InputDataError, NumericalError, TrackingError
-from .filters import GaussianTrack
+from .filters import _MIN_RADIUS_KM, GaussianTrack
 from .hypotheses import (
     count_associations,
     count_grandchildren,
@@ -102,6 +102,11 @@ def cmd_track(args: argparse.Namespace) -> int:
     for frame in frames:
         if (frame.returns == cfg.sensor.origin).all(axis=1).any():
             raise InputDataError(f"a return at time {frame.time} s lies at the sensor origin")
+        # A return born as a track there would sit inside the radius that
+        # propagation refuses.
+        if ((frame.returns ** 2).sum(axis=1) < _MIN_RADIUS_KM ** 2).any():
+            raise InputDataError(f"a return at time {frame.time} s lies within "
+                                 f"{_MIN_RADIUS_KM} km of the gravitational center (0, 0)")
     for k, frame in enumerate(frames):
         # Every scan is predicted over one scan interval.
         due = cfg.scan_interval * (k + 1)

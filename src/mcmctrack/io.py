@@ -61,6 +61,16 @@ def _field(section, key: str, path: str, convert=lambda v: v, default=_MISSING):
         raise ConfigError(f"{path}.{key}: {exc}") from exc
 
 
+def _present(section, path: str, **spec) -> dict:
+    """The optional fields of section as keyword arguments, spec mapping
+    each keyword to (field, convert) as _field takes them. A field that is
+    absent or null is left out, so the dataclass default applies."""
+    absent = object()
+    values = {name: _field(section, key, path, convert, absent)
+              for name, (key, convert) in spec.items()}
+    return {name: value for name, value in values.items() if value is not absent}
+
+
 def _floats(*shape):
     return lambda value: np.asarray(value, dtype=float).reshape(shape)
 
@@ -114,28 +124,18 @@ def scenario_from_dict(payload: dict) -> ScenarioConfig:
         fov_half_angle=_field(sensor_d, "fov_half_angle_rad", "scenario.sensor", float),
         r=_field(sensor_d, "noise_cov_km2", "scenario.sensor", _floats(2, 2)),
         p_d=_field(sensor_d, "p_d", "scenario.sensor", float),
-        max_range=_field(sensor_d, "max_range_km", "scenario.sensor", float, 1.0e5),
+        **_present(sensor_d, "scenario.sensor", max_range=("max_range_km", float)),
     )
     clutter_d = _field(payload, "clutter", "scenario", default={})
     density = _field(clutter_d, "density_per_km2", "scenario.clutter", float, None)
-    expected = _field(clutter_d, "expected_count", "scenario.clutter", float, 0.0)
-    clutter = uniform_clutter(sensor, expected) if density is None else ClutterModel(density, expected)
+    expected = _present(clutter_d, "scenario.clutter", expected_count=("expected_count", float))
+    clutter = uniform_clutter(sensor, **expected) if density is None else ClutterModel(density, **expected)
     dyn_d = _field(payload, "dynamics", "scenario", default={})
     # dt is left at its default: ScenarioConfig sets it to the scan interval.
-    dynamics = DynamicsConfig(
-        mu=_field(dyn_d, "mu_km3_s2", "scenario.dynamics", float, 398600.4418),
-        q=_field(dyn_d, "q", "scenario.dynamics", float, 0.0),
-        integrator_substeps=_field(dyn_d, "integrator_substeps", "scenario.dynamics", int, 16),
-    )
-    spawns = [
-        SpawnEvent(
-            time=_field(ev, "time_s", f"scenario.spawn_events[{i}]", float),
-            parent_index=_field(ev, "parent_index", f"scenario.spawn_events[{i}]", int),
-            fragment_count=_field(ev, "fragment_count", f"scenario.spawn_events[{i}]", int),
-            velocity_std=_field(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]", float),
-        )
-        for i, ev in enumerate(_field(payload, "spawn_events", "scenario", list, []))
-    ]
+    dynamics = DynamicsConfig(**_present(
+        dyn_d, "scenario.dynamics", mu=("mu_km3_s2", float), q=("q", float),
+        integrator_substeps=("integrator_substeps", int),
+    ))
     return ScenarioConfig(
         objects=_field(payload, "objects", "scenario", lambda rows: list(map(_floats(4), rows))),
         sensor=sensor,
@@ -143,14 +143,25 @@ def scenario_from_dict(payload: dict) -> ScenarioConfig:
         dynamics=dynamics,
         duration=_field(payload, "duration_s", "scenario", float),
         scan_interval=_field(payload, "scan_interval_s", "scenario", float),
-        spawn_events=spawns,
-        seed=_field(payload, "seed", "scenario", int, 0),
-        name=_field(payload, "name", "scenario", str, "custom"),
-        initial_position_std_km=_field(payload, "initial_position_std_km", "scenario", float, 2.0),
-        initial_velocity_std_kmps=_field(
-            payload, "initial_velocity_std_kmps", "scenario", float, 0.05
+        **_present(
+            payload, "scenario", spawn_events=("spawn_events", _spawn_events),
+            seed=("seed", int), name=("name", str),
+            initial_position_std_km=("initial_position_std_km", float),
+            initial_velocity_std_kmps=("initial_velocity_std_kmps", float),
         ),
     )
+
+
+def _spawn_events(events) -> list[SpawnEvent]:
+    return [
+        SpawnEvent(
+            time=_field(ev, "time_s", f"scenario.spawn_events[{i}]", float),
+            parent_index=_field(ev, "parent_index", f"scenario.spawn_events[{i}]", int),
+            fragment_count=_field(ev, "fragment_count", f"scenario.spawn_events[{i}]", int),
+            velocity_std=_field(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]", float),
+        )
+        for i, ev in enumerate(list(events))
+    ]
 
 
 def _input_file(path: str | Path, kind: str) -> Path:
@@ -314,8 +325,44 @@ def read_reports_ldjson(path: str | Path) -> list[dict]:
                 continue
             if schema != REPORT_SCHEMA:
                 raise InputDataError(f"{path} line {n}: unexpected report schema {schema!r}")
+            problem = _report_problem(record)
+            if problem:
+                raise InputDataError(f"{path} line {n}: {problem}")
             out.append(record)
     return out
+
+
+def _finite_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _report_problem(record: dict) -> str | None:
+    """What is wrong with the fields of a report record that figdata reads,
+    or None: a finite time_s, a decimal-string hypothesis_count_bound, and
+    estimates, a list of objects each with a string label and finite x_km
+    and y_km."""
+    if not _finite_number(record.get("time_s")):
+        return "time_s must be a finite number"
+    bound = record.get("hypothesis_count_bound")
+    if not (isinstance(bound, str) and bound.isascii() and bound.isdigit()):
+        return "hypothesis_count_bound must be a decimal string"
+    estimates = record.get("estimates")
+    if not isinstance(estimates, list):
+        return "estimates must be a list"
+    for i, est in enumerate(estimates):
+        if not isinstance(est, dict):
+            return f"estimates[{i}] must be a JSON object"
+        if not isinstance(est.get("label"), str):
+            return f"estimates[{i}].label must be a string"
+        for key in ("x_km", "y_km"):
+            if not _finite_number(est.get(key)):
+                return f"estimates[{i}].{key} must be a finite number"
+    return None
 
 
 def write_history_ldjson(history: Sequence[tuple[int, Sequence]], path: str | Path) -> None:

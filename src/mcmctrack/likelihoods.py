@@ -34,8 +34,6 @@ from .hypotheses import (
     log_count_prior,
 )
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class ClutterModel:
@@ -269,19 +267,13 @@ def compare_likelihood_forms(
         elif entry == BIRTH:
             raise InvalidEventError("comparison is defined for pure association events")
         else:
-            log_mean_form += _log_density_at_mean(tracks[entry], matrix.returns[i], sensor)
+            # N(z; h(mean), r): the marginal of a track with no uncertainty.
+            track = tracks[entry]
+            at_mean = GaussianTrack(track.label, track.mean, np.zeros((4, 4)))
+            lik = measurement_likelihood(at_mean, matrix.returns[i], sensor)
+            log_mean_form += math.log(lik) if lik > 0.0 else -math.inf
     # No births or deaths, so the rates of the default config never enter.
     log_prior = log_count_prior(k, 0, 0, n_objects, m, BirthDeathConfig(), sensor.p_d)
     log_marginal_form = log_prior + log_marginal
     return math.exp(log_mean_form), math.exp(log_marginal_form)
 
-
-def _log_density_at_mean(track: GaussianTrack, z: np.ndarray, sensor: SensorModel) -> float:
-    """log N(z; h(mean), r): measurement density evaluated at the track mean,
-    ignoring track covariance."""
-    r = sensor.r
-    det = r[0, 0] * r[1, 1] - r[0, 1] * r[1, 0]
-    inv = np.array([[r[1, 1], -r[0, 1]], [-r[1, 0], r[0, 0]]]) / det
-    diff = np.asarray(z, dtype=float) - track.mean[:2]
-    maha = float(diff @ inv @ diff)
-    return -0.5 * maha - math.log(_TWO_PI * math.sqrt(det))

@@ -16,9 +16,9 @@ unassociated death-eligible object's death status (a no-change proposal when
 there is none). Scores are log(child prior) + log(likelihood).
 
 One _Chain object per parent holds its scoring tables, the kernel rows
-of the states it has reached and its position, the integer id sid of a
-state key (a column key of the matrix, see AssociationMatrix). start draws
-a random initial state from the matrix's supported columns
+and visit counts of the states it has reached and its position, the
+integer id sid of a state key (a column key, see AssociationMatrix). start
+draws a random initial state from the matrix's supported columns
 (AssociationMatrix.supported), the same pattern the child enumerator
 walks. tally scores a key from scratch; it is the one production scorer.
 _Chain.run simulates the walk exactly by its jump chain (Douc & Robert, "A
@@ -36,13 +36,11 @@ A parent's children come from one of two calls: sample_children walks,
 and enumerate_children scores every key of oracle.enumerate_child_keys
 with tally, so every child score comes from _Chain.
 
-Stream contract: start draws each return's column out of its row's
-supported columns (all M+2 columns when none is) with CPython's randrange
-algorithm on rng.getrandbits (bound.bit_length() bits, redrawn while not
-below the bound), the words rng.randrange would take. run then draws only
-rng.random(): one for the holding time of each state it holds at whose
-leave probability p has 0 < p < 1 (none when p = 0 or p >= 1), and one for
-each move.
+Stream contract: start draws each return's column as rng.randrange(n),
+n the size of its row's supported columns (all M+2 columns when none is).
+run then draws only rng.random(): one for the holding time of each state
+it holds at whose leave probability p has 0 < p < 1 (none when p = 0 or
+p >= 1), and one for each move.
 """
 
 from __future__ import annotations
@@ -121,13 +119,15 @@ class _Chain:
     (state_id): ids maps a key to its id and keys an id to its key. rows is
     the one memo of kernel rows, indexed by id (None until the walk first
     stands on the state), and a row names its destinations by id, so run()
-    walks ids: one list index per move, no key hashing. The walk's state is
-    keys[sid].
+    walks ids: one list index per move, no key hashing. visits, also indexed
+    by id, is the walk's one visit record: the steps run() has ended in each
+    state since the list was last reset. The walk's state is keys[sid].
     """
 
     __slots__ = (
         "matrix", "entries", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
         "birth_col", "clutter_col", "m", "n_objects", "rng", "sid", "ids", "keys", "rows",
+        "visits",
     )
 
     def __init__(
@@ -147,6 +147,7 @@ class _Chain:
         self.ids: dict[tuple, int] = {}
         self.keys: list[tuple] = []
         self.rows: list[tuple | None] = []
+        self.visits: list[int] = []
 
     def start(self, rng: random.Random) -> None:
         """Draw a random initial state from rng, the stream run then draws
@@ -155,14 +156,9 @@ class _Chain:
         can take arbitrarily long to leave), a draw of an already-claimed
         object resolves to clutter, and the death set is empty."""
         self.rng = rng
-        getrandbits = rng.getrandbits
         assign: list[int] = []
         for supported in self.matrix.supported:
-            n = len(supported) or self.n_objects + 2
-            bits = n.bit_length()
-            col = getrandbits(bits)
-            while col >= n:
-                col = getrandbits(bits)
+            col = rng.randrange(len(supported) or self.n_objects + 2)
             if supported:
                 col = supported[col]
             if col < self.n_objects and col in assign:
@@ -218,6 +214,7 @@ class _Chain:
             sid = self.ids[key] = len(self.keys)
             self.keys.append(key)
             self.rows.append(None)
+            self.visits.append(0)
         return sid
 
     def build_row(self, sid: int) -> tuple:
@@ -320,7 +317,7 @@ class _Chain:
         row = self.rows[sid] = _id_row(score, total, cumulative, destinations)
         return row
 
-    def run(self, steps: int, visits: dict[tuple, int] | None = None) -> None:
+    def run(self, steps: int) -> None:
         """Advance the walk by steps Metropolis steps, simulated by its jump
         chain over state ids: at a state whose row leaves with probability
         p, the steps held there are a geometric count of failures,
@@ -333,19 +330,17 @@ class _Chain:
         run to draw a fresh one. The run starts at sid and leaves the state
         it reached in sid.
 
-        With visits, every step adds one visit to the state it ends in: a
+        Every step adds one to visits at the id of the state it ends in: a
         hold adds its length to the state, and a move step one to its
-        destination, so the run adds exactly steps visits. They are counted
-        in a list by id and added to visits, by key, when the run ends.
+        destination, so the run adds exactly steps visits.
         """
         rows = self.rows
-        keys = self.keys
+        visits = self.visits
         build_row = self.build_row
         uniform = self.rng.random
         log = math.log
         sid = self.sid
         _, p, stay, cumulative, hi, destinations = rows[sid] or build_row(sid)
-        counts = None if visits is None else [0] * len(keys)
         count = 0
         left = steps
         while left:
@@ -359,24 +354,12 @@ class _Chain:
             if hold >= left:
                 count += left
                 break
-            count += hold
+            visits[sid] += count + hold
             left -= hold + 1
-            if counts is not None:
-                counts[sid] += count
             sid = destinations[bisect_right(cumulative, uniform() * p, 0, hi)]
-            row = rows[sid]
-            if row is None:
-                row = build_row(sid)
-                if counts is not None:
-                    counts += [0] * (len(keys) - len(counts))
-            _, p, stay, cumulative, hi, destinations = row
+            _, p, stay, cumulative, hi, destinations = rows[sid] or build_row(sid)
             count = 1
-        if counts is not None:
-            counts[sid] += count
-            for state, n in enumerate(counts):
-                if n:
-                    key = keys[state]
-                    visits[key] = visits.get(key, 0) + n
+        visits[sid] += count
         self.sid = sid
 
 
@@ -396,27 +379,28 @@ def sample_children(
     birth_cfg: BirthDeathConfig,
     sensor: SensorModel,
 ) -> list[ChildSample]:
-    """The walk's children of parent over matrix: the visits of every
-    post-burn-in state, the top children_kept of them by score (each
-    state's from-scratch score, from its kernel row). Deterministic given
-    cfg.seed and parent.id; of sensor only p_d is read."""
+    """The walk's children of parent over matrix: the visits zeroed after
+    burn-in, the top children_kept of the states the record run visits, by
+    score (each state's from-scratch score, from its kernel row).
+    Deterministic given cfg.seed and parent.id; of sensor only p_d is read."""
     chain = _Chain(matrix, birth_cfg, sensor.p_d)
     size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
     burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
     record = 200 * size if cfg.record_steps is None else cfg.record_steps
-    visits: dict[tuple, int] = {}
     chain.start(random.Random(chain_seed(cfg.seed, parent.id)))
     chain.run(burn)
-    chain.run(record, visits)
+    chain.visits = [0] * len(chain.keys)
+    chain.run(record)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
     # the keys are distinct, so the order has no ties either way.
-    rows, ids = chain.rows, chain.ids
+    rows, keys, visits = chain.rows, chain.keys, chain.visits
     ranked = heapq.nsmallest(
-        cfg.children_kept, visits, key=lambda key: (-rows[ids[key]][0], key)
+        cfg.children_kept, [sid for sid, n in enumerate(visits) if n],
+        key=lambda sid: (-rows[sid][0], keys[sid]),
     )
     return [
-        ChildSample(event=matrix.event_of(key), log_score=rows[ids[key]][0], visits=visits[key])
-        for key in ranked
+        ChildSample(event=matrix.event_of(keys[sid]), log_score=rows[sid][0], visits=visits[sid])
+        for sid in ranked
     ]
 
 

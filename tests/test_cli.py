@@ -1,5 +1,6 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import mcmctrack
 from mcmctrack.cli import main
+from mcmctrack.filters import DynamicsConfig, SensorModel
 from mcmctrack.hypotheses import count_grandchildren
 from mcmctrack.io import (
     load_scenario,
@@ -22,8 +24,9 @@ from mcmctrack.io import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from mcmctrack.likelihoods import ClutterModel, uniform_clutter
 from mcmctrack.presets import preset_single_spawn
-from mcmctrack.simulate import simulate_scenario
+from mcmctrack.simulate import ScenarioConfig, simulate_scenario
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,30 @@ class TestScenarioRoundTrip:
         del payload["sensor"]["p_d"]
         with pytest.raises(Exception, match="scenario.sensor.p_d"):
             scenario_from_dict(payload)
+
+    def test_required_keys_only_take_dataclass_defaults(self):
+        # Every optional field left out of the file gets its dataclass's
+        # own default; with no clutter density the clutter is uniform.
+        full = scenario_to_dict(preset_single_spawn())
+        payload = {key: full[key] for key in
+                   ("schema", "objects", "duration_s", "scan_interval_s")}
+        payload["sensor"] = {key: full["sensor"][key] for key in
+                             ("origin_km", "boresight_angle_rad", "fov_half_angle_rad",
+                              "noise_cov_km2", "p_d")}
+        cfg = scenario_from_dict(payload)
+
+        def default(cls, name):
+            f = next(f for f in dataclasses.fields(cls) if f.name == name)
+            return f.default_factory() if f.default is dataclasses.MISSING else f.default
+
+        assert cfg.sensor.max_range == default(SensorModel, "max_range")
+        assert cfg.clutter == uniform_clutter(cfg.sensor)
+        assert cfg.clutter.expected_count == default(ClutterModel, "expected_count")
+        for name in ("mu", "q", "integrator_substeps"):
+            assert getattr(cfg.dynamics, name) == default(DynamicsConfig, name)
+        for name in ("spawn_events", "seed", "name", "initial_position_std_km",
+                     "initial_velocity_std_kmps"):
+            assert getattr(cfg, name) == default(ScenarioConfig, name)
 
     def test_truth_and_frames_round_trip(self, tmp_path):
         cfg = preset_single_spawn(seed=1)
@@ -272,6 +299,25 @@ class TestTrackCommand:
         assert err.startswith("input error:")
         assert named in err
 
+    def test_return_at_center_exits_3(self, tmp_path, capsys):
+        # A sensor beside the gravitational center, looking at it: a return
+        # at (0, 0) is in its field of view, and a track born there could
+        # not be propagated.
+        payload = scenario_to_dict(preset_single_spawn())
+        payload["sensor"].update(origin_km=[100.0, 0.0], boresight_angle_rad=math.pi)
+        payload["spawn_events"] = []
+        payload["duration_s"] = 600.0
+        scenario = tmp_path / "center.json"
+        scenario.write_text(json.dumps(payload))
+        frames = tmp_path / "frames.csv"
+        frames.write_text(f"{self.FRAMES_HEADER}\n300.0,0.0,0.0,\n600.0,0.0,0.0,\n")
+        rc = main(["track", "--frames", str(frames), "--scenario", str(scenario),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "300.0 s" in err and "Traceback" not in err
+
     def test_missing_frames_exits_3(self, tmp_path, small_scenario_file):
         rc = main([
             "track", "--frames", str(tmp_path / "missing.csv"),
@@ -308,9 +354,20 @@ class TestNegativeSeed:
         assert "Traceback" not in err
 
 
+def report_line(edit):
+    """A one-record reports line: a well-formed record changed by edit."""
+    record = {
+        "schema": "mcmctrack.report.v2", "time_s": 300.0, "hypothesis_count_bound": "12",
+        "estimates": [{"label": "t00", "x_km": 7000.0, "y_km": 0.0}],
+    }
+    edit(record)
+    return json.dumps(record) + "\n"
+
+
 class TestInputErrors:
-    # A directory where an input file belongs, or a reports line that is
-    # not a JSON object, is an input error naming the path, not a traceback.
+    # A directory where an input file belongs, a reports line that is not a
+    # JSON object, or a report record that lacks or garbles a field figdata
+    # reads, is an input error naming the path, not a traceback.
     @pytest.mark.parametrize("flag,content,named", [
         ("--scenario", None, ""),
         ("--frames", None, ""),
@@ -318,8 +375,26 @@ class TestInputErrors:
         ("--reports", None, ""),
         ("--reports", '{"schema": "mcmctrack.report.v2-header"}\nnot json\n', "line 2"),
         ("--reports", "[1, 2]\n", "line 1"),
+        ("--reports", '{"schema": "mcmctrack.report.v2"}\n', "line 1: time_s "),
+        ("--reports", report_line(lambda r: r["estimates"][0].pop("x_km")),
+         "line 1: estimates[0].x_km "),
+        ("--reports", report_line(lambda r: r.update(time_s=math.nan)), "line 1: time_s "),
+        ("--reports", report_line(lambda r: r.update(time_s="300")), "line 1: time_s "),
+        ("--reports", report_line(lambda r: r.update(hypothesis_count_bound=12)),
+         "line 1: hypothesis_count_bound "),
+        ("--reports", report_line(lambda r: r.update(hypothesis_count_bound="1e3")),
+         "line 1: hypothesis_count_bound "),
+        ("--reports", report_line(lambda r: r.update(estimates={})), "line 1: estimates "),
+        ("--reports", report_line(lambda r: r["estimates"].__setitem__(0, [7000.0, 0.0])),
+         "line 1: estimates[0] "),
+        ("--reports", report_line(lambda r: r["estimates"][0].update(label=None)),
+         "line 1: estimates[0].label "),
+        ("--reports", report_line(lambda r: r["estimates"][0].update(y_km=math.inf)),
+         "line 1: estimates[0].y_km "),
     ], ids=["scenario-dir", "frames-dir", "truth-dir", "reports-dir", "reports-not-json",
-            "reports-not-object"])
+            "reports-not-object", "report-schema-only", "estimate-without-x", "time-nan",
+            "time-text", "bound-int", "bound-float-text", "estimates-object", "estimate-list",
+            "label-null", "y-inf"])
     def test_exits_3(self, tmp_path, capsys, sim_dir, small_scenario_file, flag, content, named):
         path = tmp_path / "input"
         if content is None:

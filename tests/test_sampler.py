@@ -118,6 +118,16 @@ def tally_at(chain):
     return chain.tally(chain.keys[chain.sid])
 
 
+def visits_of(chain):
+    """chain.visits by key, for the ids with a visit."""
+    return {chain.keys[sid]: n for sid, n in enumerate(chain.visits) if n}
+
+
+def reset_visits(chain):
+    """Zero chain.visits, as sample_children does after burn-in."""
+    chain.visits = [0] * len(chain.keys)
+
+
 def kernel_row(chain, key):
     """The one-step kernel row of state key as (score, p, cumulative,
     destinations), destinations as keys: a view of its id row, which is
@@ -819,8 +829,8 @@ class TestStream:
     def replay(rows, rng, key, steps, visits):
         """The jump chain as the stream contract states it, over the rows
         of a second chain, drawing from rng: one random() per holding time
-        where 0 < p < 1, then one per move. Returns (final key, holding
-        draws, moves)."""
+        where 0 < p < 1, then one per move. Adds each step's visit to
+        visits by key. Returns (final key, holding draws, moves)."""
         holds = moves = 0
         left, count = steps, 0
         while left:
@@ -838,14 +848,14 @@ class TestStream:
                 break
             count += hold
             left -= hold + 1
-            if visits is not None and count:
+            if count:
                 visits[key] = visits.get(key, 0) + count
             u = rng.random() * p
             moves += 1
             j = next((j for j, c in enumerate(cumulative) if u < c), len(cumulative) - 1)
             key = destinations[j]
             count = 1
-        if visits is not None and count:
+        if count:
             visits[key] = visits.get(key, 0) + count
         return key, holds, moves
 
@@ -854,7 +864,8 @@ class TestStream:
         # start's integer draws are rng.randrange of each row's support
         # size, as before the walk ran as a jump chain. A reference rng
         # replaying the documented jump chain over the same rows then stays
-        # in the chain rng's state, run by run, and the visits agree.
+        # in the chain rng's state, run by run, and the visits recorded
+        # after burn-in agree.
         parent, matrix, cfg, sensor = make_instance(
             *self.INSTANCES["sparse"], clutter_density=3e-3,
         )
@@ -866,37 +877,43 @@ class TestStream:
         assert ref.getstate() == chain.rng.getstate()
         rows = _Chain(matrix, cfg, sensor.p_d)
         key = chain.keys[chain.sid]
-        visits, expected = {}, {}
+        expected = {}
         holds = moves = 0
-        for steps, table, mirror in [(300, None, None), (4000, visits, expected)]:
-            chain.run(steps, table)
-            key, h, mv = self.replay(rows, ref, key, steps, mirror)
+        for steps, reset in [(300, False), (4000, True)]:
+            if reset:
+                reset_visits(chain)
+                expected.clear()
+            chain.run(steps)
+            key, h, mv = self.replay(rows, ref, key, steps, expected)
             holds += h
             moves += mv
             assert chain.keys[chain.sid] == key
             assert ref.getstate() == chain.rng.getstate()
-        assert visits == expected
-        assert sum(visits.values()) == 4000
+        assert visits_of(chain) == expected
+        assert sum(chain.visits) == 4000
         assert holds > 0 and moves > 0
 
     @classmethod
     def assert_runs_follow_replay(cls, matrix, cfg, p_d, seed, budgets):
-        """Runs of budgets[i] = (steps, recorded) steps each end where the
-        replay over a second chain's rows ends, with its rng state and its
-        visits."""
+        """Runs of budgets[i] = (steps, reset) steps each, the visits zeroed
+        before the run where reset is true, end where the replay over a
+        second chain's rows ends, with its rng state and its visits."""
         chain = _Chain(matrix, cfg, p_d)
         chain.start(random.Random(seed))
         ref = random.Random()
         ref.setstate(chain.rng.getstate())
         rows = _Chain(matrix, cfg, p_d)
         key = chain.keys[chain.sid]
-        visits, expected = {}, {}
-        for steps, recorded in budgets:
-            chain.run(steps, visits if recorded else None)
-            key, _, _ = cls.replay(rows, ref, key, steps, expected if recorded else None)
+        expected = {}
+        for steps, reset in budgets:
+            if reset:
+                reset_visits(chain)
+                expected.clear()
+            chain.run(steps)
+            key, _, _ = cls.replay(rows, ref, key, steps, expected)
             assert chain.keys[chain.sid] == key
             assert ref.getstate() == chain.rng.getstate()
-        assert visits == expected
+        assert visits_of(chain) == expected
 
     BUDGETS = st.lists(st.tuples(st.integers(0, 400), st.booleans()), min_size=1, max_size=4)
 
@@ -976,31 +993,30 @@ class TestStream:
 
 class TestKeyCache:
     def test_cached_key_follows_every_step(self):
-        # run(1, visits) adds one visit to the key of the state the step
-        # ends in, whether it moved or not, and that key's memoized row
-        # carries its from-scratch score.
+        # run(1) adds one visit to the id of the state the step ends in,
+        # whether it moved or not, and that state's memoized row carries its
+        # from-scratch score.
         positions, returns = TestExactKernel.INSTANCES["3x3"]
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=0.05, clutter_density=3e-3,
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(random.Random(8))
-        visits = {}
         before = chain.keys[chain.sid]
         toggles = swaps = 0
         for step in range(1, 5001):
-            chain.run(1, visits)
+            chain.run(1)
             fresh = chain.keys[chain.sid]
             assert chain.rows[chain.sid][0] == pytest.approx(
                 reference_score(matrix, cfg, sensor.p_d, fresh), rel=1e-12)
-            assert sum(visits.values()) == step
+            assert sum(chain.visits) == step
             if fresh[1] != before[1]:
                 toggles += 1
             elif sum(a != b for a, b in zip(fresh[0], before[0])) == 2:
                 swaps += 1
             before = fresh
         assert toggles > 0 and swaps > 0
-        assert len(visits) > 1
+        assert len(visits_of(chain)) > 1
 
 
 class TestIdRows:
@@ -1023,13 +1039,13 @@ class TestIdRows:
         chain.built = []
         chain.start(random.Random(4))
         start = chain.keys[chain.sid]
-        visits = {}
         for steps in (500, 20_000, 20_000):
-            chain.run(steps, visits)
+            chain.run(steps)
         assert len(chain.built) == len(set(chain.built)) > 1
-        assert {chain.keys[s] for s in chain.built} == set(visits) | {start}
+        assert {chain.keys[s] for s in chain.built} == set(visits_of(chain)) | {start}
         assert [s for s, row in enumerate(chain.rows) if row is not None] == sorted(chain.built)
         assert len(chain.keys) == len(chain.ids) == len(chain.rows)
+        assert len(chain.visits) == len(chain.keys) == len(chain.rows)
         assert all(chain.ids[key] == s for s, key in enumerate(chain.keys))
 
 
@@ -1039,6 +1055,12 @@ class _CountingRng(random.Random):
     def __init__(self, seed):
         super().__init__(seed)
         self.uniforms = 0
+
+    def getrandbits(self, k):
+        # A subclass that defines random() but not getrandbits() draws its
+        # randrange integers from random() (Random.__init_subclass__);
+        # defining both keeps randrange on getrandbits, as random.Random.
+        return super().getrandbits(k)
 
     def random(self):
         self.uniforms += 1
@@ -1055,9 +1077,8 @@ class TestHolding:
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(_CountingRng(0))
-        visits = {}
-        chain.run(10**15, visits)
-        assert visits == {((), ()): 10**15}
+        chain.run(10**15)
+        assert visits_of(chain) == {((), ()): 10**15}
         assert kernel_row(chain, ((), ()))[1] == 0.0
         assert chain.rng.uniforms == 0
 
@@ -1078,9 +1099,8 @@ class TestHolding:
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(_CountingRng(0))
         key = chain.keys[chain.sid]
-        visits = {}
-        chain.run(0, visits)
-        assert (visits, chain.keys[chain.sid], chain.rng.uniforms) == ({}, key, 0)
+        chain.run(0)
+        assert (visits_of(chain), chain.keys[chain.sid], chain.rng.uniforms) == ({}, key, 0)
 
     def test_leave_probability_past_one_is_guarded(self):
         # Summation can carry p a rounding error past 1. Such a state holds
@@ -1102,9 +1122,8 @@ class TestHolding:
 
         chain.sid = ia
         chain.rng = TopRng(0)
-        visits = {}
-        chain.run(5, visits)
-        assert visits == {b: 3, a: 2}
+        chain.run(5)
+        assert visits_of(chain) == {b: 3, a: 2}
         assert chain.rng.uniforms == 5
 
     @given(seed=st.integers(0, 2**32 - 1), budgets=st.lists(st.integers(0, 300), max_size=4))
@@ -1115,8 +1134,7 @@ class TestHolding:
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
         chain.start(random.Random(seed))
-        visits = {}
         for n, steps in enumerate(budgets, 1):
-            chain.run(steps, visits)
-            assert sum(visits.values()) == sum(budgets[:n])
-        assert all(v > 0 for v in visits.values())
+            chain.run(steps)
+            assert sum(chain.visits) == sum(budgets[:n])
+        assert all(v > 0 for v in visits_of(chain).values())
