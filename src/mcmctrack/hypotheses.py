@@ -263,9 +263,13 @@ class Candidate(NamedTuple):
 
 
 def prune(candidates: Sequence[Candidate], h_inf: int) -> list[Candidate]:
-    """Normalize the candidates' weights over every finite candidate, keep
-    the h_inf heaviest (ties broken by parent id, then canonical event key,
-    so the result is deterministic), and renormalize over the kept set.
+    """Keep the h_inf heaviest finite candidates by raw log weight (ties
+    broken by parent id, then canonical event key, so the result is
+    deterministic) and normalize their weights over the kept set.
+
+    The output depends only on the candidates kept: adding candidates
+    lighter than the h_inf-th changes no bit of it, which is what lets the
+    tracker skip parents whose children could not be kept.
 
     Raises DegenerateUpdateError when no candidate carries mass.
     """
@@ -274,12 +278,10 @@ def prune(candidates: Sequence[Candidate], h_inf: int) -> list[Candidate]:
     finite = [c for c in candidates if c.log_weight > -math.inf]
     if not finite:
         raise DegenerateUpdateError("every candidate carries zero posterior mass")
-    total = log_sum_exp([c.log_weight for c in finite])
-    weighted = [c._replace(log_weight=min(c.log_weight - total, 0.0)) for c in finite]
     # Same survivors in the same order as sorted(...)[:h_inf], without
     # sorting every candidate.
     kept = heapq.nsmallest(
-        h_inf, weighted, key=lambda c: (-c.log_weight, c.parent_id, c.event.canonical_key())
+        h_inf, finite, key=lambda c: (-c.log_weight, c.parent_id, c.event.canonical_key())
     )
     total = log_sum_exp([c.log_weight for c in kept])
     return [c._replace(log_weight=min(c.log_weight - total, 0.0)) for c in kept]

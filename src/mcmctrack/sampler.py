@@ -34,7 +34,10 @@ move costs one list index. From a finite state a candidate that scores
 
 A parent's children come from one of two calls: sample_children walks,
 and enumerate_children scores every key of oracle.enumerate_child_keys
-with tally, so every child score comes from _Chain.
+with tally, so every child score comes from _Chain. child_score_bounds
+gives each parent matrix of a scan an upper bound on every tally score,
+which the tracker uses to skip the parents none of whose children it could
+keep.
 
 Stream contract: start draws each return's column as rng.randrange(n),
 n the size of its row's supported columns (all M+2 columns when none is).
@@ -51,6 +54,7 @@ import random
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -415,6 +419,58 @@ def enumerate_children(
         ChildSample(matrix.event_of(key), chain.tally(key)[4], visits=0)
         for key in enumerate_child_keys(matrix)
     ]
+
+
+def child_score_bounds(
+    matrices: Sequence[AssociationMatrix], birth_cfg: BirthDeathConfig, p_d: float
+) -> list[float]:
+    """An upper bound on every _Chain.tally score over each of matrices,
+    the parent matrices of one scan (the same returns).
+
+    The bound relaxes the claims: each row offers its best object entry,
+    its birth entry or its clutter entry, and a row-order DP (from 0.0, in
+    tally's summation order) keeps the largest sum per (k, n_b), k up to
+    the matrix's objects and n_b up to n_pixels (log_count_prior is -inf
+    past that). -inf entries carry -inf, so they offer nothing. Each sum is
+    added to the largest log_count_prior over death counts 0..min(eligible,
+    n_objects - k), and the bound is the largest such total. IEEE addition
+    is monotone, so the bound is at least every tallied score, bit for bit.
+    One prior table is built per (n_objects, eligible deaths) in the call.
+    """
+    if not matrices:
+        return []
+    m = matrices[0].n_returns
+    n_k = min(max(mat.n_objects for mat in matrices), m) + 1
+    n_b = min(birth_cfg.n_pixels, m) + 1
+    tables: dict[tuple[int, int], np.ndarray] = {}
+    prior = np.empty((len(matrices), n_k, n_b))
+    # best[i, :, p]: row i's best object, birth and clutter entries in matrix p.
+    best = np.empty((m, 3, len(matrices)))
+    for p, matrix in enumerate(matrices):
+        n_objects = matrix.n_objects
+        key = (n_objects, sum(matrix.death_eligible))
+        table = tables.get(key)
+        if table is None:
+            table = tables[key] = np.full((n_k, n_b), -math.inf)
+            # Each row is one association, one birth or clutter: k + n_b <= m.
+            for k in range(min(n_objects, m) + 1):
+                for n_births in range(min(n_b, m - k + 1)):
+                    table[k, n_births] = max(
+                        log_count_prior(k, n_births, n_d, n_objects, m, birth_cfg, p_d)
+                        for n_d in range(min(key[1], n_objects - k) + 1)
+                    )
+        prior[p] = table
+        entries = matrix.log_entries
+        best[:, 0, p] = entries[:, :n_objects].max(axis=1) if n_objects else -math.inf
+        best[:, 1:, p] = entries[:, n_objects:]
+    dp = np.full((len(matrices), n_k, n_b), -math.inf)
+    dp[:, 0, 0] = 0.0
+    for obj, birth, clutter in best[:, :, :, None, None]:
+        new = dp + clutter
+        np.maximum(new[:, 1:], dp[:, :-1] + obj, out=new[:, 1:])
+        np.maximum(new[:, :, 1:], dp[:, :, :-1] + birth, out=new[:, :, 1:])
+        dp = new
+    return (prior + dp).max(axis=(1, 2)).tolist()
 
 
 def visit_distribution(samples: list[ChildSample]) -> dict[tuple, float]:

@@ -1,19 +1,30 @@
 """Per-scan recursion: predict each distinct track of the scan's parents
 once and pair it with the returns once, in one scan-level association
 matrix; give each parent its columns of that matrix (AssociationMatrix.select);
-generate each parent's children, in parent order, by one call per parent:
-sampler.sample_children (the MCMC walk) or sampler.enumerate_children
-(exhaustive mode); normalize weights jointly across all parents and prune
-in one pass, realize the surviving children (birth/death bookkeeping), and
-report. A birth is a hypothesis-level event: the return a scan reads as a
-birth is one newborn track, labeled by scan and return index, in every
-child that births it.
+bound each parent's child scores (sampler.child_score_bounds) and generate
+the children of each parent whose best child could still be among the
+h_inf heaviest, by one call per parent: sampler.sample_children (the MCMC
+walk) or sampler.enumerate_children (exhaustive mode); keep the h_inf
+heaviest candidates and normalize over them (one prune pass), realize the
+surviving children (birth/death bookkeeping), and report. A birth is a
+hypothesis-level event: the return a scan reads as a birth is one newborn
+track, labeled by scan and return index, in every child that births it.
+
+Parents are visited by parent log weight plus bound, highest first, and a
+min-heap keeps the h_inf heaviest finite candidate weights so far. Once the
+heap is full and a parent's weight plus bound falls below its minimum,
+every child of that parent and of every later one is strictly lighter than
+h_inf others, so prune would drop it, and those parents are skipped
+(TrackerReport.parents_skipped). prune's output depends only on what it
+keeps, so the skip changes no bit of a scan's hypotheses.
 
 A walk (sampler._Chain.run, which simulates the Metropolis chain by its
-jump chain) is seeded by the run seed and its parent's id alone."""
+jump chain) is seeded by the run seed and its parent's id alone, so the
+visiting order changes no walk."""
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -42,7 +53,12 @@ from .hypotheses import (
     weight_entropy,
 )
 from .likelihoods import ClutterModel, build_matrix, newborn_track
-from .sampler import SamplerConfig, enumerate_children, sample_children
+from .sampler import (
+    SamplerConfig,
+    child_score_bounds,
+    enumerate_children,
+    sample_children,
+)
 from .simulate import MeasurementFrame
 
 # Not called here; bench/tracing.py's TRACKER_LAYERS still rebinds these names.
@@ -75,8 +91,9 @@ class TrackerConfig:
 @dataclass(frozen=True)
 class TrackerReport:
     """Per-scan summary: the top hypothesis's parent, weight and estimates,
-    the weight entropy, and the would-be exhaustive branching factor (big
-    integer)."""
+    the weight entropy, the would-be exhaustive branching factor (big
+    integer), and the parents whose children were not generated because
+    none could be kept (parents_skipped)."""
 
     time: float
     scan: int
@@ -90,6 +107,7 @@ class TrackerReport:
     degenerate: bool
     alpha_used: float
     beta_used: float
+    parents_skipped: int
 
 
 def hypothesis_count_bound(
@@ -230,18 +248,33 @@ class Tracker:
         # A parent's matrix has the labels and track count of its predicted
         # tracks (prediction keeps labels).
         matrices = [scan_matrix.select(cols) for cols in cols_by_parent]
-        if cfg.mode is TrackerMode.EXHAUSTIVE:
-            children = [enumerate_children(matrix, bd, cfg.sensor.p_d) for matrix in matrices]
-        else:
-            children = [
-                sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
-                for parent, matrix in zip(parents, matrices)
-            ]
-        candidates = [
-            Candidate(parent.id, predicted, s.event, parent.log_weight + s.log_score)
-            for parent, predicted, samples in zip(parents, predicted_by_parent, children)
-            for s in samples
-        ]
+        bounds = child_score_bounds(matrices, bd, cfg.sensor.p_d)
+        # Parent index -> its candidates; a skipped parent keeps none.
+        children: list[list[Candidate]] = [[] for _ in parents]
+        heaviest: list[float] = []  # min-heap, the h_inf heaviest finite weights
+        visited = 0
+        # sorted is stable, so ties keep parent order.
+        order = sorted(range(len(parents)), key=lambda p: -(parents[p].log_weight + bounds[p]))
+        for p in order:
+            parent = parents[p]
+            if len(heaviest) == cfg.h_inf and parent.log_weight + bounds[p] < heaviest[0]:
+                break
+            visited += 1
+            if cfg.mode is TrackerMode.EXHAUSTIVE:
+                samples = enumerate_children(matrices[p], bd, cfg.sensor.p_d)
+            else:
+                samples = sample_children(parent, matrices[p], cfg.sampler, bd, cfg.sensor)
+            for s in samples:
+                weight = parent.log_weight + s.log_score
+                children[p].append(Candidate(parent.id, predicted_by_parent[p], s.event, weight))
+                if weight == -math.inf:
+                    continue
+                if len(heaviest) < cfg.h_inf:
+                    heapq.heappush(heaviest, weight)
+                elif weight > heaviest[0]:
+                    heapq.heapreplace(heaviest, weight)
+        skipped = len(parents) - visited
+        candidates = [c for cands in children for c in cands]
         try:
             kept = prune(candidates, cfg.h_inf)
         except DegenerateUpdateError:
@@ -256,7 +289,7 @@ class Tracker:
                 )
                 for idx, (parent, predicted) in enumerate(zip(parents, predicted_by_parent))
             ]
-            report = self._report(frame, fallback, bound, bd, degenerate=True)
+            report = self._report(frame, fallback, bound, bd, skipped, degenerate=True)
             return fallback, report
         updated: dict[tuple[int, int], GaussianTrack] = {}
         newborns: dict[int, GaussianTrack] = {}
@@ -266,7 +299,7 @@ class Tracker:
             )
             for idx, c in enumerate(kept)
         ]
-        report = self._report(frame, new_hyps, bound, bd, degenerate=False)
+        report = self._report(frame, new_hyps, bound, bd, skipped, degenerate=False)
         return new_hyps, report
 
     def _report(
@@ -275,6 +308,7 @@ class Tracker:
         hypotheses: Sequence[Hypothesis],
         bound: int,
         bd: BirthDeathConfig,
+        parents_skipped: int,
         degenerate: bool,
     ) -> TrackerReport:
         top = max(hypotheses, key=lambda h: (h.log_weight, h.id))
@@ -294,6 +328,7 @@ class Tracker:
             degenerate=degenerate,
             alpha_used=bd.alpha,
             beta_used=bd.beta,
+            parents_skipped=parents_skipped,
         )
 
 

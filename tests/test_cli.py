@@ -209,7 +209,7 @@ class TestTrackCommand:
         assert rc == 0
         records = read_reports_ldjson(out / "reports.ldjson")
         assert len(records) == 4
-        assert all(r["schema"] == "mcmctrack.report.v2" for r in records)
+        assert all(r["schema"] == "mcmctrack.report.v3" for r in records)
         assert all(isinstance(r["hypothesis_count_bound"], str) for r in records)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["schema"] == "mcmctrack.summary.v1"
@@ -357,7 +357,7 @@ class TestNegativeSeed:
 def report_line(edit):
     """A one-record reports line: a well-formed record changed by edit."""
     record = {
-        "schema": "mcmctrack.report.v2", "time_s": 300.0, "hypothesis_count_bound": "12",
+        "schema": "mcmctrack.report.v3", "time_s": 300.0, "hypothesis_count_bound": "12",
         "estimates": [{"label": "t00", "x_km": 7000.0, "y_km": 0.0}],
     }
     edit(record)
@@ -373,9 +373,9 @@ class TestInputErrors:
         ("--frames", None, ""),
         ("--truth", None, ""),
         ("--reports", None, ""),
-        ("--reports", '{"schema": "mcmctrack.report.v2-header"}\nnot json\n', "line 2"),
+        ("--reports", '{"schema": "mcmctrack.report.v3-header"}\nnot json\n', "line 2"),
         ("--reports", "[1, 2]\n", "line 1"),
-        ("--reports", '{"schema": "mcmctrack.report.v2"}\n', "line 1: time_s "),
+        ("--reports", '{"schema": "mcmctrack.report.v3"}\n', "line 1: time_s "),
         ("--reports", report_line(lambda r: r["estimates"][0].pop("x_km")),
          "line 1: estimates[0].x_km "),
         ("--reports", report_line(lambda r: r.update(time_s=math.nan)), "line 1: time_s "),

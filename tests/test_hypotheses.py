@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcmctrack.errors import ConfigError, DegenerateUpdateError, InvalidEventError
@@ -271,7 +271,7 @@ def weights_of(kept):
 
 class TestBayesUpdate:
     """Joint posterior normalization of (prior weight, likelihood) scores,
-    as prune does it before truncation."""
+    as prune does it when it keeps every candidate."""
 
     def _posterior(self, pairs):
         """Posterior weights w*l / sum(w*l) of (prior weight, likelihood)
@@ -374,8 +374,8 @@ class TestPrune:
         assert weights_of(out) == pytest.approx([0.6, 0.4], abs=1e-12)
 
     def test_weights_relative_to_all_finite_then_renormalized(self):
-        # The truncated candidate's mass counts in the first normalization
-        # only; the kept set is renormalized on its own.
+        # The truncated candidate's mass does not count: the kept set is
+        # normalized on its own.
         out = prune(self._cands([0.6, 0.3, 0.1]), 2)
         assert weights_of(out) == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
         assert all(c.log_weight <= 0.0 for c in out)
@@ -383,6 +383,41 @@ class TestPrune:
     def test_h_inf_validated(self):
         with pytest.raises(ConfigError):
             prune(self._cands([1.0]), 0)
+
+    @given(
+        log_weights=st.lists(
+            st.one_of(st.floats(min_value=-50.0, max_value=5.0), st.just(-math.inf)),
+            min_size=1, max_size=12,
+        ),
+        h_inf=st.integers(1, 6),
+        gaps=st.lists(
+            st.one_of(st.floats(min_value=1e-12, max_value=20.0), st.just(math.inf)),
+            max_size=6,
+        ),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lighter_candidates_change_no_bit(self, log_weights, h_inf, gaps, data):
+        # The output depends only on the kept set: candidates strictly
+        # lighter than the h_inf-th kept one, inserted anywhere in the
+        # input, leave it bit for bit.
+        finite = [w for w in log_weights if w > -math.inf]
+        assume(len(finite) >= h_inf)
+        cands = candidates(log_weights)
+        kept = prune(cands, h_inf)
+        floor = kept[-1].parent_id
+        lightest = next(c.log_weight for c in cands if c.parent_id == floor)
+        event = AssociationEvent(assignments=())
+        extra = [Candidate(f"x{i}", (), event, lightest - gap) for i, gap in enumerate(gaps)]
+        assume(all(c.log_weight < lightest for c in extra))
+        mixed = list(cands)
+        for c in extra:
+            mixed.insert(data.draw(st.integers(0, len(mixed))), c)
+
+        def bits(out):
+            return [(c.parent_id, c.event, c.log_weight.hex()) for c in out]
+
+        assert bits(prune(mixed, h_inf)) == bits(kept)
 
 
 class TestHypothesisType:

@@ -35,7 +35,7 @@ from mcmctrack.oracle import (
     exact_posterior,
     tv_distance,
 )
-from mcmctrack.sampler import _Chain, enumerate_children
+from mcmctrack.sampler import _Chain, child_score_bounds, enumerate_children
 
 
 def wide_sensor(p_d=0.9):
@@ -201,6 +201,41 @@ def sparse_matrices(draw):
                                            max_size=n_objects))),
         returns=np.zeros((n_returns, 2)),
     )
+
+
+class TestChildScoreBounds:
+    @given(
+        mat=sparse_matrices(),
+        subsets=st.lists(st.lists(st.integers(0, 4), unique=True), min_size=1, max_size=3),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+        beta=st.sampled_from([0.0, 0.1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bound_is_at_least_every_enumerated_score(self, mat, subsets, n_pixels, p_d, beta):
+        # Each subset of the object columns is one parent's matrix, selected
+        # from a scan-level matrix as the tracker does, and one call bounds
+        # them all: no child of a parent outscores its bound.
+        parents = [mat.select([j for j in cols if j < mat.n_objects]) for cols in subsets]
+        cfg = BirthDeathConfig(alpha=0.05, beta=beta, n_pixels=n_pixels)
+        bounds = child_score_bounds(parents, cfg, p_d)
+        assert len(bounds) == len(parents)
+        for parent, bound in zip(parents, bounds):
+            assert all(s.log_score <= bound for s in enumerate_children(parent, cfg, p_d))
+
+    def test_bound_is_tight_without_conflicts(self):
+        # One return, one object: the relaxation gives up nothing, so the
+        # bound is the best child's score, bit for bit.
+        mat = AssociationMatrix(
+            log_entries=np.array([[0.5, -2.0, -3.0]]),
+            object_labels=("t00",),
+            death_eligible=(True,),
+            returns=np.zeros((1, 2)),
+        )
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=1)
+        best = max(s.log_score for s in enumerate_children(mat, cfg, 0.9))
+        assert child_score_bounds([mat], cfg, 0.9) == [best]
+        assert child_score_bounds([], cfg, 0.9) == []
 
 
 class TestEnumerateChildEvents:

@@ -16,6 +16,7 @@ from mcmctrack.filters import (
     update_track,
 )
 from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildren
+from mcmctrack.io import report_to_dict
 from mcmctrack.likelihoods import ClutterModel, build_matrix
 from mcmctrack.presets import (
     PRESETS,
@@ -446,10 +447,10 @@ class TestRunTracker:
         assert reports[-1].hypothesis_count_bound >= 1
 
 
-def preset_start(preset):
-    scenario = preset(seed=0)
+def preset_start(preset, seed=0, mode=None):
+    scenario = preset(seed=seed)
     _, frames = simulate_scenario(scenario)
-    tracker = Tracker(tracker_config_for(scenario, seed=0))
+    tracker = Tracker(tracker_config_for(scenario, seed=seed, mode=mode))
     hyps = tracker.initial_hypotheses([
         GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
         for i, s in enumerate(scenario.objects)
@@ -498,41 +499,41 @@ class TestSeedGolden:
             "189f0ea1c986dc7acb6697abe27825d180571fb4f1e4fdd9a5177d48504d2b9a",
             "e678ae7dd9b740334ad4d942a6e16454bbb4d346bd548ef6fcf1d51697de92b5",
             "c441fb4de6fc6da9f51085c63f4ffc647d61245b5734ddf882440af6b8bef7e5",
-            "e72bca67f99812f882e63e87d4db8c7eff3c68723d448d0f256008221faa48d5",
-            "ecc80f680493762ca018316fbfd035205c4c398c90bad4a705e6779f61d9eb4d",
-            "4026b7ae57b441b0b5a180cbbc1393813d0c80fa499cb974d2ad00ec5a26a182",
-            "ad1158cce68244664e7f17374571a9c9fe282c73f8e8d113d043c74b0ff8289e",
-            "6ee7170acf1a59b9668a140de1d6c6044102c2d6af480a2be7aaa8ed9a37ea4b",
-            "146fcbd64a449f77ed3e0edd3b1a39a56ed85d4ff8deda83fbcfc6dcd6e1e1b5",
-            "a3bfcd1fce54fc7ebd8fff25a6db2fd0500c978eca21bdb75b9117d94d97cb87",
-            "d5301c8d803df1a38232669ffc42039448e3e7559a845d77c988fb3d332e62a2",
-            "30459cf684a305da832ce4837c7087fcef8a72236b6980cb5d9b5fd3bfe51823",
-            "d6bc64781297d458e7d028c8b23a4fdff73c5f32f9d4551c08591f7a8ae3bd0b",
-            "ba72502759b88060cf81a947abaae3bbd9b7f955d11800154716e89923f28b9e",
+            "05c01734d825659a614c4442221d5fbaf9ec81e3a50a1460e2db9ba05e4def4d",
+            "94e19f9d736c91cb294cff3bc3025a82f99077c9a872cef9dd7becceebffb18f",
+            "638e7dba047d3e9f1ce3faacc7838e6f12495750637fe36ddeb18351e6ca59d9",
+            "77513196fa96781f3e62e1fb5c6fcf37c496dcffa0c25be15586b8349812fe27",
+            "6c0fbdddfb42158a151c4187b9f6ef46dd4444945255cce0cba724407af5e18a",
+            "4d4c93bddaf8c66ef295101a3f18ca376ed198afb7676ad2427c3478476240f8",
+            "0e85ff451901aa5b5cbd2b15d3104278672f04ab6da57eb8eabf564edc92dc82",
+            "f363dcfa3d88090383daa888c84becef8f45a403fb95822c8997f5519410af3f",
+            "08ba7463aa76d1eb64606fa73ac85221f72defc2c2a341cfba81e28f18f8eb43",
+            "2544aabfe77faa0343420b55aac1f04d49487c90ae1121cd27cc63ac8fdcb4fe",
+            "be648d61219db4286991c59d35fddf82802204fa5154ec9cc24676ca23695d56",
         ],
         "twenty-object": [
             "dd82ceb0eeeba4a9b0f688032b8b4ea34c8e5a45662a16684b1a799b74e9a08e",
             "e1ef77beb2f06c4943c85fec4f3c7218d10af0c2503856a591c1686ca4ba039e",
-            "a7a9b44b926b49f9a63aeca1132d1229c37883327266acb23efdee4f1234d1ea",
-            "236d4ffee9c8382b21f82c3c482abec8ab72d7a141da3a108ddfa02549fbfb18",
-            "60ff89fffd34824afdaa944be6d487bc7e8234ff455c58809f58d0be57ad3c26",
-            "6886a727e84ff562b51e3113fa02662c82289555e4d1a5b7e8daa1d63a59a7af",
-            "67b304aef9cc9a7ea84c059afd05ad83785764ab98228f5ff9fe523e886d40d7",
-            "4bdcd28328811056c320a9726f0d76c065317ca99ffbdcdde1f7f686c6f3405e",
-            "65d591ed98091630f9c71c824cd51bd5bc2c679e63b6d921759c568c37b3131a",
-            "b92256cf52b0354310ad2416476fa7a34dbe83df15e9d1e86c8cee57d51d4f77",
-            "22af690918f4dc6ba51b9a28080ea2dad223cfa5773396ca2f842700158c2bee",
-            "f7be971382381daf27b81172b6f89db764d1c70ac8b2345c475a2d1a9914fd15",
-            "63f6db52b68cf8380cb1ff5005baa825b5c0bc5334e3a68d688079f59fc15974",
-            "b6987f63edafafdafb5ab1fbe20d3e96174e047a91b579ce72a8970582f220ce",
+            "23d3d275cb670d2b2adabfa89ebbdff74948565ffafddcdf1a35f1386131ea67",
+            "e15bcc6682abfa1e2fc07ae384835ef2461524ceccd937517281a7a8ee90ae76",
+            "77ee4e4943a1e05cf64cbaa2a8256b5ecdd586b1f9f553e371712059590ee5a5",
+            "7235f4524f1d5c11ce559344860cd5db6994e8d72060ca49dfb3d825c3a56b76",
+            "64ed730fcb32b68b2b5a636accdd4f232c45b3702108aabf013282313d391103",
+            "6eb0d5f33a9364621166ae67a3c605fa66ac2d31d0a89baa920bb620a3768c46",
+            "8bee3fadea6268cb362ad83f59261a2d0c127428a814c2215db496f29ba27eef",
+            "43ac1494f793e153ce4e25f16e48c5a5ba5f048d9a545cd4cea19f31a7db0d29",
+            "4a8440012b0648a2bd12d6e85c7890dc8443e65797aa9a08a5459859e3aa3ef6",
+            "81b50a1ad2069d8e1cb2d3856cdf59036ba087a4c87a9ae136505b6ac682d506",
+            "662b08fa402d88d9e4b07f3b9135b5f487ed18b5a3078cf18096ae4291010baf",
+            "b2e94cb744da014a19f0408577884cff6a5561cdfb93f5c1e9ccc2e56716267e",
         ],
         "sixty-object": [
-            "ce83b5952656d7c45aadbb952a163f0b517537fdbdea4dac34753367c5890800",
-            "cffbb32a3c31e6d06cd1a50ace1b2e9f32c64b41284e8b500b04402c8755619f",
-            "865a57fc8b90886a6fe64724837831fcd1bc7147cd7b66df1b265bac468de438",
-            "55521767b359178007c2419fb5b3826d3ede1558eb128d633e428b58626491f5",
-            "ba73cb8ce309c3734b53fcad967ce5a846ea8b7306564cbb93f1006f363c9990",
-            "4e32173f1952cd46874b9de8833295d8fc960a9acad3fcb17bfa7048fbf9e0b3",
+            "7ecd4189677a21effd4a36579695f83a55962a058e002084e82bb048695bcf79",
+            "d56275ff9a3f6333b00556c2bd34e43fe77ba4690732d58c477a03e47f79366b",
+            "d950600cb6c9c414f2d8fcf2a23184ee519907ac7c190fd31bf5ffeab1b43682",
+            "7a1742057c8e34b23f94f8b624e6f8c463495c15d9189878010d72eb9911e4a2",
+            "731137203106dc9713f34084c915a7dc19671417246b06a4e975e0d36f40433f",
+            "cb54e65e7c639c42cf0c1722a9a0cf5238ec80fece98edf3bd0f31f73565ad4e",
         ],
     }
 
@@ -591,8 +592,9 @@ TRACED_NAMES = (
 
 
 class TestChildCalls:
-    """The tracker generates each parent's children by one call, through
-    its own module names, so rebinding a name traces every call."""
+    """The tracker generates each parent's children by at most one call,
+    through its own module names, so rebinding a name traces every call; a
+    parent it skips (TrackerReport.parents_skipped) gets none."""
 
     def test_traced_names_are_module_functions(self):
         for name in TRACED_NAMES:
@@ -623,15 +625,59 @@ class TestChildCalls:
             GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
             for i, s in enumerate(scenario.objects)
         ])
-        parents = 0
+        parents = skipped = 0
         for frame in frames:
             n_parents = len(hyps)
-            hyps, _ = tracker.step(hyps, frame)
+            hyps, report = tracker.step(hyps, frame)
             parents += n_parents
-            assert calls == {name: parents if name in expected else 0 for name in calls}
-            if n_parents > 1:
-                break
-        assert n_parents > 1
+            skipped += report.parents_skipped
+            assert 0 <= report.parents_skipped < n_parents
+            assert calls == {
+                name: parents - skipped if name in expected else 0 for name in calls
+            }
+        assert skipped > 0
+
+
+class TestSkipExactness:
+    """Skipping the parents whose children prune would drop changes no bit:
+    with every bound +inf no parent is skipped, and each scan's hypotheses
+    and report are the default run's."""
+
+    @staticmethod
+    def _run(name, seed, mode):
+        tracker, hyps, frames = preset_start(PRESETS[name], seed=seed, mode=mode)
+        scans = []
+        for frame in frames:
+            hyps, report = tracker.step(hyps, frame)
+            record = report_to_dict(report)
+            skipped = record.pop("parents_skipped")
+            kept = [
+                (h.id, h.parent_id, h.log_weight.hex(), [
+                    (t.label, t.mean.tobytes(), t.covariance.tobytes()) for t in h.tracks
+                ])
+                for h in hyps
+            ]
+            scans.append((kept, record, skipped))
+        return scans
+
+    @pytest.mark.parametrize("name,seed,mode", [
+        ("single-spawn", 0, TrackerMode.MCMC),
+        ("single-spawn", 9001, TrackerMode.MCMC),
+        ("twenty-object", 0, TrackerMode.MCMC),
+        ("sixty-object", 0, TrackerMode.MCMC),
+        ("single-spawn", 0, TrackerMode.EXHAUSTIVE),
+    ], ids=["single-spawn-0", "single-spawn-9001", "twenty-object-0", "sixty-object-0",
+            "single-spawn-exhaustive-0"])
+    def test_skip_matches_no_skip(self, monkeypatch, name, seed, mode):
+        default = self._run(name, seed, mode)
+        monkeypatch.setattr(
+            tracker_module, "child_score_bounds",
+            lambda matrices, birth_cfg, p_d: [math.inf] * len(matrices),
+        )
+        unbounded = self._run(name, seed, mode)
+        assert [s[:2] for s in unbounded] == [s[:2] for s in default]
+        assert all(s[2] == 0 for s in unbounded)
+        assert any(s[2] > 0 for s in default)
 
 
 class TestPresetConfig:
