@@ -71,8 +71,23 @@ def _present(section, path: str, **spec) -> dict:
     return {name: value for name, value in values.items() if value is not absent}
 
 
+def _json(kind, name: str):
+    """A convert for _field that takes only a JSON value of kind, never a
+    bool (an int or float for float, which it returns as a float)."""
+    def convert(value):
+        if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+            raise TypeError(f"must be {name}, not {value!r}")
+        return kind(value)
+    return convert
+
+
+_number, _integer, _string = _json(float, "a number"), _json(int, "an integer"), _json(str, "a string")
+
+
 def _floats(*shape):
-    return lambda value: np.asarray(value, dtype=float).reshape(shape)
+    def numbers(value):
+        return list(map(numbers, value)) if isinstance(value, list) else _number(value)
+    return lambda value: np.asarray(numbers(value)).reshape(shape)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -120,34 +135,34 @@ def scenario_from_dict(payload: dict) -> ScenarioConfig:
     sensor_d = _field(payload, "sensor", "scenario")
     sensor = SensorModel(
         origin=_field(sensor_d, "origin_km", "scenario.sensor", _floats(2)),
-        boresight_angle=_field(sensor_d, "boresight_angle_rad", "scenario.sensor", float),
-        fov_half_angle=_field(sensor_d, "fov_half_angle_rad", "scenario.sensor", float),
+        boresight_angle=_field(sensor_d, "boresight_angle_rad", "scenario.sensor", _number),
+        fov_half_angle=_field(sensor_d, "fov_half_angle_rad", "scenario.sensor", _number),
         r=_field(sensor_d, "noise_cov_km2", "scenario.sensor", _floats(2, 2)),
-        p_d=_field(sensor_d, "p_d", "scenario.sensor", float),
-        **_present(sensor_d, "scenario.sensor", max_range=("max_range_km", float)),
+        p_d=_field(sensor_d, "p_d", "scenario.sensor", _number),
+        **_present(sensor_d, "scenario.sensor", max_range=("max_range_km", _number)),
     )
     clutter_d = _field(payload, "clutter", "scenario", default={})
-    density = _field(clutter_d, "density_per_km2", "scenario.clutter", float, None)
-    expected = _present(clutter_d, "scenario.clutter", expected_count=("expected_count", float))
+    density = _field(clutter_d, "density_per_km2", "scenario.clutter", _number, None)
+    expected = _present(clutter_d, "scenario.clutter", expected_count=("expected_count", _number))
     clutter = uniform_clutter(sensor, **expected) if density is None else ClutterModel(density, **expected)
     dyn_d = _field(payload, "dynamics", "scenario", default={})
     # dt is left at its default: ScenarioConfig sets it to the scan interval.
     dynamics = DynamicsConfig(**_present(
-        dyn_d, "scenario.dynamics", mu=("mu_km3_s2", float), q=("q", float),
-        integrator_substeps=("integrator_substeps", int),
+        dyn_d, "scenario.dynamics", mu=("mu_km3_s2", _number), q=("q", _number),
+        integrator_substeps=("integrator_substeps", _integer),
     ))
     return ScenarioConfig(
         objects=_field(payload, "objects", "scenario", lambda rows: list(map(_floats(4), rows))),
         sensor=sensor,
         clutter=clutter,
         dynamics=dynamics,
-        duration=_field(payload, "duration_s", "scenario", float),
-        scan_interval=_field(payload, "scan_interval_s", "scenario", float),
+        duration=_field(payload, "duration_s", "scenario", _number),
+        scan_interval=_field(payload, "scan_interval_s", "scenario", _number),
         **_present(
             payload, "scenario", spawn_events=("spawn_events", _spawn_events),
-            seed=("seed", int), name=("name", str),
-            initial_position_std_km=("initial_position_std_km", float),
-            initial_velocity_std_kmps=("initial_velocity_std_kmps", float),
+            seed=("seed", _integer), name=("name", _string),
+            initial_position_std_km=("initial_position_std_km", _number),
+            initial_velocity_std_kmps=("initial_velocity_std_kmps", _number),
         ),
     )
 
@@ -155,10 +170,10 @@ def scenario_from_dict(payload: dict) -> ScenarioConfig:
 def _spawn_events(events) -> list[SpawnEvent]:
     return [
         SpawnEvent(
-            time=_field(ev, "time_s", f"scenario.spawn_events[{i}]", float),
-            parent_index=_field(ev, "parent_index", f"scenario.spawn_events[{i}]", int),
-            fragment_count=_field(ev, "fragment_count", f"scenario.spawn_events[{i}]", int),
-            velocity_std=_field(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]", float),
+            time=_field(ev, "time_s", f"scenario.spawn_events[{i}]", _number),
+            parent_index=_field(ev, "parent_index", f"scenario.spawn_events[{i}]", _integer),
+            fragment_count=_field(ev, "fragment_count", f"scenario.spawn_events[{i}]", _integer),
+            velocity_std=_field(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]", _number),
         )
         for i, ev in enumerate(list(events))
     ]
@@ -334,11 +349,9 @@ def read_reports_ldjson(path: str | Path) -> list[dict]:
 
 
 def _finite_number(value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
+        return math.isfinite(_number(value))
+    except (TypeError, OverflowError):  # not a number, or an int too large for a float
         return False
 
 

@@ -37,7 +37,7 @@ and enumerate_children scores every key of oracle.enumerate_child_keys
 with tally, so every child score comes from _Chain. child_score_bounds
 gives each parent matrix of a scan an upper bound on every tally score,
 which the tracker uses to skip the parents none of whose children it could
-keep.
+keep. All three read the count-level prior from one memoized prior_table.
 
 Stream contract: start draws each return's column as rng.randrange(n),
 n the size of its row's supported columns (all M+2 columns when none is).
@@ -48,6 +48,7 @@ p >= 1), and one for each move.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -91,6 +92,27 @@ class SamplerConfig:
             raise ConfigError("sampler.seed must be >= 0")
 
 
+# Distinct prior tables kept: a seed-0 preset run uses a few dozen.
+PRIOR_TABLES = 128
+
+
+@functools.lru_cache(maxsize=PRIOR_TABLES)
+def prior_table(
+    n_objects: int, eligible: int, n_returns: int, birth_cfg: BirthDeathConfig, p_d: float
+) -> tuple:
+    """log_count_prior of each count triple a child can have, as
+    table[k][n_b][n_d] for k <= min(n_objects, m), n_b <= m - k and n_d <=
+    min(eligible, n_objects - k), m = n_returns: each return takes one
+    column, and only unclaimed eligible objects die. Memoized on its
+    arguments: every walk, enumeration and bound shares one table."""
+    return tuple(
+        tuple(
+            tuple(log_count_prior(k, n_b, n_d, n_objects, n_returns, birth_cfg, p_d)
+                  for n_d in range(min(eligible, n_objects - k) + 1))
+            for n_b in range(n_returns - k + 1))
+        for k in range(min(n_objects, n_returns) + 1))
+
+
 @dataclass(frozen=True)
 class ChildSample:
     """One recorded child: event, exact log-score, and visit count."""
@@ -114,7 +136,8 @@ class _Chain:
     rows of the states it has reached, and its position sid.
 
     The matrix rows are copied to float lists (entries) for O(1) move
-    deltas, and the count-level prior is memoized per (k, n_b, n_d) triple.
+    deltas, and prior is the matrix's shared prior_table, indexed
+    prior[k][n_b][n_d].
     tally keeps a state's log-likelihood as a finite sum plus a flag for a
     selected -inf entry, so zero-likelihood assignments never produce
     inf - inf artifacts in the move deltas.
@@ -129,9 +152,8 @@ class _Chain:
     """
 
     __slots__ = (
-        "matrix", "entries", "death_eligible", "birth_cfg", "p_d", "_prior_memo",
-        "birth_col", "clutter_col", "m", "n_objects", "rng", "sid", "ids", "keys", "rows",
-        "visits",
+        "matrix", "entries", "death_eligible", "prior", "birth_col", "clutter_col", "m",
+        "n_objects", "rng", "sid", "ids", "keys", "rows", "visits",
     )
 
     def __init__(
@@ -145,9 +167,7 @@ class _Chain:
         self.clutter_col = matrix.clutter_col
         self.entries = matrix.log_entries.tolist()
         self.death_eligible = [j for j, ok in enumerate(matrix.death_eligible) if ok]
-        self.birth_cfg = birth_cfg
-        self.p_d = p_d
-        self._prior_memo: dict[tuple[int, int, int], float] = {}
+        self.prior = prior_table(self.n_objects, len(self.death_eligible), self.m, birth_cfg, p_d)
         self.ids: dict[tuple, int] = {}
         self.keys: list[tuple] = []
         self.rows: list[tuple | None] = []
@@ -169,17 +189,6 @@ class _Chain:
                 col = self.clutter_col
             assign.append(col)
         self.sid = self.state_id((tuple(assign), ()))
-
-    def log_prior(self, k: int, n_b: int, n_d: int) -> float:
-        """log child prior for k object assignments, n_b births, n_d deaths
-        (log_count_prior, memoized per count triple)."""
-        key = (k, n_b, n_d)
-        out = self._prior_memo.get(key)
-        if out is None:
-            out = self._prior_memo[key] = log_count_prior(
-                k, n_b, n_d, self.n_objects, self.m, self.birth_cfg, self.p_d
-            )
-        return out
 
     def tally(self, key: tuple) -> tuple[list[int], int, int, float, float]:
         """Score column key (assignment, death columns) from scratch:
@@ -209,7 +218,7 @@ class _Chain:
         # so the prior is not looked up then.
         if zero:
             return claimed_by, k, n_b, finite, -math.inf
-        return claimed_by, k, n_b, finite, self.log_prior(k, n_b, len(deaths)) + finite
+        return claimed_by, k, n_b, finite, self.prior[k][n_b][len(deaths)] + finite
 
     def state_id(self, key: tuple) -> int:
         """The integer id of state key, given on its first request."""
@@ -248,7 +257,7 @@ class _Chain:
         birth_col = self.birth_col
         entries_of = self.entries
         plateau = score == -math.inf
-        log_prior = self.log_prior
+        table = self.prior
         state_id = self.state_id
         exp = math.exp
         neg_inf = -math.inf
@@ -280,10 +289,7 @@ class _Chain:
                             continue
                         c_finite = c_finite - entries_of[other][col] + back
                         c_k, c_n_b = k, n_b
-                    prior = log_prior(c_k, c_n_b, n_d)
-                    if prior == neg_inf:
-                        continue
-                    delta = prior + c_finite - score
+                    delta = table[c_k][c_n_b][n_d] + c_finite - score
                     if delta < 0.0:
                         accept = exp(delta)
                         if accept == 0.0:
@@ -307,10 +313,7 @@ class _Chain:
                     toggled = tuple(sorted((*deaths, j)))
                 accept = 1.0
                 if not plateau:
-                    prior = log_prior(k, n_b, c_n_d)
-                    if prior == neg_inf:
-                        continue
-                    delta = prior + finite - score
+                    delta = table[k][n_b][c_n_d] + finite - score
                     if delta < 0.0:
                         accept = exp(delta)
                         if accept == 0.0:
@@ -432,34 +435,29 @@ def child_score_bounds(
     tally's summation order) keeps the largest sum per (k, n_b), k up to
     the matrix's objects and n_b up to n_pixels (log_count_prior is -inf
     past that). -inf entries carry -inf, so they offer nothing. Each sum is
-    added to the largest log_count_prior over death counts 0..min(eligible,
-    n_objects - k), and the bound is the largest such total. IEEE addition
-    is monotone, so the bound is at least every tallied score, bit for bit.
-    One prior table is built per (n_objects, eligible deaths) in the call.
+    added to the largest prior_table cell over the death counts of (k,
+    n_b), and the bound is the largest such total. IEEE addition is
+    monotone, so the bound is at least every tallied score, bit for bit.
     """
     if not matrices:
         return []
     m = matrices[0].n_returns
     n_k = min(max(mat.n_objects for mat in matrices), m) + 1
     n_b = min(birth_cfg.n_pixels, m) + 1
-    tables: dict[tuple[int, int], np.ndarray] = {}
+    # maxima[n_objects, eligible]: the largest prior per (k, n_b).
+    maxima: dict[tuple[int, int], np.ndarray] = {}
     prior = np.empty((len(matrices), n_k, n_b))
     # best[i, :, p]: row i's best object, birth and clutter entries in matrix p.
     best = np.empty((m, 3, len(matrices)))
     for p, matrix in enumerate(matrices):
         n_objects = matrix.n_objects
         key = (n_objects, sum(matrix.death_eligible))
-        table = tables.get(key)
-        if table is None:
-            table = tables[key] = np.full((n_k, n_b), -math.inf)
-            # Each row is one association, one birth or clutter: k + n_b <= m.
-            for k in range(min(n_objects, m) + 1):
-                for n_births in range(min(n_b, m - k + 1)):
-                    table[k, n_births] = max(
-                        log_count_prior(k, n_births, n_d, n_objects, m, birth_cfg, p_d)
-                        for n_d in range(min(key[1], n_objects - k) + 1)
-                    )
-        prior[p] = table
+        if key not in maxima:
+            maxima[key] = np.full((n_k, n_b), -math.inf)
+            for k, births in enumerate(prior_table(*key, m, birth_cfg, p_d)):
+                cells = [max(deaths) for deaths in births[:n_b]]
+                maxima[key][k, :len(cells)] = cells
+        prior[p] = maxima[key]
         entries = matrix.log_entries
         best[:, 0, p] = entries[:, :n_objects].max(axis=1) if n_objects else -math.inf
         best[:, 1:, p] = entries[:, n_objects:]

@@ -175,7 +175,23 @@ class TestSimulateCommand:
          lambda p: p["dynamics"].update(integrator_substeps="x")),
         ("scenario.spawn_events[0] must be a JSON object",
          lambda p: p["spawn_events"].__setitem__(0, 3)),
-    ], ids=["object-of-3", "spawn-time-text", "substeps-text", "spawn-not-object"])
+        # Integer fields take JSON integers only: int() would truncate these.
+        ("scenario.seed: must be an integer", lambda p: p.update(seed=1.5)),
+        ("scenario.seed: must be an integer", lambda p: p.update(seed=True)),
+        ("scenario.dynamics.integrator_substeps: must be an integer",
+         lambda p: p["dynamics"].update(integrator_substeps=2.5)),
+        ("scenario.spawn_events[0].parent_index: must be an integer",
+         lambda p: p["spawn_events"][0].update(parent_index=0.7)),
+        ("scenario.spawn_events[0].fragment_count: must be an integer",
+         lambda p: p["spawn_events"][0].update(fragment_count=2.9)),
+        # A bool is not a number, nor a number a name.
+        ("scenario.sensor.p_d: must be a number", lambda p: p["sensor"].update(p_d=True)),
+        ("scenario.sensor.origin_km: must be a number",
+         lambda p: p["sensor"]["origin_km"].__setitem__(0, False)),
+        ("scenario.name: must be a string", lambda p: p.update(name=5)),
+    ], ids=["object-of-3", "spawn-time-text", "substeps-text", "spawn-not-object",
+            "seed-fraction", "seed-bool", "substeps-fraction", "parent-index-fraction",
+            "fragment-count-fraction", "p-d-bool", "origin-bool", "name-number"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
         edit(payload)

@@ -343,7 +343,7 @@ class TestEnumerateChildEvents:
             # No selected zero-likelihood entry: the score is the prior plus
             # the finite sum rather than tally's -inf short cut.
             _, k, n_b, finite, score = chain.tally((assign, deaths))
-            assert score == chain.log_prior(k, n_b, len(deaths)) + finite
+            assert score == chain.prior[k][n_b][len(deaths)] + finite
 
     def test_budget_raises_on_the_event_past_it(self, monkeypatch):
         mat = dense_matrix(["t00"], 2, [False])  # eight supported events

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcmctrack import sampler
 from mcmctrack.filters import GaussianTrack, SensorModel
 from mcmctrack.hypotheses import (
     BIRTH,
@@ -35,14 +36,18 @@ from mcmctrack.oracle import (
     exact_posterior,
     tv_distance,
 )
+from mcmctrack.presets import preset_single_spawn, tracker_config_for
 from mcmctrack.sampler import (
     SamplerConfig,
     _Chain,
     _id_row,
     enumerate_children,
+    prior_table,
     sample_children,
     visit_distribution,
 )
+from mcmctrack.simulate import simulate_scenario
+from mcmctrack.tracker import Tracker, run_tracker
 from test_oracle import sparse_matrices
 
 
@@ -410,32 +415,52 @@ class TestPropose:
         parent, walk = make_walk([(100.0, 0.0)], [[5000.0, 0.0]])
         lookups = []
 
-        class RecordingMemo(dict):
-            def get(self, key, default=None):
-                lookups.append(key)
-                return super().get(key, default)
+        class RecordingTable:
+            """A view of a prior table that records each (k, n_b, n_d) cell
+            read through it."""
+
+            def __init__(self, table, index=()):
+                self.table, self.index = table, index
+
+            def __getitem__(self, i):
+                index = self.index + (i,)
+                if len(index) < 3:
+                    return RecordingTable(self.table[i], index)
+                lookups.append(index)
+                return self.table[i]
 
         chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)))
         assert chain.entries[0][0] == -math.inf
-        chain._prior_memo = RecordingMemo(chain._prior_memo)
+        chain.prior = RecordingTable(chain.prior)
         _, _, _, destinations = kernel_row(chain, chain.keys[chain.sid])
         assert destinations == [((1,), ()), ((2,), (0,))]  # birth, t00 dies
         # tally reads the state's counts, then the row birth's and the
         # death's.
         assert lookups == [(0, 0, 0), (0, 1, 0), (0, 0, 1)]
 
-    def test_prior_memo_matches_log_count_prior(self):
+    def test_prior_table_matches_log_count_prior(self):
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]], n_pixels=1
         )
+        assert matrix.death_eligible == (True, True)
         chain = _Chain(matrix, cfg, sensor.p_d)
-        for k in range(3):
-            for n_b in range(3 - k):
-                for n_d in range(3 - k):
-                    expected = log_count_prior(k, n_b, n_d, 2, 2, cfg, sensor.p_d)
-                    assert chain.log_prior(k, n_b, n_d) == expected
-                    assert chain.log_prior(k, n_b, n_d) == expected  # memoized
-        assert chain.log_prior(0, 2, 0) == -math.inf  # more births than pixels
+        # The table holds exactly the triples k + n_b <= 2, k + n_d <= 2.
+        cells = [(k, n_b, n_d) for k in range(3) for n_b in range(3 - k) for n_d in range(3 - k)]
+        assert cells == [
+            (k, n_b, n_d)
+            for k, births in enumerate(chain.prior)
+            for n_b, deaths in enumerate(births)
+            for n_d in range(len(deaths))
+        ]
+        for k, n_b, n_d in cells:
+            expected = log_count_prior(k, n_b, n_d, 2, 2, cfg, sensor.p_d)
+            assert chain.prior[k][n_b][n_d] == expected
+        assert chain.prior[0][2][0] == -math.inf  # more births than pixels
+        # Chains over matrices of one key share one table; another key
+        # (here p_d, or one object fewer) has its own.
+        assert _Chain(matrix.select([1, 0]), cfg, sensor.p_d).prior is chain.prior
+        assert _Chain(matrix, cfg, 0.5).prior is not chain.prior
+        assert _Chain(matrix.select([0]), cfg, sensor.p_d).prior is not chain.prior
 
     def test_never_produces_duplicate_claims(self):
         parent, walk = make_walk(
@@ -498,7 +523,7 @@ class TestMetropolis:
 
     def gap(self, chain):
         """t00's entry that makes candidate - current equal 0."""
-        return chain.log_prior(0, 0, 0) - chain.log_prior(1, 0, 0)
+        return chain.prior[0][0][0] - chain.prior[1][0][0]
 
     START = ((2,), ())
     TO_T00 = ((0,), ())
@@ -989,6 +1014,57 @@ class TestStream:
         )
         assert unbounded[: len(samples)] == samples
         assert sum(s.visits for s in unbounded) == scfg.record_steps
+
+
+class TestPriorTable:
+    @given(
+        mat=sparse_matrices(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_child_key_lies_in_the_table(self, mat, n_pixels, p_d):
+        # Each key's counts (k, n_b, n_d) index a cell of the matrix's
+        # table, so no tally or row lookup can fall outside it.
+        cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
+        table = prior_table(mat.n_objects, sum(mat.death_eligible), mat.n_returns, cfg, p_d)
+        for assign, deaths in enumerate_child_keys(mat):
+            k = sum(c < mat.n_objects for c in assign)
+            n_b = assign.count(mat.birth_col)
+            assert k < len(table)
+            assert n_b < len(table[k])
+            assert len(deaths) < len(table[k][n_b])
+
+    def test_each_table_built_once_per_run(self, monkeypatch):
+        # Over a seed-0 single-spawn run the formula is called once per
+        # cell of each distinct table the run asks for: tables are built
+        # once per run, not once per scan or per walk.
+        prior_table.cache_clear()
+        calls = []
+        formula = sampler.log_count_prior
+        monkeypatch.setattr(
+            sampler, "log_count_prior", lambda *args: calls.append(args) or formula(*args))
+        requested = set()
+
+        def recorded(*args):
+            requested.add(args)
+            return prior_table(*args)
+
+        monkeypatch.setattr(sampler, "prior_table", recorded)
+        scenario = preset_single_spawn(seed=0)
+        _, frames = simulate_scenario(scenario)
+        tracker = Tracker(tracker_config_for(scenario, seed=0))
+        run_tracker(tracker, tracker.initial_hypotheses([
+            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+            for i, s in enumerate(scenario.objects)
+        ]), frames)
+        n_calls = len(calls)
+        assert prior_table.cache_info().misses == len(requested) > 1
+        assert prior_table.cache_info().hits > 0
+        assert n_calls == sum(
+            len(deaths) for args in requested for births in prior_table(*args) for deaths in births
+        )
+        assert len(calls) == n_calls  # the tables were still cached
 
 
 class TestKeyCache:
