@@ -3,6 +3,13 @@
 States are length-4 numpy arrays ordered [x, y, vx, vy] with positions in km
 and velocities in km/s. Everything here is a pure function of its inputs
 (no shared mutable state), so concurrent use is safe.
+
+One RK4 step body (_rk4_step) serves two acceleration kernels: the scalar
+_accel, which propagate_state runs one state at a time, and _lane_accel,
+which propagate_flows runs over arrays of lanes (each state of a batch and
+its 8 central-difference perturbations). numpy's +, -, *, / and sqrt are
+the same IEEE operations as Python's float ones, applied in the same order,
+so a batched lane is bit-identical to its scalar integration.
 """
 
 from __future__ import annotations
@@ -129,21 +136,39 @@ def _accel(x: float, y: float, mu: float) -> tuple[float, float]:
     return f * x, f * y
 
 
-def _rk4_step(x: float, y: float, vx: float, vy: float, h: float, mu: float):
-    ax1, ay1 = _accel(x, y, mu)
+def _lane_accel(x: np.ndarray, y: np.ndarray, mu: float):
+    """_accel over arrays of lanes: the same IEEE operations in the same
+    order, so each lane's value is _accel's bit for bit."""
+    rsq = x * x + y * y
+    inside = rsq < _MIN_RADIUS_KM * _MIN_RADIUS_KM
+    if inside.any():
+        raise SingularStateError(
+            f"position norm {math.sqrt(rsq[inside].min()):.3g} km inside the "
+            f"{_MIN_RADIUS_KM} km guard radius"
+        )
+    if mu == 0.0:
+        return 0.0, 0.0
+    f = -mu / (rsq * np.sqrt(rsq))
+    return f * x, f * y
+
+
+def _rk4_step(x, y, vx, vy, h: float, mu: float, accel):
+    """One classical RK4 step; x, y, vx, vy are floats (accel=_accel) or
+    equal-length lane arrays (accel=_lane_accel)."""
+    ax1, ay1 = accel(x, y, mu)
     k2x = x + 0.5 * h * vx
     k2y = y + 0.5 * h * vy
-    ax2, ay2 = _accel(k2x, k2y, mu)
+    ax2, ay2 = accel(k2x, k2y, mu)
     k2vx = vx + 0.5 * h * ax1
     k2vy = vy + 0.5 * h * ay1
     k3x = x + 0.5 * h * k2vx
     k3y = y + 0.5 * h * k2vy
-    ax3, ay3 = _accel(k3x, k3y, mu)
+    ax3, ay3 = accel(k3x, k3y, mu)
     k3vx = vx + 0.5 * h * ax2
     k3vy = vy + 0.5 * h * ay2
     k4x = x + h * k3vx
     k4y = y + h * k3vy
-    ax4, ay4 = _accel(k4x, k4y, mu)
+    ax4, ay4 = accel(k4x, k4y, mu)
     k4vx = vx + h * ax3
     k4vy = vy + h * ay3
     nx = x + (h / 6.0) * (vx + 2.0 * k2vx + 2.0 * k3vx + k4vx)
@@ -168,31 +193,58 @@ def propagate_state(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
     h = cfg.dt / cfg.integrator_substeps
     mu = cfg.mu
     for _ in range(cfg.integrator_substeps):
-        x, y, vx, vy = _rk4_step(x, y, vx, vy, h, mu)
+        x, y, vx, vy = _rk4_step(x, y, vx, vy, h, mu, _accel)
     return np.array([x, y, vx, vy])
 
 
-def flow_jacobian(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
-    """State-transition Jacobian of the RK4 flow.
+def propagate_flows(states: np.ndarray, cfg: DynamicsConfig) -> tuple[np.ndarray, np.ndarray]:
+    """propagate_state and the flow's Jacobian for N states at once.
 
-    Central differences with step 1e-6 * max(1, |s_i|) per component; the
-    mu = 0 flow is exactly linear, so its constant-velocity Jacobian is
-    returned in closed form.
+    Returns means (N, 4) and Jacobians (N, 4, 4). Column j of a Jacobian is
+    the central difference (flow(s + h e_j) - flow(s - h e_j)) / 2h with
+    h = 1e-6 * max(1, |s_j|); the mu = 0 flow is exactly linear, so its
+    constant-velocity Jacobian is returned in closed form. Each state and
+    its 8 perturbations are lanes of one RK4 loop (_rk4_step over
+    _lane_accel), so every lane is its scalar integration bit for bit, and
+    the 1 km guard covers every lane integrated.
     """
+    states = np.asarray(states, dtype=float).reshape(-1, 4)
+    if not np.all(np.isfinite(states)):
+        raise ValueError("state must be finite")
+    n = len(states)
     if cfg.mu == 0.0:
-        jac = np.eye(4)
-        jac[0, 2] = jac[1, 3] = cfg.dt
-        return jac
-    s = np.asarray(s, dtype=float).reshape(4)
-    jac = np.empty((4, 4))
-    for j in range(4):
-        h = 1e-6 * max(1.0, abs(float(s[j])))
-        sp = s.copy()
-        sm = s.copy()
-        sp[j] += h
-        sm[j] -= h
-        jac[:, j] = (propagate_state(sp, cfg) - propagate_state(sm, cfg)) / (2.0 * h)
-    return jac
+        lanes = states[:, None, :]
+    else:
+        steps = 1e-6 * np.maximum(1.0, np.abs(states))
+        lanes = np.repeat(states[:, None, :], 9, axis=1)
+        j = np.arange(4)
+        lanes[:, 1 + 2 * j, j] += steps
+        lanes[:, 2 + 2 * j, j] -= steps
+    out = lanes
+    if cfg.dt != 0.0 and n:
+        x, y, vx, vy = lanes.reshape(-1, 4).T
+        h = cfg.dt / cfg.integrator_substeps
+        mu = cfg.mu
+        for _ in range(cfg.integrator_substeps):
+            x, y, vx, vy = _rk4_step(x, y, vx, vy, h, mu, _lane_accel)
+        out = np.stack([x, y, vx, vy], axis=-1).reshape(lanes.shape)
+    means = out[:, 0].copy()
+    if cfg.mu == 0.0:
+        jacs = np.tile(np.eye(4), (n, 1, 1))
+        jacs[:, 0, 2] = jacs[:, 1, 3] = cfg.dt
+    else:
+        # diffs[n, j] is column j of Jacobian n.
+        diffs = (out[:, 1::2] - out[:, 2::2]) / (2.0 * steps)[:, :, None]
+        jacs = np.ascontiguousarray(diffs.transpose(0, 2, 1))
+    return means, jacs
+
+
+def flow_jacobian(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
+    """State-transition Jacobian of the RK4 flow at s: the one-state view of
+    propagate_flows (central differences with step 1e-6 * max(1, |s_j|),
+    closed form at mu = 0). s itself is integrated as well as its
+    perturbations, so the 1 km guard covers s too."""
+    return propagate_flows(s, cfg)[1][0]
 
 
 def process_noise(cfg: DynamicsConfig) -> np.ndarray:
@@ -210,10 +262,21 @@ def process_noise(cfg: DynamicsConfig) -> np.ndarray:
     ])
 
 
-def predict_track(t: GaussianTrack, cfg: DynamicsConfig) -> GaussianTrack:
-    """EKF prediction: mean through the flow, covariance F P F^T + Q."""
-    mean = propagate_state(t.mean, cfg)
-    jac = flow_jacobian(t.mean, cfg)
+def predict_track(
+    t: GaussianTrack,
+    cfg: DynamicsConfig,
+    flow: tuple[np.ndarray, np.ndarray] | None = None,
+) -> GaussianTrack:
+    """EKF prediction: mean through the flow, covariance F P F^T + Q.
+
+    flow is t.mean's (mean, Jacobian) pair from propagate_flows when the
+    caller has batched the scan's tracks; without it the one state is
+    propagated here.
+    """
+    if flow is None:
+        means, jacs = propagate_flows(t.mean, cfg)
+        flow = means[0], jacs[0]
+    mean, jac = flow
     cov = jac @ t.covariance @ jac.T + process_noise(cfg)
     return GaussianTrack(t.label, mean, cov)
 

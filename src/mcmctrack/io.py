@@ -84,6 +84,16 @@ def _json(kind, name: str):
 _number, _integer, _string = _json(float, "a number"), _json(int, "an integer"), _json(str, "a string")
 
 
+def _list(convert):
+    """A convert for _field that takes only a JSON list and passes it to
+    convert whole."""
+    def convert_list(value):
+        if not isinstance(value, list):
+            raise TypeError(f"must be a JSON list, not {value!r}")
+        return convert(value)
+    return convert_list
+
+
 def _floats(*shape):
     def numbers(value):
         return list(map(numbers, value)) if isinstance(value, list) else _number(value)
@@ -152,14 +162,16 @@ def scenario_from_dict(payload: dict) -> ScenarioConfig:
         integrator_substeps=("integrator_substeps", _integer),
     ))
     return ScenarioConfig(
-        objects=_field(payload, "objects", "scenario", lambda rows: list(map(_floats(4), rows))),
+        objects=_field(
+            payload, "objects", "scenario", _list(lambda rows: list(map(_floats(4), rows)))
+        ),
         sensor=sensor,
         clutter=clutter,
         dynamics=dynamics,
         duration=_field(payload, "duration_s", "scenario", _number),
         scan_interval=_field(payload, "scan_interval_s", "scenario", _number),
         **_present(
-            payload, "scenario", spawn_events=("spawn_events", _spawn_events),
+            payload, "scenario", spawn_events=("spawn_events", _list(_spawn_events)),
             seed=("seed", _integer), name=("name", _string),
             initial_position_std_km=("initial_position_std_km", _number),
             initial_velocity_std_kmps=("initial_velocity_std_kmps", _number),
@@ -175,7 +187,7 @@ def _spawn_events(events) -> list[SpawnEvent]:
             fragment_count=_field(ev, "fragment_count", f"scenario.spawn_events[{i}]", _integer),
             velocity_std=_field(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]", _number),
         )
-        for i, ev in enumerate(list(events))
+        for i, ev in enumerate(events)
     ]
 
 

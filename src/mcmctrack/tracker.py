@@ -1,6 +1,7 @@
-"""Per-scan recursion: predict each distinct track of the scan's parents
-once and pair it with the returns once, in one scan-level association
-matrix; give each parent its columns of that matrix (AssociationMatrix.select);
+"""Per-scan recursion: propagate the distinct tracks of the scan's parents
+in one RK4 pass (filters.propagate_flows), predict each once and pair it
+with the returns once, in one scan-level association matrix; give each
+parent its columns of that matrix (AssociationMatrix.select);
 bound each parent's child scores (sampler.child_score_bounds) and generate
 the children of each parent whose best child could still be among the
 h_inf heaviest, by one call per parent: sampler.sample_children (the MCMC
@@ -40,6 +41,7 @@ from .filters import (
     SensorModel,
     in_fov,
     predict_track,
+    propagate_flows,
     update_track,
 )
 from .hypotheses import (
@@ -232,16 +234,23 @@ class Tracker:
         parents = sorted(hypotheses, key=lambda h: h.id)
         # Children share their parent's track objects, so most tracks recur
         # across parents: number the scan's distinct objects in first-seen
-        # parent order, predict each once and pair it with the returns once,
-        # in one scan-level matrix. Keys are ids of tracks that hypotheses
-        # holds for the whole call.
+        # parent order, propagate them in one RK4 pass, predict each once and
+        # pair it with the returns once, in one scan-level matrix. Keys are
+        # ids of tracks that hypotheses holds for the whole call.
         col_of: dict[int, int] = {}
-        distinct: list[GaussianTrack] = []
+        sources: list[GaussianTrack] = []
         for parent in parents:
             for t in parent.tracks:
                 if id(t) not in col_of:
-                    col_of[id(t)] = len(distinct)
-                    distinct.append(predict_track(t, cfg.dynamics))
+                    col_of[id(t)] = len(sources)
+                    sources.append(t)
+        means, jacobians = propagate_flows(
+            np.array([t.mean for t in sources]).reshape(-1, 4), cfg.dynamics
+        )
+        distinct = [
+            predict_track(t, cfg.dynamics, (means[j], jacobians[j]))
+            for j, t in enumerate(sources)
+        ]
         scan_matrix = build_matrix(distinct, frame.returns, cfg.sensor, cfg.clutter, bd)
         cols_by_parent = [[col_of[id(t)] for t in parent.tracks] for parent in parents]
         predicted_by_parent = [tuple(distinct[j] for j in cols) for cols in cols_by_parent]

@@ -189,9 +189,22 @@ class TestSimulateCommand:
         ("scenario.sensor.origin_km: must be a number",
          lambda p: p["sensor"]["origin_km"].__setitem__(0, False)),
         ("scenario.name: must be a string", lambda p: p.update(name=5)),
+        # Lists take JSON lists only: null means absent, but {} or "" would
+        # otherwise read as no events and simulate would drop the breakup.
+        ("scenario.spawn_events: must be a JSON list", lambda p: p.update(spawn_events={})),
+        ("scenario.spawn_events: must be a JSON list", lambda p: p.update(spawn_events="")),
+        ("scenario.spawn_events: must be a JSON list", lambda p: p.update(spawn_events=5)),
+        ("scenario.spawn_events: must be a JSON list",
+         lambda p: p.update(spawn_events={"first": p["spawn_events"][0]})),
+        ("scenario.objects: must be a JSON list", lambda p: p.update(objects={})),
+        ("scenario.objects: must be a JSON list", lambda p: p.update(objects="")),
+        ("scenario.objects: must be a JSON list", lambda p: p.update(objects=5)),
     ], ids=["object-of-3", "spawn-time-text", "substeps-text", "spawn-not-object",
             "seed-fraction", "seed-bool", "substeps-fraction", "parent-index-fraction",
-            "fragment-count-fraction", "p-d-bool", "origin-bool", "name-number"])
+            "fragment-count-fraction", "p-d-bool", "origin-bool", "name-number",
+            "spawn-events-empty-object", "spawn-events-empty-string", "spawn-events-number",
+            "spawn-events-object-of-events", "objects-empty-object", "objects-empty-string",
+            "objects-number"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
         edit(payload)

@@ -1,9 +1,12 @@
 """Dynamics, EKF, and field-of-view checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmctrack.errors import ConfigError, NumericalError, SingularStateError
 from mcmctrack.filters import (
@@ -17,6 +20,7 @@ from mcmctrack.filters import (
     measurement_likelihood,
     predict_track,
     process_noise,
+    propagate_flows,
     propagate_state,
     sample_fov_point,
     update_track,
@@ -87,6 +91,122 @@ def _cv_transition(dt):
     f = np.eye(4)
     f[0, 2] = f[1, 3] = dt
     return f
+
+
+def reference_flow_jacobian(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
+    """The scalar central-difference Jacobian that propagate_flows batches,
+    one propagate_state call per perturbed state."""
+    if cfg.mu == 0.0:
+        jac = np.eye(4)
+        jac[0, 2] = jac[1, 3] = cfg.dt
+        return jac
+    s = np.asarray(s, dtype=float).reshape(4)
+    jac = np.empty((4, 4))
+    for j in range(4):
+        h = 1e-6 * max(1.0, abs(float(s[j])))
+        sp = s.copy()
+        sm = s.copy()
+        sp[j] += h
+        sm[j] -= h
+        jac[:, j] = (propagate_state(sp, cfg) - propagate_state(sm, cfg)) / (2.0 * h)
+    return jac
+
+
+def reference_raises(s: np.ndarray, cfg: DynamicsConfig) -> bool:
+    try:
+        propagate_state(s, cfg)
+        reference_flow_jacobian(s, cfg)
+    except SingularStateError:
+        return True
+    return False
+
+
+def batch_raises(states: np.ndarray, cfg: DynamicsConfig) -> bool:
+    try:
+        propagate_flows(states, cfg)
+    except SingularStateError:
+        return True
+    return False
+
+
+@st.composite
+def near_orbit_states(draw):
+    """Rows [x, y, vx, vy] from 6,600 to 42,000 km at 0.7-1.3 times the
+    circular speed, heading up to 0.3 rad off the circular direction."""
+    n = draw(st.sampled_from([1, 2, 7]))
+    rows = []
+    for _ in range(n):
+        radius = draw(st.floats(6600.0, 42000.0))
+        angle = draw(st.floats(-math.pi, math.pi))
+        speed = math.sqrt(MU_EARTH / radius) * draw(st.floats(0.7, 1.3))
+        heading = angle + math.pi / 2 + draw(st.floats(-0.3, 0.3))
+        rows.append([radius * math.cos(angle), radius * math.sin(angle),
+                     speed * math.cos(heading), speed * math.sin(heading)])
+    return np.array(rows)
+
+
+class TestPropagateFlows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        states=near_orbit_states(),
+        mu=st.sampled_from([0.0, MU_EARTH]),
+        dt=st.sampled_from([0.0, -60.0, 300.0]),
+        substeps=st.sampled_from([1, 16]),
+    )
+    def test_bit_identical_to_scalar_reference(self, states, mu, dt, substeps):
+        cfg = DynamicsConfig(mu=mu, dt=dt, integrator_substeps=substeps)
+        means, jacobians = propagate_flows(states, cfg)
+        assert means.shape == (len(states), 4)
+        assert jacobians.shape == (len(states), 4, 4)
+        for s, mean, jac in zip(states, means, jacobians, strict=True):
+            assert mean.tobytes() == propagate_state(s, cfg).tobytes()
+            want = reference_flow_jacobian(s, cfg)
+            assert jac.tobytes() == want.tobytes()
+            assert flow_jacobian(s, cfg).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mu", [0.0, MU_EARTH])
+    @pytest.mark.parametrize("dt", [0.0, 300.0])
+    def test_no_states(self, mu, dt):
+        means, jacobians = propagate_flows(np.empty((0, 4)), DynamicsConfig(mu=mu, dt=dt))
+        assert means.shape == (0, 4)
+        assert jacobians.shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("mu", [0.0, MU_EARTH])
+    @pytest.mark.parametrize("dt", [0.0, 300.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_state_rejected(self, mu, dt, bad):
+        states = np.array([[7000.0, 0.0, 0.0, 7.5], [7000.0, bad, 0.0, 7.5]])
+        with pytest.raises(ValueError, match="finite"):
+            propagate_flows(states, DynamicsConfig(mu=mu, dt=dt))
+
+    def test_guard_parity_with_reference(self):
+        # States straddling the 1 km guard radius: the batch raises exactly
+        # when the scalar predict (nominal, then each +/- lane) raises, for
+        # each state alone and for all of them in one pass.
+        states = [
+            np.array([(1.0 + offset) * math.cos(angle), (1.0 + offset) * math.sin(angle),
+                      speed * math.cos(angle), speed * math.sin(angle)])
+            for offset in (-2e-6, -0.5e-6, 0.0, 0.5e-6, 2e-6, 1e-3)
+            for angle in (0.0, 0.3)
+            for speed in (-1.0, 0.0, 1.0)
+        ]
+        outcomes = []
+        for mu in (0.0, 1e-9, MU_EARTH):
+            for dt in (0.0, 1e-4, -1e-4):
+                cfg = DynamicsConfig(mu=mu, dt=dt, integrator_substeps=2)
+                for s in states:
+                    want = reference_raises(s, cfg)
+                    assert batch_raises(s[None], cfg) == want, (s, cfg)
+                    nominal_only = not batch_raises(s[None], replace(cfg, mu=0.0))
+                    outcomes.append((want, nominal_only))
+                assert batch_raises(np.array(states), cfg) == any(
+                    reference_raises(s, cfg) for s in states
+                )
+        # Non-vacuous: some states pass, some raise, and some raise only
+        # through a perturbed lane.
+        assert (False, True) in outcomes
+        assert (True, False) in outcomes
+        assert (True, True) in outcomes
 
 
 class TestPredict:

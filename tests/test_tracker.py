@@ -8,11 +8,13 @@ import pytest
 
 from mcmctrack.errors import EnumerationLimitError
 from mcmctrack.filters import (
+    MU_EARTH,
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
     measurement_likelihood,
     predict_track,
+    propagate_flows,
     update_track,
 )
 from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildren
@@ -160,9 +162,9 @@ class TestStepBasics:
         ]
         calls = []
 
-        def counting_predict(track, dynamics):
-            calls.append(track.label)
-            return predict_track(track, dynamics)
+        def counting_predict(*args):
+            calls.append(args[0].label)
+            return predict_track(*args)
 
         monkeypatch.setattr(tracker_module, "predict_track", counting_predict)
         new_hyps, report = tracker.step(hyps, frame_at(10.0, [[3000.0, 5000.0]]))
@@ -227,9 +229,9 @@ class TestStepBasics:
             assert h.tracks[h.labels.index("b00009-001")] is newborn
         calls = []
 
-        def counting_predict(track, dynamics):
-            calls.append(id(track))
-            return predict_track(track, dynamics)
+        def counting_predict(*args):
+            calls.append(id(args[0]))
+            return predict_track(*args)
 
         monkeypatch.setattr(tracker_module, "predict_track", counting_predict)
         distinct = {id(t) for h in hyps for t in h.tracks}
@@ -240,6 +242,72 @@ class TestStepBasics:
         newborns = [lbl for lbl in top.labels if lbl != "t00"]
         assert newborns == ["b00009-001", "b00009-002", "b00010-001"]
         assert newborns == sorted(newborns)
+
+    def test_one_flow_pass_per_scan_then_one_predict_per_track(self, monkeypatch):
+        # The scan's distinct tracks, in first-seen order over the parents
+        # sorted by id, are propagated by one propagate_flows call; each is
+        # then predicted once from its row of that pass, through the
+        # tracker's own predict_track name, as the untraced predict would.
+        cfg = make_config(mode=TrackerMode.MCMC, mu=MU_EARTH)
+        tracker = Tracker(cfg)
+        speed = math.sqrt(MU_EARTH / 7000.0)
+        a = track_at("t00", 7000.0, 0.0, 0.0, speed)
+        b = track_at("t01", 0.0, 7000.0, -speed, 0.0)
+        c = track_at("t02", -7000.0, 0.0, 0.0, -speed)
+        hyps = [
+            Hypothesis(id="h1", parent_id=None, log_weight=math.log(0.5), tracks=(b, c)),
+            Hypothesis(id="h0", parent_id=None, log_weight=math.log(0.5), tracks=(a, b)),
+        ]
+        flows, predicts = [], []
+
+        def counting_flows(states, dynamics):
+            out = propagate_flows(states, dynamics)
+            flows.append((states.copy(), out))
+            return out
+
+        def counting_predict(*args):
+            predicts.append(args)
+            return predict_track(*args)
+
+        monkeypatch.setattr(tracker_module, "propagate_flows", counting_flows)
+        monkeypatch.setattr(tracker_module, "predict_track", counting_predict)
+        returns = [predict_track(t, cfg.dynamics).mean[:2] + 0.3 for t in (a, b, c)]
+        new_hyps, report = tracker.step(hyps, frame_at(10.0, returns))
+        assert not report.degenerate
+        assert len(flows) == 1
+        states, (means, jacobians) = flows[0]
+        np.testing.assert_array_equal(states, np.array([a.mean, b.mean, c.mean]))
+        assert [args[0] for args in predicts] == [a, b, c]
+        for j, (track, dynamics, flow) in enumerate(predicts):
+            assert dynamics is cfg.dynamics
+            assert flow[0].tobytes() == means[j].tobytes()
+            assert flow[1].tobytes() == jacobians[j].tobytes()
+            alone = predict_track(track, cfg.dynamics)
+            got = predict_track(track, cfg.dynamics, flow)
+            assert got.mean.tobytes() == alone.mean.tobytes()
+            assert got.covariance.tobytes() == alone.covariance.tobytes()
+        assert math.fsum(h.weight for h in new_hyps) == pytest.approx(1.0, abs=1e-12)
+
+    def test_scan_over_parents_without_tracks_steps(self, monkeypatch):
+        # No tracks: the flow pass gets an empty (0, 4) stack, and the scan
+        # still births from its returns.
+        cfg = make_config(alpha=0.3, mu=MU_EARTH)
+        tracker = Tracker(cfg)
+        shapes = []
+
+        def counting_flows(states, dynamics):
+            shapes.append(states.shape)
+            return propagate_flows(states, dynamics)
+
+        monkeypatch.setattr(tracker_module, "propagate_flows", counting_flows)
+        hyps = tracker.initial_hypotheses([])
+        hyps, report = tracker.step(hyps, frame_at(10.0, [[7000.0, 0.0]]))
+        assert shapes == [(0, 4)]
+        assert math.fsum(h.weight for h in hyps) == pytest.approx(1.0, abs=1e-12)
+        assert any(h.labels == ("b00001-000",) for h in hyps)
+        hyps, report = tracker.step(tracker.initial_hypotheses([]), frame_at(20.0, []))
+        assert shapes == [(0, 4), (0, 4)]
+        assert report.n_hypotheses == 1 and report.estimated_count == 0
 
     def test_rejects_weights_off_by_more_than_1e12(self):
         cfg = make_config()
