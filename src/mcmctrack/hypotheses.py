@@ -8,6 +8,7 @@ log-space throughout; normalization uses log-sum-exp.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -129,6 +130,11 @@ def count_associations(n_objects: int, n_returns: int) -> int:
     )
 
 
+# Distinct grandchild counts kept: a seed-0 preset run asks for 10 to 16.
+GRANDCHILD_COUNTS = 128
+
+
+@functools.lru_cache(maxsize=GRANDCHILD_COUNTS)
 def count_grandchildren(
     n_objects: int,
     n_returns: int,
@@ -146,7 +152,8 @@ def count_grandchildren(
     C(N + M, t) A(t, m): one sum of N + M + 1 terms. The allow flags
     (used when a rate is exactly zero, making those instances impossible)
     drop their pixels or objects from the free choice; objects that cannot
-    die are kept by every child.
+    die are kept by every child. Memoized on its arguments: the tracker asks
+    for the same counts scan after scan.
     """
     if min(n_objects, n_returns, n_pixels) < 0:
         raise ValueError("counts must be non-negative")

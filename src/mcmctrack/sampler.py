@@ -24,12 +24,14 @@ walks. tally scores a key from scratch; it is the one production scorer.
 _Chain.run simulates the walk exactly by its jump chain (Douc & Robert, "A
 vanilla Rao-Blackwellization of Metropolis-Hastings algorithms", Ann.
 Statist. 2011) over state ids: each state gets an id the first time a row
-names it, and the first time the walk reaches a state, build_row builds
-and memoizes, under that id, the state's one-step kernel row, the
+names it, and for each state the walk reaches, build_row builds and
+memoizes once, under that id, the state's one-step kernel row, the
 probability of each move that leaves it, with its destinations as ids and
-its log holding factor log1p(-p) precomputed; from there the steps held at
-the state are a geometric draw and the move is a draw from the row, and a
-move costs one list index. From a finite state a candidate that scores
+its log holding factor log1p(-p) precomputed. Each departure from a state
+takes the next (hold, destination) pair of the state's own stack, drawn
+in numpy batches (the per-state "random stacks" of Wilson, "Generating
+random spanning trees more quickly than the cover time", STOC 1996), so a
+move costs a few list indexes. From a finite state a candidate that scores
 -inf is never accepted, so a row scores only the supported columns.
 
 A parent's children come from one of two calls: sample_children walks,
@@ -39,11 +41,17 @@ gives each parent matrix of a scan an upper bound on every tally score,
 which the tracker uses to skip the parents none of whose children it could
 keep. All three read the count-level prior from one memoized prior_table.
 
-Stream contract: start draws each return's column as rng.randrange(n),
-n the size of its row's supported columns (all M+2 columns when none is).
-run then draws only rng.random(): one for the holding time of each state
-it holds at whose leave probability p has 0 < p < 1 (none when p = 0 or
-p >= 1), and one for each move.
+Stream contract: each walk draws from one numpy Generator, seeded from
+chain_seed. start draws every return's column in one call,
+rng.integers(0, sizes), sizes[i] the size of row i's supported columns
+(all M+2 columns when none is). run then draws only batches of (hold,
+destination) pairs, one state's batch at a time: the first time the walk
+needs a pair at a state (to leave it, or to hold out a budget there), and
+each time the state's batch is used up, it draws the state's next batch of
+n pairs, n = FIRST_BATCH (16) at first and doubling up to LAST_BATCH
+(1024): rng.random(n) for the destinations, then rng.standard_exponential(n)
+for the holds. A state with p = 0 draws nothing, and one with p >= 1 draws
+no exponentials (every hold is 0).
 """
 
 from __future__ import annotations
@@ -51,10 +59,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import random
 import zlib
-from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -113,6 +120,16 @@ def prior_table(
         for k in range(min(n_objects, n_returns) + 1))
 
 
+# A state's first batch of (hold, destination) pairs, and the size its
+# batches double up to: a state the walk leaves a few times draws little it
+# does not use, and one it leaves often draws rarely.
+FIRST_BATCH = 16
+LAST_BATCH = 1024
+# Holds are kept as int64: a longer hold is drawn as MAX_HOLD, which run
+# reads as "at least MAX_HOLD" by running at most MAX_HOLD steps at a time.
+MAX_HOLD = 2**62
+
+
 @dataclass(frozen=True)
 class ChildSample:
     """One recorded child: event, exact log-score, and visit count."""
@@ -124,11 +141,47 @@ class ChildSample:
 
 def _id_row(score: float, p: float, cumulative: list[float], destinations: list[int]) -> tuple:
     """A kernel row as run reads it: (score, p, log1p(-p) or None,
-    cumulative, the bisect bound hi, destination ids). log1p(-p) is kept
+    cumulative, the search bound hi, destination ids). log1p(-p) is kept
     only where 0 < p < 1, the states that draw a holding time; hi keeps a
     product U * p that rounds up to p on the last move."""
     stay = math.log1p(-p) if 0.0 < p < 1.0 else None
     return (score, p, stay, cumulative, len(cumulative) - 1, destinations)
+
+
+def _batches(rng: np.random.Generator, row: tuple):
+    """Endless batches of (hold, destination id) pairs, drawn from rng, of a
+    state whose id row (_id_row) leaves it with p > 0: each batch is a zip
+    of n holds and n destinations, n = FIRST_BATCH at first and doubling up
+    to LAST_BATCH.
+
+    A destination is the move that U * p, U uniform on [0, 1), falls in
+    among the row's cumulative probabilities, bounded at the last move. A
+    hold is floor(E / -log1p(-p)) for a standard exponential E, so P(hold >=
+    h) = (1 - p)^h: the geometric count of steps held before the step that
+    moves, kept at most MAX_HOLD. When p >= 1 (which summation can overshoot
+    by a rounding error, where log1p(-p) is NaN) every hold is 0 and no
+    exponential is drawn. Only multiplication, division, floor, comparison
+    and search touch a draw, so every platform turns the same draws into
+    the same pairs."""
+    _, p, stay, cumulative, hi, destinations = row
+    bounds = np.array(cumulative[:hi])
+    moves = np.array(destinations)
+    n = FIRST_BATCH
+    while True:
+        # Temporaries only: the suspended generator keeps no draw arrays.
+        dests = moves[bounds.searchsorted(rng.random(n) * p, "right")].tolist()
+        if stay is None:
+            holds = repeat(0)
+        else:
+            holds = np.minimum(
+                np.floor(rng.standard_exponential(n) / -stay), MAX_HOLD
+            ).astype(np.int64).tolist()
+        yield zip(holds, dests)
+        n = min(2 * n, LAST_BATCH)
+
+
+# The pair source of a state with no batch yet: it raises StopIteration.
+_SPENT = iter(()).__next__
 
 
 class _Chain:
@@ -149,11 +202,17 @@ class _Chain:
     walks ids: one list index per move, no key hashing. visits, also indexed
     by id, is the walk's one visit record: the steps run() has ended in each
     state since the list was last reset. The walk's state is keys[sid].
+
+    pairs, indexed by id, is each state's source of (hold, destination)
+    pairs, the __next__ of its current batch (_SPENT before its first), and
+    batches maps the id of each state the walk has drawn pairs for to the
+    generator of its batches (_batches), which draw from rng, the walk's
+    numpy Generator.
     """
 
     __slots__ = (
         "matrix", "entries", "death_eligible", "prior", "birth_col", "clutter_col", "m",
-        "n_objects", "rng", "sid", "ids", "keys", "rows", "visits",
+        "n_objects", "rng", "sid", "ids", "keys", "rows", "visits", "pairs", "batches",
     )
 
     def __init__(
@@ -172,17 +231,22 @@ class _Chain:
         self.keys: list[tuple] = []
         self.rows: list[tuple | None] = []
         self.visits: list[int] = []
+        self.pairs: list = []
+        self.batches: dict = {}
 
-    def start(self, rng: random.Random) -> None:
+    def start(self, rng: np.random.Generator) -> None:
         """Draw a random initial state from rng, the stream run then draws
         from: each return picks uniformly among the supported columns of its
         row (zero-likelihood pairings would start the chain on a plateau it
-        can take arbitrarily long to leave), a draw of an already-claimed
-        object resolves to clutter, and the death set is empty."""
+        can take arbitrarily long to leave), all in one integers call, a
+        draw of an already-claimed object resolves to clutter, and the death
+        set is empty."""
         self.rng = rng
+        every_col = self.n_objects + 2
+        supported_of = self.matrix.supported
+        draws = rng.integers(0, [len(s) or every_col for s in supported_of]).tolist()
         assign: list[int] = []
-        for supported in self.matrix.supported:
-            col = rng.randrange(len(supported) or self.n_objects + 2)
+        for supported, col in zip(supported_of, draws):
             if supported:
                 col = supported[col]
             if col < self.n_objects and col in assign:
@@ -228,6 +292,7 @@ class _Chain:
             self.keys.append(key)
             self.rows.append(None)
             self.visits.append(0)
+            self.pairs.append(_SPENT)
         return sid
 
     def build_row(self, sid: int) -> tuple:
@@ -324,59 +389,71 @@ class _Chain:
         row = self.rows[sid] = _id_row(score, total, cumulative, destinations)
         return row
 
+    def refill(self, sid: int) -> tuple[int, int]:
+        """Make state sid's next batch of pairs its source and return the
+        batch's first pair. The first call for a state builds its row if the
+        walk has not yet, and a state no move leaves (p = 0) gets the pair
+        (MAX_HOLD, sid) for ever, which holds out every budget and draws
+        nothing."""
+        batches = self.batches.get(sid)
+        if batches is None:
+            row = self.rows[sid] or self.build_row(sid)
+            if row[1] <= 0.0:
+                self.pairs[sid] = repeat((MAX_HOLD, sid)).__next__
+                return MAX_HOLD, sid
+            batches = self.batches[sid] = _batches(self.rng, row)
+        pairs = self.pairs[sid] = next(batches).__next__
+        return pairs()
+
     def run(self, steps: int) -> None:
         """Advance the walk by steps Metropolis steps, simulated by its jump
-        chain over state ids: at a state whose row leaves with probability
-        p, the steps held there are a geometric count of failures,
-        floor(log(1 - U) / log1p(-p)), and the step that ends the hold moves
-        to the destination found by bisecting U * p in the row's cumulative
-        probabilities. p = 0 holds for the rest of the budget and p >= 1
-        (which summation can overshoot by a rounding error, where log1p(-p)
-        is NaN) holds for none; neither draws a holding variate. Holding
-        times have no memory, so a run that ends mid-hold leaves the next
-        run to draw a fresh one. The run starts at sid and leaves the state
-        it reached in sid.
+        chain over state ids: each departure from a state takes the state's
+        next (hold, destination) pair (_batches), holds hold steps there and
+        moves to destination on the next step. A pair whose hold reaches the
+        end of the budget is spent without its move: holds have no memory,
+        so the next run takes a fresh pair. Every pair is drawn afresh and
+        independently of the path, so the path is the jump chain in law. A
+        budget over MAX_HOLD runs as runs of at most MAX_HOLD steps, so that
+        a hold kept at MAX_HOLD always holds out its run. The run starts at
+        sid, leaves the state it reached in sid, and builds the row of every
+        state it reaches.
 
         Every step adds one to visits at the id of the state it ends in: a
         hold adds its length to the state, and a move step one to its
         destination, so the run adds exactly steps visits.
         """
-        rows = self.rows
+        while steps > MAX_HOLD:
+            self.run(MAX_HOLD)
+            steps -= MAX_HOLD
         visits = self.visits
-        build_row = self.build_row
-        uniform = self.rng.random
-        log = math.log
+        pairs = self.pairs
+        refill = self.refill
         sid = self.sid
-        _, p, stay, cumulative, hi, destinations = rows[sid] or build_row(sid)
         count = 0
         left = steps
         while left:
-            if stay is not None:
-                hold = log(1.0 - uniform()) / stay
-                hold = left if hold >= left else int(hold)
-            elif p <= 0.0:
-                hold = left
-            else:
-                hold = 0
+            try:
+                hold, dest = pairs[sid]()
+            except StopIteration:
+                hold, dest = refill(sid)
             if hold >= left:
                 count += left
                 break
             visits[sid] += count + hold
             left -= hold + 1
-            sid = destinations[bisect_right(cumulative, uniform() * p, 0, hi)]
-            _, p, stay, cumulative, hi, destinations = rows[sid] or build_row(sid)
+            sid = dest
             count = 1
         visits[sid] += count
+        if self.rows[sid] is None:
+            self.build_row(sid)
         self.sid = sid
 
 
-def chain_seed(seed: int, parent_id: str) -> int:
-    """Deterministic chain seed derived from the run seed and the parent
-    hypothesis id. The trailing 0 in the entropy keeps every chain's stream
-    what it was when a parent could run several indexed chains."""
-    ss = np.random.SeedSequence([seed, zlib.crc32(parent_id.encode()), 0])
-    state = ss.generate_state(2, dtype=np.uint64)
-    return int(state[0]) << 64 | int(state[1])
+def chain_seed(seed: int, parent_id: str) -> np.random.SeedSequence:
+    """The seed of the walk over parent_id's children in a run seeded with
+    seed: the SeedSequence of [seed, crc32 of parent_id, 0], one stream
+    per (run seed, parent)."""
+    return np.random.SeedSequence([seed, zlib.crc32(parent_id.encode()), 0])
 
 
 def sample_children(
@@ -394,7 +471,7 @@ def sample_children(
     size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
     burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
     record = 200 * size if cfg.record_steps is None else cfg.record_steps
-    chain.start(random.Random(chain_seed(cfg.seed, parent.id)))
+    chain.start(np.random.default_rng(chain_seed(cfg.seed, parent.id)))
     chain.run(burn)
     chain.visits = [0] * len(chain.keys)
     chain.run(record)

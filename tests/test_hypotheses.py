@@ -66,6 +66,18 @@ class TestCounts:
     def test_grandchildren_exceeds_billion_at_sixty(self):
         assert count_grandchildren(60, 10, 60) > 10**9
 
+    def test_grandchildren_memoized(self):
+        # Memoized on its arguments: a repeated call is a cache hit and
+        # returns the formula's value; bad counts still raise.
+        count_grandchildren.cache_clear()
+        first = count_grandchildren(7, 5, 9, allow_births=False)
+        assert first == count_grandchildren(7, 5, 9, allow_births=False)
+        assert first == count_grandchildren.__wrapped__(7, 5, 9, allow_births=False)
+        info = count_grandchildren.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        with pytest.raises(ValueError):
+            count_grandchildren(-1, 0, 0)
+
     def test_grandchildren_gating(self):
         assert count_grandchildren(10, 5, 0, allow_deaths=False) == 63591
         assert count_grandchildren(3, 2, 4, allow_births=False, allow_deaths=False) == (

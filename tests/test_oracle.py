@@ -1,7 +1,6 @@
 """Exhaustive enumeration checks: counts, exact posterior, TV distance."""
 
 import math
-import random
 from itertools import combinations, product
 
 import numpy as np
@@ -337,7 +336,7 @@ class TestEnumerateChildEvents:
         # second draw of t00 resolves to clutter, which is supported too).
         for seed in range(50):
             chain = _Chain(mat, cfg, sensor.p_d)
-            chain.start(random.Random(seed))
+            chain.start(np.random.default_rng(seed))
             assign, deaths = chain.keys[chain.sid]
             assert all(col in mat.supported[i] for i, col in enumerate(assign))
             # No selected zero-likelihood entry: the score is the prior plus

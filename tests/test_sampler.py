@@ -2,16 +2,16 @@
 dedup, oracle agreement."""
 
 import math
-import random
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from mcmctrack import sampler
 from mcmctrack.filters import GaussianTrack, SensorModel
@@ -110,7 +110,7 @@ def make_walk(positions, returns, **kwargs):
 
 def loaded(walk, event):
     """walk's chain standing on event."""
-    return walk(random.Random(0), event)
+    return walk(np.random.default_rng(0), event)
 
 
 def event_at(chain):
@@ -257,7 +257,7 @@ def assert_rows_match(production, reference, tol=1e-12):
 
 def row_of(walk, event):
     """The production row of event's state, keyed by destination event."""
-    chain = walk(random.Random(0), event)
+    chain = walk(np.random.default_rng(0), event)
     key = chain.keys[chain.sid]
     return {chain.matrix.event_of(d): prob for d, prob in production_row(chain, key).items()}
 
@@ -265,7 +265,7 @@ def row_of(walk, event):
 def proposal_support(walk, event):
     """All events one accepted proposal away from event (itself included
     when some step leaves the state unchanged)."""
-    chain = walk(random.Random(0), event)
+    chain = walk(np.random.default_rng(0), event)
     _, p, _, destinations = kernel_row(chain, chain.keys[chain.sid])
     out = {chain.matrix.event_of(d).canonical_key() for d in destinations}
     if p < 1.0:
@@ -278,15 +278,15 @@ class TestInitChain:
         parent, walk = make_walk(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
-        a = walk(random.Random(7))
-        b = walk(random.Random(7))
+        a = walk(np.random.default_rng(7))
+        b = walk(np.random.default_rng(7))
         assert event_at(a) == event_at(b)
         assert tally_at(a)[4] == tally_at(b)[4]
 
     def test_zero_returns(self):
         parent, matrix, cfg, sensor = make_instance([(100.0, 0.0)], np.empty((0, 2)))
         chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(random.Random(0))
+        chain.start(np.random.default_rng(0))
         assert event_at(chain).assignments == ()
         assert event_at(chain).deaths == frozenset()
         expected = log_child_prior(event_at(chain), parent, cfg, sensor.p_d, 0)
@@ -295,7 +295,7 @@ class TestInitChain:
     def test_no_objects_only_birth_or_clutter(self):
         parent, walk = make_walk([], [[10.0, 0.0], [20.0, 5.0]])
         for seed in range(20):
-            chain = walk(random.Random(seed))
+            chain = walk(np.random.default_rng(seed))
             assert all(a in (BIRTH, CLUTTER) for a in event_at(chain).assignments)
 
     def test_no_duplicate_claims_and_empty_deaths(self):
@@ -303,7 +303,7 @@ class TestInitChain:
             [(100.0, 0.0)], [[99.0, 1.0], [101.0, -1.0], [100.0, 0.5]]
         )
         for seed in range(50):
-            event = event_at(walk(random.Random(seed)))
+            event = event_at(walk(np.random.default_rng(seed)))
             objs = event.associated_labels
             assert len(objs) == len(set(objs))
             assert event.deaths == frozenset()
@@ -467,7 +467,7 @@ class TestPropose:
             [(100.0, 0.0), (50.0, 60.0)],
             [[99.0, 1.0], [52.0, 58.0], [75.0, 30.0]],
         )
-        chain = walk(random.Random(123))
+        chain = walk(np.random.default_rng(123))
         for _ in range(100_000):
             chain.run(1)
             event = event_at(chain)
@@ -486,7 +486,7 @@ class TestPropose:
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(random.Random(5))
+        chain.start(np.random.default_rng(5))
         for _ in range(200):
             chain.run(1)
             event = event_at(chain)
@@ -539,7 +539,7 @@ class TestMetropolis:
         assert production_row(chain, self.START)[self.TO_T00] == pytest.approx(
             self.Q / 2, rel=1e-12)
         # And one-step walks from the start take the move that often.
-        chain.rng = random.Random(321)
+        chain.rng = np.random.default_rng(321)
         hits = 0
         for _ in range(100_000):
             chain.sid = chain.state_id(self.START)
@@ -851,23 +851,43 @@ class TestStream:
     }
 
     @staticmethod
-    def replay(rows, rng, key, steps, visits):
+    def replay(rows, rng, stacks, key, steps, visits):
         """The jump chain as the stream contract states it, over the rows
-        of a second chain, drawing from rng: one random() per holding time
-        where 0 < p < 1, then one per move. Adds each step's visit to
-        visits by key. Returns (final key, holding draws, moves)."""
-        holds = moves = 0
+        of a second chain, drawing from rng: each departure from a state
+        with p > 0 (or hold of a budget there) pops the next pair of the
+        state's stack in stacks (key -> [pairs left, next batch size]),
+        which is refilled when empty with a batch of n pairs, n = 16 at
+        first and doubling up to 1024: rng.random(n), each times p and
+        found among the cumulative probabilities, for the destinations,
+        then, where p < 1, rng.standard_exponential(n), floor(E /
+        -log1p(-p)) each, for the holds. A state with p = 0 holds the
+        budget and draws nothing. Adds each step's visit to visits by key.
+        Returns (final key, batches drawn, moves)."""
+        batches = moves = 0
         left, count = steps, 0
         while left:
             _, p, cumulative, destinations = kernel_row(rows, key)
             if p <= 0.0:
                 hold = left
-            elif p >= 1.0:
-                hold = 0
             else:
-                holds += 1
-                h = math.log(1.0 - rng.random()) / math.log1p(-p)
-                hold = left if h >= left else int(h)
+                stack = stacks.setdefault(key, [[], 16])
+                if not stack[0]:
+                    n = stack[1]
+                    stack[1] = min(2 * n, 1024)
+                    batches += 1
+                    last = len(cumulative) - 1
+                    dests = [
+                        destinations[next((j for j, c in enumerate(cumulative) if u * p < c),
+                                          last)]
+                        for u in rng.random(n)
+                    ]
+                    if p >= 1.0:
+                        holds = [0] * n
+                    else:
+                        holds = [math.floor(min(e / -math.log1p(-p), sampler.MAX_HOLD))
+                                 for e in rng.standard_exponential(n)]
+                    stack[0] = list(zip(holds, dests))[::-1]
+                hold, dest = stack[0].pop()
             if hold >= left:
                 count += left
                 break
@@ -875,69 +895,72 @@ class TestStream:
             left -= hold + 1
             if count:
                 visits[key] = visits.get(key, 0) + count
-            u = rng.random() * p
             moves += 1
-            j = next((j for j, c in enumerate(cumulative) if u < c), len(cumulative) - 1)
-            key = destinations[j]
-            count = 1
+            key, count = dest, 1
         if count:
             visits[key] = visits.get(key, 0) + count
-        return key, holds, moves
+        return key, batches, moves
+
+    @staticmethod
+    def started(matrix, cfg, p_d, seed):
+        """A chain started from default_rng(seed), and a second generator
+        of the same entropy that has drawn start's one integers call."""
+        chain = _Chain(matrix, cfg, p_d)
+        chain.start(np.random.default_rng(seed))
+        ref = np.random.default_rng(seed)
+        ref.integers(0, [len(s) or matrix.n_objects + 2 for s in matrix.supported])
+        assert ref.bit_generator.state == chain.rng.bit_generator.state
+        return chain, ref
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_stream_contract(self, seed):
-        # start's integer draws are rng.randrange of each row's support
-        # size, as before the walk ran as a jump chain. A reference rng
-        # replaying the documented jump chain over the same rows then stays
-        # in the chain rng's state, run by run, and the visits recorded
+        # start's integer draws are one rng.integers call over each row's
+        # support size. A reference generator of the same entropy replaying
+        # the documented jump chain over the same rows then stays in the
+        # chain generator's state, run by run, and the visits recorded
         # after burn-in agree.
         parent, matrix, cfg, sensor = make_instance(
             *self.INSTANCES["sparse"], clutter_density=3e-3,
         )
-        chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(random.Random(seed))
-        ref = random.Random(seed)
-        for supported in matrix.supported:
-            ref.randrange(len(supported))
-        assert ref.getstate() == chain.rng.getstate()
+        chain, ref = self.started(matrix, cfg, sensor.p_d, seed)
         rows = _Chain(matrix, cfg, sensor.p_d)
         key = chain.keys[chain.sid]
-        expected = {}
-        holds = moves = 0
+        stacks, expected = {}, {}
+        batches = moves = 0
         for steps, reset in [(300, False), (4000, True)]:
             if reset:
                 reset_visits(chain)
                 expected.clear()
             chain.run(steps)
-            key, h, mv = self.replay(rows, ref, key, steps, expected)
-            holds += h
+            key, b, mv = self.replay(rows, ref, stacks, key, steps, expected)
+            batches += b
             moves += mv
             assert chain.keys[chain.sid] == key
-            assert ref.getstate() == chain.rng.getstate()
+            assert ref.bit_generator.state == chain.rng.bit_generator.state
         assert visits_of(chain) == expected
         assert sum(chain.visits) == 4000
-        assert holds > 0 and moves > 0
+        assert moves > 0
+        # Some state used up its first two batches and drew a third.
+        assert batches > len(stacks) and max(size for _, size in stacks.values()) > 64
 
     @classmethod
     def assert_runs_follow_replay(cls, matrix, cfg, p_d, seed, budgets):
         """Runs of budgets[i] = (steps, reset) steps each, the visits zeroed
         before the run where reset is true, end where the replay over a
-        second chain's rows ends, with its rng state and its visits."""
-        chain = _Chain(matrix, cfg, p_d)
-        chain.start(random.Random(seed))
-        ref = random.Random()
-        ref.setstate(chain.rng.getstate())
+        second chain's rows ends, with its generator state and its
+        visits."""
+        chain, ref = cls.started(matrix, cfg, p_d, seed)
         rows = _Chain(matrix, cfg, p_d)
         key = chain.keys[chain.sid]
-        expected = {}
+        stacks, expected = {}, {}
         for steps, reset in budgets:
             if reset:
                 reset_visits(chain)
                 expected.clear()
             chain.run(steps)
-            key, _, _ = cls.replay(rows, ref, key, steps, expected)
+            key, _, _ = cls.replay(rows, ref, stacks, key, steps, expected)
             assert chain.keys[chain.sid] == key
-            assert ref.getstate() == chain.rng.getstate()
+            assert ref.bit_generator.state == chain.rng.bit_generator.state
         assert visits_of(chain) == expected
 
     BUDGETS = st.lists(st.tuples(st.integers(0, 400), st.booleans()), min_size=1, max_size=4)
@@ -969,28 +992,28 @@ class TestStream:
     # and the jump chain's.
     GOLDEN = {
         "sparse": [
-            ((("t00", "t01", C), ()), 1474, -17.258838541538672),
-            ((("t01", "t00", C), ()), 875, -17.858838541538674),
-            ((("t00", "t01", C), ("t02",)), 757, -17.95198572209862),
-            ((("t01", "t00", C), ("t02",)), 418, -18.551985722098618),
-            ((("t00", C, C), ()), 46, -20.99974394978553),
-            (((C, "t01", C), ()), 77, -20.99974394978553),
-            ((("t01", C, C), ()), 27, -21.29974394978553),
-            (((C, "t00", C), ()), 51, -21.29974394978553),
-            ((("t00", C, C), ("t01",)), 37, -21.692891130345473),
-            ((("t00", C, C), ("t02",)), 24, -21.692891130345473),
+            ((("t00", "t01", C), ()), 1508, -17.258838541538672),
+            ((("t01", "t00", C), ()), 1003, -17.858838541538674),
+            ((("t00", "t01", C), ("t02",)), 734, -17.95198572209862),
+            ((("t01", "t00", C), ("t02",)), 473, -18.551985722098618),
+            ((("t00", C, C), ()), 65, -20.99974394978553),
+            (((C, "t01", C), ()), 27, -20.99974394978553),
+            ((("t01", C, C), ()), 30, -21.29974394978553),
+            (((C, "t00", C), ()), 33, -21.29974394978553),
+            ((("t00", C, C), ("t01",)), 35, -21.692891130345473),
+            ((("t00", C, C), ("t02",)), 14, -21.692891130345473),
         ],
         "dense3x3": [
-            ((("t00", "t01", "t02"), ()), 1123, -12.824785952731872),
-            ((("t01", "t00", "t02"), ()), 684, -13.274785952731872),
-            ((("t01", "t02", "t00"), ()), 573, -13.474785952731873),
-            ((("t02", "t01", "t00"), ()), 439, -13.524785952731873),
-            ((("t00", "t02", "t01"), ()), 452, -13.724785952731873),
-            ((("t02", "t00", "t01"), ()), 253, -14.224785952731873),
-            ((("t00", C, "t02"), ()), 12, -17.158838541538675),
-            ((("t00", "t01", C), ()), 27, -17.283838541538675),
-            (((C, "t01", "t02"), ()), 22, -17.33383854153867),
-            ((("t01", C, "t02"), ()), 28, -17.433838541538673),
+            ((("t00", "t01", "t02"), ()), 1057, -12.824785952731872),
+            ((("t01", "t00", "t02"), ()), 799, -13.274785952731872),
+            ((("t01", "t02", "t00"), ()), 624, -13.474785952731873),
+            ((("t02", "t01", "t00"), ()), 508, -13.524785952731873),
+            ((("t00", "t02", "t01"), ()), 413, -13.724785952731873),
+            ((("t02", "t00", "t01"), ()), 305, -14.224785952731873),
+            ((("t00", C, "t02"), ()), 18, -17.158838541538675),
+            ((("t00", "t01", C), ()), 4, -17.283838541538675),
+            (((C, "t01", "t02"), ()), 14, -17.33383854153867),
+            ((("t01", C, "t02"), ()), 10, -17.433838541538673),
         ],
     }
 
@@ -1077,7 +1100,7 @@ class TestKeyCache:
             positions, returns, beta=0.05, clutter_density=3e-3,
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(random.Random(8))
+        chain.start(np.random.default_rng(8))
         before = chain.keys[chain.sid]
         toggles = swaps = 0
         for step in range(1, 5001):
@@ -1113,7 +1136,7 @@ class TestIdRows:
         )
         chain = CountingChain(matrix, cfg, sensor.p_d)
         chain.built = []
-        chain.start(random.Random(4))
+        chain.start(np.random.default_rng(4))
         start = chain.keys[chain.sid]
         for steps in (500, 20_000, 20_000):
             chain.run(steps)
@@ -1125,38 +1148,44 @@ class TestIdRows:
         assert all(chain.ids[key] == s for s, key in enumerate(chain.keys))
 
 
-class _CountingRng(random.Random):
-    """A Random that counts its random() calls."""
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.uniforms = 0
-
-    def getrandbits(self, k):
-        # A subclass that defines random() but not getrandbits() draws its
-        # randrange integers from random() (Random.__init_subclass__);
-        # defining both keeps randrange on getrandbits, as random.Random.
-        return super().getrandbits(k)
-
-    def random(self):
-        self.uniforms += 1
-        return super().random()
-
-
 class TestHolding:
     def test_absorbing_single_state_walk(self):
         # No returns and beta = 0: the one state has no move at all (p = 0),
         # so any budget is held there at once, with no draw, no log(0) and
-        # no loop over the steps.
+        # no loop over the steps. start has no column to draw either, so the
+        # generator stays as seeded. A budget past MAX_HOLD runs in parts.
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0)], np.empty((0, 2)), beta=0.0,
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(_CountingRng(0))
+        chain.start(np.random.default_rng(0))
         chain.run(10**15)
         assert visits_of(chain) == {((), ()): 10**15}
         assert kernel_row(chain, ((), ()))[1] == 0.0
-        assert chain.rng.uniforms == 0
+        chain.run(2**70)
+        assert visits_of(chain) == {((), ()): 10**15 + 2**70}
+        assert chain.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_hold_past_max_hold_runs_in_parts(self):
+        # A state that leaves with p = 1e-300 draws holds near 1e300, kept
+        # at MAX_HOLD. A budget past MAX_HOLD runs as runs of at most
+        # MAX_HOLD steps, so each part holds out on one pair: the whole
+        # budget stays on the state, from one batch of pairs.
+        parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        a, b = ((0, 1), ()), ((1, 0), ())
+        ia, ib = chain.state_id(a), chain.state_id(b)
+        chain.rows[ia] = _id_row(0.0, 1e-300, [1e-300], [ib])
+        chain.sid = ia
+        chain.rng = np.random.default_rng(0)
+        steps = 3 * sampler.MAX_HOLD + 5
+        chain.run(steps)
+        assert visits_of(chain) == {a: steps}
+        ref = np.random.default_rng(0)
+        ref.random(sampler.FIRST_BATCH)
+        holds = ref.standard_exponential(sampler.FIRST_BATCH) / -math.log1p(-1e-300)
+        assert (holds > sampler.MAX_HOLD).all()
+        assert chain.rng.bit_generator.state == ref.bit_generator.state
 
     @pytest.mark.parametrize("burn,record", [(0, 1), (0, 7), (3, 1), (0, 5000)])
     def test_small_budgets(self, burn, record):
@@ -1173,16 +1202,18 @@ class TestHolding:
     def test_zero_steps_draw_nothing(self):
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
         chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(_CountingRng(0))
+        chain.start(np.random.default_rng(0))
         key = chain.keys[chain.sid]
+        state = chain.rng.bit_generator.state
         chain.run(0)
-        assert (visits_of(chain), chain.keys[chain.sid], chain.rng.uniforms) == ({}, key, 0)
+        assert (visits_of(chain), chain.keys[chain.sid]) == ({}, key)
+        assert chain.rng.bit_generator.state == state
 
     def test_leave_probability_past_one_is_guarded(self):
         # Summation can carry p a rounding error past 1. Such a state holds
-        # no step and draws no holding variate (log1p(-p) would be NaN):
-        # each step is a move, one random() each, and the largest variate
-        # still lands on the last destination.
+        # no step and draws no exponential (log1p(-p) would be NaN): each
+        # step is a move, and each state's first batch draws only its
+        # uniforms. The largest uniform still lands on the last destination.
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
         chain = _Chain(matrix, cfg, sensor.p_d)
         a, b = ((0, 1), ()), ((1, 0), ())
@@ -1190,17 +1221,23 @@ class TestHolding:
         p = 1.0 + 2.0**-52
         chain.rows[ia] = _id_row(0.0, p, [0.5, p], [ib, ib])
         chain.rows[ib] = _id_row(0.0, p, [0.5, p], [ia, ia])
-
-        class TopRng(_CountingRng):
-            def random(self):
-                super().random()
-                return 1.0 - 2.0**-53
-
         chain.sid = ia
-        chain.rng = TopRng(0)
+        chain.rng = np.random.default_rng(0)
         chain.run(5)
         assert visits_of(chain) == {b: 3, a: 2}
-        assert chain.rng.uniforms == 5
+        ref = np.random.default_rng(0)
+        ref.random(sampler.FIRST_BATCH)
+        ref.random(sampler.FIRST_BATCH)
+        assert chain.rng.bit_generator.state == ref.bit_generator.state
+
+        class TopRng:
+            """Draws only the largest uniform below 1, and no exponential."""
+
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0**-53)
+
+        batch = next(sampler._batches(TopRng(), _id_row(0.0, p, [0.5, p], [ia, ib])))
+        assert list(batch) == [(0, ib)] * sampler.FIRST_BATCH
 
     @given(seed=st.integers(0, 2**32 - 1), budgets=st.lists(st.integers(0, 300), max_size=4))
     @settings(max_examples=60, deadline=None)
@@ -1209,8 +1246,80 @@ class TestHolding:
             *TestExactKernel.INSTANCES["sparse"], clutter_density=3e-3,
         )
         chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.start(random.Random(seed))
+        chain.start(np.random.default_rng(seed))
         for n, steps in enumerate(budgets, 1):
             chain.run(steps)
             assert sum(chain.visits) == sum(budgets[:n])
         assert all(v > 0 for v in visits_of(chain).values())
+
+
+def pooled(expected, counts, least=5.0):
+    """(expected, counts) summed over groups of bins, taken from the
+    smallest expected count up, each group reaching least (the last group
+    takes what is left), so a chi-square test sees no tiny bin."""
+    groups = []
+    e_sum = c_sum = 0.0
+    for e, c in sorted(zip(expected, counts)):
+        e_sum += e
+        c_sum += c
+        if e_sum >= least:
+            groups.append((e_sum, c_sum))
+            e_sum = c_sum = 0.0
+    if e_sum or c_sum:
+        e_last, c_last = groups.pop() if groups else (0.0, 0.0)
+        groups.append((e_last + e_sum, c_last + c_sum))
+    return [e for e, _ in groups], [c for _, c in groups]
+
+
+class TestBatches:
+    """The pairs of a state's batches against its kernel row."""
+
+    N = 20_000
+
+    @pytest.mark.parametrize("name", list(TestExactKernel.INSTANCES))
+    def test_pairs_follow_the_row(self, monkeypatch, name):
+        # One batch of N pairs per state a walk reaches, at a fixed seed:
+        # destinations fall on each destination with the row's probability
+        # of it over p (chi-square), and holds average (1 - p) / p, the mean
+        # of the geometric count of steps held, within 5 standard errors;
+        # a state with p >= 1 holds none.
+        _, matrix, cfg, sensor = make_instance(
+            *TestExactKernel.INSTANCES[name], clutter_density=3e-3,
+        )
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain.start(np.random.default_rng(2))
+        chain.run(20_000)
+        monkeypatch.setattr(sampler, "FIRST_BATCH", self.N)
+        rng = np.random.default_rng(3)
+        checked = 0
+        for sid in [sid for sid, row in enumerate(chain.rows) if row is not None]:
+            key = chain.keys[sid]
+            p = chain.rows[sid][1]
+            if p <= 0.0:
+                continue
+            row = production_row(chain, key)
+            holds, dests = zip(*next(sampler._batches(rng, chain.rows[sid])))
+            assert len(dests) == self.N
+            drawn = Counter(chain.keys[d] for d in dests)
+            assert set(drawn) <= set(row)
+            expected, counts = pooled(
+                [self.N * prob / p for prob in row.values()], [drawn[d] for d in row])
+            if len(counts) > 1:
+                stat = sum((c - e) ** 2 / e for e, c in zip(expected, counts))
+                assert chi2.sf(stat, len(counts) - 1) > 1e-6, (key, stat)
+            if p >= 1.0:
+                assert set(holds) == {0}
+            else:
+                mean = (1.0 - p) / p
+                se = math.sqrt((1.0 - p) / p**2 / self.N)
+                assert abs(np.mean(holds) - mean) <= 5.0 * se, (key, np.mean(holds), mean)
+            checked += 1
+        assert checked > 1
+
+    @pytest.mark.parametrize("p", [0.25, 1.0 + 2.0**-52])
+    def test_batches_double_to_the_cap(self, p):
+        row = _id_row(0.0, p, [p / 2, p], [0, 1])
+        sizes = [len(list(batch)) for batch in
+                 islice(sampler._batches(np.random.default_rng(0), row), 9)]
+        assert sizes == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
+        assert (sampler.FIRST_BATCH, sampler.LAST_BATCH) == (16, 1024)

@@ -532,20 +532,20 @@ class TestSeedGolden:
     # rng stream and its summation order fix these, so a change to either
     # shows at tracker level and not only in the sampler's goldens.
     GOLDEN = [
-        ("h0", 1.0, 1, 1, 0.0),
-        ("h1-00000", 1.0, 1, 1, 0.0),
-        ("h2-00000", 1.0, 1, 1, 0.0),
-        ("h3-00000", 0.9994003597841296, 1, 2, 0.005048299525944081),
-        ("h4-00000", 0.356573675466554, 1, 9, 1.095325954382754),
-        ("h5-00001", 0.6554662832144802, 1, 19, 0.7396042146517197),
-        ("h6-00003", 0.448782263299982, 2, 50, 1.104915598807792),
-        ("h7-00008", 0.7070759678542143, 3, 50, 0.6351531442763609),
-        ("h8-00000", 0.9999999021774852, 3, 50, 1.7941828498157879e-06),
-        ("h9-00000", 0.9999999940203346, 3, 50, 1.2338093690702373e-07),
-        ("h10-00000", 0.9999999956185512, 3, 50, 9.18671680424527e-08),
-        ("h11-00000", 0.9999999953819814, 3, 50, 9.70921109507644e-08),
-        ("h12-00000", 0.9999999954616143, 3, 50, 9.519083793214259e-08),
-        ("h13-00000", 0.9999999950786189, 3, 50, 1.0298635477158986e-07),
+        ("h0", 0.9988014382740689, 1, 3, 0.010090907706225208),
+        ("h1-00000", 0.9999520023038896, 1, 4, 0.0005772456878889455),
+        ("h2-00000", 0.9999865601806314, 1, 5, 0.0001703326586265418),
+        ("h3-00000", 0.9993879821694869, 1, 8, 0.00520243758535967),
+        ("h4-00000", 0.35635546201964174, 1, 43, 1.1005275362788935),
+        ("h5-00004", 0.2891014298258976, 2, 50, 1.7130328841987401),
+        ("h6-00000", 0.5606510671489177, 2, 50, 1.0861482629073955),
+        ("h7-00001", 0.6974960777538866, 2, 50, 0.911393703315895),
+        ("h8-00006", 0.9936882906762143, 3, 50, 0.04674040287639024),
+        ("h9-00000", 0.9989998748856755, 3, 50, 0.008446461166218147),
+        ("h10-00000", 0.9976025035420361, 3, 50, 0.018130972975901553),
+        ("h11-00000", 0.9986437916226513, 3, 50, 0.011112477751589881),
+        ("h12-00000", 0.9981819846158073, 3, 50, 0.014173122265527397),
+        ("h13-00000", 0.998888223646821, 3, 50, 0.00916984651137301),
     ]
 
     def test_single_spawn_seed0_reports(self):
@@ -564,44 +564,44 @@ class TestSeedGolden:
     # where parents share the most tracks.
     NUMBERS = {
         "single-spawn": [
-            "189f0ea1c986dc7acb6697abe27825d180571fb4f1e4fdd9a5177d48504d2b9a",
-            "e678ae7dd9b740334ad4d942a6e16454bbb4d346bd548ef6fcf1d51697de92b5",
-            "c441fb4de6fc6da9f51085c63f4ffc647d61245b5734ddf882440af6b8bef7e5",
-            "05c01734d825659a614c4442221d5fbaf9ec81e3a50a1460e2db9ba05e4def4d",
-            "94e19f9d736c91cb294cff3bc3025a82f99077c9a872cef9dd7becceebffb18f",
-            "638e7dba047d3e9f1ce3faacc7838e6f12495750637fe36ddeb18351e6ca59d9",
-            "77513196fa96781f3e62e1fb5c6fcf37c496dcffa0c25be15586b8349812fe27",
-            "6c0fbdddfb42158a151c4187b9f6ef46dd4444945255cce0cba724407af5e18a",
-            "4d4c93bddaf8c66ef295101a3f18ca376ed198afb7676ad2427c3478476240f8",
-            "0e85ff451901aa5b5cbd2b15d3104278672f04ab6da57eb8eabf564edc92dc82",
-            "f363dcfa3d88090383daa888c84becef8f45a403fb95822c8997f5519410af3f",
-            "08ba7463aa76d1eb64606fa73ac85221f72defc2c2a341cfba81e28f18f8eb43",
-            "2544aabfe77faa0343420b55aac1f04d49487c90ae1121cd27cc63ac8fdcb4fe",
-            "be648d61219db4286991c59d35fddf82802204fa5154ec9cc24676ca23695d56",
+            "d862495786b2ef770b9f4461165ceefbe938ec632c967c746b232d890dd01d62",
+            "585ceb2e01df20c268482acef955514cf1fba12138403614fd36c0eab1327da7",
+            "07b5a52ab0edd30e24765c3c8fa5dbdfb18aca8c0999aee95170900aa146d794",
+            "22b1121205c71fe40e25688d031a8587f6de7e34ed177127489ed5a77b40f0ab",
+            "ca6a84745c75fd6072abe0d74f87f998fb467ab99daf94964cbfc9a8653636f3",
+            "d42baa9c5b65b62142f389dab57c814e35b70e902927cf53f704aa1813262ae2",
+            "bb3dafcd836d19091903bec20ca8f0d143007f67c3496e1d13ac031f49e0eaac",
+            "a30d7724e0dd29b37028c132273ff25eca8db60990d36267fa952095263a1d67",
+            "7f2e1c70fe94253c9b99000ae81633dd699b79bba08e11991d98e5a0c1af1bfa",
+            "80f59e80d388934a9bf431dfbe8c9d9ba3cfa67f2e06c9f1337f964af778e0ca",
+            "12ea66b9d7321d16c472ba13760c894da9609d267e6079a7f74c42196b77b29a",
+            "0dec286b460435c0e9a22042a8363d5da9b83f718a998839ed3ec4b4e0550d87",
+            "3bb05e2cc82a56ec142bcec20dadf3abc6db535c121916a296356433ce3d0f15",
+            "062e0615bc21f11a3e17e68754b6d8009a72b5bd58cb76cfef6c91c7d52f9b76",
         ],
         "twenty-object": [
             "dd82ceb0eeeba4a9b0f688032b8b4ea34c8e5a45662a16684b1a799b74e9a08e",
             "e1ef77beb2f06c4943c85fec4f3c7218d10af0c2503856a591c1686ca4ba039e",
             "23d3d275cb670d2b2adabfa89ebbdff74948565ffafddcdf1a35f1386131ea67",
-            "e15bcc6682abfa1e2fc07ae384835ef2461524ceccd937517281a7a8ee90ae76",
-            "77ee4e4943a1e05cf64cbaa2a8256b5ecdd586b1f9f553e371712059590ee5a5",
-            "7235f4524f1d5c11ce559344860cd5db6994e8d72060ca49dfb3d825c3a56b76",
-            "64ed730fcb32b68b2b5a636accdd4f232c45b3702108aabf013282313d391103",
-            "6eb0d5f33a9364621166ae67a3c605fa66ac2d31d0a89baa920bb620a3768c46",
-            "8bee3fadea6268cb362ad83f59261a2d0c127428a814c2215db496f29ba27eef",
-            "43ac1494f793e153ce4e25f16e48c5a5ba5f048d9a545cd4cea19f31a7db0d29",
-            "4a8440012b0648a2bd12d6e85c7890dc8443e65797aa9a08a5459859e3aa3ef6",
-            "81b50a1ad2069d8e1cb2d3856cdf59036ba087a4c87a9ae136505b6ac682d506",
-            "662b08fa402d88d9e4b07f3b9135b5f487ed18b5a3078cf18096ae4291010baf",
-            "b2e94cb744da014a19f0408577884cff6a5561cdfb93f5c1e9ccc2e56716267e",
+            "d065cfc3ee06c3844b1d5139c8422c076beb8fa90aca0bf1cc373887689e16fc",
+            "1773e7688f1133c46c547125deb1f95a09596c1e675be271455eb907f1b98205",
+            "92eaef337f3e5f4992cc6d5772692a694db0fab95e58ce23138ad665bd3f70d9",
+            "9d4bb8fc9e24ab208e264dcf5e1d3e1b2f2c2ade19c43c66622c807b1ea8f064",
+            "a5494d2fe19c94a2729dcf7f2201e518279180549369bcc4f20fcb9e2aa0b8a9",
+            "06de7cab0186f7347cc9f6445942f3c1db060d69a4ef980df41161013236bfed",
+            "92f45d936c855a45a06c30359dd32c1b04bccb08e0e54014251e79fcba1e3178",
+            "4a73de60a2eb2af05ca92f1742e675a3ee8294faa910b580e757097425d217ce",
+            "d59481c5d943359a998172e3d016656fc4904896f2e48ca7c25c4120e6088461",
+            "4c5e589b84ad7dc6cb7eb6c445d6333fa4f13645c4850cdff6acf24d28a818f3",
+            "557c6e9e0d282082aff38e8fc358f1d569c93e4f9cef344f511b17a211c38ea4",
         ],
         "sixty-object": [
-            "7ecd4189677a21effd4a36579695f83a55962a058e002084e82bb048695bcf79",
-            "d56275ff9a3f6333b00556c2bd34e43fe77ba4690732d58c477a03e47f79366b",
-            "d950600cb6c9c414f2d8fcf2a23184ee519907ac7c190fd31bf5ffeab1b43682",
+            "23b6683e14490f2952932aa80aac08871155804409daa778dc7e954b9bb472da",
+            "a5f5bfa289b894b9b8e95932246efb5ff86370330b4d8fbbc65375b461aac200",
+            "bbf4e3026e692551cddd056fceb697dac82b6410d30a73ee31b70056027ddddb",
             "7a1742057c8e34b23f94f8b624e6f8c463495c15d9189878010d72eb9911e4a2",
-            "731137203106dc9713f34084c915a7dc19671417246b06a4e975e0d36f40433f",
-            "cb54e65e7c639c42cf0c1722a9a0cf5238ec80fece98edf3bd0f31f73565ad4e",
+            "2e2100caf89e10d28524fecf6d0085ab96ad82802113d963321f189a97b3b9b9",
+            "34ff9508739d60f8b193a615d7710edfddcd40019cb26793ade1c9b61a8320af",
         ],
     }
 
@@ -628,20 +628,19 @@ class TestBoundGolden:
     # test, so only these pin its value on the presets.
     BOUNDS = {
         "single-spawn": [
-            39651379969230110720, 59672695062659072, 59672695062659072,
-            1552615971535978496, 123611987822298267648, 489790103374585135104,
-            1290102838106412548096, 2535547787527135374082048,
-            5115143983721089073152, 142744013126107396046848,
-            6367039408488797175808, 6362023524403813285888,
-            172189700411360305741824, 8078651587169370505216,
+            39651379969230110720, 302867074940665856, 362539770003324928,
+            11107002581002485760, 632391519025691099136, 3892414433090185723904,
+            4193848237449440919552, 2481274792450003121995776, 5065818871752267137024,
+            147530125809902656946176, 6416364520457619111936, 7412807893061524783104,
+            202718872702165264105472, 9816086280213379416064,
         ],
         "sixty-object": [
             1034696547902745729165943490088337551042543616,
             4830394612053187964662843481329866234423934976,
-            1506761791478689908320256095969686787947617847345152,
-            169001298847897794289170694449687984786308694026485760,
+            1117987020055372970816298252224200832741939976601600,
+            84505044887608481388985155125895096032389875577651200,
             104078832809265215470388718903885493722693193602957312,
-            2284311334325323783328171783460658698358973588832256,
+            2499973801140791418370329815126548412178235584937984,
         ],
     }
 
