@@ -239,14 +239,6 @@ def propagate_flows(states: np.ndarray, cfg: DynamicsConfig) -> tuple[np.ndarray
     return means, jacs
 
 
-def flow_jacobian(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
-    """State-transition Jacobian of the RK4 flow at s: the one-state view of
-    propagate_flows (central differences with step 1e-6 * max(1, |s_j|),
-    closed form at mu = 0). s itself is integrated as well as its
-    perturbations, so the 1 km guard covers s too."""
-    return propagate_flows(s, cfg)[1][0]
-
-
 def process_noise(cfg: DynamicsConfig) -> np.ndarray:
     """Discrete white-noise-acceleration covariance G q G^T per axis."""
     dt = abs(cfg.dt)

@@ -25,21 +25,24 @@ _Chain.run simulates the walk exactly by its jump chain (Douc & Robert, "A
 vanilla Rao-Blackwellization of Metropolis-Hastings algorithms", Ann.
 Statist. 2011) over state ids: each state gets an id the first time a row
 names it, and for each state the walk reaches, build_row builds and
-memoizes once, under that id, the state's one-step kernel row, the
-probability of each move that leaves it, with its destinations as ids and
-its log holding factor log1p(-p) precomputed. Each departure from a state
-takes the next (hold, destination) pair of the state's own stack, drawn
-in numpy batches (the per-state "random stacks" of Wilson, "Generating
-random spanning trees more quickly than the cover time", STOC 1996), so a
-move costs a few list indexes. From a finite state a candidate that scores
--inf is never accepted, so a row scores only the supported columns.
+memoizes once, under that id, the state's one-step kernel row: its score,
+the probability p that a step leaves it, and each move that does, as its
+cumulative probability and its destination id. Each departure from a
+state takes the next (hold, destination) pair of the state's own stack,
+drawn in numpy batches (the per-state "random stacks" of Wilson,
+"Generating random spanning trees more quickly than the cover time", STOC
+1996), so a move costs a few list indexes. From a finite state a candidate
+that scores -inf is never accepted, so a row scores only the supported
+columns.
 
 A parent's children come from one of two calls: sample_children walks,
 and enumerate_children scores every key of oracle.enumerate_child_keys
 with tally, so every child score comes from _Chain. child_score_bounds
-gives each parent matrix of a scan an upper bound on every tally score,
-which the tracker uses to skip the parents none of whose children it could
-keep. All three read the count-level prior from one memoized prior_table.
+reads a scan's matrix and each parent's columns of it and gives each
+parent an upper bound on every tally score of its children, which the
+tracker uses to skip the parents none of whose children it could keep
+before it selects their matrices. All three read the count-level prior
+from one memoized prior_table.
 
 Stream contract: each walk draws from one numpy Generator, seeded from
 chain_seed. start draws every return's column in one call,
@@ -139,32 +142,25 @@ class ChildSample:
     visits: int
 
 
-def _id_row(score: float, p: float, cumulative: list[float], destinations: list[int]) -> tuple:
-    """A kernel row as run reads it: (score, p, log1p(-p) or None,
-    cumulative, the search bound hi, destination ids). log1p(-p) is kept
-    only where 0 < p < 1, the states that draw a holding time; hi keeps a
-    product U * p that rounds up to p on the last move."""
-    stay = math.log1p(-p) if 0.0 < p < 1.0 else None
-    return (score, p, stay, cumulative, len(cumulative) - 1, destinations)
-
-
 def _batches(rng: np.random.Generator, row: tuple):
     """Endless batches of (hold, destination id) pairs, drawn from rng, of a
-    state whose id row (_id_row) leaves it with p > 0: each batch is a zip
-    of n holds and n destinations, n = FIRST_BATCH at first and doubling up
-    to LAST_BATCH.
+    state whose kernel row (_Chain.build_row) leaves it with p > 0: each
+    batch is a zip of n holds and n destinations, n = FIRST_BATCH at first
+    and doubling up to LAST_BATCH.
 
     A destination is the move that U * p, U uniform on [0, 1), falls in
-    among the row's cumulative probabilities, bounded at the last move. A
-    hold is floor(E / -log1p(-p)) for a standard exponential E, so P(hold >=
-    h) = (1 - p)^h: the geometric count of steps held before the step that
-    moves, kept at most MAX_HOLD. When p >= 1 (which summation can overshoot
-    by a rounding error, where log1p(-p) is NaN) every hold is 0 and no
-    exponential is drawn. Only multiplication, division, floor, comparison
-    and search touch a draw, so every platform turns the same draws into
-    the same pairs."""
-    _, p, stay, cumulative, hi, destinations = row
-    bounds = np.array(cumulative[:hi])
+    among the row's cumulative probabilities but the last, so a product
+    that rounds up to p lands on the last move. A hold is floor(E /
+    -log1p(-p)) for a standard exponential E, so P(hold >= h) = (1 - p)^h:
+    the geometric count of steps held before the step that moves, kept at
+    most MAX_HOLD. When p >= 1 (which summation can overshoot by a rounding
+    error, where log1p(-p) is NaN) every hold is 0 and no exponential is
+    drawn. Only multiplication, division, floor, comparison and search
+    touch a draw, so every platform turns the same draws into the same
+    pairs."""
+    _, p, cumulative, destinations = row
+    stay = math.log1p(-p) if p < 1.0 else None
+    bounds = np.array(cumulative[:-1])
     moves = np.array(destinations)
     n = FIRST_BATCH
     while True:
@@ -296,7 +292,8 @@ class _Chain:
         return sid
 
     def build_row(self, sid: int) -> tuple:
-        """Build, memoize and return the id row (_id_row) of state sid.
+        """Build, memoize and return the kernel row (score, p, cumulative,
+        destinations) of state sid.
 
         The row's score is the state's from-scratch score (tally). The row
         lists every proposal that leaves the state with a positive
@@ -386,7 +383,7 @@ class _Chain:
                 total += q * accept
                 cumulative.append(total)
                 destinations.append(state_id((assign, toggled)))
-        row = self.rows[sid] = _id_row(score, total, cumulative, destinations)
+        row = self.rows[sid] = (score, total, cumulative, destinations)
         return row
 
     def refill(self, sid: int) -> tuple[int, int]:
@@ -502,45 +499,50 @@ def enumerate_children(
 
 
 def child_score_bounds(
-    matrices: Sequence[AssociationMatrix], birth_cfg: BirthDeathConfig, p_d: float
+    scan_matrix: AssociationMatrix,
+    cols_by_parent: Sequence[list[int]],
+    birth_cfg: BirthDeathConfig,
+    p_d: float,
 ) -> list[float]:
-    """An upper bound on every _Chain.tally score over each of matrices,
-    the parent matrices of one scan (the same returns).
+    """An upper bound on every _Chain.tally score over each parent's matrix
+    of one scan, scan_matrix.select(cols) for cols in cols_by_parent,
+    read from scan_matrix without selecting one.
 
-    The bound relaxes the claims: each row offers its best object entry,
-    its birth entry or its clutter entry, and a row-order DP (from 0.0, in
-    tally's summation order) keeps the largest sum per (k, n_b), k up to
-    the matrix's objects and n_b up to n_pixels (log_count_prior is -inf
-    past that). -inf entries carry -inf, so they offer nothing. Each sum is
-    added to the largest prior_table cell over the death counts of (k,
-    n_b), and the bound is the largest such total. IEEE addition is
+    The bound relaxes the claims: each row offers its best entry among the
+    parent's object columns, its birth entry or its clutter entry, and a
+    row-order DP (from 0.0, in tally's summation order) keeps the largest
+    sum per (k, n_b), k up to the parent's objects and n_b up to n_pixels
+    (log_count_prior is -inf past that). -inf entries carry -inf, so they
+    offer nothing. Each sum is added to the largest prior_table cell over
+    the death counts of (k, n_b), the parent's eligible deaths read from
+    scan_matrix.death_eligible, and the bound is the largest such total.
+    A maximum does not depend on the order of cols, and IEEE addition is
     monotone, so the bound is at least every tallied score, bit for bit.
     """
-    if not matrices:
+    if not cols_by_parent:
         return []
-    m = matrices[0].n_returns
-    n_k = min(max(mat.n_objects for mat in matrices), m) + 1
+    m = scan_matrix.n_returns
+    n_k = min(max(map(len, cols_by_parent)), m) + 1
     n_b = min(birth_cfg.n_pixels, m) + 1
+    entries = scan_matrix.log_entries
     # maxima[n_objects, eligible]: the largest prior per (k, n_b).
     maxima: dict[tuple[int, int], np.ndarray] = {}
-    prior = np.empty((len(matrices), n_k, n_b))
-    # best[i, :, p]: row i's best object, birth and clutter entries in matrix p.
-    best = np.empty((m, 3, len(matrices)))
-    for p, matrix in enumerate(matrices):
-        n_objects = matrix.n_objects
-        key = (n_objects, sum(matrix.death_eligible))
+    prior = np.empty((len(cols_by_parent), n_k, n_b))
+    # best[i, p]: row i's best entry among parent p's object columns.
+    best = np.full((m, len(cols_by_parent)), -math.inf)
+    for p, cols in enumerate(cols_by_parent):
+        key = (len(cols), sum(scan_matrix.death_eligible[j] for j in cols))
         if key not in maxima:
             maxima[key] = np.full((n_k, n_b), -math.inf)
             for k, births in enumerate(prior_table(*key, m, birth_cfg, p_d)):
                 cells = [max(deaths) for deaths in births[:n_b]]
                 maxima[key][k, :len(cells)] = cells
         prior[p] = maxima[key]
-        entries = matrix.log_entries
-        best[:, 0, p] = entries[:, :n_objects].max(axis=1) if n_objects else -math.inf
-        best[:, 1:, p] = entries[:, n_objects:]
-    dp = np.full((len(matrices), n_k, n_b), -math.inf)
+        if cols:
+            best[:, p] = entries[:, cols].max(axis=1)
+    dp = np.full((len(cols_by_parent), n_k, n_b), -math.inf)
     dp[:, 0, 0] = 0.0
-    for obj, birth, clutter in best[:, :, :, None, None]:
+    for obj, (birth, clutter) in zip(best[:, :, None, None], entries[:, scan_matrix.birth_col:]):
         new = dp + clutter
         np.maximum(new[:, 1:], dp[:, :-1] + obj, out=new[:, 1:])
         np.maximum(new[:, :, 1:], dp[:, :, :-1] + birth, out=new[:, :, 1:])

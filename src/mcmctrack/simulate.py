@@ -131,9 +131,11 @@ class ScenarioConfig:
 
 
 def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator | None = None) -> list[TruthScan]:
-    """Propagate all objects scan by scan, applying spawn events when their
-    time is crossed: the parent is replaced by fragment_count children at the
-    parent's position with Gaussian velocity kicks (the parent dies)."""
+    """Propagate all objects scan by scan, applying each spawn event at the
+    first scan at or after its time, after that scan's propagation: the
+    parent is replaced by fragment_count children at the parent's position
+    with Gaussian velocity kicks (the parent dies). An event at time 0 is
+    applied at the first scan, as one at any time up to the first scan is."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     events = sorted(cfg.spawn_events, key=lambda e: (e.time, e.parent_index))
@@ -143,13 +145,12 @@ def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator | None = None) 
     ]
     id_of_initial = {idx: f"t{idx:02d}" for idx in range(len(cfg.objects))}
     scans: list[TruthScan] = []
-    t_prev = 0.0
     for t in cfg.scan_times():
         population = [
             (oid, propagate_state(s, cfg.dynamics)) for oid, s in population
         ]
         for ev_idx, ev in enumerate(events):
-            if applied[ev_idx] or not (t_prev < ev.time <= t):
+            if applied[ev_idx] or ev.time > t:
                 continue
             applied[ev_idx] = True
             parent_id = id_of_initial[ev.parent_index]
@@ -167,7 +168,6 @@ def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator | None = None) 
                 fragments.append((f"s{ev_idx}f{j}", state))
             population[i:i] = fragments
         scans.append(TruthScan(time=t, objects=tuple((o, s.copy()) for o, s in population)))
-        t_prev = t
     return scans
 
 

@@ -1,13 +1,14 @@
 """Per-scan recursion: propagate the distinct tracks of the scan's parents
 in one RK4 pass (filters.propagate_flows), predict each once and pair it
-with the returns once, in one scan-level association matrix; give each
-parent its columns of that matrix (AssociationMatrix.select);
-bound each parent's child scores (sampler.child_score_bounds) and generate
-the children of each parent whose best child could still be among the
-h_inf heaviest, by one call per parent: sampler.sample_children (the MCMC
-walk) or sampler.enumerate_children (exhaustive mode); keep the h_inf
-heaviest candidates and normalize over them (one prune pass), realize the
-surviving children (birth/death bookkeeping), and report. A birth is a
+with the returns once, in one scan-level association matrix; bound each
+parent's child scores from that matrix and the parent's columns of it
+(sampler.child_score_bounds); for each parent whose best child could still
+be among the h_inf heaviest, select its columns of the matrix
+(AssociationMatrix.select) and generate its children by one call:
+sampler.sample_children (the MCMC walk) or sampler.enumerate_children
+(exhaustive mode); keep the h_inf heaviest candidates, gathered in one
+list, and normalize over them (one prune pass), realize the surviving
+children (birth/death bookkeeping), and report. A birth is a
 hypothesis-level event: the return a scan reads as a birth is one newborn
 track, labeled by scan and return index, in every child that births it.
 
@@ -16,8 +17,10 @@ min-heap keeps the h_inf heaviest finite candidate weights so far. Once the
 heap is full and a parent's weight plus bound falls below its minimum,
 every child of that parent and of every later one is strictly lighter than
 h_inf others, so prune would drop it, and those parents are skipped
-(TrackerReport.parents_skipped). prune's output depends only on what it
-keeps, so the skip changes no bit of a scan's hypotheses.
+(TrackerReport.parents_skipped): no matrix is selected for them. prune's
+output depends only on what it keeps, and it ranks them by a unique key,
+so neither the skip nor the order candidates are gathered in changes a bit
+of a scan's hypotheses.
 
 A walk (sampler._Chain.run, which simulates the Metropolis chain by its
 jump chain) is seeded by the run seed and its parent's id alone, so the
@@ -254,12 +257,8 @@ class Tracker:
         scan_matrix = build_matrix(distinct, frame.returns, cfg.sensor, cfg.clutter, bd)
         cols_by_parent = [[col_of[id(t)] for t in parent.tracks] for parent in parents]
         predicted_by_parent = [tuple(distinct[j] for j in cols) for cols in cols_by_parent]
-        # A parent's matrix has the labels and track count of its predicted
-        # tracks (prediction keeps labels).
-        matrices = [scan_matrix.select(cols) for cols in cols_by_parent]
-        bounds = child_score_bounds(matrices, bd, cfg.sensor.p_d)
-        # Parent index -> its candidates; a skipped parent keeps none.
-        children: list[list[Candidate]] = [[] for _ in parents]
+        bounds = child_score_bounds(scan_matrix, cols_by_parent, bd, cfg.sensor.p_d)
+        candidates: list[Candidate] = []
         heaviest: list[float] = []  # min-heap, the h_inf heaviest finite weights
         visited = 0
         # sorted is stable, so ties keep parent order.
@@ -269,13 +268,16 @@ class Tracker:
             if len(heaviest) == cfg.h_inf and parent.log_weight + bounds[p] < heaviest[0]:
                 break
             visited += 1
+            # A parent's matrix has the labels and track count of its
+            # predicted tracks (prediction keeps labels).
+            matrix = scan_matrix.select(cols_by_parent[p])
             if cfg.mode is TrackerMode.EXHAUSTIVE:
-                samples = enumerate_children(matrices[p], bd, cfg.sensor.p_d)
+                samples = enumerate_children(matrix, bd, cfg.sensor.p_d)
             else:
-                samples = sample_children(parent, matrices[p], cfg.sampler, bd, cfg.sensor)
+                samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
             for s in samples:
                 weight = parent.log_weight + s.log_score
-                children[p].append(Candidate(parent.id, predicted_by_parent[p], s.event, weight))
+                candidates.append(Candidate(parent.id, predicted_by_parent[p], s.event, weight))
                 if weight == -math.inf:
                     continue
                 if len(heaviest) < cfg.h_inf:
@@ -283,7 +285,6 @@ class Tracker:
                 elif weight > heaviest[0]:
                     heapq.heapreplace(heaviest, weight)
         skipped = len(parents) - visited
-        candidates = [c for cands in children for c in cands]
         try:
             kept = prune(candidates, cfg.h_inf)
         except DegenerateUpdateError:

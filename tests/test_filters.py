@@ -14,7 +14,6 @@ from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
-    flow_jacobian,
     in_bounded_fov,
     in_fov,
     measurement_likelihood,
@@ -162,7 +161,7 @@ class TestPropagateFlows:
             assert mean.tobytes() == propagate_state(s, cfg).tobytes()
             want = reference_flow_jacobian(s, cfg)
             assert jac.tobytes() == want.tobytes()
-            assert flow_jacobian(s, cfg).tobytes() == want.tobytes()
+            assert propagate_flows(s, cfg)[1][0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("mu", [0.0, MU_EARTH])
     @pytest.mark.parametrize("dt", [0.0, 300.0])
@@ -408,5 +407,5 @@ class TestTrackValidation:
 
     def test_jacobian_close_to_identity_for_small_dt(self):
         s = np.array([2.0e4, 1.0e4, -1.0, 3.0])
-        jac = flow_jacobian(s, DynamicsConfig(dt=1.0))
+        jac = propagate_flows(s, DynamicsConfig(dt=1.0))[1][0]
         np.testing.assert_allclose(jac, np.eye(4) + np.diag([1.0, 1.0], k=2), atol=1e-4)

@@ -205,22 +205,30 @@ def sparse_matrices(draw):
 class TestChildScoreBounds:
     @given(
         mat=sparse_matrices(),
-        subsets=st.lists(st.lists(st.integers(0, 4), unique=True), min_size=1, max_size=3),
+        data=st.data(),
         n_pixels=st.integers(1, 2),
         p_d=st.sampled_from([0.9, 1.0]),
         beta=st.sampled_from([0.0, 0.1]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_bound_is_at_least_every_enumerated_score(self, mat, subsets, n_pixels, p_d, beta):
-        # Each subset of the object columns is one parent's matrix, selected
-        # from a scan-level matrix as the tracker does, and one call bounds
-        # them all: no child of a parent outscores its bound.
-        parents = [mat.select([j for j in cols if j < mat.n_objects]) for cols in subsets]
+    def test_bound_is_at_least_every_enumerated_score(self, mat, data, n_pixels, p_d, beta):
+        # mat is a scan-level matrix and each column list, empty or not, in
+        # any order, one parent's columns of it, as the tracker passes them:
+        # no child of a parent's selected matrix outscores its bound, and
+        # permuting a parent's columns leaves its bound as it is.
+        cols_by_parent = data.draw(st.lists(
+            st.lists(st.integers(0, mat.n_objects - 1), unique=True) if mat.n_objects
+            else st.just([]),
+            min_size=1, max_size=3,
+        ))
+        permuted = [data.draw(st.permutations(cols)) for cols in cols_by_parent]
         cfg = BirthDeathConfig(alpha=0.05, beta=beta, n_pixels=n_pixels)
-        bounds = child_score_bounds(parents, cfg, p_d)
-        assert len(bounds) == len(parents)
-        for parent, bound in zip(parents, bounds):
-            assert all(s.log_score <= bound for s in enumerate_children(parent, cfg, p_d))
+        bounds = child_score_bounds(mat, cols_by_parent, cfg, p_d)
+        assert len(bounds) == len(cols_by_parent)
+        assert child_score_bounds(mat, permuted, cfg, p_d) == bounds
+        for cols, bound in zip(cols_by_parent, bounds):
+            children = enumerate_children(mat.select(cols), cfg, p_d)
+            assert all(s.log_score <= bound for s in children)
 
     def test_bound_is_tight_without_conflicts(self):
         # One return, one object: the relaxation gives up nothing, so the
@@ -233,8 +241,8 @@ class TestChildScoreBounds:
         )
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=1)
         best = max(s.log_score for s in enumerate_children(mat, cfg, 0.9))
-        assert child_score_bounds([mat], cfg, 0.9) == [best]
-        assert child_score_bounds([], cfg, 0.9) == []
+        assert child_score_bounds(mat, [[0]], cfg, 0.9) == [best]
+        assert child_score_bounds(mat, [], cfg, 0.9) == []
 
 
 class TestEnumerateChildEvents:

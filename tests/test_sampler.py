@@ -40,7 +40,6 @@ from mcmctrack.presets import preset_single_spawn, tracker_config_for
 from mcmctrack.sampler import (
     SamplerConfig,
     _Chain,
-    _id_row,
     enumerate_children,
     prior_table,
     sample_children,
@@ -135,10 +134,10 @@ def reset_visits(chain):
 
 def kernel_row(chain, key):
     """The one-step kernel row of state key as (score, p, cumulative,
-    destinations), destinations as keys: a view of its id row, which is
+    destinations), destinations as keys: a view of its kernel row, which is
     built on the first request (build_row) and memoized for the walk."""
     sid = chain.state_id(key)
-    score, p, _, cumulative, _, destinations = chain.rows[sid] or chain.build_row(sid)
+    score, p, cumulative, destinations = chain.rows[sid] or chain.build_row(sid)
     return score, p, cumulative, [chain.keys[d] for d in destinations]
 
 
@@ -476,7 +475,7 @@ class TestPropose:
             assert not (event.deaths & set(objs))
         # Nor does any row's destination.
         for row in filter(None, chain.rows):
-            for assign, deaths in (chain.keys[d] for d in row[5]):
+            for assign, deaths in (chain.keys[d] for d in row[3]):
                 objs = [c for c in assign if c < chain.n_objects]
                 assert len(objs) == len(set(objs))
                 assert not set(deaths) & set(objs)
@@ -1175,7 +1174,7 @@ class TestHolding:
         chain = _Chain(matrix, cfg, sensor.p_d)
         a, b = ((0, 1), ()), ((1, 0), ())
         ia, ib = chain.state_id(a), chain.state_id(b)
-        chain.rows[ia] = _id_row(0.0, 1e-300, [1e-300], [ib])
+        chain.rows[ia] = (0.0, 1e-300, [1e-300], [ib])
         chain.sid = ia
         chain.rng = np.random.default_rng(0)
         steps = 3 * sampler.MAX_HOLD + 5
@@ -1219,8 +1218,8 @@ class TestHolding:
         a, b = ((0, 1), ()), ((1, 0), ())
         ia, ib = chain.state_id(a), chain.state_id(b)
         p = 1.0 + 2.0**-52
-        chain.rows[ia] = _id_row(0.0, p, [0.5, p], [ib, ib])
-        chain.rows[ib] = _id_row(0.0, p, [0.5, p], [ia, ia])
+        chain.rows[ia] = (0.0, p, [0.5, p], [ib, ib])
+        chain.rows[ib] = (0.0, p, [0.5, p], [ia, ia])
         chain.sid = ia
         chain.rng = np.random.default_rng(0)
         chain.run(5)
@@ -1236,7 +1235,7 @@ class TestHolding:
             def random(self, n):
                 return np.full(n, 1.0 - 2.0**-53)
 
-        batch = next(sampler._batches(TopRng(), _id_row(0.0, p, [0.5, p], [ia, ib])))
+        batch = next(sampler._batches(TopRng(), (0.0, p, [0.5, p], [ia, ib])))
         assert list(batch) == [(0, ib)] * sampler.FIRST_BATCH
 
     @given(seed=st.integers(0, 2**32 - 1), budgets=st.lists(st.integers(0, 300), max_size=4))
@@ -1318,7 +1317,7 @@ class TestBatches:
 
     @pytest.mark.parametrize("p", [0.25, 1.0 + 2.0**-52])
     def test_batches_double_to_the_cap(self, p):
-        row = _id_row(0.0, p, [p / 2, p], [0, 1])
+        row = (0.0, p, [p / 2, p], [0, 1])
         sizes = [len(list(batch)) for batch in
                  islice(sampler._batches(np.random.default_rng(0), row), 9)]
         assert sizes == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]

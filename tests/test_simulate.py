@@ -55,6 +55,16 @@ class TestGenerateTruth:
         assert ids_before == {"t00"}
         assert ids_after == {"s0f0", "s0f1", "s0f2"}
 
+    @pytest.mark.parametrize("time", [0.0, 1.0])
+    def test_spawn_up_to_the_first_scan_applies_there(self, time):
+        # An event at time 0, like one at any time up to the first scan,
+        # is applied at the first scan.
+        cfg = small_scenario(
+            spawn_events=[SpawnEvent(time=time, parent_index=0, fragment_count=3,
+                                     velocity_std=0.05)]
+        )
+        assert [scan.count for scan in generate_truth(cfg)] == [3] * 5
+
     def test_twenty_object_spawn_count(self):
         cfg = preset_twenty_object(seed=1)
         truth = generate_truth(cfg)
