@@ -199,11 +199,22 @@ def _input_file(path: str | Path, kind: str) -> Path:
     return path
 
 
+def _input_lines(path: str | Path, kind: str, newline: str | None = None) -> _io.StringIO:
+    """The UTF-8 lines of the input file at path, split as open(newline=newline)
+    splits them; InputDataError if it is missing, not a file or not UTF-8."""
+    path = _input_file(path, kind)
+    try:
+        return _io.StringIO(path.read_bytes().decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        raise InputDataError(f"{kind} file {path} is not UTF-8 text: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> ScenarioConfig:
+    """The scenario in the JSON file at path, which is UTF-8 (RFC 8259)."""
     path = _input_file(path, "scenario")
     try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
     return scenario_from_dict(payload)
 
@@ -258,8 +269,8 @@ def _finite_floats(row: dict, keys: Sequence[str], kind: str) -> list[float]:
 
 def _csv_rows(path: str | Path, kind: str) -> csv.DictReader:
     """Rows of a data CSV file, its '#' header lines skipped."""
-    with open(_input_file(path, kind), newline="") as fh:
-        return csv.DictReader(_io.StringIO("".join(r for r in fh if not r.startswith("#"))))
+    lines = _input_lines(path, kind, newline="")
+    return csv.DictReader(_io.StringIO("".join(r for r in lines if not r.startswith("#"))))
 
 
 def read_truth_csv(path: str | Path) -> list[TruthScan]:
@@ -337,26 +348,25 @@ def write_reports_ldjson(reports: Sequence[TrackerReport], path: str | Path) -> 
 
 def read_reports_ldjson(path: str | Path) -> list[dict]:
     out = []
-    with open(_input_file(path, "reports")) as fh:
-        for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputDataError(f"{path} line {n} is not JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise InputDataError(f"{path} line {n} is not a JSON object")
-            schema = record.get("schema")
-            if schema == REPORT_SCHEMA + "-header":
-                continue
-            if schema != REPORT_SCHEMA:
-                raise InputDataError(f"{path} line {n}: unexpected report schema {schema!r}")
-            problem = _report_problem(record)
-            if problem:
-                raise InputDataError(f"{path} line {n}: {problem}")
-            out.append(record)
+    for n, line in enumerate(_input_lines(path, "reports"), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise InputDataError(f"{path} line {n} is not JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise InputDataError(f"{path} line {n} is not a JSON object")
+        schema = record.get("schema")
+        if schema == REPORT_SCHEMA + "-header":
+            continue
+        if schema != REPORT_SCHEMA:
+            raise InputDataError(f"{path} line {n}: unexpected report schema {schema!r}")
+        problem = _report_problem(record)
+        if problem:
+            raise InputDataError(f"{path} line {n}: {problem}")
+        out.append(record)
     return out
 
 

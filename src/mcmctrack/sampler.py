@@ -47,24 +47,24 @@ from one memoized prior_table.
 Stream contract: each walk draws from one numpy Generator, seeded from
 chain_seed. start draws every return's column in one call,
 rng.integers(0, sizes), sizes[i] the size of row i's supported columns
-(all M+2 columns when none is). run then draws only batches of (hold,
-destination) pairs, one state's batch at a time: the first time the walk
-needs a pair at a state (to leave it, or to hold out a budget there), and
-each time the state's batch is used up, it draws the state's next batch of
-n pairs, n = FIRST_BATCH (16) at first and doubling up to LAST_BATCH
-(1024): rng.random(n) for the destinations, then rng.standard_exponential(n)
-for the holds. A state with p = 0 draws nothing, and one with p >= 1 draws
-no exponentials (every hold is 0).
+(all M+2 columns when none is). run then draws only (hold, destination)
+pairs. The first time the walk needs a pair at a state (to leave it, or to
+hold out a budget there), the state gets one endless source of pairs, which
+draws its next batch of n pairs exactly when the last one is used up, n =
+FIRST_BATCH (16) at first and doubling up to LAST_BATCH (1024):
+rng.random(n) for the destinations, then rng.standard_exponential(n) for
+the holds. A state with p = 0 draws nothing, and one with p >= 1 draws no
+exponentials (every hold is 0).
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import zlib
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -167,7 +167,7 @@ def _batches(rng: np.random.Generator, row: tuple):
         # Temporaries only: the suspended generator keeps no draw arrays.
         dests = moves[bounds.searchsorted(rng.random(n) * p, "right")].tolist()
         if stay is None:
-            holds = repeat(0)
+            holds = itertools.repeat(0)
         else:
             holds = np.minimum(
                 np.floor(rng.standard_exponential(n) / -stay), MAX_HOLD
@@ -176,7 +176,7 @@ def _batches(rng: np.random.Generator, row: tuple):
         n = min(2 * n, LAST_BATCH)
 
 
-# The pair source of a state with no batch yet: it raises StopIteration.
+# The pair source of a state the walk has not yet left: it raises StopIteration.
 _SPENT = iter(()).__next__
 
 
@@ -200,15 +200,14 @@ class _Chain:
     state since the list was last reset. The walk's state is keys[sid].
 
     pairs, indexed by id, is each state's source of (hold, destination)
-    pairs, the __next__ of its current batch (_SPENT before its first), and
-    batches maps the id of each state the walk has drawn pairs for to the
-    generator of its batches (_batches), which draw from rng, the walk's
-    numpy Generator.
+    pairs: _SPENT until run first leaves the state, then the __next__ of its
+    one endless stream (see the module's stream contract), drawn from rng,
+    the walk's numpy Generator.
     """
 
     __slots__ = (
         "matrix", "entries", "death_eligible", "prior", "birth_col", "clutter_col", "m",
-        "n_objects", "rng", "sid", "ids", "keys", "rows", "visits", "pairs", "batches",
+        "n_objects", "rng", "sid", "ids", "keys", "rows", "visits", "pairs",
     )
 
     def __init__(
@@ -228,7 +227,6 @@ class _Chain:
         self.rows: list[tuple | None] = []
         self.visits: list[int] = []
         self.pairs: list = []
-        self.batches: dict = {}
 
     def start(self, rng: np.random.Generator) -> None:
         """Draw a random initial state from rng, the stream run then draws
@@ -386,34 +384,22 @@ class _Chain:
         row = self.rows[sid] = (score, total, cumulative, destinations)
         return row
 
-    def refill(self, sid: int) -> tuple[int, int]:
-        """Make state sid's next batch of pairs its source and return the
-        batch's first pair. The first call for a state builds its row if the
-        walk has not yet, and a state no move leaves (p = 0) gets the pair
-        (MAX_HOLD, sid) for ever, which holds out every budget and draws
-        nothing."""
-        batches = self.batches.get(sid)
-        if batches is None:
-            row = self.rows[sid] or self.build_row(sid)
-            if row[1] <= 0.0:
-                self.pairs[sid] = repeat((MAX_HOLD, sid)).__next__
-                return MAX_HOLD, sid
-            batches = self.batches[sid] = _batches(self.rng, row)
-        pairs = self.pairs[sid] = next(batches).__next__
-        return pairs()
-
     def run(self, steps: int) -> None:
         """Advance the walk by steps Metropolis steps, simulated by its jump
-        chain over state ids: each departure from a state takes the state's
-        next (hold, destination) pair (_batches), holds hold steps there and
-        moves to destination on the next step. A pair whose hold reaches the
-        end of the budget is spent without its move: holds have no memory,
-        so the next run takes a fresh pair. Every pair is drawn afresh and
-        independently of the path, so the path is the jump chain in law. A
-        budget over MAX_HOLD runs as runs of at most MAX_HOLD steps, so that
-        a hold kept at MAX_HOLD always holds out its run. The run starts at
-        sid, leaves the state it reached in sid, and builds the row of every
-        state it reaches.
+        chain over state ids: each departure from a state takes the next
+        (hold, destination) pair of the state's source (pairs), holds hold
+        steps there and moves to destination on the next step. The first
+        departure installs the source, building the row if the walk has
+        not: the chained batches of _batches, or, for a state no move leaves
+        (p = 0), the pair (MAX_HOLD, sid) for ever, which holds out every
+        budget and draws nothing. A pair whose hold reaches the end of the
+        budget is spent without its move: holds have no memory, so the next
+        run takes a fresh pair. Every pair is drawn afresh and independently
+        of the path, so the path is the jump chain in law. A budget over
+        MAX_HOLD runs as runs of at most MAX_HOLD steps, so that a hold kept
+        at MAX_HOLD always holds out its run. The run starts at sid, leaves
+        the state it reached in sid, and builds the row of every state it
+        reaches.
 
         Every step adds one to visits at the id of the state it ends in: a
         hold adds its length to the state, and a move step one to its
@@ -424,7 +410,6 @@ class _Chain:
             steps -= MAX_HOLD
         visits = self.visits
         pairs = self.pairs
-        refill = self.refill
         sid = self.sid
         count = 0
         left = steps
@@ -432,7 +417,11 @@ class _Chain:
             try:
                 hold, dest = pairs[sid]()
             except StopIteration:
-                hold, dest = refill(sid)
+                # The first departure from sid: install its endless source.
+                row = self.rows[sid] or self.build_row(sid)
+                pairs[sid] = (itertools.chain.from_iterable(_batches(self.rng, row)).__next__
+                              if row[1] > 0.0 else itertools.repeat((MAX_HOLD, sid)).__next__)
+                hold, dest = pairs[sid]()
             if hold >= left:
                 count += left
                 break

@@ -214,6 +214,18 @@ class TestSimulateCommand:
         assert rc == 2
         assert field in capsys.readouterr().err
 
+    # JSON text is UTF-8 (RFC 8259), so other bytes make invalid JSON.
+    @pytest.mark.parametrize("content", [
+        json.dumps({"name": "caf\u00e9"}, ensure_ascii=False).encode("latin-1"),
+        json.dumps(scenario_to_dict(preset_single_spawn())).encode("utf-16"),
+    ], ids=["latin-1", "utf-16"])
+    def test_non_utf8_scenario_exits_2(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "scenario file is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+
     def test_unknown_scenario_file_exits_3(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
         assert rc == 3
@@ -394,14 +406,21 @@ def report_line(edit):
 
 
 class TestInputErrors:
-    # A directory where an input file belongs, a reports line that is not a
-    # JSON object, or a report record that lacks or garbles a field figdata
-    # reads, is an input error naming the path, not a traceback.
+    # A directory where an input file belongs, bytes that are not UTF-8, a
+    # reports line that is not a JSON object, or a report record that lacks
+    # or garbles a field figdata reads, is an input error naming the path,
+    # not a traceback.
     @pytest.mark.parametrize("flag,content,named", [
         ("--scenario", None, ""),
         ("--frames", None, ""),
         ("--truth", None, ""),
         ("--reports", None, ""),
+        ("--frames", b"time_s,return_x_km,return_y_km,truth_tag\n1200.0,7000.0,0.0,\xff\n",
+         "is not UTF-8 text"),
+        ("--truth", b"time_s,object_id,x_km,y_km,vx_kmps,vy_kmps\n"
+                    b"1200.0,caf\xe9,7000.0,0.0,0.0,7.5\n", "is not UTF-8 text"),
+        ("--reports", '{"schema": "mcmctrack.report.v3-header", "by": "caf\u00e9"}\n'
+                      .encode("latin-1"), "is not UTF-8 text"),
         ("--reports", '{"schema": "mcmctrack.report.v3-header"}\nnot json\n', "line 2"),
         ("--reports", "[1, 2]\n", "line 1"),
         ("--reports", '{"schema": "mcmctrack.report.v3"}\n', "line 1: time_s "),
@@ -420,7 +439,8 @@ class TestInputErrors:
          "line 1: estimates[0].label "),
         ("--reports", report_line(lambda r: r["estimates"][0].update(y_km=math.inf)),
          "line 1: estimates[0].y_km "),
-    ], ids=["scenario-dir", "frames-dir", "truth-dir", "reports-dir", "reports-not-json",
+    ], ids=["scenario-dir", "frames-dir", "truth-dir", "reports-dir", "frames-latin-1",
+            "truth-latin-1", "reports-latin-1", "reports-not-json",
             "reports-not-object", "report-schema-only", "estimate-without-x", "time-nan",
             "time-text", "bound-int", "bound-float-text", "estimates-object", "estimate-list",
             "label-null", "y-inf"])
@@ -428,6 +448,8 @@ class TestInputErrors:
         path = tmp_path / "input"
         if content is None:
             path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
         else:
             path.write_text(content)
         if flag == "--reports":

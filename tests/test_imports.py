@@ -1,10 +1,16 @@
-"""Every name a package module imports is used there.
+"""Every name a package module imports is used there, and every name it
+defines is named somewhere.
 
-The one exception is an import marked `# noqa: F401` whose name is in
-TRACED_NAMES: bench/tracing.py rebinds those tracker names to trace the
-layers, so the tracker keeps them although it no longer calls them."""
+The one exception to the first rule is an import marked `# noqa: F401`
+whose name is in TRACED_NAMES: bench/tracing.py rebinds those tracker names
+to trace the layers, so the tracker keeps them although it no longer calls
+them. The second rule finds the helpers a deletion leaves behind: each
+module-level function, class or constant of a package module but
+`__init__`, dunders aside, must be named in some file under src/, bench/ or
+tests/."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -15,6 +21,7 @@ from test_tracker import TRACED_NAMES
 MODULES = sorted(
     path for path in Path(mcmctrack.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def import_faults(source: str) -> list[str]:
@@ -59,4 +66,63 @@ def test_faults_are_found():
         "math is imported but never used",
         "dumps is marked noqa: F401 but is not a traced name",
         "loads is marked noqa: F401 but is not a traced name",
+    ]
+
+
+def defined_names(source: str) -> list[str]:
+    """The functions, classes and constants a module's source defines at
+    module level, dunders aside."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def named(source: str) -> set[str]:
+    """Every name a source reads, as a name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+@functools.cache
+def named_in_repo() -> set[str]:
+    return set().union(*(
+        named(path.read_text()) for top in ("src", "bench", "tests")
+        for path in (ROOT / top).rglob("*.py")
+    ))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_definition_is_named(path):
+    assert [name for name in defined_names(path.read_text())
+            if name not in named_in_repo()] == []
+
+
+def test_orphans_are_found():
+    source = (
+        "import math\n"
+        "LIMIT: int = 3\n"
+        "__all__ = ['kept']\n"
+        "_SPARE = object()\n"
+        "class Helper:\n"
+        "    def method(self):\n"
+        "        return kept(LIMIT)\n"
+        "def kept(x):\n"
+        "    return math.sqrt(x)\n"
+        "def orphan():\n"
+        "    pass\n"
+    )
+    assert [name for name in defined_names(source) if name not in named(source)] == [
+        "_SPARE", "Helper", "orphan",
     ]

@@ -1238,6 +1238,37 @@ class TestHolding:
         batch = next(sampler._batches(TopRng(), (0.0, p, [0.5, p], [ia, ib])))
         assert list(batch) == [(0, ib)] * sampler.FIRST_BATCH
 
+    def test_one_source_per_state(self, monkeypatch):
+        # Two states that every step moves between (p = 1), each left more
+        # than 3 * FIRST_BATCH times, so across at least two batch
+        # boundaries: each makes one _batches generator, at its first
+        # departure, and keeps that one source in pairs for the whole walk.
+        parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        ia, ib = chain.state_id(((0, 1), ())), chain.state_id(((1, 0), ()))
+        chain.rows[ia] = (0.0, 1.0, [0.5, 1.0], [ib, ib])
+        chain.rows[ib] = (0.0, 1.0, [0.5, 1.0], [ia, ia])
+        chain.sid = ia
+        chain.rng = np.random.default_rng(0)
+        made = []
+        batches = sampler._batches
+
+        def counted(rng, row):
+            made.append(0)
+            n = len(made) - 1
+            for batch in batches(rng, row):
+                made[n] += 1
+                yield batch
+
+        monkeypatch.setattr(sampler, "_batches", counted)
+        chain.run(2)
+        sources = chain.pairs[ia], chain.pairs[ib]
+        leaves = 3 * sampler.FIRST_BATCH + 8
+        chain.run(2 * leaves - 2)
+        assert visits_of(chain) == {((0, 1), ()): leaves, ((1, 0), ()): leaves}
+        assert made == [3, 3]
+        assert chain.pairs[ia] is sources[0] and chain.pairs[ib] is sources[1]
+
     @given(seed=st.integers(0, 2**32 - 1), budgets=st.lists(st.integers(0, 300), max_size=4))
     @settings(max_examples=60, deadline=None)
     def test_visits_sum_to_the_steps_run(self, seed, budgets):
