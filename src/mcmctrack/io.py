@@ -61,16 +61,6 @@ def _field(section, key: str, path: str, convert=lambda v: v, default=_MISSING):
         raise ConfigError(f"{path}.{key}: {exc}") from exc
 
 
-def _present(section, path: str, **spec) -> dict:
-    """The optional fields of section as keyword arguments, spec mapping
-    each keyword to (field, convert) as _field takes them. A field that is
-    absent or null is left out, so the dataclass default applies."""
-    absent = object()
-    values = {name: _field(section, key, path, convert, absent)
-              for name, (key, convert) in spec.items()}
-    return {name: value for name, value in values.items() if value is not absent}
-
-
 def _json(kind, name: str):
     """A convert for _field that takes only a JSON value of kind, never a
     bool (an int or float for float, which it returns as a float)."""
@@ -95,100 +85,99 @@ def _list(convert):
 
 
 def _floats(*shape):
-    def numbers(value):
-        return list(map(numbers, value)) if isinstance(value, list) else _number(value)
-    return lambda value: np.asarray(numbers(value)).reshape(shape)
+    """A convert for _field that takes only JSON lists of shape, with a
+    number at the last level, and returns them as a float array."""
+    def numbers(value, shape):
+        if not shape:
+            return _number(value)
+        if not isinstance(value, list) or len(value) != shape[0]:
+            raise TypeError(f"must be a JSON list of length {shape[0]}, not {value!r}")
+        return [numbers(v, shape[1:]) for v in value]
+    return lambda value: np.array(numbers(value, shape))
+
+
+# The scenario file's sections: one (JSON key, attribute, convert, required)
+# row per field, in file order, which _write and _read both follow.
+_SCENARIO = (
+    ("name", "name", _string, False),
+    ("seed", "seed", _integer, False),
+    ("duration_s", "duration", _number, True),
+    ("scan_interval_s", "scan_interval", _number, True),
+)
+_SPAWN_EVENT = (
+    ("time_s", "time", _number, True),
+    ("parent_index", "parent_index", _integer, True),
+    ("fragment_count", "fragment_count", _integer, True),
+    ("velocity_std_kmps", "velocity_std", _number, True),
+)
+_SENSOR = (
+    ("origin_km", "origin", _floats(2), True),
+    ("boresight_angle_rad", "boresight_angle", _number, True),
+    ("fov_half_angle_rad", "fov_half_angle", _number, True),
+    ("noise_cov_km2", "r", _floats(2, 2), True),
+    ("p_d", "p_d", _number, True),
+    ("max_range_km", "max_range", _number, False),
+)
+_CLUTTER = (
+    ("density_per_km2", "density_value", _number, False),
+    ("expected_count", "expected_count", _number, False),
+)
+# dt stays out of the file: ScenarioConfig sets it to the scan interval.
+_DYNAMICS = (
+    ("mu_km3_s2", "mu", _number, False),
+    ("q", "q", _number, False),
+    ("integrator_substeps", "integrator_substeps", _integer, False),
+)
+_INITIAL_STDS = (
+    ("initial_position_std_km", "initial_position_std_km", _number, False),
+    ("initial_velocity_std_kmps", "initial_velocity_std_kmps", _number, False),
+)
+
+
+def _write(obj, fields) -> dict:
+    """obj's attributes as a section of the scenario file, arrays as lists."""
+    values = ((key, getattr(obj, attr)) for key, attr, _, _ in fields)
+    return {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in values}
+
+
+def _read(section, path: str, fields) -> dict:
+    """The fields of section as keyword arguments, read by _field; an optional
+    field that is absent or null is left out, so its dataclass default applies."""
+    absent = object()
+    values = {attr: _field(section, key, path, convert, _MISSING if required else absent)
+              for key, attr, convert, required in fields}
+    return {attr: value for attr, value in values.items() if value is not absent}
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {
         "schema": SCENARIO_SCHEMA,
-        "name": cfg.name,
-        "seed": cfg.seed,
-        "duration_s": cfg.duration,
-        "scan_interval_s": cfg.scan_interval,
-        "objects": [[float(v) for v in s] for s in cfg.objects],
-        "spawn_events": [
-            {
-                "time_s": ev.time,
-                "parent_index": ev.parent_index,
-                "fragment_count": ev.fragment_count,
-                "velocity_std_kmps": ev.velocity_std,
-            }
-            for ev in cfg.spawn_events
-        ],
-        "sensor": {
-            "origin_km": [float(v) for v in cfg.sensor.origin],
-            "boresight_angle_rad": cfg.sensor.boresight_angle,
-            "fov_half_angle_rad": cfg.sensor.fov_half_angle,
-            "noise_cov_km2": [[float(v) for v in row] for row in cfg.sensor.r],
-            "p_d": cfg.sensor.p_d,
-            "max_range_km": cfg.sensor.max_range,
-        },
-        "clutter": {
-            "density_per_km2": cfg.clutter.density_value,
-            "expected_count": cfg.clutter.expected_count,
-        },
-        "dynamics": {
-            "mu_km3_s2": cfg.dynamics.mu,
-            "q": cfg.dynamics.q,
-            "integrator_substeps": cfg.dynamics.integrator_substeps,
-        },
-        "initial_position_std_km": cfg.initial_position_std_km,
-        "initial_velocity_std_kmps": cfg.initial_velocity_std_kmps,
+        **_write(cfg, _SCENARIO),
+        "objects": [s.tolist() for s in cfg.objects],
+        "spawn_events": [_write(ev, _SPAWN_EVENT) for ev in cfg.spawn_events],
+        "sensor": _write(cfg.sensor, _SENSOR),
+        "clutter": _write(cfg.clutter, _CLUTTER),
+        "dynamics": _write(cfg.dynamics, _DYNAMICS),
+        **_write(cfg, _INITIAL_STDS),
     }
 
 
 def scenario_from_dict(payload: dict) -> ScenarioConfig:
     if _field(payload, "schema", "scenario", default=None) != SCENARIO_SCHEMA:
         raise ConfigError(f"schema must be {SCENARIO_SCHEMA}")
-    sensor_d = _field(payload, "sensor", "scenario")
-    sensor = SensorModel(
-        origin=_field(sensor_d, "origin_km", "scenario.sensor", _floats(2)),
-        boresight_angle=_field(sensor_d, "boresight_angle_rad", "scenario.sensor", _number),
-        fov_half_angle=_field(sensor_d, "fov_half_angle_rad", "scenario.sensor", _number),
-        r=_field(sensor_d, "noise_cov_km2", "scenario.sensor", _floats(2, 2)),
-        p_d=_field(sensor_d, "p_d", "scenario.sensor", _number),
-        **_present(sensor_d, "scenario.sensor", max_range=("max_range_km", _number)),
-    )
-    clutter_d = _field(payload, "clutter", "scenario", default={})
-    density = _field(clutter_d, "density_per_km2", "scenario.clutter", _number, None)
-    expected = _present(clutter_d, "scenario.clutter", expected_count=("expected_count", _number))
-    clutter = uniform_clutter(sensor, **expected) if density is None else ClutterModel(density, **expected)
-    dyn_d = _field(payload, "dynamics", "scenario", default={})
-    # dt is left at its default: ScenarioConfig sets it to the scan interval.
-    dynamics = DynamicsConfig(**_present(
-        dyn_d, "scenario.dynamics", mu=("mu_km3_s2", _number), q=("q", _number),
-        integrator_substeps=("integrator_substeps", _integer),
-    ))
+    sensor = SensorModel(**_read(_field(payload, "sensor", "scenario"), "scenario.sensor", _SENSOR))
+    clutter = _read(_field(payload, "clutter", "scenario", default={}), "scenario.clutter", _CLUTTER)
+    clutter = ClutterModel(**clutter) if "density_value" in clutter else uniform_clutter(sensor, **clutter)
+    dynamics = _read(_field(payload, "dynamics", "scenario", default={}), "scenario.dynamics", _DYNAMICS)
+    events = _list(lambda evs: [SpawnEvent(**_read(ev, f"scenario.spawn_events[{i}]", _SPAWN_EVENT))
+                                for i, ev in enumerate(evs)])
     return ScenarioConfig(
-        objects=_field(
-            payload, "objects", "scenario", _list(lambda rows: list(map(_floats(4), rows)))
-        ),
-        sensor=sensor,
-        clutter=clutter,
-        dynamics=dynamics,
-        duration=_field(payload, "duration_s", "scenario", _number),
-        scan_interval=_field(payload, "scan_interval_s", "scenario", _number),
-        **_present(
-            payload, "scenario", spawn_events=("spawn_events", _list(_spawn_events)),
-            seed=("seed", _integer), name=("name", _string),
-            initial_position_std_km=("initial_position_std_km", _number),
-            initial_velocity_std_kmps=("initial_velocity_std_kmps", _number),
-        ),
+        objects=_field(payload, "objects", "scenario", _list(lambda rows: list(map(_floats(4), rows)))),
+        **_read(payload, "scenario", _SCENARIO),
+        spawn_events=_field(payload, "spawn_events", "scenario", events, []),
+        sensor=sensor, clutter=clutter, dynamics=DynamicsConfig(**dynamics),
+        **_read(payload, "scenario", _INITIAL_STDS),
     )
-
-
-def _spawn_events(events) -> list[SpawnEvent]:
-    return [
-        SpawnEvent(
-            time=_field(ev, "time_s", f"scenario.spawn_events[{i}]", _number),
-            parent_index=_field(ev, "parent_index", f"scenario.spawn_events[{i}]", _integer),
-            fragment_count=_field(ev, "fragment_count", f"scenario.spawn_events[{i}]", _integer),
-            velocity_std=_field(ev, "velocity_std_kmps", f"scenario.spawn_events[{i}]", _number),
-        )
-        for i, ev in enumerate(events)
-    ]
 
 
 def _input_file(path: str | Path, kind: str) -> Path:
@@ -215,7 +204,7 @@ def load_scenario(path: str | Path) -> ScenarioConfig:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"scenario file is not valid JSON: {exc}") from exc
+        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return scenario_from_dict(payload)
 
 

@@ -99,6 +99,8 @@ class ScenarioConfig:
             raise ConfigError("scan_interval must be > 0")
         if not (math.isfinite(self.duration) and self.duration >= self.scan_interval):
             raise ConfigError("duration must cover at least one scan")
+        if not math.isfinite(self.duration / self.scan_interval):
+            raise ConfigError("duration must span a finite number of scans")
         for i, ev in enumerate(self.spawn_events):
             if not 0.0 <= ev.time <= self.duration:
                 raise ConfigError(f"spawn_events[{i}].time must lie within duration")

@@ -1,6 +1,7 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from mcmctrack.io import (
 )
 from mcmctrack.likelihoods import ClutterModel, uniform_clutter
 from mcmctrack.presets import preset_single_spawn
-from mcmctrack.simulate import ScenarioConfig, simulate_scenario
+from mcmctrack.simulate import ScenarioConfig, SpawnEvent, simulate_scenario
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,38 @@ class TestScenarioRoundTrip:
         np.testing.assert_allclose(loaded.sensor.r, cfg.sensor.r)
         assert loaded.clutter.density_value == pytest.approx(cfg.clutter.density_value)
         assert loaded.spawn_events == cfg.spawn_events
+
+    def test_every_field_survives_json_round_trip(self):
+        # Every field the file holds is set away from its default (the
+        # clutter density away from the uniform one), so a field the writer
+        # drops or the reader skips reads back changed.
+        cfg = ScenarioConfig(
+            objects=[np.array([7000.5, 10.25, 0.5, 7.5]), np.array([-6800.0, 1200.0, -1.25, -7.0])],
+            sensor=SensorModel(origin=[6400.0, -12.5], boresight_angle=0.3, fov_half_angle=0.7,
+                               r=[[0.04, 0.01], [0.01, 0.09]], p_d=0.85, max_range=3000.0),
+            clutter=ClutterModel(2.5e-6, expected_count=1.5),
+            dynamics=DynamicsConfig(mu=3.9e5, q=1e-6, integrator_substeps=7),
+            duration=1800.0,
+            scan_interval=150.0,
+            spawn_events=[SpawnEvent(time=450.0, parent_index=1, fragment_count=3, velocity_std=0.02),
+                          SpawnEvent(time=900.0, parent_index=0, fragment_count=2, velocity_std=0.015)],
+            seed=17,
+            name="every-field",
+            initial_position_std_km=1.5,
+            initial_velocity_std_kmps=0.03,
+        )
+        loaded = scenario_from_dict(json.loads(json.dumps(scenario_to_dict(cfg))))
+
+        for name in ("name", "seed", "duration", "scan_interval", "initial_position_std_km",
+                     "initial_velocity_std_kmps"):
+            assert getattr(loaded, name) == getattr(cfg, name), name
+        np.testing.assert_array_equal(loaded.objects, cfg.objects)
+        assert loaded.spawn_events == cfg.spawn_events
+        for part, expected in [(loaded.sensor, cfg.sensor), (loaded.clutter, cfg.clutter),
+                               (loaded.dynamics, cfg.dynamics)]:
+            for f in dataclasses.fields(expected):
+                np.testing.assert_array_equal(getattr(part, f.name), getattr(expected, f.name), f.name)
+        assert cfg.clutter.density_value != uniform_clutter(cfg.sensor).density_value
 
     def test_missing_field_names_path(self):
         payload = scenario_to_dict(preset_single_spawn())
@@ -156,9 +189,13 @@ class TestSimulateCommand:
          lambda p: p["spawn_events"][0].update(velocity_std_kmps=math.inf)),
         ("initial_position_std_km", lambda p: p.update(initial_position_std_km=math.nan)),
         ("initial_velocity_std_kmps", lambda p: p.update(initial_velocity_std_kmps=math.inf)),
+        # Each is finite, but their ratio, the scan count, is not.
+        ("duration must span a finite number of scans",
+         lambda p: p.update(duration_s=1e300, scan_interval_s=1e-300)),
     ], ids=["scan-interval", "boresight-nan", "boresight-inf", "noise-cov-inf",
             "clutter-count-nan", "clutter-count-inf", "spawn-velocity-nan",
-            "spawn-velocity-inf", "position-std-nan", "velocity-std-inf"])
+            "spawn-velocity-inf", "position-std-nan", "velocity-std-inf",
+            "scan-count-overflow"])
     def test_invalid_scenario_exits_2_naming_field(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
         edit(payload)
@@ -199,12 +236,20 @@ class TestSimulateCommand:
         ("scenario.objects: must be a JSON list", lambda p: p.update(objects={})),
         ("scenario.objects: must be a JSON list", lambda p: p.update(objects="")),
         ("scenario.objects: must be a JSON list", lambda p: p.update(objects=5)),
+        # An array takes only lists of its own shape, never the same numbers
+        # nested another way.
+        ("scenario.sensor.noise_cov_km2: must be a JSON list of length 2",
+         lambda p: p["sensor"].update(noise_cov_km2=[1, 0, 0, 1])),
+        ("scenario.objects: must be a JSON list of length 4",
+         lambda p: p["objects"].__setitem__(0, [p["objects"][0][:2], p["objects"][0][2:]])),
+        ("scenario.sensor.origin_km: must be a number",
+         lambda p: p["sensor"].update(origin_km=[[0], [0]])),
     ], ids=["object-of-3", "spawn-time-text", "substeps-text", "spawn-not-object",
             "seed-fraction", "seed-bool", "substeps-fraction", "parent-index-fraction",
             "fragment-count-fraction", "p-d-bool", "origin-bool", "name-number",
             "spawn-events-empty-object", "spawn-events-empty-string", "spawn-events-number",
             "spawn-events-object-of-events", "objects-empty-object", "objects-empty-string",
-            "objects-number"])
+            "objects-number", "noise-cov-flat", "object-of-2-pairs", "origin-nested"])
     def test_malformed_field_exits_2_naming_it(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
         edit(payload)
@@ -224,7 +269,14 @@ class TestSimulateCommand:
         bad.write_bytes(content)
         rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 2
-        assert "scenario file is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+        assert f"scenario file {bad} is not valid JSON: 'utf-8' codec" in capsys.readouterr().err
+
+    def test_truncated_scenario_exits_2_naming_file(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(scenario_to_dict(preset_single_spawn()))[:-1])
+        rc = main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"scenario file {bad} is not valid JSON: Expecting" in capsys.readouterr().err
 
     def test_unknown_scenario_file_exits_3(self, tmp_path):
         rc = main(["simulate", "--scenario", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")])
@@ -365,6 +417,54 @@ class TestTrackCommand:
             "--scenario", str(small_scenario_file), "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+
+class TestRecordedBytes:
+    """simulate, then track reading the scenario.json that simulate wrote,
+    writes data files with these recorded sha256 digests: a change that
+    moves one of their bytes breaks byte-identical reruns across versions."""
+
+    DIGESTS = {
+        ("single-spawn", 9001, "mcmc"): {
+            "sim/scenario.json": "74dce149ffa8e63482ddbc588be23e0b9619623d6aeaa9d3f3220165a991754e",
+            "sim/truth.csv": "2d3b33edbb3b3235efbb71e0a49b4380c3929930a5d00e0badc669bc0601f4f4",
+            "sim/frames.csv": "527cbc17e9478b29bb6d8431b558837e1e54f321499bd4eb5fff6705ebe5ef83",
+            "trk/reports.ldjson": "5c269707bccdfb6b0440ccc1ad83bd9e9491870c6b94c8d1bf9ceb1718f6fabc",
+            "trk/summary.json": "6f49f1e1f13332934b2b8ea1abbc3770cdd249126d1d1d9cc80b64213eb5c494",
+        },
+        ("twenty-object", 9001, "mcmc"): {
+            "sim/scenario.json": "cbc3cd72b6e9c207846bebc34faba7bec65baa34155b874a77e788a9fe0775bf",
+            "sim/truth.csv": "35ecfde349e01396a4592c0d9b9f582037bb91509ce3612a94946dbbe832d0fa",
+            "sim/frames.csv": "571879d1b169770a84720e81afc15d7304d8ed833fd53bcbbadf8685ea8f3012",
+            "trk/reports.ldjson": "31b353a9283f78e2b53d38222b748f116eb5298c64bee381905d8f0cd1664c8f",
+            "trk/summary.json": "2e770e33f659f672fd942296564fface728a8d9d6e1d71672a70de640525c487",
+        },
+        ("sixty-object", 9001, "mcmc"): {
+            "sim/scenario.json": "1b2e73d6f173448b94134477ba1c4f8830b4c16146101496fd4d3c98cd9cb592",
+            "sim/truth.csv": "04f64a339a3414376184899bbd7c5038b9a35084bdefdacfed541995cec955c1",
+            "sim/frames.csv": "ec21ec79cc7de61b95b9588d74e1f9a056ae9f5b1a7262cad85f065d0f4c315f",
+            "trk/reports.ldjson": "a6c0626e5890fe6972d36ccb33f0c20ceed99c7d3244b29935282b07922d4e95",
+            "trk/summary.json": "26799044fdf8807114a2618c3da78510c1aa1710623651c210ddc219d68e8edf",
+        },
+        ("single-spawn", 0, "exhaustive"): {
+            "sim/scenario.json": "8e318431f45ba7ba8d03760cc57a3520d3def14eb618105fabbc21eb45900eb9",
+            "sim/truth.csv": "b129c4c335b0f40462edcfe209107efe54b58423921fafc08e8a384697249de6",
+            "sim/frames.csv": "b33b4f517c0e051d928774c406745aa1750c40dd7748ffb8ffa079864d3db77d",
+            "trk/reports.ldjson": "70495f9dcf77564b5cdea40ab61537448c465f2ea88e58cd4c5bcc4769af7c68",
+            "trk/summary.json": "61c71cc0beedc60e22b7b81e7695eeaa6290bb972412daaad0acaff080df2fa6",
+        },
+    }
+
+    @pytest.mark.parametrize("preset,seed,mode", list(DIGESTS))
+    def test_data_files_match_recorded_digests(self, tmp_path, preset, seed, mode):
+        sim, trk = tmp_path / "sim", tmp_path / "trk"
+        assert main(["simulate", "--scenario", preset, "--seed", str(seed), "--out", str(sim)]) == 0
+        assert main(["track", "--scenario", str(sim / "scenario.json"),
+                     "--frames", str(sim / "frames.csv"), "--truth", str(sim / "truth.csv"),
+                     "--mode", mode, "--out", str(trk)]) == 0
+        expected = self.DIGESTS[preset, seed, mode]
+        assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in expected} == expected
 
 
 class TestNegativeSeed:

@@ -1,7 +1,9 @@
 """Per-scan recursion: weighting, bookkeeping, reduction properties."""
 
+import ast
 import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,12 +652,17 @@ class TestBoundGolden:
         assert [r.hypothesis_count_bound for r in reports] == self.BOUNDS[name]
 
 
-# The names of mcmctrack.tracker that bench/tracing.py (TRACKER_LAYERS)
-# rebinds to trace the calls the tracker makes into each layer.
-TRACED_NAMES = (
-    "predict_track", "update_track", "count_grandchildren", "log_child_prior", "prune",
-    "build_matrix", "hypothesis_log_likelihood", "enumerate_child_events", "sample_children",
-)
+def traced_names() -> tuple[str, ...]:
+    """The names of mcmctrack.tracker that bench/tracing.py rebinds to trace
+    the calls the tracker makes into each layer: the keys of its
+    TRACKER_LAYERS, parsed from the source, so the bench is not imported."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text())
+    layers = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACKER_LAYERS"])
+    return tuple(ast.literal_eval(layers))
+
+
+TRACED_NAMES = traced_names()
 
 
 class TestChildCalls:
