@@ -4,18 +4,26 @@ States are length-4 numpy arrays ordered [x, y, vx, vy] with positions in km
 and velocities in km/s. Everything here is a pure function of its inputs
 (no shared mutable state), so concurrent use is safe.
 
-One RK4 step body (_rk4_step) serves two acceleration kernels: the scalar
-_accel, which propagate_state runs one state at a time, and _lane_accel,
-which propagate_flows runs over arrays of lanes (each state of a batch and
-its 8 central-difference perturbations). numpy's +, -, *, / and sqrt are
-the same IEEE operations as Python's float ones, applied in the same order,
-so a batched lane is bit-identical to its scalar integration.
+propagate_state integrates one state in Python floats (_rk4_step over
+_accel); propagate_flows integrates a (4, L) block of lanes, each state of a
+batch and its 8 central-difference perturbations, as one array per RK4
+stage (_rk4_block over _block_accel). numpy's +, -, *, / and sqrt are the
+same IEEE operations as Python's float ones, and both bodies apply them in
+the same order, so a lane is bit-identical to its scalar integration.
+
+The EKF's measurement side is stacked the same way: one innovation kernel
+(_innovations) pairs tracks with returns as arrays, and serves the
+association matrix's likelihood table, measurement_likelihood and
+update_track (the one-pair cases) and update_tracks. Every track it builds
+passes one stacked check (_checked_covariances), which GaussianTrack runs
+on a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -96,6 +104,37 @@ class SensorModel:
         return self.fov_half_angle * self.max_range ** 2
 
 
+def _checked_covariances(
+    labels: Sequence[str], means: np.ndarray, covs: np.ndarray
+) -> np.ndarray:
+    """GaussianTrack's checks over stacked means (K, 4) and covariances
+    (K, 4, 4), labeled by labels: each mean and covariance finite, and each
+    symmetrized covariance positive semidefinite within 1e-9 of its largest
+    magnitude (one stacked eigvalsh). Returns the symmetrized covariances;
+    raises, with GaussianTrack's message, for the first track that fails a
+    check, the first check it fails."""
+    finite_means = np.isfinite(means).all(axis=1)
+    finite_covs = np.isfinite(covs).all(axis=(1, 2))
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    finite = finite_means & finite_covs
+    if finite.all():
+        min_eigs = np.linalg.eigvalsh(covs).min(axis=1)
+    else:
+        min_eigs = np.full(len(covs), math.inf)
+        min_eigs[finite] = np.linalg.eigvalsh(covs[finite]).min(axis=1)
+    failed = ~finite | (min_eigs < -1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(1, 2))))
+    if failed.any():
+        k = failed.argmax()
+        if not finite_means[k]:
+            raise ValueError(f"track {labels[k]}: mean must be finite")
+        if not finite_covs[k]:
+            raise ValueError(f"track {labels[k]}: covariance must be finite")
+        raise NumericalError(
+            f"track {labels[k]}: covariance indefinite (min eigenvalue {min_eigs[k]:g})"
+        )
+    return covs
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianTrack:
     """Labeled per-object Gaussian pdf over [x, y, vx, vy]."""
@@ -107,21 +146,28 @@ class GaussianTrack:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("track label must be a non-empty string")
-        mean = np.asarray(self.mean, dtype=float).reshape(4)
-        cov = np.asarray(self.covariance, dtype=float).reshape(4, 4)
-        if not np.all(np.isfinite(mean)):
-            raise ValueError(f"track {self.label}: mean must be finite")
-        if not np.all(np.isfinite(cov)):
-            raise ValueError(f"track {self.label}: covariance must be finite")
-        cov = 0.5 * (cov + cov.T)
-        min_eig = float(np.linalg.eigvalsh(cov).min())
-        tol = 1e-9 * max(1.0, float(np.abs(cov).max()))
-        if min_eig < -tol:
-            raise NumericalError(
-                f"track {self.label}: covariance indefinite (min eigenvalue {min_eig:g})"
-            )
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "covariance", cov)
+        mean = np.asarray(self.mean, dtype=float).reshape(1, 4)
+        cov = np.asarray(self.covariance, dtype=float).reshape(1, 4, 4)
+        cov = _checked_covariances((self.label,), mean, cov)
+        object.__setattr__(self, "mean", mean[0])
+        object.__setattr__(self, "covariance", cov[0])
+
+
+def _stacked_tracks(
+    labels: Sequence[str], means: np.ndarray, covs: np.ndarray
+) -> list[GaussianTrack]:
+    """GaussianTrack(labels[k], means[k], covs[k]) for each row k, bit for
+    bit, checked by one _checked_covariances pass over the stack rather than
+    one per track. labels are those of existing tracks, so non-empty."""
+    covs = _checked_covariances(labels, means, covs)
+    tracks = []
+    for label, mean, cov in zip(labels, means, covs):
+        track = object.__new__(GaussianTrack)
+        object.__setattr__(track, "label", label)
+        object.__setattr__(track, "mean", mean)
+        object.__setattr__(track, "covariance", cov)
+        tracks.append(track)
+    return tracks
 
 
 def _accel(x: float, y: float, mu: float) -> tuple[float, float]:
@@ -136,39 +182,22 @@ def _accel(x: float, y: float, mu: float) -> tuple[float, float]:
     return f * x, f * y
 
 
-def _lane_accel(x: np.ndarray, y: np.ndarray, mu: float):
-    """_accel over arrays of lanes: the same IEEE operations in the same
-    order, so each lane's value is _accel's bit for bit."""
-    rsq = x * x + y * y
-    inside = rsq < _MIN_RADIUS_KM * _MIN_RADIUS_KM
-    if inside.any():
-        raise SingularStateError(
-            f"position norm {math.sqrt(rsq[inside].min()):.3g} km inside the "
-            f"{_MIN_RADIUS_KM} km guard radius"
-        )
-    if mu == 0.0:
-        return 0.0, 0.0
-    f = -mu / (rsq * np.sqrt(rsq))
-    return f * x, f * y
-
-
-def _rk4_step(x, y, vx, vy, h: float, mu: float, accel):
-    """One classical RK4 step; x, y, vx, vy are floats (accel=_accel) or
-    equal-length lane arrays (accel=_lane_accel)."""
-    ax1, ay1 = accel(x, y, mu)
+def _rk4_step(x: float, y: float, vx: float, vy: float, h: float, mu: float):
+    """One classical RK4 step of one state, in Python floats."""
+    ax1, ay1 = _accel(x, y, mu)
     k2x = x + 0.5 * h * vx
     k2y = y + 0.5 * h * vy
-    ax2, ay2 = accel(k2x, k2y, mu)
+    ax2, ay2 = _accel(k2x, k2y, mu)
     k2vx = vx + 0.5 * h * ax1
     k2vy = vy + 0.5 * h * ay1
     k3x = x + 0.5 * h * k2vx
     k3y = y + 0.5 * h * k2vy
-    ax3, ay3 = accel(k3x, k3y, mu)
+    ax3, ay3 = _accel(k3x, k3y, mu)
     k3vx = vx + 0.5 * h * ax2
     k3vy = vy + 0.5 * h * ay2
     k4x = x + h * k3vx
     k4y = y + h * k3vy
-    ax4, ay4 = accel(k4x, k4y, mu)
+    ax4, ay4 = _accel(k4x, k4y, mu)
     k4vx = vx + h * ax3
     k4vy = vy + h * ay3
     nx = x + (h / 6.0) * (vx + 2.0 * k2vx + 2.0 * k3vx + k4vx)
@@ -176,6 +205,39 @@ def _rk4_step(x, y, vx, vy, h: float, mu: float, accel):
     nvx = vx + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4)
     nvy = vy + (h / 6.0) * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4)
     return nx, ny, nvx, nvy
+
+
+def _block_accel(p: np.ndarray, mu: float) -> np.ndarray:
+    """_accel over a (2, L) block of positions, as a (2, L) block: the same
+    IEEE operations in the same order, so each lane's value is _accel's bit
+    for bit, and the 1 km guard covers every lane."""
+    rsq = p[0] * p[0] + p[1] * p[1]
+    inside = rsq < _MIN_RADIUS_KM * _MIN_RADIUS_KM
+    if inside.any():
+        raise SingularStateError(
+            f"position norm {math.sqrt(rsq[inside].min()):.3g} km inside the "
+            f"{_MIN_RADIUS_KM} km guard radius"
+        )
+    if mu == 0.0:
+        return np.zeros_like(p)
+    return (-mu / (rsq * np.sqrt(rsq))) * p
+
+
+def _rk4_block(s: np.ndarray, h: float, mu: float) -> np.ndarray:
+    """One classical RK4 step of a (4, L) block of states, rows [x, y, vx,
+    vy]: the derivative of a block is its velocity rows over their
+    accelerations, so each stage is one array operation on the whole block.
+    Row by row these are _rk4_step's operations in its order (its k2x is
+    x + (0.5 * h) * vx, its k2vx vx + (0.5 * h) * ax1), so each lane is
+    _rk4_step's integration bit for bit."""
+    k1 = np.concatenate((s[2:], _block_accel(s[:2], mu)))
+    s2 = s + 0.5 * h * k1
+    k2 = np.concatenate((s2[2:], _block_accel(s2[:2], mu)))
+    s3 = s + 0.5 * h * k2
+    k3 = np.concatenate((s3[2:], _block_accel(s3[:2], mu)))
+    s4 = s + h * k3
+    k4 = np.concatenate((s4[2:], _block_accel(s4[:2], mu)))
+    return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def propagate_state(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
@@ -193,7 +255,7 @@ def propagate_state(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
     h = cfg.dt / cfg.integrator_substeps
     mu = cfg.mu
     for _ in range(cfg.integrator_substeps):
-        x, y, vx, vy = _rk4_step(x, y, vx, vy, h, mu, _accel)
+        x, y, vx, vy = _rk4_step(x, y, vx, vy, h, mu)
     return np.array([x, y, vx, vy])
 
 
@@ -204,8 +266,8 @@ def propagate_flows(states: np.ndarray, cfg: DynamicsConfig) -> tuple[np.ndarray
     the central difference (flow(s + h e_j) - flow(s - h e_j)) / 2h with
     h = 1e-6 * max(1, |s_j|); the mu = 0 flow is exactly linear, so its
     constant-velocity Jacobian is returned in closed form. Each state and
-    its 8 perturbations are lanes of one RK4 loop (_rk4_step over
-    _lane_accel), so every lane is its scalar integration bit for bit, and
+    its 8 perturbations are lanes of one (4, L) block stepped by
+    _rk4_block, so every lane is its scalar integration bit for bit, and
     the 1 km guard covers every lane integrated.
     """
     states = np.asarray(states, dtype=float).reshape(-1, 4)
@@ -222,12 +284,13 @@ def propagate_flows(states: np.ndarray, cfg: DynamicsConfig) -> tuple[np.ndarray
         lanes[:, 2 + 2 * j, j] -= steps
     out = lanes
     if cfg.dt != 0.0 and n:
-        x, y, vx, vy = lanes.reshape(-1, 4).T
+        # C order, so that each row of the block is contiguous, in this step
+        # and (as ufuncs keep their input's layout) in every later one.
+        block = np.ascontiguousarray(lanes.reshape(-1, 4).T)
         h = cfg.dt / cfg.integrator_substeps
-        mu = cfg.mu
         for _ in range(cfg.integrator_substeps):
-            x, y, vx, vy = _rk4_step(x, y, vx, vy, h, mu, _lane_accel)
-        out = np.stack([x, y, vx, vy], axis=-1).reshape(lanes.shape)
+            block = _rk4_block(block, h, cfg.mu)
+        out = block.T.reshape(lanes.shape)
     means = out[:, 0].copy()
     if cfg.mu == 0.0:
         jacs = np.tile(np.eye(4), (n, 1, 1))
@@ -273,26 +336,77 @@ def predict_track(
     return GaussianTrack(t.label, mean, cov)
 
 
-def _innovation(t: GaussianTrack, z: np.ndarray, sensor: SensorModel):
-    """Innovation, innovation covariance, its inverse/det, and the marginal
-    measurement likelihood N(z; h(mean), H P H^T + r)."""
-    s_cov = t.covariance[:2, :2] + sensor.r
-    s_cov = 0.5 * (s_cov + s_cov.T)
-    det = s_cov[0, 0] * s_cov[1, 1] - s_cov[0, 1] * s_cov[1, 0]
-    if not (math.isfinite(det) and det > 0.0):
-        raise NumericalError(f"track {t.label}: innovation covariance not invertible")
-    inv = np.array([[s_cov[1, 1], -s_cov[0, 1]], [-s_cov[1, 0], s_cov[0, 0]]]) / det
-    innov = z - t.mean[:2]
-    maha = float(innov @ inv @ innov)
-    lik = math.exp(-0.5 * maha) / (_TWO_PI * math.sqrt(det))
-    return innov, inv, lik
+def _innovations(tracks: Sequence[GaussianTrack], z: np.ndarray, r: np.ndarray):
+    """The innovation terms of N tracks against returns z, as stacked arrays.
+
+    z broadcasts against the tracks' (N, 2) predicted positions: shape
+    (N, 2) pairs track k with z[k], and (m, 1, 2) pairs every return with
+    every track. Returns the tracks' means (N, 4) and covariances
+    (N, 4, 4), the innovations z - h(mean) (..., N, 2), the inverses of the
+    innovation covariances S = H P H^T + r (N, 2, 2), and the marginal
+    likelihoods N(z; h(mean), S) (..., N).
+
+    Per pair, each value is the one-pair computation's bit for bit: S is
+    symmetrized and inverted as adjugate over determinant, elementwise; the
+    Mahalanobis term is one stacked (1 x 2) @ (2 x 2) @ (2 x 1) matmul,
+    which BLAS evaluates as it does innov @ inv @ innov; and exp runs per
+    entry through math.exp, whose results np.exp does not always match.
+    A track whose S is not invertible raises NumericalError naming it, when
+    it is paired with a return.
+    """
+    means = np.array([t.mean for t in tracks]).reshape(-1, 4)
+    covs = np.array([t.covariance for t in tracks]).reshape(-1, 4, 4)
+    s_cov = covs[:, :2, :2] + r
+    s_cov = 0.5 * (s_cov + s_cov.transpose(0, 2, 1))
+    det = s_cov[:, 0, 0] * s_cov[:, 1, 1] - s_cov[:, 0, 1] * s_cov[:, 1, 0]
+    innov = z - means[:, :2]
+    invertible = np.isfinite(det) & (det > 0.0)
+    if not invertible.all():
+        if innov.size:
+            bad = tracks[np.flatnonzero(~invertible)[0]]
+            raise NumericalError(f"track {bad.label}: innovation covariance not invertible")
+        det = np.where(invertible, det, 1.0)  # no pair reads these
+    adjugate = np.stack(
+        [s_cov[:, 1, 1], -s_cov[:, 0, 1], -s_cov[:, 1, 0], s_cov[:, 0, 0]], axis=-1
+    ).reshape(-1, 2, 2)
+    inv = adjugate / det[:, None, None]
+    maha = (innov[..., None, :] @ inv @ innov[..., :, None])[..., 0, 0]
+    exps = [math.exp(x) for x in (-0.5 * maha).ravel().tolist()]
+    lik = np.array(exps).reshape(maha.shape) / (_TWO_PI * np.sqrt(det))
+    return means, covs, innov, inv, lik
+
+
+def likelihood_table(
+    tracks: Sequence[GaussianTrack], returns: np.ndarray, sensor: SensorModel
+) -> np.ndarray:
+    """Marginal likelihoods of m returns (m, 2) under N tracks, as an (m, N)
+    table: entry (i, j) is measurement_likelihood(tracks[j], returns[i])."""
+    returns = np.asarray(returns, dtype=float).reshape(-1, 2)
+    return _innovations(tracks, returns[:, None, :], sensor.r)[4]
 
 
 def measurement_likelihood(t: GaussianTrack, z: np.ndarray, sensor: SensorModel) -> float:
     """Marginal likelihood of return z under track t (exact for linear h)."""
-    z = np.asarray(z, dtype=float).reshape(2)
-    _, _, lik = _innovation(t, z, sensor)
-    return lik
+    return float(likelihood_table([t], z, sensor)[0, 0])
+
+
+def update_tracks(
+    tracks: Sequence[GaussianTrack], zs: np.ndarray, sensor: SensorModel
+) -> tuple[list[GaussianTrack], np.ndarray]:
+    """EKF measurement update of each track k with return zs[k] (K, 2), as
+    one stacked pass: the posterior tracks and the marginal likelihoods of
+    the returns. Gain, mean, I - K H and a P a^T + K R K^T are stacked
+    matmuls, which match the per-pair matrix products bit for bit, and the
+    posteriors pass one stacked check."""
+    zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("measurement must be finite")
+    means, covs, innov, inv, lik = _innovations(tracks, zs, sensor.r)
+    gain = covs[:, :, :2] @ inv
+    post_means = means + (gain @ innov[:, :, None])[:, :, 0]
+    a = np.eye(4) - gain @ _H
+    post_covs = a @ covs @ a.transpose(0, 2, 1) + gain @ sensor.r @ gain.transpose(0, 2, 1)
+    return _stacked_tracks([t.label for t in tracks], post_means, post_covs), lik
 
 
 def update_track(
@@ -300,15 +414,8 @@ def update_track(
 ) -> tuple[GaussianTrack, float]:
     """EKF measurement update; returns the posterior track and the marginal
     likelihood of z (same value, bit for bit, as measurement_likelihood)."""
-    z = np.asarray(z, dtype=float).reshape(2)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("measurement must be finite")
-    innov, s_inv, lik = _innovation(t, z, sensor)
-    gain = t.covariance[:, :2] @ s_inv
-    mean = t.mean + gain @ innov
-    a = np.eye(4) - gain @ _H
-    cov = a @ t.covariance @ a.T + gain @ sensor.r @ gain.T
-    return GaussianTrack(t.label, mean, cov), lik
+    posteriors, lik = update_tracks([t], np.asarray(z, dtype=float).reshape(1, 2), sensor)
+    return posteriors[0], float(lik[0])
 
 
 def in_fov(s: np.ndarray, sensor: SensorModel) -> bool:

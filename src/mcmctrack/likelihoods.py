@@ -22,6 +22,7 @@ from .filters import (
     circular_speed,
     in_bounded_fov,
     in_fov,
+    likelihood_table,
     measurement_likelihood,
 )
 from .hypotheses import (
@@ -140,14 +141,28 @@ class AssociationMatrix:
         """The matrix of a parent whose tracks are object columns cols of
         this one, in the parent's track order: those columns, then the birth
         and clutter columns, with their labels and death flags and the same
-        returns. Its entries are this matrix's entries, bit for bit."""
-        cols = list(cols)
-        return AssociationMatrix(
-            log_entries=self.log_entries.take(cols + [self.birth_col, self.clutter_col], axis=1),
-            object_labels=tuple(self.object_labels[j] for j in cols),
-            death_eligible=tuple(self.death_eligible[j] for j in cols),
-            returns=self.returns,
-        )
+        returns. Its entries are this matrix's entries, bit for bit, so its
+        supported is this matrix's, mapped through the selected columns in
+        their new order; neither is derived again. cols must be distinct (a
+        parent's tracks are)."""
+        taken = [*cols, self.birth_col, self.clutter_col]
+        local = {col: c for c, col in enumerate(taken)}
+        if len(local) != len(taken):
+            raise ValueError("select needs distinct columns")
+        matrix = object.__new__(AssociationMatrix)
+        for name, value in (
+            ("log_entries", self.log_entries.take(taken, axis=1)),
+            ("object_labels", tuple(self.object_labels[j] for j in cols)),
+            ("death_eligible", tuple(self.death_eligible[j] for j in cols)),
+            ("returns", self.returns),
+            ("supported", tuple(
+                tuple(sorted(local[col] for col in row if col in local))
+                for row in self.supported
+            )),
+            ("column_entries", tuple(self.column_entries[col] for col in taken)),
+        ):
+            object.__setattr__(matrix, name, value)
+        return matrix
 
 
 def birth_likelihood(z: np.ndarray, sensor: SensorModel) -> float:
@@ -168,26 +183,27 @@ def build_matrix(
     """Assemble the data-association matrix from post-prediction tracks and
     the current frame's returns.
 
-    Object columns hold the exact marginal measurement likelihoods (shared
-    code path with update_track); the birth column holds birth_likelihood;
-    the clutter column holds the clutter density. An object is eligible to
-    die when the death probability is positive and it is predicted inside
-    the FOV; no death event is generated for any other object.
+    Object columns hold the exact marginal measurement likelihoods, all
+    m x N of them from one filters.likelihood_table call (the kernel
+    update_track runs too); the birth column holds birth_likelihood; the
+    clutter column holds the clutter density. An object is eligible to die
+    when the death probability is positive and it is predicted inside the
+    FOV; no death event is generated for any other object.
     """
     returns = np.asarray(returns, dtype=float).reshape(-1, 2)
     m = len(returns)
     n_objects = len(predicted)
-    log_entries = np.full((m, n_objects + 2), -math.inf)
+    log_entries = np.empty((m, n_objects + 2))
+    liks = likelihood_table(predicted, returns, sensor).ravel().tolist()
+    log_entries[:, :n_objects] = np.reshape(
+        [math.log(lik) if lik > 0.0 else -math.inf for lik in liks], (m, n_objects)
+    )
     for i in range(m):
-        z = returns[i]
-        for j, track in enumerate(predicted):
-            lik = measurement_likelihood(track, z, sensor)
-            log_entries[i, j] = math.log(lik) if lik > 0.0 else -math.inf
-        b_lik = birth_likelihood(z, sensor)
+        b_lik = birth_likelihood(returns[i], sensor)
         log_entries[i, n_objects] = math.log(b_lik) if b_lik > 0.0 else -math.inf
-        log_entries[i, n_objects + 1] = (
-            math.log(clutter.density_value) if clutter.density_value > 0.0 else -math.inf
-        )
+    log_entries[:, n_objects + 1] = (
+        math.log(clutter.density_value) if clutter.density_value > 0.0 else -math.inf
+    )
     can_die = birth_cfg.beta > 0.0
     return AssociationMatrix(
         log_entries=log_entries,

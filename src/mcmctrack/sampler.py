@@ -131,6 +131,7 @@ LAST_BATCH = 1024
 # Holds are kept as int64: a longer hold is drawn as MAX_HOLD, which run
 # reads as "at least MAX_HOLD" by running at most MAX_HOLD steps at a time.
 MAX_HOLD = 2**62
+_MAX_HOLD_FLOAT = 2.0**62  # MAX_HOLD, exactly
 
 
 @dataclass(frozen=True)
@@ -155,23 +156,30 @@ def _batches(rng: np.random.Generator, row: tuple):
     the geometric count of steps held before the step that moves, kept at
     most MAX_HOLD. When p >= 1 (which summation can overshoot by a rounding
     error, where log1p(-p) is NaN) every hold is 0 and no exponential is
-    drawn. Only multiplication, division, floor, comparison and search
-    touch a draw, so every platform turns the same draws into the same
-    pairs."""
+    drawn. Only multiplication, division, truncation (floor, for these
+    non-negative values), comparison and search touch a draw, so every
+    platform turns the same draws into the same pairs. A one-move row
+    draws its uniforms too, though every destination is its one move, so
+    that the stream does not depend on the row's length."""
     _, p, cumulative, destinations = row
-    stay = math.log1p(-p) if p < 1.0 else None
+    rate = -math.log1p(-p) if p < 1.0 else None
     bounds = np.array(cumulative[:-1])
     moves = np.array(destinations)
     n = FIRST_BATCH
     while True:
         # Temporaries only: the suspended generator keeps no draw arrays.
-        dests = moves[bounds.searchsorted(rng.random(n) * p, "right")].tolist()
-        if stay is None:
+        u = rng.random(n)
+        if len(destinations) == 1:
+            dests = destinations * n
+        else:
+            u *= p
+            dests = moves[bounds.searchsorted(u, "right")].tolist()
+        if rate is None:
             holds = itertools.repeat(0)
         else:
-            holds = np.minimum(
-                np.floor(rng.standard_exponential(n) / -stay), MAX_HOLD
-            ).astype(np.int64).tolist()
+            e = rng.standard_exponential(n)
+            e /= rate
+            holds = np.minimum(e, _MAX_HOLD_FLOAT, out=e).astype(np.int64).tolist()
         yield zip(holds, dests)
         n = min(2 * n, LAST_BATCH)
 
@@ -323,23 +331,29 @@ class _Chain:
         neg_inf = -math.inf
         n_rows = self.m + 1
         every_col = range(n_objects + 2)
+        supported = self.matrix.supported
         cumulative: list[float] = []
         destinations: list[int] = []
         total = 0.0
         q = 1.0 / (n_rows * (n_objects + 1))
         for i, cur in enumerate(assign):
             entries = entries_of[i]
-            for col in every_col if plateau else self.matrix.supported[i]:
+            # The candidate's finite sum is (finite - entries[cur]) +
+            # entries[col], summed in that order.
+            base = finite - entries[cur]
+            k_base = k - (cur < n_objects)
+            n_b_base = n_b - (cur == birth_col)
+            for col in every_col if plateau else supported[i]:
                 # Assigning a dead object would be invalid: no change.
-                if col == cur or (col < n_objects and col in deaths):
+                if col == cur or (deaths and col < n_objects and col in deaths):
                     continue
                 other = claimed_by[col] if col < n_objects else -1
                 accept = 1.0
                 if not plateau:
-                    c_finite = finite - entries[cur] + entries[col]
+                    c_finite = base + entries[col]
                     if other == -1:
-                        c_k = k - (cur < n_objects) + (col < n_objects)
-                        c_n_b = n_b - (cur == birth_col) + (col == birth_col)
+                        c_k = k_base + (col < n_objects)
+                        c_n_b = n_b_base + (col == birth_col)
                     else:
                         # Swap: the claiming return takes the proposer's old
                         # column, so k and n_b keep; proposing col from the
@@ -514,21 +528,23 @@ def child_score_bounds(
     n_k = min(max(map(len, cols_by_parent)), m) + 1
     n_b = min(birth_cfg.n_pixels, m) + 1
     entries = scan_matrix.log_entries
+    # One index of every parent's columns, padded with column -1: a -inf
+    # entry, which a maximum ignores, and a death flag of 0. best[i, p] is
+    # row i's best entry among parent p's object columns.
+    width = max(1, *map(len, cols_by_parent))
+    index = np.array([[*cols, *[-1] * (width - len(cols))] for cols in cols_by_parent])
+    best = np.concatenate((entries, np.full((m, 1), -math.inf)), axis=1)[:, index].max(axis=2)
+    eligible = np.array([*scan_matrix.death_eligible, False])[index].sum(axis=1).tolist()
+    keys = list(zip(map(len, cols_by_parent), eligible))
     # maxima[n_objects, eligible]: the largest prior per (k, n_b).
     maxima: dict[tuple[int, int], np.ndarray] = {}
-    prior = np.empty((len(cols_by_parent), n_k, n_b))
-    # best[i, p]: row i's best entry among parent p's object columns.
-    best = np.full((m, len(cols_by_parent)), -math.inf)
-    for p, cols in enumerate(cols_by_parent):
-        key = (len(cols), sum(scan_matrix.death_eligible[j] for j in cols))
+    for key in keys:
         if key not in maxima:
             maxima[key] = np.full((n_k, n_b), -math.inf)
             for k, births in enumerate(prior_table(*key, m, birth_cfg, p_d)):
                 cells = [max(deaths) for deaths in births[:n_b]]
                 maxima[key][k, :len(cells)] = cells
-        prior[p] = maxima[key]
-        if cols:
-            best[:, p] = entries[:, cols].max(axis=1)
+    prior = np.array([maxima[key] for key in keys])
     dp = np.full((len(cols_by_parent), n_k, n_b), -math.inf)
     dp[:, 0, 0] = 0.0
     for obj, (birth, clutter) in zip(best[:, :, None, None], entries[:, scan_matrix.birth_col:]):

@@ -45,7 +45,7 @@ from .filters import (
     in_fov,
     predict_track,
     propagate_flows,
-    update_track,
+    update_tracks,
 )
 from .hypotheses import (
     BIRTH,
@@ -67,6 +67,7 @@ from .sampler import (
 from .simulate import MeasurementFrame
 
 # Not called here; bench/tracing.py's TRACKER_LAYERS still rebinds these names.
+from .filters import update_track  # noqa: F401
 from .hypotheses import log_child_prior  # noqa: F401
 from .likelihoods import hypothesis_log_likelihood  # noqa: F401
 from .oracle import enumerate_child_events  # noqa: F401
@@ -152,8 +153,19 @@ def adapt_birth_death_rates(
     return replace(base, alpha=alpha, beta=beta)
 
 
+def _survivors(candidate: Candidate) -> list[tuple[GaussianTrack, int | None]]:
+    """The candidate's predicted tracks that its event does not kill, in
+    order, each with the index of the return it claims (None if none)."""
+    event = candidate.event
+    claimed = {
+        entry: i for i, entry in enumerate(event.assignments) if entry not in (BIRTH, CLUTTER)
+    }
+    return [(t, claimed.get(t.label)) for t in candidate.predicted if t.label not in event.deaths]
+
+
 def _realize_child(
     candidate: Candidate,
+    survivors: list[tuple[GaussianTrack, int | None]],
     child_id: str,
     frame: MeasurementFrame,
     cfg: TrackerConfig,
@@ -164,30 +176,15 @@ def _realize_child(
     """Apply the candidate's event to its predicted tracks: deaths removed,
     associated tracks updated with their returns, unassociated survivors
     kept as predicted, newborns instantiated from the birth pdf plus their
-    return. Two memos span the children of one scan: updated memoizes
-    update_track by (id(predicted track), return index), and newborns holds
-    the one newborn of each return index, so every child that births a
-    return holds the same track object. A label need only be unique within
-    a hypothesis (Hypothesis checks that), and a newborn's label
-    b<scan>-<return>, zero-padded, sorts in (scan, return) order."""
-    event = candidate.event
-    claimed: dict[str, int] = {}
-    for i, entry in enumerate(event.assignments):
-        if entry not in (BIRTH, CLUTTER):
-            claimed[entry] = i
-    tracks: list[GaussianTrack] = []
-    for track in candidate.predicted:
-        if track.label in event.deaths:
-            continue
-        i = claimed.get(track.label)
-        if i is None:
-            tracks.append(track)
-        else:
-            key = (id(track), i)
-            if key not in updated:
-                updated[key] = update_track(track, frame.returns[i], cfg.sensor)[0]
-            tracks.append(updated[key])
-    for i, entry in enumerate(event.assignments):
+    return. survivors is _survivors(candidate). Two memos span the children
+    of one scan: updated holds the posterior of each claimed (id(predicted
+    track), return index) pair, and newborns holds the one newborn of each
+    return index, so every child that births a return holds the same track
+    object. A label need only be unique within a hypothesis (Hypothesis
+    checks that), and a newborn's label b<scan>-<return>, zero-padded,
+    sorts in (scan, return) order."""
+    tracks = [track if i is None else updated[id(track), i] for track, i in survivors]
+    for i, entry in enumerate(candidate.event.assignments):
         if entry == BIRTH:
             if i not in newborns:
                 newborns[i] = newborn_track(
@@ -301,13 +298,25 @@ class Tracker:
             ]
             report = self._report(frame, fallback, bound, bd, skipped, degenerate=True)
             return fallback, report
-        updated: dict[tuple[int, int], GaussianTrack] = {}
+        # Every (predicted track, return) pair a kept child claims is
+        # updated once, all in one stacked pass, in first-claim order.
+        survivors = [_survivors(c) for c in kept]
+        claimed: dict[tuple[int, int], GaussianTrack] = {}
+        for pairs in survivors:
+            for track, i in pairs:
+                if i is not None:
+                    claimed.setdefault((id(track), i), track)
+        posteriors, _ = update_tracks(
+            list(claimed.values()), frame.returns[[i for _, i in claimed]], cfg.sensor
+        )
+        updated = dict(zip(claimed, posteriors))
         newborns: dict[int, GaussianTrack] = {}
         new_hyps = [
             _realize_child(
-                c, f"h{self.scan_index}-{idx:05d}", frame, cfg, self.scan_index, updated, newborns
+                c, pairs, f"h{self.scan_index}-{idx:05d}", frame, cfg, self.scan_index,
+                updated, newborns,
             )
-            for idx, c in enumerate(kept)
+            for idx, (c, pairs) in enumerate(zip(kept, survivors))
         ]
         report = self._report(frame, new_hyps, bound, bd, skipped, degenerate=False)
         return new_hyps, report

@@ -14,10 +14,10 @@ from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
-    measurement_likelihood,
     predict_track,
     propagate_flows,
     update_track,
+    update_tracks,
 )
 from mcmctrack.hypotheses import BirthDeathConfig, Hypothesis, count_grandchildren
 from mcmctrack.io import report_to_dict
@@ -180,9 +180,10 @@ class TestStepBasics:
 
     def test_shared_track_predicted_and_updated_once(self, monkeypatch):
         # Children share their parent's track objects, so parents share
-        # tracks: one scan predicts each object once, pairs it with each
-        # return once in one scan-level matrix, and updates each predicted
-        # track with a given return once.
+        # tracks: one scan predicts each object once, pairs it with the
+        # returns in one scan-level matrix, and updates each predicted track
+        # with a given return once, in one batched update of the pairs the
+        # kept children claim.
         cfg = make_config(p_d=1.0, alpha=0.0, beta=0.0, clutter_density=0.0)
         tracker = Tracker(cfg)
         shared = track_at("t00", 100.0, 0.0)
@@ -191,6 +192,7 @@ class TestStepBasics:
             for i in range(2)
         ]
         calls = []
+        batches = []
 
         def counting(name, fn):
             def wrapped(*args):
@@ -198,16 +200,17 @@ class TestStepBasics:
                 return fn(*args)
             return wrapped
 
+        def batched_update(tracks, zs, sensor):
+            batches.append(len(tracks))
+            return update_tracks(tracks, zs, sensor)
+
         monkeypatch.setattr(tracker_module, "predict_track", counting("predict", predict_track))
-        monkeypatch.setattr(tracker_module, "update_track", counting("update", update_track))
+        monkeypatch.setattr(tracker_module, "update_tracks", counting("update", batched_update))
         monkeypatch.setattr(tracker_module, "build_matrix", counting("matrix", build_matrix))
-        monkeypatch.setattr(
-            likelihoods_module, "measurement_likelihood",
-            counting("likelihood", measurement_likelihood),
-        )
         z = np.array([100.0, 0.5])
         new_hyps, _ = tracker.step(hyps, frame_at(10.0, [z]))
-        assert sorted(calls) == ["likelihood", "matrix", "predict", "update"]
+        assert sorted(calls) == ["matrix", "predict", "update"]
+        assert batches == [1]
         assert len(new_hyps) == 2
         want = update_track(predict_track(shared, cfg.dynamics), z, cfg.sensor)[0]
         for hyp in new_hyps:
