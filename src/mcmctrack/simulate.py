@@ -107,8 +107,12 @@ class ScenarioConfig:
             if not 0 <= ev.parent_index < len(self.objects):
                 raise ConfigError(f"spawn_events[{i}].parent_index out of range")
         for name in ("initial_position_std_km", "initial_velocity_std_kmps"):
-            if not (math.isfinite(getattr(self, name)) and getattr(self, name) > 0.0):
+            std = getattr(self, name)
+            if not (math.isfinite(std) and std > 0.0):
                 raise ConfigError(f"{name} must be finite and > 0")
+            # The initial covariance holds its square.
+            if not math.isfinite(std * std):
+                raise ConfigError(f"{name} must have a finite square")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # Truth propagation reuses the per-scan dynamics step.

@@ -189,12 +189,18 @@ class TestSimulateCommand:
          lambda p: p["spawn_events"][0].update(velocity_std_kmps=math.inf)),
         ("initial_position_std_km", lambda p: p.update(initial_position_std_km=math.nan)),
         ("initial_velocity_std_kmps", lambda p: p.update(initial_velocity_std_kmps=math.inf)),
+        # Each is finite, but its square, an initial covariance entry, is not.
+        ("initial_position_std_km must have a finite square",
+         lambda p: p.update(initial_position_std_km=1e200)),
+        ("initial_velocity_std_kmps must have a finite square",
+         lambda p: p.update(initial_velocity_std_kmps=1e200)),
         # Each is finite, but their ratio, the scan count, is not.
         ("duration must span a finite number of scans",
          lambda p: p.update(duration_s=1e300, scan_interval_s=1e-300)),
     ], ids=["scan-interval", "boresight-nan", "boresight-inf", "noise-cov-inf",
             "clutter-count-nan", "clutter-count-inf", "spawn-velocity-nan",
             "spawn-velocity-inf", "position-std-nan", "velocity-std-inf",
+            "position-std-square-overflow", "velocity-std-square-overflow",
             "scan-count-overflow"])
     def test_invalid_scenario_exits_2_naming_field(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
@@ -308,6 +314,21 @@ class TestTrackCommand:
         assert summary["schema"] == "mcmctrack.summary.v1"
         assert "cardinality_error" in summary["scans"][0]
         assert "position_rmse_km" in summary["scans"][0]
+
+    @pytest.mark.parametrize("field", ["initial_position_std_km", "initial_velocity_std_kmps"])
+    def test_std_with_overflowing_square_exits_2_naming_it(
+        self, tmp_path, capsys, sim_dir, small_scenario_file, field
+    ):
+        # The square, not the std, overflows: the scenario must be refused
+        # when it is read, not end in a traceback when tracking starts.
+        payload = json.loads(small_scenario_file.read_text())
+        payload[field] = 1e200
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["track", "--frames", str(sim_dir / "frames.csv"), "--scenario", str(bad),
+                   "--out", str(tmp_path / "trk")])
+        assert rc == 2
+        assert f"{field} must have a finite square" in capsys.readouterr().err
 
     def test_track_fixed_seed_byte_identical(self, tmp_path, sim_dir, small_scenario_file):
         outs = []

@@ -14,8 +14,11 @@ from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
+    _checked_covariances,
+    _rk4_block,
     in_bounded_fov,
     in_fov,
+    likelihood_table,
     measurement_likelihood,
     predict_track,
     process_noise,
@@ -23,6 +26,7 @@ from mcmctrack.filters import (
     propagate_state,
     sample_fov_point,
     update_track,
+    update_tracks,
 )
 
 
@@ -353,6 +357,166 @@ class TestUpdate:
             -0.5 * (z - mean[:2]) @ np.linalg.inv(s) @ (z - mean[:2])
         ) / (2 * math.pi * math.sqrt(np.linalg.det(s)))
         assert lik == pytest.approx(expect_lik, rel=1e-10)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+# The per-pair EKF code that the stacked kernel replaced, kept here as the
+# reference it must match bit for bit.
+def reference_innovation(mean, cov, z, r):
+    """Innovation, inverse innovation covariance and marginal likelihood of
+    one (track, return) pair."""
+    s_cov = cov[:2, :2] + r
+    s_cov = 0.5 * (s_cov + s_cov.T)
+    det = s_cov[0, 0] * s_cov[1, 1] - s_cov[0, 1] * s_cov[1, 0]
+    inv = np.array([[s_cov[1, 1], -s_cov[0, 1]], [-s_cov[1, 0], s_cov[0, 0]]]) / det
+    innov = z - mean[:2]
+    maha = float(innov @ inv @ innov)
+    return innov, inv, math.exp(-0.5 * maha) / (2.0 * math.pi * math.sqrt(det))
+
+
+def reference_update(mean, cov, z, r):
+    """Posterior mean, symmetrized posterior covariance and likelihood of
+    one pair."""
+    innov, inv, lik = reference_innovation(mean, cov, z, r)
+    gain = cov[:, :2] @ inv
+    post_mean = mean + gain @ innov
+    a = np.eye(4) - gain @ np.eye(2, 4)
+    post_cov = a @ cov @ a.T + gain @ r @ gain.T
+    return post_mean, 0.5 * (post_cov + post_cov.T), lik
+
+
+def reference_accel(x, y, mu):
+    rsq = x * x + y * y
+    if mu == 0.0:
+        return 0.0, 0.0
+    f = -mu / (rsq * math.sqrt(rsq))
+    return f * x, f * y
+
+
+def reference_rk4_step(x, y, vx, vy, h, mu):
+    """One RK4 step of one state in Python floats, stage by stage."""
+    ax1, ay1 = reference_accel(x, y, mu)
+    k2x, k2y = x + 0.5 * h * vx, y + 0.5 * h * vy
+    ax2, ay2 = reference_accel(k2x, k2y, mu)
+    k2vx, k2vy = vx + 0.5 * h * ax1, vy + 0.5 * h * ay1
+    k3x, k3y = x + 0.5 * h * k2vx, y + 0.5 * h * k2vy
+    ax3, ay3 = reference_accel(k3x, k3y, mu)
+    k3vx, k3vy = vx + 0.5 * h * ax2, vy + 0.5 * h * ay2
+    k4x, k4y = x + h * k3vx, y + h * k3vy
+    ax4, ay4 = reference_accel(k4x, k4y, mu)
+    k4vx, k4vy = vx + h * ax3, vy + h * ay3
+    return (
+        x + (h / 6.0) * (vx + 2.0 * k2vx + 2.0 * k3vx + k4vx),
+        y + (h / 6.0) * (vy + 2.0 * k2vy + 2.0 * k3vy + k4vy),
+        vx + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
+        vy + (h / 6.0) * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
+    )
+
+
+@st.composite
+def scan_tracks(draw):
+    """0, 1 or several tracks near (30000, 0) km with random covariances of
+    a drawn scale, returns near them, and a random sensor noise."""
+    n_tracks = draw(st.sampled_from([0, 1, 2, 7]))
+    n_returns = draw(st.sampled_from([0, 1, 3]))
+    scale = draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tracks = []
+    for j in range(n_tracks):
+        a = rng.normal(size=(4, 4)) * scale
+        mean = rng.normal(size=4) * [20.0, 20.0, 0.1, 0.1] + [30000.0, 0.0, 0.0, 3.0]
+        tracks.append(GaussianTrack(f"t{j:02d}", mean, a @ a.T))
+    returns = rng.normal(size=(n_returns, 2)) * 20.0 + [30000.0, 0.0]
+    b = rng.normal(size=(2, 2))
+    sensor = default_sensor(r=b @ b.T + 0.1 * np.eye(2))
+    return tracks, returns, sensor
+
+
+class TestStackedKernel:
+    """The stacked innovation kernel, the batched update and the RK4 block
+    against the per-pair and per-state code they replaced, float hex by
+    float hex, on stacks of none, one and many."""
+
+    @given(scan=scan_tracks())
+    @settings(max_examples=150, deadline=None)
+    def test_likelihood_table_matches_per_pair_reference(self, scan):
+        tracks, returns, sensor = scan
+        table = likelihood_table(tracks, returns, sensor)
+        assert table.shape == (len(returns), len(tracks))
+        want = [[reference_innovation(t.mean, t.covariance, z, sensor.r)[2] for t in tracks]
+                for z in returns]
+        assert hexes(table) == hexes(want)
+        for i, z in enumerate(returns):
+            for j, t in enumerate(tracks):
+                assert measurement_likelihood(t, z, sensor).hex() == float(want[i][j]).hex()
+
+    @given(scan=scan_tracks(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_batched_update_matches_per_pair_reference(self, scan, data):
+        tracks, returns, sensor = scan
+        # Pair each track with a return, the same track twice allowed.
+        pairs = data.draw(st.lists(
+            st.tuples(st.integers(0, len(tracks) - 1), st.integers(0, len(returns) - 1)),
+            max_size=6,
+        )) if tracks and len(returns) else []
+        paired = [tracks[j] for j, _ in pairs]
+        zs = returns[[i for _, i in pairs]].reshape(-1, 2)
+        posteriors, liks = update_tracks(paired, zs, sensor)
+        assert len(posteriors) == len(liks) == len(pairs)
+        for track, z, post, lik in zip(paired, zs, posteriors, liks):
+            mean, cov, want_lik = reference_update(track.mean, track.covariance, z, sensor.r)
+            assert post.label == track.label
+            assert hexes(post.mean) == hexes(mean)
+            assert hexes(post.covariance) == hexes(cov)
+            assert float(lik).hex() == want_lik.hex()
+            one, one_lik = update_track(track, z, sensor)
+            assert hexes(one.mean) == hexes(mean)
+            assert hexes(one.covariance) == hexes(cov)
+            assert one_lik.hex() == want_lik.hex()
+
+    @given(
+        states=near_orbit_states(),
+        keep=st.sampled_from([0, 1, 7]),
+        mu=st.sampled_from([0.0, MU_EARTH]),
+        h=st.floats(-50.0, 400.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rk4_block_lanes_match_scalar_reference(self, states, keep, mu, h):
+        states = states[:keep]
+        block = _rk4_block(np.ascontiguousarray(states.T), h, mu)
+        assert block.shape == (4, len(states))
+        want = [reference_rk4_step(*map(float, s), h, mu) for s in states]
+        assert hexes(block.T) == hexes(want)
+
+    def test_singular_innovation_names_the_track(self):
+        # S = P[:2, :2] + r is singular for the zero-covariance track only;
+        # the kernel names it, and raises only when it is paired.
+        sensor = default_sensor()
+        object.__setattr__(sensor, "r", np.ones((2, 2)))
+        tracks = [GaussianTrack("t00", np.zeros(4), np.eye(4)),
+                  GaussianTrack("t01", np.zeros(4), np.zeros((4, 4)))]
+        with pytest.raises(NumericalError, match="track t01: innovation covariance"):
+            update_tracks(tracks, np.ones((2, 2)), sensor)
+        with pytest.raises(NumericalError, match="track t01: innovation covariance"):
+            likelihood_table(tracks, np.ones((1, 2)), sensor)
+        assert likelihood_table(tracks, np.empty((0, 2)), sensor).shape == (0, 2)
+
+    def test_stacked_check_reports_the_first_failing_track(self):
+        # Track 1 is indefinite and track 2 non-finite: the stack fails on
+        # track 1, with the message GaussianTrack(track 1) raises.
+        covs = np.stack([np.eye(4), -np.eye(4), np.full((4, 4), math.nan)])
+        means = np.zeros((3, 4))
+        with pytest.raises(NumericalError) as stacked:
+            _checked_covariances(("t00", "t01", "t02"), means, covs)
+        with pytest.raises(NumericalError) as single:
+            GaussianTrack("t01", means[1], covs[1])
+        assert str(stacked.value) == str(single.value)
+        with pytest.raises(ValueError, match="track t02: covariance must be finite"):
+            _checked_covariances(("t00", "t02"), means[[0, 2]], covs[[0, 2]])
+        assert _checked_covariances((), np.empty((0, 4)), np.empty((0, 4, 4))).shape == (0, 4, 4)
 
 
 class TestFov:

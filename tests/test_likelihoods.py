@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmctrack.errors import InvalidEventError
 from mcmctrack.filters import GaussianTrack, SensorModel, update_track
@@ -25,6 +27,8 @@ from mcmctrack.likelihoods import (
     newborn_track,
     uniform_clutter,
 )
+from test_filters import hexes, reference_innovation, scan_tracks
+from test_oracle import sparse_matrices
 
 
 def sensor_with(p_d=0.9, half=math.pi / 12, max_range=5.0e4):
@@ -72,6 +76,18 @@ class TestBuildMatrix:
                 _, lik = update_track(t, z, sensor)
                 assert lik > 0.0
                 assert mat.log_entries[i, j] == math.log(lik)
+
+    @given(scan=scan_tracks())
+    @settings(max_examples=100, deadline=None)
+    def test_object_entries_match_per_pair_reference(self, scan):
+        # Every object entry is the log of the per-pair likelihood, -inf
+        # where it underflows to 0.
+        tracks, returns, sensor = scan
+        mat = build_matrix(tracks, returns, sensor, uniform_clutter(sensor), BirthDeathConfig())
+        liks = [[reference_innovation(t.mean, t.covariance, z, sensor.r)[2] for t in tracks]
+                for z in returns]
+        want = [[math.log(lik) if lik > 0.0 else -math.inf for lik in row] for row in liks]
+        assert hexes(mat.log_entries[:, :len(tracks)]) == hexes(want)
 
     def test_twelve_entries_match_hand_computation(self):
         # 2 tracks, 2 returns: a 2 x (2+2) matrix. Deaths carry no
@@ -175,6 +191,32 @@ class TestBuildMatrix:
         assert got.death_eligible == want.death_eligible
         assert got.supported == want.supported
         assert np.array_equal(got.returns, want.returns)
+
+    @given(mat=sparse_matrices(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_select_supported_equals_a_fresh_derivation(self, mat, data):
+        # Any distinct columns in any order, none included: the mapped
+        # support equals the one a new matrix of the same entries derives.
+        cols = data.draw(
+            st.lists(st.integers(0, mat.n_objects - 1), unique=True) if mat.n_objects
+            else st.just([])
+        )
+        got = mat.select(cols)
+        fresh = AssociationMatrix(
+            log_entries=got.log_entries,
+            object_labels=got.object_labels,
+            death_eligible=got.death_eligible,
+            returns=got.returns,
+        )
+        assert got.supported == fresh.supported
+        assert got.column_entries == fresh.column_entries
+        assert got.log_entries.flags.c_contiguous
+
+    def test_select_refuses_repeated_columns(self):
+        mat = build_matrix(self.SELECT_TRACKS, self.SELECT_RETURNS, sensor_with(half=0.1),
+                           ClutterModel(1e-9), BirthDeathConfig())
+        with pytest.raises(ValueError, match="distinct columns"):
+            mat.select([1, 1])
 
 
 class TestBirthLikelihood:

@@ -34,7 +34,7 @@ from mcmctrack.oracle import (
     exact_posterior,
     tv_distance,
 )
-from mcmctrack.sampler import _Chain, child_score_bounds, enumerate_children
+from mcmctrack.sampler import _Chain, child_score_bounds, enumerate_children, prior_table
 
 
 def wide_sensor(p_d=0.9):
@@ -202,6 +202,35 @@ def sparse_matrices(draw):
     )
 
 
+def reference_child_score_bounds(scan_matrix, cols_by_parent, birth_cfg, p_d):
+    """child_score_bounds with one entries[:, cols] maximum and one sum of
+    death flags per parent: the per-parent loop its padded index replaced."""
+    if not cols_by_parent:
+        return []
+    m = scan_matrix.n_returns
+    n_k = min(max(map(len, cols_by_parent)), m) + 1
+    n_b = min(birth_cfg.n_pixels, m) + 1
+    entries = scan_matrix.log_entries
+    prior = np.empty((len(cols_by_parent), n_k, n_b))
+    best = np.full((m, len(cols_by_parent)), -math.inf)
+    for p, cols in enumerate(cols_by_parent):
+        key = (len(cols), sum(scan_matrix.death_eligible[j] for j in cols))
+        prior[p] = -math.inf
+        for k, births in enumerate(prior_table(*key, m, birth_cfg, p_d)):
+            cells = [max(deaths) for deaths in births[:n_b]]
+            prior[p, k, :len(cells)] = cells
+        if cols:
+            best[:, p] = entries[:, cols].max(axis=1)
+    dp = np.full((len(cols_by_parent), n_k, n_b), -math.inf)
+    dp[:, 0, 0] = 0.0
+    for obj, (birth, clutter) in zip(best[:, :, None, None], entries[:, scan_matrix.birth_col:]):
+        new = dp + clutter
+        np.maximum(new[:, 1:], dp[:, :-1] + obj, out=new[:, 1:])
+        np.maximum(new[:, :, 1:], dp[:, :, :-1] + birth, out=new[:, :, 1:])
+        dp = new
+    return (prior + dp).max(axis=(1, 2)).tolist()
+
+
 class TestChildScoreBounds:
     @given(
         mat=sparse_matrices(),
@@ -229,6 +258,25 @@ class TestChildScoreBounds:
         for cols, bound in zip(cols_by_parent, bounds):
             children = enumerate_children(mat.select(cols), cfg, p_d)
             assert all(s.log_score <= bound for s in children)
+
+    @given(
+        mat=sparse_matrices(),
+        data=st.data(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+        beta=st.sampled_from([0.0, 0.1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bounds_match_per_parent_reference(self, mat, data, n_pixels, p_d, beta):
+        cols_by_parent = data.draw(st.lists(
+            st.lists(st.integers(0, mat.n_objects - 1), unique=True) if mat.n_objects
+            else st.just([]),
+            max_size=4,
+        ))
+        cfg = BirthDeathConfig(alpha=0.05, beta=beta, n_pixels=n_pixels)
+        got = child_score_bounds(mat, cols_by_parent, cfg, p_d)
+        want = reference_child_score_bounds(mat, cols_by_parent, cfg, p_d)
+        assert [b.hex() for b in got] == [b.hex() for b in want]
 
     def test_bound_is_tight_without_conflicts(self):
         # One return, one object: the relaxation gives up nothing, so the
