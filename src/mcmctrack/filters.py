@@ -7,7 +7,7 @@ and velocities in km/s. Everything here is a pure function of its inputs
 propagate_state integrates one state in Python floats (_rk4_step over
 _accel); propagate_flows integrates a (4, L) block of lanes, each state of a
 batch and its 8 central-difference perturbations, as one array per RK4
-stage (_rk4_block over _block_accel). numpy's +, -, *, / and sqrt are the
+stage (_rk4_block over _block_derivative). numpy's +, -, *, / and sqrt are the
 same IEEE operations as Python's float ones, and both bodies apply them in
 the same order, so a lane is bit-identical to its scalar integration.
 
@@ -207,36 +207,35 @@ def _rk4_step(x: float, y: float, vx: float, vy: float, h: float, mu: float):
     return nx, ny, nvx, nvy
 
 
-def _block_accel(p: np.ndarray, mu: float) -> np.ndarray:
-    """_accel over a (2, L) block of positions, as a (2, L) block: the same
-    IEEE operations in the same order, so each lane's value is _accel's bit
-    for bit, and the 1 km guard covers every lane."""
-    rsq = p[0] * p[0] + p[1] * p[1]
+def _block_derivative(s: np.ndarray, mu: float) -> np.ndarray:
+    """The time derivative of a (4, L) block of states, rows [x, y, vx,
+    vy]: its velocity rows over their accelerations, each lane's _accel bit
+    for bit (the same IEEE operations in the same order). The 1 km guard
+    covers every lane."""
+    p = s[:2]
+    squares = p * p
+    rsq = squares[0] + squares[1]
     inside = rsq < _MIN_RADIUS_KM * _MIN_RADIUS_KM
     if inside.any():
         raise SingularStateError(
             f"position norm {math.sqrt(rsq[inside].min()):.3g} km inside the "
             f"{_MIN_RADIUS_KM} km guard radius"
         )
-    if mu == 0.0:
-        return np.zeros_like(p)
-    return (-mu / (rsq * np.sqrt(rsq))) * p
+    accel = np.zeros_like(p) if mu == 0.0 else (-mu / (rsq * np.sqrt(rsq))) * p
+    return np.concatenate((s[2:], accel))
 
 
 def _rk4_block(s: np.ndarray, h: float, mu: float) -> np.ndarray:
-    """One classical RK4 step of a (4, L) block of states, rows [x, y, vx,
-    vy]: the derivative of a block is its velocity rows over their
-    accelerations, so each stage is one array operation on the whole block.
-    Row by row these are _rk4_step's operations in its order (its k2x is
-    x + (0.5 * h) * vx, its k2vx vx + (0.5 * h) * ax1), so each lane is
-    _rk4_step's integration bit for bit."""
-    k1 = np.concatenate((s[2:], _block_accel(s[:2], mu)))
-    s2 = s + 0.5 * h * k1
-    k2 = np.concatenate((s2[2:], _block_accel(s2[:2], mu)))
-    s3 = s + 0.5 * h * k2
-    k3 = np.concatenate((s3[2:], _block_accel(s3[:2], mu)))
-    s4 = s + h * k3
-    k4 = np.concatenate((s4[2:], _block_accel(s4[:2], mu)))
+    """One classical RK4 step of a (4, L) block of states, each stage one
+    array operation on the whole block. Row by row these are _rk4_step's
+    operations in its order (its k2x is x + (0.5 * h) * vx, its k2vx
+    vx + (0.5 * h) * ax1), so each lane is _rk4_step's integration bit for
+    bit."""
+    half = 0.5 * h
+    k1 = _block_derivative(s, mu)
+    k2 = _block_derivative(s + half * k1, mu)
+    k3 = _block_derivative(s + half * k2, mu)
+    k4 = _block_derivative(s + h * k3, mu)
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -387,7 +386,7 @@ def likelihood_table(
 
 def measurement_likelihood(t: GaussianTrack, z: np.ndarray, sensor: SensorModel) -> float:
     """Marginal likelihood of return z under track t (exact for linear h)."""
-    return float(likelihood_table([t], z, sensor)[0, 0])
+    return float(likelihood_table([t], np.asarray(z, dtype=float).reshape(1, 2), sensor)[0, 0])
 
 
 def update_tracks(
@@ -399,6 +398,8 @@ def update_tracks(
     matmuls, which match the per-pair matrix products bit for bit, and the
     posteriors pass one stacked check."""
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
+    if len(zs) != len(tracks):
+        raise ValueError("update_tracks needs one return per track")
     if not np.all(np.isfinite(zs)):
         raise ValueError("measurement must be finite")
     means, covs, innov, inv, lik = _innovations(tracks, zs, sensor.r)

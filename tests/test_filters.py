@@ -504,6 +504,11 @@ class TestStackedKernel:
             likelihood_table(tracks, np.ones((1, 2)), sensor)
         assert likelihood_table(tracks, np.empty((0, 2)), sensor).shape == (0, 2)
 
+    def test_batched_update_needs_one_return_per_track(self):
+        track = GaussianTrack("t00", np.zeros(4), np.eye(4))
+        with pytest.raises(ValueError, match="one return per track"):
+            update_tracks([track, track], np.zeros((1, 2)), default_sensor())
+
     def test_stacked_check_reports_the_first_failing_track(self):
         # Track 1 is indefinite and track 2 non-finite: the stack fails on
         # track 1, with the message GaussianTrack(track 1) raises.
