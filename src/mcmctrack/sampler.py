@@ -131,7 +131,6 @@ LAST_BATCH = 1024
 # Holds are kept as int64: a longer hold is drawn as MAX_HOLD, which run
 # reads as "at least MAX_HOLD" by running at most MAX_HOLD steps at a time.
 MAX_HOLD = 2**62
-_MAX_HOLD_FLOAT = 2.0**62  # MAX_HOLD, exactly
 
 
 @dataclass(frozen=True)
@@ -179,7 +178,8 @@ def _batches(rng: np.random.Generator, row: tuple):
         else:
             e = rng.standard_exponential(n)
             e /= rate
-            holds = np.minimum(e, _MAX_HOLD_FLOAT, out=e).astype(np.int64).tolist()
+            # float(MAX_HOLD) is exact: MAX_HOLD is a power of two.
+            holds = np.minimum(e, float(MAX_HOLD), out=e).astype(np.int64).tolist()
         yield zip(holds, dests)
         n = min(2 * n, LAST_BATCH)
 

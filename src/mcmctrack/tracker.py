@@ -8,9 +8,11 @@ be among the h_inf heaviest, select its columns of the matrix
 sampler.sample_children (the MCMC walk) or sampler.enumerate_children
 (exhaustive mode); keep the h_inf heaviest candidates, gathered in one
 list, and normalize over them (one prune pass), realize the surviving
-children (birth/death bookkeeping), and report. A birth is a
-hypothesis-level event: the return a scan reads as a birth is one newborn
-track, labeled by scan and return index, in every child that births it.
+children (one stacked update, filters.update_tracks, of the (track,
+return) pairs they claim, then birth/death bookkeeping), and report. A
+birth is a hypothesis-level event: the return a scan reads as a birth is
+one newborn track, labeled by scan and return index, in every child that
+births it.
 
 Parents are visited by parent log weight plus bound, highest first, and a
 min-heap keeps the h_inf heaviest finite candidate weights so far. Once the
