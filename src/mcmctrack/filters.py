@@ -216,10 +216,12 @@ def _block_derivative(s: np.ndarray, mu: float) -> np.ndarray:
     p = s[:2]
     squares = p * p
     rsq = squares[0] + squares[1]
-    inside = rsq < _MIN_RADIUS_KM * _MIN_RADIUS_KM
-    if inside.any():
+    # fmin skips NaN, so this is the smallest rsq of a lane that has one,
+    # and it is inside the guard exactly when some lane is.
+    closest = np.fmin.reduce(rsq, initial=math.inf)
+    if closest < _MIN_RADIUS_KM * _MIN_RADIUS_KM:
         raise SingularStateError(
-            f"position norm {math.sqrt(rsq[inside].min()):.3g} km inside the "
+            f"position norm {math.sqrt(closest):.3g} km inside the "
             f"{_MIN_RADIUS_KM} km guard radius"
         )
     accel = np.zeros_like(p) if mu == 0.0 else (-mu / (rsq * np.sqrt(rsq))) * p
