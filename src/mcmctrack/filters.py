@@ -121,18 +121,21 @@ def _checked_covariances(
     if finite.all():
         min_eigs = np.linalg.eigvalsh(covs).min(axis=1)
     else:
-        min_eigs = np.full(len(covs), math.inf)
+        min_eigs = np.full(len(covs), -math.inf)
         min_eigs[finite] = np.linalg.eigvalsh(covs[finite]).min(axis=1)
-    failed = ~finite | (min_eigs < -1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(1, 2))))
-    if failed.any():
-        k = failed.argmax()
-        if not finite_means[k]:
-            raise ValueError(f"track {labels[k]}: mean must be finite")
-        if not finite_covs[k]:
-            raise ValueError(f"track {labels[k]}: covariance must be finite")
-        raise NumericalError(
-            f"track {labels[k]}: covariance indefinite (min eigenvalue {min_eigs[k]:g})"
-        )
+    # The tolerance is positive, so only a negative minimum (-inf for a
+    # non-finite track) can fail; most stacks have none.
+    if (min_eigs < 0.0).any():
+        failed = ~finite | (min_eigs < -1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(1, 2))))
+        if failed.any():
+            k = failed.argmax()
+            if not finite_means[k]:
+                raise ValueError(f"track {labels[k]}: mean must be finite")
+            if not finite_covs[k]:
+                raise ValueError(f"track {labels[k]}: covariance must be finite")
+            raise NumericalError(
+                f"track {labels[k]}: covariance indefinite (min eigenvalue {min_eigs[k]:g})"
+            )
     return covs
 
 

@@ -149,17 +149,18 @@ class AssociationMatrix:
         local = {col: c for c, col in enumerate(taken)}
         if len(local) != len(taken):
             raise ValueError("select needs distinct columns")
+        labels = tuple(self.object_labels[j] for j in cols)
         matrix = object.__new__(AssociationMatrix)
         for name, value in (
             ("log_entries", self.log_entries.take(taken, axis=1)),
-            ("object_labels", tuple(self.object_labels[j] for j in cols)),
+            ("object_labels", labels),
             ("death_eligible", tuple(self.death_eligible[j] for j in cols)),
             ("returns", self.returns),
             ("supported", tuple(
-                tuple(sorted(local[col] for col in row if col in local))
+                tuple(sorted([local[col] for col in row if col in local]))
                 for row in self.supported
             )),
-            ("column_entries", tuple(self.column_entries[col] for col in taken)),
+            ("column_entries", (*labels, BIRTH, CLUTTER)),
         ):
             object.__setattr__(matrix, name, value)
         return matrix
