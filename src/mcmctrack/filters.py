@@ -110,10 +110,10 @@ def _checked_covariances(
 ) -> np.ndarray:
     """GaussianTrack's checks over stacked means (K, 4) and covariances
     (K, 4, 4), labeled by labels: each mean and covariance finite, and each
-    symmetrized covariance positive semidefinite within 1e-9 of its largest
-    magnitude (one stacked eigvalsh). Returns the symmetrized covariances;
-    raises, with GaussianTrack's message, for the first track that fails a
-    check, the first check it fails."""
+    symmetrized covariance positive semidefinite within 1e-9 times its
+    largest magnitude, at least 1 (one stacked eigvalsh). Returns the
+    symmetrized covariances; raises, with GaussianTrack's message, for the
+    first track that fails a check, the first check it fails."""
     finite_means = np.isfinite(means).all(axis=1)
     finite_covs = np.isfinite(covs).all(axis=(1, 2))
     covs = 0.5 * (covs + covs.transpose(0, 2, 1))
