@@ -153,8 +153,14 @@ class GaussianTrack:
         mean = np.asarray(self.mean, dtype=float).reshape(1, 4)
         cov = np.asarray(self.covariance, dtype=float).reshape(1, 4, 4)
         cov = _checked_covariances((self.label,), mean, cov)
-        object.__setattr__(self, "mean", mean[0])
-        object.__setattr__(self, "covariance", cov[0])
+        self._set_checked(mean[0], cov[0])
+
+    def _set_checked(self, mean: np.ndarray, cov: np.ndarray) -> None:
+        """Store a mean (4,) and symmetrized covariance (4, 4) that passed
+        _checked_covariances. The one place both are set, by __post_init__
+        and by _stacked_tracks."""
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "covariance", cov)
 
 
 def _stacked_tracks(
@@ -168,8 +174,7 @@ def _stacked_tracks(
     for label, mean, cov in zip(labels, means, covs):
         track = object.__new__(GaussianTrack)
         object.__setattr__(track, "label", label)
-        object.__setattr__(track, "mean", mean)
-        object.__setattr__(track, "covariance", cov)
+        track._set_checked(mean, cov)
         tracks.append(track)
     return tracks
 

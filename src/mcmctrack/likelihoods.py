@@ -102,7 +102,12 @@ class AssociationMatrix:
         if not (self.log_entries < math.inf).all():
             raise ValueError("matrix entries must be finite or -inf")
         finite = np.isfinite(self.log_entries)
-        supported = tuple(tuple(np.flatnonzero(row).tolist()) for row in finite)
+        self._set_derived(tuple(tuple(np.flatnonzero(row).tolist()) for row in finite))
+
+    def _set_derived(self, supported: tuple[tuple[int, ...], ...]) -> None:
+        """Store the derived fields: supported, and column_entries from the
+        object labels. The one place both are set, by __post_init__ and by
+        select."""
         object.__setattr__(self, "supported", supported)
         object.__setattr__(self, "column_entries", (*self.object_labels, BIRTH, CLUTTER))
 
@@ -149,20 +154,18 @@ class AssociationMatrix:
         local = {col: c for c, col in enumerate(taken)}
         if len(local) != len(taken):
             raise ValueError("select needs distinct columns")
-        labels = tuple(self.object_labels[j] for j in cols)
         matrix = object.__new__(AssociationMatrix)
         for name, value in (
             ("log_entries", self.log_entries.take(taken, axis=1)),
-            ("object_labels", labels),
+            ("object_labels", tuple(self.object_labels[j] for j in cols)),
             ("death_eligible", tuple(self.death_eligible[j] for j in cols)),
             ("returns", self.returns),
-            ("supported", tuple(
-                tuple(sorted([local[col] for col in row if col in local]))
-                for row in self.supported
-            )),
-            ("column_entries", (*labels, BIRTH, CLUTTER)),
         ):
             object.__setattr__(matrix, name, value)
+        matrix._set_derived(tuple(
+            tuple(sorted([local[col] for col in row if col in local]))
+            for row in self.supported
+        ))
         return matrix
 
 

@@ -157,9 +157,7 @@ def _batches(rng: np.random.Generator, row: tuple):
     error, where log1p(-p) is NaN) every hold is 0 and no exponential is
     drawn. Only multiplication, division, truncation (floor, for these
     non-negative values), comparison and search touch a draw, so every
-    platform turns the same draws into the same pairs. A one-move row
-    draws its uniforms too, though every destination is its one move, so
-    that the stream does not depend on the row's length."""
+    platform turns the same draws into the same pairs."""
     _, p, cumulative, destinations = row
     rate = -math.log1p(-p) if p < 1.0 else None
     bounds = np.array(cumulative[:-1])
@@ -168,11 +166,8 @@ def _batches(rng: np.random.Generator, row: tuple):
     while True:
         # Temporaries only: the suspended generator keeps no draw arrays.
         u = rng.random(n)
-        if len(destinations) == 1:
-            dests = destinations * n
-        else:
-            u *= p
-            dests = moves[bounds.searchsorted(u, "right")].tolist()
+        u *= p
+        dests = moves[bounds.searchsorted(u, "right")].tolist()
         if rate is None:
             holds = itertools.repeat(0)
         else:

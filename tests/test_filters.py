@@ -16,6 +16,7 @@ from mcmctrack.filters import (
     SensorModel,
     _checked_covariances,
     _rk4_block,
+    _rk4_step,
     in_bounded_fov,
     in_fov,
     likelihood_table,
@@ -388,34 +389,6 @@ def reference_update(mean, cov, z, r):
     return post_mean, 0.5 * (post_cov + post_cov.T), lik
 
 
-def reference_accel(x, y, mu):
-    rsq = x * x + y * y
-    if mu == 0.0:
-        return 0.0, 0.0
-    f = -mu / (rsq * math.sqrt(rsq))
-    return f * x, f * y
-
-
-def reference_rk4_step(x, y, vx, vy, h, mu):
-    """One RK4 step of one state in Python floats, stage by stage."""
-    ax1, ay1 = reference_accel(x, y, mu)
-    k2x, k2y = x + 0.5 * h * vx, y + 0.5 * h * vy
-    ax2, ay2 = reference_accel(k2x, k2y, mu)
-    k2vx, k2vy = vx + 0.5 * h * ax1, vy + 0.5 * h * ay1
-    k3x, k3y = x + 0.5 * h * k2vx, y + 0.5 * h * k2vy
-    ax3, ay3 = reference_accel(k3x, k3y, mu)
-    k3vx, k3vy = vx + 0.5 * h * ax2, vy + 0.5 * h * ay2
-    k4x, k4y = x + h * k3vx, y + h * k3vy
-    ax4, ay4 = reference_accel(k4x, k4y, mu)
-    k4vx, k4vy = vx + h * ax3, vy + h * ay3
-    return (
-        x + (h / 6.0) * (vx + 2.0 * k2vx + 2.0 * k3vx + k4vx),
-        y + (h / 6.0) * (vy + 2.0 * k2vy + 2.0 * k3vy + k4vy),
-        vx + (h / 6.0) * (ax1 + 2.0 * ax2 + 2.0 * ax3 + ax4),
-        vy + (h / 6.0) * (ay1 + 2.0 * ay2 + 2.0 * ay3 + ay4),
-    )
-
-
 @st.composite
 def scan_tracks(draw):
     """0, 1 or several tracks near (30000, 0) km with random covariances of
@@ -484,11 +457,11 @@ class TestStackedKernel:
         h=st.floats(-50.0, 400.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_rk4_block_lanes_match_scalar_reference(self, states, keep, mu, h):
+    def test_rk4_block_lanes_match_scalar_step(self, states, keep, mu, h):
         states = states[:keep]
         block = _rk4_block(np.ascontiguousarray(states.T), h, mu)
         assert block.shape == (4, len(states))
-        want = [reference_rk4_step(*map(float, s), h, mu) for s in states]
+        want = [_rk4_step(*map(float, s), h, mu) for s in states]
         assert hexes(block.T) == hexes(want)
 
     def test_singular_innovation_names_the_track(self):

@@ -14,6 +14,7 @@ from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
+    likelihood_table,
     predict_track,
     propagate_flows,
     update_track,
@@ -181,9 +182,10 @@ class TestStepBasics:
     def test_shared_track_predicted_and_updated_once(self, monkeypatch):
         # Children share their parent's track objects, so parents share
         # tracks: one scan predicts each object once, pairs it with the
-        # returns in one scan-level matrix, and updates each predicted track
-        # with a given return once, in one batched update of the pairs the
-        # kept children claim.
+        # returns in one scan-level matrix (one likelihood per (track,
+        # return) pair), and updates each predicted track with a given
+        # return once, in one batched update of the pairs the kept children
+        # claim.
         cfg = make_config(p_d=1.0, alpha=0.0, beta=0.0, clutter_density=0.0)
         tracker = Tracker(cfg)
         shared = track_at("t00", 100.0, 0.0)
@@ -193,6 +195,7 @@ class TestStepBasics:
         ]
         calls = []
         batches = []
+        tables = []
 
         def counting(name, fn):
             def wrapped(*args):
@@ -204,13 +207,20 @@ class TestStepBasics:
             batches.append(len(tracks))
             return update_tracks(tracks, zs, sensor)
 
+        def counted_table(tracks, returns, sensor):
+            table = likelihood_table(tracks, returns, sensor)
+            tables.append(table.shape)
+            return table
+
         monkeypatch.setattr(tracker_module, "predict_track", counting("predict", predict_track))
         monkeypatch.setattr(tracker_module, "update_tracks", counting("update", batched_update))
         monkeypatch.setattr(tracker_module, "build_matrix", counting("matrix", build_matrix))
+        monkeypatch.setattr(likelihoods_module, "likelihood_table", counted_table)
         z = np.array([100.0, 0.5])
         new_hyps, _ = tracker.step(hyps, frame_at(10.0, [z]))
         assert sorted(calls) == ["matrix", "predict", "update"]
         assert batches == [1]
+        assert tables == [(1, 1)]
         assert len(new_hyps) == 2
         want = update_track(predict_track(shared, cfg.dynamics), z, cfg.sensor)[0]
         for hyp in new_hyps:
