@@ -16,10 +16,9 @@ order, so a lane is bit-identical to its scalar integration.
 
 The EKF's measurement side is stacked the same way: one innovation kernel
 (_innovations) pairs tracks with returns as arrays, and serves the
-association matrix's likelihood table, measurement_likelihood and
-update_track (the one-pair cases) and update_tracks. Every track it builds
-passes one stacked check (_checked_covariances), which GaussianTrack runs
-on a stack of one.
+association matrix's likelihood table, update_tracks and update_track
+(its one-pair case). Every track it builds passes one stacked check
+(_checked_covariances), which GaussianTrack runs on a stack of one.
 """
 
 from __future__ import annotations
@@ -391,15 +390,10 @@ def _innovations(tracks: Sequence[GaussianTrack], z: np.ndarray, r: np.ndarray):
 def likelihood_table(
     tracks: Sequence[GaussianTrack], returns: np.ndarray, sensor: SensorModel
 ) -> np.ndarray:
-    """Marginal likelihoods of m returns (m, 2) under N tracks, as an (m, N)
-    table: entry (i, j) is measurement_likelihood(tracks[j], returns[i])."""
+    """Marginal likelihoods of m returns (m, 2) under N tracks (exact for
+    linear h) as an (m, N) table, entry (i, j) for returns[i] and tracks[j]."""
     returns = np.asarray(returns, dtype=float).reshape(-1, 2)
     return _innovations(tracks, returns[:, None, :], sensor.r)[4]
-
-
-def measurement_likelihood(t: GaussianTrack, z: np.ndarray, sensor: SensorModel) -> float:
-    """Marginal likelihood of return z under track t (exact for linear h)."""
-    return float(likelihood_table([t], np.asarray(z, dtype=float).reshape(1, 2), sensor)[0, 0])
 
 
 def update_tracks(
@@ -427,7 +421,7 @@ def update_track(
     t: GaussianTrack, z: np.ndarray, sensor: SensorModel
 ) -> tuple[GaussianTrack, float]:
     """EKF measurement update; returns the posterior track and the marginal
-    likelihood of z (same value, bit for bit, as measurement_likelihood)."""
+    likelihood of z (same value, bit for bit, as likelihood_table)."""
     posteriors, lik = update_tracks([t], np.asarray(z, dtype=float).reshape(1, 2), sensor)
     return posteriors[0], float(lik[0])
 

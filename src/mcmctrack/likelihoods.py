@@ -23,7 +23,6 @@ from .filters import (
     in_bounded_fov,
     in_fov,
     likelihood_table,
-    measurement_likelihood,
 )
 from .hypotheses import (
     BIRTH,
@@ -290,7 +289,7 @@ def compare_likelihood_forms(
             # N(z; h(mean), r): the marginal of a track with no uncertainty.
             track = tracks[entry]
             at_mean = GaussianTrack(track.label, track.mean, np.zeros((4, 4)))
-            lik = measurement_likelihood(at_mean, matrix.returns[i], sensor)
+            lik = likelihood_table([at_mean], matrix.returns[i].reshape(1, 2), sensor)[0, 0]
             log_mean_form += math.log(lik) if lik > 0.0 else -math.inf
     # No births or deaths, so the rates of the default config never enter.
     log_prior = log_count_prior(k, 0, 0, n_objects, m, BirthDeathConfig(), sensor.p_d)

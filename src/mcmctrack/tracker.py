@@ -7,12 +7,13 @@ be among the h_inf heaviest, select its columns of the matrix
 (AssociationMatrix.select) and generate its children by one call:
 sampler.sample_children (the MCMC walk) or sampler.enumerate_children
 (exhaustive mode); keep the h_inf heaviest candidates, gathered in one
-list, and normalize over them (one prune pass), realize the surviving
-children (one stacked update, filters.update_tracks, of the (track,
+list, and normalize over them (one prune pass), realize them in one pass
+(_realize: one stacked update, filters.update_tracks, of the (track,
 return) pairs they claim, then birth/death bookkeeping), and report. A
 birth is a hypothesis-level event: the return a scan reads as a birth is
 one newborn track, labeled by scan and return index, in every child that
-births it.
+births it. A degenerate update (no candidate carries mass) realizes each
+parent's child that claims no return, at the parent's prior weight.
 
 Parents are visited by parent log weight plus bound, highest first, and a
 min-heap keeps the h_inf heaviest finite candidate weights so far. Once the
@@ -52,6 +53,7 @@ from .filters import (
 from .hypotheses import (
     BIRTH,
     CLUTTER,
+    AssociationEvent,
     BirthDeathConfig,
     Candidate,
     Hypothesis,
@@ -143,62 +145,62 @@ def adapt_birth_death_rates(
 ) -> BirthDeathConfig:
     """One documented heuristic: compare the return count with the top
     hypothesis's in-FOV object count; a surplus of returns scales alpha up,
-    a deficit scales beta up, both clamped to [1e-6, 0.5]."""
+    a deficit scales beta up, each clamped to [1e-6, 0.5]. A zero rate
+    stays zero, so adapting never turns births or deaths on."""
     base = cfg.birth_death
     top = max(hypotheses, key=lambda h: (h.log_weight, h.id))
     n_fov = sum(1 for t in top.tracks if in_fov(t.mean, cfg.sensor))
     m = frame.n_returns
     ratio_up = m / max(1, n_fov)
     ratio_down = n_fov / max(1, m)
-    alpha = min(max(base.alpha * max(1.0, ratio_up), 1e-6), 0.5)
-    beta = min(max(base.beta * max(1.0, ratio_down), 1e-6), 0.5)
+    alpha = min(max(base.alpha * max(1.0, ratio_up), 1e-6), 0.5) if base.alpha > 0.0 else 0.0
+    beta = min(max(base.beta * max(1.0, ratio_down), 1e-6), 0.5) if base.beta > 0.0 else 0.0
     return replace(base, alpha=alpha, beta=beta)
 
 
-def _survivors(candidate: Candidate) -> list[tuple[GaussianTrack, int | None]]:
-    """The candidate's predicted tracks that its event does not kill, in
-    order, each with the index of the return it claims (None if none)."""
-    event = candidate.event
-    claimed = {
-        entry: i for i, entry in enumerate(event.assignments) if entry not in (BIRTH, CLUTTER)
-    }
-    return [(t, claimed.get(t.label)) for t in candidate.predicted if t.label not in event.deaths]
-
-
-def _realize_child(
-    candidate: Candidate,
-    survivors: list[tuple[GaussianTrack, int | None]],
-    child_id: str,
-    frame: MeasurementFrame,
-    cfg: TrackerConfig,
-    scan: int,
-    updated: dict[tuple[int, int], GaussianTrack],
-    newborns: dict[int, GaussianTrack],
-) -> Hypothesis:
-    """Apply the candidate's event to its predicted tracks: deaths removed,
-    associated tracks updated with their returns, unassociated survivors
-    kept as predicted, newborns instantiated from the birth pdf plus their
-    return. survivors is _survivors(candidate). Two memos span the children
-    of one scan: updated holds the posterior of each claimed (id(predicted
-    track), return index) pair, and newborns holds the one newborn of each
-    return index, so every child that births a return holds the same track
-    object. A label need only be unique within a hypothesis (Hypothesis
-    checks that), and a newborn's label b<scan>-<return>, zero-padded,
-    sorts in (scan, return) order."""
-    tracks = [track if i is None else updated[id(track), i] for track, i in survivors]
-    for i, entry in enumerate(candidate.event.assignments):
-        if entry == BIRTH:
-            if i not in newborns:
-                newborns[i] = newborn_track(
-                    f"b{scan:05d}-{i:03d}", frame.returns[i], cfg.sensor, cfg.dynamics.mu
-                )
-            tracks.append(newborns[i])
-    return Hypothesis(
-        id=child_id,
-        parent_id=candidate.parent_id,
-        log_weight=candidate.log_weight,
-        tracks=tuple(tracks),
+def _realize(
+    kept: Sequence[Candidate], frame: MeasurementFrame, cfg: TrackerConfig, scan: int
+) -> list[Hypothesis]:
+    """Apply each kept candidate's event to its predicted tracks: deaths
+    removed, associated tracks updated with their returns, unassociated
+    survivors kept as predicted, newborns instantiated from the birth pdf
+    plus their return. Every (predicted track, return) pair a candidate
+    claims is updated once, all in one stacked pass (update_tracks), in
+    first-claim order, and each born return is one newborn track, so every
+    child that births it holds the same object. A label need only be unique
+    within a hypothesis (Hypothesis checks that), and a newborn's label
+    b<scan>-<return>, zero-padded, sorts in (scan, return) order."""
+    survivors = []
+    claimed: dict[tuple[int, int], GaussianTrack] = {}  # (id(track), return) -> track
+    for c in kept:
+        event = c.event
+        return_of = {
+            entry: i for i, entry in enumerate(event.assignments) if entry not in (BIRTH, CLUTTER)
+        }
+        pairs = [(t, return_of.get(t.label)) for t in c.predicted if t.label not in event.deaths]
+        for t, i in pairs:
+            if i is not None:
+                claimed.setdefault((id(t), i), t)
+        survivors.append(pairs)
+    posteriors, _ = update_tracks(
+        list(claimed.values()), frame.returns[[i for _, i in claimed]], cfg.sensor
     )
+    updated = dict(zip(claimed, posteriors))
+    newborns: dict[int, GaussianTrack] = {}
+    children = []
+    for idx, (c, pairs) in enumerate(zip(kept, survivors)):
+        tracks = [t if i is None else updated[id(t), i] for t, i in pairs]
+        for i, entry in enumerate(c.event.assignments):
+            if entry == BIRTH:
+                if i not in newborns:
+                    newborns[i] = newborn_track(
+                        f"b{scan:05d}-{i:03d}", frame.returns[i], cfg.sensor, cfg.dynamics.mu
+                    )
+                tracks.append(newborns[i])
+        children.append(
+            Hypothesis(f"h{scan}-{idx:05d}", c.parent_id, c.log_weight, tuple(tracks))
+        )
+    return children
 
 
 class Tracker:
@@ -285,43 +287,18 @@ class Tracker:
                     heapq.heapreplace(heaviest, weight)
         skipped = len(parents) - visited
         try:
-            kept = prune(candidates, cfg.h_inf)
+            kept, degenerate = prune(candidates, cfg.h_inf), False
         except DegenerateUpdateError:
-            # Degenerate update: fall back to prior weights on the predicted
-            # hypotheses and flag the report.
-            fallback = [
-                Hypothesis(
-                    id=f"h{self.scan_index}-{idx:05d}",
-                    parent_id=parent.id,
-                    log_weight=parent.log_weight,
-                    tracks=predicted,
-                )
-                for idx, (parent, predicted) in enumerate(zip(parents, predicted_by_parent))
+            # Degenerate update: each parent's child that claims no return,
+            # at the parent's prior weight, and a flagged report.
+            no_return = AssociationEvent((CLUTTER,) * m)
+            kept = [
+                Candidate(parent.id, predicted, no_return, parent.log_weight)
+                for parent, predicted in zip(parents, predicted_by_parent)
             ]
-            report = self._report(frame, fallback, bound, bd, skipped, degenerate=True)
-            return fallback, report
-        # Every (predicted track, return) pair a kept child claims is
-        # updated once, all in one stacked pass, in first-claim order.
-        survivors = [_survivors(c) for c in kept]
-        claimed: dict[tuple[int, int], GaussianTrack] = {}
-        for pairs in survivors:
-            for track, i in pairs:
-                if i is not None:
-                    claimed.setdefault((id(track), i), track)
-        posteriors, _ = update_tracks(
-            list(claimed.values()), frame.returns[[i for _, i in claimed]], cfg.sensor
-        )
-        updated = dict(zip(claimed, posteriors))
-        newborns: dict[int, GaussianTrack] = {}
-        new_hyps = [
-            _realize_child(
-                c, pairs, f"h{self.scan_index}-{idx:05d}", frame, cfg, self.scan_index,
-                updated, newborns,
-            )
-            for idx, (c, pairs) in enumerate(zip(kept, survivors))
-        ]
-        report = self._report(frame, new_hyps, bound, bd, skipped, degenerate=False)
-        return new_hyps, report
+            degenerate = True
+        new_hyps = _realize(kept, frame, cfg, self.scan_index)
+        return new_hyps, self._report(frame, new_hyps, bound, bd, skipped, degenerate)
 
     def _report(
         self,

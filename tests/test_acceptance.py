@@ -202,8 +202,8 @@ def test_criterion_6_spawn_recovery():
     """Single-spawn recovered exactly at seed 0, and twenty-object's exact
     final count in at least 8 of seeds 0-9.
 
-    The walk ends twenty-object on the true count on 69 of seeds 0-79
-    (about 86%), so a change that moves the walk's realization, though not
+    The walk ends twenty-object on the true count on 73 of seeds 0-79
+    (about 91%), so a change that moves the walk's realization, though not
     its law, can read 7 of 10 here by chance: holds-first batches and 3 of
     16 other walk entropies did. The bound is kept as it is."""
 

@@ -20,7 +20,6 @@ from mcmctrack.filters import (
     in_bounded_fov,
     in_fov,
     likelihood_table,
-    measurement_likelihood,
     predict_track,
     process_noise,
     propagate_flows,
@@ -325,7 +324,7 @@ class TestUpdate:
         rng = np.random.default_rng(11)
         n = 100_000
         pts = rng.uniform(-half, half, size=(n, 2))
-        vals = np.array([measurement_likelihood(track, p, sensor) for p in pts])
+        vals = likelihood_table([track], pts, sensor)[:, 0]
         volume = float(np.prod(2.0 * half))
         integral = vals.mean() * volume
         assert abs(integral - 1.0) < 0.02
@@ -424,7 +423,8 @@ class TestStackedKernel:
         assert hexes(table) == hexes(want)
         for i, z in enumerate(returns):
             for j, t in enumerate(tracks):
-                assert measurement_likelihood(t, z, sensor).hex() == float(want[i][j]).hex()
+                one = likelihood_table([t], z.reshape(1, 2), sensor)[0, 0]
+                assert one.hex() == float(want[i][j]).hex()
 
     @given(scan=scan_tracks(), data=st.data())
     @settings(max_examples=150, deadline=None)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from mcmctrack import sampler
+from mcmctrack import tracker as tracker_module
 from mcmctrack.filters import GaussianTrack, SensorModel
 from mcmctrack.hypotheses import (
     BIRTH,
@@ -31,12 +32,13 @@ from mcmctrack.likelihoods import (
     hypothesis_log_likelihood,
 )
 from mcmctrack.oracle import (
+    _independent_log_score,
     enumerate_child_events,
     enumerate_child_keys,
     exact_posterior,
     tv_distance,
 )
-from mcmctrack.presets import preset_single_spawn, tracker_config_for
+from mcmctrack.presets import PRESETS, preset_single_spawn, tracker_config_for
 from mcmctrack.sampler import (
     SamplerConfig,
     _Chain,
@@ -801,6 +803,74 @@ class TestExactKernel:
             if reference_score(mat, cfg, p_d, key) > -math.inf:
                 # No -inf destination from a finite state.
                 assert all(reference_score(mat, cfg, p_d, d) > -math.inf for d in expected)
+
+    def test_preset_parents_kernel_is_exact(self, monkeypatch):
+        # The first parent each scan visits in single-spawn and
+        # twenty-object runs at seeds 0 and 9001, with its selected matrix:
+        # on every finite key the production rows form one communicating
+        # class that no row leaves, and the posterior scored independently
+        # of the rows (the oracle's scorer) is stationary to rounding.
+        # Relative pairwise balance would be the wrong check: tiny moves
+        # round in the cumulative sums.
+        captured = []
+        real = tracker_module.sample_children
+
+        def capturing(parent, matrix, scfg, bd, sensor):
+            captured.append((parent, matrix, bd, sensor))
+            return real(parent, matrix, scfg, bd, sensor)
+
+        monkeypatch.setattr(tracker_module, "sample_children", capturing)
+        instances = []
+        for name, seed in product(["single-spawn", "twenty-object"], [0, 9001]):
+            scenario = PRESETS[name](seed=seed)
+            _, frames = simulate_scenario(scenario)
+            tracker = Tracker(tracker_config_for(scenario, seed=seed))
+            hyps = tracker.initial_hypotheses([
+                GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+                for i, s in enumerate(scenario.objects)
+            ])
+            for frame in frames:
+                captured.clear()
+                hyps, _ = tracker.step(hyps, frame)
+                instances.extend(captured[:1])
+        assert len(instances) == 56
+        for parent, matrix, bd, sensor in instances:
+            pi = {}
+            for key in enumerate_child_keys(matrix):
+                score = _independent_log_score(
+                    matrix.event_of(key), matrix, bd, sensor, len(parent.tracks))
+                if score > -math.inf:
+                    pi[key] = score
+            top = max(pi.values())
+            pi = {key: math.exp(score - top) for key, score in pi.items()}
+            chain = _Chain(matrix, bd, sensor.p_d)
+            rows = {}
+            reverse = {key: set() for key in pi}
+            for key in pi:
+                _, _, cumulative, destinations = kernel_row(chain, key)
+                assert all(dest in pi for dest in destinations)
+                # A move far less likely than the row's sum so far leaves the
+                # cumulative sum unchanged: probability 0 here, but still a
+                # move of the row, so an edge of the class.
+                rows[key] = row = dict.fromkeys(destinations, 0.0)
+                for below, c, dest in zip([0.0, *cumulative], cumulative, destinations):
+                    row[dest] += c - below
+                    reverse[dest].add(key)
+            start = next(iter(pi))
+            for edges in (rows, reverse):
+                reached, frontier = {start}, [start]
+                while frontier:
+                    for dest in edges[frontier.pop()]:
+                        if dest not in reached:
+                            reached.add(dest)
+                            frontier.append(dest)
+                assert reached == set(pi)
+            moved = {key: p * (1.0 - sum(rows[key].values())) for key, p in pi.items()}
+            for key, row in rows.items():
+                for dest, prob in row.items():
+                    moved[dest] += pi[key] * prob
+            error = sum(abs(moved[key] - p) for key, p in pi.items())
+            assert error <= 1e-12 * sum(pi.values())
 
 
 class TestOneScorer:

@@ -156,12 +156,16 @@ class TestStepBasics:
         assert new_hyps[0].labels == ("t00",)
 
     def test_degenerate_update_predicts_each_track_once(self, monkeypatch):
+        # Each fallback hypothesis is its parent's child that claims no
+        # return, at the parent's prior weight, in parent-id order, and the
+        # parents' shared track stays one predicted object.
         cfg = make_config(p_d=1.0, alpha=0.0, beta=0.0, clutter_density=0.0)
         tracker = Tracker(cfg)
+        shared = track_at("t00", 100.0, 0.0)
         hyps = [
-            Hypothesis(id=f"h{i}", parent_id=None, log_weight=math.log(0.5),
-                       tracks=(track_at("t00", 100.0, 0.0), track_at("t01", 0.0, 100.0)))
-            for i in range(2)
+            Hypothesis(id=f"h{i}", parent_id=None, log_weight=math.log(w),
+                       tracks=(shared, track_at("t01", 0.0, 100.0)))
+            for i, w in [(1, 0.75), (0, 0.25)]
         ]
         calls = []
 
@@ -172,8 +176,14 @@ class TestStepBasics:
         monkeypatch.setattr(tracker_module, "predict_track", counting_predict)
         new_hyps, report = tracker.step(hyps, frame_at(10.0, [[3000.0, 5000.0]]))
         assert report.degenerate
-        assert len(calls) == 4
-        for new, old in zip(new_hyps, hyps):
+        assert sorted(calls) == ["t00", "t01", "t01"]
+        assert [(h.id, h.parent_id, h.log_weight.hex()) for h in new_hyps] == [
+            ("h1-00000", "h0", math.log(0.25).hex()),
+            ("h1-00001", "h1", math.log(0.75).hex()),
+        ]
+        assert new_hyps[0].tracks[0] is new_hyps[1].tracks[0]
+        assert new_hyps[0].tracks[1] is not new_hyps[1].tracks[1]
+        for new, old in zip(new_hyps, sorted(hyps, key=lambda h: h.id)):
             for got, track in zip(new.tracks, old.tracks, strict=True):
                 want = predict_track(track, cfg.dynamics)
                 np.testing.assert_array_equal(got.mean, want.mean)
@@ -455,6 +465,31 @@ class TestAdaptRates:
         cfg = make_config(alpha=0.2, beta=0.2)
         out = adapt_birth_death_rates(frame_at(0.0, [[1.0, 0.0]] * 20), self._hyps(2), cfg)
         assert out.alpha == 0.5
+
+    @pytest.mark.parametrize("n_returns,n_tracks", [(9, 3), (0, 5)], ids=["surplus", "deficit"])
+    def test_zero_rate_stays_zero(self, n_returns, n_tracks):
+        # The floor of 1e-6 applies to a positive rate only: adapting must
+        # not turn on births or deaths that the config switched off.
+        cfg = make_config(alpha=0.0, beta=0.0)
+        frame = frame_at(0.0, [[1.0, 0.0]] * n_returns)
+        out = adapt_birth_death_rates(frame, self._hyps(n_tracks), cfg)
+        assert (out.alpha, out.beta) == (0.0, 0.0)
+
+    def test_twenty_object_without_births_or_deaths(self):
+        # The first two scans: from the third on, the walk at alpha = 0
+        # starts on zero-mass states, and all 14 scans take about 20 s on a
+        # 2-core Xeon.
+        scenario = preset_twenty_object(seed=0)
+        frames = simulate_scenario(scenario)[1][:2]
+        cfg = tracker_config_for(scenario, alpha=0.0, beta=0.0)
+        assert cfg.adapt_rates
+        tracker = Tracker(cfg)
+        hyps = tracker.initial_hypotheses([
+            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
+            for i, s in enumerate(scenario.objects)
+        ])
+        _, reports = run_tracker(tracker, hyps, frames)
+        assert [(r.alpha_used, r.beta_used) for r in reports] == [(0.0, 0.0)] * len(frames)
 
 
 class TestCountBound:
