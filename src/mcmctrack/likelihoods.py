@@ -188,7 +188,8 @@ def build_matrix(
 
     Object columns hold the exact marginal measurement likelihoods, all
     m x N of them from one filters.likelihood_table call (the kernel
-    update_track runs too); the birth column holds birth_likelihood; the
+    update_track runs too); the birth column holds birth_likelihood, or
+    -inf when the birth probability is 0, so no child proposes a birth; the
     clutter column holds the clutter density. An object is eligible to die
     when the death probability is positive and it is predicted inside the
     FOV; no death event is generated for any other object.
@@ -201,8 +202,9 @@ def build_matrix(
     log_entries[:, :n_objects] = np.reshape(
         [math.log(lik) if lik > 0.0 else -math.inf for lik in liks], (m, n_objects)
     )
+    can_be_born = birth_cfg.alpha > 0.0
     for i in range(m):
-        b_lik = birth_likelihood(returns[i], sensor)
+        b_lik = birth_likelihood(returns[i], sensor) if can_be_born else 0.0
         log_entries[i, n_objects] = math.log(b_lik) if b_lik > 0.0 else -math.inf
     log_entries[:, n_objects + 1] = (
         math.log(clutter.density_value) if clutter.density_value > 0.0 else -math.inf

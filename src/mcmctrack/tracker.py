@@ -222,11 +222,9 @@ class Tracker:
         if abs(total_weight - 1.0) > 1e-12:
             raise ValueError(f"hypothesis weights sum to {total_weight}, expected 1")
         self.scan_index += 1
-        bd = (
-            adapt_birth_death_rates(frame, hypotheses, cfg)
-            if cfg.adapt_rates
-            else cfg.birth_death
-        )
+        bd = cfg.birth_death
+        if cfg.adapt_rates:
+            bd = adapt_birth_death_rates(frame, hypotheses, cfg)
         m = frame.n_returns
         bound = hypothesis_count_bound(
             hypotheses,
@@ -286,8 +284,9 @@ class Tracker:
                 elif weight > heaviest[0]:
                     heapq.heapreplace(heaviest, weight)
         skipped = len(parents) - visited
+        degenerate = False
         try:
-            kept, degenerate = prune(candidates, cfg.h_inf), False
+            kept = prune(candidates, cfg.h_inf)
         except DegenerateUpdateError:
             # Degenerate update: each parent's child that claims no return,
             # at the parent's prior weight, and a flagged report.

@@ -131,6 +131,19 @@ class TestBuildMatrix:
         )
         assert mat.death_eligible == (False,)
 
+    def test_zero_birth_probability_leaves_birth_column_unsupported(self):
+        # A birth at alpha = 0 has zero prior mass: the column must not be
+        # supported, or a walk could start on a zero-mass state.
+        sensor = sensor_with()
+        returns = np.array([[30000.0, 0.0], [30010.0, 5.0]])
+        mat = build_matrix(
+            [track_at("t00", 30000.0, 0.0)], returns, sensor,
+            uniform_clutter(sensor), BirthDeathConfig(alpha=0.0),
+        )
+        assert (mat.log_entries[:, mat.birth_col] == -math.inf).all()
+        assert all(mat.birth_col not in row for row in mat.supported)
+        assert all(mat.clutter_col in row for row in mat.supported)
+
     def test_one_death_flag_per_object_required(self):
         with pytest.raises(ValueError, match="death-eligibility"):
             AssociationMatrix(

@@ -3,7 +3,7 @@ dedup, oracle agreement."""
 
 import math
 import sys
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 from itertools import combinations, islice, product
 
@@ -646,6 +646,25 @@ class TestSampleChildren:
         assert sum(s.visits for s in samples) == 1000
 
 
+def assert_one_class(edges, states):
+    """Assert that states, joined by edges ({state: destinations}), form
+    one communicating class: every state is reached from the first and
+    reaches it back."""
+    reverse = {key: set() for key in states}
+    for src, dsts in edges.items():
+        for dst in dsts:
+            reverse[dst].add(src)
+    start = next(iter(states))
+    for links in (edges, reverse):
+        reached, frontier = {start}, [start]
+        while frontier:
+            for dest in links[frontier.pop()]:
+                if dest not in reached:
+                    reached.add(dest)
+                    frontier.append(dest)
+        assert reached == set(states)
+
+
 class TestIrreducibility:
     @pytest.mark.parametrize("n_objects,n_returns", [(1, 1), (2, 2), (3, 2), (2, 3)])
     def test_walk_strongly_connected(self, n_objects, n_returns):
@@ -661,37 +680,10 @@ class TestIrreducibility:
             for e in enumerate_child_events(matrix)
             if tally_at(loaded(walk, e))[4] > -math.inf
         }
-
-        def neighbors(key):
-            return proposal_support(walk, all_events[key])
-
-        start = next(iter(all_events))
-        seen = {start}
-        frontier = deque([start])
-        edges = {}
-        while frontier:
-            key = frontier.popleft()
-            edges[key] = neighbors(key)
-            for nxt in edges[key]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        assert seen == set(all_events)
-        # Reverse reachability: every state reaches the start.
-        reverse = {k: set() for k in all_events}
-        for src, dsts in edges.items():
-            for dst in dsts:
-                reverse[dst].add(src)
-        seen_rev = {start}
-        frontier = deque([start])
-        while frontier:
-            key = frontier.popleft()
-            for prv in reverse[key]:
-                if prv not in seen_rev:
-                    seen_rev.add(prv)
-                    frontier.append(prv)
-        assert seen_rev == set(all_events)
-
+        assert_one_class(
+            {key: proposal_support(walk, event) for key, event in all_events.items()},
+            set(all_events),
+        )
 
 def stationary(rows):
     """Stationary distribution of the kernel whose rows ({state:
@@ -845,7 +837,6 @@ class TestExactKernel:
             pi = {key: math.exp(score - top) for key, score in pi.items()}
             chain = _Chain(matrix, bd, sensor.p_d)
             rows = {}
-            reverse = {key: set() for key in pi}
             for key in pi:
                 _, _, cumulative, destinations = kernel_row(chain, key)
                 assert all(dest in pi for dest in destinations)
@@ -855,16 +846,7 @@ class TestExactKernel:
                 rows[key] = row = dict.fromkeys(destinations, 0.0)
                 for below, c, dest in zip([0.0, *cumulative], cumulative, destinations):
                     row[dest] += c - below
-                    reverse[dest].add(key)
-            start = next(iter(pi))
-            for edges in (rows, reverse):
-                reached, frontier = {start}, [start]
-                while frontier:
-                    for dest in edges[frontier.pop()]:
-                        if dest not in reached:
-                            reached.add(dest)
-                            frontier.append(dest)
-                assert reached == set(pi)
+            assert_one_class(rows, pi)
             moved = {key: p * (1.0 - sum(rows[key].values())) for key, p in pi.items()}
             for key, row in rows.items():
                 for dest, prob in row.items():
