@@ -23,6 +23,7 @@ association matrix's likelihood table, update_tracks and update_track
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -313,19 +314,28 @@ def propagate_flows(states: np.ndarray, cfg: DynamicsConfig) -> tuple[np.ndarray
     return means, jacs
 
 
+# Distinct dynamics configs whose process noise is kept: a run uses one.
+NOISE_TABLES = 16
+
+
+@functools.lru_cache(maxsize=NOISE_TABLES)
 def process_noise(cfg: DynamicsConfig) -> np.ndarray:
-    """Discrete white-noise-acceleration covariance G q G^T per axis."""
+    """Discrete white-noise-acceleration covariance G q G^T per axis.
+    Memoized on cfg (configs equal as values share it): built once per
+    config and returned read-only."""
     dt = abs(cfg.dt)
     q = cfg.q
     q3 = q * dt ** 3 / 3.0
     q2 = q * dt ** 2 / 2.0
     q1 = q * dt
-    return np.array([
+    noise = np.array([
         [q3, 0.0, q2, 0.0],
         [0.0, q3, 0.0, q2],
         [q2, 0.0, q1, 0.0],
         [0.0, q2, 0.0, q1],
     ])
+    noise.flags.writeable = False
+    return noise
 
 
 def predict_track(

@@ -7,10 +7,17 @@ reduced space is what the data-association-matrix representation (and the
 MCMC walk) can express: per-return assignments plus a death set.
 enumerate_child_keys walks the part of the reduced space that the matrix
 supports (every selected entry in AssociationMatrix.supported), as column
-keys; exhaustive tracking scores those keys with the walk's scorer.
-enumerate_child_events maps the same keys to events, which exact_posterior
-scores with an independent reimplementation of the prior/likelihood
-composition, sharing only the matrix entries with the production path.
+keys; exhaustive tracking scores those keys with the walk's scorer, and
+enumerate_child_events maps the same keys to events.
+
+exact_posterior scores the same keys with an independent reimplementation
+of the prior/likelihood composition, _key_scorer, which shares only the
+matrix entries with the production path: it counts a key's associations,
+births and deaths from its columns, computes the log child prior of each
+count triple from first principles once per call, and adds the key's
+entries in row order. It keys the posterior by canonical event encoding,
+read from the matrix's column_entries, without building an event.
+_independent_log_score scores an event by mapping it to its key.
 
 MAX_EVENTS is the one event budget, and the two enumerators enforce it
 themselves: enumerate_grandchildren refuses up front when the closed-form
@@ -22,7 +29,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import DegenerateUpdateError, EnumerationLimitError
 from .filters import SensorModel
@@ -131,6 +138,56 @@ def enumerate_child_events(matrix: AssociationMatrix) -> Iterator[AssociationEve
     yield from map(matrix.event_of, enumerate_child_keys(matrix))
 
 
+def _log_prior(
+    k: int, n_b: int, n_d: int, m: int, n_parent: int,
+    birth_cfg: BirthDeathConfig, p_d: float,
+) -> float:
+    """The log child prior of k associations, n_b births and n_d deaths
+    among m returns of an n_parent-object parent, from first principles:
+    -inf past the n_pixels cap or where the prior is 0."""
+    if n_b > birth_cfg.n_pixels:
+        return -math.inf
+    prior = birth_cfg.alpha ** n_b * birth_cfg.beta ** n_d
+    m_child = n_parent + n_b - n_d
+    prior *= p_d ** k * (1.0 - p_d) ** (m_child - k)
+    prior /= math.comb(m, k) * math.factorial(k)
+    if prior == 0.0:
+        return -math.inf
+    return math.log(prior)
+
+
+def _key_scorer(
+    matrix: AssociationMatrix,
+    birth_cfg: BirthDeathConfig,
+    sensor: SensorModel,
+    n_parent: int,
+) -> Callable[[tuple], float]:
+    """The oracle's scorer of column keys over matrix: a key's log prior
+    (_log_prior of its counts, computed once per count triple) plus its
+    log-likelihood, the row-order sum of its log_entries as Python floats.
+    Shares only the matrix entries with the production scoring path."""
+    entries = matrix.log_entries.tolist()
+    birth_col, clutter_col = matrix.birth_col, matrix.clutter_col
+    m = matrix.n_returns
+    priors: dict[tuple[int, int, int], float] = {}
+
+    def score(key: tuple) -> float:
+        assign, deaths = key
+        n_b = assign.count(birth_col)
+        counts = (m - n_b - assign.count(clutter_col), n_b, len(deaths))
+        log_prior = priors.get(counts)
+        if log_prior is None:
+            log_prior = priors[counts] = _log_prior(*counts, m, n_parent, birth_cfg, sensor.p_d)
+        if log_prior == -math.inf:
+            return -math.inf
+        loglik = 0.0
+        for row, col in zip(entries, assign):
+            loglik += row[col]
+        return log_prior + loglik
+
+    return score
+
+
 def _independent_log_score(
     event: AssociationEvent,
     matrix: AssociationMatrix,
@@ -138,24 +195,13 @@ def _independent_log_score(
     sensor: SensorModel,
     n_parent: int,
 ) -> float:
-    """Score composition rebuilt from first principles (shares only the
-    matrix entries with the production scoring path)."""
-    n_b = event.n_births
-    n_d = event.n_deaths
-    k = len(event.associated_labels)
-    m = matrix.n_returns
-    if n_b > birth_cfg.n_pixels:
-        return -math.inf
-    prior = birth_cfg.alpha ** n_b * birth_cfg.beta ** n_d
-    m_child = n_parent + n_b - n_d
-    prior *= sensor.p_d ** k * (1.0 - sensor.p_d) ** (m_child - k)
-    prior /= math.comb(m, k) * math.factorial(k)
-    if prior == 0.0:
-        return -math.inf
-    loglik = 0.0
-    for i, entry in enumerate(event.assignments):
-        loglik += matrix.log_entries[i, matrix.column_of(entry)]
-    return math.log(prior) + loglik
+    """The oracle's score of event over matrix: its column key (through
+    column_of) scored by _key_scorer."""
+    key = (
+        tuple(map(matrix.column_of, event.assignments)),
+        tuple(sorted(map(matrix.column_of, event.deaths))),
+    )
+    return _key_scorer(matrix, birth_cfg, sensor, n_parent)(key)
 
 
 def exact_posterior(
@@ -165,13 +211,16 @@ def exact_posterior(
     sensor: SensorModel,
 ) -> dict[tuple, float]:
     """Exact normalized posterior over the supported reduced event space of
-    one parent, keyed by canonical event encoding. Events the matrix does
-    not support carry zero mass and have no key."""
+    one parent, keyed by canonical event encoding (assignment entries, then
+    the death labels sorted), in enumerate_child_keys order. Each key is
+    scored by _key_scorer without building its event. Events the matrix
+    does not support carry zero mass and have no key."""
+    score = _key_scorer(matrix, birth_cfg, sensor, len(parent.tracks))
+    label = matrix.column_entries.__getitem__
     scores: dict[tuple, float] = {}
-    for event in enumerate_child_events(matrix):
-        scores[event.canonical_key()] = _independent_log_score(
-            event, matrix, birth_cfg, sensor, len(parent.tracks)
-        )
+    for key in enumerate_child_keys(matrix):
+        assign, deaths = key
+        scores[tuple(map(label, assign)), tuple(sorted(map(label, deaths)))] = score(key)
     top = max(scores.values(), default=-math.inf)
     if top == -math.inf:
         raise DegenerateUpdateError("no enumerated event carries mass")
@@ -180,6 +229,8 @@ def exact_posterior(
 
 
 def tv_distance(p: dict, q: dict) -> float:
-    """Total-variation distance 0.5 * sum |p - q| over the union of keys."""
+    """Total-variation distance 0.5 * sum |p - q| over the union of keys,
+    summed exactly (fsum), so the set's order, which string hashing varies
+    from process to process, cannot move a bit."""
     keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)

@@ -28,12 +28,12 @@ names it, and for each state the walk reaches, build_row builds and
 memoizes once, under that id, the state's one-step kernel row: its score,
 the probability p that a step leaves it, and each move that does, as its
 cumulative probability and its destination id. Each departure from a
-state takes the next (hold, destination) pair of the state's own stack,
-drawn in numpy batches (the per-state "random stacks" of Wilson,
-"Generating random spanning trees more quickly than the cover time", STOC
-1996), so a move costs a few list indexes. From a finite state a candidate
-that scores -inf is never accepted, so a row scores only the supported
-columns.
+state takes the next (span, destination) pair of the state's own stack
+(span = hold + 1: the steps held there plus the step that moves), drawn in
+numpy batches (the per-state "random stacks" of Wilson, "Generating random
+spanning trees more quickly than the cover time", STOC 1996), so a move
+costs a few list indexes. From a finite state a candidate that scores -inf
+is never accepted, so a row scores only the supported columns.
 
 A parent's children come from one of two calls: sample_children walks,
 and enumerate_children scores every key of oracle.enumerate_child_keys
@@ -47,14 +47,14 @@ from one memoized prior_table.
 Stream contract: each walk draws from one numpy Generator, seeded from
 chain_seed. start draws every return's column in one call,
 rng.integers(0, sizes), sizes[i] the size of row i's supported columns
-(all M+2 columns when none is). run then draws only (hold, destination)
-pairs. The first time the walk needs a pair at a state (to leave it, or to
-hold out a budget there), the state gets one endless source of pairs, which
-draws its next batch of n pairs exactly when the last one is used up, n =
-FIRST_BATCH (16) at first and doubling up to LAST_BATCH (1024):
-rng.random(n) for the destinations, then rng.standard_exponential(n) for
-the holds. A state with p = 0 draws nothing, and one with p >= 1 draws no
-exponentials (every hold is 0).
+(all M+2 columns when none is). run then draws only (span, destination)
+pairs, span = hold + 1 for the geometric hold. The first time the walk
+needs a pair at a state (to leave it, or to hold out a budget there), the
+state gets one endless source of pairs, which draws its next batch of n
+pairs exactly when the last one is used up, n = FIRST_BATCH (16) at first
+and doubling up to LAST_BATCH (1024): rng.random(n) for the destinations,
+then rng.standard_exponential(n) for the holds. A state with p = 0 draws
+nothing, and one with p >= 1 draws no exponentials (every span is 1).
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def prior_table(
         for k in range(min(n_objects, n_returns) + 1))
 
 
-# A state's first batch of (hold, destination) pairs, and the size its
+# A state's first batch of (span, destination) pairs, and the size its
 # batches double up to: a state the walk leaves a few times draws little it
 # does not use, and one it leaves often draws rarely.
 FIRST_BATCH = 16
@@ -131,6 +131,10 @@ LAST_BATCH = 1024
 # Holds are kept as int64: a longer hold is drawn as MAX_HOLD, which run
 # reads as "at least MAX_HOLD" by running at most MAX_HOLD steps at a time.
 MAX_HOLD = 2**62
+# Only a rate -log1p(-p) below this can overflow a standard exponential
+# draw divided by it (numpy's draws stay below 50, far under 2**24), to an
+# inf that the MAX_HOLD clamp takes like any long hold.
+TINY_RATE = 2.0**-1000
 
 
 @dataclass(frozen=True)
@@ -143,23 +147,26 @@ class ChildSample:
 
 
 def _batches(rng: np.random.Generator, row: tuple):
-    """Endless batches of (hold, destination id) pairs, drawn from rng, of a
+    """Endless batches of (span, destination id) pairs, drawn from rng, of a
     state whose kernel row (_Chain.build_row) leaves it with p > 0: each
-    batch is a zip of n holds and n destinations, n = FIRST_BATCH at first
+    batch is a zip of n spans and n destinations, n = FIRST_BATCH at first
     and doubling up to LAST_BATCH.
 
     A destination is the move that U * p, U uniform on [0, 1), falls in
     among the row's cumulative probabilities but the last, so a product
-    that rounds up to p lands on the last move. A hold is floor(E /
-    -log1p(-p)) for a standard exponential E, so P(hold >= h) = (1 - p)^h:
-    the geometric count of steps held before the step that moves, kept at
-    most MAX_HOLD. When p >= 1 (which summation can overshoot by a rounding
-    error, where log1p(-p) is NaN) every hold is 0 and no exponential is
-    drawn. Only multiplication, division, truncation (floor, for these
-    non-negative values), comparison and search touch a draw, so every
-    platform turns the same draws into the same pairs."""
+    that rounds up to p lands on the last move. A span is hold + 1, the
+    hold floor(E / -log1p(-p)) for a standard exponential E, so P(hold >=
+    h) = (1 - p)^h: the geometric count of steps held before the step that
+    moves, kept at most MAX_HOLD. When p >= 1 (which summation can
+    overshoot by a rounding error, where log1p(-p) is NaN) every span is 1
+    and no exponential is drawn. Only multiplication, division, truncation
+    (floor, for these non-negative values), an integer add, comparison and
+    search touch a draw, so every platform turns the same draws into the
+    same pairs. A rate below TINY_RATE divides with numpy's overflow
+    warning off: the inf it may give is clamped like any long hold."""
     _, p, cumulative, destinations = row
     rate = -math.log1p(-p) if p < 1.0 else None
+    quiet = rate is not None and rate < TINY_RATE
     bounds = np.array(cumulative[:-1])
     moves = np.array(destinations)
     n = FIRST_BATCH
@@ -169,13 +176,19 @@ def _batches(rng: np.random.Generator, row: tuple):
         u *= p
         dests = moves[bounds.searchsorted(u, "right")].tolist()
         if rate is None:
-            holds = itertools.repeat(0)
+            spans = itertools.repeat(1)
         else:
             e = rng.standard_exponential(n)
-            e /= rate
+            if quiet:
+                with np.errstate(over="ignore"):
+                    e /= rate
+            else:
+                e /= rate
             # float(MAX_HOLD) is exact: MAX_HOLD is a power of two.
-            holds = np.minimum(e, float(MAX_HOLD), out=e).astype(np.int64).tolist()
-        yield zip(holds, dests)
+            holds = np.minimum(e, float(MAX_HOLD), out=e).astype(np.int64)
+            holds += 1
+            spans = holds.tolist()
+        yield zip(spans, dests)
         n = min(2 * n, LAST_BATCH)
 
 
@@ -202,7 +215,7 @@ class _Chain:
     by id, is the walk's one visit record: the steps run() has ended in each
     state since the list was last reset. The walk's state is keys[sid].
 
-    pairs, indexed by id, is each state's source of (hold, destination)
+    pairs, indexed by id, is each state's source of (span, destination)
     pairs: _SPENT until run first leaves the state, then the __next__ of its
     one endless stream (see the module's stream contract), drawn from rng,
     the walk's numpy Generator.
@@ -396,12 +409,12 @@ class _Chain:
     def run(self, steps: int) -> None:
         """Advance the walk by steps Metropolis steps, simulated by its jump
         chain over state ids: each departure from a state takes the next
-        (hold, destination) pair of the state's source (pairs), holds hold
-        steps there and moves to destination on the next step. The first
+        (span, destination) pair of the state's source (pairs), holds span -
+        1 steps there and moves to destination on the next step. The first
         departure installs the source, building the row if the walk has
         not: the chained batches of _batches, or, for a state no move leaves
-        (p = 0), the pair (MAX_HOLD, sid) for ever, which holds out every
-        budget and draws nothing. A pair whose hold reaches the end of the
+        (p = 0), the pair (MAX_HOLD + 1, sid) for ever, which holds out every
+        budget and draws nothing. A pair whose span runs past the end of the
         budget is spent without its move: holds have no memory, so the next
         run takes a fresh pair. Every pair is drawn afresh and independently
         of the path, so the path is the jump chain in law. A budget over
@@ -412,7 +425,11 @@ class _Chain:
 
         Every step adds one to visits at the id of the state it ends in: a
         hold adds its length to the state, and a move step one to its
-        destination, so the run adds exactly steps visits.
+        destination, so the run adds exactly steps visits. The loop credits
+        each whole span, move step included, to the state it leaves: the
+        start state, which the run does not arrive in, gives one back up
+        front, and the state the run ends in gets the steps left over plus
+        its arrival.
         """
         while steps > MAX_HOLD:
             self.run(MAX_HOLD)
@@ -420,25 +437,23 @@ class _Chain:
         visits = self.visits
         pairs = self.pairs
         sid = self.sid
-        count = 0
+        visits[sid] -= 1
         left = steps
         while left:
             try:
-                hold, dest = pairs[sid]()
+                span, dest = pairs[sid]()
             except StopIteration:
                 # The first departure from sid: install its endless source.
                 row = self.rows[sid] or self.build_row(sid)
                 pairs[sid] = (itertools.chain.from_iterable(_batches(self.rng, row)).__next__
-                              if row[1] > 0.0 else itertools.repeat((MAX_HOLD, sid)).__next__)
-                hold, dest = pairs[sid]()
-            if hold >= left:
-                count += left
+                              if row[1] > 0.0 else itertools.repeat((MAX_HOLD + 1, sid)).__next__)
+                span, dest = pairs[sid]()
+            if span > left:
                 break
-            visits[sid] += count + hold
-            left -= hold + 1
+            visits[sid] += span
+            left -= span
             sid = dest
-            count = 1
-        visits[sid] += count
+        visits[sid] += left + 1
         if self.rows[sid] is None:
             self.build_row(sid)
         self.sid = sid

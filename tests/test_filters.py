@@ -264,6 +264,14 @@ class TestPredict:
         assert q[0, 2] == pytest.approx(2.0 * 100.0 / 2.0)
         assert q[2, 2] == pytest.approx(20.0)
 
+    def test_process_noise_is_built_once_and_read_only(self):
+        # Equal configs share one array, which no caller can change.
+        q = process_noise(DynamicsConfig(dt=10.0, q=2.0))
+        assert process_noise(DynamicsConfig(dt=10.0, q=2.0)) is q
+        assert not q.flags.writeable
+        with pytest.raises(ValueError):
+            q[0, 0] = 0.0
+
 
 class TestUpdate:
     def test_likelihood_at_mode_with_unit_noise(self):

@@ -1,5 +1,6 @@
 """Exhaustive enumeration checks: counts, exact posterior, TV distance."""
 
+import hashlib
 import math
 from itertools import combinations, product
 
@@ -29,7 +30,9 @@ from mcmctrack.likelihoods import (
     hypothesis_log_likelihood,
 )
 from mcmctrack.oracle import (
+    _independent_log_score,
     enumerate_child_events,
+    enumerate_child_keys,
     enumerate_grandchildren,
     exact_posterior,
     tv_distance,
@@ -412,6 +415,39 @@ class TestEnumerateChildEvents:
         assert len(list(enumerate_child_events(mat))) == 8
 
 
+def workload_instance(seed, i):
+    """The i-th dense instance of a posterior benchmark pass at seed: n = 2
+    tracks and returns for even i, 3 for odd, within 2 km of (100, 0), with
+    the dense rates, clutter and wide sensor."""
+    n = 2 + i % 2
+    rng = np.random.default_rng([seed, i])
+    centers = np.array([100.0, 0.0]) + rng.uniform(-2.0, 2.0, size=(n, 2))
+    returns = centers + rng.standard_normal((n, 2))
+    parent = hypothesis_with([tuple(c) for c in centers])
+    cfg = BirthDeathConfig(alpha=0.05, beta=0.05, n_pixels=1)
+    sensor = wide_sensor()
+    return parent, build_matrix(parent.tracks, returns, sensor, ClutterModel(1e-3), cfg), cfg, sensor
+
+
+def pinned_instances():
+    """The instances whose exact posteriors TestExactPosterior pins: two
+    dense ones of each size, the sparse one (t00 and t01 may die), and one
+    track with two returns where n_pixels = 1 gives the two-birth key -inf."""
+    one = hypothesis_with([(100.0, 0.0)])
+    return {
+        **{f"dense{i}": workload_instance(0, i) for i in range(4)},
+        "sparse": sparse_instance(),
+        "capped": (one, dense_matrix(["t00"], 2, [True]),
+                   BirthDeathConfig(alpha=0.05, beta=0.05, n_pixels=1), wide_sensor()),
+    }
+
+
+def posterior_digest(post):
+    """sha256 of the posterior's items in order, each value as float.hex."""
+    items = [(key, value.hex()) for key, value in post.items()]
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
 class TestExactPosterior:
     def test_certain_association(self):
         # Single track, return at its predicted position, clutter density
@@ -494,6 +530,51 @@ class TestExactPosterior:
         for key, value in post_a.items():
             assert post_b[relabel(key)] == pytest.approx(value, rel=1e-9, abs=1e-300)
 
+    # posterior_digest of each pinned instance's exact_posterior, recorded
+    # from one that built, validated and re-keyed an event per enumerated
+    # key: these pin every key, their order and every value's bits.
+    DIGESTS = {
+        "dense0": "ed41ace1aa667990268c53e7262008851c4e3c7eea12c909491b4f7eabd6a23c",
+        "dense1": "0583fc260b6af3519f849eaae4b82b3aec60366ffbc16939bf0caa00a78bf5bb",
+        "dense2": "998931a82602dfbfd8f776876b814b01687ae0580e2363580f92a554b7e7209f",
+        "dense3": "f6a5e6818c94111ff67fad347849d9352c2cb1dd7945fc769bbcf2ac28a15268",
+        "sparse": "6d4d37f6e020bb8185689aec9a7c80fa8f56e5c69078f65cef25b8cbbd4d4a78",
+        "capped": "b98a78fdc500eba2ccf79d62937f96332f503bf086b502975f1f5e8ed2758d33",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_items_match_recorded_digest(self, name):
+        parent, mat, cfg, sensor = pinned_instances()[name]
+        post = exact_posterior(parent, mat, cfg, sensor)
+        assert posterior_digest(post) == self.DIGESTS[name]
+
+    def test_pinned_instances_cover_their_cases(self):
+        # The sparse instance has keys with deaths, and the capped one a
+        # key of zero mass (two births, one pixel).
+        instances = pinned_instances()
+        post = exact_posterior(*instances["sparse"])
+        assert any(deaths for _, deaths in post)
+        post = exact_posterior(*instances["capped"])
+        assert post[(BIRTH, BIRTH), ()] == 0.0
+        assert [instances[f"dense{i}"][1].n_returns for i in range(4)] == [2, 3, 2, 3]
+
+    @given(
+        mat=sparse_matrices(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+        beta=st.sampled_from([0.0, 0.1]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_event_score_is_the_key_score(self, mat, n_pixels, p_d, beta):
+        # _independent_log_score maps each enumerated event back to its key
+        # and scores it with the one key scorer, bit for bit.
+        cfg = BirthDeathConfig(alpha=0.05, beta=beta, n_pixels=n_pixels)
+        sensor = wide_sensor(p_d)
+        score = oracle._key_scorer(mat, cfg, sensor, mat.n_objects)
+        for key in enumerate_child_keys(mat):
+            got = _independent_log_score(mat.event_of(key), mat, cfg, sensor, mat.n_objects)
+            assert got.hex() == score(key).hex()
+
     def test_all_zero_mass_degenerate(self):
         sensor = wide_sensor(p_d=1.0)
         parent = hypothesis_with([(100.0, 0.0)])
@@ -540,3 +621,12 @@ class TestTvDistance:
 
     def test_arithmetic(self):
         assert tv_distance({"a": 0.6, "b": 0.4}, {"a": 0.5, "b": 0.5}) == pytest.approx(0.1)
+
+    def test_key_order_moves_no_bit(self):
+        # Summed from the largest term, 1 + 2**-53 + 2**-53 rounds to 1;
+        # from the smallest, to 1 + 2**-52. The exact sum is the latter.
+        terms = {"a": 1.0, "b": 2.0**-53, "c": 2.0**-53}
+        for order in (["a", "b", "c"], ["c", "b", "a"], ["b", "a", "c"]):
+            p = {k: terms[k] for k in order}
+            assert tv_distance(p, {}).hex() == (0.5 + 2.0**-53).hex()
+            assert tv_distance({}, p).hex() == (0.5 + 2.0**-53).hex()

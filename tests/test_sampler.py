@@ -3,6 +3,7 @@ dedup, oracle agreement."""
 
 import math
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, islice, product
@@ -1260,11 +1261,55 @@ class TestHolding:
         assert (visits_of(chain), chain.keys[chain.sid]) == ({}, key)
         assert chain.rng.bit_generator.state == state
 
+    @staticmethod
+    def scripted(spans_a, spans_b):
+        """A chain on two states a and b of the 2x2 instance, standing on a,
+        whose pair sources give spans_a and spans_b in turn, each moving to
+        the other state: run takes its pairs from them and draws nothing."""
+        parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
+        chain = _Chain(matrix, cfg, sensor.p_d)
+        ia, ib = chain.state_id(((0, 1), ())), chain.state_id(((1, 0), ()))
+        chain.rows[ia] = (0.0, 0.5, [0.5], [ib])
+        chain.rows[ib] = (0.0, 0.5, [0.5], [ia])
+        chain.pairs[ia] = iter([(span, ib) for span in spans_a]).__next__
+        chain.pairs[ib] = iter([(span, ia) for span in spans_b]).__next__
+        chain.sid = ia
+        return chain, ia, ib
+
+    def test_budget_ends_where_a_span_ends(self):
+        # A span of 3 in a budget of 3: two steps held on a, the move step
+        # to b, and b's source untouched. A span of 5 past a budget of 4 is
+        # spent holding on b; run(0) takes no pair and adds no visit; a
+        # span of 1 is a move step alone.
+        chain, ia, ib = self.scripted([3, 2], [5, 1, 9])
+        a, b = chain.keys[ia], chain.keys[ib]
+        chain.run(3)
+        assert (visits_of(chain), chain.sid) == ({a: 2, b: 1}, ib)
+        chain.run(4)
+        assert (visits_of(chain), chain.sid) == ({a: 2, b: 5}, ib)
+        chain.run(0)
+        assert (visits_of(chain), chain.sid) == ({a: 2, b: 5}, ib)
+        chain.run(1)
+        assert (visits_of(chain), chain.sid) == ({a: 3, b: 5}, ia)
+        assert (chain.pairs[ia](), chain.pairs[ib]()) == ((2, ib), (9, ia))
+
+    @pytest.mark.parametrize("budgets", [[0, 0, 5], [1] * 12, [2, 0, 3, 1, 6], [19]])
+    def test_split_runs_add_exactly_their_steps(self, budgets):
+        # Whatever the split, each run adds exactly its budget to the visits,
+        # and the one a run's start state gives back up front never leaves
+        # a count below zero.
+        chain, ia, ib = self.scripted([1, 4, 2, 1] * 5, [3, 1, 5, 2] * 5)
+        for n, steps in enumerate(budgets, 1):
+            chain.run(steps)
+            assert sum(chain.visits) == sum(budgets[:n])
+        assert min(chain.visits) >= 0
+
     def test_leave_probability_past_one_is_guarded(self):
         # Summation can carry p a rounding error past 1. Such a state holds
         # no step and draws no exponential (log1p(-p) would be NaN): each
         # step is a move, and each state's first batch draws only its
-        # uniforms. The largest uniform still lands on the last destination.
+        # uniforms, and every span is 1. The largest uniform still lands on
+        # the last destination.
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
         chain = _Chain(matrix, cfg, sensor.p_d)
         a, b = ((0, 1), ()), ((1, 0), ())
@@ -1288,7 +1333,7 @@ class TestHolding:
                 return np.full(n, 1.0 - 2.0**-53)
 
         batch = next(sampler._batches(TopRng(), (0.0, p, [0.5, p], [ia, ib])))
-        assert list(batch) == [(0, ib)] * sampler.FIRST_BATCH
+        assert list(batch) == [(1, ib)] * sampler.FIRST_BATCH
 
     def test_one_source_per_state(self, monkeypatch):
         # Two states that every step moves between (p = 1), each left more
@@ -1362,9 +1407,9 @@ class TestBatches:
     def test_pairs_follow_the_row(self, monkeypatch, name):
         # One batch of N pairs per state a walk reaches, at a fixed seed:
         # destinations fall on each destination with the row's probability
-        # of it over p (chi-square), and holds average (1 - p) / p, the mean
-        # of the geometric count of steps held, within 5 standard errors;
-        # a state with p >= 1 holds none.
+        # of it over p (chi-square), and holds (span - 1, each span at least
+        # 1) average (1 - p) / p, the mean of the geometric count of steps
+        # held, within 5 standard errors; a state with p >= 1 holds none.
         _, matrix, cfg, sensor = make_instance(
             *TestExactKernel.INSTANCES[name], clutter_density=3e-3,
         )
@@ -1380,8 +1425,9 @@ class TestBatches:
             if p <= 0.0:
                 continue
             row = production_row(chain, key)
-            holds, dests = zip(*next(sampler._batches(rng, chain.rows[sid])))
-            assert len(dests) == self.N
+            spans, dests = zip(*next(sampler._batches(rng, chain.rows[sid])))
+            assert len(dests) == self.N and min(spans) >= 1
+            holds = [span - 1 for span in spans]
             drawn = Counter(chain.keys[d] for d in dests)
             assert set(drawn) <= set(row)
             expected, counts = pooled(
@@ -1397,6 +1443,26 @@ class TestBatches:
                 assert abs(np.mean(holds) - mean) <= 5.0 * se, (key, np.mean(holds), mean)
             checked += 1
         assert checked > 1
+
+    def test_subnormal_leave_probability_draws_quietly(self):
+        # p = 7.2e-311 (a state twenty-object reaches at seed 0 with alpha =
+        # beta = 0): every E / -log1p(-p) overflows to inf, which numpy
+        # warns of by default. The batch draws as for any p < 1 and holds
+        # each span at MAX_HOLD + 1, with no warning and numpy's error
+        # state left as it was.
+        p = 7.2e-311
+        ref = np.random.default_rng(0)
+        ref.random(sampler.FIRST_BATCH)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert (ref.standard_exponential(sampler.FIRST_BATCH) / -math.log1p(-p)
+                    == math.inf).all()
+        rng = np.random.default_rng(0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = list(next(sampler._batches(rng, (0.0, p, [p], [0]))))
+        assert batch == [(sampler.MAX_HOLD + 1, 0)] * sampler.FIRST_BATCH
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.geterr()["over"] == "warn"
 
     @pytest.mark.parametrize("p", [0.25, 1.0 + 2.0**-52])
     def test_batches_double_to_the_cap(self, p):
