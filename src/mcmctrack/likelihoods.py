@@ -67,10 +67,10 @@ class AssociationMatrix:
     Row i is measurement return i. Columns 0..M-1 are objects, in the order
     of the tracks the matrix was built from; column M is birth, column M+1
     is clutter. Immutable once built. supported is derived from log_entries
-    on construction: per row, the ascending tuple of its finite columns. It
-    is the one support pattern the walk and the child enumerator read.
-    column_entries, also derived, is each column's assignment entry: the
-    object labels, then BIRTH and CLUTTER.
+    on construction, the one place it is set: per row, the ascending tuple
+    of its finite columns. It is the one support pattern the walk and the
+    child enumerator read. column_entries, also derived, is each column's
+    assignment entry: the object labels, then BIRTH and CLUTTER.
 
     A child is generated as a column key: (the column of each return, the
     ascending columns of the objects that die). event_of maps a key to its
@@ -85,34 +85,35 @@ class AssociationMatrix:
     log_entries: np.ndarray
     object_labels: tuple[str, ...]
     death_eligible: tuple[bool, ...]
-    returns: np.ndarray
     supported: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
     column_entries: tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m_rows, n_cols = self.log_entries.shape
-        if n_cols != len(self.object_labels) + 2:
+        entries = self.log_entries
+        if entries.ndim != 2:
+            raise ValueError(f"matrix entries must be 2-D, got shape {entries.shape}")
+        if entries.shape[1] != len(self.object_labels) + 2:
             raise ValueError("matrix must have one column per object plus birth and clutter")
-        if m_rows != len(self.returns):
-            raise ValueError("matrix must have one row per return")
         if len(self.death_eligible) != len(self.object_labels):
             raise ValueError("matrix must have one death-eligibility flag per object")
-        # NaN and +inf are the values that fail the comparison.
-        if not (self.log_entries < math.inf).all():
+        # NaN and +inf are the values that make the maximum fail the comparison.
+        if not np.maximum.reduce(entries, None, initial=-math.inf) < math.inf:
             raise ValueError("matrix entries must be finite or -inf")
-        finite = np.isfinite(self.log_entries)
-        self._set_derived(tuple(tuple(np.flatnonzero(row).tolist()) for row in finite))
-
-    def _set_derived(self, supported: tuple[tuple[int, ...], ...]) -> None:
-        """Store the derived fields: supported, and column_entries from the
-        object labels. The one place both are set, by __post_init__ and by
-        select."""
-        object.__setattr__(self, "supported", supported)
+        # One pass over the finite mask: nonzero lists its pairs row by row,
+        # columns ascending, so row i's columns are the next rows.count(i).
+        rows, cols = np.isfinite(entries).nonzero()
+        rows, cols = rows.tolist(), cols.tolist()
+        supported = []
+        end = 0
+        for i in range(len(entries)):
+            start, end = end, end + rows.count(i)
+            supported.append(tuple(cols[start:end]))
+        object.__setattr__(self, "supported", tuple(supported))
         object.__setattr__(self, "column_entries", (*self.object_labels, BIRTH, CLUTTER))
 
     @property
     def n_returns(self) -> int:
-        return len(self.returns)
+        return len(self.log_entries)
 
     @property
     def n_objects(self) -> int:
@@ -144,28 +145,20 @@ class AssociationMatrix:
     def select(self, cols: Sequence[int]) -> AssociationMatrix:
         """The matrix of a parent whose tracks are object columns cols of
         this one, in the parent's track order: those columns, then the birth
-        and clutter columns, with their labels and death flags and the same
-        returns. Its entries are this matrix's entries, bit for bit, so its
-        supported is this matrix's, mapped through the selected columns in
-        their new order; neither is derived again. cols must be distinct (a
-        parent's tracks are)."""
-        taken = [*cols, self.birth_col, self.clutter_col]
-        local = {col: c for c, col in enumerate(taken)}
-        if len(local) != len(taken):
+        and clutter columns, with their labels and death flags. Its entries
+        are this matrix's entries, bit for bit, and the constructor derives
+        its supported from them. cols must be distinct (a parent's tracks
+        are)."""
+        n = self.n_objects
+        taken = [*cols, n, n + 1]  # then the birth and clutter columns
+        if len(set(taken)) != len(taken):
             raise ValueError("select needs distinct columns")
-        matrix = object.__new__(AssociationMatrix)
-        for name, value in (
-            ("log_entries", self.log_entries.take(taken, axis=1)),
-            ("object_labels", tuple(self.object_labels[j] for j in cols)),
-            ("death_eligible", tuple(self.death_eligible[j] for j in cols)),
-            ("returns", self.returns),
-        ):
-            object.__setattr__(matrix, name, value)
-        matrix._set_derived(tuple(
-            tuple(sorted([local[col] for col in row if col in local]))
-            for row in self.supported
-        ))
-        return matrix
+        labels, flags = self.object_labels, self.death_eligible
+        return AssociationMatrix(
+            self.log_entries.take(taken, axis=1),
+            tuple(labels[j] for j in cols),
+            tuple(flags[j] for j in cols),
+        )
 
 
 def birth_likelihood(z: np.ndarray, sensor: SensorModel) -> float:
@@ -188,7 +181,7 @@ def build_matrix(
 
     Object columns hold the exact marginal measurement likelihoods, all
     m x N of them from one filters.likelihood_table call (the kernel
-    update_track runs too); the birth column holds birth_likelihood, or
+    update_tracks runs too); the birth column holds birth_likelihood, or
     -inf when the birth probability is 0, so no child proposes a birth; the
     clutter column holds the clutter density. An object is eligible to die
     when the death probability is positive and it is predicted inside the
@@ -214,7 +207,6 @@ def build_matrix(
         log_entries=log_entries,
         object_labels=tuple(t.label for t in predicted),
         death_eligible=tuple(can_die and in_fov(t.mean, sensor) for t in predicted),
-        returns=returns,
     )
 
 
@@ -257,10 +249,11 @@ def compare_likelihood_forms(
     event: AssociationEvent,
     parent: Hypothesis,
     matrix: AssociationMatrix,
+    returns: np.ndarray,
     sensor: SensorModel,
 ) -> tuple[float, float]:
     """Diagnostic pair of child likelihoods for a pure-association event
-    (no births or deaths):
+    (no births or deaths), given the returns the matrix was built from:
 
     - the mean-evaluated form p_d^k (1-p_d)^(M-k) * prod N(z; h(mean), r),
       which scores each associated return at the track mean and omits the
@@ -274,27 +267,23 @@ def compare_likelihood_forms(
     if event.n_births or event.n_deaths:
         raise InvalidEventError("comparison is defined for pure association events")
     event.validate_against(parent.labels)
+    if len(returns) != matrix.n_returns:
+        raise ValueError("comparison needs the returns the matrix was built from")
+    log_marginal = hypothesis_log_likelihood(event, matrix)
     m = matrix.n_returns
     n_objects = len(parent.tracks)
     k = len(event.associated_labels)
     tracks = {t.label: t for t in parent.tracks}
     log_mean_form = _xlogy(k, sensor.p_d) + _xlogy(n_objects - k, 1.0 - sensor.p_d)
-    log_marginal = 0.0
     for i, entry in enumerate(event.assignments):
-        col = matrix.column_of(entry)
-        log_marginal += matrix.log_entries[i, col]
         if entry == CLUTTER:
-            log_mean_form += matrix.log_entries[i, col]
-        elif entry == BIRTH:
-            raise InvalidEventError("comparison is defined for pure association events")
+            log_mean_form += matrix.log_entries[i, matrix.clutter_col]
         else:
             # N(z; h(mean), r): the marginal of a track with no uncertainty.
             track = tracks[entry]
             at_mean = GaussianTrack(track.label, track.mean, np.zeros((4, 4)))
-            lik = likelihood_table([at_mean], matrix.returns[i].reshape(1, 2), sensor)[0, 0]
+            lik = likelihood_table([at_mean], np.reshape(returns[i], (1, 2)), sensor)[0, 0]
             log_mean_form += math.log(lik) if lik > 0.0 else -math.inf
     # No births or deaths, so the rates of the default config never enter.
     log_prior = log_count_prior(k, 0, 0, n_objects, m, BirthDeathConfig(), sensor.p_d)
-    log_marginal_form = log_prior + log_marginal
-    return math.exp(log_mean_form), math.exp(log_marginal_form)
-
+    return math.exp(log_mean_form), math.exp(log_prior + log_marginal)

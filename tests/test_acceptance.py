@@ -315,7 +315,7 @@ def test_criterion_8_likelihood_normalizer_factor():
                 f"t{i:02d}" if i < k else CLUTTER for i in range(m)
             )
             eta_mean, eta_marginal = compare_likelihood_forms(
-                AssociationEvent(assignments=assignments), parent, matrix, sensor
+                AssociationEvent(assignments=assignments), parent, matrix, returns, sensor
             )
             expected = 1.0 / (math.comb(m, k) * math.factorial(k))
             assert eta_marginal / eta_mean == pytest.approx(expected, rel=1e-6), (m, k)

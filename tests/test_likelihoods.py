@@ -1,6 +1,7 @@
 """Data-association matrix, birth/clutter densities, likelihood comparison."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,7 +151,6 @@ class TestBuildMatrix:
                 log_entries=np.zeros((0, 3)),
                 object_labels=("t00",),
                 death_eligible=(True, True),
-                returns=np.empty((0, 2)),
             )
 
     @staticmethod
@@ -159,7 +159,6 @@ class TestBuildMatrix:
             log_entries=np.array([[first_entry, 0.0, 0.0]]),
             object_labels=("t00",),
             death_eligible=(True,),
-            returns=np.zeros((1, 2)),
         )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -171,6 +170,46 @@ class TestBuildMatrix:
 
     def test_minus_inf_entry_left_out_of_supported(self):
         assert self.one_row(-math.inf).supported == ((1, 2),)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 3, 1)], ids=["1-D", "3-D"])
+    def test_entries_must_be_two_dimensional(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"2-D, got shape {shape}")):
+            AssociationMatrix(
+                log_entries=np.zeros(shape),
+                object_labels=("t00",),
+                death_eligible=(True,),
+            )
+
+    @staticmethod
+    def assert_supported_is_each_rows_finite_columns(mat):
+        assert mat.supported == tuple(
+            tuple(np.flatnonzero(row).tolist()) for row in np.isfinite(mat.log_entries)
+        )
+
+    @given(mat=sparse_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_supported_is_each_rows_finite_columns(self, mat):
+        self.assert_supported_is_each_rows_finite_columns(mat)
+
+    # Sixty objects: one 62-column row with three finite entries.
+    WIDE_ROW = np.full((1, 62), -math.inf)
+    WIDE_ROW[0, [4, 37, 61]] = [-2.0, 0.5, -9.0]
+
+    @pytest.mark.parametrize("entries", [
+        np.empty((0, 4)),
+        np.array([[-1.0, 0.0], [-math.inf, 3.0]]),
+        np.array([[0.0, -math.inf, -1.0], [-math.inf, -math.inf, -math.inf], [2.0, 1.0, 0.0]]),
+        WIDE_ROW,
+    ], ids=["no-returns", "no-objects", "all-minus-inf-row", "wide-row"])
+    def test_supported_hand_cases(self, entries):
+        n_objects = entries.shape[1] - 2
+        mat = AssociationMatrix(
+            log_entries=entries,
+            object_labels=tuple(f"t{i:02d}" for i in range(n_objects)),
+            death_eligible=(True,) * n_objects,
+        )
+        self.assert_supported_is_each_rows_finite_columns(mat)
+        assert len(mat.supported) == mat.n_returns == len(entries)
 
     # Two tracks near the returns, one in the FOV but far from every return
     # (its entries underflow to -inf), one outside a narrow FOV.
@@ -203,13 +242,14 @@ class TestBuildMatrix:
         assert got.object_labels == want.object_labels
         assert got.death_eligible == want.death_eligible
         assert got.supported == want.supported
-        assert np.array_equal(got.returns, want.returns)
+        assert got.n_returns == want.n_returns
 
     @given(mat=sparse_matrices(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_select_supported_equals_a_fresh_derivation(self, mat, data):
-        # Any distinct columns in any order, none included: the mapped
-        # support equals the one a new matrix of the same entries derives.
+        # Any distinct columns in any order, none included: the selected
+        # matrix's support, derived from the taken entries, equals the one a
+        # new matrix of the same entries derives.
         cols = data.draw(
             st.lists(st.integers(0, mat.n_objects - 1), unique=True) if mat.n_objects
             else st.just([])
@@ -219,7 +259,6 @@ class TestBuildMatrix:
             log_entries=got.log_entries,
             object_labels=got.object_labels,
             death_eligible=got.death_eligible,
-            returns=got.returns,
         )
         assert got.supported == fresh.supported
         assert got.column_entries == fresh.column_entries
@@ -359,7 +398,7 @@ class TestCompareLikelihoodForms:
         parent, mat, sensor = self._setup(max(k, 1), returns, cov_scale=1e-8)
         assignments = [f"t{i:02d}" if i < k else CLUTTER for i in range(m)]
         event = AssociationEvent(assignments=tuple(assignments))
-        eta_mean, eta_marginal = compare_likelihood_forms(event, parent, mat, sensor)
+        eta_mean, eta_marginal = compare_likelihood_forms(event, parent, mat, returns, sensor)
         expected = 1.0 / (math.comb(m, k) * math.factorial(k))
         assert eta_marginal / eta_mean == pytest.approx(expected, rel=1e-6)
 
@@ -367,7 +406,7 @@ class TestCompareLikelihoodForms:
         returns = np.array([[30000.0, 10.0], [30100.0, -20.0]])
         parent, mat, sensor = self._setup(1, returns)
         event = AssociationEvent(assignments=(CLUTTER, CLUTTER))
-        eta_mean, eta_marginal = compare_likelihood_forms(event, parent, mat, sensor)
+        eta_mean, eta_marginal = compare_likelihood_forms(event, parent, mat, returns, sensor)
         assert eta_marginal == pytest.approx(eta_mean, rel=1e-12)
 
     def test_generic_marginal_below_mode(self):
@@ -376,7 +415,7 @@ class TestCompareLikelihoodForms:
         returns = np.array([[30000.0, 0.0]])
         parent, mat, sensor = self._setup(1, returns, cov_scale=1.0)
         event = AssociationEvent(assignments=("t00",))
-        eta_mean, eta_marginal = compare_likelihood_forms(event, parent, mat, sensor)
+        eta_mean, eta_marginal = compare_likelihood_forms(event, parent, mat, returns, sensor)
         assert eta_marginal < eta_mean
 
     def test_rejects_birth_death_events(self):
@@ -384,10 +423,19 @@ class TestCompareLikelihoodForms:
         parent, mat, sensor = self._setup(1, returns)
         with pytest.raises(InvalidEventError):
             compare_likelihood_forms(
-                AssociationEvent(assignments=(BIRTH,)), parent, mat, sensor
+                AssociationEvent(assignments=(BIRTH,)), parent, mat, returns, sensor
             )
         with pytest.raises(InvalidEventError):
             compare_likelihood_forms(
                 AssociationEvent(assignments=(CLUTTER,), deaths=frozenset({"t00"})),
-                parent, mat, sensor,
+                parent, mat, returns, sensor,
+            )
+
+    def test_rejects_returns_the_matrix_was_not_built_from(self):
+        returns = np.array([[30000.0, 0.0]])
+        parent, mat, sensor = self._setup(1, returns)
+        with pytest.raises(ValueError, match="returns the matrix was built from"):
+            compare_likelihood_forms(
+                AssociationEvent(assignments=("t00",)), parent, mat,
+                np.vstack([returns, returns]), sensor,
             )

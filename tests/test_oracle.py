@@ -65,7 +65,6 @@ def dense_matrix(labels, n_returns, death_eligible):
         log_entries=np.zeros((n_returns, len(labels) + 2)),
         object_labels=tuple(labels),
         death_eligible=tuple(death_eligible),
-        returns=np.zeros((n_returns, 2)),
     )
 
 
@@ -201,7 +200,6 @@ def sparse_matrices(draw):
         object_labels=tuple(f"t{i:02d}" for i in range(n_objects)),
         death_eligible=tuple(draw(st.lists(st.booleans(), min_size=n_objects,
                                            max_size=n_objects))),
-        returns=np.zeros((n_returns, 2)),
     )
 
 
@@ -288,7 +286,6 @@ class TestChildScoreBounds:
             log_entries=np.array([[0.5, -2.0, -3.0]]),
             object_labels=("t00",),
             death_eligible=(True,),
-            returns=np.zeros((1, 2)),
         )
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=1)
         best = max(s.log_score for s in enumerate_children(mat, cfg, 0.9))
@@ -340,7 +337,6 @@ class TestEnumerateChildEvents:
 
     def test_sparse_matrix_yields_exactly_the_supported_events(self):
         parent, mat, cfg, sensor = sparse_instance()
-        returns = mat.returns
         assert mat.death_eligible == (True, True, False)
         assert np.isneginf(mat.log_entries[:, 1]).all()
         assert np.isfinite(mat.log_entries[:2, 0]).all()
@@ -350,7 +346,7 @@ class TestEnumerateChildEvents:
         # finite.
         expected = set()
         columns = list(parent.labels) + [BIRTH, CLUTTER]
-        for assignment in product(columns, repeat=len(returns)):
+        for assignment in product(columns, repeat=mat.n_returns):
             objects = [a for a in assignment if a not in (BIRTH, CLUTTER)]
             if len(set(objects)) != len(objects):
                 continue

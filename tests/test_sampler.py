@@ -516,7 +516,6 @@ class TestMetropolis:
             log_entries=np.array([[t00_entry, -30.0, clutter_entry]]),
             object_labels=("t00",),
             death_eligible=(False,),
-            returns=np.zeros((1, 2)),
         )
 
     @staticmethod
