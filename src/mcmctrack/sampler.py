@@ -15,29 +15,33 @@ first be revived through the death move, which toggles one uniformly chosen
 unassociated death-eligible object's death status (a no-change proposal when
 there is none). Scores are log(child prior) + log(likelihood).
 
-One _Chain object per parent holds its scoring tables, the kernel rows
-and visit counts of the states it has reached and its position, the
-integer id sid of a state key (a column key, see AssociationMatrix). start
-draws a random initial state from the matrix's supported columns
-(AssociationMatrix.supported), the same pattern the child enumerator
-walks. tally scores a key from scratch; it is the one production scorer.
-_Chain.run simulates the walk exactly by its jump chain (Douc & Robert, "A
-vanilla Rao-Blackwellization of Metropolis-Hastings algorithms", Ann.
-Statist. 2011) over state ids: each state gets an id the first time a row
-names it, and for each state the walk reaches, build_row builds and
-memoizes once, under that id, the state's one-step kernel row: its score,
-the probability p that a step leaves it, and each move that does, as its
-cumulative probability and its destination id. Each departure from a
-state takes the next (span, destination) pair of the state's own stack
-(span = hold + 1: the steps held there plus the step that moves), drawn in
-numpy batches (the per-state "random stacks" of Wilson, "Generating random
-spanning trees more quickly than the cover time", STOC 1996), so a move
-costs a few list indexes. From a finite state a candidate that scores -inf
-is never accepted, so a row scores only the supported columns.
+A walk is two objects. A Kernel holds one matrix's scoring tables, the
+integer id sid of each state key (a column key, see AssociationMatrix)
+it has named, and the kernel rows built so far; it is a pure function of
+(matrix, birth config, p_d), so the tracker builds one per distinct
+parent matrix per scan and every walk over that matrix shares it. A _Walk
+holds one parent's walk over a kernel: its generator, its position, its
+visit counts and its per-state pair sources. start draws a random initial
+state from the matrix's supported columns (AssociationMatrix.supported),
+the same pattern the child enumerator walks. tally scores a key from
+scratch; it is the one production scorer. _Walk.run simulates the walk
+exactly by its jump chain (Douc & Robert, "A vanilla Rao-Blackwellization
+of Metropolis-Hastings algorithms", Ann. Statist. 2011) over state ids:
+each state gets an id the first time a row names it, and for each state a
+walk reaches, build_row builds and memoizes once per kernel, under that
+id, the state's one-step kernel row: its score, the probability p that a
+step leaves it, and each move that does, as its cumulative probability
+and its destination id. Each departure from a state takes the next (span,
+destination) pair of the state's own stack in that walk (span = hold + 1:
+the steps held there plus the step that moves), drawn in numpy batches
+(the per-state "random stacks" of Wilson, "Generating random spanning
+trees more quickly than the cover time", STOC 1996), so a move costs a few
+list indexes. From a finite state a candidate that scores -inf is never
+accepted, so a row scores only the supported columns.
 
 A parent's children come from one of two calls: sample_children walks,
 and enumerate_children scores every key of oracle.enumerate_child_keys
-with tally, so every child score comes from _Chain. child_score_bounds
+with tally, so every child score comes from Kernel. child_score_bounds
 reads a scan's matrix and each parent's columns of it and gives each
 parent an upper bound on every tally score of its children, which the
 tracker uses to skip the parents none of whose children it could keep
@@ -45,16 +49,24 @@ before it selects their matrices. All three read the count-level prior
 from one memoized prior_table.
 
 Stream contract: each walk draws from one numpy Generator, seeded from
-chain_seed. start draws every return's column in one call,
-rng.integers(0, sizes), sizes[i] the size of row i's supported columns
-(all M+2 columns when none is). run then draws only (span, destination)
-pairs, span = hold + 1 for the geometric hold. The first time the walk
-needs a pair at a state (to leave it, or to hold out a budget there), the
-state gets one endless source of pairs, which draws its next batch of n
-pairs exactly when the last one is used up, n = FIRST_BATCH (16) at first
-and doubling up to LAST_BATCH (1024): rng.random(n) for the destinations,
+chain_seed. start draws each return's column in turn, rng.integers(0,
+size), size the number of the row's supported columns (all M+2 columns
+when none is); this draws exactly what one rng.integers(0, sizes) call
+over the rows would. run then draws only (span, destination) pairs, span
+= hold + 1 for the geometric hold. The first time the walk needs a pair
+at a state (to leave it, or to hold out a budget there), the state gets
+one endless source of pairs, which draws its next batch of n pairs
+exactly when the last one is used up, n = FIRST_BATCH (16) at first and
+doubling up to LAST_BATCH (1024): rng.random(n) for the destinations,
 then rng.standard_exponential(n) for the holds. A state with p = 0 draws
 nothing, and one with p >= 1 draws no exponentials (every span is 1).
+Where a pair is turned from its draws does not move a draw: a state's
+first pair is turned in Python floats at its first departure
+(_first_pair), the rest of its first batch by numpy when the walk leaves
+the state again, and every later batch by numpy when it is drawn
+(_batches); both apply the same IEEE operations. Sharing a kernel moves
+no draw either: a row is the same function of its state's key whichever
+walk builds it, and an id only names a key.
 """
 
 from __future__ import annotations
@@ -64,6 +76,7 @@ import heapq
 import itertools
 import math
 import zlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -146,11 +159,19 @@ class ChildSample:
     visits: int
 
 
-def _batches(rng: np.random.Generator, row: tuple):
+def _batches(
+    rng: np.random.Generator,
+    row: tuple,
+    u: np.ndarray | None = None,
+    e: np.ndarray | None = None,
+):
     """Endless batches of (span, destination id) pairs, drawn from rng, of a
-    state whose kernel row (_Chain.build_row) leaves it with p > 0: each
+    state whose kernel row (Kernel.build_row) leaves it with p > 0: each
     batch is a zip of n spans and n destinations, n = FIRST_BATCH at first
-    and doubling up to LAST_BATCH.
+    and doubling up to LAST_BATCH. Given the uniforms u (and, where p < 1,
+    the exponentials e) of a first batch already drawn, the first batch
+    turns those instead of drawing (_first_pair passes the part of its
+    batch it has not turned).
 
     A destination is the move that U * p, U uniform on [0, 1), falls in
     among the row's cumulative probabilities but the last, so a product
@@ -171,14 +192,14 @@ def _batches(rng: np.random.Generator, row: tuple):
     moves = np.array(destinations)
     n = FIRST_BATCH
     while True:
-        # Temporaries only: the suspended generator keeps no draw arrays.
-        u = rng.random(n)
+        if u is None:
+            u = rng.random(n)
+            e = None if rate is None else rng.standard_exponential(n)
         u *= p
         dests = moves[bounds.searchsorted(u, "right")].tolist()
         if rate is None:
             spans = itertools.repeat(1)
         else:
-            e = rng.standard_exponential(n)
             if quiet:
                 with np.errstate(over="ignore"):
                     e /= rate
@@ -188,17 +209,46 @@ def _batches(rng: np.random.Generator, row: tuple):
             holds = np.minimum(e, float(MAX_HOLD), out=e).astype(np.int64)
             holds += 1
             spans = holds.tolist()
+        # Only lists cross the yield: the suspended generator keeps no draws.
+        u = e = None
         yield zip(spans, dests)
         n = min(2 * n, LAST_BATCH)
 
 
-# The pair source of a state the walk has not yet left: it raises StopIteration.
-_SPENT = iter(()).__next__
+def _first_pair(rng: np.random.Generator, row: tuple) -> tuple:
+    """The first pair of a state's stream, and the source of the rest:
+    (span, destination, iterator of the later pairs), for a row with p > 0.
+
+    Draws the state's first batch as _batches does, but turns only its
+    first pair, in Python floats, by the same IEEE operations: the search
+    of U * p among cumulative[:-1] is a bisect_right, and the span
+    int(min(E / -log1p(-p), MAX_HOLD)) + 1 (Python divides an overflow to
+    inf without a warning). The other FIRST_BATCH - 1 pairs are turned by
+    _batches when the walk leaves the state again, which many states it
+    stands on briefly never do."""
+    _, p, cumulative, destinations = row
+    u = rng.random(FIRST_BATCH)
+    dest = destinations[bisect_right(cumulative, u.item(0) * p, 0, len(cumulative) - 1)]
+    if p < 1.0:
+        e = rng.standard_exponential(FIRST_BATCH)
+        span = int(min(e.item(0) / -math.log1p(-p), float(MAX_HOLD))) + 1
+        e = e[1:]
+    else:
+        e = None
+        span = 1
+    return span, dest, itertools.chain.from_iterable(_batches(rng, row, u[1:], e))
 
 
-class _Chain:
-    """One walk over one parent's matrix: its scoring tables, the kernel
-    rows of the states it has reached, and its position sid.
+# The pair source of a state the walk has not yet left: it is exhausted.
+_SPENT = iter(())
+
+
+class Kernel:
+    """The one-step kernel of the walk over one matrix: its scoring tables,
+    its state ids and keys, and the kernel rows built so far. It is a pure
+    function of (matrix, birth_cfg, p_d), so any number of walks over the
+    same matrix may share one, in any order: a row names states by id, and
+    an id, once given, names its key for good.
 
     The matrix rows are copied to float lists (entries) for O(1) move
     deltas, and prior is the matrix's shared prior_table, indexed
@@ -207,29 +257,21 @@ class _Chain:
     selected -inf entry, so zero-likelihood assignments never produce
     inf - inf artifacts in the move deltas.
 
-    Each state key gets an integer id the first time a row names it
-    (state_id): ids maps a key to its id and keys an id to its key. rows is
-    the one memo of kernel rows, indexed by id (None until the walk first
-    stands on the state), and a row names its destinations by id, so run()
-    walks ids: one list index per move, no key hashing. visits, also indexed
-    by id, is the walk's one visit record: the steps run() has ended in each
-    state since the list was last reset. The walk's state is keys[sid].
-
-    pairs, indexed by id, is each state's source of (span, destination)
-    pairs: _SPENT until run first leaves the state, then the __next__ of its
-    one endless stream (see the module's stream contract), drawn from rng,
-    the walk's numpy Generator.
+    Each state key gets an integer id the first time a row or a walk names
+    it (state_id): ids maps a key to its id and keys an id to its key. rows
+    is the one memo of kernel rows, indexed by id (None until some walk
+    first stands on the state), and a row names its destinations by id, so
+    a walk moves by list indexes, with no key hashing.
     """
 
     __slots__ = (
         "matrix", "entries", "death_eligible", "prior", "birth_col", "clutter_col", "m",
-        "n_objects", "rng", "sid", "ids", "keys", "rows", "visits", "pairs",
+        "n_objects", "ids", "keys", "rows",
     )
 
     def __init__(
         self, matrix: AssociationMatrix, birth_cfg: BirthDeathConfig, p_d: float
     ) -> None:
-        """The scoring tables of matrix; start (or setting sid) sets a state."""
         self.matrix = matrix
         self.m = matrix.n_returns
         self.n_objects = matrix.n_objects
@@ -241,28 +283,6 @@ class _Chain:
         self.ids: dict[tuple, int] = {}
         self.keys: list[tuple] = []
         self.rows: list[tuple | None] = []
-        self.visits: list[int] = []
-        self.pairs: list = []
-
-    def start(self, rng: np.random.Generator) -> None:
-        """Draw a random initial state from rng, the stream run then draws
-        from: each return picks uniformly among the supported columns of its
-        row (zero-likelihood pairings would start the chain on a plateau it
-        can take arbitrarily long to leave), all in one integers call, a
-        draw of an already-claimed object resolves to clutter, and the death
-        set is empty."""
-        self.rng = rng
-        every_col = self.n_objects + 2
-        supported_of = self.matrix.supported
-        draws = rng.integers(0, [len(s) or every_col for s in supported_of]).tolist()
-        assign: list[int] = []
-        for supported, col in zip(supported_of, draws):
-            if supported:
-                col = supported[col]
-            if col < self.n_objects and col in assign:
-                col = self.clutter_col
-            assign.append(col)
-        self.sid = self.state_id((tuple(assign), ()))
 
     def tally(self, key: tuple) -> tuple[list[int], int, int, float, float]:
         """Score column key (assignment, death columns) from scratch:
@@ -301,8 +321,6 @@ class _Chain:
             sid = self.ids[key] = len(self.keys)
             self.keys.append(key)
             self.rows.append(None)
-            self.visits.append(0)
-            self.pairs.append(_SPENT)
         return sid
 
     def build_row(self, sid: int) -> tuple:
@@ -322,8 +340,8 @@ class _Chain:
         accepted, so only each row's supported columns are scored, and a
         swap that would hand the claiming return a zero-likelihood entry is
         skipped. From a -inf state every proposal that changes the state is
-        accepted with its proposal probability. A destination the chain has
-        not named before gets the next id.
+        accepted with its proposal probability. A destination the kernel
+        has not named before gets the next id.
         """
         key = self.keys[sid]
         assign, deaths = key
@@ -406,22 +424,70 @@ class _Chain:
         row = self.rows[sid] = (score, total, cumulative, destinations)
         return row
 
+
+class _Walk:
+    """One walk over a Kernel: its generator rng, its position sid (the id
+    of the state it stands on), and, indexed by id, its visits and its pair
+    sources. visits is the walk's one visit record: the steps run() has
+    ended in each state since the list was last reset. pairs holds each
+    state's source of (span, destination) pairs: _SPENT until run first
+    leaves the state, then the iterator of its one endless stream (see the
+    module's stream contract), drawn from rng. After each run both lists
+    cover every id the kernel has given; another walk over a shared kernel
+    may give more, which run covers when it reaches them.
+    """
+
+    __slots__ = ("kernel", "rng", "sid", "visits", "pairs")
+
+    def __init__(self, kernel: Kernel) -> None:
+        """A walk over kernel; start (or setting sid and rng) places it."""
+        self.kernel = kernel
+        self.visits: list[int] = []
+        self.pairs: list = []
+
+    def start(self, rng: np.random.Generator) -> None:
+        """Draw a random initial state from rng, the stream run then draws
+        from: each return picks uniformly among the supported columns of its
+        row (zero-likelihood pairings would start the chain on a plateau it
+        can take arbitrarily long to leave), by one integers call per row,
+        a draw of an already-claimed object resolves to clutter, and the
+        death set is empty."""
+        self.rng = rng
+        kernel = self.kernel
+        every_col = kernel.n_objects + 2
+        assign: list[int] = []
+        for supported in kernel.matrix.supported:
+            col = int(rng.integers(0, len(supported) or every_col))
+            if supported:
+                col = supported[col]
+            if col < kernel.n_objects and col in assign:
+                col = kernel.clutter_col
+            assign.append(col)
+        self.sid = kernel.state_id((tuple(assign), ()))
+
+    def _cover(self) -> None:
+        """Extend visits and pairs to every id the kernel has given."""
+        grow = len(self.kernel.keys) - len(self.visits)
+        if grow:
+            self.visits += [0] * grow
+            self.pairs += [_SPENT] * grow
+
     def run(self, steps: int) -> None:
         """Advance the walk by steps Metropolis steps, simulated by its jump
         chain over state ids: each departure from a state takes the next
         (span, destination) pair of the state's source (pairs), holds span -
         1 steps there and moves to destination on the next step. The first
-        departure installs the source, building the row if the walk has
-        not: the chained batches of _batches, or, for a state no move leaves
-        (p = 0), the pair (MAX_HOLD + 1, sid) for ever, which holds out every
-        budget and draws nothing. A pair whose span runs past the end of the
-        budget is spent without its move: holds have no memory, so the next
-        run takes a fresh pair. Every pair is drawn afresh and independently
-        of the path, so the path is the jump chain in law. A budget over
-        MAX_HOLD runs as runs of at most MAX_HOLD steps, so that a hold kept
-        at MAX_HOLD always holds out its run. The run starts at sid, leaves
-        the state it reached in sid, and builds the row of every state it
-        reaches.
+        departure installs the source, building the row if no walk over the
+        kernel has: _first_pair's first pair and the rest it returns, or,
+        for a state no move leaves (p = 0), the pair (MAX_HOLD + 1, sid) for
+        ever, which holds out every budget and draws nothing. A pair whose
+        span runs past the end of the budget is spent without its move:
+        holds have no memory, so the next run takes a fresh pair. Every pair
+        is drawn afresh and independently of the path, so the path is the
+        jump chain in law. A budget over MAX_HOLD runs as runs of at most
+        MAX_HOLD steps, so that a hold kept at MAX_HOLD always holds out its
+        run. The run starts at sid, leaves the state it reached in sid, and
+        builds the row of every state it reaches.
 
         Every step adds one to visits at the id of the state it ends in: a
         hold adds its length to the state, and a move step one to its
@@ -434,6 +500,9 @@ class _Chain:
         while steps > MAX_HOLD:
             self.run(MAX_HOLD)
             steps -= MAX_HOLD
+        kernel = self.kernel
+        rows = kernel.rows
+        self._cover()
         visits = self.visits
         pairs = self.pairs
         sid = self.sid
@@ -441,21 +510,25 @@ class _Chain:
         left = steps
         while left:
             try:
-                span, dest = pairs[sid]()
+                span, dest = next(pairs[sid])
             except StopIteration:
                 # The first departure from sid: install its endless source.
-                row = self.rows[sid] or self.build_row(sid)
-                pairs[sid] = (itertools.chain.from_iterable(_batches(self.rng, row)).__next__
-                              if row[1] > 0.0 else itertools.repeat((MAX_HOLD + 1, sid)).__next__)
-                span, dest = pairs[sid]()
+                row = rows[sid] or kernel.build_row(sid)
+                self._cover()
+                if row[1] > 0.0:
+                    span, dest, pairs[sid] = _first_pair(self.rng, row)
+                else:
+                    span, dest = MAX_HOLD + 1, sid
+                    pairs[sid] = itertools.repeat((span, dest))
             if span > left:
                 break
             visits[sid] += span
             left -= span
             sid = dest
         visits[sid] += left + 1
-        if self.rows[sid] is None:
-            self.build_row(sid)
+        if rows[sid] is None:
+            kernel.build_row(sid)
+            self._cover()
         self.sid = sid
 
 
@@ -472,22 +545,25 @@ def sample_children(
     cfg: SamplerConfig,
     birth_cfg: BirthDeathConfig,
     sensor: SensorModel,
+    kernel: Kernel | None = None,
 ) -> list[ChildSample]:
     """The walk's children of parent over matrix: the visits zeroed after
     burn-in, the top children_kept of the states the record run visits, by
     score (each state's from-scratch score, from its kernel row).
-    Deterministic given cfg.seed and parent.id; of sensor only p_d is read."""
-    chain = _Chain(matrix, birth_cfg, sensor.p_d)
+    Deterministic given cfg.seed and parent.id; of sensor only p_d is read.
+    kernel is Kernel(matrix, birth_cfg, sensor.p_d), built here when None;
+    walks that share one return what walks over fresh kernels return."""
+    walk = _Walk(kernel or Kernel(matrix, birth_cfg, sensor.p_d))
     size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
     burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
     record = 200 * size if cfg.record_steps is None else cfg.record_steps
-    chain.start(np.random.default_rng(chain_seed(cfg.seed, parent.id)))
-    chain.run(burn)
-    chain.visits = [0] * len(chain.keys)
-    chain.run(record)
+    walk.start(np.random.default_rng(chain_seed(cfg.seed, parent.id)))
+    walk.run(burn)
+    walk.visits = [0] * len(walk.visits)
+    walk.run(record)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
     # the keys are distinct, so the order has no ties either way.
-    rows, keys, visits = chain.rows, chain.keys, chain.visits
+    rows, keys, visits = walk.kernel.rows, walk.kernel.keys, walk.visits
     ranked = heapq.nsmallest(
         cfg.children_kept, [sid for sid, n in enumerate(visits) if n],
         key=lambda sid: (-rows[sid][0], keys[sid]),
@@ -499,25 +575,29 @@ def sample_children(
 
 
 def enumerate_children(
-    matrix: AssociationMatrix, birth_cfg: BirthDeathConfig, p_d: float
+    matrix: AssociationMatrix,
+    birth_cfg: BirthDeathConfig,
+    p_d: float,
+    kernel: Kernel | None = None,
 ) -> list[ChildSample]:
     """Every child over matrix: the event of each key of
-    enumerate_child_keys, in its order, with its _Chain.tally score and
-    visits 0."""
-    chain = _Chain(matrix, birth_cfg, p_d)
+    enumerate_child_keys, in its order, with its Kernel.tally score and
+    visits 0. kernel is Kernel(matrix, birth_cfg, p_d), built here when
+    None."""
+    tally = (kernel or Kernel(matrix, birth_cfg, p_d)).tally
     return [
-        ChildSample(matrix.event_of(key), chain.tally(key)[4], visits=0)
+        ChildSample(matrix.event_of(key), tally(key)[4], visits=0)
         for key in enumerate_child_keys(matrix)
     ]
 
 
 def child_score_bounds(
     scan_matrix: AssociationMatrix,
-    cols_by_parent: Sequence[list[int]],
+    cols_by_parent: Sequence[Sequence[int]],
     birth_cfg: BirthDeathConfig,
     p_d: float,
 ) -> list[float]:
-    """An upper bound on every _Chain.tally score over each parent's matrix
+    """An upper bound on every Kernel.tally score over each parent's matrix
     of one scan, scan_matrix.select(cols) for cols in cols_by_parent,
     read from scan_matrix without selecting one.
 

@@ -3,13 +3,17 @@ in one RK4 pass (filters.propagate_flows), predict each once and pair it
 with the returns once, in one scan-level association matrix; bound each
 parent's child scores from that matrix and the parent's columns of it
 (sampler.child_score_bounds); for each parent whose best child could still
-be among the h_inf heaviest, select its columns of the matrix
-(AssociationMatrix.select) and generate its children by one call:
+be among the h_inf heaviest, generate its children by one call:
 sampler.sample_children (the MCMC walk) or sampler.enumerate_children
-(exhaustive mode); keep the h_inf heaviest candidates, gathered in one
-list, and normalize over them (one prune pass), realize them in one pass
-(_realize: one stacked update, filters.update_tracks, of the (track,
-return) pairs they claim, then birth/death bookkeeping), and report. A
+(exhaustive mode), over its columns of the matrix. Each distinct column
+tuple among those parents (parents holding the same tracks in the same
+order) is selected once per scan (AssociationMatrix.select) and gets one
+sampler.Kernel, which every call over it shares: its rows are built once
+for all the walks over that matrix. Nothing is kept across scans. Keep
+the h_inf heaviest candidates, gathered in one list, and normalize over
+them (one prune pass), realize them in one pass (_realize: one stacked
+update, filters.update_tracks, of the (track, return) pairs they claim,
+then birth/death bookkeeping), and report. A
 birth is a hypothesis-level event: the return a scan reads as a birth is
 one newborn track, labeled by scan and return index, in every child that
 births it. A degenerate update (no candidate carries mass) realizes each
@@ -25,9 +29,10 @@ output depends only on what it keeps, and it ranks them by a unique key,
 so neither the skip nor the order candidates are gathered in changes a bit
 of a scan's hypotheses.
 
-A walk (sampler._Chain.run, which simulates the Metropolis chain by its
-jump chain) is seeded by the run seed and its parent's id alone, so the
-visiting order changes no walk."""
+A walk (sampler._Walk.run, which simulates the Metropolis chain by its
+jump chain) is seeded by the run seed and its parent's id alone, and a
+kernel row is a pure function of its state, so neither the visiting order
+nor the kernel a walk shares changes a walk."""
 
 from __future__ import annotations
 
@@ -63,6 +68,7 @@ from .hypotheses import (
 )
 from .likelihoods import ClutterModel, build_matrix, newborn_track
 from .sampler import (
+    Kernel,
     SamplerConfig,
     child_score_bounds,
     enumerate_children,
@@ -254,11 +260,13 @@ class Tracker:
             for j, t in enumerate(sources)
         ]
         scan_matrix = build_matrix(distinct, frame.returns, cfg.sensor, cfg.clutter, bd)
-        cols_by_parent = [[col_of[id(t)] for t in parent.tracks] for parent in parents]
+        cols_by_parent = [tuple(col_of[id(t)] for t in parent.tracks) for parent in parents]
         predicted_by_parent = [tuple(distinct[j] for j in cols) for cols in cols_by_parent]
         bounds = child_score_bounds(scan_matrix, cols_by_parent, bd, cfg.sensor.p_d)
         candidates: list[Candidate] = []
         heaviest: list[float] = []  # min-heap, the h_inf heaviest finite weights
+        kernels: dict[tuple[int, ...], Kernel] = {}  # by the parent's columns
+        unvisited = Counter(cols_by_parent)
         visited = 0
         # sorted is stable, so ties keep parent order.
         order = sorted(range(len(parents)), key=lambda p: -(parents[p].log_weight + bounds[p]))
@@ -268,12 +276,22 @@ class Tracker:
                 break
             visited += 1
             # A parent's matrix has the labels and track count of its
-            # predicted tracks (prediction keeps labels).
-            matrix = scan_matrix.select(cols_by_parent[p])
+            # predicted tracks (prediction keeps labels); parents that hold
+            # the same tracks in the same order share one matrix and kernel.
+            # A kernel is let go once the last of its parents has walked:
+            # rows held to the end of the scan only add to the garbage
+            # collector's work (about 1% of a single-spawn scan).
+            cols = cols_by_parent[p]
+            kernel = kernels.pop(cols, None) or Kernel(
+                scan_matrix.select(cols), bd, cfg.sensor.p_d)
+            unvisited[cols] -= 1
+            if unvisited[cols]:
+                kernels[cols] = kernel
             if cfg.mode is TrackerMode.EXHAUSTIVE:
-                samples = enumerate_children(matrix, bd, cfg.sensor.p_d)
+                samples = enumerate_children(kernel.matrix, bd, cfg.sensor.p_d, kernel)
             else:
-                samples = sample_children(parent, matrix, cfg.sampler, bd, cfg.sensor)
+                samples = sample_children(
+                    parent, kernel.matrix, cfg.sampler, bd, cfg.sensor, kernel)
             for s in samples:
                 weight = parent.log_weight + s.log_score
                 candidates.append(Candidate(parent.id, predicted_by_parent[p], s.event, weight))

@@ -37,7 +37,13 @@ from mcmctrack.oracle import (
     exact_posterior,
     tv_distance,
 )
-from mcmctrack.sampler import _Chain, child_score_bounds, enumerate_children, prior_table
+from mcmctrack.sampler import (
+    Kernel,
+    _Walk,
+    child_score_bounds,
+    enumerate_children,
+    prior_table,
+)
 
 
 def wide_sensor(p_d=0.9):
@@ -390,14 +396,15 @@ class TestEnumerateChildEvents:
         # The walk's random initial state draws only from that pattern (a
         # second draw of t00 resolves to clutter, which is supported too).
         for seed in range(50):
-            chain = _Chain(mat, cfg, sensor.p_d)
-            chain.start(np.random.default_rng(seed))
-            assign, deaths = chain.keys[chain.sid]
+            kernel = Kernel(mat, cfg, sensor.p_d)
+            walk = _Walk(kernel)
+            walk.start(np.random.default_rng(seed))
+            assign, deaths = kernel.keys[walk.sid]
             assert all(col in mat.supported[i] for i, col in enumerate(assign))
             # No selected zero-likelihood entry: the score is the prior plus
             # the finite sum rather than tally's -inf short cut.
-            _, k, n_b, finite, score = chain.tally((assign, deaths))
-            assert score == chain.prior[k][n_b][len(deaths)] + finite
+            _, k, n_b, finite, score = kernel.tally((assign, deaths))
+            assert score == kernel.prior[k][n_b][len(deaths)] + finite
 
     def test_budget_raises_on_the_event_past_it(self, monkeypatch):
         mat = dense_matrix(["t00"], 2, [False])  # eight supported events

@@ -1,6 +1,7 @@
 """Metropolis walk: proposal rules, acceptance, kernel rows, holding times,
 dedup, oracle agreement."""
 
+import itertools
 import math
 import sys
 import warnings
@@ -41,8 +42,9 @@ from mcmctrack.oracle import (
 )
 from mcmctrack.presets import PRESETS, preset_single_spawn, tracker_config_for
 from mcmctrack.sampler import (
+    Kernel,
     SamplerConfig,
-    _Chain,
+    _Walk,
     enumerate_children,
     prior_table,
     sample_children,
@@ -90,15 +92,16 @@ def key_of(matrix, event):
 
 
 def walk_for(matrix, cfg, sensor):
-    """_Chain over one instance, awaiting only (rng, event=None): started
-    from rng, or standing on event and drawing from rng."""
+    """A _Walk over a fresh Kernel of one instance, awaiting only (rng,
+    event=None): started from rng, or standing on event and drawing from
+    rng."""
 
     def walk(rng, event=None):
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
         if event is None:
             chain.start(rng)
         else:
-            chain.sid = chain.state_id(key_of(matrix, event))
+            chain.sid = chain.kernel.state_id(key_of(matrix, event))
             chain.rng = rng
         return chain
 
@@ -115,38 +118,44 @@ def loaded(walk, event):
     return walk(np.random.default_rng(0), event)
 
 
+def key_at(chain):
+    """The key of the walk chain's state."""
+    return chain.kernel.keys[chain.sid]
+
+
 def event_at(chain):
-    """The event of the chain's state."""
-    return chain.matrix.event_of(chain.keys[chain.sid])
+    """The event of the walk chain's state."""
+    return chain.kernel.matrix.event_of(key_at(chain))
 
 
 def tally_at(chain):
-    """chain.tally of its state: (claimed_by, k, n_b, finite, score)."""
-    return chain.tally(chain.keys[chain.sid])
+    """The kernel's tally of the walk chain's state: (claimed_by, k, n_b,
+    finite, score)."""
+    return chain.kernel.tally(key_at(chain))
 
 
 def visits_of(chain):
-    """chain.visits by key, for the ids with a visit."""
-    return {chain.keys[sid]: n for sid, n in enumerate(chain.visits) if n}
+    """The walk chain's visits by key, for the ids with a visit."""
+    return {chain.kernel.keys[sid]: n for sid, n in enumerate(chain.visits) if n}
 
 
 def reset_visits(chain):
-    """Zero chain.visits, as sample_children does after burn-in."""
-    chain.visits = [0] * len(chain.keys)
+    """Zero the walk chain's visits, as sample_children does after burn-in."""
+    chain.visits = [0] * len(chain.visits)
 
 
-def kernel_row(chain, key):
+def kernel_row(kernel, key):
     """The one-step kernel row of state key as (score, p, cumulative,
     destinations), destinations as keys: a view of its kernel row, which is
-    built on the first request (build_row) and memoized for the walk."""
-    sid = chain.state_id(key)
-    score, p, cumulative, destinations = chain.rows[sid] or chain.build_row(sid)
-    return score, p, cumulative, [chain.keys[d] for d in destinations]
+    built on the first request (build_row) and memoized in the kernel."""
+    sid = kernel.state_id(key)
+    score, p, cumulative, destinations = kernel.rows[sid] or kernel.build_row(sid)
+    return score, p, cumulative, [kernel.keys[d] for d in destinations]
 
 
 def reference_score(matrix, cfg, p_d, key):
     """log_count_prior of key's counts plus its selected entries, summed
-    here rather than by _Chain."""
+    here rather than by Kernel."""
     assign, deaths = key
     n_objects = matrix.n_objects
     entries = [matrix.log_entries[i, c] for i, c in enumerate(assign)]
@@ -235,11 +244,11 @@ def reference_row(matrix, cfg, p_d, key):
     return row
 
 
-def production_row(chain, key):
-    """kernel_row(chain, key) as {destination: probability}, after checking
+def production_row(kernel, key):
+    """kernel_row(kernel, key) as {destination: probability}, after checking
     its shape: one cumulative entry per destination, non-decreasing from a
     positive first move, ending at p."""
-    _, p, cumulative, destinations = kernel_row(chain, key)
+    _, p, cumulative, destinations = kernel_row(kernel, key)
     assert len(cumulative) == len(destinations)
     assert p == (cumulative[-1] if cumulative else 0.0)
     row = {}
@@ -260,16 +269,16 @@ def assert_rows_match(production, reference, tol=1e-12):
 def row_of(walk, event):
     """The production row of event's state, keyed by destination event."""
     chain = walk(np.random.default_rng(0), event)
-    key = chain.keys[chain.sid]
-    return {chain.matrix.event_of(d): prob for d, prob in production_row(chain, key).items()}
+    row = production_row(chain.kernel, key_at(chain))
+    return {chain.kernel.matrix.event_of(d): prob for d, prob in row.items()}
 
 
 def proposal_support(walk, event):
     """All events one accepted proposal away from event (itself included
     when some step leaves the state unchanged)."""
     chain = walk(np.random.default_rng(0), event)
-    _, p, _, destinations = kernel_row(chain, chain.keys[chain.sid])
-    out = {chain.matrix.event_of(d).canonical_key() for d in destinations}
+    _, p, _, destinations = kernel_row(chain.kernel, key_at(chain))
+    out = {chain.kernel.matrix.event_of(d).canonical_key() for d in destinations}
     if p < 1.0:
         out.add(event.canonical_key())
     return out
@@ -287,7 +296,7 @@ class TestInitChain:
 
     def test_zero_returns(self):
         parent, matrix, cfg, sensor = make_instance([(100.0, 0.0)], np.empty((0, 2)))
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
         chain.start(np.random.default_rng(0))
         assert event_at(chain).assignments == ()
         assert event_at(chain).deaths == frozenset()
@@ -316,8 +325,8 @@ class TestInitChain:
             [[99.0, 1.0], [52.0, 58.0]],
         )
         event = AssociationEvent(assignments=(BIRTH, "t01"), deaths=frozenset({"t02"}))
-        chain = _Chain(matrix, cfg, sensor.p_d)
-        chain.sid = chain.state_id(key_of(matrix, event))
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
+        chain.sid = chain.kernel.state_id(key_of(matrix, event))
         assert event_at(chain) == event
         _, k, n_b, _, score = tally_at(chain)
         assert (k, n_b) == (1, 1)
@@ -432,9 +441,10 @@ class TestPropose:
                 return self.table[i]
 
         chain = loaded(walk, AssociationEvent(assignments=(CLUTTER,)))
-        assert chain.entries[0][0] == -math.inf
-        chain.prior = RecordingTable(chain.prior)
-        _, _, _, destinations = kernel_row(chain, chain.keys[chain.sid])
+        kernel = chain.kernel
+        assert kernel.entries[0][0] == -math.inf
+        kernel.prior = RecordingTable(kernel.prior)
+        _, _, _, destinations = kernel_row(kernel, key_at(chain))
         assert destinations == [((1,), ()), ((2,), (0,))]  # birth, t00 dies
         # tally reads the state's counts, then the row birth's and the
         # death's.
@@ -445,24 +455,24 @@ class TestPropose:
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]], n_pixels=1
         )
         assert matrix.death_eligible == (True, True)
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        kernel = Kernel(matrix, cfg, sensor.p_d)
         # The table holds exactly the triples k + n_b <= 2, k + n_d <= 2.
         cells = [(k, n_b, n_d) for k in range(3) for n_b in range(3 - k) for n_d in range(3 - k)]
         assert cells == [
             (k, n_b, n_d)
-            for k, births in enumerate(chain.prior)
+            for k, births in enumerate(kernel.prior)
             for n_b, deaths in enumerate(births)
             for n_d in range(len(deaths))
         ]
         for k, n_b, n_d in cells:
             expected = log_count_prior(k, n_b, n_d, 2, 2, cfg, sensor.p_d)
-            assert chain.prior[k][n_b][n_d] == expected
-        assert chain.prior[0][2][0] == -math.inf  # more births than pixels
-        # Chains over matrices of one key share one table; another key
+            assert kernel.prior[k][n_b][n_d] == expected
+        assert kernel.prior[0][2][0] == -math.inf  # more births than pixels
+        # Kernels over matrices of one key share one table; another key
         # (here p_d, or one object fewer) has its own.
-        assert _Chain(matrix.select([1, 0]), cfg, sensor.p_d).prior is chain.prior
-        assert _Chain(matrix, cfg, 0.5).prior is not chain.prior
-        assert _Chain(matrix.select([0]), cfg, sensor.p_d).prior is not chain.prior
+        assert Kernel(matrix.select([1, 0]), cfg, sensor.p_d).prior is kernel.prior
+        assert Kernel(matrix, cfg, 0.5).prior is not kernel.prior
+        assert Kernel(matrix.select([0]), cfg, sensor.p_d).prior is not kernel.prior
 
     def test_never_produces_duplicate_claims(self):
         parent, walk = make_walk(
@@ -477,9 +487,10 @@ class TestPropose:
             assert len(objs) == len(set(objs))
             assert not (event.deaths & set(objs))
         # Nor does any row's destination.
-        for row in filter(None, chain.rows):
-            for assign, deaths in (chain.keys[d] for d in row[3]):
-                objs = [c for c in assign if c < chain.n_objects]
+        kernel = chain.kernel
+        for row in filter(None, kernel.rows):
+            for assign, deaths in (kernel.keys[d] for d in row[3]):
+                objs = [c for c in assign if c < kernel.n_objects]
                 assert len(objs) == len(set(objs))
                 assert not set(deaths) & set(objs)
 
@@ -487,7 +498,7 @@ class TestPropose:
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0), (50.0, 60.0)], [[99.0, 1.0], [52.0, 58.0]]
         )
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
         chain.start(np.random.default_rng(5))
         for _ in range(200):
             chain.run(1)
@@ -495,7 +506,7 @@ class TestPropose:
             expected = log_child_prior(
                 event, parent, cfg, sensor.p_d, 2
             ) + hypothesis_log_likelihood(event, matrix)
-            for score in (tally_at(chain)[4], chain.rows[chain.sid][0]):
+            for score in (tally_at(chain)[4], chain.kernel.rows[chain.sid][0]):
                 if expected == -math.inf:
                     assert score == -math.inf
                 else:
@@ -519,38 +530,39 @@ class TestMetropolis:
         )
 
     @staticmethod
-    def chain(matrix):
-        return _Chain(matrix, BirthDeathConfig(alpha=0.05, beta=0.0, n_pixels=1), 0.9)
+    def kernel(matrix):
+        return Kernel(matrix, BirthDeathConfig(alpha=0.05, beta=0.0, n_pixels=1), 0.9)
 
-    def gap(self, chain):
+    def gap(self, kernel):
         """t00's entry that makes candidate - current equal 0."""
-        return chain.prior[0][0][0] - chain.prior[1][0][0]
+        return kernel.prior[0][0][0] - kernel.prior[1][0][0]
 
     START = ((2,), ())
     TO_T00 = ((0,), ())
 
     def test_higher_score_always_accepted(self):
-        chain = self.chain(self.matrix(0.0))
-        chain = self.chain(self.matrix(self.gap(chain) + 2.0))
-        assert production_row(chain, self.START)[self.TO_T00] == self.Q
+        kernel = self.kernel(self.matrix(0.0))
+        kernel = self.kernel(self.matrix(self.gap(kernel) + 2.0))
+        assert production_row(kernel, self.START)[self.TO_T00] == self.Q
 
     def test_half_ratio_accepted_half_the_time(self):
-        chain = self.chain(self.matrix(0.0))
-        chain = self.chain(self.matrix(self.gap(chain) - math.log(2.0)))
-        assert production_row(chain, self.START)[self.TO_T00] == pytest.approx(
+        kernel = self.kernel(self.matrix(0.0))
+        kernel = self.kernel(self.matrix(self.gap(kernel) - math.log(2.0)))
+        assert production_row(kernel, self.START)[self.TO_T00] == pytest.approx(
             self.Q / 2, rel=1e-12)
         # And one-step walks from the start take the move that often.
+        chain = _Walk(kernel)
         chain.rng = np.random.default_rng(321)
         hits = 0
         for _ in range(100_000):
-            chain.sid = chain.state_id(self.START)
+            chain.sid = kernel.state_id(self.START)
             chain.run(1)
-            hits += chain.keys[chain.sid] == self.TO_T00
+            hits += key_at(chain) == self.TO_T00
         assert abs(hits / 100_000 - self.Q / 2) < 0.005
 
     def test_minus_inf_always_rejected(self):
-        chain = self.chain(self.matrix(-math.inf))
-        assert self.TO_T00 not in production_row(chain, self.START)
+        kernel = self.kernel(self.matrix(-math.inf))
+        assert self.TO_T00 not in production_row(kernel, self.START)
 
     def test_minus_inf_accepted_on_zero_mass_plateau(self):
         # From a zero-mass state every proposal that changes the state is
@@ -558,9 +570,9 @@ class TestMetropolis:
         # plateau can leave it: here clutter's entry is -inf, and both the
         # finite t00 and the -inf birth are destinations.
         for t00 in (-math.inf, 0.0):
-            chain = self.chain(self.matrix(t00, clutter_entry=-math.inf))
-            row = production_row(chain, self.START)
-            assert chain.rows[chain.ids[self.START]][0] == -math.inf
+            kernel = self.kernel(self.matrix(t00, clutter_entry=-math.inf))
+            row = production_row(kernel, self.START)
+            assert kernel.rows[kernel.ids[self.START]][0] == -math.inf
             assert row == {self.TO_T00: self.Q, ((1,), ()): self.Q}
 
 
@@ -740,10 +752,10 @@ class TestExactKernel:
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=beta, clutter_density=1e-3,
         )
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        kernel = Kernel(matrix, cfg, sensor.p_d)
         keys = list(all_keys(matrix))
         reference = {key: reference_row(matrix, cfg, sensor.p_d, key) for key in keys}
-        production = {key: production_row(chain, key) for key in keys}
+        production = {key: production_row(kernel, key) for key in keys}
         for key in keys:
             assert_rows_match(production[key], reference[key])
         finite = {key for key in keys
@@ -761,8 +773,8 @@ class TestExactKernel:
         _, matrix, cfg, sensor = make_instance(*self.INSTANCES["plateau"])
         births = ((1, 1), ())
         assert matrix.supported == ((1, 2), (1, 2))
-        chain = _Chain(matrix, cfg, sensor.p_d)
-        score, p, _, destinations = kernel_row(chain, births)
+        kernel = Kernel(matrix, cfg, sensor.p_d)
+        score, p, _, destinations = kernel_row(kernel, births)
         assert score == -math.inf
         # Each row proposes t00 (-inf entry) or clutter, and the death row
         # toggles t00: five changes, each accepted, none left on the state.
@@ -778,7 +790,7 @@ class TestExactKernel:
     @settings(max_examples=150, deadline=None)
     def test_rows_match_reference_on_random_sparse_matrices(self, mat, n_pixels, p_d, data):
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
-        chain = _Chain(mat, cfg, p_d)
+        kernel = Kernel(mat, cfg, p_d)
         n_objects = mat.n_objects
         for _ in range(6):
             assign = []
@@ -791,7 +803,7 @@ class TestExactKernel:
             deaths = tuple(j for j in pool if data.draw(st.booleans()))
             key = (tuple(assign), deaths)
             expected = reference_row(mat, cfg, p_d, key)
-            assert_rows_match(production_row(chain, key), expected)
+            assert_rows_match(production_row(kernel, key), expected)
             if reference_score(mat, cfg, p_d, key) > -math.inf:
                 # No -inf destination from a finite state.
                 assert all(reference_score(mat, cfg, p_d, d) > -math.inf for d in expected)
@@ -807,9 +819,9 @@ class TestExactKernel:
         captured = []
         real = tracker_module.sample_children
 
-        def capturing(parent, matrix, scfg, bd, sensor):
+        def capturing(parent, matrix, scfg, bd, sensor, kernel):
             captured.append((parent, matrix, bd, sensor))
-            return real(parent, matrix, scfg, bd, sensor)
+            return real(parent, matrix, scfg, bd, sensor, kernel)
 
         monkeypatch.setattr(tracker_module, "sample_children", capturing)
         instances = []
@@ -835,10 +847,10 @@ class TestExactKernel:
                     pi[key] = score
             top = max(pi.values())
             pi = {key: math.exp(score - top) for key, score in pi.items()}
-            chain = _Chain(matrix, bd, sensor.p_d)
+            kernel = Kernel(matrix, bd, sensor.p_d)
             rows = {}
             for key in pi:
-                _, _, cumulative, destinations = kernel_row(chain, key)
+                _, _, cumulative, destinations = kernel_row(kernel, key)
                 assert all(dest in pi for dest in destinations)
                 # A move far less likely than the row's sum so far leaves the
                 # cumulative sum unchanged: probability 0 here, but still a
@@ -865,13 +877,13 @@ class TestOneScorer:
     def test_enumerated_scores_are_row_scores(self, mat, n_pixels, p_d):
         # Enumerated and walked children share one scorer: each child of
         # enumerate_children, in enumeration order, carries bit for bit the
-        # score of its key's kernel row in a fresh chain.
+        # score of its key's kernel row in a fresh kernel.
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
         keys = list(enumerate_child_keys(mat))
         children = enumerate_children(mat, cfg, p_d)
         assert [c.event for c in children] == [mat.event_of(key) for key in keys]
         for key, child in zip(keys, children):
-            score = kernel_row(_Chain(mat, cfg, p_d), key)[0]
+            score = kernel_row(Kernel(mat, cfg, p_d), key)[0]
             assert score.hex() == child.log_score.hex()
             assert child.visits == 0
 
@@ -904,7 +916,7 @@ class TestStream:
     @staticmethod
     def replay(rows, rng, stacks, key, steps, visits):
         """The jump chain as the stream contract states it, over the rows
-        of a second chain, drawing from rng: each departure from a state
+        of a second kernel, drawing from rng: each departure from a state
         with p > 0 (or hold of a budget there) pops the next pair of the
         state's stack in stacks (key -> [pairs left, next batch size]),
         which is refilled when empty with a batch of n pairs, n = 16 at
@@ -954,9 +966,10 @@ class TestStream:
 
     @staticmethod
     def started(matrix, cfg, p_d, seed):
-        """A chain started from default_rng(seed), and a second generator
-        of the same entropy that has drawn start's one integers call."""
-        chain = _Chain(matrix, cfg, p_d)
+        """A walk chain started from default_rng(seed), and a second
+        generator of the same entropy that has drawn what start's draws
+        amount to, one integers call over the rows' support sizes."""
+        chain = _Walk(Kernel(matrix, cfg, p_d))
         chain.start(np.random.default_rng(seed))
         ref = np.random.default_rng(seed)
         ref.integers(0, [len(s) or matrix.n_objects + 2 for s in matrix.supported])
@@ -965,8 +978,8 @@ class TestStream:
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_stream_contract(self, seed):
-        # start's integer draws are one rng.integers call over each row's
-        # support size. A reference generator of the same entropy replaying
+        # start's integer draws amount to one rng.integers call over each
+        # row's support size. A reference generator of the same entropy replaying
         # the documented jump chain over the same rows then stays in the
         # chain generator's state, run by run, and the visits recorded
         # after burn-in agree.
@@ -974,8 +987,8 @@ class TestStream:
             *self.INSTANCES["sparse"], clutter_density=3e-3,
         )
         chain, ref = self.started(matrix, cfg, sensor.p_d, seed)
-        rows = _Chain(matrix, cfg, sensor.p_d)
-        key = chain.keys[chain.sid]
+        rows = Kernel(matrix, cfg, sensor.p_d)
+        key = key_at(chain)
         stacks, expected = {}, {}
         batches = moves = 0
         for steps, reset in [(300, False), (4000, True)]:
@@ -986,7 +999,7 @@ class TestStream:
             key, b, mv = self.replay(rows, ref, stacks, key, steps, expected)
             batches += b
             moves += mv
-            assert chain.keys[chain.sid] == key
+            assert key_at(chain) == key
             assert ref.bit_generator.state == chain.rng.bit_generator.state
         assert visits_of(chain) == expected
         assert sum(chain.visits) == 4000
@@ -998,11 +1011,11 @@ class TestStream:
     def assert_runs_follow_replay(cls, matrix, cfg, p_d, seed, budgets):
         """Runs of budgets[i] = (steps, reset) steps each, the visits zeroed
         before the run where reset is true, end where the replay over a
-        second chain's rows ends, with its generator state and its
+        second kernel's rows ends, with its generator state and its
         visits."""
         chain, ref = cls.started(matrix, cfg, p_d, seed)
-        rows = _Chain(matrix, cfg, p_d)
-        key = chain.keys[chain.sid]
+        rows = Kernel(matrix, cfg, p_d)
+        key = key_at(chain)
         stacks, expected = {}, {}
         for steps, reset in budgets:
             if reset:
@@ -1010,7 +1023,7 @@ class TestStream:
                 expected.clear()
             chain.run(steps)
             key, _, _ = cls.replay(rows, ref, stacks, key, steps, expected)
-            assert chain.keys[chain.sid] == key
+            assert key_at(chain) == key
             assert ref.bit_generator.state == chain.rng.bit_generator.state
         assert visits_of(chain) == expected
 
@@ -1150,14 +1163,14 @@ class TestKeyCache:
         parent, matrix, cfg, sensor = make_instance(
             positions, returns, beta=0.05, clutter_density=3e-3,
         )
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
         chain.start(np.random.default_rng(8))
-        before = chain.keys[chain.sid]
+        before = key_at(chain)
         toggles = swaps = 0
         for step in range(1, 5001):
             chain.run(1)
-            fresh = chain.keys[chain.sid]
-            assert chain.rows[chain.sid][0] == pytest.approx(
+            fresh = key_at(chain)
+            assert chain.kernel.rows[chain.sid][0] == pytest.approx(
                 reference_score(matrix, cfg, sensor.p_d, fresh), rel=1e-12)
             assert sum(chain.visits) == step
             if fresh[1] != before[1]:
@@ -1175,7 +1188,7 @@ class TestIdRows:
         # A state's row is built the first time the walk stands on it and
         # read from the memo ever after, across runs; a state that is only
         # named as a destination gets an id and no row.
-        class CountingChain(_Chain):
+        class CountingKernel(Kernel):
             __slots__ = ("built",)
 
             def build_row(self, sid):
@@ -1185,18 +1198,19 @@ class TestIdRows:
         _, matrix, cfg, sensor = make_instance(
             *TestExactKernel.INSTANCES[name], clutter_density=3e-3,
         )
-        chain = CountingChain(matrix, cfg, sensor.p_d)
-        chain.built = []
+        kernel = CountingKernel(matrix, cfg, sensor.p_d)
+        kernel.built = []
+        chain = _Walk(kernel)
         chain.start(np.random.default_rng(4))
-        start = chain.keys[chain.sid]
+        start = key_at(chain)
         for steps in (500, 20_000, 20_000):
             chain.run(steps)
-        assert len(chain.built) == len(set(chain.built)) > 1
-        assert {chain.keys[s] for s in chain.built} == set(visits_of(chain)) | {start}
-        assert [s for s, row in enumerate(chain.rows) if row is not None] == sorted(chain.built)
-        assert len(chain.keys) == len(chain.ids) == len(chain.rows)
-        assert len(chain.visits) == len(chain.keys) == len(chain.rows)
-        assert all(chain.ids[key] == s for s, key in enumerate(chain.keys))
+        assert len(kernel.built) == len(set(kernel.built)) > 1
+        assert {kernel.keys[s] for s in kernel.built} == set(visits_of(chain)) | {start}
+        assert [s for s, row in enumerate(kernel.rows) if row is not None] == sorted(kernel.built)
+        assert len(kernel.keys) == len(kernel.ids) == len(kernel.rows)
+        assert len(chain.visits) == len(kernel.keys) == len(kernel.rows)
+        assert all(kernel.ids[key] == s for s, key in enumerate(kernel.keys))
 
 
 class TestHolding:
@@ -1208,11 +1222,11 @@ class TestHolding:
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0)], np.empty((0, 2)), beta=0.0,
         )
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
         chain.start(np.random.default_rng(0))
         chain.run(10**15)
         assert visits_of(chain) == {((), ()): 10**15}
-        assert kernel_row(chain, ((), ()))[1] == 0.0
+        assert kernel_row(chain.kernel, ((), ()))[1] == 0.0
         chain.run(2**70)
         assert visits_of(chain) == {((), ()): 10**15 + 2**70}
         assert chain.rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
@@ -1223,10 +1237,11 @@ class TestHolding:
         # MAX_HOLD steps, so each part holds out on one pair: the whole
         # budget stays on the state, from one batch of pairs.
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        kernel = Kernel(matrix, cfg, sensor.p_d)
         a, b = ((0, 1), ()), ((1, 0), ())
-        ia, ib = chain.state_id(a), chain.state_id(b)
-        chain.rows[ia] = (0.0, 1e-300, [1e-300], [ib])
+        ia, ib = kernel.state_id(a), kernel.state_id(b)
+        kernel.rows[ia] = (0.0, 1e-300, [1e-300], [ib])
+        chain = _Walk(kernel)
         chain.sid = ia
         chain.rng = np.random.default_rng(0)
         steps = 3 * sampler.MAX_HOLD + 5
@@ -1252,26 +1267,29 @@ class TestHolding:
 
     def test_zero_steps_draw_nothing(self):
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
         chain.start(np.random.default_rng(0))
-        key = chain.keys[chain.sid]
+        key = key_at(chain)
         state = chain.rng.bit_generator.state
         chain.run(0)
-        assert (visits_of(chain), chain.keys[chain.sid]) == ({}, key)
+        assert (visits_of(chain), key_at(chain)) == ({}, key)
         assert chain.rng.bit_generator.state == state
 
     @staticmethod
     def scripted(spans_a, spans_b):
-        """A chain on two states a and b of the 2x2 instance, standing on a,
-        whose pair sources give spans_a and spans_b in turn, each moving to
-        the other state: run takes its pairs from them and draws nothing."""
+        """A walk chain on two states a and b of the 2x2 instance, standing
+        on a, whose pair sources give spans_a and spans_b in turn, each
+        moving to the other state: run takes its pairs from them and draws
+        nothing."""
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
-        chain = _Chain(matrix, cfg, sensor.p_d)
-        ia, ib = chain.state_id(((0, 1), ())), chain.state_id(((1, 0), ()))
-        chain.rows[ia] = (0.0, 0.5, [0.5], [ib])
-        chain.rows[ib] = (0.0, 0.5, [0.5], [ia])
-        chain.pairs[ia] = iter([(span, ib) for span in spans_a]).__next__
-        chain.pairs[ib] = iter([(span, ia) for span in spans_b]).__next__
+        kernel = Kernel(matrix, cfg, sensor.p_d)
+        ia, ib = kernel.state_id(((0, 1), ())), kernel.state_id(((1, 0), ()))
+        kernel.rows[ia] = (0.0, 0.5, [0.5], [ib])
+        kernel.rows[ib] = (0.0, 0.5, [0.5], [ia])
+        chain = _Walk(kernel)
+        chain._cover()
+        chain.pairs[ia] = iter([(span, ib) for span in spans_a])
+        chain.pairs[ib] = iter([(span, ia) for span in spans_b])
         chain.sid = ia
         return chain, ia, ib
 
@@ -1281,7 +1299,7 @@ class TestHolding:
         # spent holding on b; run(0) takes no pair and adds no visit; a
         # span of 1 is a move step alone.
         chain, ia, ib = self.scripted([3, 2], [5, 1, 9])
-        a, b = chain.keys[ia], chain.keys[ib]
+        a, b = chain.kernel.keys[ia], chain.kernel.keys[ib]
         chain.run(3)
         assert (visits_of(chain), chain.sid) == ({a: 2, b: 1}, ib)
         chain.run(4)
@@ -1290,7 +1308,7 @@ class TestHolding:
         assert (visits_of(chain), chain.sid) == ({a: 2, b: 5}, ib)
         chain.run(1)
         assert (visits_of(chain), chain.sid) == ({a: 3, b: 5}, ia)
-        assert (chain.pairs[ia](), chain.pairs[ib]()) == ((2, ib), (9, ia))
+        assert (next(chain.pairs[ia]), next(chain.pairs[ib])) == ((2, ib), (9, ia))
 
     @pytest.mark.parametrize("budgets", [[0, 0, 5], [1] * 12, [2, 0, 3, 1, 6], [19]])
     def test_split_runs_add_exactly_their_steps(self, budgets):
@@ -1310,12 +1328,13 @@ class TestHolding:
         # uniforms, and every span is 1. The largest uniform still lands on
         # the last destination.
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        kernel = Kernel(matrix, cfg, sensor.p_d)
         a, b = ((0, 1), ()), ((1, 0), ())
-        ia, ib = chain.state_id(a), chain.state_id(b)
+        ia, ib = kernel.state_id(a), kernel.state_id(b)
         p = 1.0 + 2.0**-52
-        chain.rows[ia] = (0.0, p, [0.5, p], [ib, ib])
-        chain.rows[ib] = (0.0, p, [0.5, p], [ia, ia])
+        kernel.rows[ia] = (0.0, p, [0.5, p], [ib, ib])
+        kernel.rows[ib] = (0.0, p, [0.5, p], [ia, ia])
+        chain = _Walk(kernel)
         chain.sid = ia
         chain.rng = np.random.default_rng(0)
         chain.run(5)
@@ -1331,28 +1350,34 @@ class TestHolding:
             def random(self, n):
                 return np.full(n, 1.0 - 2.0**-53)
 
-        batch = next(sampler._batches(TopRng(), (0.0, p, [0.5, p], [ia, ib])))
+        row = (0.0, p, [0.5, p], [ia, ib])
+        batch = next(sampler._batches(TopRng(), row))
         assert list(batch) == [(1, ib)] * sampler.FIRST_BATCH
+        # So does a first pair, turned in Python floats.
+        span, dest, rest = sampler._first_pair(TopRng(), row)
+        assert [(span, dest), *islice(rest, 3)] == [(1, ib)] * 4
 
     def test_one_source_per_state(self, monkeypatch):
         # Two states that every step moves between (p = 1), each left more
         # than 3 * FIRST_BATCH times, so across at least two batch
         # boundaries: each makes one _batches generator, at its first
-        # departure, and keeps that one source in pairs for the whole walk.
+        # departure (which it starts at the second), and keeps that one
+        # source in pairs for the whole walk.
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
-        chain = _Chain(matrix, cfg, sensor.p_d)
-        ia, ib = chain.state_id(((0, 1), ())), chain.state_id(((1, 0), ()))
-        chain.rows[ia] = (0.0, 1.0, [0.5, 1.0], [ib, ib])
-        chain.rows[ib] = (0.0, 1.0, [0.5, 1.0], [ia, ia])
+        kernel = Kernel(matrix, cfg, sensor.p_d)
+        ia, ib = kernel.state_id(((0, 1), ())), kernel.state_id(((1, 0), ()))
+        kernel.rows[ia] = (0.0, 1.0, [0.5, 1.0], [ib, ib])
+        kernel.rows[ib] = (0.0, 1.0, [0.5, 1.0], [ia, ia])
+        chain = _Walk(kernel)
         chain.sid = ia
         chain.rng = np.random.default_rng(0)
         made = []
         batches = sampler._batches
 
-        def counted(rng, row):
+        def counted(rng, row, *drawn):
             made.append(0)
             n = len(made) - 1
-            for batch in batches(rng, row):
+            for batch in batches(rng, row, *drawn):
                 made[n] += 1
                 yield batch
 
@@ -1371,7 +1396,7 @@ class TestHolding:
         parent, matrix, cfg, sensor = make_instance(
             *TestExactKernel.INSTANCES["sparse"], clutter_density=3e-3,
         )
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        chain = _Walk(Kernel(matrix, cfg, sensor.p_d))
         chain.start(np.random.default_rng(seed))
         for n, steps in enumerate(budgets, 1):
             chain.run(steps)
@@ -1412,22 +1437,23 @@ class TestBatches:
         _, matrix, cfg, sensor = make_instance(
             *TestExactKernel.INSTANCES[name], clutter_density=3e-3,
         )
-        chain = _Chain(matrix, cfg, sensor.p_d)
+        kernel = Kernel(matrix, cfg, sensor.p_d)
+        chain = _Walk(kernel)
         chain.start(np.random.default_rng(2))
         chain.run(20_000)
         monkeypatch.setattr(sampler, "FIRST_BATCH", self.N)
         rng = np.random.default_rng(3)
         checked = 0
-        for sid in [sid for sid, row in enumerate(chain.rows) if row is not None]:
-            key = chain.keys[sid]
-            p = chain.rows[sid][1]
+        for sid in [sid for sid, row in enumerate(kernel.rows) if row is not None]:
+            key = kernel.keys[sid]
+            p = kernel.rows[sid][1]
             if p <= 0.0:
                 continue
-            row = production_row(chain, key)
-            spans, dests = zip(*next(sampler._batches(rng, chain.rows[sid])))
+            row = production_row(kernel, key)
+            spans, dests = zip(*next(sampler._batches(rng, kernel.rows[sid])))
             assert len(dests) == self.N and min(spans) >= 1
             holds = [span - 1 for span in spans]
-            drawn = Counter(chain.keys[d] for d in dests)
+            drawn = Counter(kernel.keys[d] for d in dests)
             assert set(drawn) <= set(row)
             expected, counts = pooled(
                 [self.N * prob / p for prob in row.values()], [drawn[d] for d in row])
@@ -1470,3 +1496,221 @@ class TestBatches:
                  islice(sampler._batches(np.random.default_rng(0), row), 9)]
         assert sizes == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
         assert (sampler.FIRST_BATCH, sampler.LAST_BATCH) == (16, 1024)
+
+
+# The smallest subnormal: a leave probability of three of them has so few
+# significant bits that U * p rounds up to p for U > 5/6.
+TINY = 2.0**-1074
+
+
+class TestFirstPair:
+    """A state's first pair is turned in Python floats at its first
+    departure and the rest of its first batch by numpy later: the pairs,
+    the draws and the walk are those of batches turned whole."""
+
+    EDGE_ROWS = {
+        # Every span is 1 and no exponential is drawn.
+        "past-one": (1.0 + 2.0**-52, [0.5, 1.0 + 2.0**-52], [0, 1]),
+        # The quiet division: every E / rate overflows to inf, clamped.
+        "subnormal": (7.2e-311, [7.2e-311], [1]),
+        # U * p rounds up to p and lands on the last move.
+        "rounds-up": (3 * TINY, [2 * TINY, 3 * TINY], [0, 1]),
+    }
+    COUNTS = (1, 2, 16, 17, 48)
+
+    @classmethod
+    def assert_stream_matches(cls, row, seed):
+        """The pairs of _first_pair and the source it returns equal, pair
+        for pair, those of _batches over a generator of the same entropy,
+        and the two generators agree after pair 1, 2, 16, 17 and 48."""
+        rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
+        span, dest, rest = sampler._first_pair(rng, row)
+        lazy = itertools.chain([(span, dest)], rest)
+        eager = itertools.chain.from_iterable(sampler._batches(clone, row))
+        for j in range(1, cls.COUNTS[-1] + 1):
+            assert next(lazy) == next(eager), j
+            if j in cls.COUNTS:
+                assert rng.bit_generator.state == clone.bit_generator.state, j
+
+    @staticmethod
+    def ring(row_a, row_b):
+        """A kernel whose states a and b of the 2x2 instance have the rows
+        (p, cumulative, moves), each move 0 for a or 1 for b, and a walk
+        factory over it, standing on a with default_rng(seed)."""
+        _, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
+        kernel = Kernel(matrix, cfg, sensor.p_d)
+        ids = kernel.state_id(((0, 1), ())), kernel.state_id(((1, 0), ()))
+        for sid, (p, cumulative, moves) in zip(ids, (row_a, row_b)):
+            kernel.rows[sid] = (0.0, p, cumulative, [ids[move] for move in moves])
+
+        def walk(seed):
+            chain = _Walk(kernel)
+            chain.sid, chain.rng = ids[0], np.random.default_rng(seed)
+            return chain
+
+        return kernel, walk
+
+    @classmethod
+    def pair_ends(cls, kernel, rng, sid):
+        """The budgets from sid that end right after pair j of sid's
+        stream, j in COUNTS, with every pair drawn from rng by whole
+        _batches (or held for ever where p = 0). A pair past MAX_HOLD takes
+        one MAX_HOLD part of a run and does not move."""
+        start, sources, steps, taken, ends = sid, {}, 0, 0, []
+        while len(ends) < len(cls.COUNTS):
+            row = kernel.rows[sid]
+            if sid not in sources:
+                sources[sid] = (
+                    itertools.chain.from_iterable(sampler._batches(rng, row)) if row[1] > 0.0
+                    else itertools.repeat((sampler.MAX_HOLD + 1, sid)))
+            span, dest = next(sources[sid])
+            moved = span <= sampler.MAX_HOLD
+            steps += span if moved else sampler.MAX_HOLD
+            if sid == start:
+                taken += 1
+                if taken in cls.COUNTS:
+                    ends.append(steps)
+            if moved:
+                sid = dest
+        return ends, rng
+
+    @classmethod
+    def assert_split_runs_match(cls, row_a, row_b, seed):
+        """Runs split where a pair of a's stream ends reach the key, visits
+        and generator state of one unsplit run, which ends where the
+        batch-by-batch replay ends."""
+        kernel, walk = cls.ring(row_a, row_b)
+        ends, ref = cls.pair_ends(kernel, np.random.default_rng(seed), walk(seed).sid)
+        whole = walk(seed)
+        whole.run(ends[-1])
+        assert whole.rng.bit_generator.state == ref.bit_generator.state
+        for cut in ends[:-1]:
+            split = walk(seed)
+            split.run(cut)
+            split.run(ends[-1] - cut)
+            assert key_at(split) == key_at(whole)
+            assert visits_of(split) == visits_of(whole)
+            assert split.rng.bit_generator.state == whole.rng.bit_generator.state
+        return whole
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", list(EDGE_ROWS))
+    def test_edge_rows_stream_and_split(self, name, seed):
+        p, cumulative, moves = self.EDGE_ROWS[name]
+        self.assert_stream_matches((0.0, p, cumulative, moves), seed)
+        whole = self.assert_split_runs_match((p, cumulative, moves), (p, cumulative, moves), seed)
+        if name == "past-one":
+            # Every step moves, and the walk stands on both states.
+            assert set(visits_of(whole)) == {((0, 1), ()), ((1, 0), ())}
+        else:
+            # No move: each MAX_HOLD part of the run holds out one pair.
+            assert visits_of(whole) == {((0, 1), ()): self.COUNTS[-1] * sampler.MAX_HOLD}
+
+    def test_rounded_up_product_lands_on_the_last_move(self):
+        # Seeds whose first uniform times 3 * TINY rounds up to p: the
+        # first pair, turned in Python floats, takes the last move, as the
+        # numpy search over cumulative[:-1] does.
+        p, cumulative, moves = self.EDGE_ROWS["rounds-up"]
+        seeds = [seed for seed in range(40) if np.random.default_rng(seed).random() * p == p]
+        assert len(seeds) > 2
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            assert sampler._first_pair(rng, (0.0, p, cumulative, moves))[1] == 1
+
+    def test_zero_leave_probability_installs_no_source(self):
+        # p = 0: the walk holds every budget on the state, turns no pair
+        # and draws nothing.
+        kernel, walk = self.ring((0.0, [], []), (0.5, [0.5], [0]))
+        chain = walk(7)
+        for steps in (1, 16, 10**6):
+            chain.run(steps)
+        assert visits_of(chain) == {((0, 1), ()): 1 + 16 + 10**6}
+        assert chain.rng.bit_generator.state == np.random.default_rng(7).bit_generator.state
+
+    ROWS = st.tuples(
+        st.one_of(st.floats(2.0**-10, 1.0), st.just(1.0 + 2.0**-52)),
+        st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6),
+    ).map(lambda pw: (pw[0], [pw[0] * w / sum(pw[1]) for w in
+                                   itertools.accumulate(pw[1])][:-1] + [pw[0]], pw[1]))
+
+    @given(row_a=ROWS, row_b=ROWS, moves=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_random_rows_stream_and_split(self, row_a, row_b, moves, seed):
+        rows = []
+        for p, cumulative, weights in (row_a, row_b):
+            picks = moves.draw(st.lists(st.integers(0, 1), min_size=len(weights),
+                                        max_size=len(weights)))
+            rows.append((p, cumulative, picks))
+        # Some move of b returns to a, so a's stream runs on.
+        rows[1][2][-1] = 0
+        self.assert_stream_matches((0.0, *rows[0]), seed)
+        self.assert_split_runs_match(*rows, seed)
+
+
+class TestStartDraws:
+    @given(sizes=st.lists(st.integers(1, 64), max_size=7), seed=st.integers(0, 2**64 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_draws_equal_one_broadcast_call(self, sizes, seed):
+        # start draws each row's column by its own integers call: the same
+        # values and the same generator state as one call over every row's
+        # size, so the walk's draws after it are unchanged too (an empty
+        # list draws nothing either way).
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert one.integers(0, sizes).tolist() == [int(each.integers(0, s)) for s in sizes]
+        assert one.bit_generator.state == each.bit_generator.state
+        assert one.random(3).tolist() == each.random(3).tolist()
+
+
+class TestKernelSharing:
+    """Walks over one shared kernel return what walks over fresh kernels
+    return, whichever parent walks first."""
+
+    PARENTS = ("h1-00000", "h1-00001", "h1-00002")
+
+    @staticmethod
+    def children(samples):
+        return [(s.event, s.log_score.hex(), s.visits) for s in samples]
+
+    @classmethod
+    def assert_shared_equal_fresh(cls, matrix, bd, sensor, scfg):
+        parents = [Hypothesis(pid, "h0", 0.0, ()) for pid in cls.PARENTS]
+        fresh = {
+            parent.id: cls.children(sample_children(parent, matrix, scfg, bd, sensor))
+            for parent in parents
+        }
+        for order in (parents, parents[::-1]):
+            kernel = Kernel(matrix, bd, sensor.p_d)
+            for parent in order:
+                shared = sample_children(parent, matrix, scfg, bd, sensor, kernel)
+                assert cls.children(shared) == fresh[parent.id]
+        return kernel
+
+    @pytest.mark.parametrize("name", list(TestExactKernel.INSTANCES))
+    def test_shared_kernel_changes_no_child(self, name):
+        parent, matrix, bd, sensor = make_instance(
+            *TestExactKernel.INSTANCES[name], clutter_density=3e-3,
+        )
+        scfg = SamplerConfig(burn_in_steps=300, record_steps=4000, children_kept=10**6, seed=11)
+        kernel = self.assert_shared_equal_fresh(matrix, bd, sensor, scfg)
+        # The walks share rows: the kernel built each reached state's row
+        # once, fewer than the walks over fresh kernels built together.
+        fresh = 0
+        for pid in self.PARENTS:
+            walk = _Walk(Kernel(matrix, bd, sensor.p_d))
+            walk.start(np.random.default_rng(sampler.chain_seed(scfg.seed, pid)))
+            walk.run(scfg.burn_in_steps + scfg.record_steps)
+            fresh += sum(row is not None for row in walk.kernel.rows)
+        assert sum(row is not None for row in kernel.rows) < fresh
+
+    @given(
+        mat=sparse_matrices(),
+        n_pixels=st.integers(1, 2),
+        p_d=st.sampled_from([0.9, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shared_kernel_changes_no_child_on_random_sparse_matrices(self, mat, n_pixels,
+                                                                      p_d, seed):
+        bd = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
+        scfg = SamplerConfig(burn_in_steps=50, record_steps=400, children_kept=10**6, seed=seed)
+        self.assert_shared_equal_fresh(mat, bd, wide_sensor(p_d), scfg)

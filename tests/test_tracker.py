@@ -764,10 +764,12 @@ class TestChildCalls:
             }
         assert skipped > 0
 
-    def test_one_select_per_visited_parent(self, monkeypatch):
+    def test_one_select_per_distinct_visited_columns(self, monkeypatch):
         # The bound reads the scan matrix, so a parent's matrix is selected
-        # only when its children are generated: once per visited parent,
-        # none for a skipped one.
+        # only when its children are generated, and parents that hold the
+        # same tracks in the same order share it: one select per distinct
+        # column tuple among the visited parents, none for a skipped one,
+        # and every walk over those columns gets the same kernel.
         select = likelihoods_module.AssociationMatrix.select
         selects = 0
 
@@ -776,16 +778,31 @@ class TestChildCalls:
             selects += 1
             return select(matrix, cols)
 
+        walked = []
+        sample = tracker_module.sample_children
+
+        def recorded(parent, matrix, scfg, bd, sensor, kernel):
+            walked.append((parent, kernel))
+            return sample(parent, matrix, scfg, bd, sensor, kernel)
+
         monkeypatch.setattr(likelihoods_module.AssociationMatrix, "select", counted)
+        monkeypatch.setattr(tracker_module, "sample_children", recorded)
         tracker, hyps, frames = preset_start(preset_single_spawn)
-        skipped = 0
+        skipped = shared = 0
         for frame in frames:
             n_parents = len(hyps)
             selects = 0
+            walked.clear()
             hyps, report = tracker.step(hyps, frame)
-            assert selects == n_parents - report.parents_skipped
+            assert len(walked) == n_parents - report.parents_skipped
+            kernels = {}
+            for parent, kernel in walked:
+                assert kernels.setdefault(tuple(map(id, parent.tracks)), kernel) is kernel
+            assert len({id(kernel) for kernel in kernels.values()}) == len(kernels)
+            assert selects == len(kernels)
             skipped += report.parents_skipped
-        assert skipped > 0
+            shared += len(walked) - len(kernels)
+        assert skipped > 0 and shared > 0
 
 
 class TestSkipExactness:
