@@ -263,14 +263,17 @@ def _csv_rows(path: str | Path, kind: str) -> csv.DictReader:
 
 
 def read_truth_csv(path: str | Path) -> list[TruthScan]:
-    scans: dict[float, list[tuple[str, np.ndarray]]] = {}
+    scans: dict[float, dict[str, np.ndarray]] = {}
     for row in _csv_rows(path, "truth"):
         t, *state = _finite_floats(row, ("time_s", "x_km", "y_km", "vx_kmps", "vy_kmps"), "truth")
         object_id = row.get("object_id")
         if object_id is None:
             raise InputDataError(f"bad truth row {row}: no object_id column")
-        scans.setdefault(t, []).append((object_id, np.array(state)))
-    return [TruthScan(time=t, objects=tuple(scans[t])) for t in sorted(scans)]
+        scan = scans.setdefault(t, {})
+        if object_id in scan:
+            raise InputDataError(f"bad truth row {row}: object {object_id} repeats at {t!r} s")
+        scan[object_id] = np.array(state)
+    return [TruthScan(time=t, objects=tuple(scans[t].items())) for t in sorted(scans)]
 
 
 def write_frames_csv(frames: Sequence[MeasurementFrame], path: str | Path) -> None:

@@ -60,11 +60,11 @@ exactly when the last one is used up, n = FIRST_BATCH (16) at first and
 doubling up to LAST_BATCH (1024): rng.random(n) for the destinations,
 then rng.standard_exponential(n) for the holds. A state with p = 0 draws
 nothing, and one with p >= 1 draws no exponentials (every span is 1).
-Where a pair is turned from its draws does not move a draw: a state's
-first pair is turned in Python floats at its first departure
-(_first_pair), the rest of its first batch by numpy when the walk leaves
-the state again, and every later batch by numpy when it is drawn
-(_batches); both apply the same IEEE operations. Sharing a kernel moves
+Where a pair is turned from its draws does not move a draw: one
+function, _batches, turns a state's first pair in Python floats at its
+first departure, then the rest of its first batch by numpy when the walk
+leaves the state again, and every later batch by numpy when it is drawn;
+Python and numpy apply the same IEEE operations. Sharing a kernel moves
 no draw either: a row is the same function of its state's key whichever
 walk builds it, and an id only names a key.
 """
@@ -159,22 +159,19 @@ class ChildSample:
     visits: int
 
 
-def _batches(
-    rng: np.random.Generator,
-    row: tuple,
-    u: np.ndarray | None = None,
-    e: np.ndarray | None = None,
-):
-    """Endless batches of (span, destination id) pairs, drawn from rng, of a
-    state whose kernel row (Kernel.build_row) leaves it with p > 0: each
-    batch is a zip of n spans and n destinations, n = FIRST_BATCH at first
-    and doubling up to LAST_BATCH. Given the uniforms u (and, where p < 1,
-    the exponentials e) of a first batch already drawn, the first batch
-    turns those instead of drawing (_first_pair passes the part of its
-    batch it has not turned).
+def _batches(rng: np.random.Generator, row: tuple, sid: int):
+    """Endless batches of (span, destination id) pairs of state sid, drawn
+    from rng, for its kernel row (Kernel.build_row). A state no move leaves
+    (p = 0) holds for ever: one endless batch of (MAX_HOLD + 1, sid), which
+    draws nothing. Otherwise the first batch draws FIRST_BATCH pairs and
+    yields its first pair alone, turned in Python floats; the rest of it is
+    turned by numpy when the walk asks for the next pair, and each later
+    batch, doubling up to LAST_BATCH, is drawn and turned when the one
+    before is used up.
 
     A destination is the move that U * p, U uniform on [0, 1), falls in
-    among the row's cumulative probabilities but the last, so a product
+    among the row's cumulative probabilities but the last (a bisect_right
+    for the first pair, a numpy searchsorted for the rest), so a product
     that rounds up to p lands on the last move. A span is hold + 1, the
     hold floor(E / -log1p(-p)) for a standard exponential E, so P(hold >=
     h) = (1 - p)^h: the geometric count of steps held before the step that
@@ -182,19 +179,29 @@ def _batches(
     overshoot by a rounding error, where log1p(-p) is NaN) every span is 1
     and no exponential is drawn. Only multiplication, division, truncation
     (floor, for these non-negative values), an integer add, comparison and
-    search touch a draw, so every platform turns the same draws into the
-    same pairs. A rate below TINY_RATE divides with numpy's overflow
-    warning off: the inf it may give is clamped like any long hold."""
+    search touch a draw, and Python and numpy apply the same IEEE
+    operations, so every platform turns the same draws into the same pairs.
+    A rate below TINY_RATE divides with numpy's overflow warning off (Python
+    divides an overflow to inf without one): the inf it may give is clamped
+    like any long hold."""
     _, p, cumulative, destinations = row
+    if p <= 0.0:
+        yield itertools.repeat((MAX_HOLD + 1, sid))
+        return
     rate = -math.log1p(-p) if p < 1.0 else None
+    n = FIRST_BATCH
+    u = rng.random(n)
+    e = None if rate is None else rng.standard_exponential(n)
+    dest = destinations[bisect_right(cumulative, u.item(0) * p, 0, len(cumulative) - 1)]
+    # float(MAX_HOLD) is exact: MAX_HOLD is a power of two.
+    span = 1 if rate is None else int(min(e.item(0) / rate, float(MAX_HOLD))) + 1
+    yield ((span, dest),)
     quiet = rate is not None and rate < TINY_RATE
     bounds = np.array(cumulative[:-1])
     moves = np.array(destinations)
-    n = FIRST_BATCH
+    u = u[1:]
+    e = None if e is None else e[1:]
     while True:
-        if u is None:
-            u = rng.random(n)
-            e = None if rate is None else rng.standard_exponential(n)
         u *= p
         dests = moves[bounds.searchsorted(u, "right")].tolist()
         if rate is None:
@@ -205,7 +212,6 @@ def _batches(
                     e /= rate
             else:
                 e /= rate
-            # float(MAX_HOLD) is exact: MAX_HOLD is a power of two.
             holds = np.minimum(e, float(MAX_HOLD), out=e).astype(np.int64)
             holds += 1
             spans = holds.tolist()
@@ -213,30 +219,8 @@ def _batches(
         u = e = None
         yield zip(spans, dests)
         n = min(2 * n, LAST_BATCH)
-
-
-def _first_pair(rng: np.random.Generator, row: tuple) -> tuple:
-    """The first pair of a state's stream, and the source of the rest:
-    (span, destination, iterator of the later pairs), for a row with p > 0.
-
-    Draws the state's first batch as _batches does, but turns only its
-    first pair, in Python floats, by the same IEEE operations: the search
-    of U * p among cumulative[:-1] is a bisect_right, and the span
-    int(min(E / -log1p(-p), MAX_HOLD)) + 1 (Python divides an overflow to
-    inf without a warning). The other FIRST_BATCH - 1 pairs are turned by
-    _batches when the walk leaves the state again, which many states it
-    stands on briefly never do."""
-    _, p, cumulative, destinations = row
-    u = rng.random(FIRST_BATCH)
-    dest = destinations[bisect_right(cumulative, u.item(0) * p, 0, len(cumulative) - 1)]
-    if p < 1.0:
-        e = rng.standard_exponential(FIRST_BATCH)
-        span = int(min(e.item(0) / -math.log1p(-p), float(MAX_HOLD))) + 1
-        e = e[1:]
-    else:
-        e = None
-        span = 1
-    return span, dest, itertools.chain.from_iterable(_batches(rng, row, u[1:], e))
+        u = rng.random(n)
+        e = None if rate is None else rng.standard_exponential(n)
 
 
 # The pair source of a state the walk has not yet left: it is exhausted.
@@ -478,11 +462,11 @@ class _Walk:
         (span, destination) pair of the state's source (pairs), holds span -
         1 steps there and moves to destination on the next step. The first
         departure installs the source, building the row if no walk over the
-        kernel has: _first_pair's first pair and the rest it returns, or,
-        for a state no move leaves (p = 0), the pair (MAX_HOLD + 1, sid) for
-        ever, which holds out every budget and draws nothing. A pair whose
-        span runs past the end of the budget is spent without its move:
-        holds have no memory, so the next run takes a fresh pair. Every pair
+        kernel has, by one path for every state: the chain of its _batches,
+        so a state no move leaves (p = 0) gets (MAX_HOLD + 1, sid) for ever,
+        which holds out every budget and draws nothing. A pair whose span
+        runs past the end of the budget is spent without its move: holds
+        have no memory, so the next run takes a fresh pair. Every pair
         is drawn afresh and independently of the path, so the path is the
         jump chain in law. A budget over MAX_HOLD runs as runs of at most
         MAX_HOLD steps, so that a hold kept at MAX_HOLD always holds out its
@@ -515,11 +499,8 @@ class _Walk:
                 # The first departure from sid: install its endless source.
                 row = rows[sid] or kernel.build_row(sid)
                 self._cover()
-                if row[1] > 0.0:
-                    span, dest, pairs[sid] = _first_pair(self.rng, row)
-                else:
-                    span, dest = MAX_HOLD + 1, sid
-                    pairs[sid] = itertools.repeat((span, dest))
+                pairs[sid] = source = itertools.chain.from_iterable(_batches(self.rng, row, sid))
+                span, dest = next(source)
             if span > left:
                 break
             visits[sid] += span
@@ -552,8 +533,14 @@ def sample_children(
     score (each state's from-scratch score, from its kernel row).
     Deterministic given cfg.seed and parent.id; of sensor only p_d is read.
     kernel is Kernel(matrix, birth_cfg, sensor.p_d), built here when None;
-    walks that share one return what walks over fresh kernels return."""
-    walk = _Walk(kernel or Kernel(matrix, birth_cfg, sensor.p_d))
+    walks that share one return what walks over fresh kernels return. A
+    kernel over another matrix raises ValueError: its states would be
+    named by this matrix's columns."""
+    if kernel is None:
+        kernel = Kernel(matrix, birth_cfg, sensor.p_d)
+    elif kernel.matrix is not matrix:
+        raise ValueError("sample_children: kernel is built over another matrix")
+    walk = _Walk(kernel)
     size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
     burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
     record = 200 * size if cfg.record_steps is None else cfg.record_steps
@@ -574,17 +561,11 @@ def sample_children(
     ]
 
 
-def enumerate_children(
-    matrix: AssociationMatrix,
-    birth_cfg: BirthDeathConfig,
-    p_d: float,
-    kernel: Kernel | None = None,
-) -> list[ChildSample]:
-    """Every child over matrix: the event of each key of
-    enumerate_child_keys, in its order, with its Kernel.tally score and
-    visits 0. kernel is Kernel(matrix, birth_cfg, p_d), built here when
-    None."""
-    tally = (kernel or Kernel(matrix, birth_cfg, p_d)).tally
+def enumerate_children(kernel: Kernel) -> list[ChildSample]:
+    """Every child over kernel.matrix: the event of each key of
+    enumerate_child_keys, in its order, with its kernel.tally score and
+    visits 0."""
+    matrix, tally = kernel.matrix, kernel.tally
     return [
         ChildSample(matrix.event_of(key), tally(key)[4], visits=0)
         for key in enumerate_child_keys(matrix)

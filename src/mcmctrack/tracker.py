@@ -288,7 +288,7 @@ class Tracker:
             if unvisited[cols]:
                 kernels[cols] = kernel
             if cfg.mode is TrackerMode.EXHAUSTIVE:
-                samples = enumerate_children(kernel.matrix, bd, cfg.sensor.p_d, kernel)
+                samples = enumerate_children(kernel)
             else:
                 samples = sample_children(
                     parent, kernel.matrix, cfg.sampler, bd, cfg.sensor, kernel)

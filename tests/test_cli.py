@@ -394,10 +394,12 @@ class TestTrackCommand:
         ("frames", FRAMES_HEADER, "300.0,0.0,0.0,clutter", ""),
         ("truth", TRUTH_HEADER, "300.0,t00,7000.0,inf,0.0,7.5", ""),
         ("truth", "time_s,x_km,y_km,vx_kmps,vy_kmps", "300.0,7000.0,0.0,0.0,7.5", "object_id"),
+        ("truth", TRUTH_HEADER, "300.0,t00,7000.0,0.0,0.0,7.5\n300.0,t00,7000.0,0.0,0.0,7.5",
+         "object t00 repeats at 300.0 s"),
         ("frames", FRAMES_HEADER, "600.0,7000.0,0.0,t00\n1200.0,7000.0,0.0,t00", "frame 0"),
         ("frames", FRAMES_HEADER, "300.0,7000.0,0.0,t00\n900.0,7000.0,0.0,t00", "frame 1"),
     ], ids=["nan-return", "inf-time", "return-at-sensor-origin", "inf-truth-state",
-            "truth-without-object-id", "doubled-spacing", "dropped-scan"])
+            "truth-without-object-id", "repeated-truth-row", "doubled-spacing", "dropped-scan"])
     def test_bad_value_exits_3(
         self, tmp_path, capsys, sim_dir, small_scenario_file, kind, header, row, named
     ):

@@ -263,7 +263,7 @@ class TestChildScoreBounds:
         assert len(bounds) == len(cols_by_parent)
         assert child_score_bounds(mat, permuted, cfg, p_d) == bounds
         for cols, bound in zip(cols_by_parent, bounds):
-            children = enumerate_children(mat.select(cols), cfg, p_d)
+            children = enumerate_children(Kernel(mat.select(cols), cfg, p_d))
             assert all(s.log_score <= bound for s in children)
 
     @given(
@@ -294,7 +294,7 @@ class TestChildScoreBounds:
             death_eligible=(True,),
         )
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=1)
-        best = max(s.log_score for s in enumerate_children(mat, cfg, 0.9))
+        best = max(s.log_score for s in enumerate_children(Kernel(mat, cfg, 0.9)))
         assert child_score_bounds(mat, [[0]], cfg, 0.9) == [best]
         assert child_score_bounds(mat, [], cfg, 0.9) == []
 
@@ -313,7 +313,7 @@ class TestEnumerateChildEvents:
         expected = reference_child_events(mat)
         assert list(enumerate_child_events(mat)) == expected
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
-        assert [s.log_score for s in enumerate_children(mat, cfg, p_d)] == [
+        assert [s.log_score for s in enumerate_children(Kernel(mat, cfg, p_d))] == [
             log_count_prior(len(e.associated_labels), e.n_births, e.n_deaths,
                             mat.n_objects, mat.n_returns, cfg, p_d)
             + hypothesis_log_likelihood(e, mat)
@@ -375,7 +375,7 @@ class TestEnumerateChildEvents:
         # enumerate_children keeps the enumeration order, and each score is
         # log_child_prior + likelihood bit for bit.
         parent, mat, cfg, sensor = sparse_instance()
-        samples = enumerate_children(mat, cfg, sensor.p_d)
+        samples = enumerate_children(Kernel(mat, cfg, sensor.p_d))
         assert [(s.event.canonical_key(), s.log_score) for s in samples] == [
             (
                 e.canonical_key(),

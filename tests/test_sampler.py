@@ -880,7 +880,7 @@ class TestOneScorer:
         # score of its key's kernel row in a fresh kernel.
         cfg = BirthDeathConfig(alpha=0.05, beta=0.1, n_pixels=n_pixels)
         keys = list(enumerate_child_keys(mat))
-        children = enumerate_children(mat, cfg, p_d)
+        children = enumerate_children(Kernel(mat, cfg, p_d))
         assert [c.event for c in children] == [mat.event_of(key) for key in keys]
         for key, child in zip(keys, children):
             score = kernel_row(Kernel(mat, cfg, p_d), key)[0]
@@ -1350,19 +1350,19 @@ class TestHolding:
             def random(self, n):
                 return np.full(n, 1.0 - 2.0**-53)
 
+        # So do the first pair, turned in Python floats, the rest of its
+        # batch and the next batch, turned by numpy.
         row = (0.0, p, [0.5, p], [ia, ib])
-        batch = next(sampler._batches(TopRng(), row))
-        assert list(batch) == [(1, ib)] * sampler.FIRST_BATCH
-        # So does a first pair, turned in Python floats.
-        span, dest, rest = sampler._first_pair(TopRng(), row)
-        assert [(span, dest), *islice(rest, 3)] == [(1, ib)] * 4
+        n = sampler.FIRST_BATCH + 3
+        assert list(islice(source(TopRng(), row, ia), n)) == [(1, ib)] * n
 
     def test_one_source_per_state(self, monkeypatch):
         # Two states that every step moves between (p = 1), each left more
         # than 3 * FIRST_BATCH times, so across at least two batch
         # boundaries: each makes one _batches generator, at its first
-        # departure (which it starts at the second), and keeps that one
-        # source in pairs for the whole walk.
+        # departure, and keeps that one source in pairs for the whole walk.
+        # The generator yields 4 times: the first pair, the rest of the
+        # first batch, and the batches of 32 and 64.
         parent, matrix, cfg, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
         kernel = Kernel(matrix, cfg, sensor.p_d)
         ia, ib = kernel.state_id(((0, 1), ())), kernel.state_id(((1, 0), ()))
@@ -1374,10 +1374,10 @@ class TestHolding:
         made = []
         batches = sampler._batches
 
-        def counted(rng, row, *drawn):
+        def counted(rng, row, sid):
             made.append(0)
             n = len(made) - 1
-            for batch in batches(rng, row, *drawn):
+            for batch in batches(rng, row, sid):
                 made[n] += 1
                 yield batch
 
@@ -1387,7 +1387,7 @@ class TestHolding:
         leaves = 3 * sampler.FIRST_BATCH + 8
         chain.run(2 * leaves - 2)
         assert visits_of(chain) == {((0, 1), ()): leaves, ((1, 0), ()): leaves}
-        assert made == [3, 3]
+        assert made == [4, 4]
         assert chain.pairs[ia] is sources[0] and chain.pairs[ib] is sources[1]
 
     @given(seed=st.integers(0, 2**32 - 1), budgets=st.lists(st.integers(0, 300), max_size=4))
@@ -1422,6 +1422,36 @@ def pooled(expected, counts, least=5.0):
     return [e for e, _ in groups], [c for _, c in groups]
 
 
+def source(rng, row, sid=0):
+    """The pair stream of state sid with kernel row row, drawn from rng, as
+    _Walk.run installs it."""
+    return itertools.chain.from_iterable(sampler._batches(rng, row, sid))
+
+
+def eager_pairs(rng, row, sid=0):
+    """A reference of the same stream, each batch drawn whole and turned at
+    once by numpy: n pairs, n = FIRST_BATCH at first and doubling up to
+    LAST_BATCH, each destination found by a searchsorted of U * p over
+    cumulative[:-1], each span E / -log1p(-p) clamped to MAX_HOLD,
+    truncated and plus 1 (1 where p >= 1, with no exponential drawn). A
+    state with p = 0 holds for ever and draws nothing."""
+    _, p, cumulative, destinations = row
+    if p == 0.0:
+        yield from itertools.repeat((sampler.MAX_HOLD + 1, sid))
+    bounds = np.array(cumulative[:-1], dtype=float)
+    n = sampler.FIRST_BATCH
+    while True:
+        dests = np.array(destinations)[np.searchsorted(bounds, rng.random(n) * p, "right")]
+        if p >= 1.0:
+            spans = [1] * n
+        else:
+            with np.errstate(over="ignore"):
+                holds = rng.standard_exponential(n) / -math.log1p(-p)
+            spans = (np.minimum(holds, float(sampler.MAX_HOLD)).astype(np.int64) + 1).tolist()
+        yield from zip(spans, dests.tolist())
+        n = min(2 * n, sampler.LAST_BATCH)
+
+
 class TestBatches:
     """The pairs of a state's batches against its kernel row."""
 
@@ -1450,7 +1480,7 @@ class TestBatches:
             if p <= 0.0:
                 continue
             row = production_row(kernel, key)
-            spans, dests = zip(*next(sampler._batches(rng, kernel.rows[sid])))
+            spans, dests = zip(*islice(source(rng, kernel.rows[sid], sid), self.N))
             assert len(dests) == self.N and min(spans) >= 1
             holds = [span - 1 for span in spans]
             drawn = Counter(kernel.keys[d] for d in dests)
@@ -1484,17 +1514,19 @@ class TestBatches:
         rng = np.random.default_rng(0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            batch = list(next(sampler._batches(rng, (0.0, p, [p], [0]))))
+            batch = list(islice(source(rng, (0.0, p, [p], [0])), sampler.FIRST_BATCH))
         assert batch == [(sampler.MAX_HOLD + 1, 0)] * sampler.FIRST_BATCH
         assert rng.bit_generator.state == ref.bit_generator.state
         assert np.geterr()["over"] == "warn"
 
     @pytest.mark.parametrize("p", [0.25, 1.0 + 2.0**-52])
     def test_batches_double_to_the_cap(self, p):
+        # The first batch is yielded as its first pair and then the rest.
         row = (0.0, p, [p / 2, p], [0, 1])
         sizes = [len(list(batch)) for batch in
-                 islice(sampler._batches(np.random.default_rng(0), row), 9)]
-        assert sizes == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
+                 islice(sampler._batches(np.random.default_rng(0), row, 0), 10)]
+        assert sizes[:2] == [1, sampler.FIRST_BATCH - 1]
+        assert [sum(sizes[:2]), *sizes[2:]] == [16, 32, 64, 128, 256, 512, 1024, 1024, 1024]
         assert (sampler.FIRST_BATCH, sampler.LAST_BATCH) == (16, 1024)
 
 
@@ -1504,9 +1536,10 @@ TINY = 2.0**-1074
 
 
 class TestFirstPair:
-    """A state's first pair is turned in Python floats at its first
+    """_batches turns a state's first pair in Python floats at its first
     departure and the rest of its first batch by numpy later: the pairs,
-    the draws and the walk are those of batches turned whole."""
+    the draws and the walk are those of batches turned whole
+    (eager_pairs)."""
 
     EDGE_ROWS = {
         # Every span is 1 and no exponential is drawn.
@@ -1515,18 +1548,19 @@ class TestFirstPair:
         "subnormal": (7.2e-311, [7.2e-311], [1]),
         # U * p rounds up to p and lands on the last move.
         "rounds-up": (3 * TINY, [2 * TINY, 3 * TINY], [0, 1]),
+        # No move: held for ever, with no draw.
+        "zero": (0.0, [], []),
     }
     COUNTS = (1, 2, 16, 17, 48)
 
     @classmethod
     def assert_stream_matches(cls, row, seed):
-        """The pairs of _first_pair and the source it returns equal, pair
-        for pair, those of _batches over a generator of the same entropy,
-        and the two generators agree after pair 1, 2, 16, 17 and 48."""
+        """The pairs of _batches equal, pair for pair, those of eager_pairs
+        over a generator of the same entropy, and the two generators agree
+        after pair 1, 2, 16, 17 and 48."""
         rng, clone = np.random.default_rng(seed), np.random.default_rng(seed)
-        span, dest, rest = sampler._first_pair(rng, row)
-        lazy = itertools.chain([(span, dest)], rest)
-        eager = itertools.chain.from_iterable(sampler._batches(clone, row))
+        lazy = source(rng, row)
+        eager = eager_pairs(clone, row)
         for j in range(1, cls.COUNTS[-1] + 1):
             assert next(lazy) == next(eager), j
             if j in cls.COUNTS:
@@ -1553,16 +1587,13 @@ class TestFirstPair:
     @classmethod
     def pair_ends(cls, kernel, rng, sid):
         """The budgets from sid that end right after pair j of sid's
-        stream, j in COUNTS, with every pair drawn from rng by whole
-        _batches (or held for ever where p = 0). A pair past MAX_HOLD takes
-        one MAX_HOLD part of a run and does not move."""
+        stream, j in COUNTS, with every pair drawn from rng by eager_pairs.
+        A pair past MAX_HOLD takes one MAX_HOLD part of a run and does not
+        move."""
         start, sources, steps, taken, ends = sid, {}, 0, 0, []
         while len(ends) < len(cls.COUNTS):
-            row = kernel.rows[sid]
             if sid not in sources:
-                sources[sid] = (
-                    itertools.chain.from_iterable(sampler._batches(rng, row)) if row[1] > 0.0
-                    else itertools.repeat((sampler.MAX_HOLD + 1, sid)))
+                sources[sid] = eager_pairs(rng, kernel.rows[sid], sid)
             span, dest = next(sources[sid])
             moved = span <= sampler.MAX_HOLD
             steps += span if moved else sampler.MAX_HOLD
@@ -1615,7 +1646,7 @@ class TestFirstPair:
         assert len(seeds) > 2
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            assert sampler._first_pair(rng, (0.0, p, cumulative, moves))[1] == 1
+            assert next(source(rng, (0.0, p, cumulative, moves)))[1] == 1
 
     def test_zero_leave_probability_installs_no_source(self):
         # p = 0: the walk holds every budget on the state, turns no pair
@@ -1701,6 +1732,19 @@ class TestKernelSharing:
             walk.run(scfg.burn_in_steps + scfg.record_steps)
             fresh += sum(row is not None for row in walk.kernel.rows)
         assert sum(row is not None for row in kernel.rows) < fresh
+
+    def test_kernel_over_another_matrix_is_rejected(self):
+        # A kernel's states are column keys of its own matrix. Here the
+        # other matrix holds the same tracks in the other order, so its
+        # keys would label each child with the wrong tracks: the call
+        # raises instead.
+        parent, matrix, bd, sensor = make_instance(*TestExactKernel.INSTANCES["2x2"])
+        scfg = SamplerConfig(burn_in_steps=10, record_steps=100, seed=0)
+        swapped = Kernel(matrix.select([1, 0]), bd, sensor.p_d)
+        with pytest.raises(ValueError, match="another matrix"):
+            sample_children(parent, matrix, scfg, bd, sensor, swapped)
+        own = sample_children(parent, matrix, scfg, bd, sensor, Kernel(matrix, bd, sensor.p_d))
+        assert own == sample_children(parent, matrix, scfg, bd, sensor)
 
     @given(
         mat=sparse_matrices(),
