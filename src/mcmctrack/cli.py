@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from . import __version__
 from .errors import ConfigError, InputDataError, NumericalError, TrackingError
 from .filters import _MIN_RADIUS_KM, GaussianTrack
@@ -103,8 +105,11 @@ def cmd_track(args: argparse.Namespace) -> int:
         if (frame.returns == cfg.sensor.origin).all(axis=1).any():
             raise InputDataError(f"a return at time {frame.time} s lies at the sensor origin")
         # A return born as a track there would sit inside the radius that
-        # propagation refuses.
-        if ((frame.returns ** 2).sum(axis=1) < _MIN_RADIUS_KM ** 2).any():
+        # propagation refuses. A far return's square overflows to inf and
+        # passes.
+        with np.errstate(over="ignore"):
+            near = ((frame.returns ** 2).sum(axis=1) < _MIN_RADIUS_KM ** 2).any()
+        if near:
             raise InputDataError(f"a return at time {frame.time} s lies within "
                                  f"{_MIN_RADIUS_KM} km of the gravitational center (0, 0)")
     for k, frame in enumerate(frames):

@@ -17,8 +17,8 @@ order, so a lane is bit-identical to its scalar integration.
 The EKF's measurement side is stacked the same way: one innovation kernel
 (_innovations) pairs tracks with returns as arrays, and serves the
 association matrix's likelihood table, update_tracks and update_track
-(its one-pair case). Every track it builds passes one stacked check
-(_checked_covariances), which GaussianTrack runs on a stack of one.
+(its one-pair case). Every track, predicted, updated or given, is built
+by GaussianTrack's constructor, which checks its one 4 x 4 covariance.
 """
 
 from __future__ import annotations
@@ -107,43 +107,16 @@ class SensorModel:
         return self.fov_half_angle * self.max_range ** 2
 
 
-def _checked_covariances(
-    labels: Sequence[str], means: np.ndarray, covs: np.ndarray
-) -> np.ndarray:
-    """GaussianTrack's checks over stacked means (K, 4) and covariances
-    (K, 4, 4), labeled by labels: each mean and covariance finite, and each
-    symmetrized covariance positive semidefinite within 1e-9 times its
-    largest magnitude, at least 1 (one stacked eigvalsh). Returns the
-    symmetrized covariances; raises, with GaussianTrack's message, for the
-    first track that fails a check, the first check it fails."""
-    finite_means = np.isfinite(means).all(axis=1)
-    finite_covs = np.isfinite(covs).all(axis=(1, 2))
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    finite = finite_means & finite_covs
-    if finite.all():
-        min_eigs = np.linalg.eigvalsh(covs).min(axis=1)
-    else:
-        min_eigs = np.full(len(covs), -math.inf)
-        min_eigs[finite] = np.linalg.eigvalsh(covs[finite]).min(axis=1)
-    # The tolerance is positive, so only a negative minimum (-inf for a
-    # non-finite track) can fail; most stacks have none.
-    if (min_eigs < 0.0).any():
-        failed = ~finite | (min_eigs < -1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(1, 2))))
-        if failed.any():
-            k = failed.argmax()
-            if not finite_means[k]:
-                raise ValueError(f"track {labels[k]}: mean must be finite")
-            if not finite_covs[k]:
-                raise ValueError(f"track {labels[k]}: covariance must be finite")
-            raise NumericalError(
-                f"track {labels[k]}: covariance indefinite (min eigenvalue {min_eigs[k]:g})"
-            )
-    return covs
-
-
 @dataclass(frozen=True, eq=False)
 class GaussianTrack:
-    """Labeled per-object Gaussian pdf over [x, y, vx, vy]."""
+    """Labeled per-object Gaussian pdf over [x, y, vx, vy].
+
+    The constructor is the one place a track is checked and stored: the
+    label non-empty, the mean (4,) and the covariance (4, 4) finite (the
+    mean first), and the symmetrized covariance 0.5 (P + P^T) positive
+    semidefinite within 1e-9 times its largest magnitude, at least 1. The
+    symmetrized covariance is the one stored.
+    """
 
     label: str
     mean: np.ndarray
@@ -152,33 +125,21 @@ class GaussianTrack:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("track label must be a non-empty string")
-        mean = np.asarray(self.mean, dtype=float).reshape(1, 4)
-        cov = np.asarray(self.covariance, dtype=float).reshape(1, 4, 4)
-        cov = _checked_covariances((self.label,), mean, cov)
-        self._set_checked(mean[0], cov[0])
-
-    def _set_checked(self, mean: np.ndarray, cov: np.ndarray) -> None:
-        """Store a mean (4,) and symmetrized covariance (4, 4) that passed
-        _checked_covariances. The one place both are set, by __post_init__
-        and by _stacked_tracks."""
+        mean = np.asarray(self.mean, dtype=float).reshape(4)
+        cov = np.asarray(self.covariance, dtype=float).reshape(4, 4)
+        if not np.isfinite(mean).all():
+            raise ValueError(f"track {self.label}: mean must be finite")
+        if not np.isfinite(cov).all():
+            raise ValueError(f"track {self.label}: covariance must be finite")
+        cov = 0.5 * (cov + cov.T)
+        min_eig = np.linalg.eigvalsh(cov)[0]  # ascending
+        # Only a negative minimum can be below the (negative) tolerance.
+        if min_eig < 0.0 and min_eig < -1e-9 * max(1.0, np.abs(cov).max()):
+            raise NumericalError(
+                f"track {self.label}: covariance indefinite (min eigenvalue {min_eig:g})"
+            )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
-
-
-def _stacked_tracks(
-    labels: Sequence[str], means: np.ndarray, covs: np.ndarray
-) -> list[GaussianTrack]:
-    """GaussianTrack(labels[k], means[k], covs[k]) for each row k, bit for
-    bit, checked by one _checked_covariances pass over the stack rather than
-    one per track. labels are those of existing tracks, so non-empty."""
-    covs = _checked_covariances(labels, means, covs)
-    tracks = []
-    for label, mean, cov in zip(labels, means, covs):
-        track = object.__new__(GaussianTrack)
-        object.__setattr__(track, "label", label)
-        track._set_checked(mean, cov)
-        tracks.append(track)
-    return tracks
 
 
 def _accel(x: float, y: float, mu: float) -> tuple[float, float]:
@@ -391,7 +352,9 @@ def _innovations(tracks: Sequence[GaussianTrack], z: np.ndarray, r: np.ndarray):
         [s_cov[:, 1, 1], -s_cov[:, 0, 1], -s_cov[:, 1, 0], s_cov[:, 0, 0]], axis=-1
     ).reshape(-1, 2, 2)
     inv = adjugate / det[:, None, None]
-    maha = (innov[..., None, :] @ inv @ innov[..., :, None])[..., 0, 0]
+    # A far return's term overflows to inf, and its likelihood is 0.
+    with np.errstate(over="ignore"):
+        maha = (innov[..., None, :] @ inv @ innov[..., :, None])[..., 0, 0]
     exps = [math.exp(x) for x in (-0.5 * maha).ravel().tolist()]
     lik = np.array(exps).reshape(maha.shape) / (_TWO_PI * np.sqrt(det))
     return means, covs, innov, inv, lik
@@ -412,8 +375,8 @@ def update_tracks(
     """EKF measurement update of each track k with return zs[k] (K, 2), as
     one stacked pass: the posterior tracks and the marginal likelihoods of
     the returns. Gain, mean, I - K H and a P a^T + K R K^T are stacked
-    matmuls, which match the per-pair matrix products bit for bit, and the
-    posteriors pass one stacked check."""
+    matmuls, which match the per-pair matrix products bit for bit, and
+    each posterior is built by GaussianTrack's constructor, in order."""
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
     if len(zs) != len(tracks):
         raise ValueError("update_tracks needs one return per track")
@@ -424,7 +387,9 @@ def update_tracks(
     post_means = means + (gain @ innov[:, :, None])[:, :, 0]
     a = np.eye(4) - gain @ _H
     post_covs = a @ covs @ a.transpose(0, 2, 1) + gain @ sensor.r @ gain.transpose(0, 2, 1)
-    return _stacked_tracks([t.label for t in tracks], post_means, post_covs), lik
+    posteriors = [GaussianTrack(t.label, mean, cov)
+                  for t, mean, cov in zip(tracks, post_means, post_covs)]
+    return posteriors, lik
 
 
 def update_track(

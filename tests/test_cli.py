@@ -330,6 +330,17 @@ class TestTrackCommand:
         assert rc == 2
         assert f"{field} must have a finite square" in capsys.readouterr().err
 
+    def test_far_return_tracks_without_warning(self, tmp_path, small_scenario_file):
+        # A return at 1e200 km passes the 1 km guard and has likelihood 0
+        # under every track; both overflow to inf on the way, and a warning
+        # would fail this test.
+        frames = tmp_path / "frames.csv"
+        frames.write_text(f"{self.FRAMES_HEADER}\n300.0,1e200,0.0,clutter\n")
+        rc = main(["track", "--frames", str(frames), "--scenario", str(small_scenario_file),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 0
+        assert len(read_reports_ldjson(tmp_path / "o" / "reports.ldjson")) == 1
+
     def test_track_fixed_seed_byte_identical(self, tmp_path, sim_dir, small_scenario_file):
         outs = []
         for name in ("x", "y"):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mcmctrack.errors import ConfigError, NumericalError, SingularStateError
@@ -14,7 +14,6 @@ from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
-    _checked_covariances,
     _rk4_block,
     _rk4_step,
     in_bounded_fov,
@@ -490,19 +489,14 @@ class TestStackedKernel:
         with pytest.raises(ValueError, match="one return per track"):
             update_tracks([track, track], np.zeros((1, 2)), default_sensor())
 
-    def test_stacked_check_reports_the_first_failing_track(self):
-        # Track 1 is indefinite and track 2 non-finite: the stack fails on
-        # track 1, with the message GaussianTrack(track 1) raises.
-        covs = np.stack([np.eye(4), -np.eye(4), np.full((4, 4), math.nan)])
-        means = np.zeros((3, 4))
-        with pytest.raises(NumericalError) as stacked:
-            _checked_covariances(("t00", "t01", "t02"), means, covs)
-        with pytest.raises(NumericalError) as single:
-            GaussianTrack("t01", means[1], covs[1])
-        assert str(stacked.value) == str(single.value)
-        with pytest.raises(ValueError, match="track t02: covariance must be finite"):
-            _checked_covariances(("t00", "t02"), means[[0, 2]], covs[[0, 2]])
-        assert _checked_covariances((), np.empty((0, 4)), np.empty((0, 4, 4))).shape == (0, 4, 4)
+    def test_far_return_has_likelihood_zero(self):
+        # The Mahalanobis term of a return at 1e200 km overflows to inf,
+        # quietly, and its likelihood is exactly 0.
+        track = GaussianTrack("t00", [7000.0, 0.0, 0.0, 7.5], np.eye(4))
+        returns = np.array([[1e200, 0.0], [7000.0, 0.0]])
+        table = likelihood_table([track], returns, default_sensor())
+        assert table[0, 0] == 0.0
+        assert table[1, 0] > 0.0
 
 
 class TestFov:
@@ -543,7 +537,125 @@ class TestFov:
             assert in_bounded_fov(p, sensor)
 
 
+# The stacked check that GaussianTrack's one-track check replaced, kept here
+# as the reference it must match: the same inputs accepted and refused,
+# with the same error, and the same stored arrays, float hex by float hex.
+def reference_checked_covariances(labels, means, covs):
+    finite_means = np.isfinite(means).all(axis=1)
+    finite_covs = np.isfinite(covs).all(axis=(1, 2))
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    finite = finite_means & finite_covs
+    if finite.all():
+        min_eigs = np.linalg.eigvalsh(covs).min(axis=1)
+    else:
+        min_eigs = np.full(len(covs), -math.inf)
+        min_eigs[finite] = np.linalg.eigvalsh(covs[finite]).min(axis=1)
+    if (min_eigs < 0.0).any():
+        failed = ~finite | (min_eigs < -1e-9 * np.maximum(1.0, np.abs(covs).max(axis=(1, 2))))
+        if failed.any():
+            k = failed.argmax()
+            if not finite_means[k]:
+                raise ValueError(f"track {labels[k]}: mean must be finite")
+            if not finite_covs[k]:
+                raise ValueError(f"track {labels[k]}: covariance must be finite")
+            raise NumericalError(
+                f"track {labels[k]}: covariance indefinite (min eigenvalue {min_eigs[k]:g})"
+            )
+    return covs
+
+
+def reference_outcome(label, mean, cov):
+    """The hexes of the mean and covariance the reference stores for one
+    track, or the type and message of the error it raises."""
+    mean = np.asarray(mean, dtype=float).reshape(1, 4)
+    try:
+        cov = reference_checked_covariances(
+            (label,), mean, np.asarray(cov, dtype=float).reshape(1, 4, 4))
+    except (ValueError, NumericalError) as err:
+        return type(err), str(err)
+    return hexes(mean[0]), hexes(cov[0])
+
+
+def track_outcome(label, mean, cov):
+    """The same for GaussianTrack(label, mean, cov)."""
+    try:
+        track = GaussianTrack(label, mean, cov)
+    except (ValueError, NumericalError) as err:
+        return type(err), str(err)
+    return hexes(track.mean), hexes(track.covariance)
+
+
+def shifted_to_tolerance(cov, factor):
+    """cov plus a multiple of the identity that puts its smallest eigenvalue
+    at factor times the check's tolerance, -1e-9 max(1, max|cov|): inside
+    it for factor below 1, outside above. The shift moves max|cov|, so it
+    is applied twice."""
+    for _ in range(2):
+        tol = 1e-9 * max(1.0, np.abs(cov).max())
+        cov = cov - (np.linalg.eigvalsh(cov)[0] + factor * tol) * np.eye(4)
+    return cov
+
+
+@st.composite
+def checked_inputs(draw):
+    """A label, a mean and a 4 x 4 covariance for the track check: a random
+    A A^T, or a random symmetric matrix with its smallest eigenvalue moved
+    near the tolerance, of a drawn scale, then perhaps made asymmetric or
+    given a NaN or an infinity."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e3, 1e8]))
+    a = rng.normal(size=(4, 4)) * scale
+    factor = draw(st.sampled_from([None, 0.0, 0.5, 0.99, 1.01, 2.0]))
+    cov = a @ a.T if factor is None else shifted_to_tolerance(0.5 * (a + a.T), factor)
+    if draw(st.booleans()):
+        skew = rng.normal(size=(4, 4)) * scale * draw(st.sampled_from([1e-12, 1e-3, 1.0]))
+        cov = cov + (skew if draw(st.booleans()) else skew - skew.T)
+    mean = rng.normal(size=4) * 1e4
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        where = draw(st.sampled_from(["mean", "covariance", "both"]))
+        if where != "covariance":
+            mean[draw(st.integers(0, 3))] = bad
+        if where != "mean":
+            cov[draw(st.integers(0, 3)), draw(st.integers(0, 3))] = bad
+    return draw(st.sampled_from(["t00", "t17"])), mean, cov
+
+
 class TestTrackValidation:
+    @given(inputs=checked_inputs())
+    @example(inputs=("t01", np.zeros(4), -np.eye(4)))
+    @example(inputs=("t02", np.full(4, math.nan), np.full((4, 4), math.nan)))
+    @settings(max_examples=300, deadline=None)
+    def test_check_matches_the_stacked_reference(self, inputs):
+        assert track_outcome(*inputs) == reference_outcome(*inputs)
+
+    def test_tolerance_boundary_is_kept(self):
+        a = np.random.default_rng(3).normal(size=(4, 4)) * 1e3
+        cov = 0.5 * (a + a.T)
+        GaussianTrack("t00", np.zeros(4), shifted_to_tolerance(cov, 0.99))
+        with pytest.raises(NumericalError, match="track t00: covariance indefinite"):
+            GaussianTrack("t00", np.zeros(4), shifted_to_tolerance(cov, 1.01))
+        # A minimum exactly at the tolerance passes (eigvalsh returns a
+        # diagonal exactly), and one a step below it fails.
+        for low, accepted in ((-2e-9, True), (np.nextafter(-2e-9, -1.0), False)):
+            diagonal = np.diag([low, 2.0, 0.5, 0.5])
+            assert isinstance(track_outcome("t00", np.zeros(4), diagonal)[0], list) == accepted
+            assert track_outcome("t00", np.zeros(4), diagonal) == reference_outcome(
+                "t00", np.zeros(4), diagonal)
+
+    def test_constructor_reports_the_failing_check(self):
+        # The mean is checked before the covariance, and the covariance's
+        # finiteness before its eigenvalues; each error names the track.
+        with pytest.raises(NumericalError) as err:
+            GaussianTrack("t01", np.zeros(4), -np.eye(4))
+        assert str(err.value) == "track t01: covariance indefinite (min eigenvalue -1)"
+        with pytest.raises(ValueError, match="track t02: covariance must be finite"):
+            GaussianTrack("t02", np.zeros(4), np.full((4, 4), math.nan))
+        with pytest.raises(ValueError, match="track t03: mean must be finite"):
+            GaussianTrack("t03", np.full(4, math.inf), -np.eye(4))
+        posteriors, liks = update_tracks([], np.empty((0, 2)), default_sensor())
+        assert posteriors == [] and liks.shape == (0,)
+
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(NumericalError):
             GaussianTrack("t00", np.zeros(4), -np.eye(4))

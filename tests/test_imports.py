@@ -1,5 +1,6 @@
-"""Every name a package module imports is used there, and every name it
-defines is named somewhere.
+"""Every name a package module imports is used there, every name it
+defines is named somewhere, and every instance it makes is built by its
+class's constructor.
 
 The one exception to the first rule is an import marked `# noqa: F401`
 whose name is in TRACED_NAMES: bench/tracing.py rebinds those tracker names
@@ -7,7 +8,8 @@ to trace the layers, so the tracker keeps them although it no longer calls
 them. The second rule finds the helpers a deletion leaves behind: each
 module-level function, class or constant of a package module but
 `__init__`, dunders aside, must be named in some file under src/, bench/ or
-tests/."""
+tests/. The third rule keeps each class's checks in one place: no module
+names object.__new__, which builds an instance without running them."""
 
 import ast
 import functools
@@ -18,9 +20,8 @@ import pytest
 import mcmctrack
 from test_tracker import TRACED_NAMES
 
-MODULES = sorted(
-    path for path in Path(mcmctrack.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+SOURCES = sorted(Path(mcmctrack.__file__).parent.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -126,3 +127,28 @@ def test_orphans_are_found():
     assert [name for name in defined_names(source) if name not in named(source)] == [
         "_SPARE", "Helper", "orphan",
     ]
+
+
+def constructor_bypasses(source: str) -> list[int]:
+    """The lines of a source that name object.__new__, called or not."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[path.stem for path in SOURCES])
+def test_every_instance_is_built_by_its_constructor(path):
+    assert constructor_bypasses(path.read_text()) == []
+
+
+def test_bypasses_are_found():
+    source = (
+        "track = object.__new__(GaussianTrack)\n"
+        "object.__setattr__(track, 'label', 't00')\n"
+        "new = object.__new__\n"
+        "matrix = cls.__new__(cls)\n"
+        "track = GaussianTrack('t00', mean, cov)\n"
+    )
+    assert constructor_bypasses(source) == [1, 3]
