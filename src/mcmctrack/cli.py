@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InputDataError, NumericalError, TrackingError
-from .filters import _MIN_RADIUS_KM, GaussianTrack
+from .filters import _MIN_RADIUS_KM
 from .hypotheses import (
     count_associations,
     count_grandchildren,
@@ -138,12 +138,7 @@ def cmd_track(args: argparse.Namespace) -> int:
         },
     )
     tracker = Tracker(tracker_cfg)
-    hypotheses = tracker.initial_hypotheses(
-        [
-            GaussianTrack(f"t{idx:02d}", s, cfg.initial_covariance())
-            for idx, s in enumerate(cfg.objects)
-        ]
-    )
+    hypotheses = tracker.initial_hypotheses(cfg.initial_tracks())
     reports = []
     history = []
     for frame in frames:

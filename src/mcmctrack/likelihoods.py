@@ -147,9 +147,11 @@ class AssociationMatrix:
         this one, in the parent's track order: those columns, then the birth
         and clutter columns, with their labels and death flags. Its entries
         are this matrix's entries, bit for bit, and the constructor derives
-        its supported from them. cols must be distinct (a parent's tracks
-        are)."""
+        its supported from them. cols must be distinct object columns (a
+        parent's tracks are)."""
         n = self.n_objects
+        if not all(0 <= j < n for j in cols):
+            raise ValueError(f"select needs object columns in 0..{n - 1}")
         taken = [*cols, n, n + 1]  # then the birth and clutter columns
         if len(set(taken)) != len(taken):
             raise ValueError("select needs distinct columns")

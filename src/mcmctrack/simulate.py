@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .filters import (
     DynamicsConfig,
+    GaussianTrack,
     SensorModel,
     in_fov,
     propagate_state,
@@ -135,44 +136,47 @@ class ScenarioConfig:
             ]
         )
 
+    def initial_tracks(self) -> list[GaussianTrack]:
+        """Object i as track `t<ii>`, its truth label, with the initial covariance."""
+        return [
+            GaussianTrack(f"t{i:02d}", state, self.initial_covariance())
+            for i, state in enumerate(self.objects)
+        ]
+
 
 def generate_truth(cfg: ScenarioConfig, rng: np.random.Generator | None = None) -> list[TruthScan]:
-    """Propagate all objects scan by scan, applying each spawn event at the
-    first scan at or after its time, after that scan's propagation: the
-    parent is replaced by fragment_count children at the parent's position
-    with Gaussian velocity kicks (the parent dies). An event at time 0 is
-    applied at the first scan, as one at any time up to the first scan is."""
+    """Propagate all objects scan by scan. After each scan's propagation,
+    apply in (time, parent_index) order every pending spawn event due by
+    then (one at time 0 applies at the first scan): the parent dies, replaced
+    by fragment_count children `s<k>f<j>` at its position with Gaussian
+    velocity kicks, k the event's place in that order. An event whose parent
+    already spawned away is skipped and draws nothing, but keeps its k."""
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     events = sorted(cfg.spawn_events, key=lambda e: (e.time, e.parent_index))
-    applied = [False] * len(events)
     population: list[tuple[str, np.ndarray]] = [
         (f"t{idx:02d}", s.copy()) for idx, s in enumerate(cfg.objects)
     ]
-    id_of_initial = {idx: f"t{idx:02d}" for idx in range(len(cfg.objects))}
+    k = 0
     scans: list[TruthScan] = []
     for t in cfg.scan_times():
         population = [
             (oid, propagate_state(s, cfg.dynamics)) for oid, s in population
         ]
-        for ev_idx, ev in enumerate(events):
-            if applied[ev_idx] or ev.time > t:
-                continue
-            applied[ev_idx] = True
-            parent_id = id_of_initial[ev.parent_index]
-            pos = [i for i, (oid, _) in enumerate(population) if oid == parent_id]
-            if not pos:
-                continue  # parent already spawned away
-            i = pos[0]
-            _, parent_state = population.pop(i)
-            fragments = []
-            for j in range(ev.fragment_count):
-                kick = rng.normal(0.0, ev.velocity_std, size=2)
-                state = parent_state.copy()
-                state[2] += kick[0]
-                state[3] += kick[1]
-                fragments.append((f"s{ev_idx}f{j}", state))
-            population[i:i] = fragments
+        while k < len(events) and events[k].time <= t:
+            ev = events[k]
+            ids = [oid for oid, _ in population]
+            parent_id = f"t{ev.parent_index:02d}"
+            if parent_id in ids:  # else it already spawned away
+                i = ids.index(parent_id)
+                parent_state = population.pop(i)[1]
+                fragments = []
+                for j in range(ev.fragment_count):
+                    state = parent_state.copy()
+                    state[2:] += rng.normal(0.0, ev.velocity_std, size=2)
+                    fragments.append((f"s{k}f{j}", state))
+                population[i:i] = fragments
+            k += 1
         scans.append(TruthScan(time=t, objects=tuple((o, s.copy()) for o, s in population)))
     return scans
 

@@ -71,13 +71,6 @@ def wide_sensor(p_d=0.9):
     )
 
 
-def initial_tracks(cfg):
-    return [
-        GaussianTrack(f"t{idx:02d}", s, cfg.initial_covariance())
-        for idx, s in enumerate(cfg.objects)
-    ]
-
-
 def test_criterion_1_association_count_paper_number():
     count_associations(10, 5)  # warm
 
@@ -93,7 +86,7 @@ def test_criterion_2_sixty_object_bound_in_the_billions():
     # Spawn passage: the scan right after the breakup enters the frames.
     spawn_scan = next(i for i, scan in enumerate(truth) if scan.count > 60)
     hyp = Hypothesis(id="h0", parent_id=None, log_weight=0.0,
-                     tracks=tuple(initial_tracks(cfg)))
+                     tracks=tuple(cfg.initial_tracks()))
 
     def check():
         bound = hypothesis_count_bound(
@@ -213,7 +206,7 @@ def test_criterion_6_spawn_recovery():
         cfg = preset_single_spawn(seed=0)
         truth, frames = simulate_scenario(cfg)
         tracker = Tracker(tracker_config_for(cfg, seed=0))
-        final, _ = run_tracker(tracker, tracker.initial_hypotheses(initial_tracks(cfg)), frames)
+        final, _ = run_tracker(tracker, tracker.initial_hypotheses(cfg.initial_tracks()), frames)
         top = _top_hypothesis(final)
         assert truth[-1].count == 3
         assert len(top.tracks) == 3
@@ -234,7 +227,7 @@ def test_criterion_6_spawn_recovery():
             truth, frames = simulate_scenario(cfg)
             tracker = Tracker(tracker_config_for(cfg, seed=seed))
             final, _ = run_tracker(
-                tracker, tracker.initial_hypotheses(initial_tracks(cfg)), frames
+                tracker, tracker.initial_hypotheses(cfg.initial_tracks()), frames
             )
             wins += len(_top_hypothesis(final).tracks) == truth[-1].count
         assert wins >= 8, f"exact final count in only {wins}/10 runs"
@@ -330,7 +323,7 @@ def test_criterion_9_weight_simplex_and_determinism(tmp_path):
             cfg = factory(seed=0)
             truth, frames = simulate_scenario(cfg)
             tracker = Tracker(tracker_config_for(cfg, seed=0))
-            hyps = tracker.initial_hypotheses(initial_tracks(cfg))
+            hyps = tracker.initial_hypotheses(cfg.initial_tracks())
             for frame in frames:
                 hyps, _ = tracker.step(hyps, frame)
                 assert abs(sum(h.weight for h in hyps) - 1.0) <= 1e-12, cfg.name

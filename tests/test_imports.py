@@ -7,8 +7,9 @@ whose name is in TRACED_NAMES: bench/tracing.py rebinds those tracker names
 to trace the layers, so the tracker keeps them although it no longer calls
 them. The second rule finds the helpers a deletion leaves behind: each
 module-level function, class or constant of a package module but
-`__init__`, dunders aside, must be named in some file under src/, bench/ or
-tests/. The third rule keeps each class's checks in one place: no module
+`__init__`, and each method or property of its module-level classes,
+dunders aside, must be named in some file under src/, bench/ or tests/.
+The third rule keeps each class's checks in one place: no module
 names object.__new__, which builds an instance without running them."""
 
 import ast
@@ -126,6 +127,51 @@ def test_orphans_are_found():
     )
     assert [name for name in defined_names(source) if name not in named(source)] == [
         "_SPARE", "Helper", "orphan",
+    ]
+
+
+def defined_methods(source: str) -> list[str]:
+    """The methods and properties of the classes a module's source defines
+    at module level, dunders aside, as `Class.name`."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_method_is_named(path):
+    assert [name for name in defined_methods(path.read_text())
+            if name.rpartition(".")[2] not in named_in_repo()] == []
+
+
+def test_orphan_methods_are_found():
+    source = (
+        "class Track:\n"
+        "    def __post_init__(self):\n"
+        "        self.check()\n"
+        "    def check(self):\n"
+        "        pass\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return 4\n"
+        "    @staticmethod\n"
+        "    def spare():\n"
+        "        pass\n"
+        "    def used_by_name(self):\n"
+        "        pass\n"
+        "    def _orphan(self):\n"
+        "        def check():\n"
+        "            pass\n"
+        "    LIMIT = 3\n"
+        "def build(track):\n"
+        "    return track.size, used_by_name\n"
+    )
+    assert [name for name in defined_methods(source)
+            if name.rpartition(".")[2] not in named(source)] == [
+        "Track.spare", "Track._orphan",
     ]
 
 

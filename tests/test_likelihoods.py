@@ -270,6 +270,14 @@ class TestBuildMatrix:
         with pytest.raises(ValueError, match="distinct columns"):
             mat.select([1, 1])
 
+    @pytest.mark.parametrize("col", [-1, 2, 7], ids=["negative", "birth", "past-clutter"])
+    def test_select_refuses_columns_outside_the_objects(self, col):
+        # numpy would wrap -1 to the clutter column, and 2 is the birth column.
+        mat = build_matrix(self.SELECT_TRACKS[:2], self.SELECT_RETURNS, sensor_with(half=0.1),
+                           ClutterModel(1e-9), BirthDeathConfig())
+        with pytest.raises(ValueError, match=r"object columns in 0\.\.1"):
+            mat.select([col])
+
 
 class TestBirthLikelihood:
     def test_uniform_inside(self):

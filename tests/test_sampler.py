@@ -829,10 +829,7 @@ class TestExactKernel:
             scenario = PRESETS[name](seed=seed)
             _, frames = simulate_scenario(scenario)
             tracker = Tracker(tracker_config_for(scenario, seed=seed))
-            hyps = tracker.initial_hypotheses([
-                GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-                for i, s in enumerate(scenario.objects)
-            ])
+            hyps = tracker.initial_hypotheses(scenario.initial_tracks())
             for frame in frames:
                 captured.clear()
                 hyps, _ = tracker.step(hyps, frame)
@@ -1141,10 +1138,7 @@ class TestPriorTable:
         scenario = preset_single_spawn(seed=0)
         _, frames = simulate_scenario(scenario)
         tracker = Tracker(tracker_config_for(scenario, seed=0))
-        run_tracker(tracker, tracker.initial_hypotheses([
-            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-            for i, s in enumerate(scenario.objects)
-        ]), frames)
+        run_tracker(tracker, tracker.initial_hypotheses(scenario.initial_tracks()), frames)
         n_calls = len(calls)
         assert prior_table.cache_info().misses == len(requested) > 1
         assert prior_table.cache_info().hits > 0

@@ -1,6 +1,7 @@
 """Scenario generation and sensing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,72 @@ class TestGenerateTruth:
         counts = [scan.count for scan in truth]
         deltas = [b - a for a, b in zip(counts, counts[1:])]
         assert sorted(deltas) == [0] * (len(deltas) - 1) + [3]
+
+
+def orbiters(n):
+    """n objects on circular orbits 1,000 km apart."""
+    radii = [30000.0 + 1000.0 * i for i in range(n)]
+    return [np.array([r, 0.0, 0.0, math.sqrt(398600.4418 / r)]) for r in radii]
+
+
+def spawn(time, parent_index, fragment_count=2):
+    return SpawnEvent(time=time, parent_index=parent_index, fragment_count=fragment_count,
+                      velocity_std=0.05)
+
+
+class TestSpawnOrder:
+    def test_event_on_a_spawned_parent_is_skipped_but_numbered(self):
+        # Event 1 finds t00 gone: it draws nothing and spawns nothing, but
+        # the event after it is still number 2.
+        cfg = small_scenario(objects=orbiters(2),
+                             spawn_events=[spawn(600.0, 0), spawn(900.0, 0, 3), spawn(1200.0, 1)])
+        truth = generate_truth(cfg)
+        assert [scan.count for scan in truth] == [2, 3, 3, 4, 4]
+        assert [oid for oid, _ in truth[-1].objects] == ["s0f0", "s0f1", "s2f0", "s2f1"]
+        without = generate_truth(replace(cfg, spawn_events=[spawn(600.0, 0), spawn(1200.0, 1)]))
+        renamed = {"s0f0": "s0f0", "s0f1": "s0f1", "s1f0": "s2f0", "s1f1": "s2f1"}
+        for scan, other in zip(truth, without):
+            assert [oid for oid, _ in scan.objects] == [renamed.get(o, o) for o, _ in other.objects]
+            for (_, a), (_, b) in zip(scan.objects, other.objects):
+                assert a.tobytes() == b.tobytes()
+
+    def test_events_due_at_one_scan_apply_in_time_then_parent_order(self):
+        # All three are due at the 600 s scan. Sorted by (time, parent_index)
+        # they are (500, t02), (600, t00), (600, t01): they take numbers 0, 1
+        # and 2 and draw their kicks in that order, and each parent's
+        # fragments take its place.
+        cfg = small_scenario(objects=orbiters(3),
+                             spawn_events=[spawn(600.0, 1), spawn(600.0, 0), spawn(500.0, 2)])
+        truth = generate_truth(cfg)
+        assert [oid for oid, _ in truth[1].objects] == [
+            "s1f0", "s1f1", "s2f0", "s2f1", "s0f0", "s0f1"]
+        rng = np.random.default_rng(cfg.seed)
+        kicks = [rng.normal(0.0, 0.05, size=2) for _ in range(6)]
+        objects = dict(truth[1].objects)
+        parents = dict(generate_truth(replace(cfg, spawn_events=[]))[1].objects)
+        for n, (event, parent) in enumerate([(0, "t02"), (0, "t02"), (1, "t00"), (1, "t00"),
+                                             (2, "t01"), (2, "t01")]):
+            state = parents[parent].copy()
+            state[2:] += kicks[n]
+            assert objects[f"s{event}f{n % 2}"].tobytes() == state.tobytes()
+
+    @pytest.mark.parametrize("time, counts", [
+        (900.0, [1, 1, 3, 3, 3]),
+        (math.nextafter(900.0, math.inf), [1, 1, 1, 3, 3]),
+    ], ids=["at-scan", "just-after"])
+    def test_event_exactly_at_a_scan_time_applies_at_that_scan(self, time, counts):
+        cfg = small_scenario(spawn_events=[spawn(time, 0, 3)])
+        assert cfg.scan_times()[2] == 900.0
+        assert [scan.count for scan in generate_truth(cfg)] == counts
+
+
+def test_initial_tracks_carry_the_truth_labels():
+    cfg = preset_twenty_object(seed=0)
+    tracks = cfg.initial_tracks()
+    assert [t.label for t in tracks] == [oid for oid, _ in generate_truth(cfg)[0].objects]
+    for track, state in zip(tracks, cfg.objects):
+        assert track.mean.tobytes() == state.tobytes()
+        assert track.covariance.tobytes() == cfg.initial_covariance().tobytes()
 
 
 class TestScenarioValidation:

@@ -391,10 +391,7 @@ class TestExhaustiveVsMcmc:
         scenario = preset_twenty_object(seed=0)
         _, frames = simulate_scenario(scenario)
         tracker = Tracker(tracker_config_for(scenario, seed=0, mode=TrackerMode.EXHAUSTIVE))
-        hyps = tracker.initial_hypotheses([
-            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-            for i, s in enumerate(scenario.objects)
-        ])
+        hyps = tracker.initial_hypotheses(scenario.initial_tracks())
         new_hyps, report = tracker.step(hyps, frames[0])
         assert not report.degenerate
         assert math.fsum(h.weight for h in new_hyps) == pytest.approx(1.0, abs=1e-12)
@@ -487,10 +484,7 @@ class TestAdaptRates:
         cfg = tracker_config_for(scenario, alpha=0.0, beta=0.0)
         assert cfg.adapt_rates
         tracker = Tracker(cfg)
-        hyps = tracker.initial_hypotheses([
-            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-            for i, s in enumerate(scenario.objects)
-        ])
+        hyps = tracker.initial_hypotheses(scenario.initial_tracks())
         _, reports = run_tracker(tracker, hyps, frames)
         assert len(reports) == 14
         assert [(r.alpha_used, r.beta_used) for r in reports] == [(0.0, 0.0)] * len(frames)
@@ -574,10 +568,7 @@ def preset_start(preset, seed=0, mode=None):
     scenario = preset(seed=seed)
     _, frames = simulate_scenario(scenario)
     tracker = Tracker(tracker_config_for(scenario, seed=seed, mode=mode))
-    hyps = tracker.initial_hypotheses([
-        GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-        for i, s in enumerate(scenario.objects)
-    ])
+    hyps = tracker.initial_hypotheses(scenario.initial_tracks())
     return tracker, hyps, frames
 
 
@@ -748,10 +739,7 @@ class TestChildCalls:
         scenario = preset_single_spawn(seed=0)
         _, frames = simulate_scenario(scenario)
         tracker = Tracker(tracker_config_for(scenario, seed=0, mode=mode))
-        hyps = tracker.initial_hypotheses([
-            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-            for i, s in enumerate(scenario.objects)
-        ])
+        hyps = tracker.initial_hypotheses(scenario.initial_tracks())
         parents = skipped = 0
         for frame in frames:
             n_parents = len(hyps)
@@ -864,10 +852,7 @@ class TestPresetQuality:
         scenario = preset_sixty_object(seed=0)
         truth, frames = simulate_scenario(scenario)
         tracker = Tracker(tracker_config_for(scenario, seed=0))
-        hyps = tracker.initial_hypotheses([
-            GaussianTrack(f"t{i:02d}", s, scenario.initial_covariance())
-            for i, s in enumerate(scenario.objects)
-        ])
+        hyps = tracker.initial_hypotheses(scenario.initial_tracks())
         _, reports = run_tracker(tracker, hyps, frames)
         error = reports[-1].estimated_count - truth[-1].count
         print(f"sixty-object seed 0: final {reports[-1].estimated_count} tracks, "
