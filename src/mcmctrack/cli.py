@@ -10,7 +10,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -43,9 +43,9 @@ from .io import (
     write_truth_csv,
 )
 from .oracle import enumerate_grandchildren
-from .presets import PRESETS, tracker_config_for
+from .presets import PRESETS, TRACKER_TUNING, tracker_config_for
 from .simulate import ScenarioConfig, simulate_scenario
-from .tracker import Tracker, TrackerConfig, TrackerMode
+from .tracker import Tracker, TrackerMode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,21 +81,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _tracker_config(cfg: ScenarioConfig, args: argparse.Namespace) -> TrackerConfig:
-    return tracker_config_for(
-        cfg,
-        seed=args.seed,
-        mode=TrackerMode(args.mode),
-        h_inf=args.h_inf,
-        alpha=args.alpha,
-        beta=args.beta,
-        children_kept=args.children,
-        burn_in_steps=args.burn_in,
-        record_steps=args.record_steps,
-        adapt_rates=True if args.adapt_rates else None,
-    )
-
-
 def cmd_track(args: argparse.Namespace) -> int:
     cfg = _resolve_scenario(args.scenario, None)
     frames = read_frames_csv(args.frames)
@@ -119,7 +104,9 @@ def cmd_track(args: argparse.Namespace) -> int:
             raise InputDataError(f"frame {k} is at {frame.time} s, not at {due} s "
                                  f"(one scan every {cfg.scan_interval} s)")
     truth = read_truth_csv(args.truth) if args.truth else None
-    tracker_cfg = _tracker_config(cfg, args)
+    # Each tuning flag's dest is its TRACKER_TUNING key; an unset one is None.
+    tuning = {k: v for k, v in vars(args).items() if k in TRACKER_TUNING["custom"]}
+    tracker_cfg = tracker_config_for(cfg, seed=args.seed, mode=args.mode, **tuning)
     out = default_out_dir(args.out)
     write_manifest(
         out,
@@ -127,12 +114,11 @@ def cmd_track(args: argparse.Namespace) -> int:
             "command": "track",
             "scenario": scenario_to_dict(cfg),
             "frames": str(args.frames),
-            "seed": tracker_cfg.sampler.seed,
             "mode": tracker_cfg.mode.value,
             "h_inf": tracker_cfg.h_inf,
-            "alpha": tracker_cfg.birth_death.alpha,
-            "beta": tracker_cfg.birth_death.beta,
             "adapt_rates": tracker_cfg.adapt_rates,
+            **asdict(tracker_cfg.birth_death),
+            **asdict(tracker_cfg.sampler),
             "outputs": ["reports.ldjson", "summary.json"]
             + (["hypotheses.ldjson"] if args.history else []),
         },
@@ -254,12 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hypotheses kept per scan")
     p_trk.add_argument("--alpha", type=float, default=None, help="per-pixel birth probability")
     p_trk.add_argument("--beta", type=float, default=None, help="per-object death probability")
-    p_trk.add_argument("--adapt-rates", action="store_true",
+    p_trk.add_argument("--adapt-rates", action="store_const", const=True, default=None,
                        help="adapt alpha/beta to the return/object ratio")
-    p_trk.add_argument("--children", type=int, default=None, help="children kept per parent")
+    p_trk.add_argument("--children", dest="children_kept", type=int, default=None,
+                       help="children kept per parent")
     p_trk.add_argument("--history", action="store_true",
                        help="also write the full per-scan hypothesis history (small runs)")
-    p_trk.add_argument("--burn-in", dest="burn_in", type=int, default=None)
+    p_trk.add_argument("--burn-in", dest="burn_in_steps", type=int, default=None)
     p_trk.add_argument("--record-steps", dest="record_steps", type=int, default=None)
     p_trk.set_defaults(func=cmd_track)
 

@@ -136,12 +136,7 @@ GRANDCHILD_COUNTS = 128
 
 @functools.lru_cache(maxsize=GRANDCHILD_COUNTS)
 def count_grandchildren(
-    n_objects: int,
-    n_returns: int,
-    n_pixels: int,
-    *,
-    allow_births: bool = True,
-    allow_deaths: bool = True,
+    n_objects: int, n_returns: int, n_pixels: int, *, allow_deaths: bool = True
 ) -> int:
     """Number of distinct (birth/death instance, data association) pairs,
 
@@ -149,15 +144,14 @@ def count_grandchildren(
 
     in closed form. A child keeps t = Nb + (M - Nd) objects, and by
     Vandermonde's identity the terms with the same t add up to
-    C(N + M, t) A(t, m): one sum of N + M + 1 terms. The allow flags
-    (used when a rate is exactly zero, making those instances impossible)
-    drop their pixels or objects from the free choice; objects that cannot
-    die are kept by every child. Memoized on its arguments: the tracker asks
-    for the same counts scan after scan.
+    C(N + M, t) A(t, m): one sum of N + M + 1 terms. No births is N = 0.
+    Without deaths (a zero death rate makes them impossible) the objects
+    leave the free choice and every child keeps them. Memoized on its
+    arguments: the tracker asks for the same counts scan after scan.
     """
     if min(n_objects, n_returns, n_pixels) < 0:
         raise ValueError("counts must be non-negative")
-    free = (n_pixels if allow_births else 0) + (n_objects if allow_deaths else 0)
+    free = n_pixels + (n_objects if allow_deaths else 0)
     kept = 0 if allow_deaths else n_objects
     return sum(comb(free, s) * count_associations(kept + s, n_returns) for s in range(free + 1))
 

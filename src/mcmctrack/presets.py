@@ -117,8 +117,10 @@ TRACKER_TUNING: dict[str, dict] = {
 def tracker_config_for(scenario, seed=None, mode=None, **overrides):
     """Build a TrackerConfig from a scenario plus its preset tuning.
 
-    Keyword overrides: h_inf, children_kept, burn_in_steps, record_steps,
-    alpha, beta, n_pixels, adapt_rates; any other raises TypeError.
+    Keyword overrides are the TRACKER_TUNING keys (h_inf, children_kept,
+    burn_in_steps, record_steps, alpha, beta, n_pixels, adapt_rates); one
+    that is None keeps the preset's value, and any other key raises
+    TypeError. mode is a TrackerMode or its value (default MCMC).
     """
     tun = dict(TRACKER_TUNING.get(scenario.name, TRACKER_TUNING["custom"]))
     unknown = sorted(overrides.keys() - tun.keys())

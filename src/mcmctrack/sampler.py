@@ -186,8 +186,8 @@ def _batches(rng: np.random.Generator, row: tuple, sid: int):
     like any long hold."""
     _, p, cumulative, destinations = row
     if p <= 0.0:
+        # Endless, so the walk's chain.from_iterable never resumes past it.
         yield itertools.repeat((MAX_HOLD + 1, sid))
-        return
     rate = -math.log1p(-p) if p < 1.0 else None
     n = FIRST_BATCH
     u = rng.random(n)

@@ -102,6 +102,11 @@ class TrackerConfig:
     def __post_init__(self) -> None:
         if self.h_inf < 1:
             raise ConfigError("tracker.h_inf must be >= 1")
+        try:
+            object.__setattr__(self, "mode", TrackerMode(self.mode))
+        except ValueError:
+            raise ConfigError(f"tracker.mode must be one of "
+                              f"{[m.value for m in TrackerMode]}, not {self.mode!r}") from None
 
 
 @dataclass(frozen=True)
@@ -127,19 +132,16 @@ class TrackerReport:
 
 
 def hypothesis_count_bound(
-    hypotheses: Sequence[Hypothesis],
-    n_returns: int,
-    n_pixels: int,
-    *,
-    allow_births: bool = True,
-    allow_deaths: bool = True,
+    hypotheses: Sequence[Hypothesis], n_returns: int, birth_death: BirthDeathConfig
 ) -> int:
     """Sum over hypotheses of the exhaustive grandchild count they would
-    spawn for this frame, computed once per distinct object count."""
+    spawn for this frame, computed once per distinct object count. A zero
+    rate makes its instances impossible: a zero alpha counts no pixels, a
+    zero beta no deaths."""
+    n_pixels = birth_death.n_pixels if birth_death.alpha > 0.0 else 0
+    allow_deaths = birth_death.beta > 0.0
     return sum(
-        n_hyps * count_grandchildren(
-            n_objects, n_returns, n_pixels, allow_births=allow_births, allow_deaths=allow_deaths
-        )
+        n_hyps * count_grandchildren(n_objects, n_returns, n_pixels, allow_deaths=allow_deaths)
         for n_objects, n_hyps in Counter(len(h.tracks) for h in hypotheses).items()
     )
 
@@ -232,13 +234,7 @@ class Tracker:
         if cfg.adapt_rates:
             bd = adapt_birth_death_rates(frame, hypotheses, cfg)
         m = frame.n_returns
-        bound = hypothesis_count_bound(
-            hypotheses,
-            m,
-            bd.n_pixels,
-            allow_births=bd.alpha > 0.0,
-            allow_deaths=bd.beta > 0.0,
-        )
+        bound = hypothesis_count_bound(hypotheses, m, bd)
         parents = sorted(hypotheses, key=lambda h: h.id)
         # Children share their parent's track objects, so most tracks recur
         # across parents: number the scan's distinct objects in first-seen

@@ -90,7 +90,7 @@ def test_criterion_2_sixty_object_bound_in_the_billions():
 
     def check():
         bound = hypothesis_count_bound(
-            [hyp], frames[spawn_scan].n_returns, 60
+            [hyp], frames[spawn_scan].n_returns, BirthDeathConfig(n_pixels=60)
         )
         assert bound > 10**9
         assert bound.bit_length() > 64  # genuinely on the big-integer path

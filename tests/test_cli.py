@@ -1,5 +1,6 @@
 """CLI subcommands, file formats, exit codes, reproducibility."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,9 @@ import numpy as np
 import pytest
 
 import mcmctrack
-from mcmctrack.cli import main
+from mcmctrack import cli
+from mcmctrack.cli import build_parser, main
+from mcmctrack.errors import NumericalError, TrackingError
 from mcmctrack.filters import DynamicsConfig, SensorModel
 from mcmctrack.hypotheses import count_grandchildren
 from mcmctrack.io import (
@@ -26,7 +29,7 @@ from mcmctrack.io import (
     scenario_to_dict,
 )
 from mcmctrack.likelihoods import ClutterModel, uniform_clutter
-from mcmctrack.presets import preset_single_spawn
+from mcmctrack.presets import TRACKER_TUNING, preset_single_spawn
 from mcmctrack.simulate import ScenarioConfig, SpawnEvent, simulate_scenario
 
 
@@ -197,11 +200,13 @@ class TestSimulateCommand:
         # Each is finite, but their ratio, the scan count, is not.
         ("duration must span a finite number of scans",
          lambda p: p.update(duration_s=1e300, scan_interval_s=1e-300)),
+        ("schema must be mcmctrack.scenario.v1",
+         lambda p: p.update(schema="mcmctrack.scenario.v0")),
     ], ids=["scan-interval", "boresight-nan", "boresight-inf", "noise-cov-inf",
             "clutter-count-nan", "clutter-count-inf", "spawn-velocity-nan",
             "spawn-velocity-inf", "position-std-nan", "velocity-std-inf",
             "position-std-square-overflow", "velocity-std-square-overflow",
-            "scan-count-overflow"])
+            "scan-count-overflow", "other-schema"])
     def test_invalid_scenario_exits_2_naming_field(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
         edit(payload)
@@ -409,8 +414,11 @@ class TestTrackCommand:
          "object t00 repeats at 300.0 s"),
         ("frames", FRAMES_HEADER, "600.0,7000.0,0.0,t00\n1200.0,7000.0,0.0,t00", "frame 0"),
         ("frames", FRAMES_HEADER, "300.0,7000.0,0.0,t00\n900.0,7000.0,0.0,t00", "frame 1"),
+        ("frames", FRAMES_HEADER, "300.0,7000.0", "bad frame row"),
+        ("frames", FRAMES_HEADER, "", "contains no scans"),
     ], ids=["nan-return", "inf-time", "return-at-sensor-origin", "inf-truth-state",
-            "truth-without-object-id", "repeated-truth-row", "doubled-spacing", "dropped-scan"])
+            "truth-without-object-id", "repeated-truth-row", "doubled-spacing", "dropped-scan",
+            "row-missing-field", "header-only"])
     def test_bad_value_exits_3(
         self, tmp_path, capsys, sim_dir, small_scenario_file, kind, header, row, named
     ):
@@ -573,11 +581,13 @@ class TestInputErrors:
          "line 1: estimates[0].label "),
         ("--reports", report_line(lambda r: r["estimates"][0].update(y_km=math.inf)),
          "line 1: estimates[0].y_km "),
+        ("--reports", report_line(lambda r: r.update(schema="mcmctrack.report.v2")),
+         "line 1: unexpected report schema 'mcmctrack.report.v2'"),
     ], ids=["scenario-dir", "frames-dir", "truth-dir", "reports-dir", "frames-latin-1",
             "truth-latin-1", "reports-latin-1", "reports-not-json",
             "reports-not-object", "report-schema-only", "estimate-without-x", "time-nan",
             "time-text", "bound-int", "bound-float-text", "estimates-object", "estimate-list",
-            "label-null", "y-inf"])
+            "label-null", "y-inf", "report-other-schema"])
     def test_exits_3(self, tmp_path, capsys, sim_dir, small_scenario_file, flag, content, named):
         path = tmp_path / "input"
         if content is None:
@@ -677,6 +687,15 @@ class TestFigdataCommand:
         lines = (fig / "fig_counts.csv").read_text().splitlines()
         assert len(lines) == 2  # schema comment + header
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        reports = tmp_path / "reports.ldjson"
+        reports.write_text("\n" + report_line(lambda r: None) + "  \n"
+                           + report_line(lambda r: r.update(time_s=600.0)))
+        fig = tmp_path / "fig"
+        assert main(["figdata", "--reports", str(reports), "--out", str(fig)]) == 0
+        lines = (fig / "fig_counts.csv").read_text().splitlines()
+        assert lines[2:] == ["300.0,12", "600.0,12"]
+
 
 class TestSelftestCommand:
     def test_selftest_passes_and_writes_report(self, tmp_path, capsys):
@@ -710,3 +729,43 @@ class TestOutDirEnv:
         monkeypatch.setenv("MCMCTRACK_OUT", str(tmp_path / "envout"))
         assert main(["simulate", "--scenario", str(small_scenario_file)]) == 0
         assert (tmp_path / "envout" / "frames.csv").exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [NumericalError, TrackingError])
+    def test_tracking_errors_exit_4(self, tmp_path, capsys, monkeypatch, error):
+        def failing(args):
+            raise error("the walk diverged")
+
+        monkeypatch.setattr(cli, "cmd_selftest", failing)
+        assert main(["selftest", "--out", str(tmp_path)]) == 4
+        assert "the walk diverged" in capsys.readouterr().err
+
+
+class TestTrackTuning:
+    """track hands each tuning flag to tracker_config_for by its dest, so a
+    flag whose dest is no TRACKER_TUNING key would be dropped unread."""
+
+    RUN_ARGUMENTS = {"frames", "scenario", "truth", "out", "seed", "mode", "history"}
+
+    def test_every_option_is_a_run_argument_or_tuning_key(self):
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subparsers.choices["track"]._actions
+                 if not isinstance(a, argparse._HelpAction)}
+        assert self.RUN_ARGUMENTS <= dests
+        assert dests - self.RUN_ARGUMENTS <= TRACKER_TUNING["custom"].keys()
+
+    def test_manifest_records_the_resolved_config(self, tmp_path, sim_dir, small_scenario_file):
+        out = tmp_path / "trk"
+        assert main([
+            "track", "--frames", str(sim_dir / "frames.csv"),
+            "--scenario", str(small_scenario_file), "--out", str(out),
+            "--children", "7", "--burn-in", "100", "--record-steps", "300", "--alpha", "0.05",
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {key: manifest[key] for key in
+                ("children_kept", "burn_in_steps", "record_steps", "alpha", "n_pixels")} == {
+            "children_kept": 7, "burn_in_steps": 100, "record_steps": 300, "alpha": 0.05,
+            "n_pixels": 50,
+        }

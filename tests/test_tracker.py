@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -497,23 +498,25 @@ class TestCountBound:
         return [Hypothesis(id="h0", parent_id=None, log_weight=0.0, tracks=tracks)]
 
     def test_association_only_matches_known_value(self):
+        # A zero alpha counts no pixels, a zero beta no deaths.
         assert hypothesis_count_bound(
-            self._hyps(10), 5, 0, allow_deaths=False
+            self._hyps(10), 5, BirthDeathConfig(alpha=0.0, beta=0.0)
         ) == 63591
 
     def test_zero_returns_counts_death_subsets(self):
         # One 3-track hypothesis, no returns, no births: every death subset
         # yields exactly one association child.
-        assert hypothesis_count_bound(self._hyps(3), 0, 0, allow_births=False) == 8
+        assert hypothesis_count_bound(self._hyps(3), 0, BirthDeathConfig(alpha=0.0)) == 8
 
     def test_sums_over_hypotheses(self):
         hyps = self._hyps(2) + [
             Hypothesis(id="h1", parent_id=None, log_weight=-math.inf,
                        tracks=(track_at("x00", 0.0, 10.0),))
         ]
-        single = hypothesis_count_bound([hyps[0]], 1, 1)
-        other = hypothesis_count_bound([hyps[1]], 1, 1)
-        assert hypothesis_count_bound(hyps, 1, 1) == single + other
+        bd = BirthDeathConfig(n_pixels=1)
+        single = hypothesis_count_bound([hyps[0]], 1, bd)
+        other = hypothesis_count_bound([hyps[1]], 1, bd)
+        assert hypothesis_count_bound(hyps, 1, bd) == single + other
 
     def test_counts_once_per_distinct_object_count(self, monkeypatch):
         calls = []
@@ -524,7 +527,7 @@ class TestCountBound:
 
         monkeypatch.setattr(tracker_module, "count_grandchildren", counting)
         hyps = self._hyps(2) * 3 + self._hyps(3) * 2
-        bound = hypothesis_count_bound(hyps, 2, 3)
+        bound = hypothesis_count_bound(hyps, 2, BirthDeathConfig(n_pixels=3))
         assert sorted(calls) == [(2, 2, 3), (3, 2, 3)]
         assert bound == 3 * count_grandchildren(2, 2, 3) + 2 * count_grandchildren(3, 2, 3)
 
@@ -543,11 +546,7 @@ class TestReportBound:
             t += 10.0
             points = rng.normal(0, 1.0, size=(2, 2)) + np.array([[100.0, 0.0], [60.0, -40.0]])
             frame = frame_at(t, points)
-            expected = hypothesis_count_bound(
-                hyps, frame.n_returns, cfg.birth_death.n_pixels,
-                allow_births=cfg.birth_death.alpha > 0,
-                allow_deaths=cfg.birth_death.beta > 0,
-            )
+            expected = hypothesis_count_bound(hyps, frame.n_returns, cfg.birth_death)
             hyps, report = tracker.step(hyps, frame)
             assert report.hypothesis_count_bound == expected
 
@@ -718,11 +717,16 @@ class TestChildCalls:
         for name in TRACED_NAMES:
             assert callable(getattr(tracker_module, name)), name
 
-    @pytest.mark.parametrize("mode,expected", [
-        (TrackerMode.MCMC, ("sample_children",)),
-        (TrackerMode.EXHAUSTIVE, ("enumerate_children",)),
-    ], ids=["mcmc", "exhaustive"])
-    def test_one_call_per_parent(self, monkeypatch, mode, expected):
+    # A mode may be given by its value, to either constructor.
+    @pytest.mark.parametrize("config,expected", [
+        (lambda s: tracker_config_for(s, seed=0, mode=TrackerMode.MCMC), ("sample_children",)),
+        (lambda s: tracker_config_for(s, seed=0, mode=TrackerMode.EXHAUSTIVE),
+         ("enumerate_children",)),
+        (lambda s: tracker_config_for(s, seed=0, mode="exhaustive"), ("enumerate_children",)),
+        (lambda s: replace(tracker_config_for(s, seed=0), mode="exhaustive"),
+         ("enumerate_children",)),
+    ], ids=["mcmc", "exhaustive", "exhaustive-value", "exhaustive-value-config"])
+    def test_one_call_per_parent(self, monkeypatch, config, expected):
         calls = {"sample_children": 0, "enumerate_children": 0}
 
         def counting(name):
@@ -738,7 +742,7 @@ class TestChildCalls:
             monkeypatch.setattr(tracker_module, name, counting(name))
         scenario = preset_single_spawn(seed=0)
         _, frames = simulate_scenario(scenario)
-        tracker = Tracker(tracker_config_for(scenario, seed=0, mode=mode))
+        tracker = Tracker(config(scenario))
         hyps = tracker.initial_hypotheses(scenario.initial_tracks())
         parents = skipped = 0
         for frame in frames:
