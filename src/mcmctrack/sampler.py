@@ -144,9 +144,10 @@ LAST_BATCH = 1024
 # Holds are kept as int64: a longer hold is drawn as MAX_HOLD, which run
 # reads as "at least MAX_HOLD" by running at most MAX_HOLD steps at a time.
 MAX_HOLD = 2**62
-# Only a rate -log1p(-p) below this can overflow a standard exponential
-# draw divided by it (numpy's draws stay below 50, far under 2**24), to an
-# inf that the MAX_HOLD clamp takes like any long hold.
+# The floor of a state's rate -log1p(-p): E / TINY_RATE cannot overflow
+# (numpy's standard exponential draws stay below 50), and raising a rate to
+# it changes no hold. A draw is 0 or far above 2**-938, so at any rate up
+# to TINY_RATE it holds either 0 or past MAX_HOLD, which the clamp takes.
 TINY_RATE = 2.0**-1000
 
 
@@ -172,55 +173,47 @@ def _batches(rng: np.random.Generator, row: tuple, sid: int):
     A destination is the move that U * p, U uniform on [0, 1), falls in
     among the row's cumulative probabilities but the last (a bisect_right
     for the first pair, a numpy searchsorted for the rest), so a product
-    that rounds up to p lands on the last move. A span is hold + 1, the
-    hold floor(E / -log1p(-p)) for a standard exponential E, so P(hold >=
-    h) = (1 - p)^h: the geometric count of steps held before the step that
-    moves, kept at most MAX_HOLD. When p >= 1 (which summation can
-    overshoot by a rounding error, where log1p(-p) is NaN) every span is 1
-    and no exponential is drawn. Only multiplication, division, truncation
-    (floor, for these non-negative values), an integer add, comparison and
-    search touch a draw, and Python and numpy apply the same IEEE
-    operations, so every platform turns the same draws into the same pairs.
-    A rate below TINY_RATE divides with numpy's overflow warning off (Python
-    divides an overflow to inf without one): the inf it may give is clamped
-    like any long hold."""
+    that rounds up to p lands on the last move. Every span is one rule,
+    int(min(E / rate, MAX_HOLD)) + 1 for a standard exponential E and rate
+    -log1p(-p) raised to TINY_RATE, so P(hold >= h) = (1 - p)^h: the
+    geometric count of steps held before the step that moves, kept at most
+    MAX_HOLD. A state that always leaves (p >= 1, which summation can
+    overshoot by a rounding error) has rate inf and draws no exponential:
+    its E are zeros, so every span is 1. Only multiplication, division,
+    truncation (floor, for these non-negative values), an integer add,
+    comparison and search touch a draw, and Python and numpy apply the same
+    IEEE operations, so every platform turns the same draws into the same
+    pairs."""
     _, p, cumulative, destinations = row
     if p <= 0.0:
         # Endless, so the walk's chain.from_iterable never resumes past it.
         yield itertools.repeat((MAX_HOLD + 1, sid))
-    rate = -math.log1p(-p) if p < 1.0 else None
+    leaves = p >= 1.0
+    rate = math.inf if leaves else max(-math.log1p(-p), TINY_RATE)
     n = FIRST_BATCH
     u = rng.random(n)
-    e = None if rate is None else rng.standard_exponential(n)
+    e = np.zeros(n) if leaves else rng.standard_exponential(n)
     dest = destinations[bisect_right(cumulative, u.item(0) * p, 0, len(cumulative) - 1)]
     # float(MAX_HOLD) is exact: MAX_HOLD is a power of two.
-    span = 1 if rate is None else int(min(e.item(0) / rate, float(MAX_HOLD))) + 1
+    span = int(min(e.item(0) / rate, float(MAX_HOLD))) + 1
     yield ((span, dest),)
-    quiet = rate is not None and rate < TINY_RATE
     bounds = np.array(cumulative[:-1])
     moves = np.array(destinations)
     u = u[1:]
-    e = None if e is None else e[1:]
+    e = e[1:]
     while True:
         u *= p
         dests = moves[bounds.searchsorted(u, "right")].tolist()
-        if rate is None:
-            spans = itertools.repeat(1)
-        else:
-            if quiet:
-                with np.errstate(over="ignore"):
-                    e /= rate
-            else:
-                e /= rate
-            holds = np.minimum(e, float(MAX_HOLD), out=e).astype(np.int64)
-            holds += 1
-            spans = holds.tolist()
+        e /= rate
+        holds = np.minimum(e, float(MAX_HOLD), out=e).astype(np.int64)
+        holds += 1
+        spans = holds.tolist()
         # Only lists cross the yield: the suspended generator keeps no draws.
         u = e = None
         yield zip(spans, dests)
         n = min(2 * n, LAST_BATCH)
         u = rng.random(n)
-        e = None if rate is None else rng.standard_exponential(n)
+        e = np.zeros(n) if leaves else rng.standard_exponential(n)
 
 
 # The pair source of a state the walk has not yet left: it is exhausted.

@@ -20,14 +20,14 @@ births it. A degenerate update (no candidate carries mass) realizes each
 parent's child that claims no return, at the parent's prior weight.
 
 Parents are visited by parent log weight plus bound, highest first, and a
-min-heap keeps the h_inf heaviest finite candidate weights so far. Once the
-heap is full and a parent's weight plus bound falls below its minimum,
-every child of that parent and of every later one is strictly lighter than
-h_inf others, so prune would drop it, and those parents are skipped
-(TrackerReport.parents_skipped): no matrix is selected for them. prune's
-output depends only on what it keeps, and it ranks them by a unique key,
-so neither the skip nor the order candidates are gathered in changes a bit
-of a scan's hypotheses.
+min-heap keeps the h_inf heaviest candidate weights so far, -inf ones too:
+no parent falls below a -inf minimum. Once the heap is full and a parent's
+weight plus bound falls below its minimum, every child of that parent and
+of every later one is strictly lighter than h_inf others, so prune would
+drop it, and those parents are skipped (TrackerReport.parents_skipped): no
+matrix is selected for them. prune's output depends only on what it keeps,
+and it ranks them by a unique key, so neither the skip nor the order
+candidates are gathered in changes a bit of a scan's hypotheses.
 
 A walk (sampler._Walk.run, which simulates the Metropolis chain by its
 jump chain) is seeded by the run seed and its parent's id alone, and a
@@ -260,7 +260,7 @@ class Tracker:
         predicted_by_parent = [tuple(distinct[j] for j in cols) for cols in cols_by_parent]
         bounds = child_score_bounds(scan_matrix, cols_by_parent, bd, cfg.sensor.p_d)
         candidates: list[Candidate] = []
-        heaviest: list[float] = []  # min-heap, the h_inf heaviest finite weights
+        heaviest: list[float] = []  # min-heap, the h_inf heaviest weights
         kernels: dict[tuple[int, ...], Kernel] = {}  # by the parent's columns
         unvisited = Counter(cols_by_parent)
         visited = 0
@@ -291,8 +291,6 @@ class Tracker:
             for s in samples:
                 weight = parent.log_weight + s.log_score
                 candidates.append(Candidate(parent.id, predicted_by_parent[p], s.event, weight))
-                if weight == -math.inf:
-                    continue
                 if len(heaviest) < cfg.h_inf:
                     heapq.heappush(heaviest, weight)
                 elif weight > heaviest[0]:

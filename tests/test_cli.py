@@ -20,6 +20,7 @@ from mcmctrack.errors import NumericalError, TrackingError
 from mcmctrack.filters import DynamicsConfig, SensorModel
 from mcmctrack.hypotheses import count_grandchildren
 from mcmctrack.io import (
+    default_out_dir,
     load_scenario,
     read_frames_csv,
     read_reports_ldjson,
@@ -729,6 +730,10 @@ class TestOutDirEnv:
         monkeypatch.setenv("MCMCTRACK_OUT", str(tmp_path / "envout"))
         assert main(["simulate", "--scenario", str(small_scenario_file)]) == 0
         assert (tmp_path / "envout" / "frames.csv").exists()
+
+    def test_unset_env_var_default(self, monkeypatch):
+        monkeypatch.delenv("MCMCTRACK_OUT", raising=False)
+        assert default_out_dir(None) == Path("mcmctrack-out")
 
 
 class TestExitCodes:

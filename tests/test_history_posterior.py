@@ -19,6 +19,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mcmctrack import oracle
 from mcmctrack.filters import (
@@ -35,10 +37,11 @@ from mcmctrack.simulate import MeasurementFrame
 from mcmctrack.tracker import Tracker, TrackerConfig, TrackerMode, run_tracker
 
 
-def brute_force_histories(tracks, frames, cfg):
+def brute_force_histories(tracks, frames, cfg, max_histories=math.inf):
     """(weight, tracks) of every finite association history of tracks over
-    frames. Children of zero mass are dropped as they arise, which is the
-    same as normalizing over the finite histories at the end."""
+    frames, or None once more than max_histories arise. Children of zero
+    mass are dropped as they arise, which is the same as normalizing over
+    the finite histories at the end."""
     histories = [(0.0, tuple(tracks))]
     for scan, frame in enumerate(frames, 1):
         grown = []
@@ -63,6 +66,8 @@ def brute_force_histories(tracks, frames, cfg):
                     for i, col in enumerate(assign) if col == matrix.birth_col
                 ]
                 grown.append((log_weight + log_score, tuple(child)))
+            if len(grown) > max_histories:
+                return None
         histories = grown
     top = max(log_weight for log_weight, _ in histories)
     total = math.fsum(math.exp(log_weight - top) for log_weight, _ in histories)
@@ -78,14 +83,14 @@ def grouped(histories):
     return {key: sorted(weights) for key, weights in groups.items()}
 
 
-def config(p_d, alpha, beta, clutter_density, mu=0.0, dt=10.0, q=0.0):
+def config(p_d, alpha, beta, clutter_density, mu=0.0, dt=10.0, q=0.0, n_pixels=2):
     sensor = SensorModel(origin=np.zeros(2), boresight_angle=0.0, fov_half_angle=math.pi,
                          r=np.eye(2), p_d=p_d, max_range=1.0e4)
     return TrackerConfig(
         sensor=sensor,
         dynamics=DynamicsConfig(mu=mu, dt=dt, q=q),
         clutter=ClutterModel(clutter_density),
-        birth_death=BirthDeathConfig(alpha=alpha, beta=beta, n_pixels=2),
+        birth_death=BirthDeathConfig(alpha=alpha, beta=beta, n_pixels=n_pixels),
         mode=TrackerMode.EXHAUSTIVE,
     )
 
@@ -125,17 +130,20 @@ INSTANCES = {
         frames_of(10.0, [[6999.9, 75.6]], [[6999.4, 150.9], [6990.0, 160.0]],
                   [[6998.8, 226.0]]),
     ),
+    # One pixel and two bornable returns in the second scan: the children
+    # that birth both have zero mass (-inf), and go through the heap and
+    # prune with the rest.
+    "two-births-one-pixel": (
+        config(p_d=0.8, alpha=0.1, beta=0.05, clutter_density=1e-6, n_pixels=1),
+        [track("t00", [100.0, 0.0, 0.0, 1.0])],
+        frames_of(10.0, [[100.2, 10.1]], [[100.1, 19.8], [-300.0, 250.0], [450.0, -200.0]]),
+    ),
 }
 
 
-@pytest.mark.parametrize("name", INSTANCES)
-def test_exhaustive_tracker_gives_the_history_posterior(name):
-    cfg, tracks, frames = INSTANCES[name]
-    first = build_matrix([predict_track(t, cfg.dynamics) for t in tracks], frames[0].returns,
-                         cfg.sensor, cfg.clutter, cfg.birth_death)
-    assert any(first.death_eligible)
-    assert any(birth_likelihood(z, cfg.sensor) > 0.0 for frame in frames for z in frame.returns)
-    brute = brute_force_histories(tracks, frames, cfg)
+def assert_tracker_gives(cfg, tracks, frames, brute):
+    """Exhaustive tracking with h_inf above the history count gives the
+    brute-force histories: the same tracks at the same weights."""
     tracker = Tracker(replace(cfg, h_inf=len(brute) + 1))
     final, reports = run_tracker(tracker, tracker.initial_hypotheses(tracks), frames)
     assert not any(report.degenerate for report in reports)
@@ -147,3 +155,50 @@ def test_exhaustive_tracker_gives_the_history_posterior(name):
         assert len(got[key]) == len(weights)
         for g, w in zip(got[key], weights):
             assert g == pytest.approx(w, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", INSTANCES)
+def test_exhaustive_tracker_gives_the_history_posterior(name):
+    cfg, tracks, frames = INSTANCES[name]
+    first = build_matrix([predict_track(t, cfg.dynamics) for t in tracks], frames[0].returns,
+                         cfg.sensor, cfg.clutter, cfg.birth_death)
+    assert any(first.death_eligible)
+    assert any(birth_likelihood(z, cfg.sensor) > 0.0 for frame in frames for z in frame.returns)
+    assert_tracker_gives(cfg, tracks, frames, brute_force_histories(tracks, frames, cfg))
+
+
+@st.composite
+def tiny_instances(draw):
+    """A config, one or two objects moving +y at 1 km/s, 3 km apart, and two
+    or three scans of up to two returns, each near one object or far from
+    every object."""
+    cfg = config(
+        p_d=draw(st.floats(0.6, 0.95)),
+        alpha=draw(st.floats(0.02, 0.3)),
+        beta=draw(st.floats(0.02, 0.3)),
+        clutter_density=draw(st.floats(1e-7, 1e-5)),
+        n_pixels=draw(st.sampled_from([1, 2])),
+    )
+    n_objects = draw(st.integers(1, 2))
+    tracks = [track(f"t{j:02d}", [100.0 + 3.0 * j, 0.0, 0.0, 1.0]) for j in range(n_objects)]
+    scans = []
+    for k in range(1, draw(st.integers(2, 3)) + 1):
+        returns = []
+        for _ in range(draw(st.integers(0, 2))):
+            dx, dy = draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+            near = draw(st.sampled_from([None, *range(n_objects)]))
+            if near is None:
+                returns.append([400.0 + 50.0 * dx, -300.0 + 50.0 * dy])
+            else:
+                returns.append([100.0 + 3.0 * near + dx, 10.0 * k + dy])
+        scans.append(returns)
+    return cfg, tracks, frames_of(10.0, *scans)
+
+
+@given(instance=tiny_instances())
+@settings(max_examples=25, deadline=None)
+def test_exhaustive_tracker_gives_the_history_posterior_on_generated_instances(instance):
+    cfg, tracks, frames = instance
+    brute = brute_force_histories(tracks, frames, cfg, max_histories=2000)
+    assume(brute is not None)
+    assert_tracker_gives(cfg, tracks, frames, brute)

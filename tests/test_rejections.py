@@ -19,12 +19,14 @@ from mcmctrack.filters import (
 )
 from mcmctrack.hypotheses import (
     BIRTH,
+    CLUTTER,
+    AssociationEvent,
     BirthDeathConfig,
     Hypothesis,
     count_associations,
     log_sum_exp,
 )
-from mcmctrack.likelihoods import AssociationMatrix, ClutterModel
+from mcmctrack.likelihoods import AssociationMatrix, ClutterModel, hypothesis_log_likelihood
 from mcmctrack.sampler import SamplerConfig, visit_distribution
 from mcmctrack.simulate import MeasurementFrame, ScenarioConfig
 from mcmctrack.tracker import TrackerConfig
@@ -84,6 +86,11 @@ REJECTIONS = {
     "hypothesis-weight": (lambda: Hypothesis("h0", None, 0.1, ()), ValueError, "weight"),
     "matrix-columns": (
         lambda: AssociationMatrix(np.zeros((1, 2)), ("t00",), (False,)), ValueError, "column"),
+    "event-assignments": (
+        lambda: hypothesis_log_likelihood(
+            AssociationEvent((CLUTTER, CLUTTER)),
+            AssociationMatrix(np.zeros((1, 3)), ("t00",), (False,))),
+        InvalidEventError, "assignments"),
     "count_associations": (lambda: count_associations(-1, 2), ValueError, "counts"),
     "propagate_state": (
         lambda: propagate_state([1.0e4, NAN, 0.0, 0.0], DynamicsConfig()), ValueError, "state"),

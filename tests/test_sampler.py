@@ -1538,8 +1538,13 @@ class TestFirstPair:
     EDGE_ROWS = {
         # Every span is 1 and no exponential is drawn.
         "past-one": (1.0 + 2.0**-52, [0.5, 1.0 + 2.0**-52], [0, 1]),
-        # The quiet division: every E / rate overflows to inf, clamped.
+        "one": (1.0, [0.5, 1.0], [0, 1]),
+        # Rates under TINY_RATE, raised to it: every E / rate is past
+        # MAX_HOLD, as E / -log1p(-p) is, and each span is clamped.
         "subnormal": (7.2e-311, [7.2e-311], [1]),
+        "below-tiny": (2.0**-1001, [2.0**-1001], [1]),
+        # A rate just over TINY_RATE, divided as it is.
+        "above-tiny": (2.0**-999, [2.0**-999], [1]),
         # U * p rounds up to p and lands on the last move.
         "rounds-up": (3 * TINY, [2 * TINY, 3 * TINY], [0, 1]),
         # No move: held for ever, with no draw.
@@ -1624,7 +1629,7 @@ class TestFirstPair:
         p, cumulative, moves = self.EDGE_ROWS[name]
         self.assert_stream_matches((0.0, p, cumulative, moves), seed)
         whole = self.assert_split_runs_match((p, cumulative, moves), (p, cumulative, moves), seed)
-        if name == "past-one":
+        if p >= 1.0:
             # Every step moves, and the walk stands on both states.
             assert set(visits_of(whole)) == {((0, 1), ()), ((1, 0), ())}
         else:
