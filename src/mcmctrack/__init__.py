@@ -73,7 +73,6 @@ from .tracker import (
     TrackerConfig,
     TrackerMode,
     TrackerReport,
-    adapt_birth_death_rates,
     hypothesis_count_bound,
     run_tracker,
 )

@@ -116,7 +116,6 @@ def cmd_track(args: argparse.Namespace) -> int:
             "frames": str(args.frames),
             "mode": tracker_cfg.mode.value,
             "h_inf": tracker_cfg.h_inf,
-            "adapt_rates": tracker_cfg.adapt_rates,
             **asdict(tracker_cfg.birth_death),
             **asdict(tracker_cfg.sampler),
             "outputs": ["reports.ldjson", "summary.json"]
@@ -240,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="hypotheses kept per scan")
     p_trk.add_argument("--alpha", type=float, default=None, help="per-pixel birth probability")
     p_trk.add_argument("--beta", type=float, default=None, help="per-object death probability")
-    p_trk.add_argument("--adapt-rates", action="store_const", const=True, default=None,
-                       help="adapt alpha/beta to the return/object ratio")
     p_trk.add_argument("--children", dest="children_kept", type=int, default=None,
                        help="children kept per parent")
     p_trk.add_argument("--history", action="store_true",

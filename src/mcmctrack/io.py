@@ -31,7 +31,7 @@ from .tracker import TrackerReport
 SCENARIO_SCHEMA = "mcmctrack.scenario.v1"
 TRUTH_SCHEMA = "mcmctrack.truth.v1"
 FRAMES_SCHEMA = "mcmctrack.frames.v1"
-REPORT_SCHEMA = "mcmctrack.report.v3"
+REPORT_SCHEMA = "mcmctrack.report.v4"
 HISTORY_SCHEMA = "mcmctrack.history.v1"
 SUMMARY_SCHEMA = "mcmctrack.summary.v1"
 FIG_ESTIMATES_SCHEMA = "mcmctrack.fig-estimates.v1"
@@ -317,8 +317,6 @@ def report_to_dict(report: TrackerReport) -> dict:
         "weight_entropy": report.weight_entropy,
         "hypothesis_count_bound": str(report.hypothesis_count_bound),
         "degenerate": report.degenerate,
-        "alpha_used": report.alpha_used,
-        "beta_used": report.beta_used,
         "parents_skipped": report.parents_skipped,
         "estimates": [
             {

@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -50,7 +50,6 @@ from .filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
-    in_fov,
     predict_track,
     propagate_flows,
     update_tracks,
@@ -97,7 +96,6 @@ class TrackerConfig:
     sampler: SamplerConfig = SamplerConfig()
     h_inf: int = 50
     mode: TrackerMode = TrackerMode.MCMC
-    adapt_rates: bool = False
 
     def __post_init__(self) -> None:
         if self.h_inf < 1:
@@ -126,8 +124,6 @@ class TrackerReport:
     hypothesis_count_bound: int
     n_hypotheses: int
     degenerate: bool
-    alpha_used: float
-    beta_used: float
     parents_skipped: int
 
 
@@ -144,26 +140,6 @@ def hypothesis_count_bound(
         n_hyps * count_grandchildren(n_objects, n_returns, n_pixels, allow_deaths=allow_deaths)
         for n_objects, n_hyps in Counter(len(h.tracks) for h in hypotheses).items()
     )
-
-
-def adapt_birth_death_rates(
-    frame: MeasurementFrame,
-    hypotheses: Sequence[Hypothesis],
-    cfg: TrackerConfig,
-) -> BirthDeathConfig:
-    """One documented heuristic: compare the return count with the top
-    hypothesis's in-FOV object count; a surplus of returns scales alpha up,
-    a deficit scales beta up, each clamped to [1e-6, 0.5]. A zero rate
-    stays zero, so adapting never turns births or deaths on."""
-    base = cfg.birth_death
-    top = max(hypotheses, key=lambda h: (h.log_weight, h.id))
-    n_fov = sum(1 for t in top.tracks if in_fov(t.mean, cfg.sensor))
-    m = frame.n_returns
-    ratio_up = m / max(1, n_fov)
-    ratio_down = n_fov / max(1, m)
-    alpha = min(max(base.alpha * max(1.0, ratio_up), 1e-6), 0.5) if base.alpha > 0.0 else 0.0
-    beta = min(max(base.beta * max(1.0, ratio_down), 1e-6), 0.5) if base.beta > 0.0 else 0.0
-    return replace(base, alpha=alpha, beta=beta)
 
 
 def _realize(
@@ -231,8 +207,6 @@ class Tracker:
             raise ValueError(f"hypothesis weights sum to {total_weight}, expected 1")
         self.scan_index += 1
         bd = cfg.birth_death
-        if cfg.adapt_rates:
-            bd = adapt_birth_death_rates(frame, hypotheses, cfg)
         m = frame.n_returns
         bound = hypothesis_count_bound(hypotheses, m, bd)
         parents = sorted(hypotheses, key=lambda h: h.id)
@@ -309,14 +283,13 @@ class Tracker:
             ]
             degenerate = True
         new_hyps = _realize(kept, frame, cfg, self.scan_index)
-        return new_hyps, self._report(frame, new_hyps, bound, bd, skipped, degenerate)
+        return new_hyps, self._report(frame, new_hyps, bound, skipped, degenerate)
 
     def _report(
         self,
         frame: MeasurementFrame,
         hypotheses: Sequence[Hypothesis],
         bound: int,
-        bd: BirthDeathConfig,
         parents_skipped: int,
         degenerate: bool,
     ) -> TrackerReport:
@@ -335,8 +308,6 @@ class Tracker:
             hypothesis_count_bound=bound,
             n_hypotheses=len(hypotheses),
             degenerate=degenerate,
-            alpha_used=bd.alpha,
-            beta_used=bd.beta,
             parents_skipped=parents_skipped,
         )
 

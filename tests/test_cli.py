@@ -314,7 +314,7 @@ class TestTrackCommand:
         assert rc == 0
         records = read_reports_ldjson(out / "reports.ldjson")
         assert len(records) == 4
-        assert all(r["schema"] == "mcmctrack.report.v3" for r in records)
+        assert all(r["schema"] == "mcmctrack.report.v4" for r in records)
         assert all(isinstance(r["hypothesis_count_bound"], str) for r in records)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["schema"] == "mcmctrack.summary.v1"
@@ -472,28 +472,28 @@ class TestRecordedBytes:
             "sim/scenario.json": "74dce149ffa8e63482ddbc588be23e0b9619623d6aeaa9d3f3220165a991754e",
             "sim/truth.csv": "2d3b33edbb3b3235efbb71e0a49b4380c3929930a5d00e0badc669bc0601f4f4",
             "sim/frames.csv": "527cbc17e9478b29bb6d8431b558837e1e54f321499bd4eb5fff6705ebe5ef83",
-            "trk/reports.ldjson": "5c269707bccdfb6b0440ccc1ad83bd9e9491870c6b94c8d1bf9ceb1718f6fabc",
+            "trk/reports.ldjson": "c4a872d32796e7cd3fab479233ff2b160f8ab32490b692e430cb5c21e9b16699",
             "trk/summary.json": "6f49f1e1f13332934b2b8ea1abbc3770cdd249126d1d1d9cc80b64213eb5c494",
         },
         ("twenty-object", 9001, "mcmc"): {
             "sim/scenario.json": "cbc3cd72b6e9c207846bebc34faba7bec65baa34155b874a77e788a9fe0775bf",
             "sim/truth.csv": "35ecfde349e01396a4592c0d9b9f582037bb91509ce3612a94946dbbe832d0fa",
             "sim/frames.csv": "571879d1b169770a84720e81afc15d7304d8ed833fd53bcbbadf8685ea8f3012",
-            "trk/reports.ldjson": "31b353a9283f78e2b53d38222b748f116eb5298c64bee381905d8f0cd1664c8f",
-            "trk/summary.json": "2e770e33f659f672fd942296564fface728a8d9d6e1d71672a70de640525c487",
+            "trk/reports.ldjson": "656709427a24ccbd17d96b097746450af70056041d4ca084079acd0eefb2546a",
+            "trk/summary.json": "7ff04f069e1307dfb30d36023c8f0076b8eb55fe34695bff00cc3e2665971987",
         },
         ("sixty-object", 9001, "mcmc"): {
             "sim/scenario.json": "1b2e73d6f173448b94134477ba1c4f8830b4c16146101496fd4d3c98cd9cb592",
             "sim/truth.csv": "04f64a339a3414376184899bbd7c5038b9a35084bdefdacfed541995cec955c1",
             "sim/frames.csv": "ec21ec79cc7de61b95b9588d74e1f9a056ae9f5b1a7262cad85f065d0f4c315f",
-            "trk/reports.ldjson": "a6c0626e5890fe6972d36ccb33f0c20ceed99c7d3244b29935282b07922d4e95",
+            "trk/reports.ldjson": "b118f7acae67beb4e855fa902e8f0c69c16f931a8f2996247477443977e9e700",
             "trk/summary.json": "26799044fdf8807114a2618c3da78510c1aa1710623651c210ddc219d68e8edf",
         },
         ("single-spawn", 0, "exhaustive"): {
             "sim/scenario.json": "8e318431f45ba7ba8d03760cc57a3520d3def14eb618105fabbc21eb45900eb9",
             "sim/truth.csv": "b129c4c335b0f40462edcfe209107efe54b58423921fafc08e8a384697249de6",
             "sim/frames.csv": "b33b4f517c0e051d928774c406745aa1750c40dd7748ffb8ffa079864d3db77d",
-            "trk/reports.ldjson": "70495f9dcf77564b5cdea40ab61537448c465f2ea88e58cd4c5bcc4769af7c68",
+            "trk/reports.ldjson": "962f16bfe0320acab51c34672f19f96ac70c2dabe2eef7ca54ab7e1725c42f95",
             "trk/summary.json": "61c71cc0beedc60e22b7b81e7695eeaa6290bb972412daaad0acaff080df2fa6",
         },
     }
@@ -541,7 +541,7 @@ class TestNegativeSeed:
 def report_line(edit):
     """A one-record reports line: a well-formed record changed by edit."""
     record = {
-        "schema": "mcmctrack.report.v3", "time_s": 300.0, "hypothesis_count_bound": "12",
+        "schema": "mcmctrack.report.v4", "time_s": 300.0, "hypothesis_count_bound": "12",
         "estimates": [{"label": "t00", "x_km": 7000.0, "y_km": 0.0}],
     }
     edit(record)
@@ -562,11 +562,11 @@ class TestInputErrors:
          "is not UTF-8 text"),
         ("--truth", b"time_s,object_id,x_km,y_km,vx_kmps,vy_kmps\n"
                     b"1200.0,caf\xe9,7000.0,0.0,0.0,7.5\n", "is not UTF-8 text"),
-        ("--reports", '{"schema": "mcmctrack.report.v3-header", "by": "caf\u00e9"}\n'
+        ("--reports", '{"schema": "mcmctrack.report.v4-header", "by": "caf\u00e9"}\n'
                       .encode("latin-1"), "is not UTF-8 text"),
-        ("--reports", '{"schema": "mcmctrack.report.v3-header"}\nnot json\n', "line 2"),
+        ("--reports", '{"schema": "mcmctrack.report.v4-header"}\nnot json\n', "line 2"),
         ("--reports", "[1, 2]\n", "line 1"),
-        ("--reports", '{"schema": "mcmctrack.report.v3"}\n', "line 1: time_s "),
+        ("--reports", '{"schema": "mcmctrack.report.v4"}\n', "line 1: time_s "),
         ("--reports", report_line(lambda r: r["estimates"][0].pop("x_km")),
          "line 1: estimates[0].x_km "),
         ("--reports", report_line(lambda r: r.update(time_s=math.nan)), "line 1: time_s "),
@@ -582,8 +582,8 @@ class TestInputErrors:
          "line 1: estimates[0].label "),
         ("--reports", report_line(lambda r: r["estimates"][0].update(y_km=math.inf)),
          "line 1: estimates[0].y_km "),
-        ("--reports", report_line(lambda r: r.update(schema="mcmctrack.report.v2")),
-         "line 1: unexpected report schema 'mcmctrack.report.v2'"),
+        ("--reports", report_line(lambda r: r.update(schema="mcmctrack.report.v3")),
+         "line 1: unexpected report schema 'mcmctrack.report.v3'"),
     ], ids=["scenario-dir", "frames-dir", "truth-dir", "reports-dir", "frames-latin-1",
             "truth-latin-1", "reports-latin-1", "reports-not-json",
             "reports-not-object", "report-schema-only", "estimate-without-x", "time-nan",
@@ -760,6 +760,15 @@ class TestTrackTuning:
                  if not isinstance(a, argparse._HelpAction)}
         assert self.RUN_ARGUMENTS <= dests
         assert dests - self.RUN_ARGUMENTS <= TRACKER_TUNING["custom"].keys()
+
+    def test_removed_rate_flag_is_refused(self, capsys, sim_dir, small_scenario_file):
+        # The rates are fixed for the run: the removed switch that rescaled
+        # them each scan is an unknown option, a usage error.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["track", "--frames", str(sim_dir / "frames.csv"),
+                  "--scenario", str(small_scenario_file), "--adapt-rates"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --adapt-rates" in capsys.readouterr().err
 
     def test_manifest_records_the_resolved_config(self, tmp_path, sim_dir, small_scenario_file):
         out = tmp_path / "trk"

@@ -6,8 +6,10 @@ history's tracks are predicted one by one (predict_track) and paired with
 the returns (build_matrix); every key of oracle.enumerate_child_keys is
 scored by oracle._key_scorer and realized with update_track and
 newborn_track. A history's weight is the product of its scans' child
-scores, normalized over the finite histories at the end. It uses no
-Tracker, _realize, prune, Kernel or child_score_bounds.
+scores, normalized over the finite histories at the end. A scan where no
+history has a child of positive mass carries every history on, predicted
+and at its prior weight. It uses no Tracker, _realize, prune, Kernel or
+child_score_bounds.
 
 Exhaustive tracking with h_inf above the history count must then give the
 same posterior over association histories: the same final tracks, bit for
@@ -28,6 +30,7 @@ from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
     SensorModel,
+    in_bounded_fov,
     predict_track,
     update_track,
 )
@@ -68,6 +71,12 @@ def brute_force_histories(tracks, frames, cfg, max_histories=math.inf):
                 grown.append((log_weight + log_score, tuple(child)))
             if len(grown) > max_histories:
                 return None
+        if not grown:
+            # A degenerate scan: no history has a child of positive mass, so
+            # every history carries on at its prior weight, its tracks
+            # predicted and not updated.
+            grown = [(log_weight, tuple(predict_track(t, cfg.dynamics) for t in held))
+                     for log_weight, held in histories]
         histories = grown
     top = max(log_weight for log_weight, _ in histories)
     total = math.fsum(math.exp(log_weight - top) for log_weight, _ in histories)
@@ -141,12 +150,13 @@ INSTANCES = {
 }
 
 
-def assert_tracker_gives(cfg, tracks, frames, brute):
+def assert_tracker_gives(cfg, tracks, frames, brute, degenerate=()):
     """Exhaustive tracking with h_inf above the history count gives the
-    brute-force histories: the same tracks at the same weights."""
+    brute-force histories: the same tracks at the same weights. It reports
+    the scans numbered in degenerate as degenerate, and no other."""
     tracker = Tracker(replace(cfg, h_inf=len(brute) + 1))
     final, reports = run_tracker(tracker, tracker.initial_hypotheses(tracks), frames)
-    assert not any(report.degenerate for report in reports)
+    assert [report.scan for report in reports if report.degenerate] == list(degenerate)
     assert len(final) == len(brute) > 1
     want = grouped(brute)
     got = grouped([(h.weight, h.tracks) for h in final])
@@ -165,6 +175,18 @@ def test_exhaustive_tracker_gives_the_history_posterior(name):
     assert any(first.death_eligible)
     assert any(birth_likelihood(z, cfg.sensor) > 0.0 for frame in frames for z in frame.returns)
     assert_tracker_gives(cfg, tracks, frames, brute_force_histories(tracks, frames, cfg))
+
+
+def test_degenerate_scan_carries_every_history_on():
+    # No clutter, and the middle scan's one return lies beyond the FOV's
+    # range and thousands of km from every track: no child of any history
+    # explains it. Scans 1 and 3 each have a return near the object.
+    cfg = config(p_d=0.8, alpha=0.05, beta=0.05, clutter_density=0.0)
+    tracks = [track("t00", [100.0, 0.0, 0.0, 1.0])]
+    frames = frames_of(10.0, [[100.3, 10.2]], [[2.0e4, 0.0]], [[99.8, 29.9]])
+    assert not in_bounded_fov(frames[1].returns[0], cfg.sensor)
+    assert_tracker_gives(cfg, tracks, frames, brute_force_histories(tracks, frames, cfg),
+                         degenerate=[2])
 
 
 @st.composite
