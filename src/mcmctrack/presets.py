@@ -93,7 +93,7 @@ PRESETS = {
 # Per-preset tracker tuning: hypothesis budget, children kept per parent,
 # chain sizing and the birth/death rates, fixed for the whole run.
 # twenty-object's alpha 0.1 was chosen on seeds 0-79, where it ends on the
-# true count on 79 of 80 (0.06: 68, 0.2: 78), and on 75 of held-out seeds
+# true count on 79 of 80 (0.06: 69, 0.2: 78), and on 75 of held-out seeds
 # 80-159. No rate tried (alpha 0.02-0.1, beta 0.005-0.02) ends a sixty-object
 # run of seeds 0-9 on the true count, so it keeps alpha 0.02.
 TRACKER_TUNING: dict[str, dict] = {

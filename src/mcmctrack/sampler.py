@@ -22,16 +22,21 @@ it has named, and the kernel rows built so far; it is a pure function of
 parent matrix per scan and every walk over that matrix shares it. A _Walk
 holds one parent's walk over a kernel: its generator, its position, its
 visit counts and its per-state pair sources. start draws a random initial
-state from the matrix's supported columns (AssociationMatrix.supported),
-the same pattern the child enumerator walks. tally scores a key from
-scratch; it is the one production scorer. _Walk.run simulates the walk
-exactly by its jump chain (Douc & Robert, "A vanilla Rao-Blackwellization
-of Metropolis-Hastings algorithms", Ann. Statist. 2011) over state ids:
-each state gets an id the first time a row names it, and for each state a
-walk reaches, build_row builds and memoizes once per kernel, under that
-id, the state's one-step kernel row: its score, the probability p that a
-step leaves it, and each move that does, as its cumulative probability
-and its destination id. Each departure from a state takes the next (span,
+state weighted by likelihood: each return takes one of its row's supported
+columns (AssociationMatrix.supported, the pattern the child enumerator
+walks) with probability proportional to its likelihood, read from the
+kernel's start table (data-driven initialization, as in Tu & Zhu's DDMCMC,
+IEEE TPAMI 2002). So a walk starts near the likely children instead of
+climbing to them in burn-in; only the initial state's law depends on it,
+not the rows or the stationary law. tally scores a key from scratch; it is
+the one production scorer. _Walk.run simulates the walk exactly by its
+jump chain (Douc & Robert, "A vanilla Rao-Blackwellization of
+Metropolis-Hastings algorithms", Ann. Statist. 2011) over state ids: each
+state gets an id the first time a row names it, and for each state a walk
+reaches, build_row builds and memoizes once per kernel, under that id, the
+state's one-step kernel row: its score, the probability p that a step
+leaves it, and each move that does, as its cumulative probability and its
+destination id. Each departure from a state takes the next (span,
 destination) pair of the state's own stack in that walk (span = hold + 1:
 the steps held there plus the step that moves), drawn in numpy batches
 (the per-state "random stacks" of Wilson, "Generating random spanning
@@ -49,17 +54,18 @@ before it selects their matrices. All three read the count-level prior
 from one memoized prior_table.
 
 Stream contract: each walk draws from one numpy Generator, seeded from
-chain_seed. start draws each return's column in turn, rng.integers(0,
-size), size the number of the row's supported columns (all M+2 columns
-when none is); this draws exactly what one rng.integers(0, sizes) call
-over the rows would. run then draws only (span, destination) pairs, span
-= hold + 1 for the geometric hold. The first time the walk needs a pair
-at a state (to leave it, or to hold out a budget there), the state gets
-one endless source of pairs, which draws its next batch of n pairs
-exactly when the last one is used up, n = FIRST_BATCH (16) at first and
-doubling up to LAST_BATCH (1024): rng.random(n) for the destinations,
-then rng.standard_exponential(n) for the holds. A state with p = 0 draws
-nothing, and one with p >= 1 draws no exponentials (every span is 1).
+chain_seed. start draws rng.random(m), one u per return, and return i
+takes cols[bisect_right(cumulative, u * cumulative[-1], 0,
+len(cumulative) - 1)] of its start-table row (cols, cumulative): the first
+column whose running weight exceeds u times the row's total. run then
+draws only (span, destination) pairs, span = hold + 1 for the geometric
+hold. The first time the walk needs a pair at a state (to leave it, or
+to hold out a budget there), the state gets one endless source of pairs,
+which draws its next batch of n pairs exactly when the last one is used
+up, n = FIRST_BATCH (16) at first and doubling up to LAST_BATCH (1024):
+rng.random(n) for the destinations, then rng.standard_exponential(n) for
+the holds. A state with p = 0 draws nothing, and one with p >= 1 draws no
+exponentials (every span is 1).
 Where a pair is turned from its draws does not move a draw: one
 function, _batches, turns a state's first pair in Python floats at its
 first departure, then the rest of its first batch by numpy when the walk
@@ -234,6 +240,12 @@ class Kernel:
     selected -inf entry, so zero-likelihood assignments never produce
     inf - inf artifacts in the move deltas.
 
+    starts is the start table that _Walk.start draws from, one (cols,
+    cumulative) pair per return row: the row's supported columns and the
+    running sums of their weights exp(entry - the row's largest supported
+    entry), summed left to right. A row with no supported column holds all
+    M+2 columns at weight 1.
+
     Each state key gets an integer id the first time a row or a walk names
     it (state_id): ids maps a key to its id and keys an id to its key. rows
     is the one memo of kernel rows, indexed by id (None until some walk
@@ -243,7 +255,7 @@ class Kernel:
 
     __slots__ = (
         "matrix", "entries", "death_eligible", "prior", "birth_col", "clutter_col", "m",
-        "n_objects", "ids", "keys", "rows",
+        "n_objects", "starts", "ids", "keys", "rows",
     )
 
     def __init__(
@@ -257,6 +269,15 @@ class Kernel:
         self.entries = matrix.log_entries.tolist()
         self.death_eligible = [j for j, ok in enumerate(matrix.death_eligible) if ok]
         self.prior = prior_table(self.n_objects, len(self.death_eligible), self.m, birth_cfg, p_d)
+        every_col = tuple(range(self.n_objects + 2))
+        self.starts: list[tuple[tuple[int, ...], list[float]]] = []
+        for row, cols in zip(self.entries, matrix.supported):
+            if cols:
+                top = max(row[c] for c in cols)
+                weights = [math.exp(row[c] - top) for c in cols]
+            else:
+                cols, weights = every_col, [1.0] * len(every_col)
+            self.starts.append((cols, list(itertools.accumulate(weights))))
         self.ids: dict[tuple, int] = {}
         self.keys: list[tuple] = []
         self.rows: list[tuple | None] = []
@@ -424,20 +445,20 @@ class _Walk:
 
     def start(self, rng: np.random.Generator) -> None:
         """Draw a random initial state from rng, the stream run then draws
-        from: each return picks uniformly among the supported columns of its
-        row (zero-likelihood pairings would start the chain on a plateau it
-        can take arbitrarily long to leave), by one integers call per row,
-        a draw of an already-claimed object resolves to clutter, and the
-        death set is empty."""
+        from, weighted by likelihood: rng.random(m) gives each return one
+        uniform u, and the return takes the first column of its row of the
+        start table (Kernel.starts) whose running weight exceeds u times the
+        row's total, so a supported column is drawn with probability
+        proportional to its likelihood (every column alike in a row with
+        none). A draw of an already-claimed object resolves to clutter, and
+        the death set is empty."""
         self.rng = rng
         kernel = self.kernel
-        every_col = kernel.n_objects + 2
+        n_objects = kernel.n_objects
         assign: list[int] = []
-        for supported in kernel.matrix.supported:
-            col = int(rng.integers(0, len(supported) or every_col))
-            if supported:
-                col = supported[col]
-            if col < kernel.n_objects and col in assign:
+        for (cols, cumulative), u in zip(kernel.starts, rng.random(kernel.m).tolist()):
+            col = cols[bisect_right(cumulative, u * cumulative[-1], 0, len(cumulative) - 1)]
+            if col < n_objects and col in assign:
                 col = kernel.clutter_col
             assign.append(col)
         self.sid = kernel.state_id((tuple(assign), ()))

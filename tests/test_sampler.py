@@ -962,21 +962,49 @@ class TestStream:
         return key, batches, moves
 
     @staticmethod
-    def started(matrix, cfg, p_d, seed):
+    def start_key(matrix, u):
+        """The start state the stream contract gives for uniforms u, one
+        per return, computed from matrix.log_entries here rather than by
+        Kernel: a return weighs its finite columns by exp(entry - the row's
+        largest finite entry), or every column by 1 when none is finite, and
+        takes the first column whose running weight, summed left to right,
+        exceeds u times the row's total (the last if none does). An object
+        already claimed resolves to clutter, and no object dies."""
+        assign = []
+        for row, u_i in zip(matrix.log_entries.tolist(), u):
+            finite = [(c, e) for c, e in enumerate(row) if e > -math.inf]
+            if finite:
+                top = max(e for _, e in finite)
+                weighted = [(c, math.exp(e - top)) for c, e in finite]
+            else:
+                weighted = [(c, 1.0) for c in range(len(row))]
+            running, total = [], 0.0
+            for _, w in weighted:
+                total += w
+                running.append(total)
+            col = next((c for (c, _), r in zip(weighted, running) if u_i * total < r),
+                       weighted[-1][0])
+            if col < matrix.n_objects and col in assign:
+                col = matrix.clutter_col
+            assign.append(col)
+        return tuple(assign), ()
+
+    @classmethod
+    def started(cls, matrix, cfg, p_d, seed):
         """A walk chain started from default_rng(seed), and a second
-        generator of the same entropy that has drawn what start's draws
-        amount to, one integers call over the rows' support sizes."""
+        generator of the same entropy that has drawn what start draws,
+        rng.random(m): the chain stands on start_key of those draws."""
         chain = _Walk(Kernel(matrix, cfg, p_d))
         chain.start(np.random.default_rng(seed))
         ref = np.random.default_rng(seed)
-        ref.integers(0, [len(s) or matrix.n_objects + 2 for s in matrix.supported])
+        assert key_at(chain) == cls.start_key(matrix, ref.random(matrix.n_returns))
         assert ref.bit_generator.state == chain.rng.bit_generator.state
         return chain, ref
 
     @pytest.mark.parametrize("seed", [0, 1, 12345])
     def test_stream_contract(self, seed):
-        # start's integer draws amount to one rng.integers call over each
-        # row's support size. A reference generator of the same entropy replaying
+        # start draws rng.random(m) and stands on the state start_key gives
+        # for those draws. A reference generator of the same entropy replaying
         # the documented jump chain over the same rows then stays in the
         # chain generator's state, run by run, and the visits recorded
         # after burn-in agree.
@@ -1003,6 +1031,36 @@ class TestStream:
         assert moves > 0
         # Some state used up its first two batches and drew a third.
         assert batches > len(stacks) and max(size for _, size in stacks.values()) > 64
+
+    def test_start_follows_the_likelihood(self):
+        # One return whose supported columns have likelihoods 1 and 3
+        # starts on the heavier one 3/4 of the time. A return with no
+        # supported column draws among all M+2 columns, and a return that
+        # draws an object already claimed resolves to clutter: here every
+        # row supports only t00, so row 2 always ends on clutter.
+        C = CLUTTER
+        seeds = range(4000)
+        weighted = AssociationMatrix(
+            np.array([[math.log(1.0), -math.inf, math.log(3.0)]]), ("t00",), (False,))
+        plateau = AssociationMatrix(
+            np.array([[-math.inf] * 4, [0.0, *[-math.inf] * 3], [-2.0, *[-math.inf] * 3]]),
+            ("t00", "t01"), (False, False))
+        bd = BirthDeathConfig(alpha=0.05, beta=0.0)
+        starts = {}
+        for name, matrix in (("weighted", weighted), ("plateau", plateau)):
+            starts[name] = [event_at(self.started(matrix, bd, 0.9, seed)[0]).assignments
+                            for seed in seeds]
+
+        def within_5_sigma(hits, p):
+            return abs(hits - p * len(seeds)) <= 5 * math.sqrt(len(seeds) * p * (1 - p))
+
+        assert within_5_sigma(starts["weighted"].count((C,)), 3 / 4)
+        assert set(starts["weighted"]) == {(C,), ("t00",)}
+        first = Counter(a[0] for a in starts["plateau"])
+        assert set(first) == {"t00", "t01", BIRTH, C}
+        assert all(within_5_sigma(n, 1 / 4) for n in first.values())
+        assert {a[1:] for a in starts["plateau"]} == {("t00", C), (C, C)}
+        assert all(a[1] == C for a in starts["plateau"] if a[0] == "t00")
 
     @classmethod
     def assert_runs_follow_replay(cls, matrix, cfg, p_d, seed, budgets):
@@ -1053,28 +1111,28 @@ class TestStream:
     # and the jump chain's.
     GOLDEN = {
         "sparse": [
-            ((("t00", "t01", C), ()), 1508, -17.258838541538672),
-            ((("t01", "t00", C), ()), 1003, -17.858838541538674),
-            ((("t00", "t01", C), ("t02",)), 734, -17.95198572209862),
-            ((("t01", "t00", C), ("t02",)), 473, -18.551985722098618),
-            ((("t00", C, C), ()), 65, -20.99974394978553),
-            (((C, "t01", C), ()), 27, -20.99974394978553),
-            ((("t01", C, C), ()), 30, -21.29974394978553),
-            (((C, "t00", C), ()), 33, -21.29974394978553),
-            ((("t00", C, C), ("t01",)), 35, -21.692891130345473),
-            ((("t00", C, C), ("t02",)), 14, -21.692891130345473),
+            ((("t00", "t01", C), ()), 1459, -17.258838541538672),
+            ((("t01", "t00", C), ()), 973, -17.858838541538674),
+            ((("t00", "t01", C), ("t02",)), 723, -17.95198572209862),
+            ((("t01", "t00", C), ("t02",)), 493, -18.551985722098618),
+            ((("t00", C, C), ()), 31, -20.99974394978553),
+            (((C, "t01", C), ()), 73, -20.99974394978553),
+            ((("t01", C, C), ()), 24, -21.29974394978553),
+            (((C, "t00", C), ()), 30, -21.29974394978553),
+            ((("t00", C, C), ("t01",)), 13, -21.692891130345473),
+            ((("t00", C, C), ("t02",)), 27, -21.692891130345473),
         ],
         "dense3x3": [
-            ((("t00", "t01", "t02"), ()), 1057, -12.824785952731872),
-            ((("t01", "t00", "t02"), ()), 799, -13.274785952731872),
-            ((("t01", "t02", "t00"), ()), 624, -13.474785952731873),
-            ((("t02", "t01", "t00"), ()), 508, -13.524785952731873),
-            ((("t00", "t02", "t01"), ()), 413, -13.724785952731873),
-            ((("t02", "t00", "t01"), ()), 305, -14.224785952731873),
-            ((("t00", C, "t02"), ()), 18, -17.158838541538675),
-            ((("t00", "t01", C), ()), 4, -17.283838541538675),
-            (((C, "t01", "t02"), ()), 14, -17.33383854153867),
-            ((("t01", C, "t02"), ()), 10, -17.433838541538673),
+            ((("t00", "t01", "t02"), ()), 1165, -12.824785952731872),
+            ((("t01", "t00", "t02"), ()), 636, -13.274785952731872),
+            ((("t01", "t02", "t00"), ()), 590, -13.474785952731873),
+            ((("t02", "t01", "t00"), ()), 574, -13.524785952731873),
+            ((("t00", "t02", "t01"), ()), 513, -13.724785952731873),
+            ((("t02", "t00", "t01"), ()), 314, -14.224785952731873),
+            ((("t00", C, "t02"), ()), 10, -17.158838541538675),
+            ((("t00", "t01", C), ()), 17, -17.283838541538675),
+            (((C, "t01", "t02"), ()), 10, -17.33383854153867),
+            ((("t01", C, "t02"), ()), 23, -17.433838541538673),
         ],
     }
 
@@ -1675,20 +1733,6 @@ class TestFirstPair:
         rows[1][2][-1] = 0
         self.assert_stream_matches((0.0, *rows[0]), seed)
         self.assert_split_runs_match(*rows, seed)
-
-
-class TestStartDraws:
-    @given(sizes=st.lists(st.integers(1, 64), max_size=7), seed=st.integers(0, 2**64 - 1))
-    @settings(max_examples=300, deadline=None)
-    def test_scalar_draws_equal_one_broadcast_call(self, sizes, seed):
-        # start draws each row's column by its own integers call: the same
-        # values and the same generator state as one call over every row's
-        # size, so the walk's draws after it are unchanged too (an empty
-        # list draws nothing either way).
-        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert one.integers(0, sizes).tolist() == [int(each.integers(0, s)) for s in sizes]
-        assert one.bit_generator.state == each.bit_generator.state
-        assert one.random(3).tolist() == each.random(3).tolist()
 
 
 class TestKernelSharing:

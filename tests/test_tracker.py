@@ -31,7 +31,7 @@ from mcmctrack.presets import (
     preset_twenty_object,
     tracker_config_for,
 )
-from mcmctrack.sampler import SamplerConfig
+from mcmctrack.sampler import SamplerConfig, enumerate_children, sample_children
 from mcmctrack.simulate import MeasurementFrame, simulate_scenario
 from mcmctrack import oracle
 from mcmctrack import likelihoods as likelihoods_module
@@ -395,6 +395,22 @@ class TestExhaustiveVsMcmc:
         assert not report.degenerate
         assert math.fsum(h.weight for h in new_hyps) == pytest.approx(1.0, abs=1e-12)
 
+    def test_every_walk_finds_its_parents_best_child(self, monkeypatch):
+        # Single-spawn, seed 0: the top child of every walk the tracker runs
+        # scores the largest enumerate_children score over the same kernel.
+        walks = []
+
+        def checked(parent, matrix, scfg, bd, sensor, kernel):
+            samples = sample_children(parent, matrix, scfg, bd, sensor, kernel)
+            walks.append((samples[0].log_score,
+                          max(s.log_score for s in enumerate_children(kernel))))
+            return samples
+
+        monkeypatch.setattr(tracker_module, "sample_children", checked)
+        run_tracker(*preset_start(preset_single_spawn))
+        assert walks
+        assert [top for top, _ in walks] == [best for _, best in walks]
+
 
 class TestKalmanReduction:
     def test_reduces_to_independent_filters(self):
@@ -541,20 +557,20 @@ class TestSeedGolden:
     # rng stream and its summation order fix these, so a change to either
     # shows at tracker level and not only in the sampler's goldens.
     GOLDEN = [
-        ("h0", 0.9988014382740689, 1, 3, 0.010090907706225208),
-        ("h1-00000", 0.9999520023038896, 1, 4, 0.0005772456878889455),
-        ("h2-00000", 0.9999865601806314, 1, 5, 0.0001703326586265418),
-        ("h3-00000", 0.9993879821694869, 1, 8, 0.00520243758535967),
-        ("h4-00000", 0.35635546201964174, 1, 43, 1.1005275362788935),
-        ("h5-00004", 0.2891014298258976, 2, 50, 1.7130328841987401),
-        ("h6-00000", 0.5606510671489177, 2, 50, 1.0861482629073955),
-        ("h7-00001", 0.6974960777538866, 2, 50, 0.911393703315895),
-        ("h8-00006", 0.9936882906762143, 3, 50, 0.04674040287639024),
-        ("h9-00000", 0.9989998748856755, 3, 50, 0.008446461166218147),
-        ("h10-00000", 0.9976025035420361, 3, 50, 0.018130972975901553),
-        ("h11-00000", 0.9986437916226513, 3, 50, 0.011112477751589881),
-        ("h12-00000", 0.9981819846158073, 3, 50, 0.014173122265527397),
-        ("h13-00000", 0.998888223646821, 3, 50, 0.00916984651137301),
+        ("h0", 0.9988010791366452, 1, 4, 0.010096599051890566),
+        ("h1-00000", 0.9999520017639413, 1, 6, 0.0005772581137372169),
+        ("h2-00000", 0.9999865601736655, 1, 8, 0.000170332846635121),
+        ("h3-00000", 0.9993879752035417, 1, 11, 0.00520257439036198),
+        ("h4-00000", 0.35650644913172247, 1, 50, 1.0969857913146777),
+        ("h5-00001", 0.5501654781614127, 1, 50, 1.1760280709569222),
+        ("h6-00002", 0.6230375132613784, 2, 50, 0.9370716179414128),
+        ("h7-00002", 0.5152381063307047, 3, 50, 0.7094077609098964),
+        ("h8-00000", 0.5188099518644577, 3, 50, 0.6924402899702743),
+        ("h9-00001", 0.5077189067500798, 3, 50, 0.6930281037248167),
+        ("h10-00000", 0.5307457114995497, 3, 50, 0.6912554410797596),
+        ("h11-00001", 0.543642406202884, 3, 50, 0.6893330574668689),
+        ("h12-00000", 0.5291000480610375, 3, 50, 0.6914526437021832),
+        ("h13-00000", 0.5536407366403713, 3, 50, 0.6873814808629537),
     ]
 
     def test_single_spawn_seed0_reports(self):
@@ -573,44 +589,44 @@ class TestSeedGolden:
     # where parents share the most tracks.
     NUMBERS = {
         "single-spawn": [
-            "d862495786b2ef770b9f4461165ceefbe938ec632c967c746b232d890dd01d62",
-            "585ceb2e01df20c268482acef955514cf1fba12138403614fd36c0eab1327da7",
-            "07b5a52ab0edd30e24765c3c8fa5dbdfb18aca8c0999aee95170900aa146d794",
-            "22b1121205c71fe40e25688d031a8587f6de7e34ed177127489ed5a77b40f0ab",
-            "ca6a84745c75fd6072abe0d74f87f998fb467ab99daf94964cbfc9a8653636f3",
-            "d42baa9c5b65b62142f389dab57c814e35b70e902927cf53f704aa1813262ae2",
-            "bb3dafcd836d19091903bec20ca8f0d143007f67c3496e1d13ac031f49e0eaac",
-            "a30d7724e0dd29b37028c132273ff25eca8db60990d36267fa952095263a1d67",
-            "7f2e1c70fe94253c9b99000ae81633dd699b79bba08e11991d98e5a0c1af1bfa",
-            "80f59e80d388934a9bf431dfbe8c9d9ba3cfa67f2e06c9f1337f964af778e0ca",
-            "12ea66b9d7321d16c472ba13760c894da9609d267e6079a7f74c42196b77b29a",
-            "0dec286b460435c0e9a22042a8363d5da9b83f718a998839ed3ec4b4e0550d87",
-            "3bb05e2cc82a56ec142bcec20dadf3abc6db535c121916a296356433ce3d0f15",
-            "062e0615bc21f11a3e17e68754b6d8009a72b5bd58cb76cfef6c91c7d52f9b76",
+            "a0a4aa2af936243ace4350e0ff546099d5ca9606a4497aa94e2d4ca4b3acdb5b",
+            "9d8563f33fa9a8c6510d806337e557c1005a3210d95e7ab50af845f7eb3b371c",
+            "2a8176bd6279735fc21eaf1366805c63c6b171541246b33baf215de935172d94",
+            "77b445b3d387d4898f751be57b503e3b489cf3964c8d049dca9ba568a30bcbc9",
+            "30e8abdf144b5c820f48fce0e2a8b036cf352d0352de353556cb189dd7b25d17",
+            "0818d595649e5df2517f846209446a11f0b9bbf300cc6bb143c3a9b1c83f458f",
+            "b5db29200ccc4d53c75a1e2c96a66913c4922cf182c44f0f78e38aad11ddf5ea",
+            "ac21090be808dab1d8d73b38296f7eedf0b287c2c27c09719edc64654e6de9a3",
+            "e5ebbc26ac3ed351034242ede36988c5d96133ddea625631247927dad4fbaf24",
+            "ade804f082083308602c88def0752230ec00ba32af133d0c283150e27848d1ce",
+            "d83bbd377302c7f3036a8e783f00f87bf28ec57e4318664511f61819c2cee4eb",
+            "5d117d44798123913b1f9ebed8cabd2e4f85894dbcd07dbe3cff8eed7e3e4338",
+            "d794b0a58680fef6824aaa89db600aed3c7b05e105686795c863a6def09673b7",
+            "cfd631d5a92c1de48008d1d3098cf97fe1617751bb3e77a2c8dcc4e6cd2a3b51",
         ],
         "twenty-object": [
-            "dd82ceb0eeeba4a9b0f688032b8b4ea34c8e5a45662a16684b1a799b74e9a08e",
-            "e1ef77beb2f06c4943c85fec4f3c7218d10af0c2503856a591c1686ca4ba039e",
-            "23d3d275cb670d2b2adabfa89ebbdff74948565ffafddcdf1a35f1386131ea67",
-            "47e920bdfb1fd006c947fc60e850b3a93adce84c7d8088ea411719b64fcabbf2",
-            "fb8cad243ed086a7e7436dba59e5a5f855ce7deedd128b0e2bbe1468baeabfac",
-            "ee2ede9724faa88bef51cab234582c40538a25a65276300e90afd82b96e18b4e",
-            "ba0837b1df3b38cd841d17cd2e389746188c7f2eaa1f8f671733f03d3c5411b4",
-            "01b00fd6605a77018a48ac3bca1f5b03545af7eb8142d6e73cdcc02cca362347",
-            "889a342c7c4f8b1d19b5c766310cb11814a5f1c89aa508446dd1936ca9c04d3f",
-            "70465d6f042c2470fa0013a2440aa502cd547d1ba1c9b838a59cc61684e36bb8",
-            "e2bab439e6cc4989deaee95f012d9c68f9911e4c099b8cfdd28a14160467c798",
-            "2da464dff60d9225a1d048c4a0590656366134796142b9b5b2bf481ba7ff5047",
-            "302d7fbf5f1a242818b0075a2c3d7ab4be0e7ea6ac2a1de84792282d03956c44",
-            "c49c363b3bbb71ee5a1aa6f9f9abd92f4693f52c28a02aa12bbb7d6bd28c7203",
+            "a087fce9cc058d58c6272d3bb17cb01846fd1b6a6eca83d6b9e70cd8a5d2b47e",
+            "7fe81c7fa412548e3aa10ccc1ed44e6cea946a24890289186172a00d595e421d",
+            "b4755101636c3ed9bd760f594527e313d81347f5d7187d1be8a86eece25dec8d",
+            "5ce61387c693c43fa96f845dd5b1f30ef177250f1e02249f719f91b453e7b2d5",
+            "3d9ee33462e7cab178455f2b81e4f5bfb9db5d10e9c3b3eee47957948db31403",
+            "e7e73af91006389b1a0d92db0b069dd868cf90337e1a9c394c1a000fafdc9e1e",
+            "8f89e357b7b8927ea3c01659b16b51456e7be996bc6cbc5d3fa05201813d0339",
+            "6a9a132621f3aba3269fff05fe2dc1103501dc5d24acf32acf139838be0e3689",
+            "ecc1867bb6186872d006f929021cf8e1069cfc96ea6eb225f749c34c2e559ec6",
+            "8efacc36e3933e2d5e020dc0d3173122ce4c756dcb267c2843dd1fedd6343131",
+            "a7af09857283d1abfd9a679089c2d61ff27579c737a60c09f85663fee49f76d5",
+            "ea6776232aa7f715d07b87a3875fd7c2493222f034046488d0a68b025f0c3db9",
+            "e311e0113a954555e9e023e804b1d0b5bcf5e5fda18eaba9b703931b69c0227d",
+            "1dc0a8b0620ccf2a1ec0a3c20c92badfac5380b6e9e43c07298ac2038ef204e9",
         ],
         "sixty-object": [
-            "23b6683e14490f2952932aa80aac08871155804409daa778dc7e954b9bb472da",
-            "a5f5bfa289b894b9b8e95932246efb5ff86370330b4d8fbbc65375b461aac200",
-            "bbf4e3026e692551cddd056fceb697dac82b6410d30a73ee31b70056027ddddb",
-            "a284da01adc7c33cbee00e41297c622f6fbcdde486c46e51e7b1c05f53a6df89",
-            "a3f43daecf2289584f60a1780bbf79d7547e4781a6532d5a45b077581ccde524",
-            "d4d9b5ced1476fe60b7a8714d0199f3233186b2cd277ddc58be26c1922fa91fb",
+            "bdc8b891689aa0440948ac6a6ea24e58126966f70c02d81b7587b88894da6530",
+            "10f55eb6bce90d4298862f72a3ab2920d9d99e9ff3a1e42a8b4dd738a160e24e",
+            "66be526d13de427fd5ba7f24b9f7dbeb4214a6de71ce231f2f74d95a122cf68c",
+            "a91705bbbcdd9a9452ec6489767918401d10acd4813cbca5f3a3b471ee7e1724",
+            "834d412378ccb177135c14747d68aa2c1e10bd74b27cb1801b12e10964c18d5f",
+            "1a1079754e0625c56c618839e1d00827cc877c3844e288f82bbf5ed5bbf1e867",
         ],
     }
 
@@ -637,19 +653,19 @@ class TestBoundGolden:
     # test, so only these pin its value on the presets.
     BOUNDS = {
         "single-spawn": [
-            39651379969230110720, 302867074940665856, 362539770003324928,
-            11107002581002485760, 632391519025691099136, 3892414433090185723904,
-            4193848237449440919552, 2481274792450003121995776, 5065818871752267137024,
-            147530125809902656946176, 6416364520457619111936, 7412807893061524783104,
-            202718872702165264105472, 9816086280213379416064,
+            39651379969230110720, 550565054446043136, 731834939447705600, 24248506293669593088,
+            977907682437555552256, 4563369712775096958976, 4474751257007420866560,
+            2999455647548226926542848, 4834240964163109126144, 137780663530776782962688,
+            6179770728783477211136, 6642926543961793232896, 177153050006690918825984,
+            8797268461710743699456,
         ],
         "sixty-object": [
             1034696547902745729165943490088337551042543616,
-            4830394612053187964662843481329866234423934976,
-            1117987020055372970816298252224200832741939976601600,
-            84505044887608481388985155125895096032389875577651200,
-            104078832809265215470388718903885493722693193602957312,
-            2499973801140791418370329815126548412178235584937984,
+            1034696547902745729165943490088337551042543616,
+            435710408294955191972722440012321565419115693211648,
+            75430233033587853788012655009655828626677538855321600,
+            78303942613946104814413870914063798039684329230041088,
+            1823242727837685214866603550527878538809538865266688,
         ],
     }
 
