@@ -26,23 +26,27 @@ state weighted by likelihood: each return takes one of its row's supported
 columns (AssociationMatrix.supported, the pattern the child enumerator
 walks) with probability proportional to its likelihood, read from the
 kernel's start table (data-driven initialization, as in Tu & Zhu's DDMCMC,
-IEEE TPAMI 2002). So a walk starts near the likely children instead of
-climbing to them in burn-in; only the initial state's law depends on it,
-not the rows or the stationary law. tally scores a key from scratch; it is
-the one production scorer. _Walk.run simulates the walk exactly by its
-jump chain (Douc & Robert, "A vanilla Rao-Blackwellization of
-Metropolis-Hastings algorithms", Ann. Statist. 2011) over state ids: each
-state gets an id the first time a row names it, and for each state a walk
-reaches, build_row builds and memoizes once per kernel, under that id, the
-state's one-step kernel row: its score, the probability p that a step
-leaves it, and each move that does, as its cumulative probability and its
-destination id. Each departure from a state takes the next (span,
-destination) pair of the state's own stack in that walk (span = hold + 1:
-the steps held there plus the step that moves), drawn in numpy batches
-(the per-state "random stacks" of Wilson, "Generating random spanning
-trees more quickly than the cover time", STOC 1996), so a move costs a few
-list indexes. From a finite state a candidate that scores -inf is never
-accepted, so a row scores only the supported columns.
+IEEE TPAMI 2002). So a walk starts near the likely children, and the
+presets record from that start with no burn-in: the tracker scores every
+child exactly and keeps the heaviest, so visit frequencies are never read,
+and burn-in, which serves them only by forgetting the start, would throw
+away the start and its neighbours. Only the initial state's law depends on
+the start table, not the rows or the stationary law. tally scores a key
+from scratch; it is the one production scorer. _Walk.run simulates the
+walk exactly by its jump chain (Douc & Robert, "A vanilla
+Rao-Blackwellization of Metropolis-Hastings algorithms", Ann. Statist. 2011)
+over state ids: each state gets an id the first time a row names it, and
+for each state a walk reaches, build_row builds and memoizes once per
+kernel, under that id, the state's one-step kernel row: its score, the
+probability p that a step leaves it, and each move that does, as its
+cumulative probability and its destination id. Each departure from a state
+takes the next (span, destination) pair of the state's own stack in that
+walk (span = hold + 1: the steps held there plus the step that moves),
+drawn in numpy batches (the per-state "random stacks" of Wilson,
+"Generating random spanning trees more quickly than the cover time", STOC
+1996), so a move costs a few list indexes. From a finite state a candidate
+that scores -inf is never accepted, so a row scores only the supported
+columns.
 
 A parent's children come from one of two calls: sample_children walks,
 and enumerate_children scores every key of oracle.enumerate_child_keys
@@ -530,8 +534,17 @@ class _Walk:
 def chain_seed(seed: int, parent_id: str) -> np.random.SeedSequence:
     """The seed of the walk over parent_id's children in a run seeded with
     seed: the SeedSequence of [seed, crc32 of parent_id, 0], one stream
-    per (run seed, parent)."""
-    return np.random.SeedSequence([seed, zlib.crc32(parent_id.encode()), 0])
+    per (run seed, parent). It is given as the uint32 words numpy would
+    split that list into (seed's 32-bit words, least significant first, 0
+    as [0]; then the crc and 0), which gives the same state and skips
+    numpy's conversion of Python ints."""
+    words = [seed & 0xFFFFFFFF]
+    seed >>= 32
+    while seed:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+    words += (zlib.crc32(parent_id.encode()), 0)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
 
 
 def sample_children(
@@ -542,9 +555,12 @@ def sample_children(
     sensor: SensorModel,
     kernel: Kernel | None = None,
 ) -> list[ChildSample]:
-    """The walk's children of parent over matrix: the visits zeroed after
-    burn-in, the top children_kept of the states the record run visits, by
-    score (each state's from-scratch score, from its kernel row).
+    """The walk's children of parent over matrix: the walk runs
+    cfg.burn_in_steps steps from its start state, its visits are zeroed,
+    and it runs cfg.record_steps more; the children are the top
+    children_kept of the states the record run visits, by score (each
+    state's from-scratch score, from its kernel row). With burn_in_steps 0,
+    as the presets run, the record run starts at the start state.
     Deterministic given cfg.seed and parent.id; of sensor only p_d is read.
     kernel is Kernel(matrix, birth_cfg, sensor.p_d), built here when None;
     walks that share one return what walks over fresh kernels return. A

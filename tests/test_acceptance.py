@@ -195,12 +195,15 @@ def test_criterion_6_spawn_recovery():
     """Single-spawn recovered exactly at seed 0, and twenty-object's exact
     final count in at least 8 of seeds 0-9.
 
-    At its fixed rates (alpha 0.1, beta 0.01) twenty-object ends on the true
-    count on 79 of seeds 0-79, all of seeds 0-9 among them, and on 75 of
-    held-out seeds 80-159. Over seeds 0-159 at walk seeds seed, seed + 10**6
-    and seed + 2*10**6 it wins 462 of 480 runs (about 96%). A change that
-    moves the walk's realization, though not its law, can still move a run
-    or two here. The bound is kept as it is."""
+    At its fixed rates (alpha 0.1, beta 0.01) and its walk budget (no
+    burn-in, 3,000 record steps) twenty-object ends on the true count on 79
+    of seeds 0-79, all of seeds 0-9 among them, and on 75 of held-out seeds
+    80-159. Over seeds 0-159 at walk seeds seed, seed + 10**6 and
+    seed + 2*10**6 it wins 462 of 480 runs (about 96%), and all 30 runs of
+    seeds 0-9. Single-spawn ends on the true count on all 240 runs of seeds
+    0-79 at those walk seeds. A change that moves the walk's realization,
+    though not its law, can still move a run or two here. The bound is kept
+    as it is."""
 
     def check():
         # Single-spawn: exactly three tracks at the final scan, each truth

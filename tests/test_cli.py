@@ -472,22 +472,22 @@ class TestRecordedBytes:
             "sim/scenario.json": "74dce149ffa8e63482ddbc588be23e0b9619623d6aeaa9d3f3220165a991754e",
             "sim/truth.csv": "2d3b33edbb3b3235efbb71e0a49b4380c3929930a5d00e0badc669bc0601f4f4",
             "sim/frames.csv": "527cbc17e9478b29bb6d8431b558837e1e54f321499bd4eb5fff6705ebe5ef83",
-            "trk/reports.ldjson": "857094684f5c8b381f76c967fd208befe45f41fadf7f87d1d7b5aaa95e42d0e3",
-            "trk/summary.json": "ae254750c06067c161ef301d082fe18c4c8f222a64eda27d69f8adda3b164080",
+            "trk/reports.ldjson": "de083fc26694eaae4700e52d749d7a18efdf839b2945db829d742e78449398fb",
+            "trk/summary.json": "e2c26efd04ecd16b1da861d4f4f23588575da15f8355c3f6be74dbf4f36c22c2",
         },
         ("twenty-object", 9001, "mcmc"): {
             "sim/scenario.json": "cbc3cd72b6e9c207846bebc34faba7bec65baa34155b874a77e788a9fe0775bf",
             "sim/truth.csv": "35ecfde349e01396a4592c0d9b9f582037bb91509ce3612a94946dbbe832d0fa",
             "sim/frames.csv": "571879d1b169770a84720e81afc15d7304d8ed833fd53bcbbadf8685ea8f3012",
-            "trk/reports.ldjson": "cc38652d0068cfd47aa3e64c2758f65317ef67ad3b74b245707bd92f8567b7d3",
-            "trk/summary.json": "ba66f0ed176e29940412653edf7a668635b19da508d6632fa03bd4802db23cda",
+            "trk/reports.ldjson": "ba0f541d1185a05daccea308cbe1b17759b6bd586231542d878c9a7cb5a751d0",
+            "trk/summary.json": "8d02dcc8921b96c714000e52802dabacbd2d1b1fbcbb30e4ce5c722be9076c1f",
         },
         ("sixty-object", 9001, "mcmc"): {
             "sim/scenario.json": "1b2e73d6f173448b94134477ba1c4f8830b4c16146101496fd4d3c98cd9cb592",
             "sim/truth.csv": "04f64a339a3414376184899bbd7c5038b9a35084bdefdacfed541995cec955c1",
             "sim/frames.csv": "ec21ec79cc7de61b95b9588d74e1f9a056ae9f5b1a7262cad85f065d0f4c315f",
-            "trk/reports.ldjson": "5b821e7adb9621a58f5be84c167b106a9ff6a5530284919a6f3c05bbd0e74a13",
-            "trk/summary.json": "218db5f30a08997c2b3ee92cd0ce68bd10599a8d354fc1ed8cfdd6c0844752be",
+            "trk/reports.ldjson": "470af5e968eb889ead8ec02cc75ac7e83b0ab94eb24868f26fe3c33f4f6a294a",
+            "trk/summary.json": "290f648f3bfea8e850bd54943c97a73345776bdb9171ea30f407ce0ff90af43a",
         },
         ("single-spawn", 0, "exhaustive"): {
             "sim/scenario.json": "8e318431f45ba7ba8d03760cc57a3520d3def14eb618105fabbc21eb45900eb9",

@@ -5,13 +5,14 @@ import itertools
 import math
 import sys
 import warnings
+import zlib
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, islice, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
@@ -651,11 +652,19 @@ class TestSampleChildren:
         parent, matrix, cfg, sensor = make_instance(
             [(100.0, 0.0)], [[100.0, 0.2]]
         )
-        scfg = SamplerConfig(
-            burn_in_steps=100, record_steps=1000, children_kept=50, seed=1,
-        )
-        samples = sample_children(parent, matrix, scfg, cfg, sensor)
-        assert sum(s.visits for s in samples) == 1000
+        for burn_in_steps in (100, 0):
+            scfg = SamplerConfig(
+                burn_in_steps=burn_in_steps, record_steps=1000, children_kept=50, seed=1,
+            )
+            samples = sample_children(parent, matrix, scfg, cfg, sensor)
+            assert sum(s.visits for s in samples) == 1000
+        # The last input, burn-in 0, is the presets' path: the record run
+        # starts at the walk's start state, and children_kept covers every
+        # visited state, so the start state is one of the children.
+        walk = _Walk(Kernel(matrix, cfg, sensor.p_d))
+        walk.start(np.random.default_rng(sampler.chain_seed(scfg.seed, parent.id)))
+        assert len(samples) < scfg.children_kept
+        assert walk.kernel.keys[walk.sid] in [key_of(matrix, s.event) for s in samples]
 
 
 def assert_one_class(edges, states):
@@ -1733,6 +1742,22 @@ class TestFirstPair:
         rows[1][2][-1] = 0
         self.assert_stream_matches((0.0, *rows[0]), seed)
         self.assert_split_runs_match(*rows, seed)
+
+
+class TestChainSeed:
+    @given(seed=st.integers(0, 2**80), parent_id=st.text())
+    @example(seed=0, parent_id="h0")
+    @example(seed=2**32 - 1, parent_id="h3-00012")
+    @example(seed=2**32, parent_id="h3-00012")
+    @example(seed=2**40 + 5, parent_id="")
+    @settings(max_examples=200, deadline=None)
+    def test_words_seed_as_the_int_list(self, seed, parent_id):
+        # chain_seed hands SeedSequence uint32 words; the state must be the
+        # one numpy derives from the list [seed, crc32, 0] of Python ints.
+        crc = zlib.crc32(parent_id.encode())
+        expected = np.random.SeedSequence([seed, crc, 0]).generate_state(4, np.uint64)
+        got = sampler.chain_seed(seed, parent_id).generate_state(4, np.uint64)
+        assert got.tolist() == expected.tolist()
 
 
 class TestKernelSharing:
