@@ -15,10 +15,11 @@ operations as Python's float ones, and both bodies apply them in the same
 order, so a lane is bit-identical to its scalar integration.
 
 The EKF's measurement side is stacked the same way: one innovation kernel
-(_innovations) pairs tracks with returns as arrays, and serves the
-association matrix's likelihood table, update_tracks and update_track
-(its one-pair case). Every track, predicted, updated or given, is built
-by GaussianTrack's constructor, which checks its one 4 x 4 covariance.
+(_innovations) pairs tracks with returns as arrays, and serves
+likelihood_table (every pairing's log-likelihood, -inf past the GATE_D2
+gate on the Mahalanobis distance), update_tracks and update_track (its
+one-pair case). Every track, predicted, updated or given, is built by
+GaussianTrack's constructor, which checks its one 4 x 4 covariance.
 """
 
 from __future__ import annotations
@@ -325,16 +326,10 @@ def _innovations(tracks: Sequence[GaussianTrack], z: np.ndarray, r: np.ndarray):
     (N, 2) pairs track k with z[k], and (m, 1, 2) pairs every return with
     every track. Returns the tracks' means (N, 4) and covariances
     (N, 4, 4), the innovations z - h(mean) (..., N, 2), the inverses of the
-    innovation covariances S = H P H^T + r (N, 2, 2), and the marginal
-    likelihoods N(z; h(mean), S) (..., N).
-
-    Per pair, each value is the one-pair computation's bit for bit: S is
-    symmetrized and inverted as adjugate over determinant, elementwise; the
-    Mahalanobis term is one stacked (1 x 2) @ (2 x 2) @ (2 x 1) matmul,
-    which BLAS evaluates as it does innov @ inv @ innov; and exp runs per
-    entry through math.exp, whose results np.exp does not always match.
-    A track whose S is not invertible raises NumericalError naming it, when
-    it is paired with a return.
+    innovation covariances S = H P H^T + r (N, 2, 2) and their determinants
+    (N,). S is symmetrized and inverted as adjugate over determinant,
+    elementwise. A track whose S is not invertible raises NumericalError
+    naming it, when it is paired with a return.
     """
     means = np.array([t.mean for t in tracks]).reshape(-1, 4)
     covs = np.array([t.covariance for t in tracks]).reshape(-1, 4, 4)
@@ -351,54 +346,60 @@ def _innovations(tracks: Sequence[GaussianTrack], z: np.ndarray, r: np.ndarray):
     adjugate = np.stack(
         [s_cov[:, 1, 1], -s_cov[:, 0, 1], -s_cov[:, 1, 0], s_cov[:, 0, 0]], axis=-1
     ).reshape(-1, 2, 2)
-    inv = adjugate / det[:, None, None]
-    # A far return's term overflows to inf, and its likelihood is 0.
-    with np.errstate(over="ignore"):
-        maha = (innov[..., None, :] @ inv @ innov[..., :, None])[..., 0, 0]
-    exps = [math.exp(x) for x in (-0.5 * maha).ravel().tolist()]
-    lik = np.array(exps).reshape(maha.shape) / (_TWO_PI * np.sqrt(det))
-    return means, covs, innov, inv, lik
+    return means, covs, innov, adjugate / det[:, None, None], det
+
+
+# The association gate: a (return, track) pair whose Mahalanobis distance d^2
+# exceeds it is impossible, log-likelihood -inf. exp(-d^2 / 2) underflows
+# to 0 just past d^2 = 1490.
+GATE_D2 = 1490.0
 
 
 def likelihood_table(
     tracks: Sequence[GaussianTrack], returns: np.ndarray, sensor: SensorModel
 ) -> np.ndarray:
-    """Marginal likelihoods of m returns (m, 2) under N tracks (exact for
-    linear h) as an (m, N) table, entry (i, j) for returns[i] and tracks[j]."""
+    """Log marginal likelihoods log N(z; h(mean), S) = -d^2 / 2 -
+    log(2 pi sqrt(det S)) of m returns (m, 2) under N tracks (exact for
+    linear h) as an (m, N) table, entry (i, j) for returns[i] and tracks[j];
+    -inf where d^2 > GATE_D2. The one place a pairing's likelihood is
+    computed. d^2 is one stacked (1 x 2) @ (2 x 2) @ (2 x 1) matmul, which
+    BLAS evaluates as it does innov @ inv @ innov, so each entry is its
+    one-pair computation's bit for bit; a far return's d^2 overflows to inf
+    quietly, and its entry is -inf."""
     returns = np.asarray(returns, dtype=float).reshape(-1, 2)
-    return _innovations(tracks, returns[:, None, :], sensor.r)[4]
+    _, _, innov, inv, det = _innovations(tracks, returns[:, None, :], sensor.r)
+    with np.errstate(over="ignore"):
+        d2 = (innov[..., None, :] @ inv @ innov[..., :, None])[..., 0, 0]
+    log_lik = -0.5 * d2 - np.log(_TWO_PI * np.sqrt(det))
+    log_lik[d2 > GATE_D2] = -math.inf
+    return log_lik
 
 
 def update_tracks(
     tracks: Sequence[GaussianTrack], zs: np.ndarray, sensor: SensorModel
-) -> tuple[list[GaussianTrack], np.ndarray]:
+) -> list[GaussianTrack]:
     """EKF measurement update of each track k with return zs[k] (K, 2), as
-    one stacked pass: the posterior tracks and the marginal likelihoods of
-    the returns. Gain, mean, I - K H and a P a^T + K R K^T are stacked
-    matmuls, which match the per-pair matrix products bit for bit, and
-    each posterior is built by GaussianTrack's constructor, in order."""
+    one stacked pass: the posterior tracks, in order. Gain, mean, I - K H
+    and a P a^T + K R K^T are stacked matmuls, which match the per-pair
+    matrix products bit for bit, and each posterior is built by
+    GaussianTrack's constructor."""
     zs = np.asarray(zs, dtype=float).reshape(-1, 2)
     if len(zs) != len(tracks):
         raise ValueError("update_tracks needs one return per track")
     if not np.all(np.isfinite(zs)):
         raise ValueError("measurement must be finite")
-    means, covs, innov, inv, lik = _innovations(tracks, zs, sensor.r)
+    means, covs, innov, inv, _ = _innovations(tracks, zs, sensor.r)
     gain = covs[:, :, :2] @ inv
     post_means = means + (gain @ innov[:, :, None])[:, :, 0]
     a = np.eye(4) - gain @ _H
     post_covs = a @ covs @ a.transpose(0, 2, 1) + gain @ sensor.r @ gain.transpose(0, 2, 1)
-    posteriors = [GaussianTrack(t.label, mean, cov)
-                  for t, mean, cov in zip(tracks, post_means, post_covs)]
-    return posteriors, lik
+    return [GaussianTrack(t.label, mean, cov)
+            for t, mean, cov in zip(tracks, post_means, post_covs)]
 
 
-def update_track(
-    t: GaussianTrack, z: np.ndarray, sensor: SensorModel
-) -> tuple[GaussianTrack, float]:
-    """EKF measurement update; returns the posterior track and the marginal
-    likelihood of z (same value, bit for bit, as likelihood_table)."""
-    posteriors, lik = update_tracks([t], np.asarray(z, dtype=float).reshape(1, 2), sensor)
-    return posteriors[0], float(lik[0])
+def update_track(t: GaussianTrack, z: np.ndarray, sensor: SensorModel) -> GaussianTrack:
+    """EKF measurement update of one track: update_tracks on a stack of one."""
+    return update_tracks([t], np.asarray(z, dtype=float).reshape(1, 2), sensor)[0]
 
 
 def in_fov(s: np.ndarray, sensor: SensorModel) -> bool:

@@ -2,9 +2,11 @@
 
 The matrix has one row per measurement return and one column per object
 plus a birth column and a clutter column. Entries are stored as
-log-likelihoods; impossible pairings are -inf. Deaths have no row: death
-probability mass enters through the child prior, never through the
-likelihood, and the matrix only records which objects may die this scan.
+log-likelihoods; impossible pairings are -inf: in an object column past
+the Mahalanobis gate of filters.likelihood_table, in the birth and clutter
+columns where their density is 0. Deaths have no row: death probability
+mass enters through the child prior, never through the likelihood, and the
+matrix only records which objects may die this scan.
 """
 
 from __future__ import annotations
@@ -100,15 +102,13 @@ class AssociationMatrix:
         if not np.maximum.reduce(entries, None, initial=-math.inf) < math.inf:
             raise ValueError("matrix entries must be finite or -inf")
         # One pass over the finite mask: nonzero lists its pairs row by row,
-        # columns ascending, so row i's columns are the next rows.count(i).
+        # columns ascending, so row i's columns end at the running count of
+        # rows 0..i.
         rows, cols = np.isfinite(entries).nonzero()
-        rows, cols = rows.tolist(), cols.tolist()
-        supported = []
-        end = 0
-        for i in range(len(entries)):
-            start, end = end, end + rows.count(i)
-            supported.append(tuple(cols[start:end]))
-        object.__setattr__(self, "supported", tuple(supported))
+        cols = cols.tolist()
+        ends = np.bincount(rows, minlength=len(entries)).cumsum().tolist()
+        supported = tuple(tuple(cols[start:end]) for start, end in zip([0, *ends], ends))
+        object.__setattr__(self, "supported", supported)
         object.__setattr__(self, "column_entries", (*self.object_labels, BIRTH, CLUTTER))
 
     @property
@@ -181,11 +181,12 @@ def build_matrix(
     """Assemble the data-association matrix from post-prediction tracks and
     the current frame's returns.
 
-    Object columns hold the exact marginal measurement likelihoods, all
-    m x N of them from one filters.likelihood_table call (the kernel
-    update_tracks runs too); the birth column holds birth_likelihood, or
-    -inf when the birth probability is 0, so no child proposes a birth; the
-    clutter column holds the clutter density. An object is eligible to die
+    Object columns hold the exact log marginal measurement likelihoods, all
+    m x N of them written straight from one filters.likelihood_table call,
+    -inf past its GATE_D2 gate (the one support rule for object columns);
+    the birth column holds the log of birth_likelihood, or -inf when the
+    birth probability is 0, so no child proposes a birth; the clutter
+    column holds the log of the clutter density. An object is eligible to die
     when the death probability is positive and it is predicted inside the
     FOV; no death event is generated for any other object.
     """
@@ -193,10 +194,7 @@ def build_matrix(
     m = len(returns)
     n_objects = len(predicted)
     log_entries = np.empty((m, n_objects + 2))
-    liks = likelihood_table(predicted, returns, sensor).ravel().tolist()
-    log_entries[:, :n_objects] = np.reshape(
-        [math.log(lik) if lik > 0.0 else -math.inf for lik in liks], (m, n_objects)
-    )
+    log_entries[:, :n_objects] = likelihood_table(predicted, returns, sensor)
     can_be_born = birth_cfg.alpha > 0.0
     for i in range(m):
         b_lik = birth_likelihood(returns[i], sensor) if can_be_born else 0.0
@@ -214,7 +212,7 @@ def build_matrix(
 
 def hypothesis_log_likelihood(event: AssociationEvent, matrix: AssociationMatrix) -> float:
     """Log-likelihood of an event: sum of the matrix entries its assignments
-    select. Deaths contribute no factor. -inf when any selected entry is 0."""
+    select. Deaths contribute no factor. -inf when any selected entry is."""
     if len(event.assignments) != matrix.n_returns:
         raise InvalidEventError(
             f"event has {len(event.assignments)} assignments for "
@@ -284,8 +282,8 @@ def compare_likelihood_forms(
             # N(z; h(mean), r): the marginal of a track with no uncertainty.
             track = tracks[entry]
             at_mean = GaussianTrack(track.label, track.mean, np.zeros((4, 4)))
-            lik = likelihood_table([at_mean], np.reshape(returns[i], (1, 2)), sensor)[0, 0]
-            log_mean_form += math.log(lik) if lik > 0.0 else -math.inf
+            z = np.reshape(returns[i], (1, 2))
+            log_mean_form += likelihood_table([at_mean], z, sensor)[0, 0]
     # No births or deaths, so the rates of the default config never enter.
     log_prior = log_count_prior(k, 0, 0, n_objects, m, BirthDeathConfig(), sensor.p_d)
     return math.exp(log_mean_form), math.exp(log_prior + log_marginal)

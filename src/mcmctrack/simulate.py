@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InputDataError
 from .filters import (
     DynamicsConfig,
     GaussianTrack,
@@ -55,6 +55,12 @@ class MeasurementFrame:
         object.__setattr__(
             self, "returns", np.asarray(self.returns, dtype=float).reshape(-1, 2)
         )
+        finite = np.isfinite(self.returns).all(axis=1)
+        if not finite.all():
+            raise InputDataError(
+                f"frame at time {self.time}: returns {self.returns[~finite].tolist()} "
+                "must be finite"
+            )
         if self.truth_tags is not None and len(self.truth_tags) != len(self.returns):
             raise ConfigError("frame truth_tags must align with returns")
 

@@ -166,7 +166,7 @@ def _realize(
             if i is not None:
                 claimed.setdefault((id(t), i), t)
         survivors.append(pairs)
-    posteriors, _ = update_tracks(
+    posteriors = update_tracks(
         list(claimed.values()), frame.returns[[i for _, i in claimed]], cfg.sensor
     )
     updated = dict(zip(claimed, posteriors))

@@ -280,7 +280,7 @@ def test_criterion_7_kalman_reduction():
                 ind = predict_track(independent[label], cfg.dynamics)
                 z = ind.mean[:2] + rng.normal(0.0, 1.0, size=2)
                 points.append(z)
-                independent[label] = update_track(ind, z, sensor)[0]
+                independent[label] = update_track(ind, z, sensor)
             from mcmctrack.simulate import MeasurementFrame
 
             hyps, _ = tracker.step(hyps, MeasurementFrame(time=t, returns=np.array(points)))

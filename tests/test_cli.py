@@ -337,9 +337,9 @@ class TestTrackCommand:
         assert f"{field} must have a finite square" in capsys.readouterr().err
 
     def test_far_return_tracks_without_warning(self, tmp_path, small_scenario_file):
-        # A return at 1e200 km passes the 1 km guard and has likelihood 0
-        # under every track; both overflow to inf on the way, and a warning
-        # would fail this test.
+        # A return at 1e200 km passes the 1 km guard and has log-likelihood
+        # -inf under every track; both overflow to inf on the way, and a
+        # warning would fail this test.
         frames = tmp_path / "frames.csv"
         frames.write_text(f"{self.FRAMES_HEADER}\n300.0,1e200,0.0,clutter\n")
         rc = main(["track", "--frames", str(frames), "--scenario", str(small_scenario_file),
@@ -472,7 +472,7 @@ class TestRecordedBytes:
             "sim/scenario.json": "74dce149ffa8e63482ddbc588be23e0b9619623d6aeaa9d3f3220165a991754e",
             "sim/truth.csv": "2d3b33edbb3b3235efbb71e0a49b4380c3929930a5d00e0badc669bc0601f4f4",
             "sim/frames.csv": "527cbc17e9478b29bb6d8431b558837e1e54f321499bd4eb5fff6705ebe5ef83",
-            "trk/reports.ldjson": "0e440d297a9c9cb4c4ce533a9bf6462114e08cad3926916d850993b40adc922c",
+            "trk/reports.ldjson": "35ff5df2c178b9c383e9f7f71284640d8338645ff3305f16f8915bded2bb973e",
             "trk/summary.json": "e2c26efd04ecd16b1da861d4f4f23588575da15f8355c3f6be74dbf4f36c22c2",
         },
         ("twenty-object", 9001, "mcmc"): {
@@ -493,7 +493,7 @@ class TestRecordedBytes:
             "sim/scenario.json": "8e318431f45ba7ba8d03760cc57a3520d3def14eb618105fabbc21eb45900eb9",
             "sim/truth.csv": "b129c4c335b0f40462edcfe209107efe54b58423921fafc08e8a384697249de6",
             "sim/frames.csv": "b33b4f517c0e051d928774c406745aa1750c40dd7748ffb8ffa079864d3db77d",
-            "trk/reports.ldjson": "962f16bfe0320acab51c34672f19f96ac70c2dabe2eef7ca54ab7e1725c42f95",
+            "trk/reports.ldjson": "b1e6993c683022d8fc14ea61088826ec90e721386e8ac01f86312750e4f64e80",
             "trk/summary.json": "61c71cc0beedc60e22b7b81e7695eeaa6290bb972412daaad0acaff080df2fa6",
         },
     }

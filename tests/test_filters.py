@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.stats import multivariate_normal
 
 from mcmctrack.errors import ConfigError, NumericalError, SingularStateError
 from mcmctrack.filters import (
+    GATE_D2,
     MU_EARTH,
     DynamicsConfig,
     GaussianTrack,
@@ -277,17 +279,17 @@ class TestUpdate:
         # Zero prior covariance, unit measurement noise, return at the
         # predicted measurement: density equals the bivariate normal mode.
         track = GaussianTrack("t00", [0.0, 0.0, 0.0, 0.0], np.zeros((4, 4)))
-        _, lik = update_track(track, np.zeros(2), default_sensor())
+        lik = math.exp(likelihood_table([track], np.zeros((1, 2)), default_sensor())[0, 0])
         assert lik == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-12)
 
     def test_zero_gain_limit(self):
         track = GaussianTrack("t00", [1.0, 2.0, 0.3, 0.4], np.zeros((4, 4)))
-        post, _ = update_track(track, np.array([5.0, -7.0]), default_sensor())
+        post = update_track(track, np.array([5.0, -7.0]), default_sensor())
         np.testing.assert_allclose(post.mean, track.mean, atol=1e-12)
 
     def test_posterior_moves_toward_measurement(self):
         track = GaussianTrack("t00", [0.0, 0.0, 0.0, 0.0], np.eye(4))
-        post, _ = update_track(track, np.array([1.0, 0.0]), default_sensor())
+        post = update_track(track, np.array([1.0, 0.0]), default_sensor())
         assert 0.0 < post.mean[0] < 1.0
         assert post.covariance[0, 0] < track.covariance[0, 0]
 
@@ -301,7 +303,7 @@ class TestUpdate:
         z = prior_mean[:2] + rng.normal(size=2) * 0.5
         sensor = default_sensor(r=np.array([[0.5, 0.1], [0.1, 0.4]]))
         track = GaussianTrack("t00", prior_mean, prior_cov)
-        post, lik = update_track(track, z, sensor)
+        post = update_track(track, z, sensor)
 
         sig = np.sqrt(np.diag(prior_cov))
         axes = [np.linspace(prior_mean[i] - 6 * sig[i], prior_mean[i] + 6 * sig[i], 33)
@@ -331,7 +333,7 @@ class TestUpdate:
         rng = np.random.default_rng(11)
         n = 100_000
         pts = rng.uniform(-half, half, size=(n, 2))
-        vals = likelihood_table([track], pts, sensor)[:, 0]
+        vals = np.exp(likelihood_table([track], pts, sensor)[:, 0])
         volume = float(np.prod(2.0 * half))
         integral = vals.mean() * volume
         assert abs(integral - 1.0) < 0.02
@@ -352,7 +354,9 @@ class TestUpdate:
         mean = rng.normal(size=4)
         z = rng.normal(size=2)
         sensor = default_sensor(r=np.diag([0.5, 0.5]))
-        post, lik = update_track(GaussianTrack("t00", mean, cov), z, sensor)
+        track = GaussianTrack("t00", mean, cov)
+        post = update_track(track, z, sensor)
+        lik = math.exp(likelihood_table([track], z.reshape(1, 2), sensor)[0, 0])
         h = np.array([[1.0, 0, 0, 0], [0, 1.0, 0, 0]])
         s = h @ cov @ h.T + sensor.r
         k = cov @ h.T @ np.linalg.inv(s)
@@ -373,26 +377,28 @@ def hexes(values) -> list[str]:
 # The per-pair EKF code that the stacked kernel replaced, kept here as the
 # reference it must match bit for bit.
 def reference_innovation(mean, cov, z, r):
-    """Innovation, inverse innovation covariance and marginal likelihood of
-    one (track, return) pair."""
+    """Innovation, inverse innovation covariance and gated log marginal
+    likelihood of one (track, return) pair. The log is numpy's, whose
+    results math.log does not always match."""
     s_cov = cov[:2, :2] + r
     s_cov = 0.5 * (s_cov + s_cov.T)
     det = s_cov[0, 0] * s_cov[1, 1] - s_cov[0, 1] * s_cov[1, 0]
     inv = np.array([[s_cov[1, 1], -s_cov[0, 1]], [-s_cov[1, 0], s_cov[0, 0]]]) / det
     innov = z - mean[:2]
-    maha = float(innov @ inv @ innov)
-    return innov, inv, math.exp(-0.5 * maha) / (2.0 * math.pi * math.sqrt(det))
+    d2 = float(innov @ inv @ innov)
+    if d2 > GATE_D2:
+        return innov, inv, -math.inf
+    return innov, inv, -0.5 * d2 - float(np.log(2.0 * math.pi * math.sqrt(det)))
 
 
 def reference_update(mean, cov, z, r):
-    """Posterior mean, symmetrized posterior covariance and likelihood of
-    one pair."""
-    innov, inv, lik = reference_innovation(mean, cov, z, r)
+    """Posterior mean and symmetrized posterior covariance of one pair."""
+    innov, inv, _ = reference_innovation(mean, cov, z, r)
     gain = cov[:, :2] @ inv
     post_mean = mean + gain @ innov
     a = np.eye(4) - gain @ np.eye(2, 4)
     post_cov = a @ cov @ a.T + gain @ r @ gain.T
-    return post_mean, 0.5 * (post_cov + post_cov.T), lik
+    return post_mean, 0.5 * (post_cov + post_cov.T)
 
 
 @st.composite
@@ -444,18 +450,16 @@ class TestStackedKernel:
         )) if tracks and len(returns) else []
         paired = [tracks[j] for j, _ in pairs]
         zs = returns[[i for _, i in pairs]].reshape(-1, 2)
-        posteriors, liks = update_tracks(paired, zs, sensor)
-        assert len(posteriors) == len(liks) == len(pairs)
-        for track, z, post, lik in zip(paired, zs, posteriors, liks):
-            mean, cov, want_lik = reference_update(track.mean, track.covariance, z, sensor.r)
+        posteriors = update_tracks(paired, zs, sensor)
+        assert len(posteriors) == len(pairs)
+        for track, z, post in zip(paired, zs, posteriors):
+            mean, cov = reference_update(track.mean, track.covariance, z, sensor.r)
             assert post.label == track.label
             assert hexes(post.mean) == hexes(mean)
             assert hexes(post.covariance) == hexes(cov)
-            assert float(lik).hex() == want_lik.hex()
-            one, one_lik = update_track(track, z, sensor)
+            one = update_track(track, z, sensor)
             assert hexes(one.mean) == hexes(mean)
             assert hexes(one.covariance) == hexes(cov)
-            assert one_lik.hex() == want_lik.hex()
 
     @given(
         states=near_orbit_states(),
@@ -491,12 +495,52 @@ class TestStackedKernel:
 
     def test_far_return_has_likelihood_zero(self):
         # The Mahalanobis term of a return at 1e200 km overflows to inf,
-        # quietly, and its likelihood is exactly 0.
+        # quietly, and its log-likelihood is exactly -inf.
         track = GaussianTrack("t00", [7000.0, 0.0, 0.0, 7.5], np.eye(4))
         returns = np.array([[1e200, 0.0], [7000.0, 0.0]])
         table = likelihood_table([track], returns, default_sensor())
-        assert table[0, 0] == 0.0
-        assert table[1, 0] > 0.0
+        assert table[0, 0] == -math.inf
+        assert table[1, 0] > -math.inf
+
+
+class TestGate:
+    """Every (return, track) pair's log-likelihood, -inf exactly past the
+    Mahalanobis gate GATE_D2."""
+
+    def test_gate_edges(self):
+        # The gate sits where exp(-d^2 / 2) underflows. S = I, so d^2 is the
+        # squared x offset: just inside the gate the entry is the closed form
+        # (its linear likelihood underflows to 0), just outside it is -inf.
+        assert math.exp(-0.5 * 1490.0) > 0.0 == math.exp(-0.5 * 1491.0)
+        track = GaussianTrack("t00", np.zeros(4), np.zeros((4, 4)))
+        edge = math.sqrt(1490.0)
+        returns = np.array([[edge - 1e-9, 0.0], [edge + 1e-9, 0.0]])
+        inside, outside = likelihood_table([track], returns, default_sensor())[:, 0]
+        d2 = returns[0, 0] ** 2
+        assert d2 <= GATE_D2 < returns[1, 0] ** 2
+        assert inside == pytest.approx(-0.5 * d2 - math.log(2.0 * math.pi), rel=1e-12)
+        assert outside == -math.inf
+
+    @given(scan=scan_tracks())
+    @settings(max_examples=150, deadline=None)
+    def test_table_matches_scipy_logpdf_inside_the_gate(self, scan):
+        # An independent per-pair reference: scipy's log density, and d^2
+        # by a linear solve. The two sides of -d^2 / 2 - log(2 pi sqrt(det S))
+        # reach about 745 in size, so the tolerance is 1e-12 of their sum of
+        # magnitudes.
+        tracks, returns, sensor = scan
+        table = likelihood_table(tracks, returns, sensor)
+        for i, z in enumerate(returns):
+            for j, t in enumerate(tracks):
+                s_cov = t.covariance[:2, :2] + sensor.r
+                innov = z - t.mean[:2]
+                d2 = float(innov @ np.linalg.solve(s_cov, innov))
+                if d2 > GATE_D2:
+                    assert table[i, j] == -math.inf
+                    continue
+                want = multivariate_normal.logpdf(z, mean=t.mean[:2], cov=s_cov)
+                scale = 0.5 * d2 + abs(math.log(2.0 * math.pi * math.sqrt(np.linalg.det(s_cov))))
+                assert abs(table[i, j] - want) <= 1e-12 * scale
 
 
 class TestFov:
@@ -653,8 +697,8 @@ class TestTrackValidation:
             GaussianTrack("t02", np.zeros(4), np.full((4, 4), math.nan))
         with pytest.raises(ValueError, match="track t03: mean must be finite"):
             GaussianTrack("t03", np.full(4, math.inf), -np.eye(4))
-        posteriors, liks = update_tracks([], np.empty((0, 2)), default_sensor())
-        assert posteriors == [] and liks.shape == (0,)
+        assert update_tracks([], np.empty((0, 2)), default_sensor()) == []
+        assert likelihood_table([], np.empty((0, 2)), default_sensor()).shape == (0, 0)
 
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(NumericalError):

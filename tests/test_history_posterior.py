@@ -59,7 +59,7 @@ def brute_force_histories(tracks, frames, cfg, max_histories=math.inf):
                     continue
                 assign, deaths = key
                 child = [
-                    update_track(t, frame.returns[assign.index(j)], cfg.sensor)[0]
+                    update_track(t, frame.returns[assign.index(j)], cfg.sensor)
                     if j in assign else t
                     for j, t in enumerate(predicted) if j not in deaths
                 ]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmctrack.errors import InvalidEventError
-from mcmctrack.filters import GaussianTrack, SensorModel, update_track
+from mcmctrack.filters import GaussianTrack, SensorModel, likelihood_table
 from mcmctrack.hypotheses import (
     BIRTH,
     CLUTTER,
@@ -67,28 +67,41 @@ class TestBuildMatrix:
             1.0 / (2.0 * math.pi * math.sqrt(s_det)), rel=1e-12
         )
 
-    def test_object_entries_share_update_track_code_path(self):
+    def test_object_entries_are_the_likelihood_table(self):
         sensor = sensor_with()
         tracks = [track_at("t00", 30000.0, 500.0), track_at("t01", 30025.0, 480.0)]
         returns = np.array([[30010.0, 495.0], [30020.0, 485.0]])
         mat = build_matrix(tracks, returns, sensor, uniform_clutter(sensor), BirthDeathConfig())
         for i, z in enumerate(returns):
             for j, t in enumerate(tracks):
-                _, lik = update_track(t, z, sensor)
-                assert lik > 0.0
-                assert mat.log_entries[i, j] == math.log(lik)
+                log_lik = likelihood_table([t], z.reshape(1, 2), sensor)[0, 0]
+                assert log_lik > -math.inf
+                assert mat.log_entries[i, j] == log_lik
 
     @given(scan=scan_tracks())
     @settings(max_examples=100, deadline=None)
     def test_object_entries_match_per_pair_reference(self, scan):
-        # Every object entry is the log of the per-pair likelihood, -inf
-        # where it underflows to 0.
+        # Every object entry is the per-pair log-likelihood, -inf past the
+        # gate.
         tracks, returns, sensor = scan
         mat = build_matrix(tracks, returns, sensor, uniform_clutter(sensor), BirthDeathConfig())
-        liks = [[reference_innovation(t.mean, t.covariance, z, sensor.r)[2] for t in tracks]
+        want = [[reference_innovation(t.mean, t.covariance, z, sensor.r)[2] for t in tracks]
                 for z in returns]
-        want = [[math.log(lik) if lik > 0.0 else -math.inf for lik in row] for row in liks]
         assert hexes(mat.log_entries[:, :len(tracks)]) == hexes(want)
+
+    def test_wide_innovation_inside_the_gate_is_supported(self):
+        # d^2 = 1480 under S = 1e4 I: the linear likelihood exp(-740) /
+        # (2 pi 1e4) underflows to 0, but the pair is inside the gate, so
+        # the entry is its closed form and a child may propose it.
+        sensor = SensorModel(origin=np.zeros(2), boresight_angle=0.0,
+                             fov_half_angle=math.pi / 12, r=1e4 * np.eye(2), p_d=0.9)
+        track = GaussianTrack("t00", [30000.0, 0.0, 0.0, 3.0], np.zeros((4, 4)))
+        returns = np.array([[30000.0 + math.sqrt(1480.0 * 1e4), 0.0]])
+        assert math.exp(-740.0) / (2.0 * math.pi * 1e4) == 0.0
+        mat = build_matrix([track], returns, sensor, uniform_clutter(sensor), BirthDeathConfig())
+        want = -0.5 * (returns[0, 0] - 30000.0) ** 2 / 1e4 - math.log(2.0 * math.pi * 1e4)
+        assert mat.log_entries[0, 0] == pytest.approx(want, rel=1e-12)
+        assert mat.supported == ((0, 1, 2),)
 
     def test_twelve_entries_match_hand_computation(self):
         # 2 tracks, 2 returns: a 2 x (2+2) matrix. Deaths carry no
@@ -199,8 +212,10 @@ class TestBuildMatrix:
         np.empty((0, 4)),
         np.array([[-1.0, 0.0], [-math.inf, 3.0]]),
         np.array([[0.0, -math.inf, -1.0], [-math.inf, -math.inf, -math.inf], [2.0, 1.0, 0.0]]),
+        np.array([[-math.inf] * 3, [0.0, -math.inf, -1.0], [-math.inf] * 3]),
         WIDE_ROW,
-    ], ids=["no-returns", "no-objects", "all-minus-inf-row", "wide-row"])
+    ], ids=["no-returns", "no-objects", "all-minus-inf-row", "empty-first-and-last-rows",
+            "wide-row"])
     def test_supported_hand_cases(self, entries):
         n_objects = entries.shape[1] - 2
         mat = AssociationMatrix(
@@ -212,7 +227,7 @@ class TestBuildMatrix:
         assert len(mat.supported) == mat.n_returns == len(entries)
 
     # Two tracks near the returns, one in the FOV but far from every return
-    # (its entries underflow to -inf), one outside a narrow FOV.
+    # (its entries are past the gate, -inf), one outside a narrow FOV.
     SELECT_TRACKS = [
         track_at("t00", 30000.0, 0.0),
         track_at("t01", 30025.0, 480.0),

@@ -76,7 +76,7 @@ def dense_matrix(labels, n_returns, death_eligible):
 
 def sparse_instance():
     """t00 sits on the first two returns; t01 is ~70 sigma from every
-    return, beyond the point where its Gaussian underflows to 0; t02 is
+    return, past the Mahalanobis gate (entries -inf); t02 is
     outside the FOV, so it may not die although beta > 0. The third return
     is far from every track."""
     sensor = SensorModel(
@@ -538,7 +538,7 @@ class TestExactPosterior:
     # key: these pin every key, their order and every value's bits.
     DIGESTS = {
         "dense0": "ed41ace1aa667990268c53e7262008851c4e3c7eea12c909491b4f7eabd6a23c",
-        "dense1": "0583fc260b6af3519f849eaae4b82b3aec60366ffbc16939bf0caa00a78bf5bb",
+        "dense1": "4a57318372b48480ab112513d52d278ee4f56b8fa83b255d1bdf1f4025636fb8",
         "dense2": "998931a82602dfbfd8f776876b814b01687ae0580e2363580f92a554b7e7209f",
         "dense3": "f6a5e6818c94111ff67fad347849d9352c2cb1dd7945fc769bbcf2ac28a15268",
         "sparse": "6d4d37f6e020bb8185689aec9a7c80fa8f56e5c69078f65cef25b8cbbd4d4a78",
@@ -581,7 +581,7 @@ class TestExactPosterior:
     def test_all_zero_mass_degenerate(self):
         sensor = wide_sensor(p_d=1.0)
         parent = hypothesis_with([(100.0, 0.0)])
-        # Return far enough that the Gaussian underflows to 0, clutter zero,
+        # Return past the Mahalanobis gate of the track, clutter zero,
         # births zero: nothing can explain the return.
         returns = np.array([[100.0, 9000.0]])
         cfg = BirthDeathConfig(alpha=0.0, beta=0.0, n_pixels=1)

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from mcmctrack.errors import ConfigError, InvalidEventError
+from mcmctrack.errors import ConfigError, InputDataError, InvalidEventError
 from mcmctrack.filters import (
     DynamicsConfig,
     GaussianTrack,
@@ -80,6 +80,9 @@ REJECTIONS = {
     "frame-truth_tags": (
         lambda: MeasurementFrame(300.0, [[1.0, 2.0]], truth_tags=()),
         ConfigError, "truth_tags"),
+    "frame-returns": (
+        lambda: MeasurementFrame(300.0, [[1.0e4, 0.0], [NAN, 1.0], [math.inf, 0.0]]),
+        InputDataError, "frame at time 300.0: returns [[nan, 1.0], [inf, 0.0]]"),
     "track-label": (lambda: track(""), ValueError, "label"),
     "hypothesis-reserved-label": (
         lambda: Hypothesis("h0", None, 0.0, (track(BIRTH),)), InvalidEventError, "label"),

@@ -237,7 +237,7 @@ class TestStepBasics:
         assert batches == [1]
         assert tables == [(1, 1)]
         assert len(new_hyps) == 2
-        want = update_track(predict_track(shared, cfg.dynamics), z, cfg.sensor)[0]
+        want = update_track(predict_track(shared, cfg.dynamics), z, cfg.sensor)
         for hyp in new_hyps:
             np.testing.assert_array_equal(hyp.tracks[0].mean, want.mean)
             np.testing.assert_array_equal(hyp.tracks[0].covariance, want.covariance)
@@ -476,7 +476,7 @@ class TestKalmanReduction:
                 ind = predict_track(independent[label], cfg.dynamics)
                 z = ind.mean[:2] + rng.normal(0, 1.0, size=2)
                 points.append(z)
-                independent[label] = update_track(ind, z, cfg.sensor)[0]
+                independent[label] = update_track(ind, z, cfg.sensor)
             hyps, report = tracker.step(hyps, frame_at(t, points))
             assert len(hyps) >= 1
         top = max(hyps, key=lambda h: h.log_weight)
@@ -633,29 +633,29 @@ class TestSeedGolden:
             "b0bc86b3b92859b980690184c8bfcd2a3dd53fbc80021dd09a7cdc263bb0438e",
             "d9f0444c5c0899f5d34a69687edcafc62cc8a2f5716bbb52ad218b6387db9c90",
             "c4ec72bdbf0d5723ad9ebc9cd1b6dda4df1ae2d3b36963ebe8b8fe61ea15e8ea",
-            "b75a5ec7de88c005f850deeea27048bb3aa28a258c043feba989781add86843e",
-            "522865d84a60f006eeaee47bd6151e66edf6d65e1b450eac10f0d843d1d9715f",
-            "a0b9f9fc9ee772e6a2ad4fc6fbaffa0e53537f90ffcf0e3d83ab0a0ff3e33eb2",
-            "aba994cb518fa28ab1b7e7063fa622fda0d671a5262a63998dee5368c35a9fc7",
-            "18482b29b84f4e376e14abca95a22ec97061145106c9a46dbc042eb9e6e45aa0",
-            "4dda7d73af3ad2a2bc968102ac25130c15f10408dd289cf311589ea9069f1034",
-            "4406c0e74335f4d33595331bbbc4a2412f0fc65d9696e71627a6703bb6ab72dd",
+            "11d26f15f0083a808ef4dd129e7fe9361d83333278a94ccd0a354b00c89988d0",
+            "d56e9b7327015be1bf14a60a2c7a29f68e10c6e3977b1143c1d70bfff928fb5c",
+            "39934bb63864ba367f809fdf94b825ed136223cab73000bdaad82adf55b313f9",
+            "eed0d5e970ae128776d042788a3ef343e8c77e4221cb6aea13f4fc71da122bcd",
+            "a7b908ff33f2c42b5b2e87a4b1fde79608f8f09f6d5a88e728c3dab84e3ae0e8",
+            "6e678d1f6a98c80fecf2be90d7979bf48366da27d6b3366aeaa0e6de82a8eddf",
+            "234c7ac3313ac246e6e81e887d4d42dbf17021a5cc9af81497357a378277ffae",
         ],
         "twenty-object": [
             "dd82ceb0eeeba4a9b0f688032b8b4ea34c8e5a45662a16684b1a799b74e9a08e",
             "e1ef77beb2f06c4943c85fec4f3c7218d10af0c2503856a591c1686ca4ba039e",
             "23d3d275cb670d2b2adabfa89ebbdff74948565ffafddcdf1a35f1386131ea67",
             "8803306bd36cebf3356446d9d3b47daa389761cc049d8ad398882409a89b7367",
-            "71d979b7b2c5f1a3b03e3a126f2a1292b0fb8532b1068ade3b6d04440243411b",
+            "819d62153acdbccd7395424afacfe362896ca309ddefefd9758b3322c3e5c14e",
             "62c44338273a0264e5912584cec3f358a551e63d335f993bbe9404abb4d2f0d7",
             "48ea375830e14beac4b820df6c9b831b77a53553a5fd0e4014f20206891f6622",
             "0202b0f6c21e81339a5b3e74da5703b2a744510c4d25bfee215c05759383f0d7",
-            "1a8703781408ba1a72dfd4da4da5b273940b85038a098eaa8278e542498cd8df",
-            "c9c34d260841b2c7f3241a5337244afddbb27cc0353b7c99abe9d7f3f3b0e024",
-            "2b90ecf8c0c5ac0ed5a5de29d27f994729ea97aa2acdf9f5ac5f504721a118d9",
-            "d7a3d6f12a00b1b50a9fa1a3d43aa1f803566ba26981f8324bbdef9e773a7d09",
-            "7203fbb5cbef69539ad152aa57e70cfef98c99c5d33b8e3315e1a9bee91db18f",
-            "17cc366783091e9317897a32af2f7a36cd895d1db264c820c809455ba1ac5bab",
+            "0abbb9b6fa03c848a58c7418495842c6cd04039a15b3b1848226733b8d4caea1",
+            "1f18228ef1b912576467d84d723aa58b3090bea5cb95ccf58e82d40165781390",
+            "06884dbc1d39adfeca2bca1067387abc7a91ddce416217557a91b56fdd4f873b",
+            "c18ce5393e31061cc73600b86eb665d85e17e758e88f3075996a3475066311e5",
+            "0f3b1f654151f10a4665ac8123d0b24167029707f6a5fa5b091b0aafe3d0e33c",
+            "93111bcf7bc218ab49802de49baa01c4e2daa8401ae50ff89466e8a4ef16df19",
         ],
         "sixty-object": [
             "bdc8b891689aa0440948ac6a6ea24e58126966f70c02d81b7587b88894da6530",
