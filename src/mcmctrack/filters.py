@@ -6,8 +6,8 @@ and velocities in km/s. Everything here is a pure function of its inputs
 
 propagate_state integrates one state in Python floats (_rk4_step over
 _accel) for the simulator, which steps one state at a time: run as a (4, 1)
-block, numpy's per-call cost made a 16-substep propagation about 15 times
-slower (450 against 29 us on a 2-core Xeon). propagate_flows integrates a
+block, numpy's per-call cost made the presets' 2-substep propagation about 7
+times slower (54 against 8 us on a 2-core Xeon). propagate_flows integrates a
 (4, L) block of lanes, each state of a batch and its 8 central-difference
 perturbations, as one array per RK4 stage (_rk4_block over
 _block_derivative). numpy's +, -, *, / and sqrt are the same IEEE
@@ -65,8 +65,9 @@ class DynamicsConfig:
             raise ConfigError("dynamics.dt must be finite")
         if not (math.isfinite(self.q) and self.q >= 0.0):
             raise ConfigError("dynamics.q must be finite and >= 0")
-        if self.integrator_substeps < 1:
-            raise ConfigError("dynamics.integrator_substeps must be >= 1")
+        substeps = self.integrator_substeps
+        if isinstance(substeps, bool) or not isinstance(substeps, int) or substeps < 1:
+            raise ConfigError("dynamics.integrator_substeps must be an integer >= 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,14 +365,16 @@ def likelihood_table(
     -inf where d^2 > GATE_D2. The one place a pairing's likelihood is
     computed. d^2 is one stacked (1 x 2) @ (2 x 2) @ (2 x 1) matmul, which
     BLAS evaluates as it does innov @ inv @ innov, so each entry is its
-    one-pair computation's bit for bit; a far return's d^2 overflows to inf
-    quietly, and its entry is -inf."""
+    one-pair computation's bit for bit. A far return's d^2 overflows,
+    quietly: to inf, to nan where overflowed terms of opposite sign meet
+    (inf - inf), or even to -inf. d^2 >= 0 in exact arithmetic, so any d^2
+    outside [-GATE_D2, GATE_D2] is past the gate, and its entry is -inf."""
     returns = np.asarray(returns, dtype=float).reshape(-1, 2)
     _, _, innov, inv, det = _innovations(tracks, returns[:, None, :], sensor.r)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         d2 = (innov[..., None, :] @ inv @ innov[..., :, None])[..., 0, 0]
     log_lik = -0.5 * d2 - np.log(_TWO_PI * np.sqrt(det))
-    log_lik[d2 > GATE_D2] = -math.inf
+    log_lik[~(np.abs(d2) <= GATE_D2)] = -math.inf
     return log_lik
 
 

@@ -203,7 +203,8 @@ def test_criterion_6_spawn_recovery():
     seeds 0-9. Single-spawn ends on the true count on 239 of the 240 runs of
     seeds 0-79 at those walk seeds (seed 51 at walk seed 51 ends one over).
     These were measured with the walk's holds drawn by numpy's geometric
-    sampler; with exponential holds twenty-object read the same and
+    sampler, and read the same with each scan integrated in 2 RK4 substeps,
+    as now, or 16; with exponential holds twenty-object read the same and
     single-spawn won all 240. A change that moves the walk's realization,
     though not its law, can still move a run or two here. The bound is kept
     as it is."""

@@ -469,32 +469,32 @@ class TestRecordedBytes:
 
     DIGESTS = {
         ("single-spawn", 9001, "mcmc"): {
-            "sim/scenario.json": "74dce149ffa8e63482ddbc588be23e0b9619623d6aeaa9d3f3220165a991754e",
-            "sim/truth.csv": "2d3b33edbb3b3235efbb71e0a49b4380c3929930a5d00e0badc669bc0601f4f4",
-            "sim/frames.csv": "527cbc17e9478b29bb6d8431b558837e1e54f321499bd4eb5fff6705ebe5ef83",
-            "trk/reports.ldjson": "35ff5df2c178b9c383e9f7f71284640d8338645ff3305f16f8915bded2bb973e",
-            "trk/summary.json": "e2c26efd04ecd16b1da861d4f4f23588575da15f8355c3f6be74dbf4f36c22c2",
+            "sim/scenario.json": "7ca0048aa04ae23c1208357bdcb59d1ed4a3a0191a077af7ef44a3e194cf72d6",
+            "sim/truth.csv": "38b2fb4bbc7aef2437972cbc722baf48c4b053630d0ba26ff5044db0fc0c627b",
+            "sim/frames.csv": "9944ade060960729c3abd78217a9b2c4aa5dd10c733851e05f1d5cf48ac87970",
+            "trk/reports.ldjson": "fff1daad80405094f56a01a5ea02b304ac008d3c1c8083b648d5d18946414d50",
+            "trk/summary.json": "3c1eb1d8f10db0970e5291282bd40802bbda51b5db8cecffb36b9203429bbba9",
         },
         ("twenty-object", 9001, "mcmc"): {
-            "sim/scenario.json": "cbc3cd72b6e9c207846bebc34faba7bec65baa34155b874a77e788a9fe0775bf",
-            "sim/truth.csv": "35ecfde349e01396a4592c0d9b9f582037bb91509ce3612a94946dbbe832d0fa",
-            "sim/frames.csv": "571879d1b169770a84720e81afc15d7304d8ed833fd53bcbbadf8685ea8f3012",
-            "trk/reports.ldjson": "ba0f541d1185a05daccea308cbe1b17759b6bd586231542d878c9a7cb5a751d0",
-            "trk/summary.json": "8d02dcc8921b96c714000e52802dabacbd2d1b1fbcbb30e4ce5c722be9076c1f",
+            "sim/scenario.json": "49c98a07fbcab263cfda0a8708cff19adb5556e9ef820a0a6333385e18c11bb7",
+            "sim/truth.csv": "6d6f9d474fdaea9e674fa0c36fa9e46011a1f6ae484c4191c76f25e41d61b4a1",
+            "sim/frames.csv": "68e78a26bf162aecc517df5640fce1fb1ca1762c7ecfe5152c83bde425cf63d6",
+            "trk/reports.ldjson": "08c5dfc63cfdf8caaa2da3bee8bf8b628c6b48dd361a1f238d91adf5b2f70aa9",
+            "trk/summary.json": "0febd4adecad83d6fadd521d3efa1bb4b31fc0be2ac90a53b6c2381ece0e068e",
         },
         ("sixty-object", 9001, "mcmc"): {
-            "sim/scenario.json": "1b2e73d6f173448b94134477ba1c4f8830b4c16146101496fd4d3c98cd9cb592",
-            "sim/truth.csv": "04f64a339a3414376184899bbd7c5038b9a35084bdefdacfed541995cec955c1",
-            "sim/frames.csv": "ec21ec79cc7de61b95b9588d74e1f9a056ae9f5b1a7262cad85f065d0f4c315f",
-            "trk/reports.ldjson": "470af5e968eb889ead8ec02cc75ac7e83b0ab94eb24868f26fe3c33f4f6a294a",
-            "trk/summary.json": "290f648f3bfea8e850bd54943c97a73345776bdb9171ea30f407ce0ff90af43a",
+            "sim/scenario.json": "004982af9050054800f085e7bb1fa90ba4b68267fadb04e19324b05cb5435c7c",
+            "sim/truth.csv": "7997e4ba346e27d743094fcd652078eeb18c384486c4149f1f879ca70f3db343",
+            "sim/frames.csv": "46064fa51377719e1d7722f0eef9ff3640b763c6ed9037ba9c737a1f4f3cdc7b",
+            "trk/reports.ldjson": "9ec3a3700351987d5cefaeff01d7fb287b1165a4fd866e32395ada9995b80683",
+            "trk/summary.json": "fb954c8ca2aee91bd72c26c09264ba6eaf6368c03a7320b1daeb9ce87c6425da",
         },
         ("single-spawn", 0, "exhaustive"): {
-            "sim/scenario.json": "8e318431f45ba7ba8d03760cc57a3520d3def14eb618105fabbc21eb45900eb9",
-            "sim/truth.csv": "b129c4c335b0f40462edcfe209107efe54b58423921fafc08e8a384697249de6",
-            "sim/frames.csv": "b33b4f517c0e051d928774c406745aa1750c40dd7748ffb8ffa079864d3db77d",
-            "trk/reports.ldjson": "b1e6993c683022d8fc14ea61088826ec90e721386e8ac01f86312750e4f64e80",
-            "trk/summary.json": "61c71cc0beedc60e22b7b81e7695eeaa6290bb972412daaad0acaff080df2fa6",
+            "sim/scenario.json": "9ae9959b68f6e352897547390aa50238f40a1d899da6daffdf3939c3951e15d7",
+            "sim/truth.csv": "b2bb918cb6dfa02f350034134aca8a5fcadf3f6b586535c7d6e714f80447403c",
+            "sim/frames.csv": "d551f1db1bf218d1020909e7beb0f638780d8bd8c619b9ba956fde98133af063",
+            "trk/reports.ldjson": "fc95256153c5416edd355137989be23148b7d1840369f20d89a67189425003d4",
+            "trk/summary.json": "bc792ae564d9919089a7f4d0075159f84c20fd613445761fb155dac1ddcce550",
         },
     }
 

@@ -1,6 +1,7 @@
 """Dynamics, EKF, and field-of-view checks."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,7 @@ from mcmctrack.filters import (
     update_track,
     update_tracks,
 )
+from mcmctrack.presets import PRESETS
 
 
 def default_sensor(p_d=0.9, r=None, half=math.pi / 12, max_range=5.0e4):
@@ -79,6 +81,50 @@ class TestPropagate:
         s = np.array([15000.0, 2000.0, -0.5, 3.0])
         cfg = DynamicsConfig(dt=300.0)
         np.testing.assert_array_equal(propagate_state(s, cfg), propagate_state(s, cfg))
+
+
+def preset_step_error(scenario, cfg, propagate):
+    """Largest position error (km) over a whole run of scenario, every scan
+    integrated by propagate(states, cfg), against 256 substeps per scan. The
+    states are the preset's objects and copies of each kicked by 0.1 km/s
+    along x and y, both ways, as a breakup's fragments are."""
+    kicks = [(0.0, 0.0), (0.1, 0.0), (-0.1, 0.0), (0.0, 0.1), (0.0, -0.1)]
+    states = np.array([obj + [0.0, 0.0, *kick] for obj in scenario.objects for kick in kicks])
+    fine = replace(cfg, integrator_substeps=256)
+    got = ref = states
+    error = 0.0
+    for _ in range(round(scenario.duration / scenario.scan_interval)):
+        got = propagate(got, cfg)
+        ref = propagate_flows(ref, fine)[0]
+        error = max(error, float(np.hypot(*(got[:, :2] - ref[:, :2]).T).max()))
+    return error
+
+
+class TestPresetStep:
+    """The presets integrate each scan in the fewest RK4 substeps whose
+    position error over a whole run stays below 1e-4 km, through the
+    simulator's integrator and the tracker's block alike."""
+
+    INTEGRATORS = {
+        "propagate_state": lambda states, cfg: np.array([propagate_state(s, cfg) for s in states]),
+        "propagate_flows": lambda states, cfg: propagate_flows(states, cfg)[0],
+    }
+
+    @pytest.mark.parametrize("integrator", sorted(INTEGRATORS))
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_run_stays_within_1e4_km_of_fine_reference(self, name, integrator):
+        scenario = PRESETS[name](seed=0)
+        error = preset_step_error(scenario, scenario.dynamics, self.INTEGRATORS[integrator])
+        assert error < 1e-4
+
+    def test_one_substep_fewer_breaks_the_bound(self):
+        errors = [
+            preset_step_error(scenario, replace(scenario.dynamics, integrator_substeps=n - 1),
+                              self.INTEGRATORS["propagate_flows"])
+            for scenario in (make(seed=0) for make in PRESETS.values())
+            if (n := scenario.dynamics.integrator_substeps) > 1
+        ]
+        assert errors and max(errors) >= 1e-4
 
 
 class TestDynamicsConfig:
@@ -420,6 +466,13 @@ def scan_tracks(draw):
     return tracks, returns, sensor
 
 
+# A return coordinate: huge, of either sign, or within the presets' range.
+huge_or_near = st.one_of(
+    st.floats(1e150, 1.7e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(-1e5, 1e5),
+)
+
+
 class TestStackedKernel:
     """The stacked innovation kernel, the batched update and the RK4 block
     against the per-pair and per-state code they replaced, float hex by
@@ -492,6 +545,36 @@ class TestStackedKernel:
         track = GaussianTrack("t00", np.zeros(4), np.eye(4))
         with pytest.raises(ValueError, match="one return per track"):
             update_tracks([track, track], np.zeros((1, 2)), default_sensor())
+
+    def test_huge_correlated_return_has_likelihood_zero(self):
+        # With r correlated 0.9, d^2 of a return at (1e308, 1e308) meets
+        # overflowed terms of opposite sign (inf - inf): its entry is -inf,
+        # not nan, and no warning is raised.
+        track = GaussianTrack("t00", [7000.0, 0.0, 0.0, 7.5], 1e-6 * np.eye(4))
+        sensor = default_sensor(r=np.array([[1.0, 0.9], [0.9, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = likelihood_table([track], np.array([[1e308, 1e308]]), sensor)
+        assert table.tolist() == [[-math.inf]]
+
+    @given(
+        returns=st.lists(st.tuples(huge_or_near, huge_or_near), min_size=1, max_size=4),
+        rho=st.floats(-0.999, 0.999),
+        var=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    @example(returns=[(1e150, 1e150), (1e150, 2.6965469130696285e158)], rho=0.5, var=1e-6)
+    @settings(max_examples=150, deadline=None)
+    def test_huge_returns_are_finite_or_gated(self, returns, rho, var):
+        # Every entry is a number or -inf, whatever overflows, and no
+        # warning is raised. In the example, BLAS's d^2 of the second
+        # return overflows to -inf, which an upper gate alone scored +inf.
+        tracks = [GaussianTrack("t00", [7000.0, 0.0, 0.0, 7.5], var * np.eye(4)),
+                  GaussianTrack("t01", [-3.0e4, 2.0e4, 1.0, -2.0], np.eye(4))]
+        sensor = default_sensor(r=np.array([[1.0, rho], [rho, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = likelihood_table(tracks, np.array(returns), sensor)
+        assert np.all(np.isfinite(table) | (table == -math.inf))
 
     def test_far_return_has_likelihood_zero(self):
         # The Mahalanobis term of a return at 1e200 km overflows to inf,

@@ -59,6 +59,12 @@ def track(label="t00"):
 REJECTIONS = {
     "dynamics-mu": (lambda: DynamicsConfig(mu=-1.0), ConfigError, "dynamics.mu"),
     "dynamics-dt": (lambda: DynamicsConfig(dt=math.inf), ConfigError, "dynamics.dt"),
+    "dynamics-substeps-fraction": (
+        lambda: DynamicsConfig(dt=300.0, integrator_substeps=2.5),
+        ConfigError, "dynamics.integrator_substeps"),
+    "dynamics-substeps-bool": (
+        lambda: DynamicsConfig(dt=300.0, integrator_substeps=True),
+        ConfigError, "dynamics.integrator_substeps"),
     "sensor-fov": (lambda: sensor(fov_half_angle=0.0), ConfigError, "sensor.fov_half_angle"),
     "sensor-origin": (lambda: sensor(origin=[NAN, 0.0]), ConfigError, "sensor.origin"),
     "sensor-p_d": (lambda: sensor(p_d=1.5), ConfigError, "sensor.p_d"),
