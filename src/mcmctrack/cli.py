@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="children kept per parent")
     p_trk.add_argument("--history", action="store_true",
                        help="also write the full per-scan hypothesis history (small runs)")
-    p_trk.add_argument("--burn-in", dest="burn_in_steps", type=int, default=None)
     p_trk.add_argument("--record-steps", dest="record_steps", type=int, default=None)
     p_trk.set_defaults(func=cmd_track)
 

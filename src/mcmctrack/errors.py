@@ -35,3 +35,10 @@ class InvalidEventError(TrackingError):
 
 class EnumerationLimitError(ConfigError):
     """Exhaustive enumeration would exceed the configured instance limits."""
+
+
+def check_count(value: object, name: str, least: int) -> None:
+    """The one rule for a config count: ConfigError naming name unless value
+    is an int, not a bool, and at least least."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ConfigError(f"{name} must be an integer >= {least}")

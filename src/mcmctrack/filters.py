@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError, SingularStateError
+from .errors import ConfigError, NumericalError, SingularStateError, check_count
 
 MU_EARTH = 398600.4418  # km^3/s^2
 
@@ -65,9 +65,7 @@ class DynamicsConfig:
             raise ConfigError("dynamics.dt must be finite")
         if not (math.isfinite(self.q) and self.q >= 0.0):
             raise ConfigError("dynamics.q must be finite and >= 0")
-        substeps = self.integrator_substeps
-        if isinstance(substeps, bool) or not isinstance(substeps, int) or substeps < 1:
-            raise ConfigError("dynamics.integrator_substeps must be an integer >= 1")
+        check_count(self.integrator_substeps, "dynamics.integrator_substeps", 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, DegenerateUpdateError, InvalidEventError
+from .errors import ConfigError, DegenerateUpdateError, InvalidEventError, check_count
 from .filters import GaussianTrack
 
 # Reserved assignment entries. Track labels must not collide with these.
@@ -36,8 +36,7 @@ class BirthDeathConfig:
             raise ConfigError("birth_death.alpha must lie in [0, 1]")
         if not (0.0 <= self.beta <= 1.0):
             raise ConfigError("birth_death.beta must lie in [0, 1]")
-        if self.n_pixels < 1:
-            raise ConfigError("birth_death.n_pixels must be >= 1")
+        check_count(self.n_pixels, "birth_death.n_pixels", 1)
 
 
 @dataclass(frozen=True, eq=False)

@@ -102,12 +102,14 @@ PRESETS = {
 }
 
 # Per-preset tracker tuning: hypothesis budget, children kept per parent,
-# chain sizing and the birth/death rates, fixed for the whole run.
+# record steps and the birth/death rates, fixed for the whole run. The
+# custom row, which every scenario that is no preset runs, takes the
+# presets' walk budget; it equals the config classes' defaults.
 # twenty-object's alpha 0.1 was chosen on seeds 0-79, where it ends on the
 # true count on 79 of 80 (0.06: 69, 0.2: 78), and on 75 of held-out seeds
 # 80-159. No rate tried (alpha 0.02-0.1, beta 0.005-0.02) ends a sixty-object
 # run of seeds 0-9 on the true count, so it keeps alpha 0.02.
-# The walks record from their likelihood-weighted start with no burn-in:
+# Every walk records from its likelihood-weighted start with no burn-in:
 # the tracker keeps the heaviest children it finds, and burn-in only threw
 # the start and its neighbours away. Swept with walk seeds seed + k, k in
 # {0, 10**6, 2*10**6} (twenty-object wins of seeds 0-159 out of 480,
@@ -126,20 +128,16 @@ PRESETS = {
 # of those runs, and of sixty-object's seeds 0-9, ends on the same count.
 TRACKER_TUNING: dict[str, dict] = {
     "single-spawn": dict(
-        h_inf=50, children_kept=35, burn_in_steps=0, record_steps=3000,
-        alpha=0.02, beta=0.02, n_pixels=50,
+        h_inf=50, children_kept=35, record_steps=3000, alpha=0.02, beta=0.02, n_pixels=50,
     ),
     "twenty-object": dict(
-        h_inf=40, children_kept=60, burn_in_steps=0, record_steps=3000,
-        alpha=0.1, beta=0.01, n_pixels=50,
+        h_inf=40, children_kept=60, record_steps=3000, alpha=0.1, beta=0.01, n_pixels=50,
     ),
     "sixty-object": dict(
-        h_inf=10, children_kept=15, burn_in_steps=0, record_steps=2000,
-        alpha=0.02, beta=0.01, n_pixels=60,
+        h_inf=10, children_kept=15, record_steps=2000, alpha=0.02, beta=0.01, n_pixels=60,
     ),
     "custom": dict(
-        h_inf=50, children_kept=25, burn_in_steps=None, record_steps=None,
-        alpha=0.01, beta=0.01, n_pixels=50,
+        h_inf=50, children_kept=25, record_steps=3000, alpha=0.01, beta=0.01, n_pixels=50,
     ),
 }
 
@@ -148,8 +146,8 @@ def tracker_config_for(scenario, seed=None, mode=None, **overrides):
     """Build a TrackerConfig from a scenario plus its preset tuning.
 
     Keyword overrides are the TRACKER_TUNING keys (h_inf, children_kept,
-    burn_in_steps, record_steps, alpha, beta, n_pixels); one that is None
-    keeps the preset's value, and any other key raises TypeError. mode is a
+    record_steps, alpha, beta, n_pixels); one that is None keeps the
+    preset's value, and any other key raises TypeError. mode is a
     TrackerMode or its value (default MCMC).
     """
     tun = dict(TRACKER_TUNING.get(scenario.name, TRACKER_TUNING["custom"]))
@@ -165,7 +163,6 @@ def tracker_config_for(scenario, seed=None, mode=None, **overrides):
             alpha=tun["alpha"], beta=tun["beta"], n_pixels=tun["n_pixels"]
         ),
         sampler=SamplerConfig(
-            burn_in_steps=tun["burn_in_steps"],
             record_steps=tun["record_steps"],
             children_kept=tun["children_kept"],
             seed=scenario.seed if seed is None else seed,

@@ -27,13 +27,13 @@ columns (AssociationMatrix.supported, the pattern the child enumerator
 walks) with probability proportional to its likelihood, read from the
 kernel's start table (data-driven initialization, as in Tu & Zhu's DDMCMC,
 IEEE TPAMI 2002). So a walk starts near the likely children, and the
-presets record from that start with no burn-in: the tracker scores every
-child exactly and keeps the heaviest, so visit frequencies are never read,
-and burn-in, which serves them only by forgetting the start, would throw
-away the start and its neighbours. Only the initial state's law depends on
-the start table, not the rows or the stationary law. tally scores a key
-from scratch; it is the one production scorer. _Walk.run simulates the
-walk exactly by its jump chain (Douc & Robert, "A vanilla
+tracker's walks record from that start with no burn-in: the tracker scores
+every child exactly and keeps the heaviest, so visit frequencies are never
+read, and burn-in, which serves them only by forgetting the start, would
+throw away the start and its neighbours. Only the initial state's law
+depends on the start table, not the rows or the stationary law. tally
+scores a key from scratch; it is the one production scorer. _Walk.run
+simulates the walk exactly by its jump chain (Douc & Robert, "A vanilla
 Rao-Blackwellization of Metropolis-Hastings algorithms", Ann. Statist. 2011)
 over state ids: each state gets an id the first time a row names it, and
 for each state a walk reaches, build_row builds and memoizes once per
@@ -86,7 +86,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import check_count
 from .filters import SensorModel
 from .hypotheses import (
     AssociationEvent,
@@ -100,23 +100,20 @@ from .oracle import enumerate_child_keys
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain sizing and seeding. burn_in_steps / record_steps of None use the
-    dimension-proportional defaults 50*(m+1)*(M+2) and 200*(m+1)*(M+2)."""
+    """Chain sizing and seeding. The defaults are the tracker's walks: no
+    burn-in and 3,000 record steps from the likelihood-weighted start. A
+    burn-in serves only a caller that reads visit frequencies."""
 
-    burn_in_steps: int | None = None
-    record_steps: int | None = None
+    burn_in_steps: int = 0
+    record_steps: int = 3000
     children_kept: int = 25
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.burn_in_steps is not None and self.burn_in_steps < 0:
-            raise ConfigError("sampler.burn_in_steps must be >= 0")
-        if self.record_steps is not None and self.record_steps < 1:
-            raise ConfigError("sampler.record_steps must be >= 1")
-        if self.children_kept < 1:
-            raise ConfigError("sampler.children_kept must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("sampler.seed must be >= 0")
+        check_count(self.burn_in_steps, "sampler.burn_in_steps", 0)
+        check_count(self.record_steps, "sampler.record_steps", 1)
+        check_count(self.children_kept, "sampler.children_kept", 1)
+        check_count(self.seed, "sampler.seed", 0)
 
 
 # Distinct prior tables kept: a seed-0 preset run uses a few dozen.
@@ -528,7 +525,7 @@ def sample_children(
     and it runs cfg.record_steps more; the children are the top
     children_kept of the states the record run visits, by score (each
     state's from-scratch score, from its kernel row). With burn_in_steps 0,
-    as the presets run, the record run starts at the start state.
+    as the tracker's walks run, the record run starts at the start state.
     Deterministic given cfg.seed and parent.id; of sensor only p_d is read.
     kernel is Kernel(matrix, birth_cfg, sensor.p_d), built here when None;
     walks that share one return what walks over fresh kernels return. A
@@ -539,13 +536,10 @@ def sample_children(
     elif kernel.matrix is not matrix:
         raise ValueError("sample_children: kernel is built over another matrix")
     walk = _Walk(kernel)
-    size = (matrix.n_returns + 1) * (matrix.n_objects + 2)
-    burn = 50 * size if cfg.burn_in_steps is None else cfg.burn_in_steps
-    record = 200 * size if cfg.record_steps is None else cfg.record_steps
     walk.start(np.random.default_rng(chain_seed(cfg.seed, parent.id)))
-    walk.run(burn)
+    walk.run(cfg.burn_in_steps)
     walk.visits = [0] * len(walk.visits)
-    walk.run(record)
+    walk.run(cfg.record_steps)
     # heapq documents nsmallest(n, it, key) as equal to sorted(it, key=key)[:n];
     # the keys are distinct, so the order has no ties either way.
     rows, keys, visits = walk.kernel.rows, walk.kernel.keys, walk.visits

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigError, InputDataError
+from .errors import ConfigError, InputDataError, check_count
 from .filters import (
     DynamicsConfig,
     GaussianTrack,
@@ -36,8 +36,8 @@ class SpawnEvent:
     velocity_std: float
 
     def __post_init__(self) -> None:
-        if self.fragment_count < 2:
-            raise ConfigError("spawn_events[].fragment_count must be >= 2")
+        check_count(self.parent_index, "spawn_events[].parent_index", 0)
+        check_count(self.fragment_count, "spawn_events[].fragment_count", 2)
         if self.velocity_std < 0.0 or not math.isfinite(self.velocity_std):
             raise ConfigError("spawn_events[].velocity_std must be finite and >= 0")
 
@@ -120,8 +120,7 @@ class ScenarioConfig:
             # The initial covariance holds its square.
             if not math.isfinite(std * std):
                 raise ConfigError(f"{name} must have a finite square")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
+        check_count(self.seed, "seed", 0)
         # Truth propagation reuses the per-scan dynamics step.
         self.dynamics = replace(self.dynamics, dt=self.scan_interval)
 

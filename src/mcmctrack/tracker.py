@@ -45,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateUpdateError
+from .errors import ConfigError, DegenerateUpdateError, check_count
 from .filters import (
     DynamicsConfig,
     GaussianTrack,
@@ -98,8 +98,7 @@ class TrackerConfig:
     mode: TrackerMode = TrackerMode.MCMC
 
     def __post_init__(self) -> None:
-        if self.h_inf < 1:
-            raise ConfigError("tracker.h_inf must be >= 1")
+        check_count(self.h_inf, "tracker.h_inf", 1)
         try:
             object.__setattr__(self, "mode", TrackerMode(self.mode))
         except ValueError:

@@ -534,7 +534,7 @@ class TestNegativeSeed:
         assert main(argv + out) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:")
-        assert "seed must be >= 0" in err
+        assert "seed must be an integer >= 0" in err
         assert "Traceback" not in err
 
 
@@ -761,25 +761,28 @@ class TestTrackTuning:
         assert self.RUN_ARGUMENTS <= dests
         assert dests - self.RUN_ARGUMENTS <= TRACKER_TUNING["custom"].keys()
 
-    def test_removed_rate_flag_is_refused(self, capsys, sim_dir, small_scenario_file):
-        # The rates are fixed for the run: the removed switch that rescaled
-        # them each scan is an unknown option, a usage error.
+    @pytest.mark.parametrize("flag", [["--adapt-rates"], ["--burn-in", "100"]],
+                             ids=["adapt-rates", "burn-in"])
+    def test_removed_rate_flag_is_refused(self, capsys, sim_dir, small_scenario_file, flag):
+        # The rates are fixed for the run, and every walk records from its
+        # start: the removed switch that rescaled the rates each scan and the
+        # removed burn-in are unknown options, a usage error.
         with pytest.raises(SystemExit) as exit_info:
             main(["track", "--frames", str(sim_dir / "frames.csv"),
-                  "--scenario", str(small_scenario_file), "--adapt-rates"])
+                  "--scenario", str(small_scenario_file), *flag])
         assert exit_info.value.code == 2
-        assert "unrecognized arguments: --adapt-rates" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_manifest_records_the_resolved_config(self, tmp_path, sim_dir, small_scenario_file):
         out = tmp_path / "trk"
         assert main([
             "track", "--frames", str(sim_dir / "frames.csv"),
             "--scenario", str(small_scenario_file), "--out", str(out),
-            "--children", "7", "--burn-in", "100", "--record-steps", "300", "--alpha", "0.05",
+            "--children", "7", "--record-steps", "300", "--alpha", "0.05",
         ]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert {key: manifest[key] for key in
                 ("children_kept", "burn_in_steps", "record_steps", "alpha", "n_pixels")} == {
-            "children_kept": 7, "burn_in_steps": 100, "record_steps": 300, "alpha": 0.05,
+            "children_kept": 7, "burn_in_steps": 0, "record_steps": 300, "alpha": 0.05,
             "n_pixels": 50,
         }

@@ -28,7 +28,7 @@ from mcmctrack.hypotheses import (
 )
 from mcmctrack.likelihoods import AssociationMatrix, ClutterModel, hypothesis_log_likelihood
 from mcmctrack.sampler import SamplerConfig, visit_distribution
-from mcmctrack.simulate import MeasurementFrame, ScenarioConfig
+from mcmctrack.simulate import MeasurementFrame, ScenarioConfig, SpawnEvent
 from mcmctrack.tracker import TrackerConfig
 
 NAN = math.nan
@@ -71,18 +71,38 @@ REJECTIONS = {
     "sensor-max_range": (lambda: sensor(max_range=0.0), ConfigError, "sensor.max_range"),
     "clutter-density": (lambda: ClutterModel(-1.0), ConfigError, "clutter.density_value"),
     "birth_death-beta": (lambda: BirthDeathConfig(beta=1.5), ConfigError, "birth_death.beta"),
+    "birth_death-n_pixels-fraction": (
+        lambda: BirthDeathConfig(n_pixels=2.5), ConfigError, "birth_death.n_pixels"),
+    "birth_death-n_pixels-bool": (
+        lambda: BirthDeathConfig(n_pixels=True), ConfigError, "birth_death.n_pixels"),
     "sampler-burn_in": (
         lambda: SamplerConfig(burn_in_steps=-1), ConfigError, "sampler.burn_in_steps"),
+    "sampler-burn_in-fraction": (
+        lambda: SamplerConfig(burn_in_steps=1.5), ConfigError, "sampler.burn_in_steps"),
     "sampler-record": (
         lambda: SamplerConfig(record_steps=0), ConfigError, "sampler.record_steps"),
+    "sampler-record-fraction": (
+        lambda: SamplerConfig(record_steps=2.5), ConfigError, "sampler.record_steps"),
     "sampler-children": (
         lambda: SamplerConfig(children_kept=0), ConfigError, "sampler.children_kept"),
+    "sampler-children-fraction": (
+        lambda: SamplerConfig(children_kept=2.5), ConfigError, "sampler.children_kept"),
+    "sampler-seed-bool": (lambda: SamplerConfig(seed=True), ConfigError, "sampler.seed"),
     "tracker-h_inf": (lambda: tracker(h_inf=0), ConfigError, "tracker.h_inf"),
+    "tracker-h_inf-fraction": (lambda: tracker(h_inf=2.5), ConfigError, "tracker.h_inf"),
     "tracker-mode": (lambda: tracker(mode="bogus"), ConfigError, "tracker.mode"),
     "scenario-no-objects": (lambda: scenario(objects=[]), ConfigError, "objects"),
     "scenario-nonfinite-object": (
         lambda: scenario(objects=[[1.0e4, NAN, 0.0, 0.0]]), ConfigError, "objects[0]"),
     "scenario-short-duration": (lambda: scenario(duration=200.0), ConfigError, "duration"),
+    "scenario-seed-fraction": (lambda: scenario(seed=1.5), ConfigError, "seed"),
+    "scenario-seed-bool": (lambda: scenario(seed=True), ConfigError, "seed"),
+    "spawn-fragment_count-fraction": (
+        lambda: SpawnEvent(600.0, 0, 3.5, 0.01), ConfigError, "spawn_events[].fragment_count"),
+    "spawn-parent_index-bool": (
+        lambda: SpawnEvent(600.0, False, 3, 0.01), ConfigError, "spawn_events[].parent_index"),
+    "spawn-parent_index-float": (
+        lambda: SpawnEvent(600.0, 0.0, 3, 0.01), ConfigError, "spawn_events[].parent_index"),
     "frame-truth_tags": (
         lambda: MeasurementFrame(300.0, [[1.0, 2.0]], truth_tags=()),
         ConfigError, "truth_tags"),

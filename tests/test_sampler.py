@@ -658,7 +658,7 @@ class TestSampleChildren:
             )
             samples = sample_children(parent, matrix, scfg, cfg, sensor)
             assert sum(s.visits for s in samples) == 1000
-        # The last input, burn-in 0, is the presets' path: the record run
+        # The last input, burn-in 0, is the tracker's path: the record run
         # starts at the walk's start state, and children_kept covers every
         # visited state, so the start state is one of the children.
         walk = _Walk(Kernel(matrix, cfg, sensor.p_d))

@@ -867,6 +867,15 @@ class TestPresetConfig:
         with pytest.raises(TypeError, match=r"unknown overrides \['adapt_rates'\]"):
             tracker_config_for(preset_twenty_object(seed=0), adapt_rates=True)
 
+    def test_a_scenario_that_is_no_preset_runs_the_config_defaults(self):
+        # The custom row and the config classes' defaults are one set of
+        # values: every walk records the presets' budget from its start.
+        scenario = replace(preset_single_spawn(seed=7), name="from-a-file")
+        cfg = tracker_config_for(scenario)
+        assert cfg == TrackerConfig(scenario.sensor, scenario.dynamics, scenario.clutter,
+                                    sampler=SamplerConfig(seed=7))
+        assert (cfg.sampler.burn_in_steps, cfg.sampler.record_steps) == (0, 3000)
+
 
 class TestPresetQuality:
     def test_sixty_object_final_cardinality_error(self):
@@ -890,3 +899,20 @@ class TestPresetQuality:
         print(f"sixty-object seed 0: final {reports[-1].estimated_count} tracks, "
               f"truth {truth[-1].count}, error {error:+d}")
         assert abs(error) <= 4
+
+    @pytest.mark.parametrize("preset", ["single-spawn", "twenty-object"])
+    def test_custom_tuning_ends_on_the_true_count(self, preset):
+        # A scenario that is no preset runs the custom row: the presets'
+        # walk budget (no burn-in, 3,000 record steps) at h_inf 50, 25
+        # children kept and alpha = beta = 0.01. Renamed "custom", seeds 0-9
+        # of each preset end on the true count 10 of 10 times, and held-out
+        # seeds 20-39 on 20 and 19 of 20.
+        wins = 0
+        for seed in range(10):
+            scenario = replace(PRESETS[preset](seed=seed), name="custom")
+            truth, frames = simulate_scenario(scenario)
+            tracker = Tracker(tracker_config_for(scenario))
+            hyps = tracker.initial_hypotheses(scenario.initial_tracks())
+            _, reports = run_tracker(tracker, hyps, frames)
+            wins += reports[-1].estimated_count == truth[-1].count
+        assert wins >= 9, f"{preset} renamed custom: true final count on {wins}/10 seeds"
