@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -73,8 +73,11 @@ class SensorModel:
     """Wedge field-of-view sensor measuring (x, y) position.
 
     `max_range` bounds the wedge so the FOV has finite area; the uniform
-    birth and clutter densities are 1/area over that bounded wedge. p_d is
-    the per-scan detection probability for objects inside the FOV.
+    birth and clutter densities are 1/area over that bounded wedge, so a
+    range whose area overflows is refused. p_d is the per-scan detection
+    probability for objects inside the FOV. `noise_factor` is derived, not
+    set: the lower Cholesky factor of the symmetrized r, computed once here
+    and read-only, which `sense` draws measurement noise through.
     """
 
     origin: np.ndarray
@@ -83,6 +86,7 @@ class SensorModel:
     r: np.ndarray
     p_d: float
     max_range: float = 1.0e5
+    noise_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "origin", np.asarray(self.origin, dtype=float).reshape(2))
@@ -94,12 +98,22 @@ class SensorModel:
             raise ConfigError("sensor.origin must be finite")
         if not math.isfinite(self.boresight_angle):
             raise ConfigError("sensor.boresight_angle must be finite")
+        r_error = ConfigError("sensor.r must be finite and symmetric positive definite")
         if not np.all(np.isfinite(self.r)) or np.linalg.eigvalsh(self.r).min() <= 0.0:
-            raise ConfigError("sensor.r must be finite and symmetric positive definite")
+            raise r_error
+        try:
+            noise_factor = np.linalg.cholesky(self.r)
+        except np.linalg.LinAlgError:
+            raise r_error from None
+        noise_factor.flags.writeable = False
+        object.__setattr__(self, "noise_factor", noise_factor)
         if not (0.0 <= self.p_d <= 1.0):
             raise ConfigError("sensor.p_d must lie in [0, 1]")
         if not (math.isfinite(self.max_range) and self.max_range > 0.0):
             raise ConfigError("sensor.max_range must be finite and > 0")
+        # fov_area's value: float ** raises OverflowError where * gives inf.
+        if not math.isfinite(self.fov_half_angle * (self.max_range * self.max_range)):
+            raise ConfigError("sensor.max_range must give a finite wedge area")
 
     @property
     def fov_area(self) -> float:
@@ -216,19 +230,22 @@ def _rk4_block(s: np.ndarray, h: float, mu: float) -> np.ndarray:
 def propagate_state(s: np.ndarray, cfg: DynamicsConfig) -> np.ndarray:
     """Fixed-step RK4 integration of planar two-body gravity over cfg.dt.
 
-    Deterministic; raises SingularStateError if any evaluated position falls
-    within 1 km of the gravitating center.
+    Deterministic; raises ValueError if s is not finite, SingularStateError
+    if any evaluated position falls within 1 km of the gravitating center,
+    and NumericalError if the integrated state leaves the float range.
     """
     s = np.asarray(s, dtype=float).reshape(4)
-    if not np.all(np.isfinite(s)):
+    x, y, vx, vy = s.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(vx) and math.isfinite(vy)):
         raise ValueError("state must be finite")
     if cfg.dt == 0.0:
         return s.copy()
-    x, y, vx, vy = (float(v) for v in s)
     h = cfg.dt / cfg.integrator_substeps
     mu = cfg.mu
     for _ in range(cfg.integrator_substeps):
         x, y, vx, vy = _rk4_step(x, y, vx, vy, h, mu)
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(vx) and math.isfinite(vy)):
+        raise NumericalError("propagated state is not finite")
     return np.array([x, y, vx, vy])
 
 
@@ -241,7 +258,9 @@ def propagate_flows(states: np.ndarray, cfg: DynamicsConfig) -> tuple[np.ndarray
     constant-velocity Jacobian is returned in closed form. Each state and
     its 8 perturbations are lanes of one (4, L) block stepped by
     _rk4_block, so every lane is its scalar integration bit for bit, and
-    the 1 km guard covers every lane integrated.
+    the 1 km guard covers every lane integrated. Raises ValueError if a
+    state is not finite, and NumericalError if an integrated lane leaves
+    the float range (overflow there is quiet: it only yields inf or nan).
     """
     states = np.asarray(states, dtype=float).reshape(-1, 4)
     if not np.all(np.isfinite(states)):
@@ -261,8 +280,11 @@ def propagate_flows(states: np.ndarray, cfg: DynamicsConfig) -> tuple[np.ndarray
         # and (as ufuncs keep their input's layout) in every later one.
         block = np.ascontiguousarray(lanes.reshape(-1, 4).T)
         h = cfg.dt / cfg.integrator_substeps
-        for _ in range(cfg.integrator_substeps):
-            block = _rk4_block(block, h, cfg.mu)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(cfg.integrator_substeps):
+                block = _rk4_block(block, h, cfg.mu)
+        if not np.isfinite(block).all():
+            raise NumericalError("propagated state is not finite")
         out = block.T.reshape(lanes.shape)
     means = out[:, 0].copy()
     if cfg.mu == 0.0:

@@ -55,8 +55,8 @@ class MeasurementFrame:
         object.__setattr__(
             self, "returns", np.asarray(self.returns, dtype=float).reshape(-1, 2)
         )
-        finite = np.isfinite(self.returns).all(axis=1)
-        if not finite.all():
+        if not np.isfinite(self.returns).all():
+            finite = np.isfinite(self.returns).all(axis=1)
             raise InputDataError(
                 f"frame at time {self.time}: returns {self.returns[~finite].tolist()} "
                 "must be finite"
@@ -195,15 +195,16 @@ def sense(
     """Simulate one scan: each in-FOV object is detected with probability
     p_d and reported with Gaussian noise; Poisson clutter is uniform over the
     bounded wedge; return order is shuffled to hide the association. Noise
-    may push a return marginally outside the wedge; such returns are kept."""
-    noise_chol = np.linalg.cholesky(sensor.r)
+    may push a return marginally outside the wedge; such returns are kept.
+    The noise is drawn through the sensor's noise_factor, factored once
+    when the sensor was built."""
     returns: list[np.ndarray] = []
     tags: list[str] = []
     for oid, state in truth.objects:
         if not in_fov(state, sensor):
             continue
-        if rng.uniform() < sensor.p_d:
-            z = state[:2] + noise_chol @ rng.standard_normal(2)
+        if rng.random() < sensor.p_d:
+            z = state[:2] + sensor.noise_factor @ rng.standard_normal(2)
             returns.append(z)
             tags.append(oid)
     n_clutter = int(rng.poisson(clutter.expected_count))

@@ -201,13 +201,16 @@ class TestSimulateCommand:
         # Each is finite, but their ratio, the scan count, is not.
         ("duration must span a finite number of scans",
          lambda p: p.update(duration_s=1e300, scan_interval_s=1e-300)),
+        # Finite, but the wedge area it bounds (h * R**2) is not.
+        ("sensor.max_range must give a finite wedge area",
+         lambda p: p["sensor"].update(max_range_km=1e160)),
         ("schema must be mcmctrack.scenario.v1",
          lambda p: p.update(schema="mcmctrack.scenario.v0")),
     ], ids=["scan-interval", "boresight-nan", "boresight-inf", "noise-cov-inf",
             "clutter-count-nan", "clutter-count-inf", "spawn-velocity-nan",
             "spawn-velocity-inf", "position-std-nan", "velocity-std-inf",
             "position-std-square-overflow", "velocity-std-square-overflow",
-            "scan-count-overflow", "other-schema"])
+            "scan-count-overflow", "max-range-area-overflow", "other-schema"])
     def test_invalid_scenario_exits_2_naming_field(self, tmp_path, capsys, field, edit):
         payload = scenario_to_dict(preset_single_spawn())
         edit(payload)
@@ -460,6 +463,44 @@ class TestTrackCommand:
             "--scenario", str(small_scenario_file), "--out", str(tmp_path / "o"),
         ])
         assert rc == 3
+
+
+@pytest.mark.filterwarnings("error")
+class TestOrbitOverflow:
+    """An object fast enough to leave the float range within a scan is a
+    numerical failure wherever it is propagated: exit 4 with one line, not
+    a traceback, a warning or a truth file of NaNs."""
+
+    MESSAGE = "numerical failure: propagated state is not finite\n"
+
+    @staticmethod
+    def scenario(tmp_path, **edits):
+        payload = scenario_to_dict(preset_single_spawn())
+        payload["objects"] = [[7000.0, 0.0, 0.0, 1e306]]
+        payload.update(name="overflow", **edits)
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("one_scan", [True, False], ids=["one-scan", "preset-scans"])
+    def test_simulate_exits_4(self, tmp_path, capsys, one_scan):
+        edits = dict(spawn_events=[], duration_s=300.0, scan_interval_s=300.0) if one_scan else {}
+        out = tmp_path / "o"
+        rc = main(["simulate", "--scenario", str(self.scenario(tmp_path, **edits)),
+                   "--out", str(out)])
+        assert rc == 4
+        assert capsys.readouterr().err == self.MESSAGE
+        assert not (out / "truth.csv").exists()
+
+    def test_track_exits_4(self, tmp_path, capsys):
+        frames = tmp_path / "sim"
+        assert main(["simulate", "--scenario", "single-spawn", "--out", str(frames),
+                     "--seed", "0"]) == 0
+        capsys.readouterr()
+        rc = main(["track", "--frames", str(frames / "frames.csv"),
+                   "--scenario", str(self.scenario(tmp_path)), "--out", str(tmp_path / "o")])
+        assert rc == 4
+        assert capsys.readouterr().err == self.MESSAGE
 
 
 class TestRecordedBytes:

@@ -82,6 +82,20 @@ class TestPropagate:
         cfg = DynamicsConfig(dt=300.0)
         np.testing.assert_array_equal(propagate_state(s, cfg), propagate_state(s, cfg))
 
+    # The float check must refuse everything np.isfinite refused.
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("index", range(4), ids=["x", "y", "vx", "vy"])
+    @pytest.mark.parametrize("dt", [0.0, 300.0])
+    def test_non_finite_state_rejected(self, index, bad, dt):
+        s = np.array([7000.0, 0.0, 0.0, 7.5])
+        s[index] = bad
+        with pytest.raises(ValueError, match="state must be finite"):
+            propagate_state(s, DynamicsConfig(dt=dt))
+
+    def test_state_leaving_the_float_range_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="propagated state is not finite"):
+            propagate_state(np.array([7000.0, 0.0, 0.0, 1e306]), DynamicsConfig(dt=300.0))
+
 
 def preset_step_error(scenario, cfg, propagate):
     """Largest position error (km) over a whole run of scenario, every scan
@@ -125,6 +139,29 @@ class TestPresetStep:
             if (n := scenario.dynamics.integrator_substeps) > 1
         ]
         assert errors and max(errors) >= 1e-4
+
+
+class TestSensorNoiseFactor:
+    R = [np.eye(2), np.array([[4.0, 1.2], [1.2, 0.5]]), np.array([[2.0, 0.3], [0.1, 1.0]])]
+
+    @pytest.mark.parametrize("r", R, ids=["identity", "correlated", "asymmetric"])
+    def test_is_the_cholesky_factor_of_r(self, r):
+        sensor = default_sensor(r=r)
+        assert sensor.noise_factor.tobytes() == np.linalg.cholesky(sensor.r).tobytes()
+
+    def test_is_read_only_and_not_an_argument(self):
+        sensor = default_sensor()
+        with pytest.raises(ValueError, match="read-only"):
+            sensor.noise_factor[0, 0] = 2.0
+        with pytest.raises(AttributeError):
+            sensor.noise_factor = np.eye(2)
+        with pytest.raises(TypeError, match="noise_factor"):
+            SensorModel(np.zeros(2), 0.0, 0.2, np.eye(2), 0.9, noise_factor=np.eye(2))
+        assert "noise_factor" not in repr(sensor)
+
+    def test_replace_refactors_the_new_r(self):
+        sensor = replace(default_sensor(), r=np.array([[9.0, 0.0], [0.0, 4.0]]))
+        assert sensor.noise_factor.tobytes() == np.diag([3.0, 2.0]).tobytes()
 
 
 class TestDynamicsConfig:
@@ -228,6 +265,17 @@ class TestPropagateFlows:
         states = np.array([[7000.0, 0.0, 0.0, 7.5], [7000.0, bad, 0.0, 7.5]])
         with pytest.raises(ValueError, match="finite"):
             propagate_flows(states, DynamicsConfig(mu=mu, dt=dt))
+
+    @pytest.mark.parametrize("substeps", [1, 2, 16])
+    def test_lanes_leaving_the_float_range_are_a_numerical_error(self, substeps):
+        # Past about 1.3e154 km a position's square overflows: that is
+        # quiet, and only the integrated block's check speaks.
+        states = np.array([[7000.0, 0.0, 0.0, 7.5], [7000.0, 0.0, 0.0, 1e306]])
+        cfg = DynamicsConfig(dt=300.0, integrator_substeps=substeps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="propagated state is not finite"):
+                propagate_flows(states, cfg)
 
     def test_guard_parity_with_reference(self):
         # States straddling the 1 km guard radius: the batch raises exactly

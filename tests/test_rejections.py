@@ -69,6 +69,14 @@ REJECTIONS = {
     "sensor-origin": (lambda: sensor(origin=[NAN, 0.0]), ConfigError, "sensor.origin"),
     "sensor-p_d": (lambda: sensor(p_d=1.5), ConfigError, "sensor.p_d"),
     "sensor-max_range": (lambda: sensor(max_range=0.0), ConfigError, "sensor.max_range"),
+    # Finite, but h * R**2, the wedge area, is not (float ** raises there).
+    "sensor-max_range-area": (
+        lambda: sensor(max_range=1e160), ConfigError, "sensor.max_range"),
+    # Positive definite to eigvalsh, but its Cholesky factorization fails.
+    "sensor-r-cholesky": (
+        lambda: sensor(r=[[2.167925155813873e-194, 3.872948104942285e-131],
+                          [3.872948104942285e-131, 6.918932133496511e-68]]),
+        ConfigError, "sensor.r"),
     "clutter-density": (lambda: ClutterModel(-1.0), ConfigError, "clutter.density_value"),
     "birth_death-beta": (lambda: BirthDeathConfig(beta=1.5), ConfigError, "birth_death.beta"),
     "birth_death-n_pixels-fraction": (
